@@ -1,14 +1,23 @@
 """Reverse-mode autodiff over dense 2-D float matrices with exact
 activation-cache accounting.
 
-Every operation is recorded as a node on a :class:`Tape`. A node that
-requires gradients retains ("saves") exactly the tensors its backward rule
-will read, and the tape keeps a per-node ledger of how many scalar values
-were retained. Saves that merely reference parameters or constants are
-charged zero elements: those arrays are resident regardless of the backward
-pass, so only forward-produced intermediates count toward the activation
-cache. The ledger is a per-read sum; a tensor saved by two consumers is
-charged twice (a refcount-free upper bound, deterministic for a fixed
+Every operation is recorded on a :class:`Tape`, and each one returns a
+:class:`Tensor` handle to model code. The handle owns the op's output
+array; the tape's graph holds only :class:`Node` records (op, inputs,
+shape, dtype, metadata) and, for nodes that require gradients, the arrays
+their backward rule reads ("saves"). An output therefore lives exactly as
+long as model code holds its handle or a backward save refers to it:
+CPython frees every other forward value as soon as its last handle drops,
+so the bytes live at backward entry are the retained set that
+:func:`simulate_peak_bytes` models (the freeing rule of Chen et al. 2016),
+not every value the forward pass made.
+
+Each node keeps a ledger of how many scalar values its saves charge.
+Saves that merely reference parameters or constants are charged zero
+elements: those arrays are resident regardless of the backward pass, so
+only forward-produced intermediates count toward the activation cache.
+The ledger is a per-read sum; a tensor saved by two consumers is charged
+twice (a refcount-free upper bound, deterministic for a fixed
 computation).
 
 Cache policy per primitive, as (what backward reads):
@@ -17,13 +26,14 @@ Cache policy per primitive, as (what backward reads):
     elementwise    gelu: its input; scale: nothing (constant factor)
     softmax_rows   its output, not its input
     layer_norm     normalized input, per-row inverse std, the scale vector
-    select/concat  nothing (integer metadata only)
+    select/concat  nothing (integer metadata and the input's shape)
     mean_rows      nothing
     cross_entropy  the softmax probabilities (log-softmax is fused)
 
 Nodes recorded while gradients are disabled (`with tape.no_grad(): ...`)
 have ``requires_grad = False``, save nothing, and act as constants during
-backward. Recording and backward are single-threaded per tape; independent
+backward; a no-grad forward keeps nothing beyond the handles its caller
+holds. Recording and backward are single-threaded per tape; independent
 tapes are safe to use concurrently.
 """
 
@@ -88,23 +98,27 @@ def as_matrix(data, dtype=None) -> np.ndarray:
 
 
 class Node:
-    """One recorded operation (or leaf) on the tape.
+    """One recorded operation (or leaf) in the tape's graph.
 
-    ``saved`` is the immutable cache ledger, a tuple of (role, element
-    count charged); ``_saved_arrays`` holds the actual references and is
-    released as backward consumes each node.
+    A node holds what backward and the memory model read: the op, its
+    input nodes, the output's shape and dtype, and metadata, but never the
+    output array, which only its :class:`Tensor` handle owns. ``saved`` is
+    the immutable cache ledger, a tuple of (role, element count charged);
+    ``_saved_arrays`` holds the arrays backward reads and is released as
+    backward consumes each node.
     """
 
     __slots__ = (
-        "idx", "op", "value", "requires_grad", "inputs", "meta",
+        "idx", "op", "shape", "dtype", "requires_grad", "inputs", "meta",
         "saved", "_saved_arrays", "label", "name",
     )
 
-    def __init__(self, idx, op, value, requires_grad, inputs=(), meta=None,
-                 label="", name=None):
+    def __init__(self, idx, op, shape, dtype, requires_grad, inputs=(),
+                 meta=None, label="", name=None):
         self.idx = idx
         self.op = op
-        self.value = value
+        self.shape = shape
+        self.dtype = dtype
         self.requires_grad = requires_grad
         self.inputs = tuple(inputs)
         self.meta = meta or {}
@@ -114,8 +128,8 @@ class Node:
         self.name = name
 
     @property
-    def shape(self):
-        return self.value.shape
+    def nbytes(self) -> int:
+        return self.shape[0] * self.shape[1] * self.dtype.itemsize
 
     @property
     def is_leaf(self):
@@ -125,8 +139,32 @@ class Node:
         return sum(count for _, count in self.saved)
 
     def __repr__(self):
-        return (f"Node({self.idx}, {self.op}, shape={self.value.shape}, "
+        return (f"Node({self.idx}, {self.op}, shape={self.shape}, "
                 f"grad={self.requires_grad})")
+
+
+class Tensor:
+    """Model code's handle on a node: the output array and its node.
+
+    Every other attribute (``idx``, ``op``, ``saved``, ...) reads through
+    to the node.
+    """
+
+    __slots__ = ("value", "node")
+
+    def __init__(self, value: np.ndarray, node: Node):
+        self.value = value
+        self.node = node
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node.requires_grad
+
+    def __getattr__(self, name):
+        return getattr(self.node, name)
+
+    def __repr__(self):
+        return f"Tensor({self.node!r})"
 
 
 class Tape:
@@ -141,7 +179,7 @@ class Tape:
         self.nodes: list[Node] = []
         self._grad_stack = [True]
         self._label_stack: list[str] = []
-        self._params_by_name: dict[str, Node] = {}
+        self._params_by_name: dict[str, Tensor] = {}
         self._backward_done = False
         self._leaf_grads: dict[int, np.ndarray] = {}
         self.debug_cache_untracked = debug_cache_untracked
@@ -161,14 +199,6 @@ class Tape:
             self._grad_stack.pop()
 
     @contextmanager
-    def grad_enabled_scope(self):
-        self._grad_stack.append(True)
-        try:
-            yield self
-        finally:
-            self._grad_stack.pop()
-
-    @contextmanager
     def region(self, label: str):
         """Attribute nodes recorded inside to `label` (ledger breakdowns)."""
         self._label_stack.append(label)
@@ -182,13 +212,14 @@ class Tape:
 
     # ---- leaves ----------------------------------------------------------
 
-    def _add_leaf(self, op, value, requires_grad, name=None) -> Node:
-        node = Node(len(self.nodes), op, value, requires_grad,
-                    label=self._label(), name=name)
+    def _add_leaf(self, op, value, requires_grad, name=None) -> Tensor:
+        node = Node(len(self.nodes), op, value.shape, value.dtype,
+                    requires_grad, label=self._label(), name=name)
         self.nodes.append(node)
-        return node
+        return Tensor(value, node)
 
-    def param(self, name: str, value: np.ndarray, trainable: bool = True) -> Node:
+    def param(self, name: str, value: np.ndarray,
+              trainable: bool = True) -> Tensor:
         """Register a model parameter leaf; repeated requests are deduped."""
         existing = self._params_by_name.get(name)
         if existing is not None:
@@ -197,34 +228,29 @@ class Tape:
         self._params_by_name[name] = node
         return node
 
-    def constant(self, value) -> Node:
+    def constant(self, value) -> Tensor:
         return self._add_leaf("const", as_matrix(value), False)
 
-    def input(self, value, requires_grad: bool = True) -> Node:
+    def input(self, value, requires_grad: bool = True) -> Tensor:
         arr = as_matrix(value)
         if not np.isfinite(arr).all():
             raise NonFiniteError("input")
         return self._add_leaf("input", arr, requires_grad and self.grad_enabled)
 
-    def detach(self, node: Node) -> Node:
-        """Re-enter a node's value as a constant (stop-gradient)."""
-        out = self._add_leaf("const", node.value, False)
-        out.meta["alias"] = True  # shares storage; not a new allocation
-        return out
-
     # ---- recording helper ------------------------------------------------
 
-    def _record(self, op, value, inputs, meta=None, saves=()) -> Node:
+    def _record(self, op, value, inputs, meta=None, saves=()) -> Tensor:
         """Append an op node; attach saves only if the node requires grad.
 
-        `saves` is a sequence of (role, array, charged: bool) describing
-        what this op's backward rule reads.
+        `inputs` are the operands' handles; the node keeps their nodes
+        only. `saves` is a sequence of (role, array, charged: bool)
+        describing what this op's backward rule reads.
         """
         if not np.isfinite(value).all():
             raise NonFiniteError(op)
         tracked = self.grad_enabled and any(i.requires_grad for i in inputs)
-        node = Node(len(self.nodes), op, value, tracked, inputs, meta,
-                    label=self._label())
+        node = Node(len(self.nodes), op, value.shape, value.dtype, tracked,
+                    (i.node for i in inputs), meta, label=self._label())
         if tracked:
             node._saved_arrays = [(role, arr) for role, arr, _ in saves]
             node.saved = tuple((role, arr.size if charged else 0)
@@ -233,17 +259,18 @@ class Tape:
             node.saved = tuple((role, arr.size if charged else 0)
                                for role, arr, charged in saves)
         self.nodes.append(node)
-        return node
+        return Tensor(value, node)
 
     @staticmethod
-    def _charged(node: Node) -> bool:
+    def _charged(t: Tensor) -> bool:
         # Parameters and constants are resident regardless of backward;
         # only forward-produced intermediates count as activation cache.
-        return node.op not in ("param", "const")
+        return t.node.op not in ("param", "const")
 
     # ---- primitives ------------------------------------------------------
 
-    def matmul(self, a: Node, b: Node, transpose_b: bool = False) -> Node:
+    def matmul(self, a: Tensor, b: Tensor,
+               transpose_b: bool = False) -> Tensor:
         bv = b.value.T if transpose_b else b.value
         if a.value.shape[1] != bv.shape[0]:
             raise ShapeError("matmul", f"{a.value.shape} x {b.value.shape}"
@@ -259,7 +286,7 @@ class Tape:
         return self._record("matmul", out, (a, b),
                             {"transpose_b": transpose_b}, saves)
 
-    def add(self, a: Node, b: Node) -> Node:
+    def add(self, a: Tensor, b: Tensor) -> Tensor:
         """Elementwise add; `b` may be a 1-row vector broadcast over rows."""
         if b.value.shape == a.value.shape:
             broadcast = False
@@ -270,24 +297,24 @@ class Tape:
         out = a.value + b.value
         return self._record("add", out, (a, b), {"broadcast": broadcast})
 
-    def scale(self, a: Node, c: float) -> Node:
+    def scale(self, a: Tensor, c: float) -> Tensor:
         return self._record("elementwise", a.value * float(c), (a,),
                             {"fn": "scale", "c": float(c)})
 
-    def gelu(self, a: Node) -> Node:
+    def gelu(self, a: Tensor) -> Tensor:
         x = a.value
         return self._record("elementwise", gelu_array(x), (a,), {"fn": "gelu"},
                             saves=[("input", x, self._charged(a))])
 
-    def softmax_rows(self, a: Node) -> Node:
+    def softmax_rows(self, a: Tensor) -> Tensor:
         z = a.value - a.value.max(axis=1, keepdims=True)
         e = np.exp(z)
         p = e / e.sum(axis=1, keepdims=True)
         return self._record("softmax_rows", p, (a,),
                             saves=[("probs", p, True)])
 
-    def layer_norm(self, x: Node, gamma: Node, beta: Node,
-                   eps: float = 1e-5) -> Node:
+    def layer_norm(self, x: Tensor, gamma: Tensor, beta: Tensor,
+                   eps: float = 1e-5) -> Tensor:
         d = x.value.shape[1]
         if gamma.value.shape != (1, d) or beta.value.shape != (1, d):
             raise ShapeError("layer_norm",
@@ -305,7 +332,7 @@ class Tape:
         return self._record("layer_norm", out, (x, gamma, beta),
                             {"eps": eps}, saves)
 
-    def select_rows(self, a: Node, idx) -> Node:
+    def select_rows(self, a: Tensor, idx) -> Tensor:
         idx = np.asarray(idx, dtype=np.intp)
         if idx.ndim != 1:
             raise ShapeError("select_rows", f"index must be 1-D, got {idx.shape}")
@@ -314,7 +341,7 @@ class Tape:
                              f"index out of range for {a.value.shape[0]} rows")
         return self._record("select_rows", a.value[idx], (a,), {"idx": idx})
 
-    def select_cols(self, a: Node, idx) -> Node:
+    def select_cols(self, a: Tensor, idx) -> Tensor:
         idx = np.asarray(idx, dtype=np.intp)
         if idx.ndim != 1:
             raise ShapeError("select_cols", f"index must be 1-D, got {idx.shape}")
@@ -325,7 +352,7 @@ class Tape:
                             np.ascontiguousarray(a.value[:, idx]), (a,),
                             {"idx": idx})
 
-    def concat_rows(self, parts: list[Node]) -> Node:
+    def concat_rows(self, parts: list[Tensor]) -> Tensor:
         if not parts:
             raise ShapeError("concat_rows", "no parts")
         cols = parts[0].value.shape[1]
@@ -336,7 +363,7 @@ class Tape:
         sizes = [p.value.shape[0] for p in parts]
         return self._record("concat_rows", out, parts, {"sizes": sizes})
 
-    def concat_cols(self, parts: list[Node]) -> Node:
+    def concat_cols(self, parts: list[Tensor]) -> Tensor:
         if not parts:
             raise ShapeError("concat_cols", "no parts")
         rows = parts[0].value.shape[0]
@@ -347,14 +374,14 @@ class Tape:
         sizes = [p.value.shape[1] for p in parts]
         return self._record("concat_cols", out, parts, {"sizes": sizes})
 
-    def mean_rows(self, a: Node) -> Node:
+    def mean_rows(self, a: Tensor) -> Tensor:
         n = a.value.shape[0]
         if n == 0:
             raise ShapeError("mean_rows", "empty matrix")
         return self._record("mean_rows", a.value.mean(axis=0, keepdims=True),
                             (a,), {"n": n})
 
-    def cross_entropy(self, logits: Node, targets) -> Node:
+    def cross_entropy(self, logits: Tensor, targets) -> Tensor:
         """Summed negative log-likelihood over rows; log-softmax is fused."""
         t = np.asarray(targets, dtype=np.intp).reshape(-1)
         m, v = logits.value.shape
@@ -375,7 +402,7 @@ class Tape:
 
     # ---- backward --------------------------------------------------------
 
-    def backward(self, loss: Node) -> dict[str, np.ndarray]:
+    def backward(self, loss: Tensor) -> dict[str, np.ndarray]:
         """Reverse accumulation from a scalar loss node.
 
         Returns gradients for trainable parameters, keyed by name. Nodes
@@ -392,7 +419,7 @@ class Tape:
         self._backward_done = True
 
         grads: dict[int, np.ndarray] = {
-            loss.idx: np.ones((1, 1), dtype=loss.value.dtype)
+            loss.node.idx: np.ones((1, 1), dtype=loss.value.dtype)
         }
         store: dict[str, np.ndarray] = {}
         self._leaf_grads = {}
@@ -412,9 +439,9 @@ class Tape:
                 node._saved_arrays = None  # release the activation cache
         return store
 
-    def grad_of(self, node: Node):
+    def grad_of(self, t: Tensor):
         """Gradient accumulated for a tracked input leaf (after backward)."""
-        return self._leaf_grads.get(node.idx)
+        return self._leaf_grads.get(t.node.idx)
 
     @staticmethod
     def _accum(grads, node, contrib):
@@ -475,12 +502,12 @@ class Tape:
                 self._accum(grads, x, inv * (dxhat - m1 - xhat * m2))
         elif op == "select_rows":
             (a,) = node.inputs
-            da = np.zeros_like(a.value)
+            da = np.zeros(a.shape, a.dtype)
             np.add.at(da, node.meta["idx"], g)
             self._accum(grads, a, da)
         elif op == "select_cols":
             (a,) = node.inputs
-            da = np.zeros_like(a.value)
+            da = np.zeros(a.shape, a.dtype)
             np.add.at(da.T, node.meta["idx"], g.T)
             self._accum(grads, a, da)
         elif op == "concat_rows":
@@ -539,12 +566,11 @@ def _fresh_saved_bytes(node: Node) -> int:
     an existing node output): layer_norm's normalized input and inverse
     std, and cross_entropy's probabilities. Everything else a backward rule
     reads is a reference to a node output or parameter."""
-    width = node.value.itemsize
     if node.op == "layer_norm" and node.requires_grad:
-        rows, cols = node.inputs[0].value.shape
-        return (rows * cols + rows) * width
+        rows, cols = node.inputs[0].shape
+        return (rows * cols + rows) * node.dtype.itemsize
     if node.op == "cross_entropy" and node.requires_grad:
-        return node.inputs[0].value.size * width
+        return node.inputs[0].nbytes
     return 0
 
 
@@ -570,39 +596,40 @@ def _retained_for_backward(tape: Tape) -> set[int]:
 def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     """Engine-accounted live-allocation model for one tape.
 
-    Replays the forward pass assuming a production engine frees an
-    intermediate as soon as its last consumer has run, unless a backward
-    rule retains it. Returns (peak bytes, bytes retained at the end of the
-    forward pass). The backward phase is modeled as the retained set plus
-    two transient gradient buffers of the largest node. Parameters and
-    shared constants are excluded (accounted as persistent elsewhere);
-    masks and other engine-built constants count until their last use.
+    Replays the forward pass the way this engine frees memory: an output
+    dies with its last handle unless a backward save refers to it, and the
+    model assumes model code drops each handle once its last consumer has
+    been recorded, and a handle nothing consumes as soon as it is made,
+    except the last node's (the loss, which backward starts from).
+    Returns (peak bytes, bytes retained at the end of the forward pass).
+    The backward phase is modeled as the retained set plus two transient
+    gradient buffers of the largest node. Parameters are excluded
+    (accounted as persistent elsewhere); masks and other engine-built
+    constants count until their last use.
     """
     last_use: dict[int, int] = {}
     for node in tape.nodes:
+        last_use[node.idx] = node.idx
         for inp in node.inputs:
             last_use[inp.idx] = node.idx
     retained = _retained_for_backward(tape)
-
-    def counted(n: Node) -> bool:
-        if n.op == "param" or n.meta.get("alias"):
-            return False
-        return True
+    if tape.nodes:
+        retained.add(tape.nodes[-1].idx)
 
     running = 0
     peak = 0
     max_node_bytes = 0
     for node in tape.nodes:
-        nbytes = node.value.size * node.value.itemsize
+        nbytes = node.nbytes
         max_node_bytes = max(max_node_bytes, nbytes)
-        if counted(node):
+        if node.op != "param":
             running += nbytes
         running += _fresh_saved_bytes(node)
         peak = max(peak, running)
-        for inp in set(node.inputs):
-            if (last_use.get(inp.idx) == node.idx and counted(inp)
-                    and inp.idx not in retained):
-                running -= inp.value.size * inp.value.itemsize
+        for dead in {*node.inputs, node}:
+            if (last_use[dead.idx] == node.idx and dead.op != "param"
+                    and dead.idx not in retained):
+                running -= dead.nbytes
     retained_end = running
     peak = max(peak, retained_end + 2 * max_node_bytes)
     return peak, retained_end

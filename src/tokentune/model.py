@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
-from .engine import MASK_VALUE, Node, Tape
+from .engine import MASK_VALUE, Tape, Tensor
 from .engine import gelu_array
 
 INIT_STD = 0.02
@@ -182,13 +182,13 @@ def build_model(config: ModelConfig, seed: int = 0,
 
 # ---- on-tape building blocks ----------------------------------------------
 
-def _param_node(tape: Tape, model: TransformerModel, name: str) -> Node:
+def _param_node(tape: Tape, model: TransformerModel, name: str) -> Tensor:
     p = model.param(name)
     return tape.param(name, p.value, trainable=not p.frozen)
 
 
-def affine(tape: Tape, model: TransformerModel, x: Node, w_name: str,
-           b_name: str | None = None) -> Node:
+def affine(tape: Tape, model: TransformerModel, x: Tensor, w_name: str,
+           b_name: str | None = None) -> Tensor:
     """x @ W (+ low-rank delta if an adapter is attached) (+ bias)."""
     w = _param_node(tape, model, w_name)
     z = tape.matmul(x, w)
@@ -221,8 +221,8 @@ def attention_mask(query_positions, key_positions, key_pad_mask, causal,
     return mask
 
 
-def attend_heads(tape: Tape, q: Node, k: Node, v: Node, mask: np.ndarray,
-                 n_heads: int) -> Node:
+def attend_heads(tape: Tape, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
+                 n_heads: int) -> Tensor:
     """Per-head scaled dot-product mix; shared by every attention variant."""
     d = q.value.shape[1]
     head_dim = d // n_heads
@@ -240,8 +240,8 @@ def attend_heads(tape: Tape, q: Node, k: Node, v: Node, mask: np.ndarray,
     return tape.concat_cols(outs)
 
 
-def attention(tape: Tape, model: TransformerModel, layer: int, h: Node,
-              positions, pad_mask, causal: bool) -> Node:
+def attention(tape: Tape, model: TransformerModel, layer: int, h: Tensor,
+              positions, pad_mask, causal: bool) -> Tensor:
     """Standard multi-head attention over one group of rows."""
     base = f"layers.{layer}.attn"
     q = affine(tape, model, h, f"{base}.w_q", f"{base}.b_q")
@@ -253,21 +253,21 @@ def attention(tape: Tape, model: TransformerModel, layer: int, h: Node,
     return affine(tape, model, mixed, f"{base}.w_o", f"{base}.b_o")
 
 
-def ffn(tape: Tape, model: TransformerModel, layer: int, h: Node) -> Node:
+def ffn(tape: Tape, model: TransformerModel, layer: int, h: Tensor) -> Tensor:
     base = f"layers.{layer}.ffn"
     z = affine(tape, model, h, f"{base}.w1", f"{base}.b1")
     return affine(tape, model, tape.gelu(z), f"{base}.w2", f"{base}.b2")
 
 
 def norm(tape: Tape, model: TransformerModel, layer: int, which: int,
-         h: Node) -> Node:
+         h: Tensor) -> Tensor:
     base = f"layers.{layer}.norm{which}"
     return tape.layer_norm(h, _param_node(tape, model, f"{base}.scale"),
                            _param_node(tape, model, f"{base}.shift"))
 
 
-def layer_forward(tape: Tape, model: TransformerModel, layer: int, h: Node,
-                  positions, pad_mask) -> Node:
+def layer_forward(tape: Tape, model: TransformerModel, layer: int, h: Tensor,
+                  positions, pad_mask) -> Tensor:
     """Pre-norm residual block: h + attn(norm1(h)), then h + ffn(norm2(h))."""
     causal = model.config.causal
     with tape.region(f"layer.{layer}.attn"):
@@ -280,7 +280,7 @@ def layer_forward(tape: Tape, model: TransformerModel, layer: int, h: Node,
     return h
 
 
-def embed(tape: Tape, model: TransformerModel, seq: TokenSequence) -> Node:
+def embed(tape: Tape, model: TransformerModel, seq: TokenSequence) -> Tensor:
     cfg = model.config
     if len(seq) and (seq.ids.min() < 0 or seq.ids.max() >= cfg.vocab_size):
         raise ModelError(f"token id out of range for vocab {cfg.vocab_size}")
@@ -296,7 +296,7 @@ def embed(tape: Tape, model: TransformerModel, seq: TokenSequence) -> Node:
 
 
 def forward_hidden(tape: Tape, model: TransformerModel,
-                   seq: TokenSequence) -> Node:
+                   seq: TokenSequence) -> Tensor:
     """Plain (unsplit) forward through every layer; rows in storage order."""
     h = embed(tape, model, seq)
     for i in range(model.config.n_layers):
@@ -306,13 +306,14 @@ def forward_hidden(tape: Tape, model: TransformerModel,
 
 # ---- heads and losses ------------------------------------------------------
 
-def class_logits(tape: Tape, model: TransformerModel, pooled: Node) -> Node:
+def class_logits(tape: Tape, model: TransformerModel,
+                 pooled: Tensor) -> Tensor:
     hidden = tape.gelu(affine(tape, model, pooled, "head.w1", "head.b1"))
     return affine(tape, model, hidden, "head.w2", "head.b2")
 
 
 def loss_classification_rows(tape: Tape, model: TransformerModel,
-                             h_rows: Node, label: int) -> Node:
+                             h_rows: Tensor, label: int) -> Tensor:
     """Negative log-likelihood of `label` from mean-pooled rows."""
     n_classes = model.config.n_classes
     if not 0 <= label < n_classes:
@@ -324,13 +325,13 @@ def loss_classification_rows(tape: Tape, model: TransformerModel,
         return tape.cross_entropy(class_logits(tape, model, pooled), [label])
 
 
-def lm_logits(tape: Tape, model: TransformerModel, h_rows: Node) -> Node:
+def lm_logits(tape: Tape, model: TransformerModel, h_rows: Tensor) -> Tensor:
     with tape.region("head"):
         return affine(tape, model, h_rows, "head.w_lm")
 
 
-def loss_lm_rows(tape: Tape, model: TransformerModel, h_rows: Node,
-                 targets) -> Node:
+def loss_lm_rows(tape: Tape, model: TransformerModel, h_rows: Tensor,
+                 targets) -> Tensor:
     """Summed next-token cross-entropy for the given rows."""
     targets = np.asarray(targets, dtype=np.intp)
     if targets.size == 0:

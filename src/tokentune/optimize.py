@@ -34,15 +34,20 @@ class StepError(RuntimeError):
     pass
 
 
+def _zeros_per_trainable(model: TransformerModel) -> dict[str, np.ndarray]:
+    """A zero array shaped like each trainable array, in memory the
+    allocator hands out already zeroed, so it costs nothing until written."""
+    return {name: np.zeros(arr.shape, arr.dtype)
+            for name, arr in model.trainable_arrays()}
+
+
 class AdamState:
     """First/second moments for every trainable array; nothing is kept for
     frozen parameters, which is what makes adapter runs cheap to optimize."""
 
     def __init__(self, model: TransformerModel):
-        self.m = {name: np.zeros_like(arr)
-                  for name, arr in model.trainable_arrays()}
-        self.v = {name: np.zeros_like(arr)
-                  for name, arr in model.trainable_arrays()}
+        self.m = _zeros_per_trainable(model)
+        self.v = _zeros_per_trainable(model)
         self.t = 0
 
     def element_count(self) -> int:
@@ -51,8 +56,13 @@ class AdamState:
 
 
 def adam_step(model: TransformerModel, grads: dict[str, np.ndarray],
-              state: AdamState, lr: float, weight_decay: float = 0.0) -> None:
-    """Bias-corrected Adam update in place; decoupled weight decay."""
+              state: AdamState, lr: float, weight_decay: float = 0.0,
+              grad_scale: float = 1.0) -> None:
+    """Bias-corrected Adam update in place; decoupled weight decay.
+
+    Each gradient is multiplied by `grad_scale` as it is read, one array
+    at a time; `grads` itself is left unchanged.
+    """
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
@@ -60,6 +70,8 @@ def adam_step(model: TransformerModel, grads: dict[str, np.ndarray],
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(arr)
+        elif grad_scale != 1.0:
+            g = g * grad_scale
         if not np.isfinite(g).all():
             raise StepError(f"non-finite gradient for parameter '{name}'")
         if g.shape != arr.shape:
@@ -91,8 +103,7 @@ class Trainer:
         self.cfg = cfg
         self.task_kind = task_kind
         self.state = AdamState(model)
-        self.accum = {name: np.zeros_like(arr)
-                      for name, arr in model.trainable_arrays()}
+        self.accum = _zeros_per_trainable(model)
         self.micro_step = 0
         self.example_counter = 0
         self._window_examples = 0
@@ -156,14 +167,16 @@ class Trainer:
                 raise StepError(f"non-finite loss at example {i} of batch "
                                 f"(global example {self.example_counter})")
             grads = tape.backward(loss_node)
-            for name in self.accum:
-                g = grads.get(name)
-                if g is not None:
-                    self.accum[name] += g
+            for name, acc in self.accum.items():
+                if name in grads:
+                    acc += grads[name]
             cached_elements += tape.cached_activation_elements()
             peak_tape = max(peak_tape, simulate_peak_bytes(tape)[0])
             if tape_hook is not None:
                 tape_hook(tape)
+            # Drop this example's graph and gradients before the next one
+            # is recorded, so a step's peak is one example's, not two.
+            del tape, loss_node, grads
             loss_sum += loss_value
             term_sum += n_terms
             self._window_examples += 1
@@ -177,13 +190,13 @@ class Trainer:
                 scale = 1.0 / self._window_examples
             else:
                 scale = 1.0 / max(self._window_targets, 1)
-            scaled = {name: g * scale for name, g in self.accum.items()}
             sq = 0.0
-            for g in scaled.values():
-                sq += float((g.astype(np.float64) ** 2).sum())
+            for g in self.accum.values():
+                sq += float(((g * scale).astype(np.float64) ** 2).sum())
             grad_norm = float(np.sqrt(sq))
-            adam_step(self.model, scaled, self.state, self.cfg.learning_rate,
-                      self.cfg.weight_decay)
+            adam_step(self.model, self.accum, self.state,
+                      self.cfg.learning_rate, self.cfg.weight_decay,
+                      grad_scale=scale)
             for g in self.accum.values():
                 g[...] = 0.0
             self._window_examples = 0

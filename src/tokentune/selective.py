@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Node, Tape
+from .engine import Tape, Tensor
 from .model import (ModelError, TokenSequence, TransformerModel, affine,
                     attend_heads, attention_mask, embed,
                     loss_classification_rows, loss_lm_rows)
@@ -36,18 +36,18 @@ BUG_NAMES = ("track-unselected-kv", "cache-unselected-rows",
 class SplitHidden:
     """Hidden states split into selected / unselected row blocks."""
 
-    h_g: Node
-    h_gbar: Node | None
+    h_g: Tensor
+    h_gbar: Tensor | None
     positions_g: np.ndarray
     positions_gbar: np.ndarray
     restore_idx: np.ndarray
 
-    def with_blocks(self, h_g: Node, h_gbar: Node | None) -> "SplitHidden":
+    def with_blocks(self, h_g: Tensor, h_gbar: Tensor | None) -> "SplitHidden":
         return SplitHidden(h_g, h_gbar, self.positions_g,
                            self.positions_gbar, self.restore_idx)
 
 
-def split_hidden(tape: Tape, h: Node, partition: TokenPartition,
+def split_hidden(tape: Tape, h: Tensor, partition: TokenPartition,
                  storage_positions=None) -> SplitHidden:
     """Select partition rows out of `h`; the unselected block is recorded
     under a disabled scope and therefore enters the graph as a constant."""
@@ -71,7 +71,7 @@ def split_hidden(tape: Tape, h: Node, partition: TokenPartition,
                        partition.unselected.copy(), restore_idx)
 
 
-def restore_hidden(tape: Tape, split: SplitHidden) -> Node:
+def restore_hidden(tape: Tape, split: SplitHidden) -> Tensor:
     """Concatenate the blocks back into storage order (exact copy)."""
     parts = [split.h_g] + ([split.h_gbar] if split.h_gbar is not None else [])
     return tape.select_rows(tape.concat_rows(parts), split.restore_idx)
@@ -181,13 +181,13 @@ def tokentune_forward(tape: Tape, model: TransformerModel,
 # ---- objectives ------------------------------------------------------------
 
 def loss_classification(tape: Tape, model: TransformerModel,
-                        split: SplitHidden, label: int) -> Node:
+                        split: SplitHidden, label: int) -> Tensor:
     """Cross-entropy on the class distribution pooled over selected rows."""
     return loss_classification_rows(tape, model, split.h_g, label)
 
 
 def loss_lm(tape: Tape, model: TransformerModel, split: SplitHidden,
-            targets_by_position: np.ndarray) -> tuple[Node, int]:
+            targets_by_position: np.ndarray) -> tuple[Tensor, int]:
     """Summed next-token cross-entropy over selected rows with targets.
 
     `targets_by_position[p]` is the token at original position p+1, or -1

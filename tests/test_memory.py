@@ -1,0 +1,166 @@
+"""Measured memory: the bytes a run really holds, read with `tracemalloc`,
+against the engine's own liveness replay (`simulate_peak_bytes`).
+
+The replay counts arrays only. The graph itself (node records, their
+metadata and index arrays) is real memory it does not count, so a
+measured figure may exceed the replay by up to GRAPH_BYTES_PER_NODE per
+recorded node, on top of the relative tolerance REL_TOL either way.
+"""
+
+import gc
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from tokentune.config import ModelConfig, TrainConfig
+from tokentune.engine import Tape, simulate_peak_bytes
+from tokentune.memprofile import lm_profile_batch
+from tokentune.model import build_model, forward_hidden
+from tokentune.optimize import Trainer, eval_hidden
+from tokentune.partition import TokenPartition
+from tokentune.selective import loss_lm, tokentune_forward
+
+N = 128
+K = N // 8
+REL_TOL = 0.02
+GRAPH_BYTES_PER_NODE = 1024
+#: A two-example step may exceed a one-example step by this share.
+STEP_PEAK_TOL = 0.10
+
+
+def lm_config():
+    return ModelConfig(vocab_size=257, max_positions=N, d_model=64,
+                       n_heads=4, d_ff=256, n_layers=2, causal=True,
+                       n_classes=None)
+
+
+@pytest.fixture(scope="module")
+def model():
+    return build_model(lm_config(), seed=3, dtype="float64")
+
+
+@pytest.fixture(scope="module")
+def example():
+    return lm_profile_batch(N, 1, seed=3)[0]
+
+
+class Traced:
+    """`tracemalloc` around a block: ``live()`` and ``peak()`` are bytes
+    above the level at entry."""
+
+    def __enter__(self):
+        gc.collect()
+        tracemalloc.start()
+        self.base = tracemalloc.get_traced_memory()[0]
+        return self
+
+    def live(self) -> int:
+        return tracemalloc.get_traced_memory()[0] - self.base
+
+    def peak(self) -> int:
+        return tracemalloc.get_traced_memory()[1] - self.base
+
+    def __exit__(self, *exc):
+        tracemalloc.stop()
+        return False
+
+
+def record_loss(tape, model, example, regime):
+    """Forward and loss for one example; only the loss handle survives."""
+    if regime == "full":
+        selected = np.arange(N)
+    else:
+        selected = np.sort(np.random.default_rng(3).choice(N, K,
+                                                           replace=False))
+    partition = TokenPartition(selected=selected,
+                               unselected=np.setdiff1d(np.arange(N),
+                                                       selected))
+    split = tokentune_forward(tape, model, example.seq, partition)
+    return loss_lm(tape, model, split, example.targets)[0]
+
+
+def live_at_backward_entry(model, example, regime):
+    """(measured, accounted, node count) at the moment backward would
+    start."""
+    with Traced() as traced:
+        tape = Tape()
+        loss = record_loss(tape, model, example, regime)
+        measured = traced.live()
+    accounted = simulate_peak_bytes(tape)[1]
+    tape.backward(loss)
+    return measured, accounted, len(tape.nodes)
+
+
+def assert_matches_replay(measured, accounted, nodes):
+    assert measured >= accounted * (1 - REL_TOL), (measured, accounted)
+    assert measured <= accounted * (1 + REL_TOL) \
+        + GRAPH_BYTES_PER_NODE * nodes, (measured, accounted, nodes)
+
+
+@pytest.mark.parametrize("regime", ["full", "tokentune"])
+def test_bytes_live_at_backward_entry_match_the_replay(model, example,
+                                                       regime):
+    assert_matches_replay(*live_at_backward_entry(model, example, regime))
+
+
+def test_tokentune_holds_less_than_full_by_the_accounted_ratio(model,
+                                                               example):
+    tt_measured, tt_accounted, tt_nodes = \
+        live_at_backward_entry(model, example, "tokentune")
+    full_measured, full_accounted, _ = \
+        live_at_backward_entry(model, example, "full")
+    accounted_ratio = tt_accounted / full_accounted
+    assert accounted_ratio < 0.5
+    # the graph allowance, relative to full's bytes, bounds the drift
+    slack = REL_TOL + GRAPH_BYTES_PER_NODE * tt_nodes / full_accounted
+    assert abs(tt_measured / full_measured - accounted_ratio) <= slack
+
+
+def test_no_grad_forward_keeps_only_its_output(model, example):
+    with Traced() as traced:
+        tape = Tape()
+        with tape.no_grad():
+            out = forward_hidden(tape, model, example.seq)
+        measured = traced.live()
+    assert tape.cached_activation_elements() == 0
+    assert out.value.nbytes <= measured \
+        <= out.value.nbytes + GRAPH_BYTES_PER_NODE * len(tape.nodes)
+
+
+def test_eval_hidden_never_holds_the_whole_forward(model, example):
+    tape = Tape()
+    with tape.no_grad():
+        forward_hidden(tape, model, example.seq)
+    every_output = sum(int(np.prod(node.shape)) * model.dtype.itemsize
+                       for node in tape.nodes if node.op != "param")
+    with Traced() as traced:
+        h = eval_hidden(model, example.seq)
+        peak = traced.peak()
+        after = traced.live()
+    # what stays beyond the output is small objects the interpreter keeps
+    # for reuse, within the graph allowance
+    assert h.nbytes <= after \
+        <= h.nbytes + GRAPH_BYTES_PER_NODE * len(tape.nodes)
+    assert peak < every_output / 4, (peak, every_output)
+
+
+@pytest.mark.parametrize("regime", ["full", "tokentune"])
+def test_two_example_step_peaks_like_one_example_step(regime):
+    model_cfg = lm_config()
+    batch = lm_profile_batch(N, 2, seed=4)
+
+    def step_peak(examples):
+        model = build_model(model_cfg, seed=4, dtype="float64")
+        cfg = TrainConfig(regime=regime, k=K if regime == "tokentune"
+                          else None, batch_size=len(examples),
+                          learning_rate=1e-3, seed=4, dtype="float64")
+        trainer = Trainer(model, cfg, "lm")
+        trainer.train_step(examples)  # first step allocates nothing new
+        with Traced() as traced:
+            trainer.train_step(examples)
+            return traced.peak()
+
+    one = step_peak(batch[:1])
+    two = step_peak(batch)
+    assert two <= one * (1 + STEP_PEAK_TOL), (one, two)
