@@ -597,11 +597,10 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     """Engine-accounted live-allocation model for one tape.
 
     Replays the forward pass the way this engine frees memory: an output
-    dies with its last handle unless a backward save refers to it, and the
-    model assumes model code drops each handle once its last consumer has
-    been recorded, and a handle nothing consumes as soon as it is made,
-    except the last node's (the loss, which backward starts from).
-    Returns (peak bytes, bytes retained at the end of the forward pass).
+    dies with its last handle unless a backward save refers to it. Model
+    code is assumed to drop a handle once its last consumer is recorded,
+    or at once if nothing consumes it, except the last node's (the loss,
+    which backward starts from). Returns (peak bytes, bytes retained at the end of the forward pass).
     The backward phase is modeled as the retained set plus two transient
     gradient buffers of the largest node. Parameters are excluded
     (accounted as persistent elsewhere); masks and other engine-built
