@@ -3,7 +3,9 @@
 The header records the model config, dtype, and an ordered manifest of
 parameter names, shapes, and frozen flags; the payload is the raw bytes of
 each array in manifest order. Round-trips are bit-exact. Adapter-only
-checkpoints use the same container with their own manifest.
+checkpoints use the same container with their own manifest. A malformed
+header, or a payload whose length does not match it, raises
+:class:`CheckpointError`.
 """
 
 from __future__ import annotations
@@ -27,8 +29,59 @@ class CheckpointError(ValueError):
     pass
 
 
-def _dtype_tag(dtype) -> str:
-    return {"float32": "<f4", "float64": "<f8"}[np.dtype(dtype).name]
+_DTYPE_TAGS = {"float32": "<f4", "float64": "<f8"}
+
+
+def _is_dim(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+# checks per manifest field, run before loading reads any of them
+_MODEL_ENTRY = {"name": _is_str, "rows": _is_dim, "cols": _is_dim,
+                "frozen": lambda value: isinstance(value, bool)}
+_ADAPTER_ENTRY = {"target": _is_str,
+                  "r": lambda value: _is_dim(value) and value > 0,
+                  "alpha": lambda value: isinstance(value, (int, float))
+                  and not isinstance(value, bool),
+                  "a_rows": _is_dim, "a_cols": _is_dim,
+                  "b_rows": _is_dim, "b_cols": _is_dim}
+
+
+def _payload_dtype(header: dict) -> np.dtype:
+    name = header.get("dtype")
+    if not isinstance(name, str) or name not in _DTYPE_TAGS:
+        raise CheckpointError(f"unsupported checkpoint dtype {name!r}")
+    return np.dtype(_DTYPE_TAGS[name])
+
+
+def _entries(header: dict, key: str, schema: dict) -> list[dict]:
+    """header[key]: a list of manifest entries, each passing `schema`."""
+    entries = header.get(key)
+    if not isinstance(entries, list):
+        raise CheckpointError(f"checkpoint header has no '{key}' list")
+    for entry in entries:
+        if not (isinstance(entry, dict)
+                and all(check(entry.get(field))
+                        for field, check in schema.items())):
+            raise CheckpointError(f"bad '{key}' entry in checkpoint "
+                                  f"header: {entry!r}")
+    return entries
+
+
+def _model_config(header: dict) -> ModelConfig:
+    fields = header.get("config")
+    if not isinstance(fields, dict):
+        raise CheckpointError("checkpoint header has no 'config' object")
+    try:
+        return ModelConfig(**fields)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad model config in checkpoint header: "
+                              f"{exc}") from exc
 
 
 def _write(path, header: dict, arrays: list[np.ndarray]) -> None:
@@ -52,7 +105,7 @@ def _read(path, magic: str) -> tuple[dict, bytes]:
         header = json.loads(raw[:nl].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"corrupted checkpoint header: {exc}") from exc
-    if header.get("format") != magic:
+    if not isinstance(header, dict) or header.get("format") != magic:
         raise CheckpointError(f"not a {magic} file: {path}")
     return header, raw[nl + 1:]
 
@@ -78,12 +131,12 @@ def save_model(model: TransformerModel, path) -> None:
 
 def load_model(path) -> TransformerModel:
     header, payload = _read(path, MODEL_MAGIC)
-    config = ModelConfig(**header["config"])
-    tag = _dtype_tag(header["dtype"])
-    width = np.dtype(tag).itemsize
+    config = _model_config(header)
+    tag = _payload_dtype(header)
+    width = tag.itemsize
     params: dict[str, Parameter] = {}
     offset = 0
-    for entry in header["params"]:
+    for entry in _entries(header, "params", _MODEL_ENTRY):
         count = entry["rows"] * entry["cols"]
         chunk = payload[offset:offset + count * width]
         if len(chunk) != count * width:
@@ -121,10 +174,10 @@ def save_adapters(model: TransformerModel, path) -> None:
 def load_adapters(model: TransformerModel, path) -> TransformerModel:
     """Attach saved adapter factors onto a matching base model."""
     header, payload = _read(path, ADAPTER_MAGIC)
-    tag = _dtype_tag(header["dtype"])
-    width = np.dtype(tag).itemsize
+    tag = _payload_dtype(header)
+    width = tag.itemsize
     offset = 0
-    for entry in header["adapters"]:
+    for entry in _entries(header, "adapters", _ADAPTER_ENTRY):
         target = entry["target"]
         if target not in model.params:
             raise CheckpointError(f"adapter target '{target}' missing from model")

@@ -25,6 +25,9 @@ Cache policy per primitive, as (what backward reads):
     add            nothing (gradient passes through / column-sums)
     elementwise    gelu: its input; scale: nothing (constant factor)
     softmax_rows   its output, not its input
+    attention      the probabilities of every head (a fresh heads x m x n
+                   array); k iff q needs grad, q iff k needs grad, v iff
+                   q or k needs grad (references, not copies)
     layer_norm     normalized input, per-row inverse std, the scale vector
     select/concat  nothing (integer metadata and the input's shape)
     mean_rows      nothing
@@ -313,6 +316,59 @@ class Tape:
         return self._record("softmax_rows", p, (a,),
                             saves=[("probs", p, True)])
 
+    def attention(self, q: Tensor, k: Tensor, v: Tensor, mask,
+                  n_heads: int) -> Tensor:
+        """Multi-head scaled dot-product attention, recorded as one node.
+
+        Head h reads column block h of q (m x d), k and v (n x d); `mask`
+        is an additive m x n array. The heads run one after another: a
+        tracked node writes head h's probabilities into its slice of the
+        saved (n_heads, m, n) array, an untracked one reuses a single
+        m x n buffer for every head.
+        """
+        qv, kv, vv = q.value, k.value, v.value
+        mask = np.asarray(mask)
+        m, d = qv.shape
+        n = kv.shape[0]
+        if kv.shape[1] != d or vv.shape != kv.shape or mask.shape != (m, n):
+            raise ShapeError("attention", f"q {qv.shape}, k {kv.shape}, "
+                                          f"v {vv.shape}, mask {mask.shape}")
+        if not qv.dtype == kv.dtype == vv.dtype == mask.dtype:
+            raise ShapeError("attention",
+                             f"dtype mismatch q {qv.dtype}, k {kv.dtype}, "
+                             f"v {vv.dtype}, mask {mask.dtype}")
+        if n_heads < 1 or d % n_heads:
+            raise ShapeError("attention",
+                             f"width {d} not divisible by {n_heads} heads")
+        head_dim = d // n_heads
+        scale = 1.0 / math.sqrt(head_dim)
+        # the debug ledger charges an untracked node's would-be saves
+        keep = self.debug_cache_untracked or (
+            self.grad_enabled and any(t.requires_grad for t in (q, k, v)))
+        probs = np.empty((n_heads if keep else 1, m, n), qv.dtype)
+        out = np.empty((m, d), qv.dtype)
+        qs = qv * scale
+        for h in range(n_heads):
+            cols = slice(h * head_dim, (h + 1) * head_dim)
+            s = probs[h if keep else 0]
+            np.matmul(qs[:, cols], kv[:, cols].T, out=s)
+            if not np.isfinite(s).all():
+                raise NonFiniteError("attention", f"scores of head {h}")
+            s += mask
+            s -= s.max(axis=1, keepdims=True)
+            np.exp(s, out=s)
+            s /= s.sum(axis=1, keepdims=True)
+            np.matmul(s, vv[:, cols], out=out[:, cols])
+        saves = [("probs", probs, True)]
+        if q.requires_grad:
+            saves.append(("k", kv, self._charged(k)))
+        if k.requires_grad:
+            saves.append(("q", qv, self._charged(q)))
+        if q.requires_grad or k.requires_grad:
+            saves.append(("v", vv, self._charged(v)))
+        return self._record("attention", out, (q, k, v),
+                            {"n_heads": n_heads, "scale": scale}, saves)
+
     def layer_norm(self, x: Tensor, gamma: Tensor, beta: Tensor,
                    eps: float = 1e-5) -> Tensor:
         d = x.value.shape[1]
@@ -486,6 +542,8 @@ class Tape:
             p = saved["probs"]
             dot = (g * p).sum(axis=1, keepdims=True)
             self._accum(grads, a, p * (g - dot))
+        elif op == "attention":
+            self._backprop_attention(node, g, saved, grads)
         elif op == "layer_norm":
             x, gamma, beta = node.inputs
             xhat = saved["normalized"]
@@ -536,6 +594,46 @@ class Tape:
         else:  # pragma: no cover
             raise BackwardError(f"no backward rule for op {op}")
 
+    def _backprop_attention(self, node: Node, g: np.ndarray, saved,
+                            grads) -> None:
+        """Per head: dv = p^T g, dp = g v^T, ds = p * (dp - rowsum(dp * p)),
+        dq = scale * ds k, dk = ds^T (scale * q). Two m x n buffers serve
+        every head, and each head's saved probabilities are overwritten
+        with its ds (backward runs once per tape)."""
+        q, k, v = node.inputs
+        probs = saved["probs"]
+        n_heads = node.meta["n_heads"]
+        scale = node.meta["scale"]
+        head_dim = node.shape[1] // n_heads
+        dq = np.empty(q.shape, q.dtype) if q.requires_grad else None
+        dk = np.empty(k.shape, k.dtype) if k.requires_grad else None
+        dv = np.empty(v.shape, v.dtype) if v.requires_grad else None
+        if dq is not None or dk is not None:
+            dp = np.empty(probs.shape[1:], probs.dtype)
+            dp_p = np.empty_like(dp)
+        if dk is not None:
+            qs = saved["q"] * scale
+        for h in range(n_heads):
+            cols = slice(h * head_dim, (h + 1) * head_dim)
+            p = probs[h]
+            if dv is not None:
+                np.matmul(p.T, g[:, cols], out=dv[:, cols])
+            if dq is None and dk is None:
+                continue
+            np.matmul(g[:, cols], saved["v"][:, cols].T, out=dp)
+            np.multiply(dp, p, out=dp_p)
+            dp -= dp_p.sum(axis=1, keepdims=True)
+            p *= dp
+            if dq is not None:
+                np.matmul(p, saved["k"][:, cols], out=dq[:, cols])
+            if dk is not None:
+                np.matmul(p.T, qs[:, cols], out=dk[:, cols])
+        if dq is not None:
+            dq *= scale
+        for inp, grad in ((q, dq), (k, dk), (v, dv)):
+            if grad is not None:
+                self._accum(grads, inp, grad)
+
     # ---- introspection ---------------------------------------------------
 
     def cached_activation_elements(self) -> int:
@@ -564,13 +662,17 @@ class Tape:
 def _fresh_saved_bytes(node: Node) -> int:
     """Bytes of backward saves that are new allocations (not references to
     an existing node output): layer_norm's normalized input and inverse
-    std, and cross_entropy's probabilities. Everything else a backward rule
-    reads is a reference to a node output or parameter."""
+    std, cross_entropy's probabilities and attention's probabilities of
+    every head. Everything else a backward rule reads is a reference to a
+    node output or parameter."""
     if node.op == "layer_norm" and node.requires_grad:
         rows, cols = node.inputs[0].shape
         return (rows * cols + rows) * node.dtype.itemsize
     if node.op == "cross_entropy" and node.requires_grad:
         return node.inputs[0].nbytes
+    if node.op == "attention" and node.requires_grad:
+        rows, keys = node.shape[0], node.inputs[1].shape[0]
+        return node.meta["n_heads"] * rows * keys * node.dtype.itemsize
     return 0
 
 
@@ -590,6 +692,14 @@ def _retained_for_backward(tape: Tape) -> set[int]:
             retained.add(node.inputs[0].idx)
         elif node.op == "softmax_rows":
             retained.add(node.idx)
+        elif node.op == "attention":
+            q, k, v = node.inputs
+            if q.requires_grad:
+                retained.add(k.idx)
+            if k.requires_grad:
+                retained.add(q.idx)
+            if q.requires_grad or k.requires_grad:
+                retained.add(v.idx)
     return retained
 
 
@@ -600,11 +710,13 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     dies with its last handle unless a backward save refers to it. Model
     code is assumed to drop a handle once its last consumer is recorded,
     or at once if nothing consumes it, except the last node's (the loss,
-    which backward starts from). Returns (peak bytes, bytes retained at the end of the forward pass).
-    The backward phase is modeled as the retained set plus two transient
-    gradient buffers of the largest node. Parameters are excluded
-    (accounted as persistent elsewhere); masks and other engine-built
-    constants count until their last use.
+    which backward starts from). Returns (peak bytes, bytes retained at the
+    end of the forward pass). The backward phase is modeled as the retained
+    set plus two transient gradient buffers of the largest node. Parameters
+    are excluded (accounted as persistent elsewhere); constants count until
+    their last use. Temporaries inside an op are not modeled: softmax and
+    GELU buffers, attention's scaled queries and its score buffer when
+    untracked, and the mask it is passed, which is not a node.
     """
     last_use: dict[int, int] = {}
     for node in tape.nodes:

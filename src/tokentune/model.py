@@ -13,7 +13,6 @@ covers every position.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,21 +222,8 @@ def attention_mask(query_positions, key_positions, key_pad_mask, causal,
 
 def attend_heads(tape: Tape, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
                  n_heads: int) -> Tensor:
-    """Per-head scaled dot-product mix; shared by every attention variant."""
-    d = q.value.shape[1]
-    head_dim = d // n_heads
-    inv_sqrt = 1.0 / math.sqrt(head_dim)
-    mask_node = tape.constant(mask)
-    outs = []
-    for h in range(n_heads):
-        cols = np.arange(h * head_dim, (h + 1) * head_dim)
-        qh = tape.select_cols(q, cols)
-        kh = tape.select_cols(k, cols)
-        vh = tape.select_cols(v, cols)
-        scores = tape.matmul(tape.scale(qh, inv_sqrt), kh, transpose_b=True)
-        probs = tape.softmax_rows(tape.add(scores, mask_node))
-        outs.append(tape.matmul(probs, vh))
-    return tape.concat_cols(outs)
+    """Multi-head scaled dot-product mix; shared by every attention variant."""
+    return tape.attention(q, k, v, mask, n_heads)
 
 
 def attention(tape: Tape, model: TransformerModel, layer: int, h: Tensor,

@@ -1,0 +1,115 @@
+"""Checkpoints: bit-exact round trips, and CheckpointError (exit code 2
+from `tokentune eval`) for every fault in a header read back."""
+
+import json
+
+import numpy as np
+import pytest
+
+from tokentune.adapters import attach
+from tokentune.checkpoint import (CheckpointError, load_adapters, load_model,
+                                  save_adapters, save_model)
+from tokentune.cli import EXIT_BAD_CONFIG, main
+from tokentune.config import ModelConfig
+from tokentune.model import build_model
+
+
+def tiny_model(dtype="float64"):
+    cfg = ModelConfig(vocab_size=11, max_positions=8, d_model=8, n_heads=2,
+                      d_ff=12, n_layers=1, causal=False, n_classes=3)
+    return build_model(cfg, seed=5, dtype=dtype)
+
+
+def rewrite_header(path, edit):
+    raw = path.read_bytes()
+    nl = raw.index(b"\n")
+    header = json.loads(raw[:nl])
+    edit(header)
+    path.write_bytes(json.dumps(header).encode() + raw[nl:])
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_model_round_trip_is_bit_exact(tmp_path, dtype):
+    model = tiny_model(dtype)
+    model.params["head.w1"].frozen = True
+    save_model(model, tmp_path / "m.ckpt")
+    loaded = load_model(tmp_path / "m.ckpt")
+    assert loaded.config == model.config
+    assert list(loaded.params) == list(model.params)
+    for name, p in model.params.items():
+        q = loaded.params[name]
+        assert q.value.dtype == p.value.dtype and q.frozen == p.frozen
+        assert np.array_equal(q.value, p.value)
+
+
+def test_adapter_round_trip_is_bit_exact(tmp_path):
+    model = attach(tiny_model(), ("w1", "w_q"), r=2, alpha=4.0, seed=1)
+    for ad in model.adapters.values():
+        ad.b += 0.25
+    save_adapters(model, tmp_path / "a.ckpt")
+    loaded = load_adapters(tiny_model(), tmp_path / "a.ckpt")
+    assert list(loaded.adapters) == list(model.adapters)
+    for name, ad in model.adapters.items():
+        got = loaded.adapters[name]
+        assert np.array_equal(got.a, ad.a) and np.array_equal(got.b, ad.b)
+        assert (got.r, got.alpha, got.scaling) == (ad.r, ad.alpha, ad.scaling)
+
+
+def _unknown_config_key(h):
+    h["config"]["bogus"] = 1
+
+
+def _unsupported_dtype(h):
+    h["dtype"] = "float16"
+
+
+def _missing_params(h):
+    del h["params"]
+
+
+def _bad_config_value(h):
+    h["config"]["n_heads"] = 3
+
+
+def _entry_without_shape(h):
+    del h["params"][0]["rows"]
+
+
+HEADER_FAULTS = [_unknown_config_key, _unsupported_dtype, _missing_params,
+                 _bad_config_value, _entry_without_shape]
+
+
+@pytest.mark.parametrize("fault", HEADER_FAULTS,
+                         ids=lambda f: f.__name__.strip("_"))
+def test_model_header_fault_raises_checkpoint_error(tmp_path, fault):
+    path = tmp_path / "m.ckpt"
+    save_model(tiny_model(), path)
+    rewrite_header(path, fault)
+    with pytest.raises(CheckpointError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.update(dtype="float16"),
+    lambda h: h.pop("adapters"),
+    lambda h: h["adapters"][0].update(r=0),
+], ids=["dtype-float16", "no-adapters", "rank-0"])
+def test_adapter_header_fault_raises_checkpoint_error(tmp_path, edit):
+    path = tmp_path / "a.ckpt"
+    save_adapters(attach(tiny_model(), ("w1",), r=2, seed=1), path)
+    rewrite_header(path, edit)
+    with pytest.raises(CheckpointError):
+        load_adapters(tiny_model(), path)
+
+
+@pytest.mark.parametrize("fault", HEADER_FAULTS[:3],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_eval_exits_with_code_2_on_a_header_fault(tmp_path, capsys, fault):
+    path = tmp_path / "m.ckpt"
+    save_model(tiny_model(), path)
+    rewrite_header(path, fault)
+    config = tmp_path / "run.json"
+    config.write_text("{}")
+    code = main(["eval", "--config", str(config), "--checkpoint", str(path)])
+    assert code == EXIT_BAD_CONFIG
+    assert "checkpoint error" in capsys.readouterr().err

@@ -372,3 +372,130 @@ def test_simulate_peak_counts_retained_saves():
     t.mean_rows(h)
     peak, retained = simulate_peak_bytes(t)
     assert peak >= retained > 0
+
+
+# ---- multi-head attention -------------------------------------------------------
+
+def per_head_attention(t, q, k, v, mask, n_heads):
+    """The per-head composition that `Tape.attention` records as one node."""
+    head_dim = q.value.shape[1] // n_heads
+    mask_node = t.constant(mask)
+    outs = []
+    for h in range(n_heads):
+        cols = np.arange(h * head_dim, (h + 1) * head_dim)
+        qh, kh, vh = (t.select_cols(x, cols) for x in (q, k, v))
+        scores = t.matmul(t.scale(qh, 1.0 / np.sqrt(head_dim)), kh,
+                          transpose_b=True)
+        outs.append(t.matmul(t.softmax_rows(t.add(scores, mask_node)), vh))
+    return t.concat_cols(outs)
+
+
+D_ATT = 8
+
+
+def causal_mask(m, n):
+    """Query i sits at key position n - m + i; later keys are blocked."""
+    mask = np.zeros((m, n))
+    mask[np.arange(n)[None, :] > (n - m + np.arange(m))[:, None]] = -1e30
+    return mask
+
+
+def attention_case(case, n_heads, attend):
+    """(tape, output, loss, tracked input leaves by name) for one operand
+    pattern; every array is float64."""
+    r = rng_for(40)
+    m, n = (3, 7) if case != "all-tracked" else (5, 5)
+    t = Tape()
+    if case == "all-tracked":
+        q, k, v = (t.input(r.normal(size=(m, D_ATT))) for _ in range(3))
+        inputs = {"q": q, "k": k, "v": v}
+    elif case == "selected":
+        # TokenTune's selected queries: tracked rows of q, k, v from one
+        # input, with constant unselected keys and values before them
+        x = t.input(r.normal(size=(m, D_ATT)))
+        inputs = {"x": x}
+        q, k_g, v_g = (t.matmul(x, t.param(name,
+                                           r.normal(size=(D_ATT, D_ATT))))
+                       for name in ("wq", "wk", "wv"))
+        k = t.concat_rows([t.constant(r.normal(size=(n - m, D_ATT))), k_g])
+        v = t.concat_rows([t.constant(r.normal(size=(n - m, D_ATT))), v_g])
+    else:  # untracked queries over tracked keys and values
+        q = t.constant(r.normal(size=(m, D_ATT)))
+        k, v = (t.input(r.normal(size=(n, D_ATT))) for _ in range(2))
+        inputs = {"k": k, "v": v}
+    out = attend(t, q, k, v, causal_mask(m, n), n_heads)
+    logits = t.matmul(out, t.constant(r.normal(size=(D_ATT, 3))))
+    return t, out, t.cross_entropy(logits, r.integers(0, 3, size=m)), inputs
+
+
+def tracked_grads(t, loss, inputs):
+    grads = t.backward(loss)
+    grads.update((name, t.grad_of(x)) for name, x in inputs.items())
+    return grads
+
+
+@pytest.mark.parametrize("n_heads", [1, 4])
+@pytest.mark.parametrize("case", ["all-tracked", "selected", "untracked-q"])
+def test_attention_matches_the_per_head_composition(case, n_heads):
+    ref_tape, ref_out, ref_loss, ref_inputs = attention_case(
+        case, n_heads, per_head_attention)
+    tape, out, loss, inputs = attention_case(case, n_heads, Tape.attention)
+    assert relative_error(out.value, ref_out.value) <= 1e-12
+    assert simulate_peak_bytes(tape)[1] == simulate_peak_bytes(ref_tape)[1]
+    ref = tracked_grads(ref_tape, ref_loss, ref_inputs)
+    ours = tracked_grads(tape, loss, inputs)
+    assert sorted(ours) == sorted(ref)
+    for name in ref:
+        assert relative_error(ours[name], ref[name]) <= 1e-10, name
+
+
+def test_attention_untracked_matches_tracked_and_caches_nothing():
+    r = rng_for(41)
+    q, k, v = (r.normal(size=(4, D_ATT)) for _ in range(3))
+    tracked = Tape()
+    out = tracked.attention(*(tracked.input(x) for x in (q, k, v)),
+                            causal_mask(4, 4), 4)
+    untracked = Tape()
+    with untracked.no_grad():
+        out_ng = untracked.attention(*(untracked.input(x) for x in (q, k, v)),
+                                     causal_mask(4, 4), 4)
+    assert np.array_equal(out.value, out_ng.value)
+    assert untracked.cached_activation_elements() == 0
+    assert tracked.cached_activation_elements() == 4 * 4 * 4 + 3 * 4 * D_ATT
+
+
+def test_attention_backward_matches_finite_differences():
+    r = rng_for(42)
+    arrays = {name: r.normal(size=(6, D_ATT)) for name in ("q", "k", "v")}
+    mask = causal_mask(6, 6)
+    w = r.normal(size=(D_ATT, 3))
+    targets = r.integers(0, 3, size=6)
+
+    def build():
+        t = Tape()
+        q, k, v = (t.param(name, arrays[name]) for name in ("q", "k", "v"))
+        out = t.attention(q, k, v, mask, 2)
+        return t, t.cross_entropy(t.matmul(out, t.constant(w)), targets)
+
+    tape, loss = build()
+    analytic = tape.backward(loss)
+    numeric = finite_diff_grad(lambda: float(build()[1].value[0, 0]), arrays)
+    for name, (coords, values) in numeric.items():
+        assert relative_error(analytic[name].reshape(-1)[coords],
+                              values) < 1e-6, name
+
+
+def test_attention_rejects_bad_shapes_and_overflowing_scores():
+    t = Tape()
+    q = t.input(np.ones((3, D_ATT)))
+    kv = t.input(np.ones((5, D_ATT)))
+    with pytest.raises(ShapeError) as err:
+        t.attention(q, kv, kv, np.zeros((5, 3)), 2)
+    assert err.value.op == "attention"
+    with pytest.raises(ShapeError) as err:
+        t.attention(q, kv, kv, np.zeros((3, 5)), 3)
+    assert err.value.op == "attention"
+    huge = t.input(np.full((3, D_ATT), 1e200))
+    with pytest.raises(NonFiniteError) as err, np.errstate(over="ignore"):
+        t.attention(huge, huge, huge, np.zeros((3, 3)), 2)
+    assert err.value.op == "attention"
