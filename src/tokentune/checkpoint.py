@@ -5,13 +5,15 @@ parameter names, shapes, and frozen flags; the payload is the raw bytes of
 each array in manifest order. Round-trips are bit-exact. Adapter-only
 checkpoints use the same container with their own manifest. A malformed
 header, or a payload whose length does not match it, raises
-:class:`CheckpointError`.
+:class:`CheckpointError`. A save replaces the file at its path only once
+the new file is written in full.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -85,12 +87,24 @@ def _model_config(header: dict) -> ModelConfig:
 
 
 def _write(path, header: dict, arrays: list[np.ndarray]) -> None:
+    """Write to a temporary file beside `path`, then swap it in with
+    os.replace: a write that fails partway leaves the earlier file at
+    `path` as it was, and removes the temporary one."""
+    path = Path(path)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(blob + b"\n")
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<"),
-                                                      copy=False).tobytes())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob + b"\n")
+            for arr in arrays:
+                fh.write(np.ascontiguousarray(arr).astype(
+                    arr.dtype.newbyteorder("<"), copy=False).tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read(path, magic: str) -> tuple[dict, bytes]:

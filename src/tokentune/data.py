@@ -87,34 +87,6 @@ def gen_classification(n_examples: int, seq_len: int, n_classes: int,
     return examples
 
 
-def bag_of_tokens_label(example: Example, n_classes: int) -> int:
-    """Counting baseline: most frequent class-marker token wins."""
-    ids = example.seq.ids
-    counts = [(ids == FIRST_MARKER_ID + c).sum() for c in range(n_classes)]
-    return int(np.argmax(counts))
-
-
-def dump_classification(dataset: list[Example], path) -> None:
-    import json
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in dataset:
-            fh.write(json.dumps({"ids": ex.seq.ids.tolist(),
-                                 "label": ex.label}) + "\n")
-
-
-def load_classification(path) -> list[Example]:
-    import json
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            doc = json.loads(line)
-            out.append(Example(seq=TokenSequence.from_ids(doc["ids"]),
-                               label=int(doc["label"])))
-    if not out:
-        raise DataError(f"no examples in {path}")
-    return out
-
-
 # ---- language modeling -------------------------------------------------------
 
 def load_lm_corpus(path, seq_len: int, stride: int | None = None) -> list[Example]:
@@ -165,13 +137,6 @@ def synthetic_text(n_bytes: int, seed: int = 0) -> bytes:
         chunks.append(sentence)
         total += len(sentence)
     return "".join(chunks).encode("ascii")[:n_bytes]
-
-
-def write_synthetic_corpus(path, n_bytes: int, seed: int = 0) -> Path:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_bytes(synthetic_text(n_bytes, seed))
-    return p
 
 
 # ---- task assembly -----------------------------------------------------------

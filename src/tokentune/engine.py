@@ -25,9 +25,11 @@ Cache policy per primitive, as (what backward reads):
     add            nothing (gradient passes through / column-sums)
     elementwise    gelu: its input; scale: nothing (constant factor)
     softmax_rows   its output, not its input
-    attention      the probabilities of every head (a fresh heads x m x n
-                   array); k iff q needs grad, q iff k needs grad, v iff
-                   q or k needs grad (references, not copies)
+    attention      the probabilities of every head, per block of query
+                   rows up to the last key the block sees (a fresh
+                   heads x sum(rows * hi) array); k iff q needs grad, q iff
+                   k needs grad, v iff q or k needs grad (references, not
+                   copies)
     layer_norm     normalized input, per-row inverse std, the scale vector
     select/concat  nothing (integer metadata and the input's shape)
     mean_rows      nothing
@@ -57,10 +59,59 @@ MASK_VALUE = -1e30
 
 LEAF_KINDS = ("param", "const", "input")
 
+#: Query rows per attention block. A block computes, saves and
+#: backpropagates scores only up to the last key any of its rows can see,
+#: so wholly masked key tiles (most of a causal mask's upper triangle) cost
+#: nothing, as in FlashAttention's block skipping (Dao et al. 2022).
+ATTENTION_BLOCK_ROWS = 64
+
 
 def gelu_array(x: np.ndarray) -> np.ndarray:
     """Exact (erf-based) GELU on a plain array; shared with eval paths."""
     return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+
+
+def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(rows, n_heads * w) -> (n_heads, rows, w) view (a copy only when
+    `x` is not contiguous)."""
+    return x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2)
+
+
+def _attention_spans(mask: np.ndarray) -> tuple[tuple[int, int, int], ...]:
+    """(r0, r1, hi) per block of ATTENTION_BLOCK_ROWS query rows: rows
+    r0:r1 read keys :hi, where hi - 1 is the last key any of those rows
+    sees (its mask entry is not MASK_VALUE). Keys past it get probability
+    exactly 0. A block with a row that sees no key reads every key, so
+    that row keeps its uniform softmax over all of them."""
+    m, n = mask.shape
+    visible = mask != MASK_VALUE
+    ends = np.where(visible.any(axis=1),
+                    n - np.argmax(visible[:, ::-1], axis=1), n)
+    return tuple((r0, min(r0 + ATTENTION_BLOCK_ROWS, m),
+                  int(ends[r0:r0 + ATTENTION_BLOCK_ROWS].max()))
+                 for r0 in range(0, m, ATTENTION_BLOCK_ROWS))
+
+
+def _blocks(buf: np.ndarray, spans, n_heads: int, advance: bool = True):
+    """(r0, r1, hi, view) per span, the view being the next
+    n_heads x (r1 - r0) x hi block of the flat `buf`; with `advance` off
+    every view starts at the front (one reused buffer)."""
+    offset = 0
+    for r0, r1, hi in spans:
+        shape = (n_heads, r1 - r0, hi)
+        size = math.prod(shape)
+        yield r0, r1, hi, buf[offset:offset + size].reshape(shape)
+        if advance:
+            offset += size
+
+
+def _scatter_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
+    """out[idx] += g for a zeroed `out`: plain assignment when `idx` has no
+    repeats, np.add.at (much slower) only when it does."""
+    if np.unique(idx).size == idx.size:
+        out[idx] = g
+    else:
+        np.add.at(out, idx, g)
 
 
 class EngineError(Exception):
@@ -321,10 +372,12 @@ class Tape:
         """Multi-head scaled dot-product attention, recorded as one node.
 
         Head h reads column block h of q (m x d), k and v (n x d); `mask`
-        is an additive m x n array. The heads run one after another: a
-        tracked node writes head h's probabilities into its slice of the
-        saved (n_heads, m, n) array, an untracked one reuses a single
-        m x n buffer for every head.
+        is an additive m x n array. Query rows run in blocks of
+        ATTENTION_BLOCK_ROWS, every head in one batched matmul, over only
+        the first `hi` keys, up to the last key a row of the block can see
+        (:func:`_attention_spans`). A tracked node saves each block's
+        (n_heads, rows, hi) probabilities back to back in one flat array;
+        an untracked one reuses the largest block's buffer.
         """
         qv, kv, vv = q.value, k.value, v.value
         mask = np.asarray(mask)
@@ -340,25 +393,27 @@ class Tape:
         if n_heads < 1 or d % n_heads:
             raise ShapeError("attention",
                              f"width {d} not divisible by {n_heads} heads")
-        head_dim = d // n_heads
-        scale = 1.0 / math.sqrt(head_dim)
+        scale = 1.0 / math.sqrt(d // n_heads)
+        spans = _attention_spans(mask)
+        sizes = [n_heads * (r1 - r0) * hi for r0, r1, hi in spans]
         # the debug ledger charges an untracked node's would-be saves
         keep = self.debug_cache_untracked or (
             self.grad_enabled and any(t.requires_grad for t in (q, k, v)))
-        probs = np.empty((n_heads if keep else 1, m, n), qv.dtype)
+        probs = np.empty(sum(sizes) if keep else max(sizes, default=0),
+                         qv.dtype)
         out = np.empty((m, d), qv.dtype)
-        qs = qv * scale
-        for h in range(n_heads):
-            cols = slice(h * head_dim, (h + 1) * head_dim)
-            s = probs[h if keep else 0]
-            np.matmul(qs[:, cols], kv[:, cols].T, out=s)
+        qh = _heads(qv * scale, n_heads)
+        kh = _heads(kv, n_heads).transpose(0, 2, 1)
+        vh, oh = _heads(vv, n_heads), _heads(out, n_heads)
+        for r0, r1, hi, s in _blocks(probs, spans, n_heads, advance=keep):
+            np.matmul(qh[:, r0:r1], kh[:, :, :hi], out=s)
             if not np.isfinite(s).all():
-                raise NonFiniteError("attention", f"scores of head {h}")
-            s += mask
-            s -= s.max(axis=1, keepdims=True)
+                raise NonFiniteError("attention", f"scores of rows {r0}:{r1}")
+            s += mask[r0:r1, :hi]
+            s -= s.max(axis=2, keepdims=True)
             np.exp(s, out=s)
-            s /= s.sum(axis=1, keepdims=True)
-            np.matmul(s, vv[:, cols], out=out[:, cols])
+            s /= s.sum(axis=2, keepdims=True)
+            np.matmul(s, vh[:, :hi], out=oh[:, r0:r1])
         saves = [("probs", probs, True)]
         if q.requires_grad:
             saves.append(("k", kv, self._charged(k)))
@@ -367,7 +422,8 @@ class Tape:
         if q.requires_grad or k.requires_grad:
             saves.append(("v", vv, self._charged(v)))
         return self._record("attention", out, (q, k, v),
-                            {"n_heads": n_heads, "scale": scale}, saves)
+                            {"n_heads": n_heads, "scale": scale,
+                             "spans": spans}, saves)
 
     def layer_norm(self, x: Tensor, gamma: Tensor, beta: Tensor,
                    eps: float = 1e-5) -> Tensor:
@@ -561,12 +617,12 @@ class Tape:
         elif op == "select_rows":
             (a,) = node.inputs
             da = np.zeros(a.shape, a.dtype)
-            np.add.at(da, node.meta["idx"], g)
+            _scatter_rows(da, node.meta["idx"], g)
             self._accum(grads, a, da)
         elif op == "select_cols":
             (a,) = node.inputs
             da = np.zeros(a.shape, a.dtype)
-            np.add.at(da.T, node.meta["idx"], g.T)
+            _scatter_rows(da.T, node.meta["idx"], g.T)
             self._accum(grads, a, da)
         elif op == "concat_rows":
             offset = 0
@@ -596,38 +652,49 @@ class Tape:
 
     def _backprop_attention(self, node: Node, g: np.ndarray, saved,
                             grads) -> None:
-        """Per head: dv = p^T g, dp = g v^T, ds = p * (dp - rowsum(dp * p)),
-        dq = scale * ds k, dk = ds^T (scale * q). Two m x n buffers serve
-        every head, and each head's saved probabilities are overwritten
-        with its ds (backward runs once per tape)."""
+        """Per row block and head, over the block's first `hi` keys:
+        dv += p^T g, dp = g v^T, ds = p * (dp - rowsum(dp * p)),
+        dq = scale * ds k, dk += ds^T (scale * q). Two buffers of the
+        largest block serve every block, and each block's saved
+        probabilities are overwritten with its ds (backward runs once per
+        tape)."""
         q, k, v = node.inputs
         probs = saved["probs"]
         n_heads = node.meta["n_heads"]
         scale = node.meta["scale"]
-        head_dim = node.shape[1] // n_heads
+        spans = node.meta["spans"]
         dq = np.empty(q.shape, q.dtype) if q.requires_grad else None
-        dk = np.empty(k.shape, k.dtype) if k.requires_grad else None
-        dv = np.empty(v.shape, v.dtype) if v.requires_grad else None
+        dk = np.zeros(k.shape, k.dtype) if k.requires_grad else None
+        dv = np.zeros(v.shape, v.dtype) if v.requires_grad else None
+        gh = _heads(g, n_heads)
+        if dv is not None:
+            dvh = _heads(dv, n_heads)
         if dq is not None or dk is not None:
-            dp = np.empty(probs.shape[1:], probs.dtype)
-            dp_p = np.empty_like(dp)
+            biggest = max((n_heads * (r1 - r0) * hi for r0, r1, hi in spans),
+                          default=0)
+            dp_buf = np.empty(biggest, probs.dtype)
+            dp_p_buf = np.empty_like(dp_buf)
+            vh = _heads(saved["v"], n_heads).transpose(0, 2, 1)
+        if dq is not None:
+            kh, dqh = _heads(saved["k"], n_heads), _heads(dq, n_heads)
         if dk is not None:
-            qs = saved["q"] * scale
-        for h in range(n_heads):
-            cols = slice(h * head_dim, (h + 1) * head_dim)
-            p = probs[h]
+            qh, dkh = _heads(saved["q"] * scale, n_heads), _heads(dk, n_heads)
+        for r0, r1, hi, p in _blocks(probs, spans, n_heads):
+            gb = gh[:, r0:r1]
             if dv is not None:
-                np.matmul(p.T, g[:, cols], out=dv[:, cols])
+                dvh[:, :hi] += np.matmul(p.transpose(0, 2, 1), gb)
             if dq is None and dk is None:
                 continue
-            np.matmul(g[:, cols], saved["v"][:, cols].T, out=dp)
+            dp = dp_buf[:p.size].reshape(p.shape)
+            dp_p = dp_p_buf[:p.size].reshape(p.shape)
+            np.matmul(gb, vh[:, :, :hi], out=dp)
             np.multiply(dp, p, out=dp_p)
-            dp -= dp_p.sum(axis=1, keepdims=True)
+            dp -= dp_p.sum(axis=2, keepdims=True)
             p *= dp
             if dq is not None:
-                np.matmul(p, saved["k"][:, cols], out=dq[:, cols])
+                np.matmul(p, kh[:, :hi], out=dqh[:, r0:r1])
             if dk is not None:
-                np.matmul(p.T, qs[:, cols], out=dk[:, cols])
+                dkh[:, :hi] += np.matmul(p.transpose(0, 2, 1), qh[:, r0:r1])
         if dq is not None:
             dq *= scale
         for inp, grad in ((q, dq), (k, dk), (v, dv)):
@@ -663,16 +730,17 @@ def _fresh_saved_bytes(node: Node) -> int:
     """Bytes of backward saves that are new allocations (not references to
     an existing node output): layer_norm's normalized input and inverse
     std, cross_entropy's probabilities and attention's probabilities of
-    every head. Everything else a backward rule reads is a reference to a
-    node output or parameter."""
+    every head (heads x sum(rows * hi) over its row blocks). Everything
+    else a backward rule reads is a reference to a node output or
+    parameter."""
     if node.op == "layer_norm" and node.requires_grad:
         rows, cols = node.inputs[0].shape
         return (rows * cols + rows) * node.dtype.itemsize
     if node.op == "cross_entropy" and node.requires_grad:
         return node.inputs[0].nbytes
     if node.op == "attention" and node.requires_grad:
-        rows, keys = node.shape[0], node.inputs[1].shape[0]
-        return node.meta["n_heads"] * rows * keys * node.dtype.itemsize
+        return node.meta["n_heads"] * node.dtype.itemsize * sum(
+            (r1 - r0) * hi for r0, r1, hi in node.meta["spans"])
     return 0
 
 
@@ -715,8 +783,9 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     set plus two transient gradient buffers of the largest node. Parameters
     are excluded (accounted as persistent elsewhere); constants count until
     their last use. Temporaries inside an op are not modeled: softmax and
-    GELU buffers, attention's scaled queries and its score buffer when
-    untracked, and the mask it is passed, which is not a node.
+    GELU buffers, attention's scaled queries, its one-block score buffer
+    when untracked (heads x ATTENTION_BLOCK_ROWS x hi of the largest
+    block), and the mask it is passed, which is not a node.
     """
     last_use: dict[int, int] = {}
     for node in tape.nodes:

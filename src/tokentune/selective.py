@@ -3,9 +3,9 @@
 Hidden states are split into a selected block (tracked, activations cached)
 and an unselected block recorded under a disabled-gradient scope (values
 identical, nothing cached, constants during backward). Attention lets the
-selected queries attend over the concatenated [unselected; selected] keys
-and values, so forward values match the plain pipeline for every selection;
-only gradient availability and the cache ledger change.
+selected queries attend over the unselected and selected keys and values,
+merged into position order, so forward values match the plain pipeline for
+every selection; only gradient availability and the cache ledger change.
 
 `inject_bug` deliberately mis-wires the pipeline for mutation testing of
 the verification properties:
@@ -41,10 +41,14 @@ class SplitHidden:
     positions_g: np.ndarray
     positions_gbar: np.ndarray
     restore_idx: np.ndarray
+    # puts rows of [unselected; selected] in position order; one array
+    # shared by every layer's key and value reorder
+    key_order: np.ndarray
 
     def with_blocks(self, h_g: Tensor, h_gbar: Tensor | None) -> "SplitHidden":
         return SplitHidden(h_g, h_gbar, self.positions_g,
-                           self.positions_gbar, self.restore_idx)
+                           self.positions_gbar, self.restore_idx,
+                           self.key_order)
 
 
 def split_hidden(tape: Tape, h: Tensor, partition: TokenPartition,
@@ -67,8 +71,11 @@ def split_hidden(tape: Tape, h: Tensor, partition: TokenPartition,
     if rows_unsel.size:
         with tape.no_grad():
             h_gbar = tape.select_rows(h, rows_unsel)
+    key_order = np.argsort(np.concatenate([partition.unselected,
+                                           partition.selected]),
+                           kind="stable")
     return SplitHidden(h_g, h_gbar, partition.selected.copy(),
-                       partition.unselected.copy(), restore_idx)
+                       partition.unselected.copy(), restore_idx, key_order)
 
 
 def restore_hidden(tape: Tape, split: SplitHidden) -> Tensor:
@@ -112,10 +119,13 @@ def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
                     v_gb = affine(tape, model, gb_n, f"{base}.w_v", f"{base}.b_v")
 
         if k_gb is not None:
-            keys = tape.concat_rows([k_gb, k_g])
-            vals = tape.concat_rows([v_gb, v_g])
+            # keys in position order, so a causal block of queries sees a
+            # prefix of them and attention skips the rest
+            order = split.key_order
+            keys = tape.select_rows(tape.concat_rows([k_gb, k_g]), order)
+            vals = tape.select_rows(tape.concat_rows([v_gb, v_g]), order)
             key_positions = np.concatenate([split.positions_gbar,
-                                            split.positions_g])
+                                            split.positions_g])[order]
         else:
             keys = tape.concat_rows([k_g])
             vals = tape.concat_rows([v_g])

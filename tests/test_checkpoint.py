@@ -1,11 +1,13 @@
 """Checkpoints: bit-exact round trips, and CheckpointError (exit code 2
 from `tokentune eval`) for every fault in a header read back."""
 
+import errno
 import json
 
 import numpy as np
 import pytest
 
+from tokentune import checkpoint
 from tokentune.adapters import attach
 from tokentune.checkpoint import (CheckpointError, load_adapters, load_model,
                                   save_adapters, save_model)
@@ -113,3 +115,43 @@ def test_eval_exits_with_code_2_on_a_header_fault(tmp_path, capsys, fault):
     code = main(["eval", "--config", str(config), "--checkpoint", str(path)])
     assert code == EXIT_BAD_CONFIG
     assert "checkpoint error" in capsys.readouterr().err
+
+
+class FullDisk:
+    """A file that takes its first write, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def write(self, data):
+        if self.writes:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.writes += 1
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_failed_save_keeps_the_earlier_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    model = tiny_model()
+    save_model(model, path)
+    saved = {name: p.value.copy() for name, p in model.params.items()}
+    for p in model.params.values():
+        p.value += 1.0
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda name, mode: FullDisk(open(name, mode)),
+                        raising=False)
+    with pytest.raises(OSError) as err:
+        save_model(model, path)
+    assert err.value.errno == errno.ENOSPC
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == [path]
+    loaded = load_model(path)
+    for name, value in saved.items():
+        assert np.array_equal(loaded.params[name].value, value)

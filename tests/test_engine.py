@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokentune.engine import (BackwardError, NonFiniteError, ShapeError,
+from tokentune.engine import (ATTENTION_BLOCK_ROWS, MASK_VALUE,
+                              BackwardError, NonFiniteError, ShapeError,
                               Tape, gelu_array, simulate_peak_bytes)
 from tokentune.verify import finite_diff_grad, relative_error
 
@@ -364,6 +365,23 @@ def test_layer_norm_rows_standardized(seed):
     assert np.allclose(out.value.std(axis=1), 1.0, atol=1e-3)
 
 
+@pytest.mark.parametrize("idx", [[1, 3, 1, 1, 0, 3], [4, 0, 2, 1]],
+                         ids=["repeated", "distinct"])
+def test_select_rows_backward_scatters_like_add_at(idx):
+    r = rng_for(13)
+    x = r.normal(size=(5, 3))
+    targets = r.integers(0, 3, size=len(idx))
+    direct = Tape()
+    rows = direct.input(x[idx])
+    direct.backward(direct.cross_entropy(rows, targets))
+    expected = np.zeros_like(x)
+    np.add.at(expected, idx, direct.grad_of(rows))
+    t = Tape()
+    grads = t.backward(t.cross_entropy(t.select_rows(t.param("x", x), idx),
+                                       targets))
+    assert np.array_equal(grads["x"], expected)
+
+
 def test_simulate_peak_counts_retained_saves():
     r = rng_for(12)
     t = Tape()
@@ -400,11 +418,12 @@ def causal_mask(m, n):
     return mask
 
 
-def attention_case(case, n_heads, attend):
+def attention_case(case, n_heads, attend, shape=None, mask=None):
     """(tape, output, loss, tracked input leaves by name) for one operand
-    pattern; every array is float64."""
+    pattern, m queries over n keys (`shape`), causal unless `mask` is
+    given; every array is float64."""
     r = rng_for(40)
-    m, n = (3, 7) if case != "all-tracked" else (5, 5)
+    m, n = shape or ((3, 7) if case != "all-tracked" else (5, 5))
     t = Tape()
     if case == "all-tracked":
         q, k, v = (t.input(r.normal(size=(m, D_ATT))) for _ in range(3))
@@ -423,7 +442,8 @@ def attention_case(case, n_heads, attend):
         q = t.constant(r.normal(size=(m, D_ATT)))
         k, v = (t.input(r.normal(size=(n, D_ATT))) for _ in range(2))
         inputs = {"k": k, "v": v}
-    out = attend(t, q, k, v, causal_mask(m, n), n_heads)
+    out = attend(t, q, k, v, causal_mask(m, n) if mask is None else mask,
+                 n_heads)
     logits = t.matmul(out, t.constant(r.normal(size=(D_ATT, 3))))
     return t, out, t.cross_entropy(logits, r.integers(0, 3, size=m)), inputs
 
@@ -434,19 +454,65 @@ def tracked_grads(t, loss, inputs):
     return grads
 
 
-@pytest.mark.parametrize("n_heads", [1, 4])
-@pytest.mark.parametrize("case", ["all-tracked", "selected", "untracked-q"])
-def test_attention_matches_the_per_head_composition(case, n_heads):
+def compare_with_per_head(case, n_heads, **kw):
+    """Check `Tape.attention`'s output and gradients against the per-head
+    composition; returns the bytes each tape retains for backward (ours,
+    the composition's)."""
     ref_tape, ref_out, ref_loss, ref_inputs = attention_case(
-        case, n_heads, per_head_attention)
-    tape, out, loss, inputs = attention_case(case, n_heads, Tape.attention)
+        case, n_heads, per_head_attention, **kw)
+    tape, out, loss, inputs = attention_case(case, n_heads, Tape.attention,
+                                             **kw)
     assert relative_error(out.value, ref_out.value) <= 1e-12
-    assert simulate_peak_bytes(tape)[1] == simulate_peak_bytes(ref_tape)[1]
+    retained = simulate_peak_bytes(tape)[1], simulate_peak_bytes(ref_tape)[1]
     ref = tracked_grads(ref_tape, ref_loss, ref_inputs)
     ours = tracked_grads(tape, loss, inputs)
     assert sorted(ours) == sorted(ref)
     for name in ref:
         assert relative_error(ours[name], ref[name]) <= 1e-10, name
+    return retained
+
+
+@pytest.mark.parametrize("n_heads", [1, 4])
+@pytest.mark.parametrize("case", ["all-tracked", "selected", "untracked-q"])
+def test_attention_matches_the_per_head_composition(case, n_heads):
+    ours, ref = compare_with_per_head(case, n_heads)
+    assert ours == ref
+
+
+def row_blocks(m):
+    return [(r0, min(r0 + ATTENTION_BLOCK_ROWS, m))
+            for r0 in range(0, m, ATTENTION_BLOCK_ROWS)]
+
+
+@pytest.mark.parametrize("n_heads", [1, 4])
+@pytest.mark.parametrize("case,shape", [("all-tracked", (150, 150)),
+                                        ("selected", (70, 150)),
+                                        ("untracked-q", (70, 150))],
+                         ids=["all-tracked-150x150", "selected-70x150",
+                              "untracked-q-70x150"])
+def test_multi_block_attention_saves_only_the_keys_each_block_sees(
+        case, shape, n_heads):
+    ours, ref = compare_with_per_head(case, n_heads, shape=shape)
+    # query i sees keys up to n - m + i, so rows r0:r1 read n - m + r1 keys;
+    # the composition keeps every head's full m x n probabilities
+    m, n = shape
+    seen = sum((r1 - r0) * (n - m + r1) for r0, r1 in row_blocks(m))
+    assert len(row_blocks(m)) > 1 and seen < m * n
+    assert ours == ref - n_heads * (m * n - seen) * 8
+
+
+@pytest.mark.parametrize("n_heads", [1, 4])
+def test_query_row_that_sees_no_key_keeps_the_uniform_softmax(n_heads):
+    m = n = 150
+    mask = causal_mask(m, n)
+    mask[:, 140:] = MASK_VALUE  # keys no query sees, like trailing padding
+    mask[100] = MASK_VALUE      # a query that sees no key at all
+    ours, ref = compare_with_per_head("all-tracked", n_heads, shape=(m, n),
+                                      mask=mask)
+    # rows 0:64 read 64 keys, rows 64:128 every key (row 100 sees none),
+    # rows 128:150 the first 140
+    seen = 64 * 64 + 64 * 150 + 22 * 140
+    assert ours == ref - n_heads * (m * n - seen) * 8
 
 
 def test_attention_untracked_matches_tracked_and_caches_nothing():
@@ -464,12 +530,14 @@ def test_attention_untracked_matches_tracked_and_caches_nothing():
     assert tracked.cached_activation_elements() == 4 * 4 * 4 + 3 * 4 * D_ATT
 
 
-def test_attention_backward_matches_finite_differences():
+def attention_finite_differences(m):
+    """(name, analytic, numeric) per operand of a causal m x m attention
+    under a summed cross-entropy."""
     r = rng_for(42)
-    arrays = {name: r.normal(size=(6, D_ATT)) for name in ("q", "k", "v")}
-    mask = causal_mask(6, 6)
+    arrays = {name: r.normal(size=(m, D_ATT)) for name in ("q", "k", "v")}
+    mask = causal_mask(m, m)
     w = r.normal(size=(D_ATT, 3))
-    targets = r.integers(0, 3, size=6)
+    targets = r.integers(0, 3, size=m)
 
     def build():
         t = Tape()
@@ -480,9 +548,23 @@ def test_attention_backward_matches_finite_differences():
     tape, loss = build()
     analytic = tape.backward(loss)
     numeric = finite_diff_grad(lambda: float(build()[1].value[0, 0]), arrays)
-    for name, (coords, values) in numeric.items():
-        assert relative_error(analytic[name].reshape(-1)[coords],
-                              values) < 1e-6, name
+    return [(name, analytic[name].reshape(-1)[coords], values)
+            for name, (coords, values) in numeric.items()]
+
+
+def test_attention_backward_matches_finite_differences():
+    for name, analytic, numeric in attention_finite_differences(6):
+        assert relative_error(analytic, numeric) < 1e-6, name
+
+
+def test_attention_backward_matches_finite_differences_over_two_blocks():
+    # The 70-row loss (about 77 nats) leaves central differences about
+    # 1e-9 of absolute noise, so the error is taken relative to each
+    # gradient's largest entry: entries near 1e-6 cannot be resolved.
+    for name, analytic, numeric in attention_finite_differences(
+            ATTENTION_BLOCK_ROWS + 6):
+        err = np.abs(analytic - numeric).max() / np.abs(numeric).max()
+        assert err < 1e-6, name
 
 
 def test_attention_rejects_bad_shapes_and_overflowing_scores():

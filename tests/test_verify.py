@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from tokentune.config import ModelConfig
-from tokentune.engine import Tape, gelu_array
+from tokentune.engine import ATTENTION_BLOCK_ROWS, Tape, gelu_array
 from tokentune.model import TokenSequence, build_model
 from tokentune.partition import TokenPartition, select_positions
+from tokentune.selective import loss_lm, tokentune_forward
 from tokentune.verify import (PROPERTY_CACHE, PROPERTY_STOPGRAD,
                               PROPERTY_VALUE, _StopContext, _stop_rows,
+                              _value_preservation_diff,
                               cache_scaling_check, equivalence_suite,
                               finite_diff_grad, finite_difference_check,
                               grads_max_rel_err, gradcheck_fixture,
@@ -200,3 +202,49 @@ def test_lora_composition_gradients_match_oracle():
     assert set(tt) == set(oracle)
     assert all(".lora_" in name for name in tt)
     assert grads_max_rel_err(tt, oracle) < 1e-10
+
+
+LONG_N = 2 * ATTENTION_BLOCK_ROWS + 22  # three blocks of query rows
+
+
+def long_lm_case(k):
+    cfg = ModelConfig(vocab_size=19, max_positions=LONG_N, d_model=8,
+                      n_heads=2, d_ff=12, n_layers=2, causal=True,
+                      n_classes=None)
+    model = build_model(cfg, seed=17, dtype="float64")
+    ids = np.random.default_rng(5).integers(0, 19, size=LONG_N)
+    targets = np.full(LONG_N, -1, dtype=np.intp)
+    targets[:-1] = ids[1:]
+    partition = select_positions(LONG_N, k, "lm", rng_seed=9)
+    return model, TokenSequence.from_ids(ids), partition, targets
+
+
+@pytest.mark.parametrize("k", [70, LONG_N])
+def test_tokentune_matches_the_oracle_across_attention_blocks(k):
+    model, seq, partition, targets = long_lm_case(k)
+    tape = Tape()
+    split = tokentune_forward(tape, model, seq, partition)
+    loss, _ = loss_lm(tape, model, split, targets)
+    # keys are in position order, so each block of selected queries saves
+    # probabilities only up to its last query's position
+    selected = partition.selected
+    seen = sum(len(block) * (block[-1] + 1) for block in np.split(
+        selected, np.arange(ATTENTION_BLOCK_ROWS, k, ATTENTION_BLOCK_ROWS)))
+    attention = [node for node in tape.nodes
+                 if node.op == "attention" and node.requires_grad]
+    assert len(attention) == model.config.n_layers
+    for node in attention:
+        assert dict(node.saved)["probs"] == model.config.n_heads * seen
+    assert seen < k * LONG_N
+    tt = tape.backward(loss)
+    oracle = stopgrad_reference_backward(model, seq, partition,
+                                         ("lm", targets))
+    assert set(tt) == set(oracle)
+    assert grads_max_rel_err(tt, oracle) <= 1e-10
+
+
+def test_mask_from_storage_order_still_breaks_values_at_long_lengths():
+    model, seq, partition, _ = long_lm_case(70)
+    assert _value_preservation_diff(model, seq, partition) < 1e-12
+    assert _value_preservation_diff(model, seq, partition,
+                                    "mask-from-storage-order") > 1e-6
