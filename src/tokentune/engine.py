@@ -25,11 +25,11 @@ Cache policy per primitive, as (what backward reads):
     add            nothing (gradient passes through / column-sums)
     elementwise    gelu: its input; scale: nothing (constant factor)
     softmax_rows   its output, not its input
-    attention      the probabilities of every head, per block of query
-                   rows up to the last key the block sees (a fresh
-                   heads x sum(rows * hi) array); k iff q needs grad, q iff
-                   k needs grad, v iff q or k needs grad (references, not
-                   copies)
+    attention      per (head, query row) the softmax max and sum (two
+                   fresh heads x rows arrays) and the rows x keys boolean
+                   visibility mask; q and k always, v iff q or k needs
+                   grad (references, not copies). Backward rebuilds each
+                   block's probabilities from them (Dao et al. 2022)
     layer_norm     normalized input, per-row inverse std, the scale vector
     select/concat  nothing (integer metadata and the input's shape)
     mean_rows      nothing
@@ -67,8 +67,35 @@ ATTENTION_BLOCK_ROWS = 64
 
 
 def gelu_array(x: np.ndarray) -> np.ndarray:
-    """Exact (erf-based) GELU on a plain array; shared with eval paths."""
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+    """Exact (erf-based) GELU on a plain array; shared with eval paths.
+
+    0.5 * x * (1 + erf(x / sqrt 2)), computed in place in its output, so it
+    allocates nothing else; halving is exact, so the result equals the
+    three-temporary expression bit for bit."""
+    out = np.multiply(x, _INV_SQRT2)
+    erf(out, out=out)
+    out += 1.0
+    out *= x
+    out *= 0.5
+    return out
+
+
+def _gelu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g * (phi + x * dens) for phi = 0.5 * (1 + erf(x / sqrt 2)) and dens
+    the standard normal density at x, in the same order of operations as
+    that expression but with one temporary besides the result."""
+    out = np.multiply(x, _INV_SQRT2)
+    erf(out, out=out)
+    out += 1.0
+    out *= 0.5
+    dens = np.multiply(x, -0.5)
+    dens *= x
+    np.exp(dens, out=dens)
+    dens *= _INV_SQRT2PI
+    dens *= x
+    out += dens
+    out *= g
+    return out
 
 
 def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -77,14 +104,13 @@ def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2)
 
 
-def _attention_spans(mask: np.ndarray) -> tuple[tuple[int, int, int], ...]:
+def _attention_spans(visible: np.ndarray) -> tuple[tuple[int, int, int], ...]:
     """(r0, r1, hi) per block of ATTENTION_BLOCK_ROWS query rows: rows
     r0:r1 read keys :hi, where hi - 1 is the last key any of those rows
-    sees (its mask entry is not MASK_VALUE). Keys past it get probability
-    exactly 0. A block with a row that sees no key reads every key, so
-    that row keeps its uniform softmax over all of them."""
-    m, n = mask.shape
-    visible = mask != MASK_VALUE
+    sees (`visible`, a rows x keys boolean array). Keys past it get
+    probability exactly 0. A block with a row that sees no key reads every
+    key, so that row keeps its uniform softmax over all of them."""
+    m, n = visible.shape
     ends = np.where(visible.any(axis=1),
                     n - np.argmax(visible[:, ::-1], axis=1), n)
     return tuple((r0, min(r0 + ATTENTION_BLOCK_ROWS, m),
@@ -92,17 +118,30 @@ def _attention_spans(mask: np.ndarray) -> tuple[tuple[int, int, int], ...]:
                  for r0 in range(0, m, ATTENTION_BLOCK_ROWS))
 
 
-def _blocks(buf: np.ndarray, spans, n_heads: int, advance: bool = True):
-    """(r0, r1, hi, view) per span, the view being the next
-    n_heads x (r1 - r0) x hi block of the flat `buf`; with `advance` off
-    every view starts at the front (one reused buffer)."""
-    offset = 0
+def _block_buffer(spans, n_heads: int, dtype) -> np.ndarray:
+    """A flat buffer that holds the largest span's n_heads x rows x hi
+    block."""
+    return np.empty(max((n_heads * (r1 - r0) * hi for r0, r1, hi in spans),
+                        default=0), dtype)
+
+
+def _blocks(buf: np.ndarray, spans, n_heads: int):
+    """(r0, r1, hi, view) per span, the view being the front
+    n_heads x (r1 - r0) x hi of the flat `buf` (one buffer reused by every
+    block)."""
     for r0, r1, hi in spans:
         shape = (n_heads, r1 - r0, hi)
-        size = math.prod(shape)
-        yield r0, r1, hi, buf[offset:offset + size].reshape(shape)
-        if advance:
-            offset += size
+        yield r0, r1, hi, buf[:math.prod(shape)].reshape(shape)
+
+
+def _block_scores(qh, kt, visible, r0, r1, hi, out) -> None:
+    """Masked scores of query rows r0:r1 against keys :hi, every head, into
+    `out`: (scaled q) k^T plus 0 where a key is visible and MASK_VALUE
+    where it is not. The forward pass and the backward recompute both call
+    this, so their probabilities agree bit for bit."""
+    np.matmul(qh[:, r0:r1], kt[:, :, :hi], out=out)
+    zero, blocked = out.dtype.type(0), out.dtype.type(MASK_VALUE)
+    out += np.where(visible[r0:r1, :hi], zero, blocked)
 
 
 def _scatter_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
@@ -372,12 +411,13 @@ class Tape:
         """Multi-head scaled dot-product attention, recorded as one node.
 
         Head h reads column block h of q (m x d), k and v (n x d); `mask`
-        is an additive m x n array. Query rows run in blocks of
+        is an additive m x n array whose entries are 0 (key visible) or
+        MASK_VALUE (blocked). Query rows run in blocks of
         ATTENTION_BLOCK_ROWS, every head in one batched matmul, over only
         the first `hi` keys, up to the last key a row of the block can see
-        (:func:`_attention_spans`). A tracked node saves each block's
-        (n_heads, rows, hi) probabilities back to back in one flat array;
-        an untracked one reuses the largest block's buffer.
+        (:func:`_attention_spans`), in one reused block buffer. A tracked
+        node saves each (head, row)'s softmax max and sum and the boolean
+        visibility mask, from which backward rebuilds the probabilities.
         """
         qv, kv, vv = q.value, k.value, v.value
         mask = np.asarray(mask)
@@ -393,32 +433,36 @@ class Tape:
         if n_heads < 1 or d % n_heads:
             raise ShapeError("attention",
                              f"width {d} not divisible by {n_heads} heads")
+        visible = mask != MASK_VALUE
+        # every visible entry must be 0: backward rebuilds the mask from
+        # `visible` alone
+        if np.count_nonzero(mask == 0) != np.count_nonzero(visible):
+            raise ShapeError("attention",
+                             f"mask entries must be 0 or {MASK_VALUE}")
         scale = 1.0 / math.sqrt(d // n_heads)
-        spans = _attention_spans(mask)
-        sizes = [n_heads * (r1 - r0) * hi for r0, r1, hi in spans]
-        # the debug ledger charges an untracked node's would-be saves
-        keep = self.debug_cache_untracked or (
-            self.grad_enabled and any(t.requires_grad for t in (q, k, v)))
-        probs = np.empty(sum(sizes) if keep else max(sizes, default=0),
-                         qv.dtype)
+        spans = _attention_spans(visible)
+        row_max = np.empty((n_heads, m), qv.dtype)
+        row_sum = np.empty((n_heads, m), qv.dtype)
         out = np.empty((m, d), qv.dtype)
         qh = _heads(qv * scale, n_heads)
-        kh = _heads(kv, n_heads).transpose(0, 2, 1)
+        kt = _heads(kv, n_heads).transpose(0, 2, 1)
         vh, oh = _heads(vv, n_heads), _heads(out, n_heads)
-        for r0, r1, hi, s in _blocks(probs, spans, n_heads, advance=keep):
-            np.matmul(qh[:, r0:r1], kh[:, :, :hi], out=s)
+        buf = _block_buffer(spans, n_heads, qv.dtype)
+        for r0, r1, hi, s in _blocks(buf, spans, n_heads):
+            _block_scores(qh, kt, visible, r0, r1, hi, s)
             if not np.isfinite(s).all():
                 raise NonFiniteError("attention", f"scores of rows {r0}:{r1}")
-            s += mask[r0:r1, :hi]
-            s -= s.max(axis=2, keepdims=True)
+            top = s.max(axis=2, keepdims=True)
+            s -= top
             np.exp(s, out=s)
-            s /= s.sum(axis=2, keepdims=True)
+            total = s.sum(axis=2, keepdims=True)
+            s /= total
+            row_max[:, r0:r1] = top[..., 0]
+            row_sum[:, r0:r1] = total[..., 0]
             np.matmul(s, vh[:, :hi], out=oh[:, r0:r1])
-        saves = [("probs", probs, True)]
-        if q.requires_grad:
-            saves.append(("k", kv, self._charged(k)))
-        if k.requires_grad:
-            saves.append(("q", qv, self._charged(q)))
+        saves = [("row_max", row_max, True), ("row_sum", row_sum, True),
+                 ("visible", visible, True), ("q", qv, self._charged(q)),
+                 ("k", kv, self._charged(k))]
         if q.requires_grad or k.requires_grad:
             saves.append(("v", vv, self._charged(v)))
         return self._record("attention", out, (q, k, v),
@@ -514,12 +558,19 @@ class Tape:
 
     # ---- backward --------------------------------------------------------
 
-    def backward(self, loss: Tensor) -> dict[str, np.ndarray]:
+    def backward(self, loss: Tensor,
+                 into: dict[str, np.ndarray] | None = None
+                 ) -> dict[str, np.ndarray]:
         """Reverse accumulation from a scalar loss node.
 
-        Returns gradients for trainable parameters, keyed by name. Nodes
-        with ``requires_grad = False`` are constants: their inputs receive
-        no contribution. Gradients w.r.t. tracked non-parameter leaves are
+        Each trainable parameter's gradient is added into ``into[name]``
+        in place (or stored there, if the name is missing) as soon as the
+        reverse sweep reaches the parameter, so no parameter gradient is
+        held past its own node. Returns `into`, or a fresh dict of the
+        gradients, keyed by name, when none is passed. If an exception
+        stops the sweep, `into` keeps what was already added. Nodes with
+        ``requires_grad = False`` are constants: their inputs receive no
+        contribution. Gradients w.r.t. tracked non-parameter leaves are
         kept for inspection via :meth:`grad_of`.
         """
         if self._backward_done:
@@ -533,7 +584,7 @@ class Tape:
         grads: dict[int, np.ndarray] = {
             loss.node.idx: np.ones((1, 1), dtype=loss.value.dtype)
         }
-        store: dict[str, np.ndarray] = {}
+        store = {} if into is None else into
         self._leaf_grads = {}
 
         for node in reversed(self.nodes):
@@ -541,7 +592,11 @@ class Tape:
             if g is None or not node.requires_grad:
                 continue
             if node.op == "param":
-                store[node.name] = g
+                acc = store.get(node.name)
+                if acc is None:
+                    store[node.name] = g
+                else:
+                    acc += g
             elif node.op == "input":
                 self._leaf_grads[node.idx] = g
             elif node.op == "const":
@@ -587,10 +642,7 @@ class Tape:
             if fn == "scale":
                 self._accum(grads, a, g * node.meta["c"])
             elif fn == "gelu":
-                x = saved["input"]
-                phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-                dens = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-                self._accum(grads, a, g * (phi + x * dens))
+                self._accum(grads, a, _gelu_backward(saved["input"], g))
             else:  # pragma: no cover - guarded at record time
                 raise BackwardError(f"unknown elementwise fn {fn}")
         elif op == "softmax_rows":
@@ -652,34 +704,41 @@ class Tape:
 
     def _backprop_attention(self, node: Node, g: np.ndarray, saved,
                             grads) -> None:
-        """Per row block and head, over the block's first `hi` keys:
-        dv += p^T g, dp = g v^T, ds = p * (dp - rowsum(dp * p)),
-        dq = scale * ds k, dk += ds^T (scale * q). Two buffers of the
-        largest block serve every block, and each block's saved
-        probabilities are overwritten with its ds (backward runs once per
-        tape)."""
+        """Per row block, every head at once, over the block's first `hi`
+        keys: rebuild p with the forward's own ops from q, k, the visible
+        mask and the saved row max and sum, then dv += p^T g,
+        dp = g v^T, ds = p * (dp - rowsum(dp * p)), dq = scale * ds k,
+        dk += ds^T (scale * q). Buffers of the largest block serve every
+        block, and p is overwritten with ds."""
         q, k, v = node.inputs
-        probs = saved["probs"]
         n_heads = node.meta["n_heads"]
         scale = node.meta["scale"]
         spans = node.meta["spans"]
+        visible = saved["visible"]
+        row_max, row_sum = saved["row_max"], saved["row_sum"]
         dq = np.empty(q.shape, q.dtype) if q.requires_grad else None
         dk = np.zeros(k.shape, k.dtype) if k.requires_grad else None
         dv = np.zeros(v.shape, v.dtype) if v.requires_grad else None
         gh = _heads(g, n_heads)
+        qh = _heads(saved["q"] * scale, n_heads)
+        kh = _heads(saved["k"], n_heads)
+        kt = kh.transpose(0, 2, 1)
+        p_buf = _block_buffer(spans, n_heads, node.dtype)
         if dv is not None:
             dvh = _heads(dv, n_heads)
         if dq is not None or dk is not None:
-            biggest = max((n_heads * (r1 - r0) * hi for r0, r1, hi in spans),
-                          default=0)
-            dp_buf = np.empty(biggest, probs.dtype)
-            dp_p_buf = np.empty_like(dp_buf)
-            vh = _heads(saved["v"], n_heads).transpose(0, 2, 1)
+            dp_buf = np.empty_like(p_buf)
+            dp_p_buf = np.empty_like(p_buf)
+            vt = _heads(saved["v"], n_heads).transpose(0, 2, 1)
         if dq is not None:
-            kh, dqh = _heads(saved["k"], n_heads), _heads(dq, n_heads)
+            dqh = _heads(dq, n_heads)
         if dk is not None:
-            qh, dkh = _heads(saved["q"] * scale, n_heads), _heads(dk, n_heads)
-        for r0, r1, hi, p in _blocks(probs, spans, n_heads):
+            dkh = _heads(dk, n_heads)
+        for r0, r1, hi, p in _blocks(p_buf, spans, n_heads):
+            _block_scores(qh, kt, visible, r0, r1, hi, p)
+            p -= row_max[:, r0:r1, None]
+            np.exp(p, out=p)
+            p /= row_sum[:, r0:r1, None]
             gb = gh[:, r0:r1]
             if dv is not None:
                 dvh[:, :hi] += np.matmul(p.transpose(0, 2, 1), gb)
@@ -687,7 +746,7 @@ class Tape:
                 continue
             dp = dp_buf[:p.size].reshape(p.shape)
             dp_p = dp_p_buf[:p.size].reshape(p.shape)
-            np.matmul(gb, vh[:, :, :hi], out=dp)
+            np.matmul(gb, vt[:, :, :hi], out=dp)
             np.multiply(dp, p, out=dp_p)
             dp -= dp_p.sum(axis=2, keepdims=True)
             p *= dp
@@ -729,8 +788,8 @@ class Tape:
 def _fresh_saved_bytes(node: Node) -> int:
     """Bytes of backward saves that are new allocations (not references to
     an existing node output): layer_norm's normalized input and inverse
-    std, cross_entropy's probabilities and attention's probabilities of
-    every head (heads x sum(rows * hi) over its row blocks). Everything
+    std, cross_entropy's probabilities, and attention's row max and sum
+    (heads x rows each) and boolean rows x keys visibility mask. Everything
     else a backward rule reads is a reference to a node output or
     parameter."""
     if node.op == "layer_norm" and node.requires_grad:
@@ -739,8 +798,8 @@ def _fresh_saved_bytes(node: Node) -> int:
     if node.op == "cross_entropy" and node.requires_grad:
         return node.inputs[0].nbytes
     if node.op == "attention" and node.requires_grad:
-        return node.meta["n_heads"] * node.dtype.itemsize * sum(
-            (r1 - r0) * hi for r0, r1, hi in node.meta["spans"])
+        m, n = node.shape[0], node.inputs[1].shape[0]
+        return 2 * node.meta["n_heads"] * m * node.dtype.itemsize + m * n
     return 0
 
 
@@ -762,10 +821,7 @@ def _retained_for_backward(tape: Tape) -> set[int]:
             retained.add(node.idx)
         elif node.op == "attention":
             q, k, v = node.inputs
-            if q.requires_grad:
-                retained.add(k.idx)
-            if k.requires_grad:
-                retained.add(q.idx)
+            retained.update((q.idx, k.idx))
             if q.requires_grad or k.requires_grad:
                 retained.add(v.idx)
     return retained
@@ -780,12 +836,15 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     or at once if nothing consumes it, except the last node's (the loss,
     which backward starts from). Returns (peak bytes, bytes retained at the
     end of the forward pass). The backward phase is modeled as the retained
-    set plus two transient gradient buffers of the largest node. Parameters
-    are excluded (accounted as persistent elsewhere); constants count until
-    their last use. Temporaries inside an op are not modeled: softmax and
-    GELU buffers, attention's scaled queries, its one-block score buffer
-    when untracked (heads x ATTENTION_BLOCK_ROWS x hi of the largest
-    block), and the mask it is passed, which is not a node.
+    set plus two transient gradient buffers of the largest node; parameter
+    gradients are not charged, since backward adds each into the caller's
+    accumulator as soon as it is complete. Parameters are excluded
+    (accounted as persistent elsewhere); constants count until their last
+    use. Temporaries inside an op are not modeled: softmax buffers, GELU's
+    one backward temporary, attention's scaled queries and block buffers
+    (heads x ATTENTION_BLOCK_ROWS x hi of the largest block: one in
+    forward, up to three in backward), and the mask it is passed, which is
+    not a node.
     """
     last_use: dict[int, int] = {}
     for node in tape.nodes:

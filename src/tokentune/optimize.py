@@ -9,6 +9,7 @@ normalized per example (classification) or per contributing target token
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -89,6 +90,17 @@ def adam_step(model: TransformerModel, grads: dict[str, np.ndarray],
         arr -= lr * update
 
 
+def global_norm(arrays, scale: float) -> float:
+    """scale times the L2 norm of all `arrays` together, accumulated in
+    float64 (one dot product per array; nothing the size of an array is
+    allocated for float64 input)."""
+    sq = 0.0
+    for a in arrays:
+        flat = a.reshape(-1).astype(np.float64, copy=False)
+        sq += float(np.dot(flat, flat))
+    return math.sqrt(sq) * scale
+
+
 def _derived_seed(base_seed: int, stream: int, index: int) -> int:
     ss = np.random.SeedSequence([base_seed, stream, index])
     return int(ss.generate_state(1)[0])
@@ -147,7 +159,11 @@ class Trainer:
 
     def train_step(self, batch, tape_hook=None) -> dict:
         """One micro-batch: per-example forward/backward, ordered gradient
-        accumulation, and an Adam update when the window closes."""
+        accumulation, and an Adam update when the window closes.
+
+        Backward adds each parameter gradient into ``self.accum`` as it
+        completes, so an example that fails partway through backward
+        leaves part of its gradient there."""
         if not batch:
             raise StepError("empty batch")
         t0 = time.perf_counter()
@@ -166,17 +182,14 @@ class Trainer:
             if not np.isfinite(loss_value):
                 raise StepError(f"non-finite loss at example {i} of batch "
                                 f"(global example {self.example_counter})")
-            grads = tape.backward(loss_node)
-            for name, acc in self.accum.items():
-                if name in grads:
-                    acc += grads[name]
+            tape.backward(loss_node, into=self.accum)
             cached_elements += tape.cached_activation_elements()
             peak_tape = max(peak_tape, simulate_peak_bytes(tape)[0])
             if tape_hook is not None:
                 tape_hook(tape)
-            # Drop this example's graph and gradients before the next one
-            # is recorded, so a step's peak is one example's, not two.
-            del tape, loss_node, grads
+            # Drop this example's graph before the next one is recorded,
+            # so a step's peak is one example's, not two.
+            del tape, loss_node
             loss_sum += loss_value
             term_sum += n_terms
             self._window_examples += 1
@@ -190,10 +203,7 @@ class Trainer:
                 scale = 1.0 / self._window_examples
             else:
                 scale = 1.0 / max(self._window_targets, 1)
-            sq = 0.0
-            for g in self.accum.values():
-                sq += float(((g * scale).astype(np.float64) ** 2).sum())
-            grad_norm = float(np.sqrt(sq))
+            grad_norm = global_norm(self.accum.values(), scale)
             adam_step(self.model, self.accum, self.state,
                       self.cfg.learning_rate, self.cfg.weight_decay,
                       grad_scale=scale)

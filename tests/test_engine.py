@@ -418,12 +418,16 @@ def causal_mask(m, n):
     return mask
 
 
+def default_shape(case):
+    return (3, 7) if case != "all-tracked" else (5, 5)
+
+
 def attention_case(case, n_heads, attend, shape=None, mask=None):
     """(tape, output, loss, tracked input leaves by name) for one operand
     pattern, m queries over n keys (`shape`), causal unless `mask` is
     given; every array is float64."""
     r = rng_for(40)
-    m, n = shape or ((3, 7) if case != "all-tracked" else (5, 5))
+    m, n = shape or default_shape(case)
     t = Tape()
     if case == "all-tracked":
         q, k, v = (t.input(r.normal(size=(m, D_ATT))) for _ in range(3))
@@ -472,11 +476,24 @@ def compare_with_per_head(case, n_heads, **kw):
     return retained
 
 
+def retained_with_row_statistics(case, n_heads, ref, shape):
+    """The bytes `Tape.attention` retains for backward, from the per-head
+    composition's (`ref`): the composition keeps every head's m x n float64
+    probabilities, the node keeps each (head, row)'s softmax max and sum
+    and the m x n boolean visibility mask instead. With constant queries
+    the node also keeps k, to rebuild the probabilities, which the
+    composition never reads."""
+    m, n = shape
+    keys = n * D_ATT * 8 if case == "untracked-q" else 0
+    return ref - n_heads * m * n * 8 + 2 * n_heads * m * 8 + m * n + keys
+
+
 @pytest.mark.parametrize("n_heads", [1, 4])
 @pytest.mark.parametrize("case", ["all-tracked", "selected", "untracked-q"])
 def test_attention_matches_the_per_head_composition(case, n_heads):
     ours, ref = compare_with_per_head(case, n_heads)
-    assert ours == ref
+    assert ours == retained_with_row_statistics(case, n_heads, ref,
+                                                default_shape(case))
 
 
 def row_blocks(m):
@@ -490,15 +507,13 @@ def row_blocks(m):
                                         ("untracked-q", (70, 150))],
                          ids=["all-tracked-150x150", "selected-70x150",
                               "untracked-q-70x150"])
-def test_multi_block_attention_saves_only_the_keys_each_block_sees(
+def test_multi_block_attention_saves_row_stats_not_probs(
         case, shape, n_heads):
     ours, ref = compare_with_per_head(case, n_heads, shape=shape)
-    # query i sees keys up to n - m + i, so rows r0:r1 read n - m + r1 keys;
-    # the composition keeps every head's full m x n probabilities
-    m, n = shape
-    seen = sum((r1 - r0) * (n - m + r1) for r0, r1 in row_blocks(m))
-    assert len(row_blocks(m)) > 1 and seen < m * n
-    assert ours == ref - n_heads * (m * n - seen) * 8
+    # block skipping changes the work, not what is saved: the statistics
+    # and the mask cover every row and key whatever each block reads
+    assert len(row_blocks(shape[0])) > 1
+    assert ours == retained_with_row_statistics(case, n_heads, ref, shape)
 
 
 @pytest.mark.parametrize("n_heads", [1, 4])
@@ -509,10 +524,8 @@ def test_query_row_that_sees_no_key_keeps_the_uniform_softmax(n_heads):
     mask[100] = MASK_VALUE      # a query that sees no key at all
     ours, ref = compare_with_per_head("all-tracked", n_heads, shape=(m, n),
                                       mask=mask)
-    # rows 0:64 read 64 keys, rows 64:128 every key (row 100 sees none),
-    # rows 128:150 the first 140
-    seen = 64 * 64 + 64 * 150 + 22 * 140
-    assert ours == ref - n_heads * (m * n - seen) * 8
+    assert ours == retained_with_row_statistics("all-tracked", n_heads, ref,
+                                                (m, n))
 
 
 def test_attention_untracked_matches_tracked_and_caches_nothing():
@@ -527,7 +540,9 @@ def test_attention_untracked_matches_tracked_and_caches_nothing():
                                      causal_mask(4, 4), 4)
     assert np.array_equal(out.value, out_ng.value)
     assert untracked.cached_activation_elements() == 0
-    assert tracked.cached_activation_elements() == 4 * 4 * 4 + 3 * 4 * D_ATT
+    # row max and sum per head, the 4 x 4 visibility mask, q, k and v
+    assert tracked.cached_activation_elements() \
+        == 2 * 4 * 4 + 4 * 4 + 3 * 4 * D_ATT
 
 
 def attention_finite_differences(m):
@@ -580,4 +595,17 @@ def test_attention_rejects_bad_shapes_and_overflowing_scores():
     huge = t.input(np.full((3, D_ATT), 1e200))
     with pytest.raises(NonFiniteError) as err, np.errstate(over="ignore"):
         t.attention(huge, huge, huge, np.zeros((3, 3)), 2)
+    assert err.value.op == "attention"
+
+
+@pytest.mark.parametrize("bad", [-1e9, -np.inf, np.nan, 0.5])
+def test_attention_rejects_mask_entries_other_than_zero_and_mask_value(bad):
+    # backward rebuilds the additive mask from which entries are MASK_VALUE
+    t = Tape()
+    q = t.input(np.ones((3, D_ATT)))
+    kv = t.input(np.ones((5, D_ATT)))
+    mask = causal_mask(3, 5)
+    mask[1, 0] = bad
+    with pytest.raises(ShapeError) as err:
+        t.attention(q, kv, kv, mask, 2)
     assert err.value.op == "attention"

@@ -1,5 +1,6 @@
 """Measured memory: the bytes a run really holds, read with `tracemalloc`,
-against the engine's own liveness replay (`simulate_peak_bytes`).
+against the engine's own liveness replay (`simulate_peak_bytes`), and the
+train step's gradient accumulator that backward streams into.
 
 The replay counts arrays only. The graph itself (node records, their
 metadata and index arrays) is real memory it does not count, so a
@@ -14,10 +15,10 @@ import numpy as np
 import pytest
 
 from tokentune.config import ModelConfig, TrainConfig
-from tokentune.engine import Tape, simulate_peak_bytes
+from tokentune.engine import Tape, gelu_array, simulate_peak_bytes
 from tokentune.memprofile import lm_profile_batch
 from tokentune.model import build_model, forward_hidden
-from tokentune.optimize import Trainer, eval_hidden
+from tokentune.optimize import Trainer, eval_hidden, global_norm
 from tokentune.partition import TokenPartition
 from tokentune.selective import loss_lm, tokentune_forward
 
@@ -164,3 +165,63 @@ def test_two_example_step_peaks_like_one_example_step(regime):
     one = step_peak(batch[:1])
     two = step_peak(batch)
     assert two <= one * (1 + STEP_PEAK_TOL), (one, two)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_forward_allocates_only_its_output(dtype):
+    x = np.random.default_rng(6).normal(size=(512, 1024)).astype(dtype)
+    with Traced() as traced:
+        y = gelu_array(x)
+        peak = traced.peak()
+    assert y.nbytes <= peak <= y.nbytes + GRAPH_BYTES_PER_NODE, peak
+
+
+def test_backward_holds_no_parameter_gradient_past_its_node(model, example):
+    # TokenTune at k = n/8; in the full regime at these shapes attention's
+    # backward block buffers alone outweigh the parameter gradients
+    tape = Tape()
+    loss = record_loss(tape, model, example, "tokentune")
+    accum = {name: np.zeros_like(arr)
+             for name, arr in model.trainable_arrays()}
+    grad_bytes = sum(arr.nbytes for arr in accum.values())
+    with Traced() as traced:
+        tape.backward(loss, into=accum)
+        peak = traced.peak()
+    assert peak < grad_bytes, (peak, grad_bytes)
+
+
+@pytest.mark.parametrize("regime", ["full", "tokentune"])
+def test_step_accumulates_the_sum_of_backward_gradients_bitwise(regime):
+    batch = lm_profile_batch(N, 2, seed=5)
+
+    def trainer():
+        model = build_model(lm_config(), seed=5, dtype="float64")
+        cfg = TrainConfig(regime=regime, k=K if regime == "tokentune"
+                          else None, batch_size=2, accumulation_steps=2,
+                          learning_rate=1e-3, seed=5, dtype="float64")
+        return Trainer(model, cfg, "lm")
+
+    stepped = trainer()
+    stepped.train_step(batch)  # the window stays open: no Adam update yet
+    ref = trainer()
+    expected = {name: np.zeros_like(acc) for name, acc in ref.accum.items()}
+    for example in batch:
+        tape = Tape()
+        loss, _ = ref._example_loss(tape, example)
+        for name, g in tape.backward(loss).items():
+            expected[name] += g
+        ref.example_counter += 1
+    assert all(acc.any() for acc in stepped.accum.values())
+    for name, acc in expected.items():
+        assert np.array_equal(stepped.accum[name], acc), name
+
+
+def test_global_norm_matches_the_scaled_float64_sum_of_squares():
+    r = np.random.default_rng(7)
+    arrays = [r.normal(size=shape) * 10.0 ** r.integers(-3, 3)
+              for shape in ((64, 257), (1, 64), (256, 64), (128, 64))]
+    scale = 1.0 / 37
+    old = np.sqrt(sum(float(((a * scale).astype(np.float64) ** 2).sum())
+                      for a in arrays))
+    assert abs(global_norm(arrays, scale) - old) <= 1e-12 * old
+    assert global_norm([], scale) == 0.0

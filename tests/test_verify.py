@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from tokentune.config import ModelConfig
-from tokentune.engine import ATTENTION_BLOCK_ROWS, Tape, gelu_array
+from tokentune.engine import (ATTENTION_BLOCK_ROWS, Tape, _fresh_saved_bytes,
+                              gelu_array)
 from tokentune.model import TokenSequence, build_model
 from tokentune.partition import TokenPartition, select_positions
 from tokentune.selective import loss_lm, tokentune_forward
@@ -222,20 +223,21 @@ def long_lm_case(k):
 @pytest.mark.parametrize("k", [70, LONG_N])
 def test_tokentune_matches_the_oracle_across_attention_blocks(k):
     model, seq, partition, targets = long_lm_case(k)
-    tape = Tape()
-    split = tokentune_forward(tape, model, seq, partition)
-    loss, _ = loss_lm(tape, model, split, targets)
-    # keys are in position order, so each block of selected queries saves
-    # probabilities only up to its last query's position
-    selected = partition.selected
-    seen = sum(len(block) * (block[-1] + 1) for block in np.split(
-        selected, np.arange(ATTENTION_BLOCK_ROWS, k, ATTENTION_BLOCK_ROWS)))
-    attention = [node for node in tape.nodes
-                 if node.op == "attention" and node.requires_grad]
-    assert len(attention) == model.config.n_layers
-    for node in attention:
-        assert dict(node.saved)["probs"] == model.config.n_heads * seen
-    assert seen < k * LONG_N
+    # each tracked attention node saves a float64 max and sum per (head,
+    # selected query) and the k x n visibility mask, for any selection
+    fresh = 2 * model.config.n_heads * k * 8 + k * LONG_N
+    other = select_positions(LONG_N, k, "lm", rng_seed=10)
+    assert k == LONG_N or not np.array_equal(other.selected,
+                                             partition.selected)
+    for part in (other, partition):  # backward runs on the last tape
+        tape = Tape()
+        split = tokentune_forward(tape, model, seq, part)
+        loss, _ = loss_lm(tape, model, split, targets)
+        attention = [node for node in tape.nodes
+                     if node.op == "attention" and node.requires_grad]
+        assert len(attention) == model.config.n_layers
+        assert [_fresh_saved_bytes(node) for node in attention] \
+            == [fresh] * model.config.n_layers
     tt = tape.backward(loss)
     oracle = stopgrad_reference_backward(model, seq, partition,
                                          ("lm", targets))
