@@ -21,7 +21,11 @@ twice (a refcount-free upper bound, deterministic for a fixed
 computation).
 
 Cache policy per primitive, as (what backward reads):
-    matmul         lhs iff rhs needs grad, rhs iff lhs needs grad
+    matmul         lhs iff rhs needs grad, rhs iff lhs needs grad; but
+                   an lhs that is a tracked layer_norm's output is not
+                   saved: backward rebuilds it from the norm's saves with
+                   the forward's expression (two elementwise passes; the
+                   recompute trade of Chen et al. 2016)
     add            nothing (gradient passes through / column-sums)
     elementwise    gelu: its input; scale: nothing (constant factor)
     softmax_rows   its output, not its input
@@ -30,7 +34,8 @@ Cache policy per primitive, as (what backward reads):
                    visibility mask; q and k always, v iff q or k needs
                    grad (references, not copies). Backward rebuilds each
                    block's probabilities from them (Dao et al. 2022)
-    layer_norm     normalized input, per-row inverse std, the scale vector
+    layer_norm     normalized input, per-row inverse std, the scale and
+                   shift vectors
     select/concat  nothing (integer metadata and the input's shape)
     mean_rows      nothing
     cross_entropy  the softmax probabilities (log-softmax is fused)
@@ -142,6 +147,20 @@ def _block_scores(qh, kt, visible, r0, r1, hi, out) -> None:
     np.matmul(qh[:, r0:r1], kt[:, :, :hi], out=out)
     zero, blocked = out.dtype.type(0), out.dtype.type(MASK_VALUE)
     out += np.where(visible[r0:r1, :hi], zero, blocked)
+
+
+def _rebuilt_in_backward(node: Node) -> bool:
+    """True for a tracked layer_norm: a matmul reading its output as lhs
+    does not save it, and the matmul's backward rebuilds it from the
+    norm's saves (:func:`_layer_norm_output`)."""
+    return node.op == "layer_norm" and node.requires_grad
+
+
+def _layer_norm_output(node: Node) -> np.ndarray:
+    """A tracked layer_norm's output, rebuilt from its saves with the
+    forward's own expression, so it equals the forward's bit for bit."""
+    saved = dict(node._saved_arrays)
+    return saved["normalized"] * saved["scale"] + saved["shift"]
 
 
 def _scatter_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
@@ -374,7 +393,7 @@ class Tape:
         saves = []
         if a.requires_grad:
             saves.append(("rhs", b.value, self._charged(b)))
-        if b.requires_grad:
+        if b.requires_grad and not _rebuilt_in_backward(a.node):
             saves.append(("lhs", a.value, self._charged(a)))
         return self._record("matmul", out, (a, b),
                             {"transpose_b": transpose_b}, saves)
@@ -484,7 +503,8 @@ class Tape:
         out = xhat * gamma.value + beta.value
         saves = [("normalized", xhat, True),
                  ("inv_std", inv, True),
-                 ("scale", gamma.value, self._charged(gamma))]
+                 ("scale", gamma.value, self._charged(gamma)),
+                 ("shift", beta.value, self._charged(beta))]
         return self._record("layer_norm", out, (x, gamma, beta),
                             {"eps": eps}, saves)
 
@@ -628,7 +648,8 @@ class Tape:
                 rhs = saved["rhs"]
                 self._accum(grads, a, g @ rhs if tb else g @ rhs.T)
             if b.requires_grad:
-                lhs = saved["lhs"]
+                lhs = (_layer_norm_output(a) if _rebuilt_in_backward(a)
+                       else saved["lhs"])
                 self._accum(grads, b, g.T @ lhs if tb else lhs.T @ g)
         elif op == "add":
             a, b = node.inputs
@@ -709,7 +730,8 @@ class Tape:
         mask and the saved row max and sum, then dv += p^T g,
         dp = g v^T, ds = p * (dp - rowsum(dp * p)), dq = scale * ds k,
         dk += ds^T (scale * q). Buffers of the largest block serve every
-        block, and p is overwritten with ds."""
+        block, p is overwritten with ds, and rowsum(dp * p) is taken one
+        head at a time through a rows x hi buffer."""
         q, k, v = node.inputs
         n_heads = node.meta["n_heads"]
         scale = node.meta["scale"]
@@ -728,7 +750,8 @@ class Tape:
             dvh = _heads(dv, n_heads)
         if dq is not None or dk is not None:
             dp_buf = np.empty_like(p_buf)
-            dp_p_buf = np.empty_like(p_buf)
+            row_buf = np.empty(max((r1 - r0) * hi for r0, r1, hi in spans),
+                               node.dtype)
             vt = _heads(saved["v"], n_heads).transpose(0, 2, 1)
         if dq is not None:
             dqh = _heads(dq, n_heads)
@@ -745,10 +768,11 @@ class Tape:
             if dq is None and dk is None:
                 continue
             dp = dp_buf[:p.size].reshape(p.shape)
-            dp_p = dp_p_buf[:p.size].reshape(p.shape)
+            dp_p = row_buf[:(r1 - r0) * hi].reshape(r1 - r0, hi)
             np.matmul(gb, vt[:, :, :hi], out=dp)
-            np.multiply(dp, p, out=dp_p)
-            dp -= dp_p.sum(axis=2, keepdims=True)
+            for h in range(n_heads):
+                np.multiply(dp[h], p[h], out=dp_p)
+                dp[h] -= dp_p.sum(axis=1, keepdims=True)
             p *= dp
             if dq is not None:
                 np.matmul(p, kh[:, :hi], out=dqh[:, r0:r1])
@@ -813,7 +837,7 @@ def _retained_for_backward(tape: Tape) -> set[int]:
             a, b = node.inputs
             if a.requires_grad:
                 retained.add(b.idx)
-            if b.requires_grad:
+            if b.requires_grad and not _rebuilt_in_backward(a):
                 retained.add(a.idx)
         elif node.op == "elementwise" and node.meta.get("fn") == "gelu":
             retained.add(node.inputs[0].idx)
@@ -843,8 +867,11 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     use. Temporaries inside an op are not modeled: softmax buffers, GELU's
     one backward temporary, attention's scaled queries and block buffers
     (heads x ATTENTION_BLOCK_ROWS x hi of the largest block: one in
-    forward, up to three in backward), and the mask it is passed, which is
-    not a node.
+    forward, up to two in backward, plus one ATTENTION_BLOCK_ROWS x hi row
+    buffer), the mask it is passed, which is not a node, and a layer
+    norm's output that a matmul's backward rebuilds from the norm's saves
+    (one rows x cols array, freed once that matmul's weight gradient is
+    formed).
     """
     last_use: dict[int, int] = {}
     for node in tape.nodes:

@@ -241,8 +241,10 @@ def attention(tape: Tape, model: TransformerModel, layer: int, h: Tensor,
 
 def ffn(tape: Tape, model: TransformerModel, layer: int, h: Tensor) -> Tensor:
     base = f"layers.{layer}.ffn"
-    z = affine(tape, model, h, f"{base}.w1", f"{base}.b1")
-    return affine(tape, model, tape.gelu(z), f"{base}.w2", f"{base}.b2")
+    # no local for the pre-GELU value, so a no-grad forward frees it as
+    # soon as GELU has read it
+    hidden = tape.gelu(affine(tape, model, h, f"{base}.w1", f"{base}.b1"))
+    return affine(tape, model, hidden, f"{base}.w2", f"{base}.b2")
 
 
 def norm(tape: Tape, model: TransformerModel, layer: int, which: int,

@@ -62,32 +62,50 @@ def adam_step(model: TransformerModel, grads: dict[str, np.ndarray],
     """Bias-corrected Adam update in place; decoupled weight decay.
 
     Each gradient is multiplied by `grad_scale` as it is read, one array
-    at a time; `grads` itself is left unchanged.
+    at a time; `grads` itself is left unchanged. Every temporary lives in
+    one of two scratch arrays the size of the largest trainable array, and
+    the operations run in the order of the textbook expression
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    p -= lr ((m / c1) / (sqrt(v / c2) + eps) + wd p), so the result is the
+    same bit for bit.
     """
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
-    for name, arr in model.trainable_arrays():
+    arrays = model.trainable_arrays()
+    size = max((arr.size for _, arr in arrays), default=0)
+    scratch = (np.empty(size, model.dtype), np.empty(size, model.dtype))
+    for name, arr in arrays:
         g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(arr)
-        elif grad_scale != 1.0:
-            g = g * grad_scale
-        if not np.isfinite(g).all():
-            raise StepError(f"non-finite gradient for parameter '{name}'")
-        if g.shape != arr.shape:
+        if g is not None and g.shape != arr.shape:
             raise StepError(f"gradient shape {g.shape} != parameter shape "
                             f"{arr.shape} for '{name}'")
+        a, b = (buf[:arr.size].reshape(arr.shape) for buf in scratch)
+        if g is None:
+            a.fill(0.0)
+            g = a
+        elif grad_scale != 1.0:
+            g = np.multiply(g, grad_scale, out=a)
+        # min and max propagate NaN and reach +-Inf without allocating
+        if not (np.isfinite(g.min()) and np.isfinite(g.max())):
+            raise StepError(f"non-finite gradient for parameter '{name}'")
         m = state.m[name]
         v = state.v[name]
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += np.multiply(g, 1.0 - BETA1, out=b)
         v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
+        np.multiply(g, g, out=b)
+        b *= 1.0 - BETA2
+        v += b
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += EPSILON
+        update = np.divide(m, bc1, out=a)
+        update /= b
         if weight_decay:
-            update = update + weight_decay * arr
-        arr -= lr * update
+            update += np.multiply(arr, weight_decay, out=b)
+        update *= lr
+        arr -= update
 
 
 def global_norm(arrays, scale: float) -> float:

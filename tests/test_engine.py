@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokentune import engine
 from tokentune.engine import (ATTENTION_BLOCK_ROWS, MASK_VALUE,
                               BackwardError, NonFiniteError, ShapeError,
                               Tape, gelu_array, simulate_peak_bytes)
@@ -390,6 +391,78 @@ def test_simulate_peak_counts_retained_saves():
     t.mean_rows(h)
     peak, retained = simulate_peak_bytes(t)
     assert peak >= retained > 0
+
+
+# ---- layer norm output rebuilt in backward --------------------------------------
+
+NORM_ROWS, NORM_WIDTH = 5, 6
+
+
+def norm_graph(dtype, readers, tracked_norm=True):
+    """(tape, norm output, loss, reader weights by name): a layer norm of a
+    tracked input with trainable scale and shift, read by one node per
+    entry of `readers` ("matmul" by a trainable weight, or "gelu"), summed
+    into a cross-entropy. An untracked norm is recorded under no_grad."""
+    r = rng_for(13)
+    x = r.normal(size=(NORM_ROWS, NORM_WIDTH)).astype(dtype)
+    gamma = (1.0 + 0.3 * r.normal(size=(1, NORM_WIDTH))).astype(dtype)
+    beta = r.normal(0.0, 0.5, (1, NORM_WIDTH)).astype(dtype)
+    t = Tape()
+    args = (t.input(x), t.param("gamma", gamma), t.param("beta", beta))
+    if tracked_norm:
+        y = t.layer_norm(*args)
+    else:
+        with t.no_grad():
+            y = t.layer_norm(*args)
+    weights = {}
+    outs = []
+    for i, reader in enumerate(readers):
+        if reader == "matmul":
+            w = weights[f"w{i}"] = r.normal(
+                size=(NORM_WIDTH, NORM_WIDTH)).astype(dtype)
+            outs.append(t.matmul(y, t.param(f"w{i}", w)))
+        else:
+            outs.append(t.gelu(y))
+    h = outs[0]
+    for out in outs[1:]:
+        h = t.add(h, out)
+    targets = r.integers(0, NORM_WIDTH, size=NORM_ROWS)
+    return t, y, t.cross_entropy(h, targets), weights
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_matmul_on_a_tracked_layer_norm_gets_dw_from_the_forward_output(
+        dtype):
+    t, y, loss, weights = norm_graph(dtype, ["matmul"])
+    (z,) = (node for node in t.nodes if node.op == "matmul")
+    assert dict(z.saved) == {"rhs": 0}  # w, for dL/dy; y is not saved
+    dw = t.backward(loss)["w0"]
+    # the forward's output as a leaf, which the matmul saves: dW = y^T g
+    ref = Tape()
+    z_ref = ref.matmul(ref.input(y.value), ref.param("w0", weights["w0"]))
+    loss_ref = ref.cross_entropy(z_ref, loss.meta["targets"])
+    assert loss_ref.value[0, 0] == loss.value[0, 0]
+    assert np.array_equal(dw, ref.backward(loss_ref)["w0"])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("readers,tracked_norm,kept", [
+    (["matmul"], True, False),
+    (["matmul", "matmul", "matmul"], True, False),
+    (["matmul", "gelu"], True, True),  # gelu reads the output itself
+    (["matmul"], False, True),  # no norm saves to rebuild from
+], ids=["one-matmul", "three-matmuls", "matmul-and-gelu", "untracked-norm"])
+def test_norm_output_leaves_the_retained_set_iff_only_matmuls_rebuild_it(
+        monkeypatch, dtype, readers, tracked_norm, kept):
+    retained = simulate_peak_bytes(norm_graph(dtype, readers,
+                                              tracked_norm)[0])[1]
+    with monkeypatch.context() as patched:
+        # the policy without the rebuild: the matmul saves its lhs
+        patched.setattr(engine, "_rebuilt_in_backward", lambda node: False)
+        saved = simulate_peak_bytes(norm_graph(dtype, readers,
+                                               tracked_norm)[0])[1]
+    norm_output = NORM_ROWS * NORM_WIDTH * np.dtype(dtype).itemsize
+    assert retained == saved - (0 if kept else norm_output)
 
 
 # ---- multi-head attention -------------------------------------------------------

@@ -52,6 +52,23 @@ def test_fd_check_on_fixture_passes_at_1e6():
     assert report.worst()[1] < 1e-6
 
 
+def test_fd_check_on_fixture_with_adapters_passes_at_1e6():
+    # w_q's and w1's adapters read norm1's and norm2's outputs, which their
+    # backward rebuilds from the norms' saves
+    from tokentune.adapters import attach
+    model, seq, partition, loss_spec = gradcheck_fixture()
+    attach(model, ("w1", "w2", "w_q", "w_v"), r=2, alpha=4.0, seed=1)
+    # warmed up like the fixture's weights, so no gradient entry sinks
+    # into the central differences' noise
+    r = np.random.default_rng(5)
+    for ad in model.adapters.values():
+        ad.a *= 14.0
+        ad.b += r.normal(0, 0.5, ad.b.shape)
+    report = finite_difference_check(model, seq, partition, loss_spec)
+    assert report.passed
+    assert report.worst()[1] < 1e-6
+
+
 def test_frozen_parameter_absent_from_gradstore_but_probed_nonzero():
     model, seq, partition, loss_spec = gradcheck_fixture()
     model.param("layers.0.attn.w_q").frozen = True
