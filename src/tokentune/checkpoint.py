@@ -2,16 +2,18 @@
 
 The header records the model config, dtype, and an ordered manifest of
 parameter names, shapes, and frozen flags; the payload is the raw bytes of
-each array in manifest order. Round-trips are bit-exact. Adapter-only
-checkpoints use the same container with their own manifest. A malformed
-header, or a payload whose length does not match it, raises
-:class:`CheckpointError`. A save replaces the file at its path only once
-the new file is written in full.
+each array in manifest order. The header also records the payload's
+sha256. Round-trips are bit-exact. Adapter-only checkpoints use the same
+container with their own manifest. A malformed header, a missing or
+mismatched payload hash, or a payload whose length does not match the
+manifest raises :class:`CheckpointError`. A save replaces the file at its
+path only once the new file is written in full.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -87,18 +89,21 @@ def _model_config(header: dict) -> ModelConfig:
 
 
 def _write(path, header: dict, arrays: list[np.ndarray]) -> None:
-    """Write to a temporary file beside `path`, then swap it in with
-    os.replace: a write that fails partway leaves the earlier file at
-    `path` as it was, and removes the temporary one."""
+    """Write `header`, with the payload's sha256 added, and the payload to
+    a temporary file beside `path`, then swap it in with os.replace: a
+    write that fails partway leaves the earlier file at `path` as it was,
+    and removes the temporary one."""
     path = Path(path)
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = b"".join(np.ascontiguousarray(arr).astype(
+        arr.dtype.newbyteorder("<"), copy=False).tobytes() for arr in arrays)
+    digest = hashlib.sha256(payload).hexdigest()
+    blob = json.dumps({**header, "sha256": digest},
+                      sort_keys=True).encode("utf-8")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(blob + b"\n")
-            for arr in arrays:
-                fh.write(np.ascontiguousarray(arr).astype(
-                    arr.dtype.newbyteorder("<"), copy=False).tobytes())
+            fh.write(payload)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -121,7 +126,15 @@ def _read(path, magic: str) -> tuple[dict, bytes]:
         raise CheckpointError(f"corrupted checkpoint header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != magic:
         raise CheckpointError(f"not a {magic} file: {path}")
-    return header, raw[nl + 1:]
+    payload = raw[nl + 1:]
+    expected = header.get("sha256")
+    if not isinstance(expected, str):
+        raise CheckpointError(f"checkpoint header has no payload sha256: "
+                              f"{path}")
+    if hashlib.sha256(payload).hexdigest() != expected:
+        raise CheckpointError(f"checkpoint payload does not match its "
+                              f"sha256: {path}")
+    return header, payload
 
 
 def save_model(model: TransformerModel, path) -> None:

@@ -22,12 +22,16 @@ computation).
 
 Cache policy per primitive, as (what backward reads):
     matmul         lhs iff rhs needs grad, rhs iff lhs needs grad; but
-                   an lhs that is a tracked layer_norm's output is not
-                   saved: backward rebuilds it from the norm's saves with
-                   the forward's expression (two elementwise passes; the
-                   recompute trade of Chen et al. 2016)
+                   an lhs that is a tracked layer_norm's or GELU's output
+                   is not saved: backward rebuilds it from that node's
+                   saves, bit for bit (the recompute trade of Chen et al.
+                   2016), forms dW from it and frees it before dX
     add            nothing (gradient passes through / column-sums)
-    elementwise    gelu: its input; scale: nothing (constant factor)
+    elementwise    gelu: its input (a reference). The erf pass that
+                   rebuilds its output for a matmul also yields its
+                   derivative, which its backward then multiplies by g in
+                   place; unread by such a matmul, it runs that pass
+                   itself. scale: nothing (constant factor)
     softmax_rows   its output, not its input
     attention      per (head, query row) the softmax max and sum (two
                    fresh heads x rows arrays) and the rows x keys boolean
@@ -85,22 +89,26 @@ def gelu_array(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gelu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g * (phi + x * dens) for phi = 0.5 * (1 + erf(x / sqrt 2)) and dens
-    the standard normal density at x, in the same order of operations as
-    that expression but with one temporary besides the result."""
-    out = np.multiply(x, _INV_SQRT2)
-    erf(out, out=out)
-    out += 1.0
-    out *= 0.5
-    dens = np.multiply(x, -0.5)
-    dens *= x
-    np.exp(dens, out=dens)
-    dens *= _INV_SQRT2PI
-    dens *= x
-    out += dens
-    out *= g
-    return out
+def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(GELU(x), GELU'(x)) from one erf pass, in two arrays.
+
+    With phi = 0.5 * (1 + erf(x / sqrt 2)) and dens the standard normal
+    density at x, the output phi * x equals :func:`gelu_array` bit for bit
+    (halving is exact outside the subnormal range), and the derivative
+    phi + x * dens keeps the order of operations of that expression
+    (addition commutes exactly), so g * derivative is unchanged too."""
+    phi = np.multiply(x, _INV_SQRT2)
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    deriv = np.multiply(x, -0.5)
+    deriv *= x
+    np.exp(deriv, out=deriv)
+    deriv *= _INV_SQRT2PI
+    deriv *= x
+    deriv += phi
+    phi *= x
+    return phi, deriv
 
 
 def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -150,17 +158,26 @@ def _block_scores(qh, kt, visible, r0, r1, hi, out) -> None:
 
 
 def _rebuilt_in_backward(node: Node) -> bool:
-    """True for a tracked layer_norm: a matmul reading its output as lhs
-    does not save it, and the matmul's backward rebuilds it from the
-    norm's saves (:func:`_layer_norm_output`)."""
-    return node.op == "layer_norm" and node.requires_grad
+    """True for a tracked layer_norm or GELU: a matmul reading its output
+    as lhs does not save it, and the matmul's backward rebuilds it from the
+    node's saves (:func:`_rebuilt_output`)."""
+    return node.requires_grad and (node.op == "layer_norm"
+                                   or node.meta.get("fn") == "gelu")
 
 
-def _layer_norm_output(node: Node) -> np.ndarray:
-    """A tracked layer_norm's output, rebuilt from its saves with the
-    forward's own expression, so it equals the forward's bit for bit."""
+def _rebuilt_output(node: Node) -> np.ndarray:
+    """The output of a node :func:`_rebuilt_in_backward` names, rebuilt
+    from its saves so that it equals the forward's bit for bit: a layer
+    norm's with the forward's own expression, a GELU's from the erf pass
+    of :func:`_gelu_parts`. That pass also yields the GELU's derivative,
+    which is left on the GELU's saves for its own backward, next on this
+    path (a later rebuild replaces it)."""
     saved = dict(node._saved_arrays)
-    return saved["normalized"] * saved["scale"] + saved["shift"]
+    if node.op == "layer_norm":
+        return saved["normalized"] * saved["scale"] + saved["shift"]
+    out, deriv = _gelu_parts(saved["input"])
+    node._saved_arrays = [("input", saved["input"]), ("derivative", deriv)]
+    return out
 
 
 def _scatter_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
@@ -644,13 +661,15 @@ class Tape:
         if op == "matmul":
             a, b = node.inputs
             tb = node.meta["transpose_b"]
+            # dW first, so that a rebuilt lhs is freed before dX is formed
+            if b.requires_grad:
+                lhs = (_rebuilt_output(a) if _rebuilt_in_backward(a)
+                       else saved["lhs"])
+                self._accum(grads, b, g.T @ lhs if tb else lhs.T @ g)
+                del lhs
             if a.requires_grad:
                 rhs = saved["rhs"]
                 self._accum(grads, a, g @ rhs if tb else g @ rhs.T)
-            if b.requires_grad:
-                lhs = (_layer_norm_output(a) if _rebuilt_in_backward(a)
-                       else saved["lhs"])
-                self._accum(grads, b, g.T @ lhs if tb else lhs.T @ g)
         elif op == "add":
             a, b = node.inputs
             self._accum(grads, a, g)
@@ -663,7 +682,12 @@ class Tape:
             if fn == "scale":
                 self._accum(grads, a, g * node.meta["c"])
             elif fn == "gelu":
-                self._accum(grads, a, _gelu_backward(saved["input"], g))
+                # left by a matmul's rebuild of this GELU's output, if any
+                deriv = saved.get("derivative")
+                if deriv is None:
+                    deriv = _gelu_parts(saved["input"])[1]
+                deriv *= g
+                self._accum(grads, a, deriv)
             else:  # pragma: no cover - guarded at record time
                 raise BackwardError(f"unknown elementwise fn {fn}")
         elif op == "softmax_rows":
@@ -864,14 +888,15 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     gradients are not charged, since backward adds each into the caller's
     accumulator as soon as it is complete. Parameters are excluded
     (accounted as persistent elsewhere); constants count until their last
-    use. Temporaries inside an op are not modeled: softmax buffers, GELU's
-    one backward temporary, attention's scaled queries and block buffers
-    (heads x ATTENTION_BLOCK_ROWS x hi of the largest block: one in
-    forward, up to two in backward, plus one ATTENTION_BLOCK_ROWS x hi row
-    buffer), the mask it is passed, which is not a node, and a layer
-    norm's output that a matmul's backward rebuilds from the norm's saves
-    (one rows x cols array, freed once that matmul's weight gradient is
-    formed).
+    use. Temporaries inside an op are not modeled: softmax buffers,
+    attention's scaled queries and block buffers (heads x
+    ATTENTION_BLOCK_ROWS x hi of the largest block: one in forward, up to
+    two in backward, plus one ATTENTION_BLOCK_ROWS x hi row buffer), the
+    mask it is passed, which is not a node, a layer norm's or GELU's
+    output that a matmul's backward rebuilds (one rows x cols array, freed
+    once that matmul's weight gradient is formed), and the GELU derivative
+    that this rebuild or the GELU's own backward forms (one rows x cols
+    array, held until it becomes the GELU's input gradient).
     """
     last_use: dict[int, int] = {}
     for node in tape.nodes:

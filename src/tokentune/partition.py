@@ -117,24 +117,3 @@ def partition_rows(partition: TokenPartition, storage_positions=None):
     restore_idx = np.argsort(perm, kind="stable")
     return rows_sel, rows_unsel, restore_idx
 
-
-def split_reorder(h: np.ndarray, partition: TokenPartition,
-                  storage_positions=None):
-    """Split a matrix into (selected rows, unselected rows) blocks."""
-    h = np.asarray(h)
-    if storage_positions is None and h.shape[0] != partition.n_positions:
-        raise SelectionError(
-            f"matrix has {h.shape[0]} rows, partition covers "
-            f"{partition.n_positions} positions")
-    rows_sel, rows_unsel, _ = partition_rows(partition, storage_positions)
-    return h[rows_sel], h[rows_unsel]
-
-
-def restore_order(h_selected: np.ndarray, h_unselected: np.ndarray,
-                  partition: TokenPartition, storage_positions=None) -> np.ndarray:
-    """Inverse of :func:`split_reorder`; bitwise round-trip."""
-    _, _, restore_idx = partition_rows(partition, storage_positions)
-    parts = [np.asarray(h_selected)]
-    if h_unselected is not None and len(h_unselected):
-        parts.append(np.asarray(h_unselected))
-    return np.concatenate(parts, axis=0)[restore_idx]

@@ -16,6 +16,7 @@ the verification properties:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,15 +109,11 @@ def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
         if split.h_gbar is not None:
             with tape.no_grad():
                 gb_n = norm_block(tape, model, layer, 1, split.h_gbar)
-            if inject_bug == "track-unselected-kv":
+            tracked = inject_bug == "track-unselected-kv"
+            with nullcontext() if tracked else tape.no_grad():
                 q_gb = affine(tape, model, gb_n, f"{base}.w_q", f"{base}.b_q")
                 k_gb = affine(tape, model, gb_n, f"{base}.w_k", f"{base}.b_k")
                 v_gb = affine(tape, model, gb_n, f"{base}.w_v", f"{base}.b_v")
-            else:
-                with tape.no_grad():
-                    q_gb = affine(tape, model, gb_n, f"{base}.w_q", f"{base}.b_q")
-                    k_gb = affine(tape, model, gb_n, f"{base}.w_k", f"{base}.b_k")
-                    v_gb = affine(tape, model, gb_n, f"{base}.w_v", f"{base}.b_v")
 
         if k_gb is not None:
             # keys in position order, so a causal block of queries sees a

@@ -117,6 +117,59 @@ def test_eval_exits_with_code_2_on_a_header_fault(tmp_path, capsys, fault):
     assert "checkpoint error" in capsys.readouterr().err
 
 
+def flip_payload_byte(path, offset=5):
+    """Invert every bit of one payload byte, `offset` bytes past the
+    header line."""
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(b"\n") + 1 + offset] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+def test_flipped_payload_byte_raises_checkpoint_error(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_model(tiny_model(), path)
+    flip_payload_byte(path)
+    with pytest.raises(CheckpointError, match="sha256"):
+        load_model(path)
+    adapters = tmp_path / "a.ckpt"
+    save_adapters(attach(tiny_model(), ("w1",), r=2, seed=1), adapters)
+    flip_payload_byte(adapters)
+    with pytest.raises(CheckpointError, match="sha256"):
+        load_adapters(tiny_model(), adapters)
+
+
+@pytest.mark.parametrize("kind", ["model", "adapters"])
+def test_header_without_payload_hash_raises_checkpoint_error(tmp_path, kind):
+    path = tmp_path / "c.ckpt"
+    if kind == "model":
+        save_model(tiny_model(), path)
+    else:
+        save_adapters(attach(tiny_model(), ("w1",), r=2, seed=1), path)
+    rewrite_header(path, lambda h: h.pop("sha256"))
+    with pytest.raises(CheckpointError, match="sha256"):
+        if kind == "model":
+            load_model(path)
+        else:
+            load_adapters(tiny_model(), path)
+
+
+@pytest.mark.parametrize("flipped", ["checkpoint", "adapters"])
+def test_eval_exits_with_code_2_on_a_flipped_payload_byte(tmp_path, capsys,
+                                                         flipped):
+    path = tmp_path / "m.ckpt"
+    adapters = tmp_path / "a.ckpt"
+    model = tiny_model()
+    save_model(model, path)
+    save_adapters(attach(model, ("w1",), r=2, seed=1), adapters)
+    flip_payload_byte(path if flipped == "checkpoint" else adapters)
+    config = tmp_path / "run.json"
+    config.write_text("{}")
+    code = main(["eval", "--config", str(config), "--checkpoint", str(path),
+                 "--adapters", str(adapters)])
+    assert code == EXIT_BAD_CONFIG
+    assert "sha256" in capsys.readouterr().err
+
+
 class FullDisk:
     """A file that takes its first write, then fails like a full disk."""
 

@@ -7,9 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokentune import engine
+from tokentune.adapters import attach
+from tokentune.config import ModelConfig
 from tokentune.engine import (ATTENTION_BLOCK_ROWS, MASK_VALUE,
                               BackwardError, NonFiniteError, ShapeError,
                               Tape, gelu_array, simulate_peak_bytes)
+from tokentune.model import build_model
+from tokentune.model import ffn as ffn_block
 from tokentune.verify import finite_diff_grad, relative_error
 
 
@@ -463,6 +467,205 @@ def test_norm_output_leaves_the_retained_set_iff_only_matmuls_rebuild_it(
                                                tracked_norm)[0])[1]
     norm_output = NORM_ROWS * NORM_WIDTH * np.dtype(dtype).itemsize
     assert retained == saved - (0 if kept else norm_output)
+
+
+# ---- GELU output rebuilt in backward --------------------------------------------
+
+GELU_ROWS, GELU_WIDTH = 7, 6
+
+
+def old_gelu_backward(x, g):
+    """The GELU backward rule from before the rebuild, kept as an oracle:
+    g * (phi + x * dens), phi = 0.5 * (1 + erf(x / sqrt 2)), dens the
+    standard normal density at x."""
+    out = np.multiply(x, engine._INV_SQRT2)
+    engine.erf(out, out=out)
+    out += 1.0
+    out *= 0.5
+    dens = np.multiply(x, -0.5)
+    dens *= x
+    np.exp(dens, out=dens)
+    dens *= engine._INV_SQRT2PI
+    dens *= x
+    out += dens
+    out *= g
+    return out
+
+
+def gelu_input(scale, dtype):
+    """GELU_ROWS x GELU_WIDTH normal draws at `scale`, with ±40, 0 and
+    ±1e-30 written into the first row."""
+    z = rng_for(14).normal(0.0, scale, (GELU_ROWS, GELU_WIDTH))
+    z[0, :5] = [40.0, -40.0, 0.0, 1e-30, -1e-30]
+    return z.astype(dtype)
+
+
+def gelu_graph(dtype, z, readers, depth=1):
+    """(tape, the GELU input leaf, the outermost GELU, loss, reader
+    weights by name): `depth` nested GELUs of a tracked input, the
+    outermost read by one node per entry of `readers` ("matmul" by a
+    trainable weight, "frozen" for a frozen one, or "gelu"), summed into a
+    cross-entropy."""
+    r = rng_for(15)
+    t = Tape()
+    x = t.input(z)
+    h = x
+    for _ in range(depth):
+        h = t.gelu(h)
+    weights = {}
+    outs = []
+    for i, reader in enumerate(readers):
+        if reader == "gelu":
+            outs.append(t.gelu(h))
+            continue
+        w = weights[f"w{i}"] = r.normal(
+            size=(GELU_WIDTH, GELU_WIDTH)).astype(dtype)
+        outs.append(t.matmul(h, t.param(f"w{i}", w,
+                                        trainable=reader == "matmul")))
+    out = outs[0]
+    for other in outs[1:]:
+        out = t.add(out, other)
+    targets = r.integers(0, GELU_WIDTH, size=GELU_ROWS)
+    return t, x, h, t.cross_entropy(out, targets), weights
+
+
+def bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("scale", [0.3, 1.0, 3.0])
+def test_gelu_rebuild_output_equals_the_forward_bit_for_bit(dtype, scale):
+    z = gelu_input(scale, dtype)
+    out, deriv = engine._gelu_parts(z)
+    assert bits(out) == bits(gelu_array(z))
+    g = rng_for(16).normal(size=z.shape).astype(dtype)
+    deriv *= g
+    assert bits(deriv) == bits(old_gelu_backward(z, g))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("scale", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("reader", ["matmul", "frozen"])
+def test_gelu_rebuild_gives_the_saved_output_gradients_bit_for_bit(
+        dtype, scale, reader):
+    # a trainable reader rebuilds the output and leaves the derivative; a
+    # frozen one rebuilds nothing, and GELU's backward forms it itself
+    z = gelu_input(scale, dtype)
+    t, x, h, loss, weights = gelu_graph(dtype, z, [reader])
+    grads = t.backward(loss)
+    dz = t.grad_of(x)
+    # the forward's output as a leaf, which the matmul saves
+    ref = Tape()
+    h_ref = ref.input(h.value)
+    y_ref = ref.matmul(h_ref, ref.param("w0", weights["w0"],
+                                        trainable=reader == "matmul"))
+    ref_grads = ref.backward(ref.cross_entropy(y_ref, loss.meta["targets"]))
+    if reader == "matmul":
+        assert bits(grads["w0"]) == bits(ref_grads["w0"])
+    else:
+        assert not grads
+    assert bits(dz) == bits(old_gelu_backward(z, ref.grad_of(h_ref)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("readers,depth,dropped", [
+    (["matmul"], 1, True),
+    (["matmul", "matmul"], 1, True),  # rebuilt once per reader, kept never
+    (["frozen"], 1, False),  # a frozen weight's matmul saves no lhs anyway
+    (["matmul", "gelu"], 1, False),  # the second GELU saves it as input
+    (["matmul"], 2, True),  # the inner GELU's output is the outer's input
+], ids=["one-matmul", "two-matmuls", "frozen", "matmul-and-gelu", "nested"])
+def test_gelu_output_leaves_the_retained_set_iff_only_matmuls_rebuild_it(
+        monkeypatch, dtype, readers, depth, dropped):
+    z = gelu_input(1.0, dtype)
+    t, _, h, _, _ = gelu_graph(dtype, z, readers, depth)
+    retained = simulate_peak_bytes(t)[1]
+    kept = engine._retained_for_backward(t)
+    with monkeypatch.context() as patched:
+        # the policy without the rebuild: the matmul saves its lhs
+        patched.setattr(engine, "_rebuilt_in_backward", lambda node: False)
+        saved = simulate_peak_bytes(gelu_graph(dtype, z, readers,
+                                               depth)[0])[1]
+    assert retained == saved - (h.nbytes if dropped else 0)
+    # only a GELU reading it keeps the output
+    assert (h.idx in kept) == ("gelu" in readers)
+    gelus = [node for node in t.nodes if node.meta.get("fn") == "gelu"]
+    # every GELU input is still retained: x, and for "nested" the inner
+    # GELU's output
+    assert all(node.inputs[0].idx in kept for node in gelus)
+
+
+def gelu_model_config():
+    return ModelConfig(vocab_size=13, max_positions=16, d_model=8,
+                       n_heads=2, d_ff=12, n_layers=1, causal=False,
+                       n_classes=2)
+
+
+def ffn_graph(model, x):
+    """(tape, loss): layer 0's FFN on a tracked input, projected by a
+    constant and summed into a cross-entropy."""
+    r = rng_for(18)
+    t = Tape()
+    h = ffn_block(t, model, 0, t.input(x.astype(model.dtype)))
+    proj = t.constant(r.normal(size=(8, 3)).astype(model.dtype))
+    targets = r.integers(0, 3, size=x.shape[0])
+    return t, t.cross_entropy(t.matmul(h, proj), targets)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_tracked_ffn_forward_and_backward_run_erf_twice(monkeypatch, dtype):
+    # once in GELU's forward, once where W2's backward rebuilds its
+    # output; GELU's backward takes the derivative that pass left
+    model = build_model(gelu_model_config(), seed=2, dtype=dtype)
+    calls = []
+    real_erf = engine.erf
+
+    def counting_erf(*args, **kwargs):
+        calls.append(1)
+        return real_erf(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "erf", counting_erf)
+    t, loss = ffn_graph(model, rng_for(17).normal(size=(GELU_ROWS, 8)))
+    grads = t.backward(loss)
+    assert len(calls) == 2
+    assert {"layers.0.ffn.w1", "layers.0.ffn.w2"} <= set(grads)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_ffn_with_adapters_on_w1_and_w2_matches_finite_differences(dtype):
+    # W2 is frozen, so its adapter's A matmul is what rebuilds the GELU
+    # output; finite differences run on the float64 model, and a float32
+    # model's gradients are held to them as float32 backward is elsewhere
+    r = rng_for(19)
+    model64 = build_model(gelu_model_config(), seed=2, dtype="float64")
+    attach(model64, ("w1", "w2"), r=2, alpha=4.0, seed=1)
+    for ad in model64.adapters.values():
+        ad.a *= 14.0
+        ad.b += r.normal(0, 0.5, ad.b.shape)
+    x = r.normal(size=(GELU_ROWS, 8))
+    model = model64.astype(dtype)
+    t, loss = ffn_graph(model, x)
+    analytic = t.backward(loss)
+    assert sorted(analytic) == sorted(
+        f"layers.0.ffn.{w}.lora_{f}" for w in ("w1", "w2") for f in "ab")
+    arrays = {f"layers.0.ffn.{w}.lora_{f}": getattr(
+        model64.adapters[f"layers.0.ffn.{w}"], f)
+        for w in ("w1", "w2") for f in "ab"}
+
+    def loss_value():
+        return float(ffn_graph(model64, x)[1].value[0, 0])
+
+    step = 1e-5
+    noise_floor = 64.0 * abs(loss_value()) * 2.0 ** -53 / (2.0 * step)
+    for name, (coords, values) in finite_diff_grad(loss_value, arrays,
+                                                   step=step).items():
+        a = analytic[name].astype(np.float64).reshape(-1)[coords]
+        if dtype == "float64":
+            bound = noise_floor + 1e-6 * np.maximum(np.abs(a), np.abs(values))
+            assert np.all(np.abs(a - values) <= bound), name
+        else:
+            assert relative_error(a, values) < 1e-4, name
 
 
 # ---- multi-head attention -------------------------------------------------------

@@ -21,6 +21,7 @@ from tokentune.engine import (ATTENTION_BLOCK_ROWS, MASK_VALUE, Tape,
                               gelu_array, simulate_peak_bytes)
 from tokentune.memprofile import lm_profile_batch
 from tokentune.model import build_model, forward_hidden
+from tokentune.model import ffn as ffn_block
 from tokentune.optimize import (AdamState, Trainer, adam_step, eval_hidden,
                                 global_norm)
 from tokentune.partition import TokenPartition
@@ -127,7 +128,8 @@ def test_tokentune_holds_less_than_full_by_the_accounted_ratio(model,
 def test_each_tracked_layer_norm_output_leaves_the_retained_set(
         monkeypatch, model, example, regime, dtype):
     # every tracked norm output here is read by matmuls only (Q, K, V or
-    # W1), whose backward rebuilds it from the norm's saves
+    # W1), whose backward rebuilds it from the norm's saves; so is every
+    # tracked GELU output (W2), which the same switch turns off
     model = model.astype(dtype)
 
     def retained():
@@ -143,7 +145,8 @@ def test_each_tracked_layer_norm_output_leaves_the_retained_set(
     cfg = model.config
     rows = N if regime == "full" else K
     norm_output = rows * cfg.d_model * np.dtype(dtype).itemsize
-    assert rebuilt == saved - 2 * cfg.n_layers * norm_output
+    gelu_output = rows * cfg.d_ff * np.dtype(dtype).itemsize
+    assert rebuilt == saved - cfg.n_layers * (2 * norm_output + gelu_output)
 
 
 def test_no_grad_forward_keeps_only_its_output(model, example):
@@ -281,6 +284,29 @@ def test_attention_backward_holds_two_block_buffers():
     # of q, k and v, the upstream gradient, the scaled queries, the two
     # per-block products added into dk and dv, and one spare
     assert peak <= 2 * block + 2 * rows_by_keys + 8 * operand, peak
+
+
+def test_ffn_backward_holds_two_hidden_arrays_above_the_retained_set():
+    # W2's backward rebuilds GELU's output and derivative, forms dW2 from
+    # the output and frees it before it forms dX; GELU's backward then
+    # multiplies dX into the derivative in place
+    rows, d, d_ff = 256, 16, 256
+    cfg = ModelConfig(vocab_size=257, max_positions=8, d_model=d, n_heads=2,
+                      d_ff=d_ff, n_layers=1, causal=True, n_classes=None)
+    model = build_model(cfg, seed=9, dtype="float64")
+    r = np.random.default_rng(9)
+    tape = Tape()
+    x = tape.input(r.normal(size=(rows, d)))
+    out = ffn_block(tape, model, 0, x)
+    loss = tape.cross_entropy(out, r.integers(0, d, size=rows))
+    with Traced() as traced:
+        tape.backward(loss)
+        peak = traced.peak()
+    hidden = rows * d_ff * 8
+    # beside the two: the gradients of x, W1 and W2 (each under a
+    # sixteenth of a hidden array), the upstream gradient and softmax
+    # probabilities of the loss, and the small ones
+    assert peak <= 2 * hidden + 6 * rows * d * 8, (peak, hidden)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from tokentune.engine import Tape
 from tokentune.partition import (SelectionError, TokenPartition,
-                                 partition_rows, resolve_k, restore_order,
-                                 select_positions, split_reorder)
+                                 partition_rows, resolve_k, select_positions)
+from tokentune.selective import restore_hidden, split_hidden
 
 
 def test_full_selection_has_empty_complement():
@@ -86,15 +87,25 @@ def test_split_restore_round_trip_bitwise(seed, n):
     k = int(r.integers(1, n + 1))
     p = select_positions(n, k, "lm", rng_seed=seed)
     h = r.normal(size=(n, 5))
-    h_g, h_gbar = split_reorder(h, p)
-    assert h_g.shape == (k, 5) and h_gbar.shape == (n - k, 5)
-    assert np.array_equal(restore_order(h_g, h_gbar, p), h)
+    tape = Tape()
+    split = split_hidden(tape, tape.input(h), p)
+    assert split.h_g.value.shape == (k, 5)
+    if k < n:
+        assert split.h_gbar.value.shape == (n - k, 5)
+    else:
+        assert split.h_gbar is None
+    assert np.array_equal(split.h_g.value, h[p.selected])
+    assert np.array_equal(restore_hidden(tape, split).value, h)
 
 
 def test_split_length_mismatch_errors():
     p = select_positions(4, 2, "lm", rng_seed=0)
+    tape = Tape()
     with pytest.raises(SelectionError):
-        split_reorder(np.zeros((3, 2)), p)
+        split_hidden(tape, tape.input(np.zeros((3, 2))), p)
+    with pytest.raises(SelectionError):
+        split_hidden(tape, tape.input(np.zeros((4, 2))), p,
+                     storage_positions=np.arange(3))
 
 
 def test_partition_rows_with_permuted_storage():
