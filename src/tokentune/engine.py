@@ -33,11 +33,13 @@ Cache policy per primitive, as (what backward reads):
                    place; unread by such a matmul, it runs that pass
                    itself. scale: nothing (constant factor)
     softmax_rows   its output, not its input
-    attention      per (head, query row) the softmax max and sum (two
-                   fresh heads x rows arrays) and the rows x keys boolean
-                   visibility mask; q and k always, v iff q or k needs
-                   grad (references, not copies). Backward rebuilds each
-                   block's probabilities from them (Dao et al. 2022)
+    attention      takes a rows x keys boolean visibility mask; saves per
+                   (head, query row) the softmax max and sum (two fresh
+                   heads x rows arrays) and that mask bit-packed along
+                   the keys (rows x ceil(keys / 8) bytes); q and k always,
+                   v iff q or k needs grad (references, not copies).
+                   Backward rebuilds each block's probabilities from them
+                   (Dao et al. 2022)
     layer_norm     normalized input, per-row inverse std, the scale and
                    shift vectors
     select/concat  nothing (integer metadata and the input's shape)
@@ -111,6 +113,13 @@ def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi, deriv
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    """True when `x` holds no NaN or Inf. Its min and max carry any NaN
+    and are the Infs if there are any, so no x-sized boolean array is
+    made."""
+    return x.size == 0 or bool(np.isfinite(x.min()) and np.isfinite(x.max()))
+
+
 def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     """(rows, n_heads * w) -> (n_heads, rows, w) view (a copy only when
     `x` is not contiguous)."""
@@ -147,14 +156,15 @@ def _blocks(buf: np.ndarray, spans, n_heads: int):
         yield r0, r1, hi, buf[:math.prod(shape)].reshape(shape)
 
 
-def _block_scores(qh, kt, visible, r0, r1, hi, out) -> None:
-    """Masked scores of query rows r0:r1 against keys :hi, every head, into
-    `out`: (scaled q) k^T plus 0 where a key is visible and MASK_VALUE
-    where it is not. The forward pass and the backward recompute both call
-    this, so their probabilities agree bit for bit."""
-    np.matmul(qh[:, r0:r1], kt[:, :, :hi], out=out)
+def _block_scores(qb, kt, seen, out) -> None:
+    """Masked scores of one block of scaled queries `qb` (heads x rows x
+    head width) against the first hi keys, every head, into `out`:
+    qb k^T plus 0 where `seen` (a rows x hi boolean array) is true and
+    MASK_VALUE where it is not. The forward pass and the backward
+    recompute both call this, so their probabilities agree bit for bit."""
+    np.matmul(qb, kt[:, :, :seen.shape[1]], out=out)
     zero, blocked = out.dtype.type(0), out.dtype.type(MASK_VALUE)
-    out += np.where(visible[r0:r1, :hi], zero, blocked)
+    out += np.where(seen, zero, blocked)
 
 
 def _rebuilt_in_backward(node: Node) -> bool:
@@ -174,9 +184,18 @@ def _rebuilt_output(node: Node) -> np.ndarray:
     path (a later rebuild replaces it)."""
     saved = dict(node._saved_arrays)
     if node.op == "layer_norm":
-        return saved["normalized"] * saved["scale"] + saved["shift"]
+        return _layer_norm_output(saved["normalized"], saved["scale"],
+                                  saved["shift"])
     out, deriv = _gelu_parts(saved["input"])
     node._saved_arrays = [("input", saved["input"]), ("derivative", deriv)]
+    return out
+
+
+def _layer_norm_output(xhat, gamma, beta) -> np.ndarray:
+    """xhat * gamma + beta, adding beta in place into the product: the
+    same values as the two-temporary expression, with one array."""
+    out = xhat * gamma
+    out += beta
     return out
 
 
@@ -362,7 +381,7 @@ class Tape:
 
     def input(self, value, requires_grad: bool = True) -> Tensor:
         arr = as_matrix(value)
-        if not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise NonFiniteError("input")
         return self._add_leaf("input", arr, requires_grad and self.grad_enabled)
 
@@ -375,7 +394,7 @@ class Tape:
         only. `saves` is a sequence of (role, array, charged: bool)
         describing what this op's backward rule reads.
         """
-        if not np.isfinite(value).all():
+        if not _all_finite(value):
             raise NonFiniteError(op)
         tracked = self.grad_enabled and any(i.requires_grad for i in inputs)
         node = Node(len(self.nodes), op, value.shape, value.dtype, tracked,
@@ -442,51 +461,53 @@ class Tape:
         return self._record("softmax_rows", p, (a,),
                             saves=[("probs", p, True)])
 
-    def attention(self, q: Tensor, k: Tensor, v: Tensor, mask,
+    def attention(self, q: Tensor, k: Tensor, v: Tensor, visible,
                   n_heads: int) -> Tensor:
         """Multi-head scaled dot-product attention, recorded as one node.
 
-        Head h reads column block h of q (m x d), k and v (n x d); `mask`
-        is an additive m x n array whose entries are 0 (key visible) or
-        MASK_VALUE (blocked). Query rows run in blocks of
-        ATTENTION_BLOCK_ROWS, every head in one batched matmul, over only
-        the first `hi` keys, up to the last key a row of the block can see
-        (:func:`_attention_spans`), in one reused block buffer. A tracked
-        node saves each (head, row)'s softmax max and sum and the boolean
-        visibility mask, from which backward rebuilds the probabilities.
+        Head h reads column block h of q (m x d), k and v (n x d);
+        `visible` is an m x n boolean array, true where a query may see a
+        key. Query rows run in blocks of ATTENTION_BLOCK_ROWS, every head
+        in one batched matmul, over only the first `hi` keys, up to the
+        last key a row of the block can see (:func:`_attention_spans`),
+        in one reused block buffer; blocked keys get the score MASK_VALUE.
+        A tracked node saves each (head, row)'s softmax max and sum and
+        `visible` bit-packed along the keys, from which backward rebuilds
+        the probabilities.
         """
         qv, kv, vv = q.value, k.value, v.value
-        mask = np.asarray(mask)
+        visible = np.asarray(visible)
         m, d = qv.shape
         n = kv.shape[0]
-        if kv.shape[1] != d or vv.shape != kv.shape or mask.shape != (m, n):
-            raise ShapeError("attention", f"q {qv.shape}, k {kv.shape}, "
-                                          f"v {vv.shape}, mask {mask.shape}")
-        if not qv.dtype == kv.dtype == vv.dtype == mask.dtype:
+        if kv.shape[1] != d or vv.shape != kv.shape \
+                or visible.shape != (m, n):
+            raise ShapeError("attention",
+                             f"q {qv.shape}, k {kv.shape}, v {vv.shape}, "
+                             f"visible {visible.shape}")
+        if visible.dtype != np.bool_:
+            raise ShapeError("attention",
+                             f"visible must be boolean, not {visible.dtype}")
+        if not qv.dtype == kv.dtype == vv.dtype:
             raise ShapeError("attention",
                              f"dtype mismatch q {qv.dtype}, k {kv.dtype}, "
-                             f"v {vv.dtype}, mask {mask.dtype}")
+                             f"v {vv.dtype}")
         if n_heads < 1 or d % n_heads:
             raise ShapeError("attention",
                              f"width {d} not divisible by {n_heads} heads")
-        visible = mask != MASK_VALUE
-        # every visible entry must be 0: backward rebuilds the mask from
-        # `visible` alone
-        if np.count_nonzero(mask == 0) != np.count_nonzero(visible):
-            raise ShapeError("attention",
-                             f"mask entries must be 0 or {MASK_VALUE}")
         scale = 1.0 / math.sqrt(d // n_heads)
         spans = _attention_spans(visible)
         row_max = np.empty((n_heads, m), qv.dtype)
         row_sum = np.empty((n_heads, m), qv.dtype)
         out = np.empty((m, d), qv.dtype)
-        qh = _heads(qv * scale, n_heads)
+        qh = _heads(qv, n_heads)
         kt = _heads(kv, n_heads).transpose(0, 2, 1)
         vh, oh = _heads(vv, n_heads), _heads(out, n_heads)
         buf = _block_buffer(spans, n_heads, qv.dtype)
         for r0, r1, hi, s in _blocks(buf, spans, n_heads):
-            _block_scores(qh, kt, visible, r0, r1, hi, s)
-            if not np.isfinite(s).all():
+            # q is scaled a block at a time: the product is elementwise, so
+            # the values are those of scaling all of q, without its copy
+            _block_scores(qh[:, r0:r1] * scale, kt, visible[r0:r1, :hi], s)
+            if not _all_finite(s):
                 raise NonFiniteError("attention", f"scores of rows {r0}:{r1}")
             top = s.max(axis=2, keepdims=True)
             s -= top
@@ -497,7 +518,8 @@ class Tape:
             row_sum[:, r0:r1] = total[..., 0]
             np.matmul(s, vh[:, :hi], out=oh[:, r0:r1])
         saves = [("row_max", row_max, True), ("row_sum", row_sum, True),
-                 ("visible", visible, True), ("q", qv, self._charged(q)),
+                 ("visible", np.packbits(visible, axis=1), True),
+                 ("q", qv, self._charged(q)),
                  ("k", kv, self._charged(k))]
         if q.requires_grad or k.requires_grad:
             saves.append(("v", vv, self._charged(v)))
@@ -513,11 +535,11 @@ class Tape:
                              f"x {x.value.shape}, scale {gamma.value.shape}, "
                              f"shift {beta.value.shape}")
         mu = x.value.mean(axis=1, keepdims=True)
-        xc = x.value - mu
-        var = (xc * xc).mean(axis=1, keepdims=True)
+        xhat = x.value - mu
+        var = (xhat * xhat).mean(axis=1, keepdims=True)
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = xc * inv
-        out = xhat * gamma.value + beta.value
+        xhat *= inv  # centred input, normalized in place
+        out = _layer_norm_output(xhat, gamma.value, beta.value)
         saves = [("normalized", xhat, True),
                  ("inv_std", inv, True),
                  ("scale", gamma.value, self._charged(gamma)),
@@ -750,23 +772,26 @@ class Tape:
     def _backprop_attention(self, node: Node, g: np.ndarray, saved,
                             grads) -> None:
         """Per row block, every head at once, over the block's first `hi`
-        keys: rebuild p with the forward's own ops from q, k, the visible
-        mask and the saved row max and sum, then dv += p^T g,
-        dp = g v^T, ds = p * (dp - rowsum(dp * p)), dq = scale * ds k,
+        keys: rebuild p with the forward's own ops from q, k, the
+        block's rows of the unpacked visible mask and the saved row max
+        and sum, then dv += p^T g, dp = g v^T,
+        ds = p * (dp - rowsum(dp * p)), dq = scale * ds k,
         dk += ds^T (scale * q). Buffers of the largest block serve every
         block, p is overwritten with ds, and rowsum(dp * p) is taken one
-        head at a time through a rows x hi buffer."""
+        head at a time through a rows x hi buffer. The products added into
+        dv and dk are formed one head at a time too, so each is an
+        hi x head-width array, not all heads'."""
         q, k, v = node.inputs
         n_heads = node.meta["n_heads"]
         scale = node.meta["scale"]
         spans = node.meta["spans"]
-        visible = saved["visible"]
+        packed = saved["visible"]
         row_max, row_sum = saved["row_max"], saved["row_sum"]
         dq = np.empty(q.shape, q.dtype) if q.requires_grad else None
         dk = np.zeros(k.shape, k.dtype) if k.requires_grad else None
         dv = np.zeros(v.shape, v.dtype) if v.requires_grad else None
         gh = _heads(g, n_heads)
-        qh = _heads(saved["q"] * scale, n_heads)
+        qh = _heads(saved["q"], n_heads)
         kh = _heads(saved["k"], n_heads)
         kt = kh.transpose(0, 2, 1)
         p_buf = _block_buffer(spans, n_heads, node.dtype)
@@ -782,13 +807,16 @@ class Tape:
         if dk is not None:
             dkh = _heads(dk, n_heads)
         for r0, r1, hi, p in _blocks(p_buf, spans, n_heads):
-            _block_scores(qh, kt, visible, r0, r1, hi, p)
+            qb = qh[:, r0:r1] * scale
+            seen = np.unpackbits(packed[r0:r1], axis=1, count=hi)
+            _block_scores(qb, kt, seen.view(np.bool_), p)
             p -= row_max[:, r0:r1, None]
             np.exp(p, out=p)
             p /= row_sum[:, r0:r1, None]
             gb = gh[:, r0:r1]
             if dv is not None:
-                dvh[:, :hi] += np.matmul(p.transpose(0, 2, 1), gb)
+                for h in range(n_heads):
+                    dvh[h, :hi] += p[h].T @ gb[h]
             if dq is None and dk is None:
                 continue
             dp = dp_buf[:p.size].reshape(p.shape)
@@ -801,7 +829,8 @@ class Tape:
             if dq is not None:
                 np.matmul(p, kh[:, :hi], out=dqh[:, r0:r1])
             if dk is not None:
-                dkh[:, :hi] += np.matmul(p.transpose(0, 2, 1), qh[:, r0:r1])
+                for h in range(n_heads):
+                    dkh[h, :hi] += p[h].T @ qb[h]
         if dq is not None:
             dq *= scale
         for inp, grad in ((q, dq), (k, dk), (v, dv)):
@@ -837,9 +866,9 @@ def _fresh_saved_bytes(node: Node) -> int:
     """Bytes of backward saves that are new allocations (not references to
     an existing node output): layer_norm's normalized input and inverse
     std, cross_entropy's probabilities, and attention's row max and sum
-    (heads x rows each) and boolean rows x keys visibility mask. Everything
-    else a backward rule reads is a reference to a node output or
-    parameter."""
+    (heads x rows each) and bit-packed rows x keys visibility mask
+    (rows x ceil(keys / 8) bytes). Everything else a backward rule reads
+    is a reference to a node output or parameter."""
     if node.op == "layer_norm" and node.requires_grad:
         rows, cols = node.inputs[0].shape
         return (rows * cols + rows) * node.dtype.itemsize
@@ -847,7 +876,8 @@ def _fresh_saved_bytes(node: Node) -> int:
         return node.inputs[0].nbytes
     if node.op == "attention" and node.requires_grad:
         m, n = node.shape[0], node.inputs[1].shape[0]
-        return 2 * node.meta["n_heads"] * m * node.dtype.itemsize + m * n
+        return (2 * node.meta["n_heads"] * m * node.dtype.itemsize
+                + m * -(-n // 8))
     return 0
 
 
@@ -888,11 +918,15 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     gradients are not charged, since backward adds each into the caller's
     accumulator as soon as it is complete. Parameters are excluded
     (accounted as persistent elsewhere); constants count until their last
-    use. Temporaries inside an op are not modeled: softmax buffers,
-    attention's scaled queries and block buffers (heads x
-    ATTENTION_BLOCK_ROWS x hi of the largest block: one in forward, up to
-    two in backward, plus one ATTENTION_BLOCK_ROWS x hi row buffer), the
-    mask it is passed, which is not a node, a layer norm's or GELU's
+    use. A feed-forward block run without gradients is recorded as row
+    blocks (``model.FFN_BLOCK_ROWS``) joined by concat_rows, so the replay
+    sees one block's hidden arrays live at a time, as they are.
+    Temporaries inside an op are not modeled: softmax buffers,
+    attention's block buffers (heads x ATTENTION_BLOCK_ROWS x hi of the
+    largest block: one in forward, up to two in backward, plus one
+    ATTENTION_BLOCK_ROWS x hi row buffer) and the block's scaled queries,
+    the boolean visibility mask it is passed (one byte per query and key,
+    not a node; no m x n float mask exists), a layer norm's or GELU's
     output that a matmul's backward rebuilds (one rows x cols array, freed
     once that matmul's weight gradient is formed), and the GELU derivative
     that this rebuild or the GELU's own backward forms (one rows x cols

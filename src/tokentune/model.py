@@ -3,8 +3,9 @@
 Pre-norm residual blocks with GELU feed-forward, learned absolute position
 embeddings indexed by each token's original position id (so rows can be
 stored in any order without changing values), multi-head attention with
-additive masks, and either a classifier head (one hidden layer MLP over a
-mean-pooled representation) or a tied-nothing language-model projection.
+boolean visibility masks, and either a classifier head (one hidden layer
+MLP over a mean-pooled representation) or a tied-nothing language-model
+projection.
 
 The same on-tape builders serve the plain pipeline and the token-selective
 pipeline, which keeps the two numerically identical when the selection
@@ -18,10 +19,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
-from .engine import MASK_VALUE, Tape, Tensor
+from .engine import Tape, Tensor
 from .engine import gelu_array
 
 INIT_STD = 0.02
+
+#: Rows per block of a feed-forward block run without gradients. Nothing
+#: is saved then, so rows are independent, and running near-equal row
+#: blocks of at most this many rows bounds the two rows x d_ff arrays
+#: live at once. Every block has more than half this many rows: with
+#: OpenBLAS, products of 1-3 rows can differ from the whole array's in
+#: the last bits, while the FFN's products of 4 or more rows are equal to
+#: them bit for bit. A LoRA factor's narrow product (rows x d_in times
+#: d_in x rank) is not: its last bits can change with the row count, so
+#: a layer with an adapter on w1 or w2 runs its FFN whole.
+FFN_BLOCK_ROWS = 256
 
 
 class ModelError(ValueError):
@@ -202,49 +214,78 @@ def affine(tape: Tape, model: TransformerModel, x: Tensor, w_name: str,
     return z
 
 
-def attention_mask(query_positions, key_positions, key_pad_mask, causal,
-                   dtype) -> np.ndarray:
-    """Additive mask from ORIGINAL position ids, never storage order.
+def attention_mask(query_positions, key_positions, key_pad_mask,
+                   causal) -> np.ndarray:
+    """Boolean visibility from ORIGINAL position ids, never storage order.
 
-    Key j is blocked for query i when the key is padding, or (causal) when
-    the key's original position exceeds the query's.
+    Query i sees key j unless the key is padding, or (causal) the key's
+    original position exceeds the query's.
     """
     qp = np.asarray(query_positions).reshape(-1, 1)
     kp = np.asarray(key_positions).reshape(1, -1)
-    blocked = ~np.asarray(key_pad_mask, dtype=bool).reshape(1, -1)
-    blocked = np.broadcast_to(blocked, (qp.shape[0], kp.shape[1])).copy()
+    visible = np.repeat(np.asarray(key_pad_mask, dtype=bool).reshape(1, -1),
+                        qp.shape[0], axis=0)
     if causal:
-        blocked |= kp > qp
-    mask = np.zeros((qp.shape[0], kp.shape[1]), dtype=dtype)
-    mask[blocked] = MASK_VALUE
-    return mask
+        visible &= kp <= qp
+    return visible
 
 
-def attend_heads(tape: Tape, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
-                 n_heads: int) -> Tensor:
+def attend_heads(tape: Tape, q: Tensor, k: Tensor, v: Tensor,
+                 visible: np.ndarray, n_heads: int) -> Tensor:
     """Multi-head scaled dot-product mix; shared by every attention variant."""
-    return tape.attention(q, k, v, mask, n_heads)
+    return tape.attention(q, k, v, visible, n_heads)
+
+
+def qkv(tape: Tape, model: TransformerModel, layer: int,
+        h_n: Tensor) -> list[Tensor]:
+    """The query, key and value affines of layer `layer` over normalized
+    rows."""
+    base = f"layers.{layer}.attn"
+    return [affine(tape, model, h_n, f"{base}.w_{x}", f"{base}.b_{x}")
+            for x in "qkv"]
+
+
+def attend_project(tape: Tape, model: TransformerModel, layer: int,
+                   q: Tensor, k: Tensor, v: Tensor,
+                   visible: np.ndarray) -> Tensor:
+    """Attention of `q` over `k`/`v`, then the output affine."""
+    base = f"layers.{layer}.attn"
+    mixed = attend_heads(tape, q, k, v, visible, model.config.n_heads)
+    return affine(tape, model, mixed, f"{base}.w_o", f"{base}.b_o")
 
 
 def attention(tape: Tape, model: TransformerModel, layer: int, h: Tensor,
               positions, pad_mask, causal: bool) -> Tensor:
     """Standard multi-head attention over one group of rows."""
-    base = f"layers.{layer}.attn"
-    q = affine(tape, model, h, f"{base}.w_q", f"{base}.b_q")
-    k = affine(tape, model, h, f"{base}.w_k", f"{base}.b_k")
-    v = affine(tape, model, h, f"{base}.w_v", f"{base}.b_v")
-    mask = attention_mask(positions, positions, pad_mask, causal,
-                          h.value.dtype)
-    mixed = attend_heads(tape, q, k, v, mask, model.config.n_heads)
-    return affine(tape, model, mixed, f"{base}.w_o", f"{base}.b_o")
+    return attend_project(tape, model, layer, *qkv(tape, model, layer, h),
+                          attention_mask(positions, positions, pad_mask,
+                                         causal))
 
 
-def ffn(tape: Tape, model: TransformerModel, layer: int, h: Tensor) -> Tensor:
+def _ffn_rows(tape: Tape, model: TransformerModel, layer: int,
+              h: Tensor) -> Tensor:
     base = f"layers.{layer}.ffn"
     # no local for the pre-GELU value, so a no-grad forward frees it as
     # soon as GELU has read it
     hidden = tape.gelu(affine(tape, model, h, f"{base}.w1", f"{base}.b1"))
     return affine(tape, model, hidden, f"{base}.w2", f"{base}.b2")
+
+
+def ffn(tape: Tape, model: TransformerModel, layer: int, h: Tensor) -> Tensor:
+    """GELU feed-forward block. Without gradients and adapters it runs
+    over near-equal blocks of at most FFN_BLOCK_ROWS rows, joined by
+    `concat_rows`: the same builders and values, with one block's hidden
+    arrays alive at a time instead of all rows'."""
+    base = f"layers.{layer}.ffn"
+    rows = h.value.shape[0]
+    count = -(-rows // FFN_BLOCK_ROWS)
+    if tape.grad_enabled or count < 2 or f"{base}.w1" in model.adapters \
+            or f"{base}.w2" in model.adapters:
+        return _ffn_rows(tape, model, layer, h)
+    bounds = [rows * i // count for i in range(count + 1)]
+    return tape.concat_rows([
+        _ffn_rows(tape, model, layer, tape.select_rows(h, np.arange(r0, r1)))
+        for r0, r1 in zip(bounds, bounds[1:])])
 
 
 def norm(tape: Tape, model: TransformerModel, layer: int, which: int,
@@ -341,16 +382,6 @@ def _mlp_head_values(model: TransformerModel, pooled: np.ndarray) -> np.ndarray:
     h = gelu_array(pooled @ model.param("head.w1").value
                    + model.param("head.b1").value)
     return h @ model.param("head.w2").value + model.param("head.b2").value
-
-
-def classify_pool_train(h_selected: np.ndarray,
-                        model: TransformerModel) -> np.ndarray:
-    """Class log-probabilities pooled over the selected rows only."""
-    h_selected = np.asarray(h_selected)
-    if h_selected.ndim != 2 or h_selected.shape[0] < 1:
-        raise ModelError("need a non-empty 2-D block of selected rows")
-    pooled = h_selected.mean(axis=0, keepdims=True)
-    return log_softmax(_mlp_head_values(model, pooled))
 
 
 def classify_pool_eval(h_all: np.ndarray, pad_mask,

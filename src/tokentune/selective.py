@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Tape, Tensor
-from .model import (ModelError, TokenSequence, TransformerModel, affine,
-                    attend_heads, attention_mask, embed,
-                    loss_classification_rows, loss_lm_rows)
+from .model import (ModelError, TokenSequence, TransformerModel,
+                    attend_project, attention_mask, embed,
+                    loss_classification_rows, loss_lm_rows, qkv)
 from .model import ffn as ffn_block
 from .model import norm as norm_block
 from .partition import SelectionError, TokenPartition, partition_rows
@@ -94,79 +94,78 @@ def _mask_positions(split: SplitHidden, key_positions, inject_bug):
     return split.positions_g, split.positions_gbar, key_positions
 
 
+def _unselected_qkv(tape: Tape, model: TransformerModel, layer: int,
+                   h_gbar: Tensor, inject_bug: str | None) -> list[Tensor]:
+    """Q, K and V of the unselected rows, constants unless `inject_bug`
+    tracks them; the normalized rows die on return."""
+    with tape.no_grad():
+        gb_n = norm_block(tape, model, layer, 1, h_gbar)
+    tracked = inject_bug == "track-unselected-kv"
+    with nullcontext() if tracked else tape.no_grad():
+        return qkv(tape, model, layer, gb_n)
+
+
 def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
                         split: SplitHidden, causal: bool,
                         inject_bug: str | None = None) -> SplitHidden:
-    """Residual attention update; unselected K/V/queries are constants."""
-    base = f"layers.{layer}.attn"
+    """Residual attention update; unselected K/V/queries are constants.
+
+    Each handle is dropped at its last use, so the unselected path's
+    attention runs without the selected path's dead arrays."""
     with tape.region(f"layer.{layer}.attn"):
-        g_n = norm_block(tape, model, layer, 1, split.h_g)
-        q_g = affine(tape, model, g_n, f"{base}.w_q", f"{base}.b_q")
-        k_g = affine(tape, model, g_n, f"{base}.w_k", f"{base}.b_k")
-        v_g = affine(tape, model, g_n, f"{base}.w_v", f"{base}.b_v")
-
-        q_gb = k_gb = v_gb = None
+        q_g, k_g, v_g = qkv(tape, model, layer,
+                            norm_block(tape, model, layer, 1, split.h_g))
         if split.h_gbar is not None:
-            with tape.no_grad():
-                gb_n = norm_block(tape, model, layer, 1, split.h_gbar)
-            tracked = inject_bug == "track-unselected-kv"
-            with nullcontext() if tracked else tape.no_grad():
-                q_gb = affine(tape, model, gb_n, f"{base}.w_q", f"{base}.b_q")
-                k_gb = affine(tape, model, gb_n, f"{base}.w_k", f"{base}.b_k")
-                v_gb = affine(tape, model, gb_n, f"{base}.w_v", f"{base}.b_v")
-
-        if k_gb is not None:
+            q_gb, k_gb, v_gb = _unselected_qkv(tape, model, layer,
+                                               split.h_gbar, inject_bug)
             # keys in position order, so a causal block of queries sees a
             # prefix of them and attention skips the rest
             order = split.key_order
             keys = tape.select_rows(tape.concat_rows([k_gb, k_g]), order)
             vals = tape.select_rows(tape.concat_rows([v_gb, v_g]), order)
+            del k_gb, v_gb
             key_positions = np.concatenate([split.positions_gbar,
                                             split.positions_g])[order]
         else:
             keys = tape.concat_rows([k_g])
             vals = tape.concat_rows([v_g])
             key_positions = split.positions_g
+        del k_g, v_g
 
         qpos_g, qpos_gbar, kpos = _mask_positions(split, key_positions,
                                                   inject_bug)
         all_real = np.ones(len(key_positions), dtype=bool)
-        dtype = split.h_g.value.dtype
-        n_heads = model.config.n_heads
-
-        mask_g = attention_mask(qpos_g, kpos, all_real, causal, dtype)
-        mixed_g = attend_heads(tape, q_g, keys, vals, mask_g, n_heads)
-        out_g = affine(tape, model, mixed_g, f"{base}.w_o", f"{base}.b_o")
-        new_g = tape.add(split.h_g, out_g)
+        new_g = tape.add(split.h_g, attend_project(
+            tape, model, layer, q_g, keys, vals,
+            attention_mask(qpos_g, kpos, all_real, causal)))
+        del q_g
 
         new_gbar = None
         if split.h_gbar is not None:
             with tape.no_grad():
-                mask_gb = attention_mask(qpos_gbar, kpos, all_real, causal,
-                                         dtype)
-                mixed_gb = attend_heads(tape, q_gb, keys, vals, mask_gb,
-                                        n_heads)
-                out_gb = affine(tape, model, mixed_gb, f"{base}.w_o",
-                                f"{base}.b_o")
-                new_gbar = tape.add(split.h_gbar, out_gb)
+                new_gbar = tape.add(split.h_gbar, attend_project(
+                    tape, model, layer, q_gb, keys, vals,
+                    attention_mask(qpos_gbar, kpos, all_real, causal)))
     return split.with_blocks(new_g, new_gbar)
 
 
 def tokentune_ffn(tape: Tape, model: TransformerModel, layer: int,
                   split: SplitHidden,
                   inject_bug: str | None = None) -> SplitHidden:
-    """Residual feed-forward update; normalization follows the same split."""
+    """Residual feed-forward update; normalization follows the same split.
+
+    The unselected rows run first: their hidden arrays, the widest
+    transients of a TokenTune step, then peak before the selected rows
+    of this layer have saved anything for backward."""
     with tape.region(f"layer.{layer}.ffn"):
-        f_g = ffn_block(tape, model, layer,
-                        norm_block(tape, model, layer, 2, split.h_g))
-        new_g = tape.add(split.h_g, f_g)
         new_gbar = None
         if split.h_gbar is not None:
             with tape.no_grad():
-                f_gb = ffn_block(tape, model, layer,
-                                 norm_block(tape, model, layer, 2,
-                                            split.h_gbar))
-                new_gbar = tape.add(split.h_gbar, f_gb)
+                new_gbar = tape.add(split.h_gbar, ffn_block(
+                    tape, model, layer,
+                    norm_block(tape, model, layer, 2, split.h_gbar)))
+        new_g = tape.add(split.h_g, ffn_block(
+            tape, model, layer, norm_block(tape, model, layer, 2, split.h_g)))
     return split.with_blocks(new_g, new_gbar)
 
 
@@ -176,8 +175,10 @@ def tokentune_forward(tape: Tape, model: TransformerModel,
     """Embed, split, then run every layer with the two-group update."""
     if inject_bug is not None and inject_bug not in BUG_NAMES:
         raise ValueError(f"unknown injected bug '{inject_bug}'")
-    h = embed(tape, model, seq)
-    split = split_hidden(tape, h, partition, seq.positions)
+    # the embedding is passed on, not kept: the split's row blocks are
+    # copies, so it dies once they are made
+    split = split_hidden(tape, embed(tape, model, seq), partition,
+                         seq.positions)
     for i in range(model.config.n_layers):
         split = tokentune_attention(tape, model, i, split,
                                     model.config.causal, inject_bug)

@@ -486,12 +486,14 @@ def _ledger_subtotals(model, n: int, k: int, inject_bug=None):
 
 def cache_scaling_check(inject_bug: str | None = None) -> dict:
     """The ledger must be affine in the sequence length at fixed k (linear
-    attention term, constant ffn/norm term) and strictly increasing in k."""
+    attention term, constant ffn/norm term) and strictly increasing in k.
+    The lengths are multiples of 8, as attention saves its visibility
+    mask bit-packed, a whole byte per 8 keys."""
     cfg = ModelConfig(vocab_size=19, max_positions=64, d_model=8, n_heads=2,
                       d_ff=12, n_layers=1, causal=False, n_classes=2)
     model = build_model(cfg, seed=7, dtype="float64")
     k = 3
-    points = [6, 10, 14]
+    points = [8, 16, 24]
     attn = []
     ffn = []
     for n in points:

@@ -670,10 +670,11 @@ def test_ffn_with_adapters_on_w1_and_w2_matches_finite_differences(dtype):
 
 # ---- multi-head attention -------------------------------------------------------
 
-def per_head_attention(t, q, k, v, mask, n_heads):
-    """The per-head composition that `Tape.attention` records as one node."""
+def per_head_attention(t, q, k, v, visible, n_heads):
+    """The per-head composition that `Tape.attention` records as one node,
+    with the additive mask that `visible` stands for."""
     head_dim = q.value.shape[1] // n_heads
-    mask_node = t.constant(mask)
+    mask_node = t.constant(np.where(visible, 0.0, MASK_VALUE))
     outs = []
     for h in range(n_heads):
         cols = np.arange(h * head_dim, (h + 1) * head_dim)
@@ -688,10 +689,8 @@ D_ATT = 8
 
 
 def causal_mask(m, n):
-    """Query i sits at key position n - m + i; later keys are blocked."""
-    mask = np.zeros((m, n))
-    mask[np.arange(n)[None, :] > (n - m + np.arange(m))[:, None]] = -1e30
-    return mask
+    """Query i sits at key position n - m + i and sees no later key."""
+    return np.arange(n)[None, :] <= (n - m + np.arange(m))[:, None]
 
 
 def default_shape(case):
@@ -756,12 +755,14 @@ def retained_with_row_statistics(case, n_heads, ref, shape):
     """The bytes `Tape.attention` retains for backward, from the per-head
     composition's (`ref`): the composition keeps every head's m x n float64
     probabilities, the node keeps each (head, row)'s softmax max and sum
-    and the m x n boolean visibility mask instead. With constant queries
+    and the m x n boolean visibility mask, bit-packed to m x ceil(n / 8)
+    bytes, instead. With constant queries
     the node also keeps k, to rebuild the probabilities, which the
     composition never reads."""
     m, n = shape
     keys = n * D_ATT * 8 if case == "untracked-q" else 0
-    return ref - n_heads * m * n * 8 + 2 * n_heads * m * 8 + m * n + keys
+    return (ref - n_heads * m * n * 8 + 2 * n_heads * m * 8 + m * -(-n // 8)
+            + keys)
 
 
 @pytest.mark.parametrize("n_heads", [1, 4])
@@ -796,8 +797,8 @@ def test_multi_block_attention_saves_row_stats_not_probs(
 def test_query_row_that_sees_no_key_keeps_the_uniform_softmax(n_heads):
     m = n = 150
     mask = causal_mask(m, n)
-    mask[:, 140:] = MASK_VALUE  # keys no query sees, like trailing padding
-    mask[100] = MASK_VALUE      # a query that sees no key at all
+    mask[:, 140:] = False  # keys no query sees, like trailing padding
+    mask[100] = False      # a query that sees no key at all
     ours, ref = compare_with_per_head("all-tracked", n_heads, shape=(m, n),
                                       mask=mask)
     assert ours == retained_with_row_statistics("all-tracked", n_heads, ref,
@@ -816,9 +817,10 @@ def test_attention_untracked_matches_tracked_and_caches_nothing():
                                      causal_mask(4, 4), 4)
     assert np.array_equal(out.value, out_ng.value)
     assert untracked.cached_activation_elements() == 0
-    # row max and sum per head, the 4 x 4 visibility mask, q, k and v
+    # row max and sum per head, the 4 x 4 visibility mask packed into one
+    # byte per row, q, k and v
     assert tracked.cached_activation_elements() \
-        == 2 * 4 * 4 + 4 * 4 + 3 * 4 * D_ATT
+        == 2 * 4 * 4 + 4 + 3 * 4 * D_ATT
 
 
 def attention_finite_differences(m):
@@ -863,25 +865,30 @@ def test_attention_rejects_bad_shapes_and_overflowing_scores():
     q = t.input(np.ones((3, D_ATT)))
     kv = t.input(np.ones((5, D_ATT)))
     with pytest.raises(ShapeError) as err:
-        t.attention(q, kv, kv, np.zeros((5, 3)), 2)
-    assert err.value.op == "attention"
-    with pytest.raises(ShapeError) as err:
-        t.attention(q, kv, kv, np.zeros((3, 5)), 3)
+        t.attention(q, kv, kv, np.ones((3, 5), bool), 3)
     assert err.value.op == "attention"
     huge = t.input(np.full((3, D_ATT), 1e200))
     with pytest.raises(NonFiniteError) as err, np.errstate(over="ignore"):
-        t.attention(huge, huge, huge, np.zeros((3, 3)), 2)
+        t.attention(huge, huge, huge, np.ones((3, 3), bool), 2)
     assert err.value.op == "attention"
 
 
-@pytest.mark.parametrize("bad", [-1e9, -np.inf, np.nan, 0.5])
-def test_attention_rejects_mask_entries_other_than_zero_and_mask_value(bad):
-    # backward rebuilds the additive mask from which entries are MASK_VALUE
+@pytest.mark.parametrize("visible", [
+    np.ones((5, 3), bool),                  # keys x queries
+    np.ones((3, 4), bool),                  # one key short
+    np.ones(15, bool),                      # flat
+    np.zeros((3, 5)),                       # an additive float mask
+    causal_mask(3, 5).astype(np.float32),
+    causal_mask(3, 5).astype(np.uint8),
+], ids=["transposed", "short", "flat", "float64", "float32", "uint8"])
+def test_attention_rejects_visible_that_is_not_a_boolean_queries_by_keys(
+        visible):
+    # a float mask is refused, not read as visibility: its zeros would
+    # block exactly the keys an additive mask lets through
     t = Tape()
     q = t.input(np.ones((3, D_ATT)))
     kv = t.input(np.ones((5, D_ATT)))
-    mask = causal_mask(3, 5)
-    mask[1, 0] = bad
     with pytest.raises(ShapeError) as err:
-        t.attention(q, kv, kv, mask, 2)
+        t.attention(q, kv, kv, visible, 2)
     assert err.value.op == "attention"
+    assert t.nodes[-1] is kv.node  # nothing was recorded

@@ -17,10 +17,10 @@ import pytest
 
 from tokentune import engine
 from tokentune.config import ModelConfig, TrainConfig
-from tokentune.engine import (ATTENTION_BLOCK_ROWS, MASK_VALUE, Tape,
-                              gelu_array, simulate_peak_bytes)
+from tokentune.engine import (ATTENTION_BLOCK_ROWS, Tape, gelu_array,
+                              simulate_peak_bytes)
 from tokentune.memprofile import lm_profile_batch
-from tokentune.model import build_model, forward_hidden
+from tokentune.model import FFN_BLOCK_ROWS, build_model, forward_hidden
 from tokentune.model import ffn as ffn_block
 from tokentune.optimize import (AdamState, Trainer, adam_step, eval_hidden,
                                 global_norm)
@@ -33,6 +33,9 @@ REL_TOL = 0.02
 GRAPH_BYTES_PER_NODE = 1024
 #: A two-example step may exceed a one-example step by this share.
 STEP_PEAK_TOL = 0.10
+#: Elements in numpy's ufunc buffer, which a broadcast add (an affine's
+#: bias) allocates once per call.
+UFUNC_BUFFER_ELEMENTS = 8192
 
 
 def lm_config():
@@ -181,6 +184,66 @@ def test_eval_hidden_never_holds_the_whole_forward(model, example):
     assert peak < whole, (peak, whole)
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_tokentune_step_peaks_at_one_unselected_ffn_block_above_backward_entry(
+        monkeypatch, dtype):
+    # Above what backward starts from, a step holds only the widest op of
+    # the unselected (no-grad) path in flight: the FFN's two hidden arrays
+    # for one row block, four (n - k) x d row arrays (the residual, the
+    # FFN's input and two outputs in flight) and one ufunc buffer. Dead
+    # projections kept through unselected attention, an m x n float mask
+    # or a scaled copy of q would each add (n - k) x d arrays to it.
+    cfg = lm_config()
+    itemsize = np.dtype(dtype).itemsize
+    block = min(N - K, FFN_BLOCK_ROWS)
+    bound = (2 * block * cfg.d_ff + 4 * (N - K) * cfg.d_model
+             + UFUNC_BUFFER_ELEMENTS) * itemsize
+    batch = lm_profile_batch(N, 1, seed=3)
+    trainer = Trainer(build_model(cfg, seed=3, dtype=dtype),
+                      TrainConfig(regime="tokentune", k=K, batch_size=1,
+                                  learning_rate=1e-3, seed=3, dtype=dtype),
+                      "lm")
+    trainer.train_step(batch)  # first step allocates nothing new
+    entry = []
+    backward = Tape.backward
+    with Traced() as traced:
+        def timed_backward(tape, *args, **kwargs):
+            entry.append(traced.live())
+            return backward(tape, *args, **kwargs)
+
+        monkeypatch.setattr(Tape, "backward", timed_backward)
+        trainer.train_step(batch)
+        peak = traced.peak()
+    assert len(entry) == 1
+    assert peak - entry[0] <= bound, (peak, entry[0], bound)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_no_grad_ffn_holds_one_row_block_of_hidden_arrays(dtype):
+    rows, d, d_ff = 2 * FFN_BLOCK_ROWS + 1, 64, 1024
+    cfg = ModelConfig(vocab_size=257, max_positions=8, d_model=d, n_heads=2,
+                      d_ff=d_ff, n_layers=1, causal=True, n_classes=None)
+    model = build_model(cfg, seed=10, dtype=dtype)
+    tape = Tape()
+    x = tape.input(np.random.default_rng(10).normal(size=(rows, d))
+                   .astype(dtype))
+    with Traced() as traced:
+        with tape.no_grad():
+            out = ffn_block(tape, model, 0, x)
+        peak = traced.peak()
+    itemsize = np.dtype(dtype).itemsize
+    sizes = out.node.meta["sizes"]
+    assert out.op == "concat_rows" and len(sizes) == 3
+    hidden = max(sizes) * d_ff * itemsize
+    # beside one block's two hidden arrays and the output: the finished
+    # blocks' outputs awaiting the concat, the block's own row arrays, a
+    # ufunc buffer and the graph's records (the whole-array FFN held two
+    # rows x d_ff arrays, three times as much)
+    slack = (2 * rows * d + UFUNC_BUFFER_ELEMENTS) * itemsize \
+        + GRAPH_BYTES_PER_NODE * len(tape.nodes)
+    assert peak <= out.value.nbytes + 2 * hidden + slack, (peak, hidden)
+
+
 @pytest.mark.parametrize("regime", ["full", "tokentune"])
 def test_two_example_step_peaks_like_one_example_step(regime):
     model_cfg = lm_config()
@@ -269,9 +332,8 @@ def test_attention_backward_holds_two_block_buffers():
     r = np.random.default_rng(8)
     tape = Tape()
     q, k, v = (tape.input(r.normal(size=(m, d))) for _ in range(3))
-    mask = np.zeros((m, m))
-    mask[np.triu_indices(m, 1)] = MASK_VALUE
-    out = tape.attention(q, k, v, mask, heads)
+    visible = np.tri(m, dtype=bool)
+    out = tape.attention(q, k, v, visible, heads)
     loss = tape.matmul(tape.mean_rows(out), tape.constant(np.ones((d, 1))))
     with Traced() as traced:
         tape.backward(loss)

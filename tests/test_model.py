@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokentune import model as model_module
+from tokentune.adapters import attach
 from tokentune.config import ModelConfig
 from tokentune.engine import Tape
-from tokentune.model import (ModelError, TokenSequence, attention,
-                             attention_mask, build_model, classify_pool_eval,
-                             classify_pool_train, embed, forward_hidden,
-                             layer_forward, lm_logits)
+from tokentune.model import (FFN_BLOCK_ROWS, ModelError, TokenSequence,
+                             attention, attention_mask, build_model,
+                             classify_pool_eval, embed, ffn, forward_hidden,
+                             layer_forward, lm_logits,
+                             loss_classification_rows)
 
 
 def tiny_config(**kw):
@@ -106,12 +109,25 @@ def test_attention_single_token_is_value_projection():
 
 
 def test_causal_mask_row_zero_attends_only_to_itself():
-    mask = attention_mask([0, 1, 2], [0, 1, 2], [True] * 3, causal=True,
-                          dtype=np.float64)
-    assert mask[0, 0] == 0.0 and mask[0, 1] < -1e29 and mask[0, 2] < -1e29
+    visible = attention_mask([0, 1, 2], [0, 1, 2], [True] * 3, causal=True)
+    assert visible.dtype == bool
+    assert visible.tolist() == [[True, False, False], [True, True, False],
+                                [True, True, True]]
+    r = rng_for(3)
+    q, k, v = (r.normal(size=(3, 8)) for _ in range(3))
     t = Tape()
-    p = t.softmax_rows(t.input(mask)).value
-    assert p[0, 0] == 1.0
+    out = t.attention(t.input(q), t.input(k), t.input(v), visible, 2).value
+    assert np.array_equal(out[0], v[0])
+
+
+def test_mask_follows_positions_and_blocks_padded_keys():
+    # storage order [2, 0, 1]; the key at position 1 is padding
+    visible = attention_mask([2, 0, 1], [2, 0, 1], [True, True, False],
+                             causal=True)
+    assert visible.tolist() == [[True, True, False], [False, True, False],
+                                [False, True, False]]
+    assert attention_mask([0, 1], [0, 1, 2], [True, False, True],
+                          causal=False).tolist() == [[True, False, True]] * 2
 
 
 @pytest.mark.parametrize("causal", [False, True])
@@ -160,6 +176,42 @@ def test_zero_weight_layers_are_identity():
         node = layer_forward(t, model, layer, node, np.arange(4),
                              np.ones(4, dtype=bool))
     assert np.array_equal(node.value, h)
+
+
+@pytest.mark.parametrize("block_rows", [FFN_BLOCK_ROWS, 64])
+@pytest.mark.parametrize("lora", [False, True], ids=["plain", "lora"])
+@pytest.mark.parametrize("rows", [5, 65, 129, 449])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_no_grad_ffn_in_row_blocks_equals_the_whole_array_ffn(
+        monkeypatch, dtype, rows, lora, block_rows):
+    # at the benchmark's FFN widths, where the BLAS kernels are the ones
+    # training runs; a tracked FFN always runs as one block, and so does
+    # an FFN with adapters: w2's LoRA product, 449 x 1024 GELU rows times
+    # its 1024 x 4 factor A, differs from the same product over 225- and
+    # 224-row blocks in the last bits
+    monkeypatch.setattr(model_module, "FFN_BLOCK_ROWS", block_rows)
+    cfg = tiny_config(d_model=256, n_heads=8, d_ff=1024, n_layers=1)
+    model = build_model(cfg, seed=16, dtype=dtype)
+    r = rng_for(16)
+    if lora:
+        attach(model, ("w1", "w2"), r=4, alpha=8.0, seed=16)
+        for ad in model.adapters.values():  # B starts at zero
+            ad.b[...] = r.normal(0.0, 0.02, ad.b.shape)
+    h = r.normal(size=(rows, 256)).astype(dtype)
+    whole = Tape()
+    want = ffn(whole, model, 0, whole.input(h)).value
+    blocked = Tape()
+    with blocked.no_grad():
+        got = ffn(blocked, model, 0, blocked.input(h))
+    assert np.array_equal(got.value, want)
+    count = 1 if lora else -(-rows // block_rows)
+    if count == 1:
+        assert got.op == "add"
+    else:
+        sizes = got.node.meta["sizes"]
+        assert got.op == "concat_rows" and len(sizes) == count
+        assert sum(sizes) == rows and max(sizes) - min(sizes) <= 1
+        assert min(sizes) >= 32
 
 
 def test_layer_forward_composes_attention_and_ffn():
@@ -228,13 +280,20 @@ def _hidden(model, ids):
 
 # ---- heads ---------------------------------------------------------------------
 
-def test_classify_pool_train_single_row_is_identity_pooling():
+def pooled_nll(model, rows, label):
+    """The training head's loss: `loss_classification_rows` over `rows`."""
+    t = Tape()
+    return loss_classification_rows(t, model, t.input(rows),
+                                    label).value[0, 0]
+
+
+def test_classify_single_row_is_identity_pooling():
     model = build_model(tiny_config(), seed=10, dtype="float64")
     row = rng_for(10).normal(size=(1, 8))
     two = np.vstack([row, row])
-    single = classify_pool_train(row, model)
-    doubled = classify_pool_train(two, model)
-    assert np.allclose(single, doubled, atol=1e-15)
+    for label in range(3):
+        assert np.isclose(pooled_nll(model, row, label),
+                          pooled_nll(model, two, label), rtol=0, atol=1e-15)
 
 
 def test_classify_zero_logits_give_log_half():
@@ -242,24 +301,27 @@ def test_classify_zero_logits_give_log_half():
     model = build_model(cfg, seed=11, dtype="float64")
     model.param("head.w2").value[...] = 0.0
     model.param("head.b2").value[...] = 0.0
-    out = classify_pool_train(rng_for(11).normal(size=(3, 8)), model)
-    assert np.allclose(out, np.log(0.5))
+    h = rng_for(11).normal(size=(3, 8))
+    for label in range(2):
+        assert np.isclose(pooled_nll(model, h, label), -np.log(0.5))
 
 
-def test_eval_pooling_over_all_rows_matches_full_selection():
+def test_eval_pooling_over_all_rows_matches_the_training_head():
     model = build_model(tiny_config(), seed=12, dtype="float64")
     h = rng_for(12).normal(size=(5, 8))
     pad = np.ones(5, dtype=bool)
-    assert np.array_equal(classify_pool_train(h, model),
-                          classify_pool_eval(h, pad, model))
+    logp = classify_pool_eval(h, pad, model)
+    assert np.allclose(-logp[0], [pooled_nll(model, h, label)
+                                  for label in range(3)],
+                       rtol=1e-13, atol=0)
 
 
 def test_eval_pooling_skips_padding_and_errors_on_all_pad():
     model = build_model(tiny_config(), seed=13, dtype="float64")
     h = rng_for(13).normal(size=(4, 8))
     pad = np.array([True, True, False, False])
-    expected = classify_pool_train(h[:2], model)
-    assert np.allclose(classify_pool_eval(h, pad, model), expected)
+    expected = [pooled_nll(model, h[:2], label) for label in range(3)]
+    assert np.allclose(-classify_pool_eval(h, pad, model)[0], expected)
     with pytest.raises(ModelError):
         classify_pool_eval(h, np.zeros(4, dtype=bool), model)
 

@@ -255,7 +255,8 @@ def test_cache_strictly_smaller_than_full_selection():
 def test_attention_cache_linear_in_n_at_fixed_k():
     model = build_model(cfg_for(n_layers=1), seed=11, dtype="float64")
     counts = []
-    for n in (6, 10, 14):
+    # whole bytes of the bit-packed visibility mask: n a multiple of 8
+    for n in (8, 16, 24):
         tape = _run_tt(model, n, 3)
         attn = sum(c for (label, _), c in tape.cache_breakdown().items()
                    if ".attn" in label)

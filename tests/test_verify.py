@@ -241,8 +241,9 @@ def long_lm_case(k):
 def test_tokentune_matches_the_oracle_across_attention_blocks(k):
     model, seq, partition, targets = long_lm_case(k)
     # each tracked attention node saves a float64 max and sum per (head,
-    # selected query) and the k x n visibility mask, for any selection
-    fresh = 2 * model.config.n_heads * k * 8 + k * LONG_N
+    # selected query) and the k x n visibility mask, bit-packed, for any
+    # selection
+    fresh = 2 * model.config.n_heads * k * 8 + k * -(-LONG_N // 8)
     other = select_positions(LONG_N, k, "lm", rng_seed=10)
     assert k == LONG_N or not np.array_equal(other.selected,
                                              partition.selected)
