@@ -12,13 +12,15 @@ so the bytes live at backward entry are the retained set that
 :func:`simulate_peak_bytes` models (the freeing rule of Chen et al. 2016),
 not every value the forward pass made.
 
-Each node keeps a ledger of how many scalar values its saves charge.
-Saves that merely reference parameters or constants are charged zero
-elements: those arrays are resident regardless of the backward pass, so
-only forward-produced intermediates count toward the activation cache.
-The ledger is a per-read sum; a tensor saved by two consumers is charged
-twice (a refcount-free upper bound, deterministic for a fixed
-computation).
+What backward keeps is read off the saves themselves. A tracked node
+records, when its op hands the tape its saves, the nodes whose output
+arrays a save *is* (an operand's array or the op's own output):
+``retains``; and the bytes of every other save, arrays the op allocated
+for backward alone: ``fresh_bytes``. Each op's save policy is thus stated
+once, in the op, and both :func:`simulate_peak_bytes` and
+:meth:`Tape.retained_bytes` read it from the nodes. Parameters can be
+retained but are resident regardless of backward, so neither charges
+them.
 
 Cache policy per primitive, as (what backward reads):
     matmul         lhs iff rhs needs grad, rhs iff lhs needs grad; but
@@ -67,8 +69,6 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 #: Additive pre-softmax mask value; finite (keeps matrices NaN/Inf-free)
 #: but large enough that exp() underflows to exactly 0 in float32/float64.
 MASK_VALUE = -1e30
-
-LEAF_KINDS = ("param", "const", "input")
 
 #: Query rows per attention block. A block computes, saves and
 #: backpropagates scores only up to the last key any of its rows can see,
@@ -250,15 +250,15 @@ class Node:
 
     A node holds what backward and the memory model read: the op, its
     input nodes, the output's shape and dtype, and metadata, but never the
-    output array, which only its :class:`Tensor` handle owns. ``saved`` is
-    the immutable cache ledger, a tuple of (role, element count charged);
-    ``_saved_arrays`` holds the arrays backward reads and is released as
-    backward consumes each node.
+    output array, which only its :class:`Tensor` handle owns.
+    ``_saved_arrays`` holds the (role, array) pairs backward reads and is
+    released as backward consumes the node; ``retains`` (node ids) and
+    ``fresh_bytes`` account for them and persist (:meth:`keep_saves`).
     """
 
     __slots__ = (
         "idx", "op", "shape", "dtype", "requires_grad", "inputs", "meta",
-        "saved", "_saved_arrays", "label", "name",
+        "retains", "fresh_bytes", "_saved_arrays", "label", "name",
     )
 
     def __init__(self, idx, op, shape, dtype, requires_grad, inputs=(),
@@ -270,7 +270,8 @@ class Node:
         self.requires_grad = requires_grad
         self.inputs = tuple(inputs)
         self.meta = meta or {}
-        self.saved = ()
+        self.retains = ()
+        self.fresh_bytes = 0
         self._saved_arrays = None
         self.label = label
         self.name = name
@@ -279,12 +280,22 @@ class Node:
     def nbytes(self) -> int:
         return self.shape[0] * self.shape[1] * self.dtype.itemsize
 
-    @property
-    def is_leaf(self):
-        return self.op in LEAF_KINDS
-
-    def cached_elements(self) -> int:
-        return sum(count for _, count in self.saved)
+    def keep_saves(self, value: np.ndarray, inputs, saves) -> None:
+        """Hold `saves`, the (role, array) pairs backward reads, and record
+        what they keep alive: a save that is this node's output `value` or
+        an operand's array (`inputs` are the operands' handles) retains
+        that node's output; any other save is an allocation of its own,
+        counted in ``fresh_bytes``."""
+        self._saved_arrays = saves
+        owners = [(value, self.idx)] + [(t.value, t.node.idx) for t in inputs]
+        retains = []
+        for _, arr in saves:
+            idx = next((i for v, i in owners if v is arr), None)
+            if idx is None:
+                self.fresh_bytes += arr.nbytes
+            elif idx not in retains:
+                retains.append(idx)
+        self.retains = tuple(retains)
 
     def __repr__(self):
         return (f"Node({self.idx}, {self.op}, shape={self.shape}, "
@@ -294,8 +305,8 @@ class Node:
 class Tensor:
     """Model code's handle on a node: the output array and its node.
 
-    Every other attribute (``idx``, ``op``, ``saved``, ...) reads through
-    to the node.
+    Every other attribute (``idx``, ``op``, ``retains``, ...) reads
+    through to the node.
     """
 
     __slots__ = ("value", "node")
@@ -316,21 +327,16 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of a computation, in topological order by construction.
+    """Ordered record of a computation, in topological order by
+    construction."""
 
-    ``debug_cache_untracked`` exists only for the mutation-testing harness:
-    when set, nodes recorded under a disabled scope still write their
-    would-be saves into the ledger (values and gradients are unaffected).
-    """
-
-    def __init__(self, debug_cache_untracked: bool = False):
+    def __init__(self):
         self.nodes: list[Node] = []
         self._grad_stack = [True]
         self._label_stack: list[str] = []
         self._params_by_name: dict[str, Tensor] = {}
         self._backward_done = False
         self._leaf_grads: dict[int, np.ndarray] = {}
-        self.debug_cache_untracked = debug_cache_untracked
 
     # ---- scopes ----------------------------------------------------------
 
@@ -348,7 +354,7 @@ class Tape:
 
     @contextmanager
     def region(self, label: str):
-        """Attribute nodes recorded inside to `label` (ledger breakdowns)."""
+        """Attribute nodes recorded inside to `label` (memory breakdowns)."""
         self._label_stack.append(label)
         try:
             yield self
@@ -388,11 +394,11 @@ class Tape:
     # ---- recording helper ------------------------------------------------
 
     def _record(self, op, value, inputs, meta=None, saves=()) -> Tensor:
-        """Append an op node; attach saves only if the node requires grad.
+        """Append an op node; it keeps `saves` only if it requires grad.
 
         `inputs` are the operands' handles; the node keeps their nodes
-        only. `saves` is a sequence of (role, array, charged: bool)
-        describing what this op's backward rule reads.
+        only. `saves` is a list of (role, array) pairs, what this op's
+        backward rule reads.
         """
         if not _all_finite(value):
             raise NonFiniteError(op)
@@ -400,20 +406,9 @@ class Tape:
         node = Node(len(self.nodes), op, value.shape, value.dtype, tracked,
                     (i.node for i in inputs), meta, label=self._label())
         if tracked:
-            node._saved_arrays = [(role, arr) for role, arr, _ in saves]
-            node.saved = tuple((role, arr.size if charged else 0)
-                               for role, arr, charged in saves)
-        elif self.debug_cache_untracked:
-            node.saved = tuple((role, arr.size if charged else 0)
-                               for role, arr, charged in saves)
+            node.keep_saves(value, inputs, saves)
         self.nodes.append(node)
         return Tensor(value, node)
-
-    @staticmethod
-    def _charged(t: Tensor) -> bool:
-        # Parameters and constants are resident regardless of backward;
-        # only forward-produced intermediates count as activation cache.
-        return t.node.op not in ("param", "const")
 
     # ---- primitives ------------------------------------------------------
 
@@ -428,9 +423,9 @@ class Tape:
         out = a.value @ bv
         saves = []
         if a.requires_grad:
-            saves.append(("rhs", b.value, self._charged(b)))
+            saves.append(("rhs", b.value))
         if b.requires_grad and not _rebuilt_in_backward(a.node):
-            saves.append(("lhs", a.value, self._charged(a)))
+            saves.append(("lhs", a.value))
         return self._record("matmul", out, (a, b),
                             {"transpose_b": transpose_b}, saves)
 
@@ -452,14 +447,14 @@ class Tape:
     def gelu(self, a: Tensor) -> Tensor:
         x = a.value
         return self._record("elementwise", gelu_array(x), (a,), {"fn": "gelu"},
-                            saves=[("input", x, self._charged(a))])
+                            saves=[("input", x)])
 
     def softmax_rows(self, a: Tensor) -> Tensor:
         z = a.value - a.value.max(axis=1, keepdims=True)
         e = np.exp(z)
         p = e / e.sum(axis=1, keepdims=True)
         return self._record("softmax_rows", p, (a,),
-                            saves=[("probs", p, True)])
+                            saves=[("probs", p)])
 
     def attention(self, q: Tensor, k: Tensor, v: Tensor, visible,
                   n_heads: int) -> Tensor:
@@ -517,12 +512,11 @@ class Tape:
             row_max[:, r0:r1] = top[..., 0]
             row_sum[:, r0:r1] = total[..., 0]
             np.matmul(s, vh[:, :hi], out=oh[:, r0:r1])
-        saves = [("row_max", row_max, True), ("row_sum", row_sum, True),
-                 ("visible", np.packbits(visible, axis=1), True),
-                 ("q", qv, self._charged(q)),
-                 ("k", kv, self._charged(k))]
+        saves = [("row_max", row_max), ("row_sum", row_sum),
+                 ("visible", np.packbits(visible, axis=1)),
+                 ("q", qv), ("k", kv)]
         if q.requires_grad or k.requires_grad:
-            saves.append(("v", vv, self._charged(v)))
+            saves.append(("v", vv))
         return self._record("attention", out, (q, k, v),
                             {"n_heads": n_heads, "scale": scale,
                              "spans": spans}, saves)
@@ -540,10 +534,8 @@ class Tape:
         inv = 1.0 / np.sqrt(var + eps)
         xhat *= inv  # centred input, normalized in place
         out = _layer_norm_output(xhat, gamma.value, beta.value)
-        saves = [("normalized", xhat, True),
-                 ("inv_std", inv, True),
-                 ("scale", gamma.value, self._charged(gamma)),
-                 ("shift", beta.value, self._charged(beta))]
+        saves = [("normalized", xhat), ("inv_std", inv),
+                 ("scale", gamma.value), ("shift", beta.value)]
         return self._record("layer_norm", out, (x, gamma, beta),
                             {"eps": eps}, saves)
 
@@ -613,7 +605,7 @@ class Tape:
         loss = np.array([[(lse - picked).sum()]], dtype=logits.value.dtype)
         probs = np.exp(logits.value - lse)
         return self._record("cross_entropy", loss, (logits,),
-                            {"targets": t}, saves=[("probs", probs, True)])
+                            {"targets": t}, saves=[("probs", probs)])
 
     # ---- backward --------------------------------------------------------
 
@@ -839,88 +831,66 @@ class Tape:
 
     # ---- introspection ---------------------------------------------------
 
-    def cached_activation_elements(self) -> int:
-        """Sum of the per-node cache ledger (scalar element counts)."""
-        return sum(node.cached_elements() for node in self.nodes)
-
-    def live_cached_elements(self) -> int:
-        """Charged elements whose arrays are still retained (pre-backward)."""
-        total = 0
-        for node in self.nodes:
-            if node._saved_arrays is not None:
-                total += node.cached_elements()
-        return total
-
-    def cache_breakdown(self) -> dict[tuple[str, str], int]:
-        """Ledger grouped by (region label, op kind)."""
+    def retained_bytes(self) -> dict[tuple[str, str], int]:
+        """Bytes live at backward entry by (region label, op kind): each
+        retained output once, charged to the node that made it, and each
+        fresh save, charged to the node that saved it. The last node (the
+        loss) counts, so the values sum to ``simulate_peak_bytes(tape)[1]``.
+        Read off the nodes, so the same before and after backward."""
+        live = _retained_for_backward(self)
         out: dict[tuple[str, str], int] = {}
         for node in self.nodes:
-            c = node.cached_elements()
-            if c:
+            nbytes = node.fresh_bytes
+            if node.idx in live and node.op != "param":
+                nbytes += node.nbytes
+            if nbytes:
                 key = (node.label, node.op)
-                out[key] = out.get(key, 0) + c
+                out[key] = out.get(key, 0) + nbytes
         return out
 
+    def cache_breakdown(self) -> dict[tuple[str, str], float]:
+        """:meth:`retained_bytes` in elements of the tape's float type
+        (bytes / itemsize; a bit-packed mask can leave a fraction), the
+        unit the benchmark's tape hook multiplies back into bytes."""
+        if not self.nodes:
+            return {}
+        itemsize = self.nodes[-1].dtype.itemsize
+        return {key: nbytes / itemsize
+                for key, nbytes in self.retained_bytes().items()}
 
-def _fresh_saved_bytes(node: Node) -> int:
-    """Bytes of backward saves that are new allocations (not references to
-    an existing node output): layer_norm's normalized input and inverse
-    std, cross_entropy's probabilities, and attention's row max and sum
-    (heads x rows each) and bit-packed rows x keys visibility mask
-    (rows x ceil(keys / 8) bytes). Everything else a backward rule reads
-    is a reference to a node output or parameter."""
-    if node.op == "layer_norm" and node.requires_grad:
-        rows, cols = node.inputs[0].shape
-        return (rows * cols + rows) * node.dtype.itemsize
-    if node.op == "cross_entropy" and node.requires_grad:
-        return node.inputs[0].nbytes
-    if node.op == "attention" and node.requires_grad:
-        m, n = node.shape[0], node.inputs[1].shape[0]
-        return (2 * node.meta["n_heads"] * m * node.dtype.itemsize
-                + m * -(-n // 8))
-    return 0
+    def cached_activation_elements(self) -> float:
+        """Sum of :meth:`cache_breakdown`."""
+        return sum(self.cache_breakdown().values())
 
 
 def _retained_for_backward(tape: Tape) -> set[int]:
-    """Node ids whose output array some backward rule will read."""
-    retained: set[int] = set()
-    for node in tape.nodes:
-        if not node.requires_grad or node.is_leaf:
-            continue
-        if node.op == "matmul":
-            a, b = node.inputs
-            if a.requires_grad:
-                retained.add(b.idx)
-            if b.requires_grad and not _rebuilt_in_backward(a):
-                retained.add(a.idx)
-        elif node.op == "elementwise" and node.meta.get("fn") == "gelu":
-            retained.add(node.inputs[0].idx)
-        elif node.op == "softmax_rows":
-            retained.add(node.idx)
-        elif node.op == "attention":
-            q, k, v = node.inputs
-            retained.update((q.idx, k.idx))
-            if q.requires_grad or k.requires_grad:
-                retained.add(v.idx)
-    return retained
+    """Ids of the nodes whose output is live at backward entry: each one a
+    save retains, and the last (the loss, which backward starts from)."""
+    live = {idx for node in tape.nodes for idx in node.retains}
+    if tape.nodes:
+        live.add(tape.nodes[-1].idx)
+    return live
 
 
 def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     """Engine-accounted live-allocation model for one tape.
 
     Replays the forward pass the way this engine frees memory: an output
-    dies with its last handle unless a backward save refers to it. Model
-    code is assumed to drop a handle once its last consumer is recorded,
-    or at once if nothing consumes it, except the last node's (the loss,
-    which backward starts from). Returns (peak bytes, bytes retained at the
-    end of the forward pass). The backward phase is modeled as the retained
-    set plus two transient gradient buffers of the largest node; parameter
-    gradients are not charged, since backward adds each into the caller's
-    accumulator as soon as it is complete. Parameters are excluded
-    (accounted as persistent elsewhere); constants count until their last
-    use. A feed-forward block run without gradients is recorded as row
-    blocks (``model.FFN_BLOCK_ROWS``) joined by concat_rows, so the replay
-    sees one block's hidden arrays live at a time, as they are.
+    dies with its last handle unless a save retains it (``Node.retains``),
+    and each node adds its saves' own allocations (``Node.fresh_bytes``)
+    when it is recorded. Model code is assumed to drop a handle once its
+    last consumer is recorded, or at once if nothing consumes it, except
+    the last node's (the loss, which backward starts from). Returns (peak
+    bytes, bytes retained at the end of the forward pass, which
+    :meth:`Tape.retained_bytes` breaks down). The backward phase is
+    modeled as the retained set plus two transient gradient buffers of the
+    largest node; parameter gradients are not charged, since backward adds
+    each into the caller's accumulator as soon as it is complete.
+    Parameters are excluded (accounted as persistent elsewhere); constants
+    count until their last use. A feed-forward block run without gradients
+    is recorded as row blocks (``model.FFN_BLOCK_ROWS``) joined by
+    concat_rows, so the replay sees one block's hidden arrays live at a
+    time, as they are.
     Temporaries inside an op are not modeled: softmax buffers,
     attention's block buffers (heads x ATTENTION_BLOCK_ROWS x hi of the
     largest block: one in forward, up to two in backward, plus one
@@ -938,8 +908,6 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
         for inp in node.inputs:
             last_use[inp.idx] = node.idx
     retained = _retained_for_backward(tape)
-    if tape.nodes:
-        retained.add(tape.nodes[-1].idx)
 
     running = 0
     peak = 0
@@ -949,7 +917,7 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
         max_node_bytes = max(max_node_bytes, nbytes)
         if node.op != "param":
             running += nbytes
-        running += _fresh_saved_bytes(node)
+        running += node.fresh_bytes
         peak = max(peak, running)
         for dead in {*node.inputs, node}:
             if (last_use[dead.idx] == node.idx and dead.op != "param"

@@ -1,10 +1,13 @@
 """Engine-accounted memory decomposition and sweeps.
 
-Memory is attributed from the engine's own ledgers, not process RSS: the
-parameter, gradient, and optimizer-state categories come from element
-counts of the model and Adam state, the activation category from the tape's
-cache ledger, and the peak from a liveness replay of each recorded tape
-(see engine.simulate_peak_bytes). Bytes are exact integers.
+Memory is attributed from the engine's own accounting, not process RSS:
+the parameter, gradient, and optimizer-state categories come from element
+counts of the model and Adam state; the activation category is the bytes
+one example's tape retains for backward, split by layer and by op
+(engine.Tape.retained_bytes), and the peak comes from a liveness replay of
+each recorded tape (engine.simulate_peak_bytes). Examples run one at a
+time, so both are per example: the largest over the step's batch. Bytes
+are exact integers.
 """
 
 from __future__ import annotations
@@ -75,60 +78,42 @@ def lm_profile_batch(n: int, batch: int, seed: int = 0) -> list[Example]:
     return out
 
 
-def profile_step(model: TransformerModel, batch: list[Example],
-                 train_cfg: TrainConfig, task_kind: str) -> MemoryReport:
-    """One accounted train step (forward, backward, Adam update)."""
-    trainer = Trainer(model, train_cfg, task_kind)
+def memory_report(model: TransformerModel, trainer: Trainer,
+                  metrics: dict | None) -> MemoryReport:
+    """The report of the step that returned `metrics` (None: no step ran):
+    its activation and peak bytes, and the activation bytes by layer and
+    by op of the example that set them (``trainer.activation_breakdown``),
+    which each sum to the activation bytes."""
+    width = np.dtype(model.dtype).itemsize
     per_layer: dict[str, int] = {}
     per_op: dict[str, int] = {}
-    width = np.dtype(model.dtype).itemsize
-
-    def hook(tape):
-        for (label, op), count in tape.cache_breakdown().items():
-            layer_key = label.split(".attn")[0].split(".ffn")[0] or "other"
-            per_layer[layer_key] = per_layer.get(layer_key, 0) + count * width
-            per_op[op] = per_op.get(op, 0) + count * width
-
-    metrics = trainer.train_step(batch, tape_hook=hook)
-    params_bytes = model.total_param_elements() * width
-    grads_bytes = model.trainable_elements() * width
-    optimizer_bytes = trainer.state.element_count() * width
+    for (label, op), nbytes in trainer.activation_breakdown.items():
+        layer = label.split(".attn")[0].split(".ffn")[0] or "other"
+        per_layer[layer] = per_layer.get(layer, 0) + nbytes
+        per_op[op] = per_op.get(op, 0) + nbytes
     return MemoryReport(
-        params_bytes=params_bytes,
-        grads_bytes=grads_bytes,
-        optimizer_bytes=optimizer_bytes,
-        activations_bytes=metrics["cached_elements"] * width,
-        peak_bytes=metrics["peak_bytes"],
+        params_bytes=model.total_param_elements() * width,
+        grads_bytes=model.trainable_elements() * width,
+        optimizer_bytes=trainer.state.element_count() * width,
+        activations_bytes=metrics["activation_bytes"] if metrics else 0,
+        peak_bytes=metrics["peak_bytes"] if metrics else 0,
         per_layer=per_layer,
         per_op=per_op,
     )
 
 
-def report_from_step(model: TransformerModel, trainer: Trainer,
-                     metrics: dict | None) -> dict:
-    """Summary report assembled from the final training-step metrics."""
-    width = np.dtype(model.dtype).itemsize
-    cached = metrics["cached_elements"] if metrics else 0
-    peak = metrics["peak_bytes"] if metrics else 0
-    return MemoryReport(
-        params_bytes=model.total_param_elements() * width,
-        grads_bytes=model.trainable_elements() * width,
-        optimizer_bytes=trainer.state.element_count() * width,
-        activations_bytes=cached * width,
-        peak_bytes=peak,
-    ).to_dict()
-
-
-SWEEP_COLUMNS = ("regime", "n", "k", "batch", "params_bytes", "grads_bytes",
-                 "optimizer_bytes", "activations_bytes", "peak_bytes")
+BYTE_COLUMNS = ("params_bytes", "grads_bytes", "optimizer_bytes",
+                "activations_bytes", "peak_bytes")
+SWEEP_COLUMNS = ("regime", "n", "k", "batch") + BYTE_COLUMNS
 
 
 def sweep_report(grid, out_path=None, seed: int = 0,
                  d_model: int = 64, n_layers: int = 4,
                  dtype: str = "float32") -> list[dict]:
-    """Profile every grid point {regime, n, k, batch}; k of None or n means
-    no selection constraint for non-selective regimes. Writes a CSV table
-    when out_path is given (header always, even for an empty grid)."""
+    """Profile one train step at every grid point {regime, n, k, batch}.
+    A selective regime needs its k; the other regimes select nothing, and
+    a k of None is reported as n. Writes a CSV table when out_path is
+    given (header always, even for an empty grid)."""
     rows = []
     for point in grid:
         regime = point["regime"]
@@ -136,26 +121,23 @@ def sweep_report(grid, out_path=None, seed: int = 0,
             raise ValueError(f"unknown regime '{regime}'")
         n = int(point["n"])
         batch = int(point.get("batch", 1))
+        selective = regime in ("tokentune", "tokentune+lora")
         k = point.get("k")
+        if selective and k is None:
+            raise ValueError(f"grid point {point} needs k for regime "
+                             f"'{regime}'")
         cfg = profile_model_config(n, d_model=d_model, n_layers=n_layers)
         model = build_regime_model(regime, cfg, seed=seed, dtype=dtype)
-        selective = regime in ("tokentune", "tokentune+lora")
         train_cfg = TrainConfig(regime=regime,
-                                k=int(k) if (selective and k) else None,
-                                selection_ratio=None if (k or not selective)
-                                else 0.25,
+                                k=int(k) if selective else None,
                                 batch_size=batch, accumulation_steps=1,
                                 learning_rate=1e-3, seed=seed, dtype=dtype)
-        batch_examples = lm_profile_batch(n, batch, seed=seed)
-        report = profile_step(model, batch_examples, train_cfg, "lm")
-        row = {"regime": regime, "n": n,
-               "k": int(k) if k is not None else n, "batch": batch,
-               "params_bytes": report.params_bytes,
-               "grads_bytes": report.grads_bytes,
-               "optimizer_bytes": report.optimizer_bytes,
-               "activations_bytes": report.activations_bytes,
-               "peak_bytes": report.peak_bytes}
-        rows.append(row)
+        trainer = Trainer(model, train_cfg, "lm")
+        metrics = trainer.train_step(lm_profile_batch(n, batch, seed=seed))
+        report = memory_report(model, trainer, metrics).to_dict()
+        rows.append({"regime": regime, "n": n,
+                     "k": int(k) if k is not None else n, "batch": batch,
+                     **{col: report[col] for col in BYTE_COLUMNS}})
     if out_path is not None:
         with open(out_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)

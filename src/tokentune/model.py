@@ -20,7 +20,6 @@ import numpy as np
 
 from .config import ModelConfig
 from .engine import Tape, Tensor
-from .engine import gelu_array
 
 INIT_STD = 0.02
 
@@ -336,9 +335,15 @@ def forward_hidden(tape: Tape, model: TransformerModel,
 # ---- heads and losses ------------------------------------------------------
 
 def class_logits(tape: Tape, model: TransformerModel,
-                 pooled: Tensor) -> Tensor:
-    hidden = tape.gelu(affine(tape, model, pooled, "head.w1", "head.b1"))
-    return affine(tape, model, hidden, "head.w2", "head.b2")
+                 h_rows: Tensor) -> Tensor:
+    """Class logits of the mean of `h_rows` through the one-hidden-layer
+    MLP head; the training loss and evaluation share it."""
+    if h_rows.value.shape[0] < 1:
+        raise ModelError("classification pooling needs at least one row")
+    with tape.region("head"):
+        pooled = tape.mean_rows(h_rows)
+        hidden = tape.gelu(affine(tape, model, pooled, "head.w1", "head.b1"))
+        return affine(tape, model, hidden, "head.w2", "head.b2")
 
 
 def loss_classification_rows(tape: Tape, model: TransformerModel,
@@ -347,11 +352,9 @@ def loss_classification_rows(tape: Tape, model: TransformerModel,
     n_classes = model.config.n_classes
     if not 0 <= label < n_classes:
         raise ModelError(f"label {label} out of range for {n_classes} classes")
-    if h_rows.value.shape[0] < 1:
-        raise ModelError("classification pooling needs at least one row")
+    logits = class_logits(tape, model, h_rows)
     with tape.region("head"):
-        pooled = tape.mean_rows(h_rows)
-        return tape.cross_entropy(class_logits(tape, model, pooled), [label])
+        return tape.cross_entropy(logits, [label])
 
 
 def lm_logits(tape: Tape, model: TransformerModel, h_rows: Tensor) -> Tensor:
@@ -376,19 +379,3 @@ def log_softmax(values: np.ndarray) -> np.ndarray:
     zmax = values.max(axis=1, keepdims=True)
     lse = zmax + np.log(np.exp(values - zmax).sum(axis=1, keepdims=True))
     return values - lse
-
-
-def _mlp_head_values(model: TransformerModel, pooled: np.ndarray) -> np.ndarray:
-    h = gelu_array(pooled @ model.param("head.w1").value
-                   + model.param("head.b1").value)
-    return h @ model.param("head.w2").value + model.param("head.b2").value
-
-
-def classify_pool_eval(h_all: np.ndarray, pad_mask,
-                       model: TransformerModel) -> np.ndarray:
-    """Class log-probabilities pooled over every unpadded row."""
-    pad_mask = np.asarray(pad_mask, dtype=bool)
-    if not pad_mask.any():
-        raise ModelError("cannot pool: every position is padding")
-    pooled = np.asarray(h_all)[pad_mask].mean(axis=0, keepdims=True)
-    return log_softmax(_mlp_head_values(model, pooled))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig, TrainConfig
 from .engine import Tape, simulate_peak_bytes
-from .model import (TokenSequence, TransformerModel, classify_pool_eval,
+from .model import (TokenSequence, TransformerModel, class_logits,
                     forward_hidden, log_softmax, loss_classification_rows,
                     loss_lm_rows)
 from .partition import TokenPartition, resolve_k, select_positions
@@ -138,6 +138,9 @@ class Trainer:
         self.example_counter = 0
         self._window_examples = 0
         self._window_targets = 0
+        #: bytes retained for backward by (region, op), of the example
+        #: that set the last step's ``activation_bytes``
+        self.activation_breakdown: dict[tuple[str, str], int] = {}
 
     @property
     def selective(self) -> bool:
@@ -179,13 +182,18 @@ class Trainer:
         """One micro-batch: per-example forward/backward, ordered gradient
         accumulation, and an Adam update when the window closes.
 
+        Examples run one at a time, so the memory figures are per example:
+        ``activation_bytes`` is the largest over the batch of the bytes
+        retained for backward, and ``peak_bytes`` the persistent bytes
+        plus the largest tape peak (see ``engine.simulate_peak_bytes``).
         Backward adds each parameter gradient into ``self.accum`` as it
         completes, so an example that fails partway through backward
         leaves part of its gradient there."""
         if not batch:
             raise StepError("empty batch")
         t0 = time.perf_counter()
-        cached_elements = 0
+        activation_bytes = 0
+        breakdown: dict[tuple[str, str], int] = {}
         peak_tape = 0
         loss_sum = 0.0
         term_sum = 0
@@ -201,8 +209,11 @@ class Trainer:
                 raise StepError(f"non-finite loss at example {i} of batch "
                                 f"(global example {self.example_counter})")
             tape.backward(loss_node, into=self.accum)
-            cached_elements += tape.cached_activation_elements()
-            peak_tape = max(peak_tape, simulate_peak_bytes(tape)[0])
+            peak, retained = simulate_peak_bytes(tape)
+            peak_tape = max(peak_tape, peak)
+            if retained > activation_bytes:
+                activation_bytes = retained
+                breakdown = tape.retained_bytes()
             if tape_hook is not None:
                 tape_hook(tape)
             # Drop this example's graph before the next one is recorded,
@@ -215,6 +226,7 @@ class Trainer:
             self.example_counter += 1
 
         self.micro_step += 1
+        self.activation_breakdown = breakdown
         grad_norm = 0.0
         if self.micro_step % self.cfg.accumulation_steps == 0:
             if self.task_kind == "classification":
@@ -242,7 +254,7 @@ class Trainer:
             "step": self.micro_step,
             "loss": step_loss,
             "grad_norm": grad_norm,
-            "cached_elements": cached_elements,
+            "activation_bytes": activation_bytes,
             "peak_bytes": persistent + peak_tape,
             "wall_ms": (time.perf_counter() - t0) * 1000.0,
         }
@@ -258,16 +270,20 @@ def eval_hidden(model: TransformerModel, seq: TokenSequence) -> np.ndarray:
 
 
 def evaluate(model: TransformerModel, dataset, task_kind: str) -> dict:
-    """Classification accuracy (pooled over all unpadded rows) or language
-    model perplexity over every predictable position; no selection."""
+    """Classification accuracy (the training head pooled over all unpadded
+    rows, run without gradients) or language model perplexity over every
+    predictable position; no selection."""
     if not dataset:
         raise StepError("empty evaluation dataset")
     if task_kind == "classification":
         correct = 0
         for example in dataset:
-            h = eval_hidden(model, example.seq)
-            logp = classify_pool_eval(h, example.seq.pad_mask, model)
-            if int(np.argmax(logp[0])) == example.label:
+            tape = Tape()
+            with tape.no_grad():
+                h = forward_hidden(tape, model, example.seq)
+                rows = tape.select_rows(h, np.flatnonzero(example.seq.pad_mask))
+                logits = class_logits(tape, model, rows).value
+            if int(np.argmax(logits[0])) == example.label:
                 correct += 1
         return {"accuracy": correct / len(dataset), "n": len(dataset)}
     total_nll = 0.0
@@ -314,7 +330,7 @@ def run_training(cfg: RunConfig, out_dir) -> RunResult:
     from .adapters import attach
     from .checkpoint import save_model
     from .data import build_task_datasets
-    from .memprofile import report_from_step
+    from .memprofile import memory_report
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -364,7 +380,7 @@ def run_training(cfg: RunConfig, out_dir) -> RunResult:
     if model.adapters:
         from .checkpoint import save_adapters
         save_adapters(model, out / "adapters.ckpt")
-    report = report_from_step(model, trainer, last_metrics)
+    report = memory_report(model, trainer, last_metrics).to_dict()
     (out / "memory.json").write_text(json.dumps(report, indent=2) + "\n",
                                      encoding="utf-8")
     (out / "eval.json").write_text(json.dumps(eval_metrics, indent=2) + "\n",

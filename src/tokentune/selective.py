@@ -5,13 +5,15 @@ and an unselected block recorded under a disabled-gradient scope (values
 identical, nothing cached, constants during backward). Attention lets the
 selected queries attend over the unselected and selected keys and values,
 merged into position order, so forward values match the plain pipeline for
-every selection; only gradient availability and the cache ledger change.
+every selection; only gradient availability and what backward retains
+change.
 
 `inject_bug` deliberately mis-wires the pipeline for mutation testing of
 the verification properties:
     track-unselected-kv      record the unselected Q/K/V affines tracked
     mask-from-storage-order  build masks from storage rows, not positions
-(`cache-unselected-rows` is a tape-level ledger bug; see engine.Tape.)
+(`cache-unselected-rows` is a tape-level bug, a tape that keeps the saves
+of untracked nodes; see verify._CacheUntrackedTape.)
 """
 
 from __future__ import annotations

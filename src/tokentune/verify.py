@@ -10,8 +10,9 @@ the two is evidence, not tautology.
 `finite_diff_grad` provides the numeric gradient oracle, and
 `equivalence_suite` sweeps random small configurations asserting the three
 core properties: value preservation, stop-gradient equivalence, and exact
-full-selection identity. `cache_scaling_check` audits the activation
-ledger's shape. Everything here runs at float64 with fixed seeds.
+full-selection identity. `cache_scaling_check` audits the shape of the
+bytes retained for backward. Everything here runs at float64 with fixed
+seeds.
 """
 
 from __future__ import annotations
@@ -379,10 +380,33 @@ def _random_case(rng, lora: bool, causal: bool):
     return model, seq, partition, loss_spec
 
 
+class _CacheUntrackedTape(Tape):
+    """The `cache-unselected-rows` mutant: nodes recorded without
+    gradients keep their saves too, so the unselected rows are retained
+    for a backward that never reads them (values and gradients are
+    unaffected)."""
+
+    def _record(self, op, value, inputs, meta=None, saves=()):
+        out = super()._record(op, value, inputs, meta, saves)
+        if not out.requires_grad:
+            out.node.keep_saves(value, inputs, saves)
+        return out
+
+
+def _mutant_forward(model, seq, partition, inject_bug):
+    """(tape, split) of a selective forward, with `inject_bug` applied
+    to the pipeline or, for `cache-unselected-rows`, to the tape."""
+    if inject_bug == "cache-unselected-rows":
+        tape = _CacheUntrackedTape()
+        inject_bug = None
+    else:
+        tape = Tape()
+    return tape, tokentune_forward(tape, model, seq, partition,
+                                   inject_bug=inject_bug)
+
+
 def _selective_backward(model, seq, partition, loss_spec, inject_bug=None):
-    tape = Tape(debug_cache_untracked=(inject_bug == "cache-unselected-rows"))
-    bug = inject_bug if inject_bug != "cache-unselected-rows" else None
-    split = tokentune_forward(tape, model, seq, partition, inject_bug=bug)
+    tape, split = _mutant_forward(model, seq, partition, inject_bug)
     if loss_spec[0] == "classification":
         loss = loss_classification(tape, model, split, loss_spec[1])
     else:
@@ -466,27 +490,28 @@ def equivalence_suite(n_configs: int = 50, seed: int = 0,
     return result
 
 
-def _ledger_subtotals(model, n: int, k: int, inject_bug=None):
-    """(attention, ffn+norm) cached-element subtotals for one forward."""
+def _retained_subtotals(model, n: int, k: int, inject_bug=None):
+    """(attention, ffn+norm, total) bytes retained for backward by one
+    selective forward and loss."""
     seq = TokenSequence.from_ids(np.r_[1, 2 + np.arange(n - 1) % 7])
     partition = TokenPartition(selected=np.arange(k),
                                unselected=np.arange(k, n))
-    tape = Tape(debug_cache_untracked=(inject_bug == "cache-unselected-rows"))
-    bug = inject_bug if inject_bug != "cache-unselected-rows" else None
-    split = tokentune_forward(tape, model, seq, partition, inject_bug=bug)
-    loss = loss_classification(tape, model, split, 0)
-    attn = ffn = 0
-    for (label, _), count in tape.cache_breakdown().items():
+    tape, split = _mutant_forward(model, seq, partition, inject_bug)
+    loss_classification(tape, model, split, 0)
+    attn = ffn = total = 0
+    for (label, _), nbytes in tape.retained_bytes().items():
         if ".attn" in label:
-            attn += count
+            attn += nbytes
         elif ".ffn" in label:
-            ffn += count
-    return attn, ffn, tape.cached_activation_elements()
+            ffn += nbytes
+        total += nbytes
+    return attn, ffn, total
 
 
 def cache_scaling_check(inject_bug: str | None = None) -> dict:
-    """The ledger must be affine in the sequence length at fixed k (linear
-    attention term, constant ffn/norm term) and strictly increasing in k.
+    """The bytes retained for backward must be affine in the sequence
+    length at fixed k (linear attention term, constant ffn/norm term) and
+    strictly increasing in k.
     The lengths are multiples of 8, as attention saves its visibility
     mask bit-packed, a whole byte per 8 keys."""
     cfg = ModelConfig(vocab_size=19, max_positions=64, d_model=8, n_heads=2,
@@ -497,12 +522,12 @@ def cache_scaling_check(inject_bug: str | None = None) -> dict:
     attn = []
     ffn = []
     for n in points:
-        a, f, _ = _ledger_subtotals(model, n, k, inject_bug)
+        a, f, _ = _retained_subtotals(model, n, k, inject_bug)
         attn.append(a)
         ffn.append(f)
     ffn_constant = ffn[0] == ffn[1] == ffn[2]
     attn_linear = (attn[1] - attn[0]) == (attn[2] - attn[1])
-    totals = [_ledger_subtotals(model, 12, kk, inject_bug)[2]
+    totals = [_retained_subtotals(model, 12, kk, inject_bug)[2]
               for kk in (2, 4, 6)]
     increasing = totals[0] < totals[1] < totals[2]
     ok = ffn_constant and attn_linear and increasing

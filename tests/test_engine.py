@@ -1,5 +1,6 @@
-"""Engine tests: primitive semantics, scope rules, cache ledger, and
-backward correctness against central finite differences."""
+"""Engine tests: primitive semantics, scope rules, the accounting of what
+backward retains, and backward correctness against central finite
+differences."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from tokentune.engine import (ATTENTION_BLOCK_ROWS, MASK_VALUE,
                               Tape, gelu_array, simulate_peak_bytes)
 from tokentune.model import build_model
 from tokentune.model import ffn as ffn_block
-from tokentune.verify import finite_diff_grad, relative_error
+from tokentune.verify import (_CacheUntrackedTape, finite_diff_grad,
+                              relative_error)
 
 
 def rng_for(seed):
@@ -27,7 +29,8 @@ def test_matmul_of_ones_caches_both_operands():
     t = Tape()
     c = t.matmul(t.input(np.ones((2, 3))), t.input(np.ones((3, 4))))
     assert np.array_equal(c.value, np.full((2, 4), 3.0))
-    assert t.cached_activation_elements() == 6 + 12
+    # both operands, and the output, which backward would start from
+    assert t.cached_activation_elements() == 6 + 12 + 8
 
 
 def test_matmul_in_disabled_scope_same_values_zero_cache():
@@ -37,7 +40,9 @@ def test_matmul_in_disabled_scope_same_values_zero_cache():
     with t2.no_grad():
         out2 = t2.matmul(t2.input(np.ones((2, 3))), t2.input(np.ones((3, 4))))
     assert np.array_equal(out1.value, out2.value)
-    assert t2.cached_activation_elements() == 0
+    assert out2.retains == () and out2.fresh_bytes == 0
+    # the output alone: it is the last node, which backward would start from
+    assert t2.cached_activation_elements() == 8
 
 
 def test_softmax_symmetric_row():
@@ -78,7 +83,7 @@ def test_disabled_body_matmul_caches_nothing():
     a = t.input(rng_for(0).normal(size=(3, 3)))
     with t.no_grad():
         node = t.matmul(a, a)
-    assert node.cached_elements() == 0
+    assert node.retains == () and node.fresh_bytes == 0
     assert not node.requires_grad
 
 
@@ -275,20 +280,20 @@ def test_cache_ledger_monotone_in_tracked_set():
         t.gelu(t.matmul(xn, wn))
         return t.cached_activation_elements()
 
-    c_none = cached(False, False)
-    c_x = cached(True, False)
-    c_both = cached(True, True)
-    assert c_none == 0
-    assert c_none <= c_x <= c_both
+    # the GELU's output (the last node); then w and the GELU's input; then x
+    assert (cached(False, False), cached(True, False), cached(True, True)) \
+        == (16, 16 + 16 + 16, 16 + 16 + 16 + 16)
 
 
 def test_param_saves_are_not_charged_to_the_activation_ledger():
     t = Tape()
     x = t.input(np.ones((2, 3)))
     w = t.param("w", np.ones((3, 4)), trainable=False)
-    t.matmul(x, w)
-    # only w is saved (for dL/dx); it is a parameter, so zero is charged
-    assert t.cached_activation_elements() == 0
+    out = t.matmul(x, w)
+    # only w is saved (for dL/dx); it is a parameter, so only the output
+    # (the last node) is charged
+    assert out.retains == (w.idx,)
+    assert t.cached_activation_elements() == 2 * 4
 
 
 def test_live_cache_returns_to_zero_after_backward():
@@ -298,26 +303,30 @@ def test_live_cache_returns_to_zero_after_backward():
     w = t.param("w", r.normal(size=(3, 1)))
     loss = t.mean_rows(t.matmul(t.gelu(x), w))
     loss = t.matmul(loss, t.constant(np.ones((1, 1))))
-    assert t.live_cached_elements() > 0
+    # the GELU, the matmul by w, the matmul by the constant
+    assert [node.op for node in t.nodes if node._saved_arrays] \
+        == ["elementwise", "matmul", "matmul"]
+    before = t.retained_bytes()
     t.backward(loss)
-    assert t.live_cached_elements() == 0
-    assert t.cached_activation_elements() > 0  # the ledger persists
+    assert [node for node in t.nodes if node._saved_arrays] == []
+    assert t.retained_bytes() == before  # the accounting persists
 
 
-def test_debug_cache_untracked_inflates_ledger_only():
+def test_cache_untracked_tape_inflates_retained_bytes_only():
     r = rng_for(11)
     x = r.normal(size=(3, 3))
 
-    def run(flag):
-        t = Tape(debug_cache_untracked=flag)
-        with t.no_grad():
-            out = t.gelu(t.matmul(t.input(x), t.input(x)))
-        return out.value, t.cached_activation_elements()
+    def run(tape):
+        with tape.no_grad():
+            out = tape.gelu(tape.matmul(tape.input(x), tape.input(x)))
+        return out.value, tape.cached_activation_elements()
 
-    v_off, c_off = run(False)
-    v_on, c_on = run(True)
+    v_off, c_off = run(Tape())
+    v_on, c_on = run(_CacheUntrackedTape())
     assert np.array_equal(v_off, v_on)
-    assert c_off == 0 and c_on > 0
+    # the GELU's output (the last node); with the mutant also the matmul's
+    # output, which the GELU saves (no matmul operand needs a gradient)
+    assert (c_off, c_on) == (9, 9 + 9)
 
 
 # ---- errors -------------------------------------------------------------------
@@ -439,7 +448,8 @@ def test_matmul_on_a_tracked_layer_norm_gets_dw_from_the_forward_output(
         dtype):
     t, y, loss, weights = norm_graph(dtype, ["matmul"])
     (z,) = (node for node in t.nodes if node.op == "matmul")
-    assert dict(z.saved) == {"rhs": 0}  # w, for dL/dy; y is not saved
+    # w, for dL/dy; y is not saved
+    assert z.retains == (z.inputs[1].idx,) and z.fresh_bytes == 0
     dw = t.backward(loss)["w0"]
     # the forward's output as a leaf, which the matmul saves: dW = y^T g
     ref = Tape()
@@ -816,11 +826,14 @@ def test_attention_untracked_matches_tracked_and_caches_nothing():
         out_ng = untracked.attention(*(untracked.input(x) for x in (q, k, v)),
                                      causal_mask(4, 4), 4)
     assert np.array_equal(out.value, out_ng.value)
-    assert untracked.cached_activation_elements() == 0
+    # the output alone, the last node
+    assert untracked.retained_bytes() == {("", "attention"): 4 * D_ATT * 8}
     # row max and sum per head, the 4 x 4 visibility mask packed into one
-    # byte per row, q, k and v
-    assert tracked.cached_activation_elements() \
-        == 2 * 4 * 4 + 4 + 3 * 4 * D_ATT
+    # byte per row, then q, k, v and the output
+    assert out.fresh_bytes == 2 * 4 * 4 * 8 + 4
+    assert tracked.retained_bytes() == {("", "attention"): out.fresh_bytes
+                                        + 4 * D_ATT * 8,
+                                        ("", "input"): 3 * 4 * D_ATT * 8}
 
 
 def attention_finite_differences(m):

@@ -19,11 +19,12 @@ from tokentune import engine
 from tokentune.config import ModelConfig, TrainConfig
 from tokentune.engine import (ATTENTION_BLOCK_ROWS, Tape, gelu_array,
                               simulate_peak_bytes)
-from tokentune.memprofile import lm_profile_batch
+from tokentune.memprofile import (PROFILE_REGIMES, build_regime_model,
+                                  lm_profile_batch, profile_model_config)
 from tokentune.model import FFN_BLOCK_ROWS, build_model, forward_hidden
 from tokentune.model import ffn as ffn_block
-from tokentune.optimize import (AdamState, Trainer, adam_step, eval_hidden,
-                                global_norm)
+from tokentune.optimize import (SELECTIVE_REGIMES, AdamState, Trainer,
+                                adam_step, eval_hidden, global_norm)
 from tokentune.partition import TokenPartition
 from tokentune.selective import loss_lm, tokentune_forward
 
@@ -152,13 +153,44 @@ def test_each_tracked_layer_norm_output_leaves_the_retained_set(
     assert rebuilt == saved - cfg.n_layers * (2 * norm_output + gelu_output)
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("regime", PROFILE_REGIMES)
+def test_breakdown_sums_to_the_replays_retained_bytes(regime, dtype):
+    # 20 keys pack into 3 mask bytes per query row: not whole elements
+    n = 20
+    model = build_regime_model(regime, profile_model_config(
+        n, d_model=16, n_layers=2, n_heads=2), seed=5, dtype=dtype)
+    selective = regime in SELECTIVE_REGIMES
+    trainer = Trainer(model, TrainConfig(regime=regime,
+                                         k=5 if selective else None,
+                                         seed=5, dtype=dtype), "lm")
+    itemsize = np.dtype(dtype).itemsize
+    sums = []
+
+    def hook(tape):
+        sums.append((sum(tape.cache_breakdown().values()) * itemsize,
+                     tape.cached_activation_elements() * itemsize,
+                     sum(tape.retained_bytes().values()),
+                     simulate_peak_bytes(tape)[1]))
+
+    metrics = trainer.train_step(lm_profile_batch(n, 2, seed=5),
+                                 tape_hook=hook)
+    assert len(sums) == 2
+    for breakdown, elements, nbytes, replay in sums:
+        assert breakdown == elements == nbytes == replay
+    assert metrics["activation_bytes"] == max(s[-1] for s in sums)
+    assert sum(trainer.activation_breakdown.values()) \
+        == metrics["activation_bytes"]
+
+
 def test_no_grad_forward_keeps_only_its_output(model, example):
     with Traced() as traced:
         tape = Tape()
         with tape.no_grad():
             out = forward_hidden(tape, model, example.seq)
         measured = traced.live()
-    assert tape.cached_activation_elements() == 0
+    # nothing is saved: the last node's output alone counts
+    assert tape.retained_bytes() == {(out.label, out.op): out.value.nbytes}
     assert out.value.nbytes <= measured \
         <= out.value.nbytes + GRAPH_BYTES_PER_NODE * len(tape.nodes)
 

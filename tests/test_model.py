@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from tokentune import model as model_module
 from tokentune.adapters import attach
 from tokentune.config import ModelConfig
+from tokentune.data import Example
 from tokentune.engine import Tape
 from tokentune.model import (FFN_BLOCK_ROWS, ModelError, TokenSequence,
                              attention, attention_mask, build_model,
-                             classify_pool_eval, embed, ffn, forward_hidden,
+                             embed, ffn, forward_hidden,
                              layer_forward, lm_logits,
                              loss_classification_rows)
+from tokentune.optimize import evaluate
 
 
 def tiny_config(**kw):
@@ -272,10 +274,11 @@ def test_causal_logits_invariant_to_future_tokens():
     assert np.array_equal(logits1, logits2)
 
 
-def _hidden(model, ids):
+def _hidden(model, ids, pad_mask=None):
     t = Tape()
     with t.no_grad():
-        return forward_hidden(t, model, TokenSequence.from_ids(ids)).value
+        return forward_hidden(t, model,
+                              TokenSequence.from_ids(ids, pad_mask)).value
 
 
 # ---- heads ---------------------------------------------------------------------
@@ -306,24 +309,37 @@ def test_classify_zero_logits_give_log_half():
         assert np.isclose(pooled_nll(model, h, label), -np.log(0.5))
 
 
+def eval_hits(model, seq):
+    """`evaluate`'s accuracy on `seq` under each label: 1.0 for the label
+    it predicts, 0.0 for every other."""
+    return [evaluate(model, [Example(seq=seq, label=label)],
+                     "classification")["accuracy"] for label in range(3)]
+
+
+def training_head_hits(model, rows):
+    """The same per-label hits from the training head's loss over `rows`:
+    the predicted label is the one with the least loss."""
+    nll = [pooled_nll(model, rows, label) for label in range(3)]
+    return [float(label == int(np.argmin(nll))) for label in range(3)]
+
+
 def test_eval_pooling_over_all_rows_matches_the_training_head():
     model = build_model(tiny_config(), seed=12, dtype="float64")
-    h = rng_for(12).normal(size=(5, 8))
-    pad = np.ones(5, dtype=bool)
-    logp = classify_pool_eval(h, pad, model)
-    assert np.allclose(-logp[0], [pooled_nll(model, h, label)
-                                  for label in range(3)],
-                       rtol=1e-13, atol=0)
+    ids = np.array([1, 4, 7, 5, 9])
+    hits = eval_hits(model, TokenSequence.from_ids(ids))
+    assert sorted(hits) == [0.0, 0.0, 1.0]
+    assert hits == training_head_hits(model, _hidden(model, ids))
 
 
 def test_eval_pooling_skips_padding_and_errors_on_all_pad():
     model = build_model(tiny_config(), seed=13, dtype="float64")
-    h = rng_for(13).normal(size=(4, 8))
+    ids = np.array([1, 4, 7, 5])
     pad = np.array([True, True, False, False])
-    expected = [pooled_nll(model, h[:2], label) for label in range(3)]
-    assert np.allclose(-classify_pool_eval(h, pad, model)[0], expected)
+    assert eval_hits(model, TokenSequence.from_ids(ids, pad)) \
+        == training_head_hits(model, _hidden(model, ids, pad)[:2])
     with pytest.raises(ModelError):
-        classify_pool_eval(h, np.zeros(4, dtype=bool), model)
+        eval_hits(model, TokenSequence.from_ids(ids,
+                                                pad_mask=np.zeros(4, bool)))
 
 
 def test_lm_logits_zero_hidden_uniform_and_onehot_copies():

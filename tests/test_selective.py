@@ -237,11 +237,12 @@ def test_w1_backward_cache_is_k_by_d_model_independent_of_rest():
         tape = _run_tt(model, n, k)
         node = _ffn_w1_node(tape, model)
         # W1's backward rebuilds its input from norm2's saves, so the k x d
-        # rows entering W1's gradient are charged to norm2, not to W1
-        norm2 = node.inputs[0]
+        # rows entering W1's gradient (and k inverse stds) are charged to
+        # norm2, and W1's matmul retains only W1
+        norm2, w1 = node.inputs
         assert norm2.op == "layer_norm"
-        assert dict(norm2.saved)["normalized"] == k * d
-        assert "lhs" not in dict(node.saved)
+        assert norm2.fresh_bytes == (k * d + k) * 8
+        assert node.retains == (w1.idx,) and node.fresh_bytes == 0
 
 
 def test_cache_strictly_smaller_than_full_selection():

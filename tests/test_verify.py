@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from tokentune.config import ModelConfig
-from tokentune.engine import (ATTENTION_BLOCK_ROWS, Tape, _fresh_saved_bytes,
-                              gelu_array)
+from tokentune.engine import ATTENTION_BLOCK_ROWS, Tape, gelu_array
 from tokentune.model import TokenSequence, build_model
 from tokentune.partition import TokenPartition, select_positions
 from tokentune.selective import loss_lm, tokentune_forward
@@ -254,7 +253,7 @@ def test_tokentune_matches_the_oracle_across_attention_blocks(k):
         attention = [node for node in tape.nodes
                      if node.op == "attention" and node.requires_grad]
         assert len(attention) == model.config.n_layers
-        assert [_fresh_saved_bytes(node) for node in attention] \
+        assert [node.fresh_bytes for node in attention] \
             == [fresh] * model.config.n_layers
     tt = tape.backward(loss)
     oracle = stopgrad_reference_backward(model, seq, partition,
