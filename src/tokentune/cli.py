@@ -74,7 +74,7 @@ def cmd_gradcheck(args) -> int:
     from .verify import run_gradcheck
 
     report = run_gradcheck(n_configs=args.n_configs, seed=args.seed,
-                           inject_bug=args.inject_bug)
+                           mutant=args.mutant)
     print(f"equivalence records checked: {report['suite_records']}")
     print(f"finite-difference max rel err: {report['fd_max_rel_err']:.3e} "
           f"(worst: {report['fd_worst_param']})")
@@ -111,9 +111,7 @@ def cmd_memsweep(args) -> int:
                          "batch": args.batch})
     out_file = args.out or "memsweep.csv"
     Path(out_file).parent.mkdir(parents=True, exist_ok=True)
-    rows = sweep_report(grid, out_path=out_file, seed=cfg.train.seed,
-                        d_model=cfg.model.d_model,
-                        n_layers=cfg.model.n_layers)
+    rows = sweep_report(grid, cfg.model, cfg.train, out_path=out_file)
     print(f"wrote {len(rows)} rows to {out_file}")
     for row in sorted(rows, key=lambda r: r["peak_bytes"]):
         print(f"  {row['regime']:>15s} k={row['k']:<5d} "
@@ -122,6 +120,8 @@ def cmd_memsweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .verify import MUTANTS
+
     parser = argparse.ArgumentParser(
         prog="tokentune",
         description="Token-selective fine-tuning engine")
@@ -149,9 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_gc.add_argument("--n-configs", type=int, default=20)
     p_gc.add_argument("--seed", type=int, default=0)
-    p_gc.add_argument("--inject-bug", choices=(
-        "track-unselected-kv", "cache-unselected-rows",
-        "mask-from-storage-order"))
+    p_gc.add_argument("--inject-bug", dest="mutant", choices=MUTANTS)
     p_gc.set_defaults(func=cmd_gradcheck)
 
     p_ms = sub.add_parser("memsweep", help="memory sweep table")

@@ -13,7 +13,7 @@ are exact integers.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,14 +48,6 @@ class MemoryReport:
         }
 
 
-def profile_model_config(n: int, d_model: int = 64, n_layers: int = 4,
-                         n_heads: int = 8) -> ModelConfig:
-    """Causal byte-vocabulary model sized for memory studies."""
-    return ModelConfig(vocab_size=257, max_positions=n, d_model=d_model,
-                       n_heads=n_heads, d_ff=4 * d_model, n_layers=n_layers,
-                       causal=True, n_classes=None)
-
-
 def build_regime_model(regime: str, cfg: ModelConfig, seed: int = 0,
                        dtype: str = "float32",
                        lora_targets=("w1", "w2"), lora_r: int = 8,
@@ -66,12 +58,14 @@ def build_regime_model(regime: str, cfg: ModelConfig, seed: int = 0,
     return model
 
 
-def lm_profile_batch(n: int, batch: int, seed: int = 0) -> list[Example]:
-    """Deterministic random byte windows with shifted targets."""
+def lm_profile_batch(n: int, batch: int, seed: int = 0,
+                     vocab_size: int = 256) -> list[Example]:
+    """Deterministic random windows of ids below `vocab_size` (bytes by
+    default) with shifted targets."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3E3]))
     out = []
     for _ in range(batch):
-        ids = rng.integers(0, 256, size=n)
+        ids = rng.integers(0, vocab_size, size=n)
         targets = np.full(n, -1, dtype=np.intp)
         targets[:-1] = ids[1:]
         out.append(Example(seq=TokenSequence.from_ids(ids), targets=targets))
@@ -107,13 +101,13 @@ BYTE_COLUMNS = ("params_bytes", "grads_bytes", "optimizer_bytes",
 SWEEP_COLUMNS = ("regime", "n", "k", "batch") + BYTE_COLUMNS
 
 
-def sweep_report(grid, out_path=None, seed: int = 0,
-                 d_model: int = 64, n_layers: int = 4,
-                 dtype: str = "float32") -> list[dict]:
-    """Profile one train step at every grid point {regime, n, k, batch}.
-    A selective regime needs its k; the other regimes select nothing, and
-    a k of None is reported as n. Writes a CSV table when out_path is
-    given (header always, even for an empty grid)."""
+def sweep_report(grid, model: ModelConfig, train: TrainConfig,
+                 out_path=None) -> list[dict]:
+    """Profile one language-model train step at every grid point {regime,
+    n, k, batch}: the run's configs with the point's values, ``max_positions
+    = n`` and a causal LM head. A selective regime needs its k; the other
+    regimes select nothing, and a k of None is reported as n. Writes a CSV
+    table when out_path is given (header always, even for an empty grid)."""
     rows = []
     for point in grid:
         regime = point["regime"]
@@ -126,15 +120,19 @@ def sweep_report(grid, out_path=None, seed: int = 0,
         if selective and k is None:
             raise ValueError(f"grid point {point} needs k for regime "
                              f"'{regime}'")
-        cfg = profile_model_config(n, d_model=d_model, n_layers=n_layers)
-        model = build_regime_model(regime, cfg, seed=seed, dtype=dtype)
-        train_cfg = TrainConfig(regime=regime,
-                                k=int(k) if selective else None,
-                                batch_size=batch, accumulation_steps=1,
-                                learning_rate=1e-3, seed=seed, dtype=dtype)
-        trainer = Trainer(model, train_cfg, "lm")
-        metrics = trainer.train_step(lm_profile_batch(n, batch, seed=seed))
-        report = memory_report(model, trainer, metrics).to_dict()
+        cfg = replace(model, max_positions=n, causal=True, n_classes=None)
+        train_cfg = replace(train, regime=regime,
+                            k=int(k) if selective else None,
+                            selection_ratio=None, batch_size=batch,
+                            accumulation_steps=1)
+        run_model = build_regime_model(
+            regime, cfg, seed=train.seed, dtype=train.dtype,
+            lora_targets=train.lora_targets, lora_r=train.lora_r,
+            lora_alpha=train.lora_alpha)
+        trainer = Trainer(run_model, train_cfg, "lm")
+        metrics = trainer.train_step(lm_profile_batch(
+            n, batch, seed=train.seed, vocab_size=min(cfg.vocab_size, 256)))
+        report = memory_report(run_model, trainer, metrics).to_dict()
         rows.append({"regime": regime, "n": n,
                      "k": int(k) if k is not None else n, "batch": batch,
                      **{col: report[col] for col in BYTE_COLUMNS}})

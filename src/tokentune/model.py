@@ -7,9 +7,10 @@ boolean visibility masks, and either a classifier head (one hidden layer
 MLP over a mean-pooled representation) or a tied-nothing language-model
 projection.
 
-The same on-tape builders serve the plain pipeline and the token-selective
-pipeline, which keeps the two numerically identical when the selection
-covers every position.
+These are the on-tape builders of `selective.tokentune_forward`, the one
+layer loop: full fine-tuning, LoRA and evaluation run it with every
+unpadded position selected (TokenTune with k = n), and `forward_hidden`
+is that forward restored to storage order. Padded rows never enter it.
 """
 
 from __future__ import annotations
@@ -213,20 +214,17 @@ def affine(tape: Tape, model: TransformerModel, x: Tensor, w_name: str,
     return z
 
 
-def attention_mask(query_positions, key_positions, key_pad_mask,
-                   causal) -> np.ndarray:
+def attention_mask(query_positions, key_positions, causal) -> np.ndarray:
     """Boolean visibility from ORIGINAL position ids, never storage order.
 
-    Query i sees key j unless the key is padding, or (causal) the key's
-    original position exceeds the query's.
+    Query i sees key j unless (causal) the key's original position exceeds
+    the query's. Padded rows never enter a forward, so no key is padding.
     """
     qp = np.asarray(query_positions).reshape(-1, 1)
     kp = np.asarray(key_positions).reshape(1, -1)
-    visible = np.repeat(np.asarray(key_pad_mask, dtype=bool).reshape(1, -1),
-                        qp.shape[0], axis=0)
     if causal:
-        visible &= kp <= qp
-    return visible
+        return kp <= qp
+    return np.ones((qp.shape[0], kp.shape[1]), dtype=bool)
 
 
 def attend_heads(tape: Tape, q: Tensor, k: Tensor, v: Tensor,
@@ -251,14 +249,6 @@ def attend_project(tape: Tape, model: TransformerModel, layer: int,
     base = f"layers.{layer}.attn"
     mixed = attend_heads(tape, q, k, v, visible, model.config.n_heads)
     return affine(tape, model, mixed, f"{base}.w_o", f"{base}.b_o")
-
-
-def attention(tape: Tape, model: TransformerModel, layer: int, h: Tensor,
-              positions, pad_mask, causal: bool) -> Tensor:
-    """Standard multi-head attention over one group of rows."""
-    return attend_project(tape, model, layer, *qkv(tape, model, layer, h),
-                          attention_mask(positions, positions, pad_mask,
-                                         causal))
 
 
 def _ffn_rows(tape: Tape, model: TransformerModel, layer: int,
@@ -294,20 +284,6 @@ def norm(tape: Tape, model: TransformerModel, layer: int, which: int,
                            _param_node(tape, model, f"{base}.shift"))
 
 
-def layer_forward(tape: Tape, model: TransformerModel, layer: int, h: Tensor,
-                  positions, pad_mask) -> Tensor:
-    """Pre-norm residual block: h + attn(norm1(h)), then h + ffn(norm2(h))."""
-    causal = model.config.causal
-    with tape.region(f"layer.{layer}.attn"):
-        att = attention(tape, model, layer, norm(tape, model, layer, 1, h),
-                        positions, pad_mask, causal)
-        h = tape.add(h, att)
-    with tape.region(f"layer.{layer}.ffn"):
-        f = ffn(tape, model, layer, norm(tape, model, layer, 2, h))
-        h = tape.add(h, f)
-    return h
-
-
 def embed(tape: Tape, model: TransformerModel, seq: TokenSequence) -> Tensor:
     cfg = model.config
     if len(seq) and (seq.ids.min() < 0 or seq.ids.max() >= cfg.vocab_size):
@@ -325,11 +301,12 @@ def embed(tape: Tape, model: TransformerModel, seq: TokenSequence) -> Tensor:
 
 def forward_hidden(tape: Tape, model: TransformerModel,
                    seq: TokenSequence) -> Tensor:
-    """Plain (unsplit) forward through every layer; rows in storage order."""
-    h = embed(tape, model, seq)
-    for i in range(model.config.n_layers):
-        h = layer_forward(tape, model, i, h, seq.positions, seq.pad_mask)
-    return h
+    """The forward of full fine-tuning and evaluation: TokenTune's forward
+    with every unpadded position selected, restored to storage order. It
+    returns the unpadded rows only."""
+    from .selective import every_position, restore_hidden, tokentune_forward
+    return restore_hidden(tape, tokentune_forward(tape, model, seq,
+                                                  every_position(seq)))
 
 
 # ---- heads and losses ------------------------------------------------------

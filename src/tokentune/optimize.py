@@ -1,9 +1,12 @@
 """Adam, gradient accumulation, the training loop, and evaluation.
 
-Every regime runs per-example tapes with gradients accumulated in a fixed
-order; the optimizer applies once per accumulation window. Losses are
-normalized per example (classification) or per contributing target token
-(language modeling) so magnitudes stay comparable across selection sizes.
+Every regime runs per-example tapes of one forward,
+`selective.tokentune_forward`, with gradients accumulated in a fixed
+order; the optimizer applies once per accumulation window. The selective
+regimes draw k positions per example; full, LoRA and evaluation select
+every unpadded position. Losses are normalized per example
+(classification) or per contributing target token (language modeling) so
+magnitudes stay comparable across selection sizes.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ import numpy as np
 from .config import RunConfig, TrainConfig
 from .engine import Tape, simulate_peak_bytes
 from .model import (TokenSequence, TransformerModel, class_logits,
-                    forward_hidden, log_softmax, loss_classification_rows,
-                    loss_lm_rows)
+                    forward_hidden, log_softmax)
 from .partition import TokenPartition, resolve_k, select_positions
-from .selective import (loss_classification, loss_lm, tokentune_forward)
+from .selective import (every_position, loss_classification, loss_lm,
+                        tokentune_forward)
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -148,35 +151,27 @@ class Trainer:
 
     def partition_for(self, seq: TokenSequence,
                       example_index: int) -> TokenPartition:
-        """Fresh uniform selection per example, seeded from the run seed."""
+        """Fresh uniform selection per example, seeded from the run seed,
+        in the selective regimes; every unpadded position otherwise."""
+        if not self.selective:
+            return every_position(seq)
         k = resolve_k(self.cfg.k, self.cfg.selection_ratio, seq.n_unpadded)
         mode = "classification" if self.task_kind == "classification" else "lm"
         seed = _derived_seed(self.cfg.seed, 0x5E7EC7, example_index)
         return select_positions(len(seq), k, mode, seq.pad_mask, seed)
 
     def _example_loss(self, tape: Tape, example) -> tuple[object, int]:
-        """Record forward+loss for one example; returns (loss node, #terms)."""
-        seq = example.seq
-        if self.selective:
-            partition = self.partition_for(seq, self.example_counter)
-            split = tokentune_forward(tape, self.model, seq, partition)
-            if self.task_kind == "classification":
-                return loss_classification(tape, self.model, split,
-                                           example.label), 1
+        """Record forward+loss for one example; returns (loss node, #terms),
+        or (None, 0) for a language-model example whose selection has no
+        next-token target, which adds no term and no gradient."""
+        partition = self.partition_for(example.seq, self.example_counter)
+        lm = self.task_kind != "classification"
+        if lm and (np.asarray(example.targets)[partition.selected] < 0).all():
+            return None, 0
+        split = tokentune_forward(tape, self.model, example.seq, partition)
+        if lm:
             return loss_lm(tape, self.model, split, example.targets)
-        h = forward_hidden(tape, self.model, seq)
-        if self.task_kind == "classification":
-            rows = np.flatnonzero(seq.pad_mask)
-            return loss_classification_rows(
-                tape, self.model, tape.select_rows(h, rows), example.label), 1
-        targets = np.asarray(example.targets)
-        t = targets[seq.positions]
-        valid = (t >= 0) & seq.pad_mask
-        rows = np.flatnonzero(valid)
-        if rows.size == 0:
-            raise StepError("example has no predictable positions")
-        h_rows = tape.select_rows(h, rows)
-        return loss_lm_rows(tape, self.model, h_rows, t[rows]), int(rows.size)
+        return loss_classification(tape, self.model, split, example.label), 1
 
     def train_step(self, batch, tape_hook=None) -> dict:
         """One micro-batch: per-example forward/backward, ordered gradient
@@ -204,6 +199,9 @@ class Trainer:
             except Exception:
                 self.example_counter += 1
                 raise
+            if loss_node is None:
+                self.example_counter += 1
+                continue
             loss_value = float(loss_node.value[0, 0])
             if not np.isfinite(loss_value):
                 raise StepError(f"non-finite loss at example {i} of batch "
@@ -263,7 +261,8 @@ class Trainer:
 # ---- evaluation -------------------------------------------------------------
 
 def eval_hidden(model: TransformerModel, seq: TokenSequence) -> np.ndarray:
-    """Forward values only; nothing is tracked or cached."""
+    """Forward values of the unpadded rows, in storage order; nothing is
+    tracked or cached."""
     tape = Tape()
     with tape.no_grad():
         return forward_hidden(tape, model, seq).value
@@ -281,8 +280,7 @@ def evaluate(model: TransformerModel, dataset, task_kind: str) -> dict:
             tape = Tape()
             with tape.no_grad():
                 h = forward_hidden(tape, model, example.seq)
-                rows = tape.select_rows(h, np.flatnonzero(example.seq.pad_mask))
-                logits = class_logits(tape, model, rows).value
+                logits = class_logits(tape, model, h).value
             if int(np.argmax(logits[0])) == example.label:
                 correct += 1
         return {"accuracy": correct / len(dataset), "n": len(dataset)}
@@ -292,9 +290,8 @@ def evaluate(model: TransformerModel, dataset, task_kind: str) -> dict:
     for example in dataset:
         seq = example.seq
         h = eval_hidden(model, seq)
-        t = np.asarray(example.targets)[seq.positions]
-        valid = (t >= 0) & seq.pad_mask
-        rows = np.flatnonzero(valid)
+        t = np.asarray(example.targets)[seq.positions[seq.pad_mask]]
+        rows = np.flatnonzero(t >= 0)
         if rows.size == 0:
             continue
         logp = log_softmax(h[rows].astype(np.float64) @ w_lm.astype(np.float64))

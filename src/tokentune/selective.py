@@ -4,21 +4,17 @@ Hidden states are split into a selected block (tracked, activations cached)
 and an unselected block recorded under a disabled-gradient scope (values
 identical, nothing cached, constants during backward). Attention lets the
 selected queries attend over the unselected and selected keys and values,
-merged into position order, so forward values match the plain pipeline for
-every selection; only gradient availability and what backward retains
-change.
+merged into position order, so forward values do not depend on the
+selection; only gradient availability and what backward retains change.
 
-`inject_bug` deliberately mis-wires the pipeline for mutation testing of
-the verification properties:
-    track-unselected-kv      record the unselected Q/K/V affines tracked
-    mask-from-storage-order  build masks from storage rows, not positions
-(`cache-unselected-rows` is a tape-level bug, a tape that keeps the saves
-of untracked nodes; see verify._CacheUntrackedTape.)
+This is the only layer loop. Full fine-tuning, LoRA and evaluation run it
+with `every_position`, which selects every unpadded position and leaves
+the unselected block empty (TokenTune with k = n); padded rows never
+enter a forward.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +27,14 @@ from .model import ffn as ffn_block
 from .model import norm as norm_block
 from .partition import SelectionError, TokenPartition, partition_rows
 
-BUG_NAMES = ("track-unselected-kv", "cache-unselected-rows",
-             "mask-from-storage-order")
+
+def every_position(seq: TokenSequence) -> TokenPartition:
+    """The partition of full fine-tuning and evaluation: every unpadded
+    position selected, none unselected."""
+    if not seq.pad_mask.any():
+        raise ModelError("a forward needs at least one unpadded position")
+    return TokenPartition(selected=seq.positions[seq.pad_mask],
+                          unselected=np.empty(0, dtype=np.intp))
 
 
 @dataclass
@@ -82,44 +84,34 @@ def split_hidden(tape: Tape, h: Tensor, partition: TokenPartition,
 
 
 def restore_hidden(tape: Tape, split: SplitHidden) -> Tensor:
-    """Concatenate the blocks back into storage order (exact copy)."""
-    parts = [split.h_g] + ([split.h_gbar] if split.h_gbar is not None else [])
-    return tape.select_rows(tape.concat_rows(parts), split.restore_idx)
-
-
-def _mask_positions(split: SplitHidden, key_positions, inject_bug):
-    if inject_bug == "mask-from-storage-order":
-        qpos_g = np.arange(split.positions_g.size)
-        qpos_gbar = np.arange(split.positions_gbar.size)
-        kpos = np.arange(len(key_positions))
-        return qpos_g, qpos_gbar, kpos
-    return split.positions_g, split.positions_gbar, key_positions
+    """Put the blocks back into storage order (exact copy)."""
+    h = split.h_g if split.h_gbar is None else \
+        tape.concat_rows([split.h_g, split.h_gbar])
+    return tape.select_rows(h, split.restore_idx)
 
 
 def _unselected_qkv(tape: Tape, model: TransformerModel, layer: int,
-                   h_gbar: Tensor, inject_bug: str | None) -> list[Tensor]:
-    """Q, K and V of the unselected rows, constants unless `inject_bug`
-    tracks them; the normalized rows die on return."""
+                    h_gbar: Tensor) -> list[Tensor]:
+    """Q, K and V of the unselected rows, as constants; the normalized
+    rows die on return."""
     with tape.no_grad():
-        gb_n = norm_block(tape, model, layer, 1, h_gbar)
-    tracked = inject_bug == "track-unselected-kv"
-    with nullcontext() if tracked else tape.no_grad():
-        return qkv(tape, model, layer, gb_n)
+        return qkv(tape, model, layer,
+                   norm_block(tape, model, layer, 1, h_gbar))
 
 
 def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
-                        split: SplitHidden, causal: bool,
-                        inject_bug: str | None = None) -> SplitHidden:
+                        split: SplitHidden, causal: bool) -> SplitHidden:
     """Residual attention update; unselected K/V/queries are constants.
 
     Each handle is dropped at its last use, so the unselected path's
-    attention runs without the selected path's dead arrays."""
+    attention runs without the selected path's dead arrays. With no
+    unselected rows the selected keys and values are used as they are."""
     with tape.region(f"layer.{layer}.attn"):
         q_g, k_g, v_g = qkv(tape, model, layer,
                             norm_block(tape, model, layer, 1, split.h_g))
         if split.h_gbar is not None:
             q_gb, k_gb, v_gb = _unselected_qkv(tape, model, layer,
-                                               split.h_gbar, inject_bug)
+                                               split.h_gbar)
             # keys in position order, so a causal block of queries sees a
             # prefix of them and attention skips the rest
             order = split.key_order
@@ -129,17 +121,12 @@ def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
             key_positions = np.concatenate([split.positions_gbar,
                                             split.positions_g])[order]
         else:
-            keys = tape.concat_rows([k_g])
-            vals = tape.concat_rows([v_g])
-            key_positions = split.positions_g
+            keys, vals, key_positions = k_g, v_g, split.positions_g
         del k_g, v_g
 
-        qpos_g, qpos_gbar, kpos = _mask_positions(split, key_positions,
-                                                  inject_bug)
-        all_real = np.ones(len(key_positions), dtype=bool)
         new_g = tape.add(split.h_g, attend_project(
             tape, model, layer, q_g, keys, vals,
-            attention_mask(qpos_g, kpos, all_real, causal)))
+            attention_mask(split.positions_g, key_positions, causal)))
         del q_g
 
         new_gbar = None
@@ -147,13 +134,13 @@ def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
             with tape.no_grad():
                 new_gbar = tape.add(split.h_gbar, attend_project(
                     tape, model, layer, q_gb, keys, vals,
-                    attention_mask(qpos_gbar, kpos, all_real, causal)))
+                    attention_mask(split.positions_gbar, key_positions,
+                                   causal)))
     return split.with_blocks(new_g, new_gbar)
 
 
 def tokentune_ffn(tape: Tape, model: TransformerModel, layer: int,
-                  split: SplitHidden,
-                  inject_bug: str | None = None) -> SplitHidden:
+                  split: SplitHidden) -> SplitHidden:
     """Residual feed-forward update; normalization follows the same split.
 
     The unselected rows run first: their hidden arrays, the widest
@@ -172,19 +159,17 @@ def tokentune_ffn(tape: Tape, model: TransformerModel, layer: int,
 
 
 def tokentune_forward(tape: Tape, model: TransformerModel,
-                      seq: TokenSequence, partition: TokenPartition,
-                      inject_bug: str | None = None) -> SplitHidden:
+                      seq: TokenSequence,
+                      partition: TokenPartition) -> SplitHidden:
     """Embed, split, then run every layer with the two-group update."""
-    if inject_bug is not None and inject_bug not in BUG_NAMES:
-        raise ValueError(f"unknown injected bug '{inject_bug}'")
     # the embedding is passed on, not kept: the split's row blocks are
     # copies, so it dies once they are made
     split = split_hidden(tape, embed(tape, model, seq), partition,
                          seq.positions)
     for i in range(model.config.n_layers):
         split = tokentune_attention(tape, model, i, split,
-                                    model.config.causal, inject_bug)
-        split = tokentune_ffn(tape, model, i, split, inject_bug)
+                                    model.config.causal)
+        split = tokentune_ffn(tape, model, i, split)
     return split
 
 

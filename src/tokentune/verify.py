@@ -9,28 +9,37 @@ the two is evidence, not tautology.
 
 `finite_diff_grad` provides the numeric gradient oracle, and
 `equivalence_suite` sweeps random small configurations asserting the three
-core properties: value preservation, stop-gradient equivalence, and exact
-full-selection identity. `cache_scaling_check` audits the shape of the
-bytes retained for backward. Everything here runs at float64 with fixed
-seeds.
+core properties: value preservation, stop-gradient equivalence, and
+full-selection identity (the full regime's gradients against the
+reference with nothing stopped). `cache_scaling_check` audits the shape
+of the bytes retained for backward. Everything here runs at float64 with
+fixed seeds.
+
+`MUTANTS` names deliberately broken pipelines that some property must
+catch. Each lives here, as a `Tape` subclass or a scoped patch of the
+selective module, applied around the forward under test, never around a
+reference.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from unittest import mock
 
 import numpy as np
 
+from . import selective
 from .adapters import attach
 from .config import ModelConfig
 from .engine import MASK_VALUE, Tape
-from .model import (TokenSequence, TransformerModel, build_model,
-                    forward_hidden, loss_classification_rows, loss_lm_rows)
+from .model import (TokenSequence, TransformerModel, attention_mask,
+                    build_model, forward_hidden, norm, qkv)
 from .partition import TokenPartition, partition_rows, select_positions
-from .selective import (loss_classification, loss_lm, restore_hidden,
-                        tokentune_forward)
+from .selective import (every_position, loss_classification, loss_lm,
+                        restore_hidden, tokentune_forward)
 
 REL_FLOOR = 1e-8
 SUBSAMPLE_THRESHOLD = 4096
@@ -41,6 +50,9 @@ PROPERTY_STOPGRAD = "stopgrad-equivalence"
 PROPERTY_FULL = "full-selection-identity"
 PROPERTY_CACHE = "cache-scaling"
 PROPERTY_FD = "finite-difference"
+
+MUTANTS = ("track-unselected-kv", "cache-unselected-rows",
+           "mask-from-storage-order")
 
 
 def relative_error(a, b) -> float:
@@ -148,14 +160,7 @@ def finite_difference_check(model: TransformerModel, seq: TokenSequence,
     if model.dtype != np.float64:
         raise ValueError("gradient checking requires a float64 model")
 
-    def build_loss(tape: Tape):
-        split = tokentune_forward(tape, model, seq, partition)
-        if loss_spec[0] == "classification":
-            return loss_classification(tape, model, split, loss_spec[1])
-        return loss_lm(tape, model, split, loss_spec[1])[0]
-
-    tape = Tape()
-    analytic = tape.backward(build_loss(tape))
+    analytic = _selective_backward(model, seq, partition, loss_spec)
 
     capture = _StopContext(capture=[])
     base_tape = Tape()
@@ -393,20 +398,39 @@ class _CacheUntrackedTape(Tape):
         return out
 
 
-def _mutant_forward(model, seq, partition, inject_bug):
-    """(tape, split) of a selective forward, with `inject_bug` applied
-    to the pipeline or, for `cache-unselected-rows`, to the tape."""
-    if inject_bug == "cache-unselected-rows":
-        tape = _CacheUntrackedTape()
-        inject_bug = None
-    else:
-        tape = Tape()
-    return tape, tokentune_forward(tape, model, seq, partition,
-                                   inject_bug=inject_bug)
+def _tracked_unselected_qkv(tape, model, layer, h_gbar):
+    """The `track-unselected-kv` mutant of `selective._unselected_qkv`:
+    the unselected rows' Q/K/V affines are recorded with gradients."""
+    with tape.no_grad():
+        h_n = norm(tape, model, layer, 1, h_gbar)
+    return qkv(tape, model, layer, h_n)
 
 
-def _selective_backward(model, seq, partition, loss_spec, inject_bug=None):
-    tape, split = _mutant_forward(model, seq, partition, inject_bug)
+def _storage_order_mask(query_positions, key_positions, causal):
+    """The `mask-from-storage-order` mutant of `selective.attention_mask`:
+    each group's rows are numbered 0, 1, ... instead of by position."""
+    return attention_mask(np.arange(len(query_positions)),
+                          np.arange(len(key_positions)), causal)
+
+
+_PATCHES = {
+    "track-unselected-kv": ("_unselected_qkv", _tracked_unselected_qkv),
+    "mask-from-storage-order": ("attention_mask", _storage_order_mask)}
+
+
+def _mutant_forward(model, seq, partition, mutant=None):
+    """(tape, split) of a selective forward with `mutant` applied."""
+    if mutant is not None and mutant not in MUTANTS:
+        raise ValueError(f"unknown mutant '{mutant}'")
+    tape = _CacheUntrackedTape() if mutant == "cache-unselected-rows" \
+        else Tape()
+    with mock.patch.object(selective, *_PATCHES[mutant]) \
+            if mutant in _PATCHES else nullcontext():
+        return tape, tokentune_forward(tape, model, seq, partition)
+
+
+def _selective_backward(model, seq, partition, loss_spec, mutant=None):
+    tape, split = _mutant_forward(model, seq, partition, mutant)
     if loss_spec[0] == "classification":
         loss = loss_classification(tape, model, split, loss_spec[1])
     else:
@@ -414,42 +438,26 @@ def _selective_backward(model, seq, partition, loss_spec, inject_bug=None):
     return tape.backward(loss)
 
 
-def _full_backward(model, seq, loss_spec):
-    """Plain-pipeline gradients with no selection (the full regime)."""
-    tape = Tape()
-    h = forward_hidden(tape, model, seq)
-    if loss_spec[0] == "classification":
-        rows = np.flatnonzero(seq.pad_mask)
-        loss = loss_classification_rows(tape, model,
-                                        tape.select_rows(h, rows),
-                                        loss_spec[1])
-    else:
-        targets = np.asarray(loss_spec[1])[seq.positions]
-        valid = (targets >= 0) & seq.pad_mask
-        rows = np.flatnonzero(valid)
-        loss = loss_lm_rows(tape, model, tape.select_rows(h, rows),
-                            targets[rows])
-    return tape.backward(loss)
+def _full_backward(model, seq, loss_spec, mutant=None):
+    """The full regime's gradients: every unpadded position selected."""
+    return _selective_backward(model, seq, every_position(seq), loss_spec,
+                               mutant)
 
 
-def _value_preservation_diff(model, seq, partition, inject_bug=None) -> float:
-    """Max abs difference between restored selective and plain forwards,
-    over the partition's rows."""
+def _value_preservation_diff(model, seq, partition, mutant=None) -> float:
+    """Max abs difference between the restored selective forward and the
+    full one (`forward_hidden`, unmutated): the unpadded rows in storage
+    order."""
     plain_tape = Tape()
     with plain_tape.no_grad():
         plain = forward_hidden(plain_tape, model, seq).value
-    tt_tape = Tape()
-    with tt_tape.no_grad():
-        split = tokentune_forward(tt_tape, model, seq, partition,
-                                  inject_bug=inject_bug)
-        restored = restore_hidden(tt_tape, split).value
-    rows_sel, rows_unsel, _ = partition_rows(partition, seq.positions)
-    rows = np.sort(np.concatenate([rows_sel, rows_unsel]))
-    return float(np.abs(plain[rows] - restored).max())
+    tape, split = _mutant_forward(model, seq, partition, mutant)
+    restored = restore_hidden(tape, split).value
+    return float(np.abs(plain - restored).max())
 
 
 def equivalence_suite(n_configs: int = 50, seed: int = 0,
-                      inject_bug: str | None = None,
+                      mutant: str | None = None,
                       value_tol: float = 1e-12,
                       grad_tol: float = 1e-10,
                       out_path=None) -> dict:
@@ -465,21 +473,22 @@ def equivalence_suite(n_configs: int = 50, seed: int = 0,
                  "layers": model.config.n_layers, "causal": causal,
                  "lora": lora, "mode": loss_spec[0]}
 
-        diff = _value_preservation_diff(model, seq, partition, inject_bug)
+        diff = _value_preservation_diff(model, seq, partition, mutant)
         records.append({"grid_point": point, "property": PROPERTY_VALUE,
                         "max_rel_err": diff, "pass": bool(diff < value_tol)})
 
-        tt = _selective_backward(model, seq, partition, loss_spec, inject_bug)
+        tt = _selective_backward(model, seq, partition, loss_spec, mutant)
         oracle = stopgrad_reference_backward(model, seq, partition, loss_spec)
         err = grads_max_rel_err(tt, oracle)
         records.append({"grid_point": point, "property": PROPERTY_STOPGRAD,
                         "max_rel_err": err, "pass": bool(err < grad_tol)})
 
-        if partition.k == seq.n_unpadded:
-            full = _full_backward(model, seq, loss_spec)
-            err = grads_max_rel_err(tt, full)
-            records.append({"grid_point": point, "property": PROPERTY_FULL,
-                            "max_rel_err": err, "pass": bool(err < grad_tol)})
+        full = _full_backward(model, seq, loss_spec, mutant)
+        oracle = stopgrad_reference_backward(model, seq, every_position(seq),
+                                             loss_spec)
+        err = grads_max_rel_err(full, oracle)
+        records.append({"grid_point": point, "property": PROPERTY_FULL,
+                        "max_rel_err": err, "pass": bool(err < grad_tol)})
     failures = [r for r in records if not r["pass"]]
     result = {"records": records, "all_pass": not failures,
               "failures": failures}
@@ -490,13 +499,13 @@ def equivalence_suite(n_configs: int = 50, seed: int = 0,
     return result
 
 
-def _retained_subtotals(model, n: int, k: int, inject_bug=None):
+def _retained_subtotals(model, n: int, k: int, mutant=None):
     """(attention, ffn+norm, total) bytes retained for backward by one
     selective forward and loss."""
     seq = TokenSequence.from_ids(np.r_[1, 2 + np.arange(n - 1) % 7])
     partition = TokenPartition(selected=np.arange(k),
                                unselected=np.arange(k, n))
-    tape, split = _mutant_forward(model, seq, partition, inject_bug)
+    tape, split = _mutant_forward(model, seq, partition, mutant)
     loss_classification(tape, model, split, 0)
     attn = ffn = total = 0
     for (label, _), nbytes in tape.retained_bytes().items():
@@ -508,7 +517,7 @@ def _retained_subtotals(model, n: int, k: int, inject_bug=None):
     return attn, ffn, total
 
 
-def cache_scaling_check(inject_bug: str | None = None) -> dict:
+def cache_scaling_check(mutant: str | None = None) -> dict:
     """The bytes retained for backward must be affine in the sequence
     length at fixed k (linear attention term, constant ffn/norm term) and
     strictly increasing in k.
@@ -522,12 +531,12 @@ def cache_scaling_check(inject_bug: str | None = None) -> dict:
     attn = []
     ffn = []
     for n in points:
-        a, f, _ = _retained_subtotals(model, n, k, inject_bug)
+        a, f, _ = _retained_subtotals(model, n, k, mutant)
         attn.append(a)
         ffn.append(f)
     ffn_constant = ffn[0] == ffn[1] == ffn[2]
     attn_linear = (attn[1] - attn[0]) == (attn[2] - attn[1])
-    totals = [_retained_subtotals(model, 12, kk, inject_bug)[2]
+    totals = [_retained_subtotals(model, 12, kk, mutant)[2]
               for kk in (2, 4, 6)]
     increasing = totals[0] < totals[1] < totals[2]
     ok = ffn_constant and attn_linear and increasing
@@ -561,11 +570,11 @@ def gradcheck_fixture():
 
 
 def run_gradcheck(n_configs: int = 20, seed: int = 0,
-                  inject_bug: str | None = None) -> dict:
+                  mutant: str | None = None) -> dict:
     """The named-property battery behind the gradcheck command."""
     suite = equivalence_suite(n_configs=n_configs, seed=seed,
-                              inject_bug=inject_bug)
-    cache = cache_scaling_check(inject_bug)
+                              mutant=mutant)
+    cache = cache_scaling_check(mutant)
 
     model, seq, partition, loss_spec = gradcheck_fixture()
     fd = finite_difference_check(model, seq, partition, loss_spec)

@@ -15,10 +15,9 @@ import tokentune.model
 import tokentune.optimize
 import tokentune.partition
 import tokentune.selective
-from tokentune.config import TrainConfig
+from tokentune.config import ModelConfig, TrainConfig
 from tokentune.engine import simulate_peak_bytes
-from tokentune.memprofile import (build_regime_model, lm_profile_batch,
-                                  profile_model_config)
+from tokentune.memprofile import build_regime_model, lm_profile_batch
 from tokentune.optimize import Trainer
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -57,9 +56,9 @@ def test_ledger_hook_elements_are_the_replays_retained_bytes(monkeypatch):
 
     # 20 keys pack into 3 mask bytes per query row: not whole elements
     n, dtype = 20, "float32"
-    model = build_regime_model(
-        "tokentune", profile_model_config(n, d_model=16, n_layers=2,
-                                          n_heads=2), seed=6, dtype=dtype)
+    cfg = ModelConfig(max_positions=n, d_model=16, n_heads=2, d_ff=64,
+                      n_layers=2, causal=True, n_classes=None)
+    model = build_regime_model("tokentune", cfg, seed=6, dtype=dtype)
     trainer = Trainer(model, TrainConfig(regime="tokentune", k=5, seed=6,
                                          dtype=dtype), "lm")
     trainer.train_step(lm_profile_batch(n, 2, seed=6), tape_hook=both)

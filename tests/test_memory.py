@@ -20,7 +20,7 @@ from tokentune.config import ModelConfig, TrainConfig
 from tokentune.engine import (ATTENTION_BLOCK_ROWS, Tape, gelu_array,
                               simulate_peak_bytes)
 from tokentune.memprofile import (PROFILE_REGIMES, build_regime_model,
-                                  lm_profile_batch, profile_model_config)
+                                  lm_profile_batch)
 from tokentune.model import FFN_BLOCK_ROWS, build_model, forward_hidden
 from tokentune.model import ffn as ffn_block
 from tokentune.optimize import (SELECTIVE_REGIMES, AdamState, Trainer,
@@ -158,8 +158,9 @@ def test_each_tracked_layer_norm_output_leaves_the_retained_set(
 def test_breakdown_sums_to_the_replays_retained_bytes(regime, dtype):
     # 20 keys pack into 3 mask bytes per query row: not whole elements
     n = 20
-    model = build_regime_model(regime, profile_model_config(
-        n, d_model=16, n_layers=2, n_heads=2), seed=5, dtype=dtype)
+    cfg = ModelConfig(max_positions=n, d_model=16, n_heads=2, d_ff=64,
+                      n_layers=2, causal=True, n_classes=None)
+    model = build_regime_model(regime, cfg, seed=5, dtype=dtype)
     selective = regime in SELECTIVE_REGIMES
     trainer = Trainer(model, TrainConfig(regime=regime,
                                          k=5 if selective else None,

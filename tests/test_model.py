@@ -11,11 +11,13 @@ from tokentune.config import ModelConfig
 from tokentune.data import Example
 from tokentune.engine import Tape
 from tokentune.model import (FFN_BLOCK_ROWS, ModelError, TokenSequence,
-                             attention, attention_mask, build_model,
-                             embed, ffn, forward_hidden,
-                             layer_forward, lm_logits,
+                             attention_mask, build_model, embed, ffn,
+                             forward_hidden, lm_logits,
                              loss_classification_rows)
 from tokentune.optimize import evaluate
+from tokentune.partition import TokenPartition
+from tokentune.selective import (split_hidden, tokentune_attention,
+                                 tokentune_ffn)
 
 
 def tiny_config(**kw):
@@ -74,6 +76,32 @@ def test_embed_range_errors():
 
 # ---- attention ----------------------------------------------------------------
 
+def one_group(tape, h, positions):
+    """`h` as the split of full fine-tuning: every row selected, none
+    unselected (rows in position order)."""
+    positions = np.asarray(positions)
+    partition = TokenPartition(selected=positions,
+                               unselected=np.empty(0, dtype=np.intp))
+    return split_hidden(tape, tape.input(h), partition, positions)
+
+
+def attention_layer(model, layer, h, positions, causal):
+    """h + attention(norm1(h)): the one-group split's attention update."""
+    t = Tape()
+    split = tokentune_attention(t, model, layer, one_group(t, h, positions),
+                                causal)
+    assert split.h_gbar is None
+    return split.h_g.value
+
+
+def norm_vals(model, layer, x, which):
+    scale = model.param(f"layers.{layer}.norm{which}.scale").value
+    shift = model.param(f"layers.{layer}.norm{which}.shift").value
+    mu = x.mean(axis=1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+    return (x - mu) / np.sqrt(var + 1e-5) * scale + shift
+
+
 def _dense_attention_oracle(h, model, layer, positions, pad_mask, causal):
     """Independent multi-head attention implementation."""
     cfg = model.config
@@ -101,17 +129,17 @@ def _dense_attention_oracle(h, model, layer, positions, pad_mask, causal):
 def test_attention_single_token_is_value_projection():
     model = build_model(tiny_config(n_heads=1), seed=3, dtype="float64")
     h = rng_for(3).normal(size=(1, 8))
-    t = Tape()
-    out = attention(t, model, 0, t.input(h), [0], [True], causal=False)
+    out = attention_layer(model, 0, h, [0], causal=False)
     base = "layers.0.attn"
-    v = h @ model.param(f"{base}.w_v").value + model.param(f"{base}.b_v").value
-    expected = v @ model.param(f"{base}.w_o").value \
+    v = norm_vals(model, 0, h, 1) @ model.param(f"{base}.w_v").value \
+        + model.param(f"{base}.b_v").value
+    expected = h + v @ model.param(f"{base}.w_o").value \
         + model.param(f"{base}.b_o").value
-    assert np.allclose(out.value, expected, atol=1e-14)
+    assert np.allclose(out, expected, atol=1e-14)
 
 
 def test_causal_mask_row_zero_attends_only_to_itself():
-    visible = attention_mask([0, 1, 2], [0, 1, 2], [True] * 3, causal=True)
+    visible = attention_mask([0, 1, 2], [0, 1, 2], causal=True)
     assert visible.dtype == bool
     assert visible.tolist() == [[True, False, False], [True, True, False],
                                 [True, True, True]]
@@ -122,14 +150,13 @@ def test_causal_mask_row_zero_attends_only_to_itself():
     assert np.array_equal(out[0], v[0])
 
 
-def test_mask_follows_positions_and_blocks_padded_keys():
-    # storage order [2, 0, 1]; the key at position 1 is padding
-    visible = attention_mask([2, 0, 1], [2, 0, 1], [True, True, False],
-                             causal=True)
-    assert visible.tolist() == [[True, True, False], [False, True, False],
-                                [False, True, False]]
-    assert attention_mask([0, 1], [0, 1, 2], [True, False, True],
-                          causal=False).tolist() == [[True, False, True]] * 2
+def test_mask_follows_positions_not_storage_order():
+    # storage order [2, 0, 1]
+    visible = attention_mask([2, 0, 1], [2, 0, 1], causal=True)
+    assert visible.tolist() == [[True, True, True], [False, True, False],
+                                [False, True, True]]
+    assert attention_mask([0, 1], [0, 1, 2],
+                          causal=False).tolist() == [[True] * 3] * 2
 
 
 @pytest.mark.parametrize("causal", [False, True])
@@ -141,25 +168,21 @@ def test_attention_matches_dense_oracle(causal, n_heads):
     h = rng_for(4).normal(size=(3, 8))
     positions = [0, 1, 2]
     pad = [True, True, True]
-    t = Tape()
-    got = attention(t, model, 0, t.input(h), positions, pad, causal).value
-    want = _dense_attention_oracle(h, model, 0, positions, pad, causal)
+    got = attention_layer(model, 0, h, positions, causal)
+    want = h + _dense_attention_oracle(norm_vals(model, 0, h, 1), model, 0,
+                                       positions, pad, causal)
     assert np.abs(got - want).max() < 1e-12
 
 
-def test_attention_ignores_padded_keys():
+def test_padded_tokens_change_no_unpadded_row():
     model = build_model(tiny_config(), seed=5, dtype="float64")
-    r = rng_for(5)
-    h = r.normal(size=(4, 8))
-    t1 = Tape()
-    out_masked = attention(t1, model, 0, t1.input(h), [0, 1, 2, 3],
-                           [True, True, True, False], causal=False).value
-    h2 = h.copy()
-    h2[3] = r.normal(size=8) * 100.0
-    t2 = Tape()
-    out_changed = attention(t2, model, 0, t2.input(h2), [0, 1, 2, 3],
-                            [True, True, True, False], causal=False).value
-    assert np.array_equal(out_masked[:3], out_changed[:3])
+    ids = np.array([1, 4, 7, 5])
+    pad = np.array([True, True, True, False])
+    ids2 = ids.copy()
+    ids2[3] = 11
+    out = _hidden(model, ids, pad)
+    assert out.shape == (3, 8)
+    assert np.array_equal(out, _hidden(model, ids2, pad))
 
 
 # ---- full layers ---------------------------------------------------------------
@@ -173,11 +196,11 @@ def test_zero_weight_layers_are_identity():
             p.value[...] = 0.0
     h = rng_for(6).normal(size=(4, 8))
     t = Tape()
-    node = t.input(h)
+    split = one_group(t, h, np.arange(4))
     for layer in range(3):
-        node = layer_forward(t, model, layer, node, np.arange(4),
-                             np.ones(4, dtype=bool))
-    assert np.array_equal(node.value, h)
+        split = tokentune_attention(t, model, layer, split, causal=False)
+        split = tokentune_ffn(t, model, layer, split)
+    assert np.array_equal(split.h_g.value, h)
 
 
 @pytest.mark.parametrize("block_rows", [FFN_BLOCK_ROWS, 64])
@@ -216,24 +239,19 @@ def test_no_grad_ffn_in_row_blocks_equals_the_whole_array_ffn(
         assert min(sizes) >= 32
 
 
-def test_layer_forward_composes_attention_and_ffn():
+def test_split_layer_composes_attention_and_ffn():
     from scipy.special import erf
     model = build_model(tiny_config(n_layers=1), seed=7, dtype="float64")
     h = rng_for(7).normal(size=(2, 8))
     positions, pad = [0, 1], [True, True]
     t = Tape()
-    got = layer_forward(t, model, 0, t.input(h), positions, pad).value
+    split = tokentune_attention(t, model, 0, one_group(t, h, positions),
+                                causal=False)
+    got = tokentune_ffn(t, model, 0, split).h_g.value
 
-    def norm_vals(x, which):
-        scale = model.param(f"layers.0.norm{which}.scale").value
-        shift = model.param(f"layers.0.norm{which}.shift").value
-        mu = x.mean(axis=1, keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
-        return (x - mu) / np.sqrt(var + 1e-5) * scale + shift
-
-    mid = h + _dense_attention_oracle(norm_vals(h, 1), model, 0, positions,
-                                      pad, False)
-    z = norm_vals(mid, 2) @ model.param("layers.0.ffn.w1").value \
+    mid = h + _dense_attention_oracle(norm_vals(model, 0, h, 1), model, 0,
+                                      positions, pad, False)
+    z = norm_vals(model, 0, mid, 2) @ model.param("layers.0.ffn.w1").value \
         + model.param("layers.0.ffn.b1").value
     g = 0.5 * z * (1 + erf(z / np.sqrt(2)))
     want = mid + g @ model.param("layers.0.ffn.w2").value \

@@ -4,12 +4,15 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from tokentune.cli import EXIT_OK, main
 from tokentune.config import ModelConfig, RunConfig, TaskConfig, TrainConfig
+from tokentune.data import build_task_datasets, synthetic_text
 from tokentune.memprofile import SWEEP_COLUMNS, sweep_report
-from tokentune.optimize import run_training
+from tokentune.model import build_model
+from tokentune.optimize import Trainer, run_training
 
 
 def tiny_run(regime: str) -> RunConfig:
@@ -63,5 +66,57 @@ def test_memsweep_writes_a_header_and_a_row_per_grid_point(tmp_path):
 
 def test_sweep_needs_k_for_a_selective_regime():
     with pytest.raises(ValueError, match="needs k"):
-        sweep_report([{"regime": "tokentune", "n": 16}], d_model=16,
-                     n_layers=1)
+        sweep_report([{"regime": "tokentune", "n": 16}],
+                     ModelConfig(d_model=16, n_layers=1), TrainConfig())
+
+
+def test_memsweep_profiles_the_configured_model(tmp_path):
+    # d_model=12 is not divisible by 8: a sweep must use the 4 heads set
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"model": {"d_model": 12, "n_heads": 4,
+                                            "d_ff": 20, "n_layers": 1},
+                                  "train": {"dtype": "float64"}}))
+    out = tmp_path / "sweep.csv"
+    code = main(["memsweep", "--config", str(config), "--out", str(out),
+                 "--n", "16", "--regimes", "full,lora"])
+    assert code == EXIT_OK
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = {r["regime"]: r for r in csv.DictReader(fh)}
+    d, d_ff, n, vocab = 12, 20, 16, ModelConfig().vocab_size
+    layer = 4 * (d * d + d) + 4 * d + d * d_ff + d_ff + d_ff * d + d
+    elements = vocab * d + n * d + layer + d * vocab
+    assert int(rows["full"]["params_bytes"]) == elements * 8
+    # the run's LoRA settings: rank 8 on w1 and w2
+    lora = 8 * (d + d_ff) * 2
+    assert int(rows["lora"]["params_bytes"]) == (elements + lora) * 8
+    assert int(rows["lora"]["grads_bytes"]) == lora * 8
+
+
+def test_tokentune_lm_example_without_a_selected_target_adds_nothing(
+        tmp_path):
+    # at k = 1 the one selected position is sometimes the window's last,
+    # which has no next-token target
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(synthetic_text(2000, seed=0))
+    cfg = RunConfig(
+        model=ModelConfig(max_positions=8, d_model=8, n_heads=2, d_ff=12,
+                          n_layers=1, causal=True, n_classes=None),
+        train=TrainConfig(regime="tokentune", k=1, batch_size=1,
+                          max_steps=40, seed=0),
+        task=TaskConfig(kind="lm", seq_len=8, corpus_path=str(corpus),
+                        eval_windows=4))
+    train, _ = build_task_datasets(cfg.task, cfg.model)
+    trainer = Trainer(build_model(cfg.model, seed=0), cfg.train, "lm")
+    lone = [i for i in range(40)
+            if trainer.partition_for(train[i].seq, i).selected[0] == 7]
+    assert lone  # the case occurs in the first 40 examples
+    before = {name: arr.copy() for name, arr in trainer.accum.items()}
+    trainer.example_counter = lone[0]
+    metrics = trainer.train_step([train[lone[0]]])
+    assert metrics["loss"] == 0.0 and metrics["activation_bytes"] == 0
+    assert all(np.array_equal(trainer.accum[name], before[name])
+               for name in before)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(cfg.to_dict()))
+    assert main(["train", "--config", str(config),
+                 "--out", str(tmp_path / "run")]) == EXIT_OK

@@ -9,7 +9,7 @@ from tokentune.engine import ATTENTION_BLOCK_ROWS, Tape, gelu_array
 from tokentune.model import TokenSequence, build_model
 from tokentune.partition import TokenPartition, select_positions
 from tokentune.selective import loss_lm, tokentune_forward
-from tokentune.verify import (PROPERTY_CACHE, PROPERTY_STOPGRAD,
+from tokentune.verify import (MUTANTS, PROPERTY_CACHE, PROPERTY_STOPGRAD,
                               PROPERTY_VALUE, _StopContext, _stop_rows,
                               _value_preservation_diff,
                               cache_scaling_check, equivalence_suite,
@@ -158,7 +158,7 @@ def test_equivalence_suite_default_grid_passes(tmp_path):
 
 def test_mutation_track_unselected_kv_caught_by_stopgrad_property():
     res = equivalence_suite(n_configs=10, seed=0,
-                            inject_bug="track-unselected-kv")
+                            mutant="track-unselected-kv")
     failed_props = {r["property"] for r in res["failures"]}
     assert PROPERTY_STOPGRAD in failed_props
     assert PROPERTY_VALUE not in failed_props  # values are untouched
@@ -166,7 +166,7 @@ def test_mutation_track_unselected_kv_caught_by_stopgrad_property():
 
 def test_mutation_cache_unselected_rows_caught_only_by_ledger():
     res = equivalence_suite(n_configs=10, seed=0,
-                            inject_bug="cache-unselected-rows")
+                            mutant="cache-unselected-rows")
     assert res["all_pass"]  # values and gradients are unaffected
     assert cache_scaling_check("cache-unselected-rows")["pass"] is False
     assert cache_scaling_check(None)["pass"] is True
@@ -174,7 +174,7 @@ def test_mutation_cache_unselected_rows_caught_only_by_ledger():
 
 def test_mutation_mask_from_storage_order_breaks_value_preservation():
     res = equivalence_suite(n_configs=10, seed=0,
-                            inject_bug="mask-from-storage-order")
+                            mutant="mask-from-storage-order")
     failed_props = {r["property"] for r in res["failures"]}
     assert PROPERTY_VALUE in failed_props
 
@@ -187,9 +187,31 @@ def test_run_gradcheck_clean_and_mutated():
         ("cache-unselected-rows", PROPERTY_CACHE),
         ("mask-from-storage-order", PROPERTY_VALUE),
     ]:
-        rep = run_gradcheck(n_configs=8, seed=0, inject_bug=bug)
+        rep = run_gradcheck(n_configs=8, seed=0, mutant=bug)
         assert not rep["all_pass"]
         assert expected in rep["failed_properties"], (bug, rep)
+        if bug == "cache-unselected-rows":
+            assert rep["failed_properties"] == [PROPERTY_CACHE]
+
+
+def test_mutant_patches_are_scoped_and_names_are_one_list():
+    from tokentune import selective
+    from tokentune.cli import build_parser
+    originals = (selective._unselected_qkv, selective.attention_mask)
+    for mutant in MUTANTS:
+        equivalence_suite(n_configs=2, seed=0, mutant=mutant)
+        assert (selective._unselected_qkv, selective.attention_mask) \
+            == originals, mutant
+        args = build_parser().parse_args(["gradcheck", "--inject-bug",
+                                          mutant])
+        assert args.mutant == mutant
+    with pytest.raises(ValueError, match="unknown mutant"):
+        equivalence_suite(n_configs=1, seed=0, mutant="no-such-mutant")
+    with pytest.raises(ValueError, match="unknown mutant"):
+        cache_scaling_check("no-such-mutant")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["gradcheck", "--inject-bug",
+                                   "no-such-mutant"])
 
 
 def test_lora_composition_gradients_match_oracle():
