@@ -1,13 +1,14 @@
 """Checkpoints: a JSON header line plus little-endian raw float payload.
 
-The header records the model config, dtype, and an ordered manifest of
-parameter names, shapes, and frozen flags; the payload is the raw bytes of
-each array in manifest order. The header also records the payload's
-sha256. Round-trips are bit-exact. Adapter-only checkpoints use the same
-container with their own manifest. A malformed header, a missing or
-mismatched payload hash, or a payload whose length does not match the
-manifest raises :class:`CheckpointError`. A save replaces the file at its
-path only once the new file is written in full.
+The header records the format version, the model config, dtype, and an
+ordered manifest of parameter names, shapes, and frozen flags; the
+payload is the raw bytes of each array in manifest order. The header also
+records the payload's sha256. Round-trips are bit-exact. Adapter-only
+checkpoints use the same container with their own manifest. A malformed
+header, a version other than `VERSION`, a missing or mismatched payload
+hash, or a payload whose length does not match the manifest raises
+:class:`CheckpointError`. A save replaces the file at its path only once
+the new file is written in full.
 """
 
 from __future__ import annotations
@@ -126,6 +127,10 @@ def _read(path, magic: str) -> tuple[dict, bytes]:
         raise CheckpointError(f"corrupted checkpoint header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != magic:
         raise CheckpointError(f"not a {magic} file: {path}")
+    version = header.get("version")
+    if type(version) is not int or version != VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version!r} "
+                              f"(expected {VERSION}): {path}")
     payload = raw[nl + 1:]
     expected = header.get("sha256")
     if not isinstance(expected, str):

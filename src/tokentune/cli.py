@@ -14,7 +14,8 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, apply_overrides, load_run_config
+from .config import (REGIMES, SELECTIVE_REGIMES, ConfigError, RunConfig,
+                     apply_overrides, load_run_config)
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILED = 1
@@ -93,15 +94,14 @@ def cmd_memsweep(args) -> int:
 
     cfg = _resolve_config(args.config, args.set)
     n = args.n or cfg.task.seq_len
-    regimes = args.regimes.split(",") if args.regimes else \
-        ["full", "tokentune", "lora", "tokentune+lora"]
+    regimes = args.regimes.split(",") if args.regimes else REGIMES
     ratios = ([float(r) for r in args.ratios.split(",")]
               if args.ratios else [0.125, 0.25, 0.5, 1.0])
     grid = []
     for regime in regimes:
         if not regime:
             continue
-        if regime in ("tokentune", "tokentune+lora"):
+        if regime in SELECTIVE_REGIMES:
             for ratio in ratios:
                 grid.append({"regime": regime, "n": n,
                              "k": max(1, round(ratio * n)),
@@ -144,9 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_gc = sub.add_parser("gradcheck", help="run the verification battery")
-    p_gc.add_argument("--config", required=False, help="unused; accepted "
-                      "for interface uniformity")
-    p_gc.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_gc.add_argument("--n-configs", type=int, default=20)
     p_gc.add_argument("--seed", type=int, default=0)
     p_gc.add_argument("--inject-bug", dest="mutant", choices=MUTANTS)

@@ -20,6 +20,8 @@ class ConfigError(ValueError):
 
 
 REGIMES = ("full", "tokentune", "lora", "tokentune+lora")
+SELECTIVE_REGIMES = ("tokentune", "tokentune+lora")
+ADAPTER_REGIMES = ("lora", "tokentune+lora")
 DTYPES = ("float32", "float64")
 
 
@@ -84,8 +86,8 @@ class TrainConfig:
             raise ConfigError("train.batch_size", "must be >= 1")
         if self.lora_r < 1:
             raise ConfigError("train.lora_r", "must be >= 1")
-        uses_selection = self.regime in ("tokentune", "tokentune+lora")
-        if uses_selection and self.k is None and self.selection_ratio is None:
+        if self.regime in SELECTIVE_REGIMES and self.k is None \
+                and self.selection_ratio is None:
             raise ConfigError("train.k",
                               "tokentune regimes need k or selection_ratio")
 

@@ -17,7 +17,6 @@ import numpy as np
 from .config import ModelConfig, TaskConfig
 from .model import TokenSequence
 
-PAD_ID = 0
 CLS_ID = 1
 FIRST_MARKER_ID = 2
 
@@ -30,7 +29,7 @@ class DataError(ValueError):
 class Example:
     seq: TokenSequence
     label: int | None = None
-    targets: np.ndarray | None = None  # by original position; -1 = no target
+    targets: np.ndarray | None = None  # by position; -1 = no target
 
 
 class ByteTokenizer:

@@ -18,12 +18,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .adapters import attach
-from .config import ModelConfig, TrainConfig
+from .config import (ADAPTER_REGIMES, REGIMES, SELECTIVE_REGIMES,
+                     ModelConfig, TrainConfig)
 from .data import Example
 from .model import TokenSequence, TransformerModel, build_model
 from .optimize import Trainer
-
-PROFILE_REGIMES = ("full", "tokentune", "lora", "tokentune+lora")
 
 
 @dataclass
@@ -53,7 +52,7 @@ def build_regime_model(regime: str, cfg: ModelConfig, seed: int = 0,
                        lora_targets=("w1", "w2"), lora_r: int = 8,
                        lora_alpha: float = 16.0) -> TransformerModel:
     model = build_model(cfg, seed=seed, dtype=dtype)
-    if regime in ("lora", "tokentune+lora"):
+    if regime in ADAPTER_REGIMES:
         attach(model, lora_targets, lora_r, lora_alpha, seed=seed)
     return model
 
@@ -111,11 +110,11 @@ def sweep_report(grid, model: ModelConfig, train: TrainConfig,
     rows = []
     for point in grid:
         regime = point["regime"]
-        if regime not in PROFILE_REGIMES:
+        if regime not in REGIMES:
             raise ValueError(f"unknown regime '{regime}'")
         n = int(point["n"])
         batch = int(point.get("batch", 1))
-        selective = regime in ("tokentune", "tokentune+lora")
+        selective = regime in SELECTIVE_REGIMES
         k = point.get("k")
         if selective and k is None:
             raise ValueError(f"grid point {point} needs k for regime "

@@ -1,16 +1,15 @@
 """Transformer encoder/decoder built from tape primitives.
 
 Pre-norm residual blocks with GELU feed-forward, learned absolute position
-embeddings indexed by each token's original position id (so rows can be
-stored in any order without changing values), multi-head attention with
+embeddings (row i of a sequence is position i), multi-head attention with
 boolean visibility masks, and either a classifier head (one hidden layer
 MLP over a mean-pooled representation) or a tied-nothing language-model
 projection.
 
 These are the on-tape builders of `selective.tokentune_forward`, the one
 layer loop: full fine-tuning, LoRA and evaluation run it with every
-unpadded position selected (TokenTune with k = n), and `forward_hidden`
-is that forward restored to storage order. Padded rows never enter it.
+position selected (TokenTune with k = n), and `forward_hidden` is that
+forward's rows in position order.
 """
 
 from __future__ import annotations
@@ -52,32 +51,19 @@ class Parameter:
 
 @dataclass
 class TokenSequence:
-    """Token ids with explicit original positions and a padding mask."""
+    """The token ids of one sequence; id i sits at position i."""
 
     ids: np.ndarray
-    positions: np.ndarray
-    pad_mask: np.ndarray  # True = real token
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.intp)
-        self.positions = np.asarray(self.positions, dtype=np.intp)
-        self.pad_mask = np.asarray(self.pad_mask, dtype=bool)
-        if not (len(self.ids) == len(self.positions) == len(self.pad_mask)):
-            raise ModelError("ids, positions, pad_mask must have equal length")
 
     @classmethod
-    def from_ids(cls, ids, pad_mask=None) -> "TokenSequence":
-        ids = np.asarray(ids, dtype=np.intp)
-        if pad_mask is None:
-            pad_mask = np.ones(len(ids), dtype=bool)
-        return cls(ids=ids, positions=np.arange(len(ids)), pad_mask=pad_mask)
+    def from_ids(cls, ids) -> "TokenSequence":
+        return cls(ids=ids)
 
     def __len__(self):
         return len(self.ids)
-
-    @property
-    def n_unpadded(self) -> int:
-        return int(self.pad_mask.sum())
 
 
 class TransformerModel:
@@ -215,10 +201,11 @@ def affine(tape: Tape, model: TransformerModel, x: Tensor, w_name: str,
 
 
 def attention_mask(query_positions, key_positions, causal) -> np.ndarray:
-    """Boolean visibility from ORIGINAL position ids, never storage order.
+    """Boolean visibility from position ids, not from row numbers within
+    a block.
 
-    Query i sees key j unless (causal) the key's original position exceeds
-    the query's. Padded rows never enter a forward, so no key is padding.
+    Query i sees key j unless (causal) the key's position exceeds the
+    query's.
     """
     qp = np.asarray(query_positions).reshape(-1, 1)
     kp = np.asarray(key_positions).reshape(1, -1)
@@ -288,22 +275,20 @@ def embed(tape: Tape, model: TransformerModel, seq: TokenSequence) -> Tensor:
     cfg = model.config
     if len(seq) and (seq.ids.min() < 0 or seq.ids.max() >= cfg.vocab_size):
         raise ModelError(f"token id out of range for vocab {cfg.vocab_size}")
-    if len(seq) and (seq.positions.min() < 0
-                     or seq.positions.max() >= cfg.max_positions):
-        raise ModelError(
-            f"position out of range for max_positions {cfg.max_positions}")
+    if len(seq) > cfg.max_positions:
+        raise ModelError(f"{len(seq)} positions exceed max_positions "
+                         f"{cfg.max_positions}")
     with tape.region("embed"):
         tok = tape.select_rows(_param_node(tape, model, "tok_emb"), seq.ids)
         pos = tape.select_rows(_param_node(tape, model, "pos_emb"),
-                               seq.positions)
+                               np.arange(len(seq)))
         return tape.add(tok, pos)
 
 
 def forward_hidden(tape: Tape, model: TransformerModel,
                    seq: TokenSequence) -> Tensor:
     """The forward of full fine-tuning and evaluation: TokenTune's forward
-    with every unpadded position selected, restored to storage order. It
-    returns the unpadded rows only."""
+    with every position selected, one row per position."""
     from .selective import every_position, restore_hidden, tokentune_forward
     return restore_hidden(tape, tokentune_forward(tape, model, seq,
                                                   every_position(seq)))

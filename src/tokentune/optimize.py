@@ -4,9 +4,9 @@ Every regime runs per-example tapes of one forward,
 `selective.tokentune_forward`, with gradients accumulated in a fixed
 order; the optimizer applies once per accumulation window. The selective
 regimes draw k positions per example; full, LoRA and evaluation select
-every unpadded position. Losses are normalized per example
-(classification) or per contributing target token (language modeling) so
-magnitudes stay comparable across selection sizes.
+every position. Losses are normalized per example (classification) or
+per contributing target token (language modeling) so magnitudes stay
+comparable across selection sizes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, TrainConfig
+from .config import SELECTIVE_REGIMES, RunConfig, TrainConfig
 from .engine import Tape, simulate_peak_bytes
 from .model import (TokenSequence, TransformerModel, class_logits,
                     forward_hidden, log_softmax)
@@ -29,9 +29,6 @@ from .selective import (every_position, loss_classification, loss_lm,
 BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
-
-SELECTIVE_REGIMES = ("tokentune", "tokentune+lora")
-ADAPTER_REGIMES = ("lora", "tokentune+lora")
 
 
 class StepError(RuntimeError):
@@ -152,13 +149,13 @@ class Trainer:
     def partition_for(self, seq: TokenSequence,
                       example_index: int) -> TokenPartition:
         """Fresh uniform selection per example, seeded from the run seed,
-        in the selective regimes; every unpadded position otherwise."""
+        in the selective regimes; every position otherwise."""
         if not self.selective:
             return every_position(seq)
-        k = resolve_k(self.cfg.k, self.cfg.selection_ratio, seq.n_unpadded)
+        k = resolve_k(self.cfg.k, self.cfg.selection_ratio, len(seq))
         mode = "classification" if self.task_kind == "classification" else "lm"
         seed = _derived_seed(self.cfg.seed, 0x5E7EC7, example_index)
-        return select_positions(len(seq), k, mode, seq.pad_mask, seed)
+        return select_positions(len(seq), k, mode, seed)
 
     def _example_loss(self, tape: Tape, example) -> tuple[object, int]:
         """Record forward+loss for one example; returns (loss node, #terms),
@@ -261,16 +258,16 @@ class Trainer:
 # ---- evaluation -------------------------------------------------------------
 
 def eval_hidden(model: TransformerModel, seq: TokenSequence) -> np.ndarray:
-    """Forward values of the unpadded rows, in storage order; nothing is
-    tracked or cached."""
+    """Forward values, one row per position; nothing is tracked or
+    cached."""
     tape = Tape()
     with tape.no_grad():
         return forward_hidden(tape, model, seq).value
 
 
 def evaluate(model: TransformerModel, dataset, task_kind: str) -> dict:
-    """Classification accuracy (the training head pooled over all unpadded
-    rows, run without gradients) or language model perplexity over every
+    """Classification accuracy (the training head pooled over all rows,
+    run without gradients) or language model perplexity over every
     predictable position; no selection."""
     if not dataset:
         raise StepError("empty evaluation dataset")
@@ -288,9 +285,8 @@ def evaluate(model: TransformerModel, dataset, task_kind: str) -> dict:
     total_terms = 0
     w_lm = model.param("head.w_lm").value
     for example in dataset:
-        seq = example.seq
-        h = eval_hidden(model, seq)
-        t = np.asarray(example.targets)[seq.positions[seq.pad_mask]]
+        h = eval_hidden(model, example.seq)
+        t = np.asarray(example.targets)
         rows = np.flatnonzero(t >= 0)
         if rows.size == 0:
             continue
@@ -324,19 +320,17 @@ def run_training(cfg: RunConfig, out_dir) -> RunResult:
     from pathlib import Path
 
     from . import __version__
-    from .adapters import attach
     from .checkpoint import save_model
     from .data import build_task_datasets
-    from .memprofile import memory_report
+    from .memprofile import build_regime_model, memory_report
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    from .model import build_model
-    model = build_model(cfg.model, seed=cfg.train.seed, dtype=cfg.train.dtype)
-    if cfg.train.regime in ADAPTER_REGIMES:
-        attach(model, cfg.train.lora_targets, cfg.train.lora_r,
-               cfg.train.lora_alpha, seed=cfg.train.seed)
+    model = build_regime_model(
+        cfg.train.regime, cfg.model, seed=cfg.train.seed,
+        dtype=cfg.train.dtype, lora_targets=cfg.train.lora_targets,
+        lora_r=cfg.train.lora_r, lora_alpha=cfg.train.lora_alpha)
 
     train_set, test_set = build_task_datasets(cfg.task, cfg.model)
     task_kind = cfg.task.kind

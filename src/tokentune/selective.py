@@ -8,9 +8,9 @@ merged into position order, so forward values do not depend on the
 selection; only gradient availability and what backward retains change.
 
 This is the only layer loop. Full fine-tuning, LoRA and evaluation run it
-with `every_position`, which selects every unpadded position and leaves
-the unselected block empty (TokenTune with k = n); padded rows never
-enter a forward.
+with `every_position`, which selects every position and leaves the
+unselected block empty (TokenTune with k = n). Row i of a sequence's
+hidden states is position i.
 """
 
 from __future__ import annotations
@@ -25,15 +25,15 @@ from .model import (ModelError, TokenSequence, TransformerModel,
                     loss_classification_rows, loss_lm_rows, qkv)
 from .model import ffn as ffn_block
 from .model import norm as norm_block
-from .partition import SelectionError, TokenPartition, partition_rows
+from .partition import SelectionError, TokenPartition
 
 
 def every_position(seq: TokenSequence) -> TokenPartition:
-    """The partition of full fine-tuning and evaluation: every unpadded
-    position selected, none unselected."""
-    if not seq.pad_mask.any():
-        raise ModelError("a forward needs at least one unpadded position")
-    return TokenPartition(selected=seq.positions[seq.pad_mask],
+    """The partition of full fine-tuning and evaluation: every position
+    selected, none unselected."""
+    if len(seq) == 0:
+        raise ModelError("a forward needs at least one position")
+    return TokenPartition(selected=np.arange(len(seq)),
                           unselected=np.empty(0, dtype=np.intp))
 
 
@@ -45,49 +45,43 @@ class SplitHidden:
     h_gbar: Tensor | None
     positions_g: np.ndarray
     positions_gbar: np.ndarray
-    restore_idx: np.ndarray
     # puts rows of [unselected; selected] in position order; one array
-    # shared by every layer's key and value reorder
+    # shared by every layer's key and value reorder and by the restore
     key_order: np.ndarray
 
     def with_blocks(self, h_g: Tensor, h_gbar: Tensor | None) -> "SplitHidden":
         return SplitHidden(h_g, h_gbar, self.positions_g,
-                           self.positions_gbar, self.restore_idx,
-                           self.key_order)
+                           self.positions_gbar, self.key_order)
 
 
-def split_hidden(tape: Tape, h: Tensor, partition: TokenPartition,
-                 storage_positions=None) -> SplitHidden:
-    """Select partition rows out of `h`; the unselected block is recorded
-    under a disabled scope and therefore enters the graph as a constant."""
-    if storage_positions is not None and h.value.shape[0] != len(storage_positions):
+def split_hidden(tape: Tape, h: Tensor,
+                 partition: TokenPartition) -> SplitHidden:
+    """Select partition rows out of `h`, whose row i is position i; the
+    unselected block is recorded under a disabled scope and therefore
+    enters the graph as a constant."""
+    rows = h.value.shape[0]
+    both = np.concatenate([partition.unselected, partition.selected])
+    if both.size != rows or both.min() < 0 or both.max() >= rows:
         raise SelectionError(
-            f"matrix rows ({h.value.shape[0]}) != storage positions "
-            f"({len(storage_positions)})")
-    rows_sel, rows_unsel, restore_idx = partition_rows(partition,
-                                                       storage_positions)
-    all_rows = np.concatenate([rows_sel, rows_unsel])
-    if all_rows.size and all_rows.max() >= h.value.shape[0]:
-        raise SelectionError(
-            f"partition refers to row {int(all_rows.max())} but the matrix "
-            f"has {h.value.shape[0]} rows")
-    h_g = tape.select_rows(h, rows_sel)
+            f"partition does not cover exactly rows 0..{rows - 1} of the "
+            f"matrix")
+    h_g = tape.select_rows(h, partition.selected)
     h_gbar = None
-    if rows_unsel.size:
+    if partition.unselected.size:
         with tape.no_grad():
-            h_gbar = tape.select_rows(h, rows_unsel)
-    key_order = np.argsort(np.concatenate([partition.unselected,
-                                           partition.selected]),
-                           kind="stable")
+            h_gbar = tape.select_rows(h, partition.unselected)
     return SplitHidden(h_g, h_gbar, partition.selected.copy(),
-                       partition.unselected.copy(), restore_idx, key_order)
+                       partition.unselected.copy(),
+                       np.argsort(both, kind="stable"))
 
 
 def restore_hidden(tape: Tape, split: SplitHidden) -> Tensor:
-    """Put the blocks back into storage order (exact copy)."""
-    h = split.h_g if split.h_gbar is None else \
-        tape.concat_rows([split.h_g, split.h_gbar])
-    return tape.select_rows(h, split.restore_idx)
+    """The rows in position order: the selected block itself when nothing
+    is unselected, else an exact copy of both blocks reordered."""
+    if split.h_gbar is None:
+        return split.h_g
+    return tape.select_rows(tape.concat_rows([split.h_gbar, split.h_g]),
+                            split.key_order)
 
 
 def _unselected_qkv(tape: Tape, model: TransformerModel, layer: int,
@@ -118,11 +112,10 @@ def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
             keys = tape.select_rows(tape.concat_rows([k_gb, k_g]), order)
             vals = tape.select_rows(tape.concat_rows([v_gb, v_g]), order)
             del k_gb, v_gb
-            key_positions = np.concatenate([split.positions_gbar,
-                                            split.positions_g])[order]
         else:
-            keys, vals, key_positions = k_g, v_g, split.positions_g
+            keys, vals = k_g, v_g
         del k_g, v_g
+        key_positions = np.arange(split.key_order.size)
 
         new_g = tape.add(split.h_g, attend_project(
             tape, model, layer, q_g, keys, vals,
@@ -164,8 +157,7 @@ def tokentune_forward(tape: Tape, model: TransformerModel,
     """Embed, split, then run every layer with the two-group update."""
     # the embedding is passed on, not kept: the split's row blocks are
     # copies, so it dies once they are made
-    split = split_hidden(tape, embed(tape, model, seq), partition,
-                         seq.positions)
+    split = split_hidden(tape, embed(tape, model, seq), partition)
     for i in range(model.config.n_layers):
         split = tokentune_attention(tape, model, i, split,
                                     model.config.causal)
@@ -185,10 +177,10 @@ def loss_lm(tape: Tape, model: TransformerModel, split: SplitHidden,
             targets_by_position: np.ndarray) -> tuple[Tensor, int]:
     """Summed next-token cross-entropy over selected rows with targets.
 
-    `targets_by_position[p]` is the token at original position p+1, or -1
-    when there is none (last row, or next token padded). A selected row
-    with no target simply contributes no term. Returns (loss node, number
-    of contributing rows).
+    `targets_by_position[p]` is the token at position p+1, or -1 when
+    there is none (the last position). A selected row with no target
+    simply contributes no term. Returns (loss node, number of
+    contributing rows).
     """
     targets_by_position = np.asarray(targets_by_position)
     t = targets_by_position[split.positions_g]

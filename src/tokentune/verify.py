@@ -37,7 +37,7 @@ from .config import ModelConfig
 from .engine import MASK_VALUE, Tape
 from .model import (TokenSequence, TransformerModel, attention_mask,
                     build_model, forward_hidden, norm, qkv)
-from .partition import TokenPartition, partition_rows, select_positions
+from .partition import SelectionError, TokenPartition, select_positions
 from .selective import (every_position, loss_classification, loss_lm,
                         restore_hidden, tokentune_forward)
 
@@ -244,14 +244,10 @@ def _ref_affine(tape: Tape, model: TransformerModel, x, w_name,
     return z
 
 
-def _ref_mask(positions, pad_mask, causal, dtype) -> np.ndarray:
-    pos = np.asarray(positions)
-    blocked = ~np.asarray(pad_mask, dtype=bool).reshape(1, -1)
-    blocked = np.broadcast_to(blocked, (pos.size, pos.size)).copy()
+def _ref_mask(n, causal, dtype) -> np.ndarray:
+    mask = np.zeros((n, n), dtype=dtype)
     if causal:
-        blocked |= pos.reshape(1, -1) > pos.reshape(-1, 1)
-    mask = np.zeros((pos.size, pos.size), dtype=dtype)
-    mask[blocked] = MASK_VALUE
+        mask[np.triu_indices(n, 1)] = MASK_VALUE
     return mask
 
 
@@ -262,12 +258,12 @@ def _reference_forward(tape: Tape, model: TransformerModel,
     unselected path produces; returns the loss node."""
     cfg = model.config
     ctx = ctx or _StopContext()
-    partition_rows(partition, seq.positions)  # validates coverage
-    pos_to_row = {int(p): i for i, p in enumerate(seq.positions)}
-    stop = np.array(sorted(pos_to_row[int(p)] for p in partition.unselected),
-                    dtype=np.intp)
-    keep = np.array(sorted(pos_to_row[int(p)] for p in partition.selected),
-                    dtype=np.intp)
+    n = len(seq)
+    stop, keep = partition.unselected, partition.selected
+    if not np.array_equal(np.sort(np.concatenate([keep, stop])),
+                          np.arange(n)):
+        raise SelectionError(f"partition does not cover positions "
+                             f"0..{n - 1}")
 
     def stopped(x):
         return _stop_rows(tape, x, stop, ctx)
@@ -278,14 +274,13 @@ def _reference_forward(tape: Tape, model: TransformerModel,
                                       trainable=not tok_p.frozen), seq.ids)
     pos = tape.select_rows(tape.param("pos_emb", pos_p.value,
                                       trainable=not pos_p.frozen),
-                           seq.positions)
+                           np.arange(n))
     h = stopped(tape.add(tok, pos))
 
     n_heads = cfg.n_heads
     head_dim = cfg.head_dim
     inv_sqrt = 1.0 / math.sqrt(head_dim)
-    mask = tape.constant(_ref_mask(seq.positions, seq.pad_mask, cfg.causal,
-                                   h.value.dtype))
+    mask = tape.constant(_ref_mask(n, cfg.causal, h.value.dtype))
 
     def norm(x, which, layer):
         base = f"layers.{layer}.norm{which}"
@@ -335,7 +330,7 @@ def _reference_forward(tape: Tape, model: TransformerModel,
         logits = _ref_affine(tape, model, hidden, "head.w2", "head.b2")
         return tape.cross_entropy(logits, [label])
     targets_by_position = np.asarray(loss_spec[1])
-    t = targets_by_position[np.asarray(seq.positions)[keep]]
+    t = targets_by_position[keep]
     valid = t >= 0
     if not valid.any():
         raise ValueError("no selected position has a next-token target")
@@ -366,19 +361,15 @@ def _random_case(rng, lora: bool, causal: bool):
         attach(model, ("w1", "w2", "w_q", "w_v"), r=2, alpha=4.0,
                seed=int(rng.integers(1 << 30)))
     ids = rng.integers(2, cfg.vocab_size, size=n)
-    pad = np.ones(n, dtype=bool)
-    if not causal and n >= 6 and rng.random() < 0.25:
-        pad[-int(rng.integers(1, 3)):] = False
     if not causal:
         ids[0] = 1
-    seq = TokenSequence.from_ids(ids, pad_mask=pad)
-    m = int(pad.sum())
-    k = int(rng.integers(1, m + 1))
+    seq = TokenSequence.from_ids(ids)
+    k = int(rng.integers(1, n + 1))
     mode = "lm" if causal else "classification"
-    partition = select_positions(n, k, mode, pad, int(rng.integers(1 << 30)))
+    partition = select_positions(n, k, mode, int(rng.integers(1 << 30)))
     if causal:
         targets = np.full(n, -1, dtype=np.intp)
-        targets[:m - 1] = ids[1:m]
+        targets[:-1] = ids[1:]
         loss_spec = ("lm", targets)
     else:
         loss_spec = ("classification", int(rng.integers(cfg.n_classes)))
@@ -406,16 +397,16 @@ def _tracked_unselected_qkv(tape, model, layer, h_gbar):
     return qkv(tape, model, layer, h_n)
 
 
-def _storage_order_mask(query_positions, key_positions, causal):
+def _block_row_mask(query_positions, key_positions, causal):
     """The `mask-from-storage-order` mutant of `selective.attention_mask`:
-    each group's rows are numbered 0, 1, ... instead of by position."""
+    each block's rows are numbered 0, 1, ... instead of by position."""
     return attention_mask(np.arange(len(query_positions)),
                           np.arange(len(key_positions)), causal)
 
 
 _PATCHES = {
     "track-unselected-kv": ("_unselected_qkv", _tracked_unselected_qkv),
-    "mask-from-storage-order": ("attention_mask", _storage_order_mask)}
+    "mask-from-storage-order": ("attention_mask", _block_row_mask)}
 
 
 def _mutant_forward(model, seq, partition, mutant=None):
@@ -439,15 +430,14 @@ def _selective_backward(model, seq, partition, loss_spec, mutant=None):
 
 
 def _full_backward(model, seq, loss_spec, mutant=None):
-    """The full regime's gradients: every unpadded position selected."""
+    """The full regime's gradients: every position selected."""
     return _selective_backward(model, seq, every_position(seq), loss_spec,
                                mutant)
 
 
 def _value_preservation_diff(model, seq, partition, mutant=None) -> float:
     """Max abs difference between the restored selective forward and the
-    full one (`forward_hidden`, unmutated): the unpadded rows in storage
-    order."""
+    full one (`forward_hidden`, unmutated), both in position order."""
     plain_tape = Tape()
     with plain_tape.no_grad():
         plain = forward_hidden(plain_tape, model, seq).value
@@ -462,7 +452,10 @@ def equivalence_suite(n_configs: int = 50, seed: int = 0,
                       grad_tol: float = 1e-10,
                       out_path=None) -> dict:
     """Random small configurations x {value preservation, stop-gradient
-    equivalence, full-selection identity}; one record per property check."""
+    equivalence, full-selection identity}; one record per property check.
+
+    A language-model case whose selection has no next-token target has no
+    loss, so, as in training, it gets no gradient records."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE001]))
     records = []
     for idx in range(n_configs):
@@ -476,6 +469,9 @@ def equivalence_suite(n_configs: int = 50, seed: int = 0,
         diff = _value_preservation_diff(model, seq, partition, mutant)
         records.append({"grid_point": point, "property": PROPERTY_VALUE,
                         "max_rel_err": diff, "pass": bool(diff < value_tol)})
+        if loss_spec[0] == "lm" \
+                and (loss_spec[1][partition.selected] < 0).all():
+            continue
 
         tt = _selective_backward(model, seq, partition, loss_spec, mutant)
         oracle = stopgrad_reference_backward(model, seq, partition, loss_spec)

@@ -117,6 +117,35 @@ def test_eval_exits_with_code_2_on_a_header_fault(tmp_path, capsys, fault):
     assert "checkpoint error" in capsys.readouterr().err
 
 
+VERSION_FAULTS = {"missing": lambda h: h.pop("version"),
+                  "2": lambda h: h.update(version=2),
+                  "string-1": lambda h: h.update(version="1")}
+
+
+@pytest.mark.parametrize("fault", VERSION_FAULTS.values(),
+                         ids=VERSION_FAULTS.keys())
+def test_another_version_raises_checkpoint_error(tmp_path, capsys, fault):
+    path = tmp_path / "m.ckpt"
+    save_model(tiny_model(), path)
+    rewrite_header(path, fault)
+    with pytest.raises(CheckpointError, match="version"):
+        load_model(path)
+    adapters = tmp_path / "a.ckpt"
+    save_adapters(attach(tiny_model(), ("w1",), r=2, seed=1), adapters)
+    rewrite_header(adapters, fault)
+    with pytest.raises(CheckpointError, match="version"):
+        load_adapters(tiny_model(), adapters)
+    config = tmp_path / "run.json"
+    config.write_text("{}")
+    save_model(tiny_model(), tmp_path / "ok.ckpt")
+    for args in (["--checkpoint", str(path)],
+                 ["--checkpoint", str(tmp_path / "ok.ckpt"),
+                  "--adapters", str(adapters)]):
+        assert main(["eval", "--config", str(config), *args]) \
+            == EXIT_BAD_CONFIG
+        assert "version" in capsys.readouterr().err
+
+
 def flip_payload_byte(path, offset=5):
     """Invert every bit of one payload byte, `offset` bytes past the
     header line."""

@@ -16,15 +16,15 @@ import numpy as np
 import pytest
 
 from tokentune import engine
-from tokentune.config import ModelConfig, TrainConfig
+from tokentune.config import (REGIMES, SELECTIVE_REGIMES, ModelConfig,
+                              TrainConfig)
 from tokentune.engine import (ATTENTION_BLOCK_ROWS, Tape, gelu_array,
                               simulate_peak_bytes)
-from tokentune.memprofile import (PROFILE_REGIMES, build_regime_model,
-                                  lm_profile_batch)
+from tokentune.memprofile import build_regime_model, lm_profile_batch
 from tokentune.model import FFN_BLOCK_ROWS, build_model, forward_hidden
 from tokentune.model import ffn as ffn_block
-from tokentune.optimize import (SELECTIVE_REGIMES, AdamState, Trainer,
-                                adam_step, eval_hidden, global_norm)
+from tokentune.optimize import (AdamState, Trainer, adam_step, eval_hidden,
+                                global_norm)
 from tokentune.partition import TokenPartition
 from tokentune.selective import loss_lm, tokentune_forward
 
@@ -154,7 +154,7 @@ def test_each_tracked_layer_norm_output_leaves_the_retained_set(
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-@pytest.mark.parametrize("regime", PROFILE_REGIMES)
+@pytest.mark.parametrize("regime", REGIMES)
 def test_breakdown_sums_to_the_replays_retained_bytes(regime, dtype):
     # 20 keys pack into 3 mask bytes per query row: not whole elements
     n = 20

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tokentune import model as model_module
 from tokentune.adapters import attach
@@ -42,26 +40,13 @@ def test_embed_zero_tables_give_zero_matrix():
     assert np.array_equal(out.value, np.zeros((3, 8)))
 
 
-def test_embed_is_per_row_so_permutation_permutes_rows():
-    model = build_model(tiny_config(), seed=1, dtype="float64")
-    ids = np.array([3, 7, 2, 9])
-    seq = TokenSequence.from_ids(ids)
-    perm = np.array([2, 0, 3, 1])
-    permuted = TokenSequence(ids=ids[perm], positions=seq.positions[perm],
-                             pad_mask=seq.pad_mask[perm])
-    t1, t2 = Tape(), Tape()
-    base = embed(t1, model, seq).value
-    shuffled = embed(t2, model, permuted).value
-    assert np.array_equal(shuffled, base[perm])
-
-
 def test_embed_single_token_is_sum_of_table_rows():
     model = build_model(tiny_config(), seed=2, dtype="float64")
-    seq = TokenSequence(ids=[3], positions=[7], pad_mask=[True])
+    seq = TokenSequence.from_ids([3])
     t = Tape()
     out = embed(t, model, seq).value
     expected = (model.param("tok_emb").value[3]
-                + model.param("pos_emb").value[7])
+                + model.param("pos_emb").value[0])
     assert np.array_equal(out[0], expected)
 
 
@@ -70,26 +55,24 @@ def test_embed_range_errors():
     with pytest.raises(ModelError):
         embed(Tape(), model, TokenSequence.from_ids([99]))
     with pytest.raises(ModelError):
-        embed(Tape(), model, TokenSequence(ids=[1], positions=[99],
-                                           pad_mask=[True]))
+        embed(Tape(), model, TokenSequence.from_ids(
+            np.ones(model.config.max_positions + 1, dtype=np.intp)))
 
 
 # ---- attention ----------------------------------------------------------------
 
-def one_group(tape, h, positions):
+def one_group(tape, h):
     """`h` as the split of full fine-tuning: every row selected, none
-    unselected (rows in position order)."""
-    positions = np.asarray(positions)
-    partition = TokenPartition(selected=positions,
+    unselected."""
+    partition = TokenPartition(selected=np.arange(len(h)),
                                unselected=np.empty(0, dtype=np.intp))
-    return split_hidden(tape, tape.input(h), partition, positions)
+    return split_hidden(tape, tape.input(h), partition)
 
 
-def attention_layer(model, layer, h, positions, causal):
+def attention_layer(model, layer, h, causal):
     """h + attention(norm1(h)): the one-group split's attention update."""
     t = Tape()
-    split = tokentune_attention(t, model, layer, one_group(t, h, positions),
-                                causal)
+    split = tokentune_attention(t, model, layer, one_group(t, h), causal)
     assert split.h_gbar is None
     return split.h_g.value
 
@@ -102,7 +85,7 @@ def norm_vals(model, layer, x, which):
     return (x - mu) / np.sqrt(var + 1e-5) * scale + shift
 
 
-def _dense_attention_oracle(h, model, layer, positions, pad_mask, causal):
+def _dense_attention_oracle(h, model, layer, causal):
     """Independent multi-head attention implementation."""
     cfg = model.config
     p = {name: model.param(name).value
@@ -116,9 +99,9 @@ def _dense_attention_oracle(h, model, layer, positions, pad_mask, causal):
     for i in range(cfg.n_heads):
         qs, ks, vs = (m[:, i * dh:(i + 1) * dh] for m in (q, k, v))
         scores = qs @ ks.T / np.sqrt(dh)
-        for r, pr in enumerate(positions):
-            for c, pc in enumerate(positions):
-                if not pad_mask[c] or (causal and pc > pr):
+        for r in range(len(h)):
+            for c in range(len(h)):
+                if causal and c > r:
                     scores[r, c] = -1e30
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
@@ -129,7 +112,7 @@ def _dense_attention_oracle(h, model, layer, positions, pad_mask, causal):
 def test_attention_single_token_is_value_projection():
     model = build_model(tiny_config(n_heads=1), seed=3, dtype="float64")
     h = rng_for(3).normal(size=(1, 8))
-    out = attention_layer(model, 0, h, [0], causal=False)
+    out = attention_layer(model, 0, h, causal=False)
     base = "layers.0.attn"
     v = norm_vals(model, 0, h, 1) @ model.param(f"{base}.w_v").value \
         + model.param(f"{base}.b_v").value
@@ -166,23 +149,10 @@ def test_attention_matches_dense_oracle(causal, n_heads):
                                     n_classes=None if causal else 3),
                         seed=4, dtype="float64")
     h = rng_for(4).normal(size=(3, 8))
-    positions = [0, 1, 2]
-    pad = [True, True, True]
-    got = attention_layer(model, 0, h, positions, causal)
+    got = attention_layer(model, 0, h, causal)
     want = h + _dense_attention_oracle(norm_vals(model, 0, h, 1), model, 0,
-                                       positions, pad, causal)
+                                       causal)
     assert np.abs(got - want).max() < 1e-12
-
-
-def test_padded_tokens_change_no_unpadded_row():
-    model = build_model(tiny_config(), seed=5, dtype="float64")
-    ids = np.array([1, 4, 7, 5])
-    pad = np.array([True, True, True, False])
-    ids2 = ids.copy()
-    ids2[3] = 11
-    out = _hidden(model, ids, pad)
-    assert out.shape == (3, 8)
-    assert np.array_equal(out, _hidden(model, ids2, pad))
 
 
 # ---- full layers ---------------------------------------------------------------
@@ -196,7 +166,7 @@ def test_zero_weight_layers_are_identity():
             p.value[...] = 0.0
     h = rng_for(6).normal(size=(4, 8))
     t = Tape()
-    split = one_group(t, h, np.arange(4))
+    split = one_group(t, h)
     for layer in range(3):
         split = tokentune_attention(t, model, layer, split, causal=False)
         split = tokentune_ffn(t, model, layer, split)
@@ -243,37 +213,18 @@ def test_split_layer_composes_attention_and_ffn():
     from scipy.special import erf
     model = build_model(tiny_config(n_layers=1), seed=7, dtype="float64")
     h = rng_for(7).normal(size=(2, 8))
-    positions, pad = [0, 1], [True, True]
     t = Tape()
-    split = tokentune_attention(t, model, 0, one_group(t, h, positions),
-                                causal=False)
+    split = tokentune_attention(t, model, 0, one_group(t, h), causal=False)
     got = tokentune_ffn(t, model, 0, split).h_g.value
 
     mid = h + _dense_attention_oracle(norm_vals(model, 0, h, 1), model, 0,
-                                      positions, pad, False)
+                                      False)
     z = norm_vals(model, 0, mid, 2) @ model.param("layers.0.ffn.w1").value \
         + model.param("layers.0.ffn.b1").value
     g = 0.5 * z * (1 + erf(z / np.sqrt(2)))
     want = mid + g @ model.param("layers.0.ffn.w2").value \
         + model.param("layers.0.ffn.b2").value
     assert np.abs(got - want).max() < 1e-12
-
-
-@given(st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=15, deadline=None)
-def test_row_permutation_equivariance(seed):
-    r = rng_for(seed)
-    model = build_model(tiny_config(), seed=8, dtype="float64")
-    n = 5
-    ids = r.integers(0, 13, size=n)
-    perm = r.permutation(n)
-    seq = TokenSequence.from_ids(ids)
-    shuffled = TokenSequence(ids=ids[perm], positions=np.arange(n)[perm],
-                             pad_mask=np.ones(n, dtype=bool))
-    t1, t2 = Tape(), Tape()
-    base = forward_hidden(t1, model, seq).value
-    mixed = forward_hidden(t2, model, shuffled).value
-    assert np.abs(mixed - base[perm]).max() < 1e-12
 
 
 def test_causal_logits_invariant_to_future_tokens():
@@ -292,11 +243,10 @@ def test_causal_logits_invariant_to_future_tokens():
     assert np.array_equal(logits1, logits2)
 
 
-def _hidden(model, ids, pad_mask=None):
+def _hidden(model, ids):
     t = Tape()
     with t.no_grad():
-        return forward_hidden(t, model,
-                              TokenSequence.from_ids(ids, pad_mask)).value
+        return forward_hidden(t, model, TokenSequence.from_ids(ids)).value
 
 
 # ---- heads ---------------------------------------------------------------------
@@ -349,15 +299,10 @@ def test_eval_pooling_over_all_rows_matches_the_training_head():
     assert hits == training_head_hits(model, _hidden(model, ids))
 
 
-def test_eval_pooling_skips_padding_and_errors_on_all_pad():
+def test_eval_errors_on_an_empty_sequence():
     model = build_model(tiny_config(), seed=13, dtype="float64")
-    ids = np.array([1, 4, 7, 5])
-    pad = np.array([True, True, False, False])
-    assert eval_hits(model, TokenSequence.from_ids(ids, pad)) \
-        == training_head_hits(model, _hidden(model, ids, pad)[:2])
     with pytest.raises(ModelError):
-        eval_hits(model, TokenSequence.from_ids(ids,
-                                                pad_mask=np.zeros(4, bool)))
+        eval_hits(model, TokenSequence.from_ids(np.empty(0, np.intp)))
 
 
 def test_lm_logits_zero_hidden_uniform_and_onehot_copies():

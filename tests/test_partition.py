@@ -8,7 +8,7 @@ from scipy import stats
 
 from tokentune.engine import Tape
 from tokentune.partition import (SelectionError, TokenPartition,
-                                 partition_rows, resolve_k, select_positions)
+                                 resolve_k, select_positions)
 from tokentune.selective import restore_hidden, split_hidden
 
 
@@ -45,9 +45,8 @@ def test_selection_is_deterministic_per_seed():
     assert not np.array_equal(a.selected, c.selected)
 
 
-def test_clamp_reported_and_pads_never_selected():
-    pad = np.array([True] * 4 + [False] * 4)
-    p = select_positions(8, 6, "lm", pad_mask=pad, rng_seed=0)
+def test_clamp_reported():
+    p = select_positions(4, 6, "lm", rng_seed=0)
     assert p.clamped
     assert p.k == 4
     assert set(p.selected.tolist()) <= {0, 1, 2, 3}
@@ -57,12 +56,7 @@ def test_selection_errors():
     with pytest.raises(SelectionError):
         select_positions(4, 0, "lm", rng_seed=0)
     with pytest.raises(SelectionError):
-        select_positions(4, 2, "lm", pad_mask=np.zeros(4, dtype=bool),
-                         rng_seed=0)
-    with pytest.raises(SelectionError):
-        select_positions(4, 2, "classification",
-                         pad_mask=np.array([False, True, True, True]),
-                         rng_seed=0)
+        select_positions(0, 2, "lm", rng_seed=0)
     with pytest.raises(SelectionError):
         TokenPartition(selected=np.array([], dtype=np.intp),
                        unselected=np.array([0, 1]))
@@ -103,19 +97,7 @@ def test_split_length_mismatch_errors():
     tape = Tape()
     with pytest.raises(SelectionError):
         split_hidden(tape, tape.input(np.zeros((3, 2))), p)
+    gap = TokenPartition(selected=np.array([0, 3]),
+                         unselected=np.array([1, 4]))
     with pytest.raises(SelectionError):
-        split_hidden(tape, tape.input(np.zeros((4, 2))), p,
-                     storage_positions=np.arange(3))
-
-
-def test_partition_rows_with_permuted_storage():
-    p = TokenPartition(selected=np.array([0, 3]),
-                       unselected=np.array([1, 2]))
-    storage_positions = np.array([2, 0, 3, 1])  # storage order != original
-    rows_sel, rows_unsel, restore_idx = partition_rows(p, storage_positions)
-    assert rows_sel.tolist() == [1, 2]   # positions 0 and 3
-    assert rows_unsel.tolist() == [3, 0]
-    h = np.arange(8.0).reshape(4, 2)
-    h_g, h_gbar = h[rows_sel], h[rows_unsel]
-    assert np.array_equal(
-        np.concatenate([h_g, h_gbar])[restore_idx], h)
+        split_hidden(tape, tape.input(np.zeros((4, 2))), gap)

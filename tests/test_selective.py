@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from tokentune.config import ModelConfig
 from tokentune.engine import Tape
 from tokentune.model import (ModelError, TokenSequence, build_model,
-                             forward_hidden, loss_classification_rows,
-                             loss_lm_rows)
+                             forward_hidden, loss_lm_rows)
 from tokentune.partition import TokenPartition, select_positions
-from tokentune.selective import (loss_classification, loss_lm,
-                                 restore_hidden, split_hidden,
+from tokentune.selective import (every_position, loss_classification,
+                                 loss_lm, restore_hidden, split_hidden,
                                  tokentune_forward)
 
 
@@ -29,14 +28,11 @@ def rng_for(seed):
     return np.random.default_rng(np.random.SeedSequence([seed, 424242]))
 
 
-def random_seq(rng, n, causal, with_pads=False):
+def random_seq(rng, n, causal):
     ids = rng.integers(2, 13, size=n)
     if not causal:
         ids[0] = 1
-    pad = np.ones(n, dtype=bool)
-    if with_pads:
-        pad[-2:] = False
-    return TokenSequence.from_ids(ids, pad_mask=pad)
+    return TokenSequence.from_ids(ids)
 
 
 def plain_values(model, seq):
@@ -59,20 +55,16 @@ def selective_values(model, seq, partition):
 def test_value_preservation_any_k(seed):
     r = rng_for(seed)
     causal = bool(r.integers(2))
-    with_pads = not causal and bool(r.integers(2))
     model = build_model(cfg_for(causal), seed=int(r.integers(1 << 30)),
                         dtype="float64")
     n = int(r.integers(4, 10))
-    seq = random_seq(r, n, causal, with_pads)
-    m = seq.n_unpadded
-    k = int(r.integers(1, m + 1))
+    seq = random_seq(r, n, causal)
+    k = int(r.integers(1, n + 1))
     mode = "lm" if causal else "classification"
-    partition = select_positions(n, k, mode, seq.pad_mask,
-                                 int(r.integers(1 << 30)))
+    partition = select_positions(n, k, mode, int(r.integers(1 << 30)))
     restored, _ = selective_values(model, seq, partition)
     plain = plain_values(model, seq)
-    rows = np.sort(np.concatenate([partition.selected, partition.unselected]))
-    assert np.abs(plain[rows] - restored).max() < 1e-12
+    assert np.abs(plain - restored).max() < 1e-12
 
 
 def test_zero_layer_model_returns_split_embeddings():
@@ -98,59 +90,19 @@ def test_full_selection_forward_is_bitwise_equal():
     assert np.array_equal(restored, plain_values(model, seq))
 
 
-# ---- full-selection gradient identity -------------------------------------------
+# ---- full selection ------------------------------------------------------------
 
-def _selective_grads(model, seq, partition, loss_spec):
-    tape = Tape()
-    split = tokentune_forward(tape, model, seq, partition)
-    if loss_spec[0] == "classification":
-        loss = loss_classification(tape, model, split, loss_spec[1])
-    else:
-        loss, _ = loss_lm(tape, model, split, loss_spec[1])
-    return tape.backward(loss)
-
-
-def _full_grads(model, seq, loss_spec):
-    tape = Tape()
-    h = forward_hidden(tape, model, seq)
-    if loss_spec[0] == "classification":
-        rows = np.flatnonzero(seq.pad_mask)
-        loss = loss_classification_rows(tape, model,
-                                        tape.select_rows(h, rows),
-                                        loss_spec[1])
-    else:
-        targets = np.asarray(loss_spec[1])[seq.positions]
-        valid = (targets >= 0) & seq.pad_mask
-        rows = np.flatnonzero(valid)
-        loss = loss_lm_rows(tape, model, tape.select_rows(h, rows),
-                            targets[rows])
-    return tape.backward(loss)
-
-
-def test_classification_k_equals_n_gradients_bitwise():
-    model = build_model(cfg_for(), seed=6, dtype="float64")
-    seq = random_seq(rng_for(6), 7, causal=False)
-    partition = select_positions(7, 7, "classification", rng_seed=2)
-    tt = _selective_grads(model, seq, partition, ("classification", 1))
-    full = _full_grads(model, seq, ("classification", 1))
-    assert set(tt) == set(full)
-    for name in tt:
-        assert np.array_equal(tt[name], full[name]), name
-
-
-def test_lm_all_rows_gradients_bitwise():
-    model = build_model(cfg_for(causal=True), seed=7, dtype="float64")
-    r = rng_for(7)
-    n = 6
-    seq = random_seq(r, n, causal=True)
-    targets = np.full(n, -1, dtype=np.intp)
-    targets[:-1] = seq.ids[1:]
-    partition = select_positions(n, n, "lm", rng_seed=3)
-    tt = _selective_grads(model, seq, partition, ("lm", targets))
-    full = _full_grads(model, seq, ("lm", targets))
-    assert set(tt) == set(full)
-    for name in tt:
-        assert np.array_equal(tt[name], full[name]), name
+@pytest.mark.parametrize("mode", ["classification", "lm"])
+def test_selecting_every_position_is_the_full_regime_partition(mode):
+    # the full regime's gradients are checked against the independent
+    # reference by verify's full-selection identity
+    n = 7
+    seq = random_seq(rng_for(6), n, causal=mode == "lm")
+    full = every_position(seq)
+    for seed in range(5):
+        p = select_positions(n, n, mode, rng_seed=seed)
+        assert np.array_equal(p.selected, full.selected)
+        assert np.array_equal(p.unselected, full.unselected)
 
 
 # ---- hand-derived attention gradient ---------------------------------------------

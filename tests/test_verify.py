@@ -156,6 +156,18 @@ def test_equivalence_suite_default_grid_passes(tmp_path):
     assert {"grid_point", "property", "max_rel_err", "pass"} <= set(rec)
 
 
+def test_a_case_without_a_selected_target_has_no_gradient_records():
+    # case 51 of seed 2 is a language-model case with n = 6, k = 1 and
+    # position 5, the last, selected: its selection has no next-token
+    # target, so it has no loss to differentiate
+    res = equivalence_suite(n_configs=52, seed=2)
+    assert res["all_pass"], res["failures"][:2]
+    last = [r for r in res["records"] if r["grid_point"]["index"] == 51]
+    assert [r["property"] for r in last] == [PROPERTY_VALUE]
+    assert last[0]["grid_point"]["k"] == 1
+    assert len(res["records"]) == 3 * 52 - 2
+
+
 def test_mutation_track_unselected_kv_caught_by_stopgrad_property():
     res = equivalence_suite(n_configs=10, seed=0,
                             mutant="track-unselected-kv")
@@ -212,6 +224,14 @@ def test_mutant_patches_are_scoped_and_names_are_one_list():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["gradcheck", "--inject-bug",
                                    "no-such-mutant"])
+
+
+@pytest.mark.parametrize("argv", [["--set", "x=1"], ["--config", "run.json"]])
+def test_gradcheck_rejects_config_flags(argv):
+    from tokentune.cli import main
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", *argv])
+    assert exc.value.code == 2
 
 
 def test_lora_composition_gradients_match_oracle():
