@@ -161,24 +161,34 @@ def save_model(model: TransformerModel, path) -> None:
     _write(path, header, arrays)
 
 
+def _arrays(payload: bytes, tag: np.dtype, blocks) -> list[np.ndarray]:
+    """Copies of the arrays `blocks` lists, as (name, rows, cols) in
+    payload order, read from `payload`, which must hold exactly these
+    arrays: no fewer bytes and no more."""
+    arrays = []
+    offset = 0
+    for name, rows, cols in blocks:
+        size = rows * cols * tag.itemsize
+        chunk = payload[offset:offset + size]
+        if len(chunk) != size:
+            raise CheckpointError(f"truncated payload at '{name}'")
+        arrays.append(np.frombuffer(chunk, dtype=tag).reshape(rows,
+                                                              cols).copy())
+        offset += size
+    if offset != len(payload):
+        raise CheckpointError("payload length does not match manifest")
+    return arrays
+
+
 def load_model(path) -> TransformerModel:
     header, payload = _read(path, MODEL_MAGIC)
     config = _model_config(header)
     tag = _payload_dtype(header)
-    width = tag.itemsize
-    params: dict[str, Parameter] = {}
-    offset = 0
-    for entry in _entries(header, "params", _MODEL_ENTRY):
-        count = entry["rows"] * entry["cols"]
-        chunk = payload[offset:offset + count * width]
-        if len(chunk) != count * width:
-            raise CheckpointError(f"truncated payload at '{entry['name']}'")
-        arr = np.frombuffer(chunk, dtype=tag).reshape(entry["rows"],
-                                                      entry["cols"]).copy()
-        params[entry["name"]] = Parameter(arr, frozen=bool(entry["frozen"]))
-        offset += count * width
-    if offset != len(payload):
-        raise CheckpointError("payload length does not match manifest")
+    entries = _entries(header, "params", _MODEL_ENTRY)
+    arrays = _arrays(payload, tag,
+                     [(e["name"], e["rows"], e["cols"]) for e in entries])
+    params = {e["name"]: Parameter(arr, frozen=bool(e["frozen"]))
+              for e, arr in zip(entries, arrays)}
     return TransformerModel(config, params)
 
 
@@ -207,25 +217,20 @@ def load_adapters(model: TransformerModel, path) -> TransformerModel:
     """Attach saved adapter factors onto a matching base model."""
     header, payload = _read(path, ADAPTER_MAGIC)
     tag = _payload_dtype(header)
-    width = tag.itemsize
-    offset = 0
-    for entry in _entries(header, "adapters", _ADAPTER_ENTRY):
+    entries = _entries(header, "adapters", _ADAPTER_ENTRY)
+    blocks = []
+    for entry in entries:
         target = entry["target"]
         if target not in model.params:
             raise CheckpointError(f"adapter target '{target}' missing from model")
         base = model.param(target).value
         if base.shape != (entry["a_rows"], entry["b_cols"]):
             raise CheckpointError(f"adapter '{target}' shape mismatch with base")
-        blocks = []
-        for rows, cols in ((entry["a_rows"], entry["a_cols"]),
-                           (entry["b_rows"], entry["b_cols"])):
-            count = rows * cols
-            chunk = payload[offset:offset + count * width]
-            if len(chunk) != count * width:
-                raise CheckpointError(f"truncated adapter payload at '{target}'")
-            blocks.append(np.frombuffer(chunk, dtype=tag).reshape(rows, cols).copy())
-            offset += count * width
-        a, b = blocks
+        blocks += [(f"{target}.lora_a", entry["a_rows"], entry["a_cols"]),
+                   (f"{target}.lora_b", entry["b_rows"], entry["b_cols"])]
+    arrays = _arrays(payload, tag, blocks)
+    for entry, a, b in zip(entries, arrays[0::2], arrays[1::2]):
+        target = entry["target"]
         model.adapters[target] = LoraAdapter(
             target=target, a=a, b=b,
             scaling=float(entry["alpha"]) / float(entry["r"]),

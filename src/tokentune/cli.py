@@ -91,10 +91,12 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_memsweep(args) -> int:
     from .memprofile import sweep_report
+    from .partition import resolve_k
 
     cfg = _resolve_config(args.config, args.set)
     n = args.n or cfg.task.seq_len
-    regimes = args.regimes.split(",") if args.regimes else REGIMES
+    regimes = (args.regimes.split(",") if args.regimes is not None
+               else REGIMES)
     ratios = ([float(r) for r in args.ratios.split(",")]
               if args.ratios else [0.125, 0.25, 0.5, 1.0])
     grid = []
@@ -104,7 +106,7 @@ def cmd_memsweep(args) -> int:
         if regime in SELECTIVE_REGIMES:
             for ratio in ratios:
                 grid.append({"regime": regime, "n": n,
-                             "k": max(1, round(ratio * n)),
+                             "k": resolve_k(None, ratio, n),
                              "batch": args.batch})
         else:
             grid.append({"regime": regime, "n": n, "k": None,

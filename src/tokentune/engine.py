@@ -35,13 +35,12 @@ Cache policy per primitive, as (what backward reads):
                    place; unread by such a matmul, it runs that pass
                    itself. scale: nothing (constant factor)
     softmax_rows   its output, not its input
-    attention      takes a rows x keys boolean visibility mask; saves per
-                   (head, query row) the softmax max and sum (two fresh
-                   heads x rows arrays) and that mask bit-packed along
-                   the keys (rows x ceil(keys / 8) bytes); q and k always,
-                   v iff q or k needs grad (references, not copies).
-                   Backward rebuilds each block's probabilities from them
-                   (Dao et al. 2022)
+    attention      saves per (head, query row) the softmax max and sum
+                   (two fresh heads x rows arrays), if causal a copy of
+                   the queries' positions (8 bytes per row), q and k
+                   always, v iff q or k needs grad (references, not
+                   copies). Backward rebuilds each block's probabilities
+                   from them (Dao et al. 2022)
     layer_norm     normalized input, per-row inverse std, the scale and
                    shift vectors
     select/concat  nothing (integer metadata and the input's shape)
@@ -70,7 +69,7 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 #: but large enough that exp() underflows to exactly 0 in float32/float64.
 MASK_VALUE = -1e30
 
-#: Query rows per attention block. A block computes, saves and
+#: Query rows per attention block. A causal block computes and
 #: backpropagates scores only up to the last key any of its rows can see,
 #: so wholly masked key tiles (most of a causal mask's upper triangle) cost
 #: nothing, as in FlashAttention's block skipping (Dao et al. 2022).
@@ -126,18 +125,15 @@ def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2)
 
 
-def _attention_spans(visible: np.ndarray) -> tuple[tuple[int, int, int], ...]:
+def _attention_spans(positions, m: int,
+                     n: int) -> tuple[tuple[int, int, int], ...]:
     """(r0, r1, hi) per block of ATTENTION_BLOCK_ROWS query rows: rows
-    r0:r1 read keys :hi, where hi - 1 is the last key any of those rows
-    sees (`visible`, a rows x keys boolean array). Keys past it get
-    probability exactly 0. A block with a row that sees no key reads every
-    key, so that row keeps its uniform softmax over all of them."""
-    m, n = visible.shape
-    ends = np.where(visible.any(axis=1),
-                    n - np.argmax(visible[:, ::-1], axis=1), n)
-    return tuple((r0, min(r0 + ATTENTION_BLOCK_ROWS, m),
-                  int(ends[r0:r0 + ATTENTION_BLOCK_ROWS].max()))
-                 for r0 in range(0, m, ATTENTION_BLOCK_ROWS))
+    r0:r1 read keys :hi, one past the block's last position for causal
+    queries at `positions`, or all n keys when `positions` is None."""
+    rows = ATTENTION_BLOCK_ROWS
+    return tuple((r0, min(r0 + rows, m), n if positions is None
+                  else int(positions[r0:r0 + rows].max()) + 1)
+                 for r0 in range(0, m, rows))
 
 
 def _block_buffer(spans, n_heads: int, dtype) -> np.ndarray:
@@ -156,15 +152,18 @@ def _blocks(buf: np.ndarray, spans, n_heads: int):
         yield r0, r1, hi, buf[:math.prod(shape)].reshape(shape)
 
 
-def _block_scores(qb, kt, seen, out) -> None:
-    """Masked scores of one block of scaled queries `qb` (heads x rows x
-    head width) against the first hi keys, every head, into `out`:
-    qb k^T plus 0 where `seen` (a rows x hi boolean array) is true and
-    MASK_VALUE where it is not. The forward pass and the backward
-    recompute both call this, so their probabilities agree bit for bit."""
-    np.matmul(qb, kt[:, :, :seen.shape[1]], out=out)
-    zero, blocked = out.dtype.type(0), out.dtype.type(MASK_VALUE)
-    out += np.where(seen, zero, blocked)
+def _block_scores(qb, kt, positions, out) -> None:
+    """Scores of one block of scaled queries `qb` (heads x rows x head
+    width) against the first hi keys, every head, into `out`: qb k^T, plus
+    MASK_VALUE where a key lies past its query's position when the
+    block's `positions` are given (causal attention). The forward pass and
+    the backward recompute both call this, so their probabilities agree
+    bit for bit."""
+    hi = out.shape[2]
+    np.matmul(qb, kt[:, :, :hi], out=out)
+    if positions is not None:
+        zero, blocked = out.dtype.type(0), out.dtype.type(MASK_VALUE)
+        out += np.where(np.arange(hi) <= positions[:, None], zero, blocked)
 
 
 def _rebuilt_in_backward(node: Node) -> bool:
@@ -456,32 +455,34 @@ class Tape:
         return self._record("softmax_rows", p, (a,),
                             saves=[("probs", p)])
 
-    def attention(self, q: Tensor, k: Tensor, v: Tensor, visible,
-                  n_heads: int) -> Tensor:
+    def attention(self, q: Tensor, k: Tensor, v: Tensor, positions,
+                  causal: bool, n_heads: int) -> Tensor:
         """Multi-head scaled dot-product attention, recorded as one node.
 
-        Head h reads column block h of q (m x d), k and v (n x d);
-        `visible` is an m x n boolean array, true where a query may see a
-        key. Query rows run in blocks of ATTENTION_BLOCK_ROWS, every head
-        in one batched matmul, over only the first `hi` keys, up to the
-        last key a row of the block can see (:func:`_attention_spans`),
-        in one reused block buffer; blocked keys get the score MASK_VALUE.
-        A tracked node saves each (head, row)'s softmax max and sum and
-        `visible` bit-packed along the keys, from which backward rebuilds
-        the probabilities.
+        Head h reads column block h of q (m x d), k and v (n x d). Key j
+        is position j, and `positions` holds the positions of the m
+        query rows: a query sees every key, or if `causal` the keys at
+        its position and before. Query rows run in blocks of
+        ATTENTION_BLOCK_ROWS, every head in one batched matmul, over only
+        the keys some row of the block sees (:func:`_attention_spans`),
+        in one reused block buffer; a key past a query's position gets
+        the score MASK_VALUE. A tracked node saves each (head, row)'s
+        softmax max and sum and, if causal, a copy of `positions`, from
+        which backward rebuilds the probabilities.
         """
         qv, kv, vv = q.value, k.value, v.value
-        visible = np.asarray(visible)
+        positions = np.asarray(positions)
         m, d = qv.shape
         n = kv.shape[0]
         if kv.shape[1] != d or vv.shape != kv.shape \
-                or visible.shape != (m, n):
+                or positions.shape != (m,):
             raise ShapeError("attention",
                              f"q {qv.shape}, k {kv.shape}, v {vv.shape}, "
-                             f"visible {visible.shape}")
-        if visible.dtype != np.bool_:
+                             f"positions {positions.shape}")
+        if not np.issubdtype(positions.dtype, np.integer) or (m and (
+                positions.min() < 0 or positions.max() >= n)):
             raise ShapeError("attention",
-                             f"visible must be boolean, not {visible.dtype}")
+                             f"positions must be integers in 0..{n - 1}")
         if not qv.dtype == kv.dtype == vv.dtype:
             raise ShapeError("attention",
                              f"dtype mismatch q {qv.dtype}, k {kv.dtype}, "
@@ -490,7 +491,10 @@ class Tape:
             raise ShapeError("attention",
                              f"width {d} not divisible by {n_heads} heads")
         scale = 1.0 / math.sqrt(d // n_heads)
-        spans = _attention_spans(visible)
+        # a causal node keeps its own copy of the positions; a
+        # bidirectional query sees every key
+        positions = positions.astype(np.intp) if causal else None
+        spans = _attention_spans(positions, m, n)
         row_max = np.empty((n_heads, m), qv.dtype)
         row_sum = np.empty((n_heads, m), qv.dtype)
         out = np.empty((m, d), qv.dtype)
@@ -501,7 +505,8 @@ class Tape:
         for r0, r1, hi, s in _blocks(buf, spans, n_heads):
             # q is scaled a block at a time: the product is elementwise, so
             # the values are those of scaling all of q, without its copy
-            _block_scores(qh[:, r0:r1] * scale, kt, visible[r0:r1, :hi], s)
+            _block_scores(qh[:, r0:r1] * scale, kt,
+                          None if positions is None else positions[r0:r1], s)
             if not _all_finite(s):
                 raise NonFiniteError("attention", f"scores of rows {r0}:{r1}")
             top = s.max(axis=2, keepdims=True)
@@ -513,8 +518,9 @@ class Tape:
             row_sum[:, r0:r1] = total[..., 0]
             np.matmul(s, vh[:, :hi], out=oh[:, r0:r1])
         saves = [("row_max", row_max), ("row_sum", row_sum),
-                 ("visible", np.packbits(visible, axis=1)),
                  ("q", qv), ("k", kv)]
+        if positions is not None:
+            saves.append(("positions", positions))
         if q.requires_grad or k.requires_grad:
             saves.append(("v", vv))
         return self._record("attention", out, (q, k, v),
@@ -765,8 +771,8 @@ class Tape:
                             grads) -> None:
         """Per row block, every head at once, over the block's first `hi`
         keys: rebuild p with the forward's own ops from q, k, the
-        block's rows of the unpacked visible mask and the saved row max
-        and sum, then dv += p^T g, dp = g v^T,
+        block's saved positions (if causal) and the saved row max and
+        sum, then dv += p^T g, dp = g v^T,
         ds = p * (dp - rowsum(dp * p)), dq = scale * ds k,
         dk += ds^T (scale * q). Buffers of the largest block serve every
         block, p is overwritten with ds, and rowsum(dp * p) is taken one
@@ -777,7 +783,7 @@ class Tape:
         n_heads = node.meta["n_heads"]
         scale = node.meta["scale"]
         spans = node.meta["spans"]
-        packed = saved["visible"]
+        positions = saved.get("positions")
         row_max, row_sum = saved["row_max"], saved["row_sum"]
         dq = np.empty(q.shape, q.dtype) if q.requires_grad else None
         dk = np.zeros(k.shape, k.dtype) if k.requires_grad else None
@@ -800,8 +806,8 @@ class Tape:
             dkh = _heads(dk, n_heads)
         for r0, r1, hi, p in _blocks(p_buf, spans, n_heads):
             qb = qh[:, r0:r1] * scale
-            seen = np.unpackbits(packed[r0:r1], axis=1, count=hi)
-            _block_scores(qb, kt, seen.view(np.bool_), p)
+            _block_scores(qb, kt,
+                          None if positions is None else positions[r0:r1], p)
             p -= row_max[:, r0:r1, None]
             np.exp(p, out=p)
             p /= row_sum[:, r0:r1, None]
@@ -850,8 +856,8 @@ class Tape:
 
     def cache_breakdown(self) -> dict[tuple[str, str], float]:
         """:meth:`retained_bytes` in elements of the tape's float type
-        (bytes / itemsize; a bit-packed mask can leave a fraction), the
-        unit the benchmark's tape hook multiplies back into bytes."""
+        (bytes / itemsize), the unit the benchmark's tape hook multiplies
+        back into bytes."""
         if not self.nodes:
             return {}
         itemsize = self.nodes[-1].dtype.itemsize
@@ -894,13 +900,13 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     Temporaries inside an op are not modeled: softmax buffers,
     attention's block buffers (heads x ATTENTION_BLOCK_ROWS x hi of the
     largest block: one in forward, up to two in backward, plus one
-    ATTENTION_BLOCK_ROWS x hi row buffer) and the block's scaled queries,
-    the boolean visibility mask it is passed (one byte per query and key,
-    not a node; no m x n float mask exists), a layer norm's or GELU's
-    output that a matmul's backward rebuilds (one rows x cols array, freed
-    once that matmul's weight gradient is formed), and the GELU derivative
-    that this rebuild or the GELU's own backward forms (one rows x cols
-    array, held until it becomes the GELU's input gradient).
+    ATTENTION_BLOCK_ROWS x hi row buffer), the block's scaled queries and
+    a causal block's additive mask (ATTENTION_BLOCK_ROWS x hi), a layer
+    norm's or GELU's output that a matmul's backward rebuilds (one rows x
+    cols array, freed once that matmul's weight gradient is formed), and
+    the GELU derivative that this rebuild or the GELU's own backward forms
+    (one rows x cols array, held until it becomes the GELU's input
+    gradient).
     """
     last_use: dict[int, int] = {}
     for node in tape.nodes:

@@ -1,10 +1,10 @@
 """Transformer encoder/decoder built from tape primitives.
 
 Pre-norm residual blocks with GELU feed-forward, learned absolute position
-embeddings (row i of a sequence is position i), multi-head attention with
-boolean visibility masks, and either a classifier head (one hidden layer
-MLP over a mean-pooled representation) or a tied-nothing language-model
-projection.
+embeddings (row i of a sequence is position i), multi-head attention
+(causal for a language model: a query sees no later position), and either
+a classifier head (one hidden layer MLP over a mean-pooled
+representation) or a tied-nothing language-model projection.
 
 These are the on-tape builders of `selective.tokentune_forward`, the one
 layer loop: full fine-tuning, LoRA and evaluation run it with every
@@ -200,24 +200,10 @@ def affine(tape: Tape, model: TransformerModel, x: Tensor, w_name: str,
     return z
 
 
-def attention_mask(query_positions, key_positions, causal) -> np.ndarray:
-    """Boolean visibility from position ids, not from row numbers within
-    a block.
-
-    Query i sees key j unless (causal) the key's position exceeds the
-    query's.
-    """
-    qp = np.asarray(query_positions).reshape(-1, 1)
-    kp = np.asarray(key_positions).reshape(1, -1)
-    if causal:
-        return kp <= qp
-    return np.ones((qp.shape[0], kp.shape[1]), dtype=bool)
-
-
 def attend_heads(tape: Tape, q: Tensor, k: Tensor, v: Tensor,
-                 visible: np.ndarray, n_heads: int) -> Tensor:
+                 positions: np.ndarray, causal: bool, n_heads: int) -> Tensor:
     """Multi-head scaled dot-product mix; shared by every attention variant."""
-    return tape.attention(q, k, v, visible, n_heads)
+    return tape.attention(q, k, v, positions, causal, n_heads)
 
 
 def qkv(tape: Tape, model: TransformerModel, layer: int,
@@ -231,10 +217,12 @@ def qkv(tape: Tape, model: TransformerModel, layer: int,
 
 def attend_project(tape: Tape, model: TransformerModel, layer: int,
                    q: Tensor, k: Tensor, v: Tensor,
-                   visible: np.ndarray) -> Tensor:
-    """Attention of `q` over `k`/`v`, then the output affine."""
+                   positions: np.ndarray) -> Tensor:
+    """Attention of `q`, the queries at `positions`, over `k`/`v`, key j
+    at position j; then the output affine."""
     base = f"layers.{layer}.attn"
-    mixed = attend_heads(tape, q, k, v, visible, model.config.n_heads)
+    cfg = model.config
+    mixed = attend_heads(tape, q, k, v, positions, cfg.causal, cfg.n_heads)
     return affine(tape, model, mixed, f"{base}.w_o", f"{base}.b_o")
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import Tape, Tensor
 from .model import (ModelError, TokenSequence, TransformerModel,
-                    attend_project, attention_mask, embed,
+                    attend_project, embed,
                     loss_classification_rows, loss_lm_rows, qkv)
 from .model import ffn as ffn_block
 from .model import norm as norm_block
@@ -94,7 +94,7 @@ def _unselected_qkv(tape: Tape, model: TransformerModel, layer: int,
 
 
 def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
-                        split: SplitHidden, causal: bool) -> SplitHidden:
+                        split: SplitHidden) -> SplitHidden:
     """Residual attention update; unselected K/V/queries are constants.
 
     Each handle is dropped at its last use, so the unselected path's
@@ -115,11 +115,9 @@ def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
         else:
             keys, vals = k_g, v_g
         del k_g, v_g
-        key_positions = np.arange(split.key_order.size)
 
         new_g = tape.add(split.h_g, attend_project(
-            tape, model, layer, q_g, keys, vals,
-            attention_mask(split.positions_g, key_positions, causal)))
+            tape, model, layer, q_g, keys, vals, split.positions_g))
         del q_g
 
         new_gbar = None
@@ -127,8 +125,7 @@ def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
             with tape.no_grad():
                 new_gbar = tape.add(split.h_gbar, attend_project(
                     tape, model, layer, q_gb, keys, vals,
-                    attention_mask(split.positions_gbar, key_positions,
-                                   causal)))
+                    split.positions_gbar))
     return split.with_blocks(new_g, new_gbar)
 
 
@@ -159,8 +156,7 @@ def tokentune_forward(tape: Tape, model: TransformerModel,
     # copies, so it dies once they are made
     split = split_hidden(tape, embed(tape, model, seq), partition)
     for i in range(model.config.n_layers):
-        split = tokentune_attention(tape, model, i, split,
-                                    model.config.causal)
+        split = tokentune_attention(tape, model, i, split)
         split = tokentune_ffn(tape, model, i, split)
     return split
 

@@ -35,7 +35,7 @@ from . import selective
 from .adapters import attach
 from .config import ModelConfig
 from .engine import MASK_VALUE, Tape
-from .model import (TokenSequence, TransformerModel, attention_mask,
+from .model import (TokenSequence, TransformerModel, attend_project,
                     build_model, forward_hidden, norm, qkv)
 from .partition import SelectionError, TokenPartition, select_positions
 from .selective import (every_position, loss_classification, loss_lm,
@@ -397,16 +397,18 @@ def _tracked_unselected_qkv(tape, model, layer, h_gbar):
     return qkv(tape, model, layer, h_n)
 
 
-def _block_row_mask(query_positions, key_positions, causal):
-    """The `mask-from-storage-order` mutant of `selective.attention_mask`:
-    each block's rows are numbered 0, 1, ... instead of by position."""
-    return attention_mask(np.arange(len(query_positions)),
-                          np.arange(len(key_positions)), causal)
+def _storage_order_attend_project(tape, model, layer, q, k, v, positions):
+    """The `mask-from-storage-order` mutant of `selective.attend_project`:
+    each block's query rows are numbered 0, 1, ... instead of by
+    position."""
+    return attend_project(tape, model, layer, q, k, v,
+                          np.arange(len(positions)))
 
 
 _PATCHES = {
     "track-unselected-kv": ("_unselected_qkv", _tracked_unselected_qkv),
-    "mask-from-storage-order": ("attention_mask", _block_row_mask)}
+    "mask-from-storage-order": ("attend_project",
+                                _storage_order_attend_project)}
 
 
 def _mutant_forward(model, seq, partition, mutant=None):
@@ -516,9 +518,7 @@ def _retained_subtotals(model, n: int, k: int, mutant=None):
 def cache_scaling_check(mutant: str | None = None) -> dict:
     """The bytes retained for backward must be affine in the sequence
     length at fixed k (linear attention term, constant ffn/norm term) and
-    strictly increasing in k.
-    The lengths are multiples of 8, as attention saves its visibility
-    mask bit-packed, a whole byte per 8 keys."""
+    strictly increasing in k."""
     cfg = ModelConfig(vocab_size=19, max_positions=64, d_model=8, n_heads=2,
                       d_ff=12, n_layers=1, causal=False, n_classes=2)
     model = build_model(cfg, seed=7, dtype="float64")

@@ -54,7 +54,6 @@ def test_ledger_hook_elements_are_the_replays_retained_bytes(monkeypatch):
         hook(tape)
         retained.append(simulate_peak_bytes(tape)[1])
 
-    # 20 keys pack into 3 mask bytes per query row: not whole elements
     n, dtype = 20, "float32"
     cfg = ModelConfig(max_positions=n, d_model=16, n_heads=2, d_ff=64,
                       n_layers=2, causal=True, n_classes=None)

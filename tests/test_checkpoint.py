@@ -2,6 +2,7 @@
 from `tokentune eval`) for every fault in a header read back."""
 
 import errno
+import hashlib
 import json
 
 import numpy as np
@@ -180,6 +181,42 @@ def test_header_without_payload_hash_raises_checkpoint_error(tmp_path, kind):
             load_model(path)
         else:
             load_adapters(tiny_model(), path)
+
+
+def resize_payload(path, trailing: bytes = b"", cut: int = 0):
+    """Append `trailing` bytes to the payload or drop its last `cut`,
+    and rewrite the header's sha256 to match, so only the manifest can
+    tell."""
+    raw = path.read_bytes()
+    nl = raw.index(b"\n")
+    payload = raw[nl + 1:len(raw) - cut] + trailing
+    header = json.loads(raw[:nl])
+    header["sha256"] = hashlib.sha256(payload).hexdigest()
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+
+@pytest.mark.parametrize("fault,message", [
+    ({"trailing": bytes(8)}, "payload length does not match manifest"),
+    ({"cut": 8}, "truncated payload"),
+], ids=["trailing", "truncated"])
+@pytest.mark.parametrize("kind", ["model", "adapters"])
+def test_payload_not_matching_its_manifest_raises_checkpoint_error(
+        tmp_path, kind, fault, message):
+    path = tmp_path / "c.ckpt"
+    if kind == "model":
+        save_model(tiny_model(), path)
+    else:
+        save_adapters(attach(tiny_model(), ("w1",), r=2, seed=1), path)
+    resize_payload(path, **fault)
+    base = tiny_model()
+    with pytest.raises(CheckpointError, match=message):
+        if kind == "model":
+            load_model(path)
+        else:
+            load_adapters(base, path)
+    # a refused adapter file leaves the base model as it was
+    assert not base.adapters
+    assert not any(p.frozen for p in base.params.values())
 
 
 @pytest.mark.parametrize("flipped", ["checkpoint", "adapters"])

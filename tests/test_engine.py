@@ -680,11 +680,13 @@ def test_ffn_with_adapters_on_w1_and_w2_matches_finite_differences(dtype):
 
 # ---- multi-head attention -------------------------------------------------------
 
-def per_head_attention(t, q, k, v, visible, n_heads):
+def per_head_attention(t, q, k, v, positions, causal, n_heads):
     """The per-head composition that `Tape.attention` records as one node,
-    with the additive mask that `visible` stands for."""
+    with the additive mask that hides, if `causal`, every key past its
+    query's position."""
     head_dim = q.value.shape[1] // n_heads
-    mask_node = t.constant(np.where(visible, 0.0, MASK_VALUE))
+    later = np.arange(k.value.shape[0])[None, :] > positions[:, None]
+    mask_node = t.constant(np.where(later & causal, MASK_VALUE, 0.0))
     outs = []
     for h in range(n_heads):
         cols = np.arange(h * head_dim, (h + 1) * head_dim)
@@ -698,19 +700,20 @@ def per_head_attention(t, q, k, v, visible, n_heads):
 D_ATT = 8
 
 
-def causal_mask(m, n):
-    """Query i sits at key position n - m + i and sees no later key."""
-    return np.arange(n)[None, :] <= (n - m + np.arange(m))[:, None]
+def last_positions(m, n):
+    """Query i at key position n - m + i: the last m of n positions."""
+    return n - m + np.arange(m)
 
 
 def default_shape(case):
     return (3, 7) if case != "all-tracked" else (5, 5)
 
 
-def attention_case(case, n_heads, attend, shape=None, mask=None):
+def attention_case(case, n_heads, attend, shape=None, positions=None,
+                   causal=True):
     """(tape, output, loss, tracked input leaves by name) for one operand
-    pattern, m queries over n keys (`shape`), causal unless `mask` is
-    given; every array is float64."""
+    pattern, m queries over n keys (`shape`), at the last m positions
+    unless `positions` are given; every array is float64."""
     r = rng_for(40)
     m, n = shape or default_shape(case)
     t = Tape()
@@ -731,8 +734,9 @@ def attention_case(case, n_heads, attend, shape=None, mask=None):
         q = t.constant(r.normal(size=(m, D_ATT)))
         k, v = (t.input(r.normal(size=(n, D_ATT))) for _ in range(2))
         inputs = {"k": k, "v": v}
-    out = attend(t, q, k, v, causal_mask(m, n) if mask is None else mask,
-                 n_heads)
+    out = attend(t, q, k, v,
+                 last_positions(m, n) if positions is None else positions,
+                 causal, n_heads)
     logits = t.matmul(out, t.constant(r.normal(size=(D_ATT, 3))))
     return t, out, t.cross_entropy(logits, r.integers(0, 3, size=m)), inputs
 
@@ -761,18 +765,17 @@ def compare_with_per_head(case, n_heads, **kw):
     return retained
 
 
-def retained_with_row_statistics(case, n_heads, ref, shape):
+def retained_with_row_statistics(case, n_heads, ref, shape, causal=True):
     """The bytes `Tape.attention` retains for backward, from the per-head
     composition's (`ref`): the composition keeps every head's m x n float64
     probabilities, the node keeps each (head, row)'s softmax max and sum
-    and the m x n boolean visibility mask, bit-packed to m x ceil(n / 8)
-    bytes, instead. With constant queries
-    the node also keeps k, to rebuild the probabilities, which the
-    composition never reads."""
+    and, if causal, the m query positions (8 bytes each) instead. With
+    constant queries the node also keeps k, to rebuild the probabilities,
+    which the composition never reads."""
     m, n = shape
     keys = n * D_ATT * 8 if case == "untracked-q" else 0
-    return (ref - n_heads * m * n * 8 + 2 * n_heads * m * 8 + m * -(-n // 8)
-            + keys)
+    return (ref - n_heads * m * n * 8 + 2 * n_heads * m * 8
+            + (8 * m if causal else 0) + keys)
 
 
 @pytest.mark.parametrize("n_heads", [1, 4])
@@ -798,39 +801,57 @@ def test_multi_block_attention_saves_row_stats_not_probs(
         case, shape, n_heads):
     ours, ref = compare_with_per_head(case, n_heads, shape=shape)
     # block skipping changes the work, not what is saved: the statistics
-    # and the mask cover every row and key whatever each block reads
+    # and the positions cover every row whatever keys each block reads
     assert len(row_blocks(shape[0])) > 1
     assert ours == retained_with_row_statistics(case, n_heads, ref, shape)
 
 
 @pytest.mark.parametrize("n_heads", [1, 4])
-def test_query_row_that_sees_no_key_keeps_the_uniform_softmax(n_heads):
+def test_bidirectional_attention_reads_every_key_and_saves_no_positions(
+        n_heads):
+    shape = (150, 150)
+    ours, ref = compare_with_per_head("all-tracked", n_heads, shape=shape,
+                                      causal=False)
+    assert ours == retained_with_row_statistics("all-tracked", n_heads, ref,
+                                                shape, causal=False)
+    out = attention_case("all-tracked", n_heads, Tape.attention,
+                         shape=shape, causal=False)[1]
+    assert [hi for _, _, hi in out.node.meta["spans"]] == [150] * 3
+
+
+@pytest.mark.parametrize("n_heads", [1, 4])
+def test_keys_past_every_query_are_skipped_and_get_no_weight(n_heads):
+    # queries at positions < 140 over 150 keys, rows not in position
+    # order: the last block reads keys :140, and keys 140: get no weight
     m = n = 150
-    mask = causal_mask(m, n)
-    mask[:, 140:] = False  # keys no query sees, like trailing padding
-    mask[100] = False      # a query that sees no key at all
+    positions = np.arange(m) % 140
     ours, ref = compare_with_per_head("all-tracked", n_heads, shape=(m, n),
-                                      mask=mask)
+                                      positions=positions)
     assert ours == retained_with_row_statistics("all-tracked", n_heads, ref,
                                                 (m, n))
+    out = attention_case("all-tracked", n_heads, Tape.attention,
+                         shape=(m, n), positions=positions)[1]
+    assert [hi for _, _, hi in out.node.meta["spans"]] == [64, 128, 140]
 
 
-def test_attention_untracked_matches_tracked_and_caches_nothing():
+@pytest.mark.parametrize("causal", [True, False],
+                         ids=["causal", "bidirectional"])
+def test_attention_untracked_matches_tracked_and_caches_nothing(causal):
     r = rng_for(41)
     q, k, v = (r.normal(size=(4, D_ATT)) for _ in range(3))
     tracked = Tape()
     out = tracked.attention(*(tracked.input(x) for x in (q, k, v)),
-                            causal_mask(4, 4), 4)
+                            np.arange(4), causal, 4)
     untracked = Tape()
     with untracked.no_grad():
         out_ng = untracked.attention(*(untracked.input(x) for x in (q, k, v)),
-                                     causal_mask(4, 4), 4)
+                                     np.arange(4), causal, 4)
     assert np.array_equal(out.value, out_ng.value)
     # the output alone, the last node
     assert untracked.retained_bytes() == {("", "attention"): 4 * D_ATT * 8}
-    # row max and sum per head, the 4 x 4 visibility mask packed into one
-    # byte per row, then q, k, v and the output
-    assert out.fresh_bytes == 2 * 4 * 4 * 8 + 4
+    # row max and sum per head, if causal the 4 query positions, then q,
+    # k, v and the output
+    assert out.fresh_bytes == 2 * 4 * 4 * 8 + (4 * 8 if causal else 0)
     assert tracked.retained_bytes() == {("", "attention"): out.fresh_bytes
                                         + 4 * D_ATT * 8,
                                         ("", "input"): 3 * 4 * D_ATT * 8}
@@ -841,14 +862,13 @@ def attention_finite_differences(m):
     under a summed cross-entropy."""
     r = rng_for(42)
     arrays = {name: r.normal(size=(m, D_ATT)) for name in ("q", "k", "v")}
-    mask = causal_mask(m, m)
     w = r.normal(size=(D_ATT, 3))
     targets = r.integers(0, 3, size=m)
 
     def build():
         t = Tape()
         q, k, v = (t.param(name, arrays[name]) for name in ("q", "k", "v"))
-        out = t.attention(q, k, v, mask, 2)
+        out = t.attention(q, k, v, np.arange(m), True, 2)
         return t, t.cross_entropy(t.matmul(out, t.constant(w)), targets)
 
     tape, loss = build()
@@ -878,30 +898,31 @@ def test_attention_rejects_bad_shapes_and_overflowing_scores():
     q = t.input(np.ones((3, D_ATT)))
     kv = t.input(np.ones((5, D_ATT)))
     with pytest.raises(ShapeError) as err:
-        t.attention(q, kv, kv, np.ones((3, 5), bool), 3)
+        t.attention(q, kv, kv, np.arange(3), True, 3)
     assert err.value.op == "attention"
     huge = t.input(np.full((3, D_ATT), 1e200))
     with pytest.raises(NonFiniteError) as err, np.errstate(over="ignore"):
-        t.attention(huge, huge, huge, np.ones((3, 3), bool), 2)
+        t.attention(huge, huge, huge, np.arange(3), True, 2)
     assert err.value.op == "attention"
 
 
-@pytest.mark.parametrize("visible", [
-    np.ones((5, 3), bool),                  # keys x queries
-    np.ones((3, 4), bool),                  # one key short
-    np.ones(15, bool),                      # flat
-    np.zeros((3, 5)),                       # an additive float mask
-    causal_mask(3, 5).astype(np.float32),
-    causal_mask(3, 5).astype(np.uint8),
-], ids=["transposed", "short", "flat", "float64", "float32", "uint8"])
-def test_attention_rejects_visible_that_is_not_a_boolean_queries_by_keys(
-        visible):
-    # a float mask is refused, not read as visibility: its zeros would
-    # block exactly the keys an additive mask lets through
+@pytest.mark.parametrize("causal", [True, False],
+                         ids=["causal", "bidirectional"])
+@pytest.mark.parametrize("positions", [
+    np.arange(4),                        # one per key, not per query
+    np.arange(2),                        # one short
+    np.arange(3).reshape(3, 1),          # 2-D
+    np.arange(3.0),                      # float
+    np.array([True, False, True]),       # a row of a boolean mask
+    np.array([-1, 0, 1]),                # negative
+    np.array([2, 3, 5]),                 # past the last of 5 keys
+], ids=["long", "short", "2-d", "float", "boolean", "negative", "past-n"])
+def test_attention_rejects_positions_that_are_not_one_key_per_query(
+        positions, causal):
     t = Tape()
     q = t.input(np.ones((3, D_ATT)))
     kv = t.input(np.ones((5, D_ATT)))
     with pytest.raises(ShapeError) as err:
-        t.attention(q, kv, kv, visible, 2)
+        t.attention(q, kv, kv, positions, causal, 2)
     assert err.value.op == "attention"
     assert t.nodes[-1] is kv.node  # nothing was recorded

@@ -9,7 +9,7 @@ from tokentune.config import ModelConfig
 from tokentune.data import Example
 from tokentune.engine import Tape
 from tokentune.model import (FFN_BLOCK_ROWS, ModelError, TokenSequence,
-                             attention_mask, build_model, embed, ffn,
+                             build_model, embed, ffn,
                              forward_hidden, lm_logits,
                              loss_classification_rows)
 from tokentune.optimize import evaluate
@@ -69,10 +69,10 @@ def one_group(tape, h):
     return split_hidden(tape, tape.input(h), partition)
 
 
-def attention_layer(model, layer, h, causal):
+def attention_layer(model, layer, h):
     """h + attention(norm1(h)): the one-group split's attention update."""
     t = Tape()
-    split = tokentune_attention(t, model, layer, one_group(t, h), causal)
+    split = tokentune_attention(t, model, layer, one_group(t, h))
     assert split.h_gbar is None
     return split.h_g.value
 
@@ -112,7 +112,7 @@ def _dense_attention_oracle(h, model, layer, causal):
 def test_attention_single_token_is_value_projection():
     model = build_model(tiny_config(n_heads=1), seed=3, dtype="float64")
     h = rng_for(3).normal(size=(1, 8))
-    out = attention_layer(model, 0, h, causal=False)
+    out = attention_layer(model, 0, h)
     base = "layers.0.attn"
     v = norm_vals(model, 0, h, 1) @ model.param(f"{base}.w_v").value \
         + model.param(f"{base}.b_v").value
@@ -121,25 +121,44 @@ def test_attention_single_token_is_value_projection():
     assert np.allclose(out, expected, atol=1e-14)
 
 
-def test_causal_mask_row_zero_attends_only_to_itself():
-    visible = attention_mask([0, 1, 2], [0, 1, 2], causal=True)
-    assert visible.dtype == bool
-    assert visible.tolist() == [[True, False, False], [True, True, False],
-                                [True, True, True]]
+def attend_keys(q_row, k, v, n_heads):
+    """One query's multi-head attention over exactly the keys given."""
+    dh = q_row.size // n_heads
+    outs = []
+    for h in range(n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = k[:, cols] @ q_row[cols] / np.sqrt(dh)
+        e = np.exp(scores - scores.max())
+        outs.append(e / e.sum() @ v[:, cols])
+    return np.concatenate(outs)
+
+
+def test_causal_query_at_position_zero_reads_only_key_zero():
     r = rng_for(3)
     q, k, v = (r.normal(size=(3, 8)) for _ in range(3))
     t = Tape()
-    out = t.attention(t.input(q), t.input(k), t.input(v), visible, 2).value
+    out = t.attention(t.input(q), t.input(k), t.input(v), np.arange(3),
+                      True, 2).value
     assert np.array_equal(out[0], v[0])
 
 
-def test_mask_follows_positions_not_storage_order():
-    # storage order [2, 0, 1]
-    visible = attention_mask([2, 0, 1], [2, 0, 1], causal=True)
-    assert visible.tolist() == [[True, True, True], [False, True, False],
-                                [False, True, True]]
-    assert attention_mask([0, 1], [0, 1, 2],
-                          causal=False).tolist() == [[True] * 3] * 2
+@pytest.mark.parametrize("causal", [True, False],
+                         ids=["causal", "bidirectional"])
+def test_query_reads_the_keys_up_to_its_position_whatever_its_row(causal):
+    # queries stored out of position order, over 5 keys
+    positions = np.array([2, 0, 4, 1])
+    r = rng_for(8)
+    q = r.normal(size=(4, 8))
+    k, v = (r.normal(size=(5, 8)) for _ in range(2))
+    t = Tape()
+    out = t.attention(t.input(q), t.input(k), t.input(v), positions,
+                      causal, 2).value
+    for row, p in enumerate(positions):
+        seen = p + 1 if causal else 5
+        want = attend_keys(q[row], k[:seen], v[:seen], 2)
+        assert np.abs(out[row] - want).max() < 1e-12, (row, p)
+    if causal:
+        assert np.array_equal(out[1], v[0])
 
 
 @pytest.mark.parametrize("causal", [False, True])
@@ -149,7 +168,7 @@ def test_attention_matches_dense_oracle(causal, n_heads):
                                     n_classes=None if causal else 3),
                         seed=4, dtype="float64")
     h = rng_for(4).normal(size=(3, 8))
-    got = attention_layer(model, 0, h, causal)
+    got = attention_layer(model, 0, h)
     want = h + _dense_attention_oracle(norm_vals(model, 0, h, 1), model, 0,
                                        causal)
     assert np.abs(got - want).max() < 1e-12
@@ -168,7 +187,7 @@ def test_zero_weight_layers_are_identity():
     t = Tape()
     split = one_group(t, h)
     for layer in range(3):
-        split = tokentune_attention(t, model, layer, split, causal=False)
+        split = tokentune_attention(t, model, layer, split)
         split = tokentune_ffn(t, model, layer, split)
     assert np.array_equal(split.h_g.value, h)
 
@@ -214,7 +233,7 @@ def test_split_layer_composes_attention_and_ffn():
     model = build_model(tiny_config(n_layers=1), seed=7, dtype="float64")
     h = rng_for(7).normal(size=(2, 8))
     t = Tape()
-    split = tokentune_attention(t, model, 0, one_group(t, h), causal=False)
+    split = tokentune_attention(t, model, 0, one_group(t, h))
     got = tokentune_ffn(t, model, 0, split).h_g.value
 
     mid = h + _dense_attention_oracle(norm_vals(model, 0, h, 1), model, 0,

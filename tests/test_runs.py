@@ -11,7 +11,7 @@ from tokentune.cli import EXIT_OK, main
 from tokentune.config import ModelConfig, RunConfig, TaskConfig, TrainConfig
 from tokentune.data import build_task_datasets, synthetic_text
 from tokentune.memprofile import SWEEP_COLUMNS, sweep_report
-from tokentune.model import build_model
+from tokentune.model import TokenSequence, build_model
 from tokentune.optimize import Trainer, run_training
 
 
@@ -62,6 +62,44 @@ def test_memsweep_writes_a_header_and_a_row_per_grid_point(tmp_path):
         == [("full", "16"), ("tokentune", "4"), ("tokentune", "8")]
     for row in rows:
         assert 0 < int(row["activations_bytes"]) <= int(row["peak_bytes"])
+
+
+def read_sweep(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        return tuple(reader.fieldnames), list(reader)
+
+
+def tiny_sweep_config(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"model": {"d_model": 8, "n_heads": 2,
+                                            "d_ff": 12, "n_layers": 1}}))
+    return str(config)
+
+
+def test_memsweep_with_no_regimes_writes_only_the_header(tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = main(["memsweep", "--config", tiny_sweep_config(tmp_path),
+                 "--out", str(out), "--n", "8", "--regimes", ""])
+    assert code == EXIT_OK
+    assert read_sweep(out) == (SWEEP_COLUMNS, [])
+
+
+def test_memsweep_turns_a_ratio_into_the_k_training_selects(tmp_path):
+    # 0.125 of 20 positions is 2.5, which training rounds half up
+    out = tmp_path / "sweep.csv"
+    code = main(["memsweep", "--config", tiny_sweep_config(tmp_path),
+                 "--out", str(out), "--n", "20", "--regimes", "tokentune",
+                 "--ratios", "0.125"])
+    assert code == EXIT_OK
+    _, rows = read_sweep(out)
+    cfg = ModelConfig(max_positions=20, d_model=8, n_heads=2, d_ff=12,
+                      n_layers=1, causal=True, n_classes=None)
+    trainer = Trainer(build_model(cfg), TrainConfig(
+        regime="tokentune", selection_ratio=0.125), "lm")
+    k = trainer.partition_for(TokenSequence.from_ids(np.zeros(20)), 0).k
+    assert k == 3
+    assert [(r["regime"], r["k"]) for r in rows] == [("tokentune", str(k))]
 
 
 def test_sweep_needs_k_for_a_selective_regime():

@@ -209,10 +209,10 @@ def test_run_gradcheck_clean_and_mutated():
 def test_mutant_patches_are_scoped_and_names_are_one_list():
     from tokentune import selective
     from tokentune.cli import build_parser
-    originals = (selective._unselected_qkv, selective.attention_mask)
+    originals = (selective._unselected_qkv, selective.attend_project)
     for mutant in MUTANTS:
         equivalence_suite(n_configs=2, seed=0, mutant=mutant)
-        assert (selective._unselected_qkv, selective.attention_mask) \
+        assert (selective._unselected_qkv, selective.attend_project) \
             == originals, mutant
         args = build_parser().parse_args(["gradcheck", "--inject-bug",
                                           mutant])
@@ -282,9 +282,9 @@ def long_lm_case(k):
 def test_tokentune_matches_the_oracle_across_attention_blocks(k):
     model, seq, partition, targets = long_lm_case(k)
     # each tracked attention node saves a float64 max and sum per (head,
-    # selected query) and the k x n visibility mask, bit-packed, for any
+    # selected query) and the selected queries' positions, for any
     # selection
-    fresh = 2 * model.config.n_heads * k * 8 + k * -(-LONG_N // 8)
+    fresh = 2 * model.config.n_heads * k * 8 + 8 * k
     other = select_positions(LONG_N, k, "lm", rng_seed=10)
     assert k == LONG_N or not np.array_equal(other.selected,
                                              partition.selected)
