@@ -11,12 +11,12 @@ __version__ = "0.1.0"
 
 from .config import ModelConfig, RunConfig, TaskConfig, TrainConfig
 from .engine import Tape
-from .model import TokenSequence, TransformerModel, build_model
+from .model import TransformerModel, build_model
 from .partition import TokenPartition, select_positions
 
 __all__ = [
     "ModelConfig", "RunConfig", "TaskConfig", "TrainConfig",
-    "Tape", "TokenSequence", "TransformerModel", "build_model",
+    "Tape", "TransformerModel", "build_model",
     "TokenPartition", "select_positions",
     "__version__",
 ]

@@ -14,8 +14,9 @@ import os
 import sys
 from pathlib import Path
 
-from .config import (REGIMES, SELECTIVE_REGIMES, ConfigError, RunConfig,
-                     apply_overrides, load_run_config)
+from .config import (ADAPTER_REGIMES, REGIMES, SELECTIVE_REGIMES,
+                     ConfigError, RunConfig, apply_overrides,
+                     load_run_config)
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILED = 1
@@ -54,6 +55,11 @@ def cmd_eval(args) -> int:
     from .optimize import evaluate
 
     cfg = _resolve_config(args.config, args.set)
+    if cfg.train.regime in ADAPTER_REGIMES and not args.adapters:
+        print(f"eval error: a '{cfg.train.regime}' run trains adapters; "
+              f"pass its adapter checkpoint with --adapters",
+              file=sys.stderr)
+        return EXIT_BAD_CONFIG
     try:
         model = load_model(args.checkpoint)
         if args.adapters:
@@ -97,8 +103,16 @@ def cmd_memsweep(args) -> int:
     n = args.n or cfg.task.seq_len
     regimes = (args.regimes.split(",") if args.regimes is not None
                else REGIMES)
-    ratios = ([float(r) for r in args.ratios.split(",")]
-              if args.ratios else [0.125, 0.25, 0.5, 1.0])
+    try:
+        ratios = ([float(r) for r in args.ratios.split(",")]
+                  if args.ratios else [0.125, 0.25, 0.5, 1.0])
+        valid = all(0.0 < r <= 1.0 for r in ratios)
+    except ValueError:
+        valid = False
+    if not valid:
+        print(f"invalid --ratios {args.ratios!r}: each selection ratio must "
+              f"be a number in (0, 1]", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     grid = []
     for regime in regimes:
         if not regime:

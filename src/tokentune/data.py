@@ -15,10 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import ModelConfig, TaskConfig
-from .model import TokenSequence
 
 CLS_ID = 1
 FIRST_MARKER_ID = 2
+#: Token ids of the byte language model: id b is the byte value b.
+BYTE_VOCAB = 256
 
 
 class DataError(ValueError):
@@ -27,25 +28,12 @@ class DataError(ValueError):
 
 @dataclass
 class Example:
-    seq: TokenSequence
+    """One sequence, as its token ids (id i at position i), with a class
+    label or next-token targets."""
+
+    seq: np.ndarray
     label: int | None = None
     targets: np.ndarray | None = None  # by position; -1 = no target
-
-
-class ByteTokenizer:
-    """Raw bytes as tokens: ids 0..255 are byte values, 256 is padding."""
-
-    pad_id = 256
-    vocab_size = 257
-
-    def encode(self, data) -> np.ndarray:
-        if isinstance(data, str):
-            data = data.encode("utf-8")
-        return np.frombuffer(bytes(data), dtype=np.uint8).astype(np.intp)
-
-    def decode(self, ids) -> bytes:
-        ids = np.asarray(ids)
-        return bytes(ids[ids != self.pad_id].astype(np.uint8).tolist())
 
 
 def gen_classification(n_examples: int, seq_len: int, n_classes: int,
@@ -82,7 +70,7 @@ def gen_classification(n_examples: int, seq_len: int, n_classes: int,
             continue  # tie: draw a fresh example from the same stream
         label = int(counts.argmax())
         ids = np.concatenate([[CLS_ID], body])
-        examples.append(Example(seq=TokenSequence.from_ids(ids), label=label))
+        examples.append(Example(seq=ids, label=label))
     return examples
 
 
@@ -102,14 +90,13 @@ def load_lm_corpus(path, seq_len: int, stride: int | None = None) -> list[Exampl
     stride = seq_len if stride is None else int(stride)
     if stride < 1:
         raise DataError("stride must be >= 1")
-    tok = ByteTokenizer()
-    ids_all = tok.encode(raw)
+    ids_all = np.frombuffer(raw, np.uint8).astype(np.intp)
     out = []
     for start in range(0, len(raw) - seq_len + 1, stride):
         ids = ids_all[start:start + seq_len]
         targets = np.full(seq_len, -1, dtype=np.intp)
         targets[:-1] = ids[1:]
-        out.append(Example(seq=TokenSequence.from_ids(ids), targets=targets))
+        out.append(Example(seq=ids, targets=targets))
     return out
 
 
@@ -160,9 +147,8 @@ def build_task_datasets(task: TaskConfig, model_cfg: ModelConfig):
         return train, test
     if not model_cfg.causal:
         raise DataError("language modeling needs a causal model")
-    if model_cfg.vocab_size < ByteTokenizer.vocab_size:
-        raise DataError(f"byte LM needs vocab_size >= "
-                        f"{ByteTokenizer.vocab_size}")
+    if model_cfg.vocab_size < BYTE_VOCAB:
+        raise DataError(f"byte LM needs vocab_size >= {BYTE_VOCAB}")
     windows = load_lm_corpus(task.corpus_path, task.seq_len, task.stride)
     n_eval = min(task.eval_windows, max(1, len(windows) // 10))
     if len(windows) <= n_eval:

@@ -13,38 +13,16 @@ are exact integers.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .adapters import attach
 from .config import (ADAPTER_REGIMES, REGIMES, SELECTIVE_REGIMES,
                      ModelConfig, TrainConfig)
-from .data import Example
-from .model import TokenSequence, TransformerModel, build_model
+from .data import BYTE_VOCAB, Example
+from .model import TransformerModel, build_model
 from .optimize import Trainer
-
-
-@dataclass
-class MemoryReport:
-    params_bytes: int
-    grads_bytes: int
-    optimizer_bytes: int
-    activations_bytes: int
-    peak_bytes: int
-    per_layer: dict = field(default_factory=dict)
-    per_op: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "params_bytes": int(self.params_bytes),
-            "grads_bytes": int(self.grads_bytes),
-            "optimizer_bytes": int(self.optimizer_bytes),
-            "activations_bytes": int(self.activations_bytes),
-            "peak_bytes": int(self.peak_bytes),
-            "per_layer": {k: int(v) for k, v in sorted(self.per_layer.items())},
-            "per_op": {k: int(v) for k, v in sorted(self.per_op.items())},
-        }
 
 
 def build_regime_model(regime: str, cfg: ModelConfig, seed: int = 0,
@@ -58,7 +36,7 @@ def build_regime_model(regime: str, cfg: ModelConfig, seed: int = 0,
 
 
 def lm_profile_batch(n: int, batch: int, seed: int = 0,
-                     vocab_size: int = 256) -> list[Example]:
+                     vocab_size: int = BYTE_VOCAB) -> list[Example]:
     """Deterministic random windows of ids below `vocab_size` (bytes by
     default) with shifted targets."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3E3]))
@@ -67,15 +45,15 @@ def lm_profile_batch(n: int, batch: int, seed: int = 0,
         ids = rng.integers(0, vocab_size, size=n)
         targets = np.full(n, -1, dtype=np.intp)
         targets[:-1] = ids[1:]
-        out.append(Example(seq=TokenSequence.from_ids(ids), targets=targets))
+        out.append(Example(seq=ids, targets=targets))
     return out
 
 
 def memory_report(model: TransformerModel, trainer: Trainer,
-                  metrics: dict | None) -> MemoryReport:
-    """The report of the step that returned `metrics` (None: no step ran):
-    its activation and peak bytes, and the activation bytes by layer and
-    by op of the example that set them (``trainer.activation_breakdown``),
+                  metrics: dict | None) -> dict:
+    """``memory.json`` of the step that returned `metrics` (None: no step
+    ran): its activation and peak bytes, and the activation bytes by layer
+    and by op of the example that set them (``trainer.activation_breakdown``),
     which each sum to the activation bytes."""
     width = np.dtype(model.dtype).itemsize
     per_layer: dict[str, int] = {}
@@ -84,15 +62,15 @@ def memory_report(model: TransformerModel, trainer: Trainer,
         layer = label.split(".attn")[0].split(".ffn")[0] or "other"
         per_layer[layer] = per_layer.get(layer, 0) + nbytes
         per_op[op] = per_op.get(op, 0) + nbytes
-    return MemoryReport(
-        params_bytes=model.total_param_elements() * width,
-        grads_bytes=model.trainable_elements() * width,
-        optimizer_bytes=trainer.state.element_count() * width,
-        activations_bytes=metrics["activation_bytes"] if metrics else 0,
-        peak_bytes=metrics["peak_bytes"] if metrics else 0,
-        per_layer=per_layer,
-        per_op=per_op,
-    )
+    return {
+        "params_bytes": model.total_param_elements() * width,
+        "grads_bytes": model.trainable_elements() * width,
+        "optimizer_bytes": trainer.state.element_count() * width,
+        "activations_bytes": metrics["activation_bytes"] if metrics else 0,
+        "peak_bytes": metrics["peak_bytes"] if metrics else 0,
+        "per_layer": dict(sorted(per_layer.items())),
+        "per_op": dict(sorted(per_op.items())),
+    }
 
 
 BYTE_COLUMNS = ("params_bytes", "grads_bytes", "optimizer_bytes",
@@ -104,8 +82,9 @@ def sweep_report(grid, model: ModelConfig, train: TrainConfig,
                  out_path=None) -> list[dict]:
     """Profile one language-model train step at every grid point {regime,
     n, k, batch}: the run's configs with the point's values, ``max_positions
-    = n`` and a causal LM head. A selective regime needs its k; the other
-    regimes select nothing, and a k of None is reported as n. Writes a CSV
+    = n`` and a causal LM head. A selective regime needs a k in 1..n, so
+    that a row's k is the k its step selected; the other regimes select
+    nothing, and a k of None is reported as n. Writes a CSV
     table when out_path is given (header always, even for an empty grid)."""
     rows = []
     for point in grid:
@@ -116,9 +95,9 @@ def sweep_report(grid, model: ModelConfig, train: TrainConfig,
         batch = int(point.get("batch", 1))
         selective = regime in SELECTIVE_REGIMES
         k = point.get("k")
-        if selective and k is None:
-            raise ValueError(f"grid point {point} needs k for regime "
-                             f"'{regime}'")
+        if selective and (k is None or not 1 <= int(k) <= n):
+            raise ValueError(f"grid point {point} needs k in 1..{n} for "
+                             f"regime '{regime}'")
         cfg = replace(model, max_positions=n, causal=True, n_classes=None)
         train_cfg = replace(train, regime=regime,
                             k=int(k) if selective else None,
@@ -130,8 +109,9 @@ def sweep_report(grid, model: ModelConfig, train: TrainConfig,
             lora_alpha=train.lora_alpha)
         trainer = Trainer(run_model, train_cfg, "lm")
         metrics = trainer.train_step(lm_profile_batch(
-            n, batch, seed=train.seed, vocab_size=min(cfg.vocab_size, 256)))
-        report = memory_report(run_model, trainer, metrics).to_dict()
+            n, batch, seed=train.seed,
+            vocab_size=min(cfg.vocab_size, BYTE_VOCAB)))
+        report = memory_report(run_model, trainer, metrics)
         rows.append({"regime": regime, "n": n,
                      "k": int(k) if k is not None else n, "batch": batch,
                      **{col: report[col] for col in BYTE_COLUMNS}})

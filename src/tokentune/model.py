@@ -49,23 +49,6 @@ class Parameter:
         return self.value.shape
 
 
-@dataclass
-class TokenSequence:
-    """The token ids of one sequence; id i sits at position i."""
-
-    ids: np.ndarray
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.intp)
-
-    @classmethod
-    def from_ids(cls, ids) -> "TokenSequence":
-        return cls(ids=ids)
-
-    def __len__(self):
-        return len(self.ids)
-
-
 class TransformerModel:
     """Named parameter store plus the config; adapters attach by name."""
 
@@ -259,22 +242,25 @@ def norm(tape: Tape, model: TransformerModel, layer: int, which: int,
                            _param_node(tape, model, f"{base}.shift"))
 
 
-def embed(tape: Tape, model: TransformerModel, seq: TokenSequence) -> Tensor:
+def embed(tape: Tape, model: TransformerModel, seq: np.ndarray) -> Tensor:
+    """Token plus position embeddings of a sequence, given as its token
+    ids (id i at position i); every forward enters the model here."""
+    ids = np.asarray(seq, np.intp)
     cfg = model.config
-    if len(seq) and (seq.ids.min() < 0 or seq.ids.max() >= cfg.vocab_size):
+    if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
         raise ModelError(f"token id out of range for vocab {cfg.vocab_size}")
-    if len(seq) > cfg.max_positions:
-        raise ModelError(f"{len(seq)} positions exceed max_positions "
+    if len(ids) > cfg.max_positions:
+        raise ModelError(f"{len(ids)} positions exceed max_positions "
                          f"{cfg.max_positions}")
     with tape.region("embed"):
-        tok = tape.select_rows(_param_node(tape, model, "tok_emb"), seq.ids)
+        tok = tape.select_rows(_param_node(tape, model, "tok_emb"), ids)
         pos = tape.select_rows(_param_node(tape, model, "pos_emb"),
-                               np.arange(len(seq)))
+                               np.arange(len(ids)))
         return tape.add(tok, pos)
 
 
 def forward_hidden(tape: Tape, model: TransformerModel,
-                   seq: TokenSequence) -> Tensor:
+                   seq: np.ndarray) -> Tensor:
     """The forward of full fine-tuning and evaluation: TokenTune's forward
     with every position selected, one row per position."""
     from .selective import every_position, restore_hidden, tokentune_forward

@@ -20,8 +20,7 @@ import numpy as np
 
 from .config import SELECTIVE_REGIMES, RunConfig, TrainConfig
 from .engine import Tape, simulate_peak_bytes
-from .model import (TokenSequence, TransformerModel, class_logits,
-                    forward_hidden, log_softmax)
+from .model import TransformerModel, class_logits, forward_hidden, log_softmax
 from .partition import TokenPartition, resolve_k, select_positions
 from .selective import (every_position, loss_classification, loss_lm,
                         tokentune_forward)
@@ -146,7 +145,7 @@ class Trainer:
     def selective(self) -> bool:
         return self.cfg.regime in SELECTIVE_REGIMES
 
-    def partition_for(self, seq: TokenSequence,
+    def partition_for(self, seq: np.ndarray,
                       example_index: int) -> TokenPartition:
         """Fresh uniform selection per example, seeded from the run seed,
         in the selective regimes; every position otherwise."""
@@ -257,7 +256,7 @@ class Trainer:
 
 # ---- evaluation -------------------------------------------------------------
 
-def eval_hidden(model: TransformerModel, seq: TokenSequence) -> np.ndarray:
+def eval_hidden(model: TransformerModel, seq: np.ndarray) -> np.ndarray:
     """Forward values, one row per position; nothing is tracked or
     cached."""
     tape = Tape()
@@ -371,7 +370,7 @@ def run_training(cfg: RunConfig, out_dir) -> RunResult:
     if model.adapters:
         from .checkpoint import save_adapters
         save_adapters(model, out / "adapters.ckpt")
-    report = memory_report(model, trainer, last_metrics).to_dict()
+    report = memory_report(model, trainer, last_metrics)
     (out / "memory.json").write_text(json.dumps(report, indent=2) + "\n",
                                      encoding="utf-8")
     (out / "eval.json").write_text(json.dumps(eval_metrics, indent=2) + "\n",

@@ -8,7 +8,7 @@ so the pooled representation can be tuned from the first token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,22 +19,28 @@ class SelectionError(ValueError):
 
 @dataclass(frozen=True)
 class TokenPartition:
+    """The one check of a selection: at least one selected position, and
+    the two sorted sets hold each of 0..n-1 exactly once. `key_order`, the
+    argsort that checks it, puts rows of [unselected; selected] in order."""
+
     selected: np.ndarray     # sorted positions, gradients enabled
     unselected: np.ndarray   # sorted positions, constants
-    clamped: bool = False    # True when k exceeded the sequence length
+    key_order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        sel = np.asarray(self.selected, dtype=np.intp)
-        unsel = np.asarray(self.unselected, dtype=np.intp)
-        object.__setattr__(self, "selected", np.sort(sel))
-        object.__setattr__(self, "unselected", np.sort(unsel))
-        if self.selected.size < 1:
+        selected = np.sort(np.asarray(self.selected, dtype=np.intp))
+        unselected = np.sort(np.asarray(self.unselected, dtype=np.intp))
+        if selected.size < 1:
             raise SelectionError("a partition needs at least one selected position")
-        if np.intersect1d(self.selected, self.unselected).size:
-            raise SelectionError("selected and unselected overlap")
-        both = np.concatenate([self.selected, self.unselected])
-        if np.unique(both).size != both.size:
-            raise SelectionError("duplicate positions in partition")
+        both = np.concatenate([unselected, selected])
+        order = np.argsort(both, kind="stable")
+        if not np.array_equal(both[order], np.arange(both.size)):
+            raise SelectionError(
+                f"selected and unselected positions do not cover "
+                f"0..{both.size - 1} exactly once")
+        object.__setattr__(self, "selected", selected)
+        object.__setattr__(self, "unselected", unselected)
+        object.__setattr__(self, "key_order", order)
 
     @property
     def k(self) -> int:
@@ -59,8 +65,8 @@ def select_positions(n: int, k: int, mode: str,
     """Uniform sample of k of the positions 0..n-1, deterministic per seed.
 
     Classification mode forces position 0 into the selection and samples
-    the remaining k-1 from the other positions. k larger than n clamps
-    (reported on the returned partition).
+    the remaining k-1 from the other positions. k larger than n selects
+    every position.
     """
     if mode not in ("classification", "lm"):
         raise SelectionError(f"unknown selection mode '{mode}'")
@@ -70,7 +76,6 @@ def select_positions(n: int, k: int, mode: str,
         raise SelectionError("no positions to select from")
 
     candidates = np.arange(n)
-    clamped = k > n
     k_eff = min(k, n)
     rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0x5E1E]))
     if mode == "classification":
@@ -78,7 +83,5 @@ def select_positions(n: int, k: int, mode: str,
         selected = np.concatenate([[0], picked])
     else:
         selected = rng.choice(candidates, size=k_eff, replace=False)
-    selected = np.sort(selected.astype(np.intp))
-    unselected = np.setdiff1d(candidates, selected)
-    return TokenPartition(selected=selected, unselected=unselected,
-                          clamped=clamped)
+    return TokenPartition(selected=selected,
+                          unselected=np.setdiff1d(candidates, selected))

@@ -4,8 +4,9 @@ Hidden states are split into a selected block (tracked, activations cached)
 and an unselected block recorded under a disabled-gradient scope (values
 identical, nothing cached, constants during backward). Attention lets the
 selected queries attend over the unselected and selected keys and values,
-merged into position order, so forward values do not depend on the
-selection; only gradient availability and what backward retains change.
+merged into position order by the partition's `key_order`, so forward
+values do not depend on the selection; only gradient availability and
+what backward retains change. A sequence is its array of token ids.
 
 This is the only layer loop. Full fine-tuning, LoRA and evaluation run it
 with `every_position`, which selects every position and leaves the
@@ -20,15 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Tape, Tensor
-from .model import (ModelError, TokenSequence, TransformerModel,
-                    attend_project, embed,
+from .model import (ModelError, TransformerModel, attend_project, embed,
                     loss_classification_rows, loss_lm_rows, qkv)
 from .model import ffn as ffn_block
 from .model import norm as norm_block
 from .partition import SelectionError, TokenPartition
 
 
-def every_position(seq: TokenSequence) -> TokenPartition:
+def every_position(seq: np.ndarray) -> TokenPartition:
     """The partition of full fine-tuning and evaluation: every position
     selected, none unselected."""
     if len(seq) == 0:
@@ -39,40 +39,31 @@ def every_position(seq: TokenSequence) -> TokenPartition:
 
 @dataclass
 class SplitHidden:
-    """Hidden states split into selected / unselected row blocks."""
+    """Hidden states split into selected / unselected row blocks; the
+    partition gives each block's positions and the `key_order` shared by
+    every layer's key and value reorder and by the restore."""
 
     h_g: Tensor
     h_gbar: Tensor | None
-    positions_g: np.ndarray
-    positions_gbar: np.ndarray
-    # puts rows of [unselected; selected] in position order; one array
-    # shared by every layer's key and value reorder and by the restore
-    key_order: np.ndarray
-
-    def with_blocks(self, h_g: Tensor, h_gbar: Tensor | None) -> "SplitHidden":
-        return SplitHidden(h_g, h_gbar, self.positions_g,
-                           self.positions_gbar, self.key_order)
+    partition: TokenPartition
 
 
 def split_hidden(tape: Tape, h: Tensor,
                  partition: TokenPartition) -> SplitHidden:
     """Select partition rows out of `h`, whose row i is position i; the
     unselected block is recorded under a disabled scope and therefore
-    enters the graph as a constant."""
+    enters the graph as a constant. The partition checked its coverage
+    when it was built, so only its length is compared with `h`'s."""
     rows = h.value.shape[0]
-    both = np.concatenate([partition.unselected, partition.selected])
-    if both.size != rows or both.min() < 0 or both.max() >= rows:
-        raise SelectionError(
-            f"partition does not cover exactly rows 0..{rows - 1} of the "
-            f"matrix")
+    if partition.n_positions != rows:
+        raise SelectionError(f"partition of {partition.n_positions} "
+                             f"positions for a matrix of {rows} rows")
     h_g = tape.select_rows(h, partition.selected)
     h_gbar = None
     if partition.unselected.size:
         with tape.no_grad():
             h_gbar = tape.select_rows(h, partition.unselected)
-    return SplitHidden(h_g, h_gbar, partition.selected.copy(),
-                       partition.unselected.copy(),
-                       np.argsort(both, kind="stable"))
+    return SplitHidden(h_g, h_gbar, partition)
 
 
 def restore_hidden(tape: Tape, split: SplitHidden) -> Tensor:
@@ -81,7 +72,7 @@ def restore_hidden(tape: Tape, split: SplitHidden) -> Tensor:
     if split.h_gbar is None:
         return split.h_g
     return tape.select_rows(tape.concat_rows([split.h_gbar, split.h_g]),
-                            split.key_order)
+                            split.partition.key_order)
 
 
 def _unselected_qkv(tape: Tape, model: TransformerModel, layer: int,
@@ -108,7 +99,7 @@ def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
                                                split.h_gbar)
             # keys in position order, so a causal block of queries sees a
             # prefix of them and attention skips the rest
-            order = split.key_order
+            order = split.partition.key_order
             keys = tape.select_rows(tape.concat_rows([k_gb, k_g]), order)
             vals = tape.select_rows(tape.concat_rows([v_gb, v_g]), order)
             del k_gb, v_gb
@@ -117,7 +108,7 @@ def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
         del k_g, v_g
 
         new_g = tape.add(split.h_g, attend_project(
-            tape, model, layer, q_g, keys, vals, split.positions_g))
+            tape, model, layer, q_g, keys, vals, split.partition.selected))
         del q_g
 
         new_gbar = None
@@ -125,8 +116,8 @@ def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
             with tape.no_grad():
                 new_gbar = tape.add(split.h_gbar, attend_project(
                     tape, model, layer, q_gb, keys, vals,
-                    split.positions_gbar))
-    return split.with_blocks(new_g, new_gbar)
+                    split.partition.unselected))
+    return SplitHidden(new_g, new_gbar, split.partition)
 
 
 def tokentune_ffn(tape: Tape, model: TransformerModel, layer: int,
@@ -145,11 +136,11 @@ def tokentune_ffn(tape: Tape, model: TransformerModel, layer: int,
                     norm_block(tape, model, layer, 2, split.h_gbar)))
         new_g = tape.add(split.h_g, ffn_block(
             tape, model, layer, norm_block(tape, model, layer, 2, split.h_g)))
-    return split.with_blocks(new_g, new_gbar)
+    return SplitHidden(new_g, new_gbar, split.partition)
 
 
 def tokentune_forward(tape: Tape, model: TransformerModel,
-                      seq: TokenSequence,
+                      seq: np.ndarray,
                       partition: TokenPartition) -> SplitHidden:
     """Embed, split, then run every layer with the two-group update."""
     # the embedding is passed on, not kept: the split's row blocks are
@@ -179,7 +170,7 @@ def loss_lm(tape: Tape, model: TransformerModel, split: SplitHidden,
     contributing rows).
     """
     targets_by_position = np.asarray(targets_by_position)
-    t = targets_by_position[split.positions_g]
+    t = targets_by_position[split.partition.selected]
     valid = t >= 0
     if not valid.any():
         raise ModelError("no selected position has a next-token target")

@@ -35,8 +35,8 @@ from . import selective
 from .adapters import attach
 from .config import ModelConfig
 from .engine import MASK_VALUE, Tape
-from .model import (TokenSequence, TransformerModel, attend_project,
-                    build_model, forward_hidden, norm, qkv)
+from .model import (TransformerModel, attend_project, build_model,
+                    forward_hidden, norm, qkv)
 from .partition import SelectionError, TokenPartition, select_positions
 from .selective import (every_position, loss_classification, loss_lm,
                         restore_hidden, tokentune_forward)
@@ -142,7 +142,7 @@ class GradCheckReport:
         return name, self.per_param[name]["max_rel_err"]
 
 
-def finite_difference_check(model: TransformerModel, seq: TokenSequence,
+def finite_difference_check(model: TransformerModel, seq: np.ndarray,
                             partition: TokenPartition, loss_spec,
                             tolerance: float = 1e-6,
                             step: float = 1e-5) -> GradCheckReport:
@@ -252,7 +252,7 @@ def _ref_mask(n, causal, dtype) -> np.ndarray:
 
 
 def _reference_forward(tape: Tape, model: TransformerModel,
-                       seq: TokenSequence, partition: TokenPartition,
+                       seq: np.ndarray, partition: TokenPartition,
                        loss_spec, ctx: _StopContext | None = None):
     """Plain unsplit forward with constant substitution on every tensor the
     unselected path produces; returns the loss node."""
@@ -260,10 +260,9 @@ def _reference_forward(tape: Tape, model: TransformerModel,
     ctx = ctx or _StopContext()
     n = len(seq)
     stop, keep = partition.unselected, partition.selected
-    if not np.array_equal(np.sort(np.concatenate([keep, stop])),
-                          np.arange(n)):
-        raise SelectionError(f"partition does not cover positions "
-                             f"0..{n - 1}")
+    if partition.n_positions != n:
+        raise SelectionError(f"partition of {partition.n_positions} "
+                             f"positions for {n} tokens")
 
     def stopped(x):
         return _stop_rows(tape, x, stop, ctx)
@@ -271,7 +270,7 @@ def _reference_forward(tape: Tape, model: TransformerModel,
     tok_p = model.param("tok_emb")
     pos_p = model.param("pos_emb")
     tok = tape.select_rows(tape.param("tok_emb", tok_p.value,
-                                      trainable=not tok_p.frozen), seq.ids)
+                                      trainable=not tok_p.frozen), seq)
     pos = tape.select_rows(tape.param("pos_emb", pos_p.value,
                                       trainable=not pos_p.frozen),
                            np.arange(n))
@@ -339,7 +338,7 @@ def _reference_forward(tape: Tape, model: TransformerModel,
     return tape.cross_entropy(logits, t[valid])
 
 
-def stopgrad_reference_backward(model: TransformerModel, seq: TokenSequence,
+def stopgrad_reference_backward(model: TransformerModel, seq: np.ndarray,
                                 partition: TokenPartition, loss_spec):
     """Gradients of the reference forward under full tracking."""
     tape = Tape()
@@ -363,7 +362,6 @@ def _random_case(rng, lora: bool, causal: bool):
     ids = rng.integers(2, cfg.vocab_size, size=n)
     if not causal:
         ids[0] = 1
-    seq = TokenSequence.from_ids(ids)
     k = int(rng.integers(1, n + 1))
     mode = "lm" if causal else "classification"
     partition = select_positions(n, k, mode, int(rng.integers(1 << 30)))
@@ -373,7 +371,7 @@ def _random_case(rng, lora: bool, causal: bool):
         loss_spec = ("lm", targets)
     else:
         loss_spec = ("classification", int(rng.integers(cfg.n_classes)))
-    return model, seq, partition, loss_spec
+    return model, ids, partition, loss_spec
 
 
 class _CacheUntrackedTape(Tape):
@@ -500,7 +498,7 @@ def equivalence_suite(n_configs: int = 50, seed: int = 0,
 def _retained_subtotals(model, n: int, k: int, mutant=None):
     """(attention, ffn+norm, total) bytes retained for backward by one
     selective forward and loss."""
-    seq = TokenSequence.from_ids(np.r_[1, 2 + np.arange(n - 1) % 7])
+    seq = np.r_[1, 2 + np.arange(n - 1) % 7]
     partition = TokenPartition(selected=np.arange(k),
                                unselected=np.arange(k, n))
     tape, split = _mutant_forward(model, seq, partition, mutant)
@@ -560,7 +558,7 @@ def gradcheck_fixture():
             p.value += r.normal(0, 0.2, p.value.shape)
         if "norm" in name:
             p.value += r.normal(0, 0.2, p.value.shape)
-    seq = TokenSequence.from_ids(np.array([1, 4, 7, 5, 9, 3]))
+    seq = np.array([1, 4, 7, 5, 9, 3])
     partition = select_positions(6, 2, "classification", rng_seed=11)
     return model, seq, partition, ("classification", 1)
 

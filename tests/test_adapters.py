@@ -10,7 +10,7 @@ import pytest
 from tokentune.adapters import AdapterError, attach, merge
 from tokentune.config import ModelConfig, TrainConfig
 from tokentune.engine import Tape
-from tokentune.model import TokenSequence, build_model, forward_hidden
+from tokentune.model import build_model, forward_hidden
 from tokentune.optimize import AdamState, Trainer, adam_step
 
 
@@ -24,7 +24,7 @@ def seq_for(seed=0, n=6):
     r = np.random.default_rng(seed)
     ids = r.integers(2, 13, size=n)
     ids[0] = 1
-    return TokenSequence.from_ids(ids)
+    return ids
 
 
 def hidden_values(model, seq):

@@ -12,9 +12,10 @@ from tokentune import checkpoint
 from tokentune.adapters import attach
 from tokentune.checkpoint import (CheckpointError, load_adapters, load_model,
                                   save_adapters, save_model)
-from tokentune.cli import EXIT_BAD_CONFIG, main
-from tokentune.config import ModelConfig
+from tokentune.cli import EXIT_BAD_CONFIG, EXIT_OK, main
+from tokentune.config import ModelConfig, RunConfig, TaskConfig, TrainConfig
 from tokentune.model import build_model
+from tokentune.optimize import run_training
 
 
 def tiny_model(dtype="float64"):
@@ -234,6 +235,27 @@ def test_eval_exits_with_code_2_on_a_flipped_payload_byte(tmp_path, capsys,
                  "--adapters", str(adapters)])
     assert code == EXIT_BAD_CONFIG
     assert "sha256" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("regime", ["lora", "tokentune+lora"])
+def test_eval_of_an_adapter_run_needs_its_adapters(tmp_path, capsys, regime):
+    # the model checkpoint of an adapter run holds the untrained base
+    cfg = RunConfig(
+        model=ModelConfig(vocab_size=32, max_positions=16, d_model=8,
+                          n_heads=2, d_ff=12, n_layers=1),
+        train=TrainConfig(regime=regime, k=4 if regime != "lora" else None,
+                          batch_size=3, learning_rate=1e-2, seed=4),
+        task=TaskConfig(n_train=6, n_test=3, seq_len=12))
+    run = tmp_path / "run"
+    result = run_training(cfg, run)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(cfg.to_dict()))
+    args = ["eval", "--config", str(config),
+            "--checkpoint", result.checkpoint_path]
+    assert main(args) == EXIT_BAD_CONFIG
+    assert "--adapters" in capsys.readouterr().err
+    assert main([*args, "--adapters", str(run / "adapters.ckpt")]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == result.eval_metrics
 
 
 class FullDisk:

@@ -8,8 +8,8 @@ from tokentune.adapters import attach
 from tokentune.config import ModelConfig
 from tokentune.data import Example
 from tokentune.engine import Tape
-from tokentune.model import (FFN_BLOCK_ROWS, ModelError, TokenSequence,
-                             build_model, embed, ffn,
+from tokentune.model import (FFN_BLOCK_ROWS, ModelError, build_model,
+                             embed, ffn,
                              forward_hidden, lm_logits,
                              loss_classification_rows)
 from tokentune.optimize import evaluate
@@ -36,13 +36,13 @@ def test_embed_zero_tables_give_zero_matrix():
     model.param("tok_emb").value[...] = 0.0
     model.param("pos_emb").value[...] = 0.0
     t = Tape()
-    out = embed(t, model, TokenSequence.from_ids([1, 2, 3]))
+    out = embed(t, model, np.array([1, 2, 3]))
     assert np.array_equal(out.value, np.zeros((3, 8)))
 
 
 def test_embed_single_token_is_sum_of_table_rows():
     model = build_model(tiny_config(), seed=2, dtype="float64")
-    seq = TokenSequence.from_ids([3])
+    seq = np.array([3])
     t = Tape()
     out = embed(t, model, seq).value
     expected = (model.param("tok_emb").value[3]
@@ -53,10 +53,10 @@ def test_embed_single_token_is_sum_of_table_rows():
 def test_embed_range_errors():
     model = build_model(tiny_config(), seed=0)
     with pytest.raises(ModelError):
-        embed(Tape(), model, TokenSequence.from_ids([99]))
+        embed(Tape(), model, np.array([99]))
     with pytest.raises(ModelError):
-        embed(Tape(), model, TokenSequence.from_ids(
-            np.ones(model.config.max_positions + 1, dtype=np.intp)))
+        embed(Tape(), model,
+              np.ones(model.config.max_positions + 1, dtype=np.intp))
 
 
 # ---- attention ----------------------------------------------------------------
@@ -265,7 +265,7 @@ def test_causal_logits_invariant_to_future_tokens():
 def _hidden(model, ids):
     t = Tape()
     with t.no_grad():
-        return forward_hidden(t, model, TokenSequence.from_ids(ids)).value
+        return forward_hidden(t, model, ids).value
 
 
 # ---- heads ---------------------------------------------------------------------
@@ -313,7 +313,7 @@ def training_head_hits(model, rows):
 def test_eval_pooling_over_all_rows_matches_the_training_head():
     model = build_model(tiny_config(), seed=12, dtype="float64")
     ids = np.array([1, 4, 7, 5, 9])
-    hits = eval_hits(model, TokenSequence.from_ids(ids))
+    hits = eval_hits(model, ids)
     assert sorted(hits) == [0.0, 0.0, 1.0]
     assert hits == training_head_hits(model, _hidden(model, ids))
 
@@ -321,7 +321,7 @@ def test_eval_pooling_over_all_rows_matches_the_training_head():
 def test_eval_errors_on_an_empty_sequence():
     model = build_model(tiny_config(), seed=13, dtype="float64")
     with pytest.raises(ModelError):
-        eval_hits(model, TokenSequence.from_ids(np.empty(0, np.intp)))
+        eval_hits(model, np.empty(0, np.intp))
 
 
 def test_lm_logits_zero_hidden_uniform_and_onehot_copies():

@@ -47,7 +47,6 @@ def test_selection_is_deterministic_per_seed():
 
 def test_clamp_reported():
     p = select_positions(4, 6, "lm", rng_seed=0)
-    assert p.clamped
     assert p.k == 4
     assert set(p.selected.tolist()) <= {0, 1, 2, 3}
 
@@ -60,9 +59,29 @@ def test_selection_errors():
     with pytest.raises(SelectionError):
         TokenPartition(selected=np.array([], dtype=np.intp),
                        unselected=np.array([0, 1]))
-    with pytest.raises(SelectionError):
-        TokenPartition(selected=np.array([0, 1]),
-                       unselected=np.array([1, 2]))
+
+
+@pytest.mark.parametrize("selected, unselected", [
+    ([0, 1], [1, 2]),     # overlap
+    ([0, 0], [1]),        # a position twice in one set
+    ([-1, 0], [1]),       # below 0
+    ([0, 3], [1]),        # a gap: 2 missing
+    ([0, 3], [1, 4]),     # n positions, but 2 missing and 4 past n-1
+])
+def test_partition_not_covering_each_position_once_is_refused(selected,
+                                                              unselected):
+    with pytest.raises(SelectionError, match="exactly once"):
+        TokenPartition(selected=np.array(selected),
+                       unselected=np.array(unselected))
+
+
+def test_key_order_puts_unselected_then_selected_rows_in_position_order():
+    p = TokenPartition(selected=np.array([3, 0]),
+                       unselected=np.array([4, 1, 2]))
+    assert np.array_equal(p.selected, [0, 3])
+    assert np.array_equal(p.unselected, [1, 2, 4])
+    stored = np.concatenate([p.unselected, p.selected])
+    assert np.array_equal(stored[p.key_order], np.arange(5))
 
 
 def test_resolve_k_rounds_half_up_with_floor_one():
@@ -97,7 +116,3 @@ def test_split_length_mismatch_errors():
     tape = Tape()
     with pytest.raises(SelectionError):
         split_hidden(tape, tape.input(np.zeros((3, 2))), p)
-    gap = TokenPartition(selected=np.array([0, 3]),
-                         unselected=np.array([1, 4]))
-    with pytest.raises(SelectionError):
-        split_hidden(tape, tape.input(np.zeros((4, 2))), gap)

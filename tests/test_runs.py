@@ -7,11 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from tokentune.cli import EXIT_OK, main
+from tokentune.cli import EXIT_BAD_CONFIG, EXIT_OK, main
 from tokentune.config import ModelConfig, RunConfig, TaskConfig, TrainConfig
-from tokentune.data import build_task_datasets, synthetic_text
+from tokentune.data import DataError, build_task_datasets, synthetic_text
 from tokentune.memprofile import SWEEP_COLUMNS, sweep_report
-from tokentune.model import TokenSequence, build_model
+from tokentune.model import build_model
 from tokentune.optimize import Trainer, run_training
 
 
@@ -97,7 +97,7 @@ def test_memsweep_turns_a_ratio_into_the_k_training_selects(tmp_path):
                       n_layers=1, causal=True, n_classes=None)
     trainer = Trainer(build_model(cfg), TrainConfig(
         regime="tokentune", selection_ratio=0.125), "lm")
-    k = trainer.partition_for(TokenSequence.from_ids(np.zeros(20)), 0).k
+    k = trainer.partition_for(np.zeros(20, np.intp), 0).k
     assert k == 3
     assert [(r["regime"], r["k"]) for r in rows] == [("tokentune", str(k))]
 
@@ -106,6 +106,26 @@ def test_sweep_needs_k_for_a_selective_regime():
     with pytest.raises(ValueError, match="needs k"):
         sweep_report([{"regime": "tokentune", "n": 16}],
                      ModelConfig(d_model=16, n_layers=1), TrainConfig())
+
+
+@pytest.mark.parametrize("k", [0, 17, -1])
+def test_sweep_refuses_a_k_the_step_cannot_select(k):
+    # a row's k must be the k its step selected: at most n, at least 1
+    with pytest.raises(ValueError, match="needs k in 1..16"):
+        sweep_report([{"regime": "tokentune", "n": 16, "k": k}],
+                     ModelConfig(d_model=16, n_layers=1), TrainConfig())
+
+
+@pytest.mark.parametrize("ratios",
+                         ["2,-1", "0.5,2", "0", "-0.25", "nan", "0.5,x"])
+def test_memsweep_refuses_a_ratio_training_refuses(tmp_path, capsys, ratios):
+    out = tmp_path / "sweep.csv"
+    code = main(["memsweep", "--config", tiny_sweep_config(tmp_path),
+                 "--out", str(out), "--n", "8", "--regimes", "tokentune",
+                 "--ratios", ratios])
+    assert code == EXIT_BAD_CONFIG
+    assert "(0, 1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_memsweep_profiles_the_configured_model(tmp_path):
@@ -158,3 +178,23 @@ def test_tokentune_lm_example_without_a_selected_target_adds_nothing(
     config.write_text(json.dumps(cfg.to_dict()))
     assert main(["train", "--config", str(config),
                  "--out", str(tmp_path / "run")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("vocab_size, builds", [(256, True), (255, False)])
+def test_byte_lm_needs_a_token_per_byte_value(tmp_path, vocab_size, builds):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(bytes(range(256)) * 4)
+    model = ModelConfig(vocab_size=vocab_size, max_positions=16, d_model=8,
+                        n_heads=2, d_ff=12, n_layers=1, causal=True,
+                        n_classes=None)
+    task = TaskConfig(kind="lm", seq_len=16, corpus_path=str(corpus),
+                      eval_windows=4)
+    if not builds:
+        with pytest.raises(DataError, match="vocab_size >= 256"):
+            build_task_datasets(task, model)
+        return
+    train, test = build_task_datasets(task, model)
+    ids = np.concatenate([ex.seq for ex in train + test])
+    assert ids.max() == 255 and len(train) + len(test) == 64
+    trainer = Trainer(build_model(model), TrainConfig(batch_size=2), "lm")
+    assert np.isfinite(trainer.train_step(train[:2])["loss"])

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from tokentune.config import ModelConfig
 from tokentune.engine import Tape
-from tokentune.model import (ModelError, TokenSequence, build_model,
-                             forward_hidden, loss_lm_rows)
+from tokentune.model import (ModelError, build_model, forward_hidden,
+                             loss_lm_rows)
 from tokentune.partition import TokenPartition, select_positions
 from tokentune.selective import (every_position, loss_classification,
                                  loss_lm, restore_hidden, split_hidden,
@@ -32,7 +32,7 @@ def random_seq(rng, n, causal):
     ids = rng.integers(2, 13, size=n)
     if not causal:
         ids[0] = 1
-    return TokenSequence.from_ids(ids)
+    return ids
 
 
 def plain_values(model, seq):
@@ -70,7 +70,7 @@ def test_value_preservation_any_k(seed):
 def test_zero_layer_model_returns_split_embeddings():
     model = build_model(cfg_for(n_layers=1), seed=0, dtype="float64")
     model.config.n_layers = 0  # skip every layer: output = embeddings
-    seq = TokenSequence.from_ids([1, 5, 7, 2])
+    seq = np.array([1, 5, 7, 2])
     partition = select_positions(4, 2, "classification", rng_seed=3)
     t = Tape()
     split = tokentune_forward(t, model, seq, partition)
@@ -124,7 +124,7 @@ def test_attention_value_gradient_hand_case():
         model.param(f"layers.0.attn.{b}").value[...] = 0.0
     model.param("layers.0.attn.w_o").value[...] = np.eye(2)
 
-    seq = TokenSequence.from_ids([1, 2])
+    seq = np.array([1, 2])
     partition = TokenPartition(selected=np.array([0]),
                                unselected=np.array([1]))
     tape = Tape()
@@ -173,7 +173,7 @@ def _ffn_w1_node(tape, model):
 
 
 def _run_tt(model, n, k, seed=0):
-    seq = TokenSequence.from_ids(np.r_[1, 2 + np.arange(n - 1) % 7])
+    seq = np.r_[1, 2 + np.arange(n - 1) % 7]
     partition = TokenPartition(selected=np.arange(k),
                                unselected=np.arange(k, n))
     tape = Tape()
@@ -257,7 +257,7 @@ def test_loss_lm_uniform_logits_is_k_ln_v():
     n = 6
     seq = random_seq(rng_for(14), n, causal=True)
     targets = np.full(n, -1, dtype=np.intp)
-    targets[:-1] = seq.ids[1:]
+    targets[:-1] = seq[1:]
     partition = select_positions(n, 3, "lm", rng_seed=6)
     tape = Tape()
     split = tokentune_forward(tape, model, seq, partition)
@@ -272,7 +272,7 @@ def test_loss_lm_all_predictable_matches_plain_pipeline():
     n = 7
     seq = random_seq(rng_for(15), n, causal=True)
     targets = np.full(n, -1, dtype=np.intp)
-    targets[:-1] = seq.ids[1:]
+    targets[:-1] = seq[1:]
     partition = TokenPartition(selected=np.arange(n - 1),
                                unselected=np.array([n - 1]))
     tape = Tape()
@@ -293,7 +293,7 @@ def test_loss_lm_gradient_flows_only_through_selected_rows():
     n = 6
     seq = random_seq(rng_for(16), n, causal=True)
     targets = np.full(n, -1, dtype=np.intp)
-    targets[:-1] = seq.ids[1:]
+    targets[:-1] = seq[1:]
     partition = select_positions(n, 2, "lm", rng_seed=7)
     tape = Tape()
     split = tokentune_forward(tape, model, seq, partition)

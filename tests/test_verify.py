@@ -6,7 +6,7 @@ import pytest
 
 from tokentune.config import ModelConfig
 from tokentune.engine import ATTENTION_BLOCK_ROWS, Tape, gelu_array
-from tokentune.model import TokenSequence, build_model
+from tokentune.model import build_model
 from tokentune.partition import TokenPartition, select_positions
 from tokentune.selective import loss_lm, tokentune_forward
 from tokentune.verify import (MUTANTS, PROPERTY_CACHE, PROPERTY_STOPGRAD,
@@ -136,7 +136,7 @@ def test_oracle_equals_plain_backward_when_nothing_stopped():
     cfg = ModelConfig(vocab_size=13, max_positions=16, d_model=8, n_heads=2,
                       d_ff=12, n_layers=2, causal=False, n_classes=3)
     model = build_model(cfg, seed=21, dtype="float64")
-    seq = TokenSequence.from_ids(np.array([1, 3, 8, 2, 11]))
+    seq = np.array([1, 3, 8, 2, 11])
     partition = select_positions(5, 5, "classification", rng_seed=0)
     from tokentune.verify import _full_backward
     oracle = stopgrad_reference_backward(model, seq, partition,
@@ -245,10 +245,9 @@ def test_lora_composition_gradients_match_oracle():
     for ad in model.adapters.values():
         ad.b += r.normal(0, 0.1, ad.b.shape)
     n = 7
-    ids = r.integers(0, 13, size=n)
-    seq = TokenSequence.from_ids(ids)
+    seq = r.integers(0, 13, size=n)
     targets = np.full(n, -1, dtype=np.intp)
-    targets[:-1] = ids[1:]
+    targets[:-1] = seq[1:]
     partition = select_positions(n, 3, "lm", rng_seed=4)
 
     from tokentune.selective import loss_lm, tokentune_forward
@@ -275,7 +274,7 @@ def long_lm_case(k):
     targets = np.full(LONG_N, -1, dtype=np.intp)
     targets[:-1] = ids[1:]
     partition = select_positions(LONG_N, k, "lm", rng_seed=9)
-    return model, TokenSequence.from_ids(ids), partition, targets
+    return model, ids, partition, targets
 
 
 @pytest.mark.parametrize("k", [70, LONG_N])
