@@ -1,14 +1,18 @@
 """Checkpoints: a JSON header line plus little-endian raw float payload.
 
-The header records the format version, the model config, dtype, and an
-ordered manifest of parameter names, shapes, and frozen flags; the
-payload is the raw bytes of each array in manifest order. The header also
-records the payload's sha256. Round-trips are bit-exact. Adapter-only
-checkpoints use the same container with their own manifest. A malformed
+The header records the format version, the model config, dtype, an
+ordered manifest of parameter names, shapes, and frozen flags, and, for a
+model with LoRA factors, its `lora_scaling`; the payload is the raw bytes
+of each array in manifest order, factors included. The header also
+records the payload's sha256. Round-trips are bit-exact. A malformed
 header, a version other than `VERSION`, a missing or mismatched payload
 hash, or a payload whose length does not match the manifest raises
-:class:`CheckpointError`. A save replaces the file at its path only once
-the new file is written in full.
+:class:`CheckpointError`. So does a manifest other than the parameters
+`build_model` makes for the config, in their shapes, plus for each
+adapted weight W (d_in x d_out) a `<W>.lora_a` (d_in x r) and a
+`<W>.lora_b` (r x d_out) with r >= 1; and a `lora_scaling` that is not a
+positive number exactly when factors are present. A save replaces the
+file at its path only once the new file is written in full.
 """
 
 from __future__ import annotations
@@ -16,18 +20,20 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 
-from .adapters import LoraAdapter
+from .adapters import TARGET_SUFFIXES
 from .config import ModelConfig
-from .model import Parameter, TransformerModel
+from .model import Parameter, TransformerModel, build_model
 
-MODEL_MAGIC = "tokentune-checkpoint"
-ADAPTER_MAGIC = "tokentune-adapters"
-VERSION = 1
+MAGIC = "tokentune-checkpoint"
+#: 2 since LoRA factors are stored as parameters: a reader of version 1
+#: would drop them
+VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -42,19 +48,10 @@ def _is_dim(value) -> bool:
         and value >= 0
 
 
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
 # checks per manifest field, run before loading reads any of them
-_MODEL_ENTRY = {"name": _is_str, "rows": _is_dim, "cols": _is_dim,
-                "frozen": lambda value: isinstance(value, bool)}
-_ADAPTER_ENTRY = {"target": _is_str,
-                  "r": lambda value: _is_dim(value) and value > 0,
-                  "alpha": lambda value: isinstance(value, (int, float))
-                  and not isinstance(value, bool),
-                  "a_rows": _is_dim, "a_cols": _is_dim,
-                  "b_rows": _is_dim, "b_cols": _is_dim}
+_ENTRY = {"name": lambda value: isinstance(value, str),
+          "rows": _is_dim, "cols": _is_dim,
+          "frozen": lambda value: isinstance(value, bool)}
 
 
 def _payload_dtype(header: dict) -> np.dtype:
@@ -64,18 +61,66 @@ def _payload_dtype(header: dict) -> np.dtype:
     return np.dtype(_DTYPE_TAGS[name])
 
 
-def _entries(header: dict, key: str, schema: dict) -> list[dict]:
-    """header[key]: a list of manifest entries, each passing `schema`."""
-    entries = header.get(key)
+def _entries(header: dict) -> list[dict]:
+    """The header's manifest: a list of entries, each passing `_ENTRY`,
+    with no name twice."""
+    entries = header.get("params")
     if not isinstance(entries, list):
-        raise CheckpointError(f"checkpoint header has no '{key}' list")
+        raise CheckpointError("checkpoint header has no 'params' list")
     for entry in entries:
         if not (isinstance(entry, dict)
                 and all(check(entry.get(field))
-                        for field, check in schema.items())):
-            raise CheckpointError(f"bad '{key}' entry in checkpoint "
+                        for field, check in _ENTRY.items())):
+            raise CheckpointError(f"bad 'params' entry in checkpoint "
                                   f"header: {entry!r}")
+    if len({entry["name"] for entry in entries}) != len(entries):
+        raise CheckpointError("checkpoint manifest names a parameter twice")
     return entries
+
+
+def _check_manifest(config: ModelConfig,
+                    shapes: dict[str, tuple[int, int]]) -> bool:
+    """Refuse a manifest, name -> (rows, cols), other than the parameters
+    `build_model(config)` makes plus rank >= 1 factor pairs on adaptable
+    weights; return whether it holds factors."""
+    want = {name: p.shape for name, p in build_model(config).params.items()}
+    factors = False
+    for i in range(config.n_layers):
+        for suffix in TARGET_SUFFIXES.values():
+            target = f"layers.{i}.{suffix}"
+            a = shapes.get(f"{target}.lora_a")
+            b = shapes.get(f"{target}.lora_b")
+            if a is None and b is None:
+                continue
+            (d_in, d_out), r = want[target], a[1] if a else 0
+            if r < 1 or a != (d_in, r) or b != (r, d_out):
+                raise CheckpointError(f"LoRA factors of '{target}' "
+                                      f"({d_in}x{d_out}) are {a} and {b}")
+            want[f"{target}.lora_a"], want[f"{target}.lora_b"] = a, b
+            factors = True
+    for name in sorted(set(want) | set(shapes)):
+        got, made = shapes.get(name), want.get(name)
+        if got != made:
+            raise CheckpointError(f"parameter '{name}' is {got or 'absent'} "
+                                  f"in the checkpoint, {made or 'absent'} "
+                                  f"in its config")
+    return factors
+
+
+def _lora_scaling(header: dict, factors: bool) -> float | None:
+    """The header's `lora_scaling`: a positive number with factors, absent
+    without them."""
+    if not factors:
+        if "lora_scaling" in header:
+            raise CheckpointError("checkpoint has a lora_scaling but no "
+                                  "LoRA factors")
+        return None
+    value = header.get("lora_scaling")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value) or value <= 0:
+        raise CheckpointError(f"LoRA factors need a positive lora_scaling, "
+                              f"not {value!r}")
+    return float(value)
 
 
 def _model_config(header: dict) -> ModelConfig:
@@ -113,7 +158,7 @@ def _write(path, header: dict, arrays: list[np.ndarray]) -> None:
         raise
 
 
-def _read(path, magic: str) -> tuple[dict, bytes]:
+def _read(path) -> tuple[dict, bytes]:
     p = Path(path)
     if not p.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
@@ -125,8 +170,8 @@ def _read(path, magic: str) -> tuple[dict, bytes]:
         header = json.loads(raw[:nl].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"corrupted checkpoint header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != magic:
-        raise CheckpointError(f"not a {magic} file: {path}")
+    if not isinstance(header, dict) or header.get("format") != MAGIC:
+        raise CheckpointError(f"not a {MAGIC} file: {path}")
     version = header.get("version")
     if type(version) is not int or version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version!r} "
@@ -146,95 +191,49 @@ def save_model(model: TransformerModel, path) -> None:
     dtype = np.dtype(model.dtype)
     entries = []
     arrays = []
-    for name, p in model.param_items():
+    for name, p in model.params.items():
         entries.append({"name": name, "rows": int(p.value.shape[0]),
                         "cols": int(p.value.shape[1]),
                         "frozen": bool(p.frozen)})
         arrays.append(p.value)
     header = {
-        "format": MODEL_MAGIC,
+        "format": MAGIC,
         "version": VERSION,
         "dtype": dtype.name,
         "config": dataclasses.asdict(model.config),
         "params": entries,
     }
+    if model.lora_scaling is not None:
+        header["lora_scaling"] = model.lora_scaling
     _write(path, header, arrays)
 
 
-def _arrays(payload: bytes, tag: np.dtype, blocks) -> list[np.ndarray]:
-    """Copies of the arrays `blocks` lists, as (name, rows, cols) in
-    payload order, read from `payload`, which must hold exactly these
-    arrays: no fewer bytes and no more."""
-    arrays = []
+def _params(payload: bytes, tag: np.dtype,
+            entries: list[dict]) -> dict[str, Parameter]:
+    """The parameters the manifest `entries` lists, read in order from
+    `payload`, which must hold exactly their arrays: no fewer bytes and no
+    more."""
+    params = {}
     offset = 0
-    for name, rows, cols in blocks:
-        size = rows * cols * tag.itemsize
+    for e in entries:
+        size = e["rows"] * e["cols"] * tag.itemsize
         chunk = payload[offset:offset + size]
         if len(chunk) != size:
-            raise CheckpointError(f"truncated payload at '{name}'")
-        arrays.append(np.frombuffer(chunk, dtype=tag).reshape(rows,
-                                                              cols).copy())
+            raise CheckpointError(f"truncated payload at '{e['name']}'")
+        value = np.frombuffer(chunk, dtype=tag).reshape(e["rows"], e["cols"])
+        params[e["name"]] = Parameter(value.copy(), frozen=e["frozen"])
         offset += size
     if offset != len(payload):
         raise CheckpointError("payload length does not match manifest")
-    return arrays
+    return params
 
 
 def load_model(path) -> TransformerModel:
-    header, payload = _read(path, MODEL_MAGIC)
+    header, payload = _read(path)
     config = _model_config(header)
     tag = _payload_dtype(header)
-    entries = _entries(header, "params", _MODEL_ENTRY)
-    arrays = _arrays(payload, tag,
-                     [(e["name"], e["rows"], e["cols"]) for e in entries])
-    params = {e["name"]: Parameter(arr, frozen=bool(e["frozen"]))
-              for e, arr in zip(entries, arrays)}
-    return TransformerModel(config, params)
-
-
-def save_adapters(model: TransformerModel, path) -> None:
-    if not model.adapters:
-        raise CheckpointError("model has no adapters to save")
-    entries = []
-    arrays = []
-    for name, ad in model.adapters.items():
-        entries.append({"target": name, "r": ad.r, "alpha": ad.alpha,
-                        "a_rows": int(ad.a.shape[0]),
-                        "a_cols": int(ad.a.shape[1]),
-                        "b_rows": int(ad.b.shape[0]),
-                        "b_cols": int(ad.b.shape[1])})
-        arrays.extend([ad.a, ad.b])
-    header = {
-        "format": ADAPTER_MAGIC,
-        "version": VERSION,
-        "dtype": np.dtype(model.dtype).name,
-        "adapters": entries,
-    }
-    _write(path, header, arrays)
-
-
-def load_adapters(model: TransformerModel, path) -> TransformerModel:
-    """Attach saved adapter factors onto a matching base model."""
-    header, payload = _read(path, ADAPTER_MAGIC)
-    tag = _payload_dtype(header)
-    entries = _entries(header, "adapters", _ADAPTER_ENTRY)
-    blocks = []
-    for entry in entries:
-        target = entry["target"]
-        if target not in model.params:
-            raise CheckpointError(f"adapter target '{target}' missing from model")
-        base = model.param(target).value
-        if base.shape != (entry["a_rows"], entry["b_cols"]):
-            raise CheckpointError(f"adapter '{target}' shape mismatch with base")
-        blocks += [(f"{target}.lora_a", entry["a_rows"], entry["a_cols"]),
-                   (f"{target}.lora_b", entry["b_rows"], entry["b_cols"])]
-    arrays = _arrays(payload, tag, blocks)
-    for entry, a, b in zip(entries, arrays[0::2], arrays[1::2]):
-        target = entry["target"]
-        model.adapters[target] = LoraAdapter(
-            target=target, a=a, b=b,
-            scaling=float(entry["alpha"]) / float(entry["r"]),
-            r=int(entry["r"]), alpha=float(entry["alpha"]))
-    for p in model.params.values():
-        p.frozen = True
-    return model
+    entries = _entries(header)
+    factors = _check_manifest(
+        config, {e["name"]: (e["rows"], e["cols"]) for e in entries})
+    return TransformerModel(config, _params(payload, tag, entries),
+                            _lora_scaling(header, factors))

@@ -1,22 +1,22 @@
 """Command-line entry point: train, eval, gradcheck, memsweep.
 
 One JSON config file drives everything; `--set key=value` applies dot-path
-overrides, and TOKENTUNE_SEED overrides the training seed. Exit codes:
-0 success, 1 failed verification property, 2 invalid config/checkpoint,
-3 non-finite loss abort.
+overrides. `eval` reads one checkpoint, `model.ckpt`, which holds every
+parameter of a run, LoRA factors included. Exit codes: 0 success, 1
+failed verification property, 2 invalid config, data or checkpoint, 3
+non-finite loss abort.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
-from .config import (ADAPTER_REGIMES, REGIMES, SELECTIVE_REGIMES,
-                     ConfigError, RunConfig, apply_overrides,
-                     load_run_config)
+from .config import (REGIMES, SELECTIVE_REGIMES, ConfigError, RunConfig,
+                     apply_overrides, load_run_config)
+from .data import DataError
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILED = 1
@@ -28,9 +28,6 @@ def _resolve_config(path: str, overrides) -> RunConfig:
     cfg = load_run_config(path)  # validates the file exists / parses
     doc = cfg.to_dict()
     doc = apply_overrides(doc, overrides or [])
-    env_seed = os.environ.get("TOKENTUNE_SEED")
-    if env_seed is not None:
-        doc.setdefault("train", {})["seed"] = int(env_seed)
     return RunConfig.from_dict(doc)
 
 
@@ -50,20 +47,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .checkpoint import CheckpointError, load_adapters, load_model
+    from .checkpoint import CheckpointError, load_model
     from .data import build_task_datasets
     from .optimize import evaluate
 
     cfg = _resolve_config(args.config, args.set)
-    if cfg.train.regime in ADAPTER_REGIMES and not args.adapters:
-        print(f"eval error: a '{cfg.train.regime}' run trains adapters; "
-              f"pass its adapter checkpoint with --adapters",
-              file=sys.stderr)
-        return EXIT_BAD_CONFIG
     try:
         model = load_model(args.checkpoint)
-        if args.adapters:
-            load_adapters(model, args.adapters)
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -156,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     common(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--adapters", help="adapter checkpoint to attach")
     p_eval.set_defaults(func=cmd_eval)
 
     p_gc = sub.add_parser("gradcheck", help="run the verification battery")
@@ -183,6 +172,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    except DataError as exc:
+        print(f"invalid data: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
 

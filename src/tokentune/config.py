@@ -99,7 +99,6 @@ class TaskConfig:
     n_train: int = 5000
     n_test: int = 1000
     seq_len: int = 128
-    n_classes: int = 2
     difficulty: float = 0.2
     data_seed: int = 1234
     # lm task

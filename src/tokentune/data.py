@@ -135,13 +135,11 @@ def build_task_datasets(task: TaskConfig, model_cfg: ModelConfig):
     if task.kind == "classification":
         if model_cfg.causal:
             raise DataError("classification task needs a bidirectional model")
-        if model_cfg.n_classes != task.n_classes:
-            raise DataError(f"model n_classes {model_cfg.n_classes} != task "
-                            f"n_classes {task.n_classes}")
-        train = gen_classification(task.n_train, task.seq_len, task.n_classes,
+        n_classes = model_cfg.n_classes
+        train = gen_classification(task.n_train, task.seq_len, n_classes,
                                    task.difficulty, task.data_seed,
                                    vocab_size=model_cfg.vocab_size)
-        test = gen_classification(task.n_test, task.seq_len, task.n_classes,
+        test = gen_classification(task.n_test, task.seq_len, n_classes,
                                   task.difficulty, task.data_seed + 1,
                                   vocab_size=model_cfg.vocab_size)
         return train, test

@@ -25,13 +25,14 @@ from .model import TransformerModel, build_model
 from .optimize import Trainer
 
 
-def build_regime_model(regime: str, cfg: ModelConfig, seed: int = 0,
-                       dtype: str = "float32",
-                       lora_targets=("w1", "w2"), lora_r: int = 8,
-                       lora_alpha: float = 16.0) -> TransformerModel:
-    model = build_model(cfg, seed=seed, dtype=dtype)
-    if regime in ADAPTER_REGIMES:
-        attach(model, lora_targets, lora_r, lora_alpha, seed=seed)
+def build_regime_model(cfg: ModelConfig,
+                       train: TrainConfig) -> TransformerModel:
+    """The model a run of `train` starts from: fresh weights from its seed,
+    in its dtype, with its LoRA factors attached in the adapter regimes."""
+    model = build_model(cfg, seed=train.seed, dtype=train.dtype)
+    if train.regime in ADAPTER_REGIMES:
+        attach(model, train.lora_targets, train.lora_r, train.lora_alpha,
+               seed=train.seed)
     return model
 
 
@@ -103,10 +104,7 @@ def sweep_report(grid, model: ModelConfig, train: TrainConfig,
                             k=int(k) if selective else None,
                             selection_ratio=None, batch_size=batch,
                             accumulation_steps=1)
-        run_model = build_regime_model(
-            regime, cfg, seed=train.seed, dtype=train.dtype,
-            lora_targets=train.lora_targets, lora_r=train.lora_r,
-            lora_alpha=train.lora_alpha)
+        run_model = build_regime_model(cfg, train_cfg)
         trainer = Trainer(run_model, train_cfg, "lm")
         metrics = trainer.train_step(lm_profile_batch(
             n, batch, seed=train.seed,

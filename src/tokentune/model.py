@@ -50,42 +50,28 @@ class Parameter:
 
 
 class TransformerModel:
-    """Named parameter store plus the config; adapters attach by name."""
+    """Named parameter store plus the config. An adapted weight W has its
+    LoRA factors beside it as '<W>.lora_a' and '<W>.lora_b', scaled by
+    `lora_scaling` (alpha/r; None without adapters)."""
 
-    def __init__(self, config: ModelConfig, params: dict[str, Parameter]):
+    def __init__(self, config: ModelConfig, params: dict[str, Parameter],
+                 lora_scaling: float | None = None):
         self.config = config
         self.params = params
-        self.adapters: dict[str, object] = {}  # target param name -> adapter
+        self.lora_scaling = lora_scaling
 
     def param(self, name: str) -> Parameter:
         if name not in self.params:
             raise ModelError(f"unknown parameter '{name}'")
         return self.params[name]
 
-    def param_items(self):
-        return list(self.params.items())
-
     def trainable_arrays(self) -> list[tuple[str, np.ndarray]]:
-        """Arrays the optimizer may update, in a fixed order.
-
-        Adapter factors appear as '<target>.lora_a' / '<target>.lora_b',
-        matching the names the tape reports gradients under.
-        """
-        out = []
-        for name, p in self.params.items():
-            if not p.frozen:
-                out.append((name, p.value))
-            ad = self.adapters.get(name)
-            if ad is not None:
-                out.append((f"{name}.lora_a", ad.a))
-                out.append((f"{name}.lora_b", ad.b))
-        return out
+        """Arrays the optimizer may update, in parameter order."""
+        return [(name, p.value) for name, p in self.params.items()
+                if not p.frozen]
 
     def total_param_elements(self) -> int:
-        total = sum(p.value.size for p in self.params.values())
-        for ad in self.adapters.values():
-            total += ad.a.size + ad.b.size
-        return total
+        return sum(p.value.size for p in self.params.values())
 
     def trainable_elements(self) -> int:
         return sum(arr.size for _, arr in self.trainable_arrays())
@@ -95,27 +81,9 @@ class TransformerModel:
         return next(iter(self.params.values())).value.dtype
 
     def astype(self, dtype) -> "TransformerModel":
-        clone = TransformerModel(self.config, {
+        return TransformerModel(self.config, {
             name: Parameter(p.value.astype(dtype), p.frozen)
-            for name, p in self.params.items()
-        })
-        for target, ad in self.adapters.items():
-            clone.adapters[target] = ad.astype(dtype)
-        return clone
-
-
-def layer_param_names(i: int) -> list[str]:
-    base = f"layers.{i}"
-    return [
-        f"{base}.attn.w_q", f"{base}.attn.b_q",
-        f"{base}.attn.w_k", f"{base}.attn.b_k",
-        f"{base}.attn.w_v", f"{base}.attn.b_v",
-        f"{base}.attn.w_o", f"{base}.attn.b_o",
-        f"{base}.norm1.scale", f"{base}.norm1.shift",
-        f"{base}.norm2.scale", f"{base}.norm2.shift",
-        f"{base}.ffn.w1", f"{base}.ffn.b1",
-        f"{base}.ffn.w2", f"{base}.ffn.b2",
-    ]
+            for name, p in self.params.items()}, self.lora_scaling)
 
 
 def build_model(config: ModelConfig, seed: int = 0,
@@ -169,14 +137,14 @@ def _param_node(tape: Tape, model: TransformerModel, name: str) -> Tensor:
 
 def affine(tape: Tape, model: TransformerModel, x: Tensor, w_name: str,
            b_name: str | None = None) -> Tensor:
-    """x @ W (+ low-rank delta if an adapter is attached) (+ bias)."""
+    """x @ W (+ low-rank delta if W has LoRA factors) (+ bias)."""
     w = _param_node(tape, model, w_name)
     z = tape.matmul(x, w)
-    ad = model.adapters.get(w_name)
-    if ad is not None:
-        a = tape.param(f"{w_name}.lora_a", ad.a, trainable=True)
-        b = tape.param(f"{w_name}.lora_b", ad.b, trainable=True)
-        delta = tape.scale(tape.matmul(tape.matmul(x, a), b), ad.scaling)
+    if f"{w_name}.lora_a" in model.params:
+        a = _param_node(tape, model, f"{w_name}.lora_a")
+        b = _param_node(tape, model, f"{w_name}.lora_b")
+        delta = tape.scale(tape.matmul(tape.matmul(x, a), b),
+                           model.lora_scaling)
         z = tape.add(z, delta)
     if b_name is not None:
         z = tape.add(z, _param_node(tape, model, b_name))
@@ -226,8 +194,8 @@ def ffn(tape: Tape, model: TransformerModel, layer: int, h: Tensor) -> Tensor:
     base = f"layers.{layer}.ffn"
     rows = h.value.shape[0]
     count = -(-rows // FFN_BLOCK_ROWS)
-    if tape.grad_enabled or count < 2 or f"{base}.w1" in model.adapters \
-            or f"{base}.w2" in model.adapters:
+    adapted = any(f"{base}.{w}.lora_a" in model.params for w in ("w1", "w2"))
+    if tape.grad_enabled or count < 2 or adapted:
         return _ffn_rows(tape, model, layer, h)
     bounds = [rows * i // count for i in range(count + 1)]
     return tape.concat_rows([

@@ -326,10 +326,7 @@ def run_training(cfg: RunConfig, out_dir) -> RunResult:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    model = build_regime_model(
-        cfg.train.regime, cfg.model, seed=cfg.train.seed,
-        dtype=cfg.train.dtype, lora_targets=cfg.train.lora_targets,
-        lora_r=cfg.train.lora_r, lora_alpha=cfg.train.lora_alpha)
+    model = build_regime_model(cfg.model, cfg.train)
 
     train_set, test_set = build_task_datasets(cfg.task, cfg.model)
     task_kind = cfg.task.kind
@@ -367,9 +364,6 @@ def run_training(cfg: RunConfig, out_dir) -> RunResult:
     eval_metrics = evaluate(model, test_set, task_kind)
     ckpt_path = out / "model.ckpt"
     save_model(model, ckpt_path)
-    if model.adapters:
-        from .checkpoint import save_adapters
-        save_adapters(model, out / "adapters.ckpt")
     report = memory_report(model, trainer, last_metrics)
     (out / "memory.json").write_text(json.dumps(report, indent=2) + "\n",
                                      encoding="utf-8")

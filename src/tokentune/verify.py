@@ -228,19 +228,21 @@ def _stop_rows(tape: Tape, x, rows: np.ndarray, ctx: _StopContext):
     return tape.select_rows(merged, inv)
 
 
+def _ref_param(tape: Tape, model: TransformerModel, name: str):
+    p = model.param(name)
+    return tape.param(name, p.value, trainable=not p.frozen)
+
+
 def _ref_affine(tape: Tape, model: TransformerModel, x, w_name,
                 b_name=None):
-    p = model.param(w_name)
-    z = tape.matmul(x, tape.param(w_name, p.value, trainable=not p.frozen))
-    ad = model.adapters.get(w_name)
-    if ad is not None:
-        a = tape.param(f"{w_name}.lora_a", ad.a, trainable=True)
-        b = tape.param(f"{w_name}.lora_b", ad.b, trainable=True)
+    z = tape.matmul(x, _ref_param(tape, model, w_name))
+    if f"{w_name}.lora_a" in model.params:
+        a = _ref_param(tape, model, f"{w_name}.lora_a")
+        b = _ref_param(tape, model, f"{w_name}.lora_b")
         z = tape.add(z, tape.scale(tape.matmul(tape.matmul(x, a), b),
-                                   ad.scaling))
+                                   model.lora_scaling))
     if b_name is not None:
-        pb = model.param(b_name)
-        z = tape.add(z, tape.param(b_name, pb.value, trainable=not pb.frozen))
+        z = tape.add(z, _ref_param(tape, model, b_name))
     return z
 
 
@@ -267,13 +269,8 @@ def _reference_forward(tape: Tape, model: TransformerModel,
     def stopped(x):
         return _stop_rows(tape, x, stop, ctx)
 
-    tok_p = model.param("tok_emb")
-    pos_p = model.param("pos_emb")
-    tok = tape.select_rows(tape.param("tok_emb", tok_p.value,
-                                      trainable=not tok_p.frozen), seq)
-    pos = tape.select_rows(tape.param("pos_emb", pos_p.value,
-                                      trainable=not pos_p.frozen),
-                           np.arange(n))
+    tok = tape.select_rows(_ref_param(tape, model, "tok_emb"), seq)
+    pos = tape.select_rows(_ref_param(tape, model, "pos_emb"), np.arange(n))
     h = stopped(tape.add(tok, pos))
 
     n_heads = cfg.n_heads
@@ -283,12 +280,8 @@ def _reference_forward(tape: Tape, model: TransformerModel,
 
     def norm(x, which, layer):
         base = f"layers.{layer}.norm{which}"
-        sp = model.param(f"{base}.scale")
-        bp = model.param(f"{base}.shift")
-        return tape.layer_norm(
-            x,
-            tape.param(f"{base}.scale", sp.value, trainable=not sp.frozen),
-            tape.param(f"{base}.shift", bp.value, trainable=not bp.frozen))
+        return tape.layer_norm(x, _ref_param(tape, model, f"{base}.scale"),
+                               _ref_param(tape, model, f"{base}.shift"))
 
     for layer in range(cfg.n_layers):
         base = f"layers.{layer}.attn"
@@ -551,7 +544,7 @@ def gradcheck_fixture():
                       d_ff=12, n_layers=1, causal=False, n_classes=2)
     model = build_model(cfg, seed=3, dtype="float64")
     r = np.random.default_rng(103)
-    for name, p in model.param_items():
+    for name, p in model.params.items():
         if ".w" in name or name.endswith("emb"):
             p.value *= 14.0
         if ".b" in name and "emb" not in name:

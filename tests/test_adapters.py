@@ -49,8 +49,8 @@ def test_full_rank_adapter_can_represent_any_delta():
     d_in, d_out = w.shape
     delta = np.random.default_rng(3).normal(size=(d_in, d_out))
     attach(model, ("w1",), r=d_in, alpha=float(d_in))  # scaling = 1
-    model.adapters[name].a = np.eye(d_in)
-    model.adapters[name].b = delta.copy()
+    model.params[f"{name}.lora_a"].value = np.eye(d_in)
+    model.params[f"{name}.lora_b"].value = delta.copy()
     x = np.random.default_rng(4).normal(size=(3, d_in))
     t = Tape()
     from tokentune.model import affine
@@ -75,13 +75,15 @@ def test_merge_preserves_forward_within_float32_tolerance():
     model = build_model(cfg_for(), seed=3, dtype="float32")
     attach(model, ("w1", "w2", "w_q"), r=2, alpha=4.0)
     r = np.random.default_rng(5)
-    for ad in model.adapters.values():
-        ad.b += r.normal(0, 0.05, ad.b.shape).astype(np.float32)
+    for name, p in model.params.items():
+        if name.endswith(".lora_b"):
+            p.value += r.normal(0, 0.05, p.shape).astype(np.float32)
     seq = seq_for(3)
     adapted = hidden_values(model, seq)
     merge(model)
     merged = hidden_values(model, seq)
-    assert not model.adapters
+    assert model.lora_scaling is None
+    assert list(model.params) == list(build_model(cfg_for()).params)
     assert np.abs(adapted - merged).max() < 1e-6
 
 
@@ -101,6 +103,25 @@ def test_double_merge_errors():
         merge(model)
 
 
+def test_attach_stores_each_factor_pair_as_parameters_after_its_weight():
+    model = attach(build_model(cfg_for(), seed=9), ("w2", "w1"), r=3,
+                   alpha=6.0)
+    assert model.lora_scaling == 2.0
+    names = list(model.params)
+    for i in range(2):
+        for w, (d_in, d_out) in (("w1", (8, 12)), ("w2", (12, 8))):
+            base = f"layers.{i}.ffn.{w}"
+            at = names.index(base)
+            assert names[at + 1:at + 3] == [f"{base}.lora_a",
+                                            f"{base}.lora_b"]
+            assert model.param(f"{base}.lora_a").shape == (d_in, 3)
+            assert model.param(f"{base}.lora_b").shape == (3, d_out)
+    assert [name for name, _ in model.trainable_arrays()] \
+        == [name for name in names if ".lora_" in name]
+    with pytest.raises(AdapterError, match="already attached"):
+        attach(model, ("w1",), r=2)
+
+
 def test_unknown_target_errors():
     model = build_model(cfg_for(), seed=6)
     with pytest.raises(AdapterError):
@@ -110,7 +131,9 @@ def test_unknown_target_errors():
 def test_frozen_base_never_changes_across_optimizer_steps():
     model = build_model(cfg_for(), seed=7, dtype="float64")
     attach(model, ("w1", "w2"), r=2, alpha=4.0)
-    snapshot = {name: p.value.copy() for name, p in model.param_items()}
+    snapshot = {name: p.value.copy() for name, p in model.params.items()
+                if p.frozen}
+    assert len(snapshot) == len(build_model(cfg_for()).params)
 
     from tokentune.data import gen_classification
     data = gen_classification(8, 8, 2, 0.2, seed=0, vocab_size=13)
@@ -119,10 +142,10 @@ def test_frozen_base_never_changes_across_optimizer_steps():
     trainer = Trainer(model, cfg, "classification")
     for _ in range(4):
         trainer.train_step(data[:4])
-    for name, p in model.param_items():
-        assert np.array_equal(p.value, snapshot[name]), name
-    moved = [n for n, ad in model.adapters.items()
-             if np.abs(ad.b).max() > 0]
+    for name, value in snapshot.items():
+        assert np.array_equal(model.param(name).value, value), name
+    moved = [name for name, p in model.params.items()
+             if name.endswith(".lora_b") and np.abs(p.value).max() > 0]
     assert moved  # the factors actually trained
 
 

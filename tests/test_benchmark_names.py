@@ -57,9 +57,8 @@ def test_ledger_hook_elements_are_the_replays_retained_bytes(monkeypatch):
     n, dtype = 20, "float32"
     cfg = ModelConfig(max_positions=n, d_model=16, n_heads=2, d_ff=64,
                       n_layers=2, causal=True, n_classes=None)
-    model = build_regime_model("tokentune", cfg, seed=6, dtype=dtype)
-    trainer = Trainer(model, TrainConfig(regime="tokentune", k=5, seed=6,
-                                         dtype=dtype), "lm")
+    train = TrainConfig(regime="tokentune", k=5, seed=6, dtype=dtype)
+    trainer = Trainer(build_regime_model(cfg, train), train, "lm")
     trainer.train_step(lm_profile_batch(n, 2, seed=6), tape_hook=both)
     assert hook.stats["examples"] == len(retained) == 2
     assert hook.stats["elements"] * np.dtype(dtype).itemsize == sum(retained)

@@ -1,6 +1,7 @@
 """Checkpoints: bit-exact round trips, and CheckpointError (exit code 2
 from `tokentune eval`) for every fault in a header read back."""
 
+import dataclasses
 import errno
 import hashlib
 import json
@@ -10,11 +11,10 @@ import pytest
 
 from tokentune import checkpoint
 from tokentune.adapters import attach
-from tokentune.checkpoint import (CheckpointError, load_adapters, load_model,
-                                  save_adapters, save_model)
+from tokentune.checkpoint import CheckpointError, load_model, save_model
 from tokentune.cli import EXIT_BAD_CONFIG, EXIT_OK, main
 from tokentune.config import ModelConfig, RunConfig, TaskConfig, TrainConfig
-from tokentune.model import build_model
+from tokentune.model import Parameter, build_model
 from tokentune.optimize import run_training
 
 
@@ -46,17 +46,28 @@ def test_model_round_trip_is_bit_exact(tmp_path, dtype):
         assert np.array_equal(q.value, p.value)
 
 
-def test_adapter_round_trip_is_bit_exact(tmp_path):
-    model = attach(tiny_model(), ("w1", "w_q"), r=2, alpha=4.0, seed=1)
-    for ad in model.adapters.values():
-        ad.b += 0.25
-    save_adapters(model, tmp_path / "a.ckpt")
-    loaded = load_adapters(tiny_model(), tmp_path / "a.ckpt")
-    assert list(loaded.adapters) == list(model.adapters)
-    for name, ad in model.adapters.items():
-        got = loaded.adapters[name]
-        assert np.array_equal(got.a, ad.a) and np.array_equal(got.b, ad.b)
-        assert (got.r, got.alpha, got.scaling) == (ad.r, ad.alpha, ad.scaling)
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_attached_model_round_trip_is_bit_exact(tmp_path, dtype):
+    # a scaling of 5/3 has no short binary expansion
+    model = attach(tiny_model(dtype), ("w1", "w_q"), r=3, alpha=5.0, seed=1)
+    for name, p in model.params.items():
+        if name.endswith(".lora_b"):
+            p.value += 0.25
+    save_model(model, tmp_path / "m.ckpt")
+    loaded = load_model(tmp_path / "m.ckpt")
+    assert loaded.lora_scaling == model.lora_scaling == 5.0 / 3.0
+    assert list(loaded.params) == list(model.params)
+    for name, p in model.params.items():
+        q = loaded.params[name]
+        assert q.value.dtype == p.value.dtype and q.frozen == p.frozen
+        assert np.array_equal(q.value, p.value)
+
+
+def test_plain_model_has_no_lora_scaling(tmp_path):
+    save_model(tiny_model(), tmp_path / "m.ckpt")
+    assert "lora_scaling" not in json.loads(
+        (tmp_path / "m.ckpt").read_bytes().split(b"\n")[0])
+    assert load_model(tmp_path / "m.ckpt").lora_scaling is None
 
 
 def _unknown_config_key(h):
@@ -93,17 +104,94 @@ def test_model_header_fault_raises_checkpoint_error(tmp_path, fault):
         load_model(path)
 
 
-@pytest.mark.parametrize("edit", [
-    lambda h: h.update(dtype="float16"),
-    lambda h: h.pop("adapters"),
-    lambda h: h["adapters"][0].update(r=0),
-], ids=["dtype-float16", "no-adapters", "rank-0"])
-def test_adapter_header_fault_raises_checkpoint_error(tmp_path, edit):
-    path = tmp_path / "a.ckpt"
-    save_adapters(attach(tiny_model(), ("w1",), r=2, seed=1), path)
-    rewrite_header(path, edit)
+def lora_model():
+    return attach(tiny_model(), ("w1", "w_q"), r=2, alpha=4.0, seed=1)
+
+
+def _missing(params):
+    del params["head.w2"]
+
+
+def _extra(params):
+    params["head.w3"] = Parameter(np.zeros((8, 3)))
+
+
+def _reshaped(params):
+    params["layers.0.ffn.w1"].value = np.zeros((16, 7))
+
+
+def _orphan_lora_b(params):
+    lora = lora_model().params
+    params["layers.0.ffn.w1.lora_b"] = lora["layers.0.ffn.w1.lora_b"]
+
+
+def _factor_without_base(params):
+    lora = lora_model().params
+    for name in ("layers.0.ffn.w1.lora_a", "layers.0.ffn.w1.lora_b"):
+        params[name] = lora[name]
+    del params["layers.0.ffn.w1"]
+
+
+def _factor_on_a_bias(params):
+    params["layers.0.ffn.b1.lora_a"] = Parameter(np.zeros((1, 2)))
+    params["layers.0.ffn.b1.lora_b"] = Parameter(np.zeros((2, 12)))
+
+
+def _factor_of_rank_0(params):
+    params["layers.0.ffn.w1.lora_a"] = Parameter(np.zeros((8, 0)))
+    params["layers.0.ffn.w1.lora_b"] = Parameter(np.zeros((0, 12)))
+
+
+def _factors_of_two_ranks(params):
+    params["layers.0.ffn.w1.lora_a"] = Parameter(np.zeros((8, 2)))
+    params["layers.0.ffn.w1.lora_b"] = Parameter(np.zeros((3, 12)))
+
+
+MANIFEST_FAULTS = [_missing, _extra, _reshaped, _orphan_lora_b,
+                   _factor_without_base, _factor_on_a_bias,
+                   _factor_of_rank_0, _factors_of_two_ranks]
+
+
+@pytest.mark.parametrize("fault", MANIFEST_FAULTS,
+                         ids=lambda f: f.__name__.strip("_"))
+def test_parameters_its_config_does_not_make_raise_checkpoint_error(
+        tmp_path, capsys, fault):
+    # a consistent file, hash and payload length included, whose
+    # parameters the forward would fail on or ignore
+    model = tiny_model()
+    fault(model.params)
+    if any(".lora_" in name for name in model.params):
+        model.lora_scaling = 2.0
+    path = tmp_path / "m.ckpt"
+    save_model(model, path)
     with pytest.raises(CheckpointError):
-        load_adapters(tiny_model(), path)
+        load_model(path)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"model": dataclasses.asdict(model.config)}))
+    assert main(["eval", "--config", str(config),
+                 "--checkpoint", str(path)]) == EXIT_BAD_CONFIG
+    assert "checkpoint error" in capsys.readouterr().err
+
+
+SCALING_FAULTS = {
+    "missing": (lora_model, lambda h: h.pop("lora_scaling")),
+    "without-factors": (tiny_model, lambda h: h.update(lora_scaling=2.0)),
+    "zero": (lora_model, lambda h: h.update(lora_scaling=0)),
+    "negative": (lora_model, lambda h: h.update(lora_scaling=-1.0)),
+    "nan": (lora_model, lambda h: h.update(lora_scaling=float("nan"))),
+    "bool": (lora_model, lambda h: h.update(lora_scaling=True)),
+    "string": (lora_model, lambda h: h.update(lora_scaling="2")),
+}
+
+
+@pytest.mark.parametrize("make,fault", SCALING_FAULTS.values(),
+                         ids=SCALING_FAULTS.keys())
+def test_bad_lora_scaling_raises_checkpoint_error(tmp_path, make, fault):
+    path = tmp_path / "m.ckpt"
+    save_model(make(), path)
+    rewrite_header(path, fault)
+    with pytest.raises(CheckpointError, match="lora_scaling"):
+        load_model(path)
 
 
 @pytest.mark.parametrize("fault", HEADER_FAULTS[:3],
@@ -120,8 +208,9 @@ def test_eval_exits_with_code_2_on_a_header_fault(tmp_path, capsys, fault):
 
 
 VERSION_FAULTS = {"missing": lambda h: h.pop("version"),
-                  "2": lambda h: h.update(version=2),
-                  "string-1": lambda h: h.update(version="1")}
+                  "1": lambda h: h.update(version=1),
+                  "3": lambda h: h.update(version=3),
+                  "string-2": lambda h: h.update(version="2")}
 
 
 @pytest.mark.parametrize("fault", VERSION_FAULTS.values(),
@@ -132,20 +221,11 @@ def test_another_version_raises_checkpoint_error(tmp_path, capsys, fault):
     rewrite_header(path, fault)
     with pytest.raises(CheckpointError, match="version"):
         load_model(path)
-    adapters = tmp_path / "a.ckpt"
-    save_adapters(attach(tiny_model(), ("w1",), r=2, seed=1), adapters)
-    rewrite_header(adapters, fault)
-    with pytest.raises(CheckpointError, match="version"):
-        load_adapters(tiny_model(), adapters)
     config = tmp_path / "run.json"
     config.write_text("{}")
-    save_model(tiny_model(), tmp_path / "ok.ckpt")
-    for args in (["--checkpoint", str(path)],
-                 ["--checkpoint", str(tmp_path / "ok.ckpt"),
-                  "--adapters", str(adapters)]):
-        assert main(["eval", "--config", str(config), *args]) \
-            == EXIT_BAD_CONFIG
-        assert "version" in capsys.readouterr().err
+    assert main(["eval", "--config", str(config), "--checkpoint", str(path)]) \
+        == EXIT_BAD_CONFIG
+    assert "version" in capsys.readouterr().err
 
 
 def flip_payload_byte(path, offset=5):
@@ -162,26 +242,14 @@ def test_flipped_payload_byte_raises_checkpoint_error(tmp_path):
     flip_payload_byte(path)
     with pytest.raises(CheckpointError, match="sha256"):
         load_model(path)
-    adapters = tmp_path / "a.ckpt"
-    save_adapters(attach(tiny_model(), ("w1",), r=2, seed=1), adapters)
-    flip_payload_byte(adapters)
-    with pytest.raises(CheckpointError, match="sha256"):
-        load_adapters(tiny_model(), adapters)
 
 
-@pytest.mark.parametrize("kind", ["model", "adapters"])
-def test_header_without_payload_hash_raises_checkpoint_error(tmp_path, kind):
+def test_header_without_payload_hash_raises_checkpoint_error(tmp_path):
     path = tmp_path / "c.ckpt"
-    if kind == "model":
-        save_model(tiny_model(), path)
-    else:
-        save_adapters(attach(tiny_model(), ("w1",), r=2, seed=1), path)
+    save_model(tiny_model(), path)
     rewrite_header(path, lambda h: h.pop("sha256"))
     with pytest.raises(CheckpointError, match="sha256"):
-        if kind == "model":
-            load_model(path)
-        else:
-            load_adapters(tiny_model(), path)
+        load_model(path)
 
 
 def resize_payload(path, trailing: bytes = b"", cut: int = 0):
@@ -200,46 +268,30 @@ def resize_payload(path, trailing: bytes = b"", cut: int = 0):
     ({"trailing": bytes(8)}, "payload length does not match manifest"),
     ({"cut": 8}, "truncated payload"),
 ], ids=["trailing", "truncated"])
-@pytest.mark.parametrize("kind", ["model", "adapters"])
 def test_payload_not_matching_its_manifest_raises_checkpoint_error(
-        tmp_path, kind, fault, message):
+        tmp_path, fault, message):
     path = tmp_path / "c.ckpt"
-    if kind == "model":
-        save_model(tiny_model(), path)
-    else:
-        save_adapters(attach(tiny_model(), ("w1",), r=2, seed=1), path)
+    save_model(tiny_model(), path)
     resize_payload(path, **fault)
-    base = tiny_model()
     with pytest.raises(CheckpointError, match=message):
-        if kind == "model":
-            load_model(path)
-        else:
-            load_adapters(base, path)
-    # a refused adapter file leaves the base model as it was
-    assert not base.adapters
-    assert not any(p.frozen for p in base.params.values())
+        load_model(path)
 
 
-@pytest.mark.parametrize("flipped", ["checkpoint", "adapters"])
-def test_eval_exits_with_code_2_on_a_flipped_payload_byte(tmp_path, capsys,
-                                                         flipped):
+def test_eval_exits_with_code_2_on_a_flipped_payload_byte(tmp_path, capsys):
     path = tmp_path / "m.ckpt"
-    adapters = tmp_path / "a.ckpt"
-    model = tiny_model()
-    save_model(model, path)
-    save_adapters(attach(model, ("w1",), r=2, seed=1), adapters)
-    flip_payload_byte(path if flipped == "checkpoint" else adapters)
+    save_model(lora_model(), path)
+    flip_payload_byte(path)
     config = tmp_path / "run.json"
     config.write_text("{}")
-    code = main(["eval", "--config", str(config), "--checkpoint", str(path),
-                 "--adapters", str(adapters)])
+    code = main(["eval", "--config", str(config), "--checkpoint", str(path)])
     assert code == EXIT_BAD_CONFIG
     assert "sha256" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("regime", ["lora", "tokentune+lora"])
-def test_eval_of_an_adapter_run_needs_its_adapters(tmp_path, capsys, regime):
-    # the model checkpoint of an adapter run holds the untrained base
+def test_eval_of_an_adapter_run_reads_its_model_checkpoint_alone(
+        tmp_path, capsys, regime):
+    # the model checkpoint holds the trained factors beside the base
     cfg = RunConfig(
         model=ModelConfig(vocab_size=32, max_positions=16, d_model=8,
                           n_heads=2, d_ff=12, n_layers=1),
@@ -250,12 +302,13 @@ def test_eval_of_an_adapter_run_needs_its_adapters(tmp_path, capsys, regime):
     result = run_training(cfg, run)
     config = tmp_path / "run.json"
     config.write_text(json.dumps(cfg.to_dict()))
-    args = ["eval", "--config", str(config),
-            "--checkpoint", result.checkpoint_path]
-    assert main(args) == EXIT_BAD_CONFIG
-    assert "--adapters" in capsys.readouterr().err
-    assert main([*args, "--adapters", str(run / "adapters.ckpt")]) == EXIT_OK
+    assert sorted(p.name for p in run.iterdir()) == [
+        "config.json", "eval.json", "memory.json", "metrics.jsonl",
+        "model.ckpt", "timings.jsonl"]
+    assert main(["eval", "--config", str(config),
+                 "--checkpoint", result.checkpoint_path]) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == result.eval_metrics
+    assert json.loads((run / "eval.json").read_text()) == result.eval_metrics
 
 
 class FullDisk:

@@ -160,11 +160,11 @@ def test_breakdown_sums_to_the_replays_retained_bytes(regime, dtype):
     n = 20
     cfg = ModelConfig(max_positions=n, d_model=16, n_heads=2, d_ff=64,
                       n_layers=2, causal=True, n_classes=None)
-    model = build_regime_model(regime, cfg, seed=5, dtype=dtype)
     selective = regime in SELECTIVE_REGIMES
-    trainer = Trainer(model, TrainConfig(regime=regime,
-                                         k=5 if selective else None,
-                                         seed=5, dtype=dtype), "lm")
+    train = TrainConfig(regime=regime, k=5 if selective else None, seed=5,
+                        dtype=dtype)
+    model = build_regime_model(cfg, train)
+    trainer = Trainer(model, train, "lm")
     itemsize = np.dtype(dtype).itemsize
     sums = []
 

@@ -178,7 +178,7 @@ def test_attention_matches_dense_oracle(causal, n_heads):
 
 def test_zero_weight_layers_are_identity():
     model = build_model(tiny_config(n_layers=3), seed=6, dtype="float64")
-    for name, p in model.param_items():
+    for name, p in model.params.items():
         if ".attn.w_" in name or ".ffn.w" in name:
             p.value[...] = 0.0
         if name.endswith((".b_q", ".b_k", ".b_v", ".b_o", ".b1", ".b2")):
@@ -209,8 +209,9 @@ def test_no_grad_ffn_in_row_blocks_equals_the_whole_array_ffn(
     r = rng_for(16)
     if lora:
         attach(model, ("w1", "w2"), r=4, alpha=8.0, seed=16)
-        for ad in model.adapters.values():  # B starts at zero
-            ad.b[...] = r.normal(0.0, 0.02, ad.b.shape)
+        for name, p in model.params.items():  # B starts at zero
+            if name.endswith(".lora_b"):
+                p.value[...] = r.normal(0.0, 0.02, p.shape)
     h = r.normal(size=(rows, 256)).astype(dtype)
     whole = Tape()
     want = ffn(whole, model, 0, whole.input(h)).value

@@ -198,3 +198,49 @@ def test_byte_lm_needs_a_token_per_byte_value(tmp_path, vocab_size, builds):
     assert ids.max() == 255 and len(train) + len(test) == 64
     trainer = Trainer(build_model(model), TrainConfig(batch_size=2), "lm")
     assert np.isfinite(trainer.train_step(train[:2])["loss"])
+
+
+def write_config(tmp_path, doc) -> str:
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    return str(config)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"model": {"causal": True, "n_classes": None},
+      "task": {"kind": "lm", "corpus_path": "no-such-corpus.txt"}},
+     "corpus file not found"),
+    ({"model": {"max_positions": 32}, "task": {"seq_len": 33}},
+     "exceeds model max_positions 32"),
+], ids=["missing-corpus", "seq-len-past-max-positions"])
+def test_train_exits_with_code_2_on_data_the_config_cannot_have(
+        tmp_path, capsys, doc, message):
+    code = main(["train", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "run")])
+    assert code == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "invalid data" in err and message in err
+
+
+def test_set_n_classes_sets_the_models_classes(tmp_path):
+    doc = {"model": {"d_model": 8, "n_heads": 2, "d_ff": 12, "n_layers": 1},
+           "train": {"max_steps": 1, "batch_size": 2},
+           "task": {"n_train": 12, "n_test": 6, "seq_len": 8}}
+    run = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, doc),
+                 "--set", "n_classes=3", "--out", str(run)]) == EXIT_OK
+    resolved = json.loads((run / "config.json").read_text())
+    assert resolved["model"]["n_classes"] == 3
+    assert "n_classes" not in resolved["task"]
+    train, test = build_task_datasets(
+        TaskConfig(n_train=12, n_test=6, seq_len=8), ModelConfig(n_classes=3))
+    assert {ex.label for ex in train + test} == {0, 1, 2}
+
+
+def test_a_task_n_classes_is_refused_as_an_unknown_field(tmp_path, capsys):
+    # the model's n_classes is the one number of classes
+    doc = {"task": {"n_classes": 2}}
+    assert main(["train", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "run")]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "task.n_classes" in err and "unknown field" in err

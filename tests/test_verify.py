@@ -60,9 +60,11 @@ def test_fd_check_on_fixture_with_adapters_passes_at_1e6():
     # warmed up like the fixture's weights, so no gradient entry sinks
     # into the central differences' noise
     r = np.random.default_rng(5)
-    for ad in model.adapters.values():
-        ad.a *= 14.0
-        ad.b += r.normal(0, 0.5, ad.b.shape)
+    for name, p in model.params.items():
+        if name.endswith(".lora_a"):
+            p.value *= 14.0
+        elif name.endswith(".lora_b"):
+            p.value += r.normal(0, 0.5, p.shape)
     report = finite_difference_check(model, seq, partition, loss_spec)
     assert report.passed
     assert report.worst()[1] < 1e-6
@@ -242,8 +244,9 @@ def test_lora_composition_gradients_match_oracle():
     attach(model, ("w1", "w2", "w_q", "w_v"), r=2, alpha=4.0, seed=1)
     r = np.random.default_rng(2)
     # move B off zero so adapter gradients are nontrivial
-    for ad in model.adapters.values():
-        ad.b += r.normal(0, 0.1, ad.b.shape)
+    for name, p in model.params.items():
+        if name.endswith(".lora_b"):
+            p.value += r.normal(0, 0.1, p.shape)
     n = 7
     seq = r.integers(0, 13, size=n)
     targets = np.full(n, -1, dtype=np.intp)
