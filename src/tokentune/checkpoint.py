@@ -7,18 +7,19 @@ of each array in manifest order, factors included. The header also
 records the payload's sha256. Round-trips are bit-exact. A malformed
 header, a version other than `VERSION`, a missing or mismatched payload
 hash, or a payload whose length does not match the manifest raises
-:class:`CheckpointError`. So does a manifest other than the parameters
-`build_model` makes for the config, in their shapes, plus for each
-adapted weight W (d_in x d_out) a `<W>.lora_a` (d_in x r) and a
-`<W>.lora_b` (r x d_out) with r >= 1; and a `lora_scaling` that is not a
-positive number exactly when factors are present. A save replaces the
-file at its path only once the new file is written in full.
+:class:`CheckpointError`. So does a manifest other than the table
+`model.param_specs` gives for the config, in its order and shapes, with
+LoRA factors, if any, on the weights that carry them on layer 0 and at
+their rank r >= 1; and a `lora_scaling` that is not a positive number
+exactly when factors are present. A save replaces the file at its path
+only once the new file is written in full.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -26,9 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import TARGET_SUFFIXES
 from .config import ModelConfig
-from .model import Parameter, TransformerModel, build_model
+from .model import TARGET_SUFFIXES, Parameter, TransformerModel, param_specs
 
 MAGIC = "tokentune-checkpoint"
 #: 2 since LoRA factors are stored as parameters: a reader of version 1
@@ -80,31 +80,24 @@ def _entries(header: dict) -> list[dict]:
 
 def _check_manifest(config: ModelConfig,
                     shapes: dict[str, tuple[int, int]]) -> bool:
-    """Refuse a manifest, name -> (rows, cols), other than the parameters
-    `build_model(config)` makes plus rank >= 1 factor pairs on adaptable
-    weights; return whether it holds factors."""
-    want = {name: p.shape for name, p in build_model(config).params.items()}
-    factors = False
-    for i in range(config.n_layers):
-        for suffix in TARGET_SUFFIXES.values():
-            target = f"layers.{i}.{suffix}"
-            a = shapes.get(f"{target}.lora_a")
-            b = shapes.get(f"{target}.lora_b")
-            if a is None and b is None:
-                continue
-            (d_in, d_out), r = want[target], a[1] if a else 0
-            if r < 1 or a != (d_in, r) or b != (r, d_out):
-                raise CheckpointError(f"LoRA factors of '{target}' "
-                                      f"({d_in}x{d_out}) are {a} and {b}")
-            want[f"{target}.lora_a"], want[f"{target}.lora_b"] = a, b
-            factors = True
-    for name in sorted(set(want) | set(shapes)):
-        got, made = shapes.get(name), want.get(name)
+    """Refuse a manifest, name -> (rows, cols), other than the table
+    `param_specs(config, targets, r)`, where the targets are the weights
+    with a '.lora_a' factor on layer 0 and r is the rank of the first;
+    return whether it holds factors."""
+    ranks = {t: shapes[f"layers.0.{suffix}.lora_a"][1]
+             for t, suffix in TARGET_SUFFIXES.items()
+             if f"layers.0.{suffix}.lora_a" in shapes}
+    r = next(iter(ranks.values()), 0)
+    if ranks and r < 1:
+        raise CheckpointError(f"LoRA factors of rank {r}")
+    want = {name: (rows, cols) for name, (rows, cols, _)
+            in param_specs(config, tuple(ranks), r).items()}
+    for got, made in itertools.zip_longest(shapes.items(), want.items()):
         if got != made:
-            raise CheckpointError(f"parameter '{name}' is {got or 'absent'} "
-                                  f"in the checkpoint, {made or 'absent'} "
-                                  f"in its config")
-    return factors
+            raise CheckpointError(f"checkpoint has {got or 'nothing'} "
+                                  f"where its config makes "
+                                  f"{made or 'nothing'}")
+    return bool(ranks)
 
 
 def _lora_scaling(header: dict, factors: bool) -> float | None:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 
 
@@ -25,6 +26,20 @@ ADAPTER_REGIMES = ("lora", "tokentune+lora")
 DTYPES = ("float32", "float64")
 
 
+def _check_types(config, section: str) -> None:
+    """Refuse an int field that holds no integer (Python or NumPy; a bool
+    is none) and a bool field that holds no bool."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        integer = isinstance(value, numbers.Integral) \
+            and not isinstance(value, bool)
+        wanted = "a bool" if f.type == "bool" else "an integer"
+        if not {"bool": isinstance(value, bool), "int": integer,
+                "int | None": integer or value is None}.get(f.type, True):
+            raise ConfigError(f"{section}.{f.name}",
+                              f"must be {wanted}, not {value!r}")
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int = 257
@@ -37,6 +52,7 @@ class ModelConfig:
     n_classes: int | None = 2
 
     def __post_init__(self):
+        _check_types(self, "model")
         for name in ("vocab_size", "max_positions", "d_model", "n_heads",
                      "d_ff", "n_layers"):
             if getattr(self, name) < 1:
@@ -72,6 +88,7 @@ class TrainConfig:
     lora_alpha: float = 16.0
 
     def __post_init__(self):
+        _check_types(self, "train")
         if self.regime not in REGIMES:
             raise ConfigError("train.regime", f"must be one of {REGIMES}")
         if self.dtype not in DTYPES:
@@ -107,6 +124,7 @@ class TaskConfig:
     eval_windows: int = 128
 
     def __post_init__(self):
+        _check_types(self, "task")
         if self.kind not in ("classification", "lm"):
             raise ConfigError("task.kind", "must be 'classification' or 'lm'")
         if self.seq_len < 2:

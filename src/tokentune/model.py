@@ -86,45 +86,62 @@ class TransformerModel:
             for name, p in self.params.items()}, self.lora_scaling)
 
 
-def build_model(config: ModelConfig, seed: int = 0,
-                dtype: str = "float32") -> TransformerModel:
-    """Fresh model: normal(0, 0.02) weights, zero biases/shifts, unit scales."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x70CE]))
-    npdtype = np.dtype(dtype)
+#: target keyword -> per-layer suffix of the weight a LoRA factor pair adapts
+TARGET_SUFFIXES = {"w1": "ffn.w1", "w2": "ffn.w2",
+                   **{f"w_{x}": f"attn.w_{x}" for x in "qkvo"}}
+
+
+def param_specs(config: ModelConfig, targets=(),
+                r: int = 0) -> dict[str, tuple[int, int, str]]:
+    """Every parameter of a model of `config`, name -> (rows, cols, init),
+    in storage order: the one list of names and shapes. `init` is
+    'normal' (normal(0, INIT_STD)), 'zeros', 'ones' or 'lora' (a LoRA A
+    factor). Each weight W (d_in x d_out) a keyword of `targets` names is
+    followed by its '<W>.lora_a' (d_in x r, 'lora') and '<W>.lora_b'
+    (r x d_out, 'zeros')."""
     d, dff = config.d_model, config.d_ff
+    adapted = {TARGET_SUFFIXES[t] for t in targets}
+    specs: dict[str, tuple[int, int, str]] = {}
 
-    def w(rows, cols):
-        return Parameter(rng.normal(0.0, INIT_STD, (rows, cols)).astype(npdtype))
+    def add(name, rows, cols, init="normal"):
+        specs[name] = (rows, cols, init)
+        if name.startswith("layers.") and name.split(".", 2)[2] in adapted:
+            specs[f"{name}.lora_a"] = (rows, r, "lora")
+            specs[f"{name}.lora_b"] = (r, cols, "zeros")
 
-    def zeros(cols):
-        return Parameter(np.zeros((1, cols), dtype=npdtype))
-
-    def ones(cols):
-        return Parameter(np.ones((1, cols), dtype=npdtype))
-
-    params: dict[str, Parameter] = {}
-    params["tok_emb"] = w(config.vocab_size, d)
-    params["pos_emb"] = w(config.max_positions, d)
+    add("tok_emb", config.vocab_size, d)
+    add("pos_emb", config.max_positions, d)
     for i in range(config.n_layers):
         base = f"layers.{i}"
-        for suffix in ("q", "k", "v", "o"):
-            params[f"{base}.attn.w_{suffix}"] = w(d, d)
-            params[f"{base}.attn.b_{suffix}"] = zeros(d)
-        params[f"{base}.norm1.scale"] = ones(d)
-        params[f"{base}.norm1.shift"] = zeros(d)
-        params[f"{base}.norm2.scale"] = ones(d)
-        params[f"{base}.norm2.shift"] = zeros(d)
-        params[f"{base}.ffn.w1"] = w(d, dff)
-        params[f"{base}.ffn.b1"] = zeros(dff)
-        params[f"{base}.ffn.w2"] = w(dff, d)
-        params[f"{base}.ffn.b2"] = zeros(d)
+        for x in "qkvo":
+            add(f"{base}.attn.w_{x}", d, d)
+            add(f"{base}.attn.b_{x}", 1, d, "zeros")
+        for x in "12":
+            add(f"{base}.norm{x}.scale", 1, d, "ones")
+            add(f"{base}.norm{x}.shift", 1, d, "zeros")
+        for x, rows, cols in (("1", d, dff), ("2", dff, d)):
+            add(f"{base}.ffn.w{x}", rows, cols)
+            add(f"{base}.ffn.b{x}", 1, cols, "zeros")
     if config.causal:
-        params["head.w_lm"] = w(d, config.vocab_size)
+        add("head.w_lm", d, config.vocab_size)
     else:
-        params["head.w1"] = w(d, d)
-        params["head.b1"] = zeros(d)
-        params["head.w2"] = w(d, config.n_classes)
-        params["head.b2"] = zeros(config.n_classes)
+        for x, cols in (("1", d), ("2", config.n_classes)):
+            add(f"head.w{x}", d, cols)
+            add(f"head.b{x}", 1, cols, "zeros")
+    return specs
+
+
+def build_model(config: ModelConfig, seed: int = 0,
+                dtype: str = "float32") -> TransformerModel:
+    """Fresh model of `param_specs`' table: normal(0, INIT_STD) weights,
+    drawn in table order, zero biases/shifts, unit scales."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x70CE]))
+    npdtype = np.dtype(dtype)
+    params = {}
+    for name, (rows, cols, init) in param_specs(config).items():
+        value = (rng.normal(0.0, INIT_STD, (rows, cols)) if init == "normal"
+                 else np.full((rows, cols), float(init == "ones")))
+        params[name] = Parameter(value.astype(npdtype))
     return TransformerModel(config, params)
 
 

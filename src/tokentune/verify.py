@@ -36,7 +36,7 @@ from .adapters import attach
 from .config import ModelConfig
 from .engine import MASK_VALUE, Tape
 from .model import (TransformerModel, attend_project, build_model,
-                    forward_hidden, norm, qkv)
+                    forward_hidden, norm, param_specs, qkv)
 from .partition import SelectionError, TokenPartition, select_positions
 from .selective import (every_position, loss_classification, loss_lm,
                         restore_hidden, tokentune_forward)
@@ -544,12 +544,11 @@ def gradcheck_fixture():
                       d_ff=12, n_layers=1, causal=False, n_classes=2)
     model = build_model(cfg, seed=3, dtype="float64")
     r = np.random.default_rng(103)
-    for name, p in model.params.items():
-        if ".w" in name or name.endswith("emb"):
+    for (_, _, init), p in zip(param_specs(cfg).values(),
+                               model.params.values()):
+        if init == "normal":
             p.value *= 14.0
-        if ".b" in name and "emb" not in name:
-            p.value += r.normal(0, 0.2, p.value.shape)
-        if "norm" in name:
+        else:
             p.value += r.normal(0, 0.2, p.value.shape)
     seq = np.array([1, 4, 7, 5, 9, 3])
     partition = select_positions(6, 2, "classification", rng_seed=11)

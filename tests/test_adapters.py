@@ -1,5 +1,6 @@
 """Low-rank adapter semantics: zero-init identity, trainability surface,
-merging, and frozen-base immutability."""
+the factors' places in the parameter table, and frozen-base
+immutability."""
 
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tokentune.adapters import AdapterError, attach, merge
+from tokentune.adapters import AdapterError, attach
 from tokentune.config import ModelConfig, TrainConfig
 from tokentune.engine import Tape
 from tokentune.model import build_model, forward_hidden
@@ -69,38 +70,6 @@ def test_gradstore_contains_only_adapter_factors():
     grads = tape.backward(loss)
     assert grads  # nontrivial
     assert all(name.endswith((".lora_a", ".lora_b")) for name in grads)
-
-
-def test_merge_preserves_forward_within_float32_tolerance():
-    model = build_model(cfg_for(), seed=3, dtype="float32")
-    attach(model, ("w1", "w2", "w_q"), r=2, alpha=4.0)
-    r = np.random.default_rng(5)
-    for name, p in model.params.items():
-        if name.endswith(".lora_b"):
-            p.value += r.normal(0, 0.05, p.shape).astype(np.float32)
-    seq = seq_for(3)
-    adapted = hidden_values(model, seq)
-    merge(model)
-    merged = hidden_values(model, seq)
-    assert model.lora_scaling is None
-    assert list(model.params) == list(build_model(cfg_for()).params)
-    assert np.abs(adapted - merged).max() < 1e-6
-
-
-def test_merge_zero_adapter_keeps_base_bitwise():
-    model = build_model(cfg_for(), seed=4, dtype="float32")
-    attach(model, ("w2",), r=2, alpha=4.0)
-    before = model.param("layers.0.ffn.w2").value.copy()
-    merge(model)
-    assert np.array_equal(model.param("layers.0.ffn.w2").value, before)
-
-
-def test_double_merge_errors():
-    model = build_model(cfg_for(), seed=5, dtype="float32")
-    attach(model, ("w1",), r=2, alpha=4.0)
-    merge(model)
-    with pytest.raises(AdapterError):
-        merge(model)
 
 
 def test_attach_stores_each_factor_pair_as_parameters_after_its_weight():

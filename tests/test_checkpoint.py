@@ -18,9 +18,9 @@ from tokentune.model import Parameter, build_model
 from tokentune.optimize import run_training
 
 
-def tiny_model(dtype="float64"):
+def tiny_model(dtype="float64", n_layers=1):
     cfg = ModelConfig(vocab_size=11, max_positions=8, d_model=8, n_heads=2,
-                      d_ff=12, n_layers=1, causal=False, n_classes=3)
+                      d_ff=12, n_layers=n_layers, causal=False, n_classes=3)
     return build_model(cfg, seed=5, dtype=dtype)
 
 
@@ -90,8 +90,18 @@ def _entry_without_shape(h):
     del h["params"][0]["rows"]
 
 
+def _float_dimension(h):
+    # the table alone would take it: 8.0 == 8
+    h["config"]["d_model"] = 8.0
+
+
+def _integer_causal(h):
+    h["config"]["causal"] = 0
+
+
 HEADER_FAULTS = [_unknown_config_key, _unsupported_dtype, _missing_params,
-                 _bad_config_value, _entry_without_shape]
+                 _bad_config_value, _entry_without_shape, _float_dimension,
+                 _integer_causal]
 
 
 @pytest.mark.parametrize("fault", HEADER_FAULTS,
@@ -147,9 +157,30 @@ def _factors_of_two_ranks(params):
     params["layers.0.ffn.w1.lora_b"] = Parameter(np.zeros((3, 12)))
 
 
+def _factors_on_layer_1_only(params):
+    params["layers.1.ffn.w1.lora_a"] = Parameter(np.zeros((8, 2)))
+    params["layers.1.ffn.w1.lora_b"] = Parameter(np.zeros((2, 12)))
+
+
+def _two_weights_at_two_ranks(params):
+    # one lora_scaling, alpha / r, presumes one r
+    for i in range(2):
+        for w, r, (d_in, d_out) in (("ffn.w1", 2, (8, 12)),
+                                    ("attn.w_q", 3, (8, 8))):
+            name = f"layers.{i}.{w}"
+            params[f"{name}.lora_a"] = Parameter(np.zeros((d_in, r)))
+            params[f"{name}.lora_b"] = Parameter(np.zeros((r, d_out)))
+
+
+def _reordered(params):
+    params["tok_emb"] = params.pop("tok_emb")
+
+
 MANIFEST_FAULTS = [_missing, _extra, _reshaped, _orphan_lora_b,
                    _factor_without_base, _factor_on_a_bias,
-                   _factor_of_rank_0, _factors_of_two_ranks]
+                   _factor_of_rank_0, _factors_of_two_ranks,
+                   _factors_on_layer_1_only, _two_weights_at_two_ranks,
+                   _reordered]
 
 
 @pytest.mark.parametrize("fault", MANIFEST_FAULTS,
@@ -157,8 +188,8 @@ MANIFEST_FAULTS = [_missing, _extra, _reshaped, _orphan_lora_b,
 def test_parameters_its_config_does_not_make_raise_checkpoint_error(
         tmp_path, capsys, fault):
     # a consistent file, hash and payload length included, whose
-    # parameters the forward would fail on or ignore
-    model = tiny_model()
+    # parameters the forward would fail on or ignore, or attach not make
+    model = tiny_model(n_layers=2)
     fault(model.params)
     if any(".lora_" in name for name in model.params):
         model.lora_scaling = 2.0
@@ -171,6 +202,19 @@ def test_parameters_its_config_does_not_make_raise_checkpoint_error(
     assert main(["eval", "--config", str(config),
                  "--checkpoint", str(path)]) == EXIT_BAD_CONFIG
     assert "checkpoint error" in capsys.readouterr().err
+
+
+def test_loading_draws_nothing(tmp_path, monkeypatch):
+    model = attach(tiny_model(n_layers=2), ("w2", "w_v"), r=2, seed=1)
+    save_model(model, tmp_path / "m.ckpt")
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_model drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded = load_model(tmp_path / "m.ckpt")
+    assert list(loaded.params) == list(model.params)
+    assert loaded.lora_scaling == model.lora_scaling
 
 
 SCALING_FAULTS = {

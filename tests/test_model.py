@@ -11,7 +11,7 @@ from tokentune.engine import Tape
 from tokentune.model import (FFN_BLOCK_ROWS, ModelError, build_model,
                              embed, ffn,
                              forward_hidden, lm_logits,
-                             loss_classification_rows)
+                             loss_classification_rows, param_specs)
 from tokentune.optimize import evaluate
 from tokentune.partition import TokenPartition
 from tokentune.selective import (split_hidden, tokentune_attention,
@@ -27,6 +27,39 @@ def tiny_config(**kw):
 
 def rng_for(seed):
     return np.random.default_rng(np.random.SeedSequence([seed, 5150]))
+
+
+# ---- the parameter table -----------------------------------------------------
+
+def table(params):
+    return [(name, p.shape) for name, p in params.items()]
+
+
+def shapes(specs):
+    return [(name, (rows, cols)) for name, (rows, cols, _) in specs.items()]
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_build_model_and_attach_make_the_parameter_table(causal):
+    cfg = tiny_config(causal=causal, n_classes=None if causal else 3)
+    model = build_model(cfg, seed=1, dtype="float64")
+    specs = param_specs(cfg)
+    assert table(model.params) == shapes(specs)
+    for name, (_, _, init) in specs.items():
+        value = model.param(name).value
+        assert {"normal": value.std() > 0, "zeros": not value.any(),
+                "ones": (value == 1).all()}[init], name
+    # the table's factor places do not depend on the order of the targets
+    attach(model, ("w_o", "w1"), r=3)
+    specs = param_specs(cfg, ("w1", "w_o"), 3)
+    assert table(model.params) == shapes(specs)
+    for name, (_, _, init) in specs.items():
+        p = model.param(name)
+        assert p.frozen == (".lora_" not in name)
+        assert (init == "lora") == name.endswith(".lora_a")
+        if name.endswith(".lora_b"):
+            assert init == "zeros" and not p.value.any()
+    assert sum(name.endswith(".lora_a") for name in specs) == 2 * 2
 
 
 # ---- embeddings --------------------------------------------------------------

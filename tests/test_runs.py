@@ -244,3 +244,17 @@ def test_a_task_n_classes_is_refused_as_an_unknown_field(tmp_path, capsys):
                  "--out", str(tmp_path / "run")]) == EXIT_BAD_CONFIG
     err = capsys.readouterr().err
     assert "task.n_classes" in err and "unknown field" in err
+
+
+@pytest.mark.parametrize("override", [
+    "d_model=16.0", "n_layers=true", "causal=1", "batch_size=2.0",
+    "epochs=1.0", "lora_r=2.5", "k=3.5", "seq_len=8.0"])
+def test_train_exits_with_code_2_on_a_field_of_the_wrong_type(
+        tmp_path, capsys, override):
+    # an int field takes no float or bool, and causal takes only a bool
+    code = main(["train", "--config", write_config(tmp_path, {}),
+                 "--set", override, "--out", str(tmp_path / "run")])
+    assert code == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "invalid config" in err and override.split("=")[0] in err
+    assert not (tmp_path / "run").exists()
