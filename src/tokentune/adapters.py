@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import targets_fault
 from .model import TARGET_SUFFIXES, Parameter, TransformerModel, param_specs
 
 ADAPTER_INIT_STD = 0.02
@@ -33,10 +34,8 @@ def attach(model: TransformerModel, targets=("w1", "w2"), r: int = 8,
         raise AdapterError("rank must be >= 1")
     if model.lora_scaling is not None:
         raise AdapterError("adapters already attached")
-    unknown = [t for t in targets if t not in TARGET_SUFFIXES]
-    if unknown:
-        raise AdapterError(f"unknown adapter target(s) {unknown}; "
-                           f"expected a subset of {sorted(TARGET_SUFFIXES)}")
+    if fault := targets_fault(targets):
+        raise AdapterError(f"adapter targets: {fault}")
     specs = param_specs(model.config, targets, r)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x10BA]))
     dtype = model.dtype

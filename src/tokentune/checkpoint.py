@@ -1,18 +1,21 @@
 """Checkpoints: a JSON header line plus little-endian raw float payload.
 
-The header records the format version, the model config, dtype, an
-ordered manifest of parameter names, shapes, and frozen flags, and, for a
-model with LoRA factors, its `lora_scaling`; the payload is the raw bytes
-of each array in manifest order, factors included. The header also
-records the payload's sha256. Round-trips are bit-exact. A malformed
-header, a version other than `VERSION`, a missing or mismatched payload
-hash, or a payload whose length does not match the manifest raises
-:class:`CheckpointError`. So does a manifest other than the table
-`model.param_specs` gives for the config, in its order and shapes, with
-LoRA factors, if any, on the weights that carry them on layer 0 and at
-their rank r >= 1; and a `lora_scaling` that is not a positive number
-exactly when factors are present. A save replaces the file at its path
-only once the new file is written in full.
+The header holds the format, `VERSION`, the dtype and the model config,
+and, for a model with LoRA factors, `lora = {targets, r, scaling}`. It
+names no parameter: the payload is every array of the table
+`model.param_specs(config, targets, r)`, in its order. The header's sha256
+covers its other fields (JSON, sorted keys) and then the payload, so an
+edit to either is refused. Round-trips are bit-exact; a loaded model's
+base parameters are frozen, as `adapters.attach` leaves them, exactly
+when it has factors.
+
+`save_model` refuses, writing nothing, a model whose parameters (names,
+order, shapes, dtype, frozen flags) are not that table for the targets
+and rank r of its layer-0 factors. `load_model` raises
+:class:`CheckpointError` for a malformed header, a version other than
+`VERSION`, a bad dtype, config or `lora` block, a missing or mismatched
+sha256, and a payload shorter or longer than the table. A save replaces
+the file at its path only once the new file is written in full.
 """
 
 from __future__ import annotations
@@ -27,13 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import ModelConfig, targets_fault
 from .model import TARGET_SUFFIXES, Parameter, TransformerModel, param_specs
 
 MAGIC = "tokentune-checkpoint"
-#: 2 since LoRA factors are stored as parameters: a reader of version 1
-#: would drop them
-VERSION = 2
+#: 3 since the header names no parameter and its sha256 covers the header
+VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -43,106 +45,85 @@ class CheckpointError(ValueError):
 _DTYPE_TAGS = {"float32": "<f4", "float64": "<f8"}
 
 
-def _is_dim(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) \
-        and value >= 0
+def _canonical(header: dict) -> bytes:
+    return json.dumps(header, sort_keys=True).encode("utf-8")
 
 
-# checks per manifest field, run before loading reads any of them
-_ENTRY = {"name": lambda value: isinstance(value, str),
-          "rows": _is_dim, "cols": _is_dim,
-          "frozen": lambda value: isinstance(value, bool)}
-
-
-def _payload_dtype(header: dict) -> np.dtype:
+def _table(header: dict):
+    """The config, payload dtype, parameter table and LoRA scaling (None
+    without factors) a header describes."""
     name = header.get("dtype")
     if not isinstance(name, str) or name not in _DTYPE_TAGS:
         raise CheckpointError(f"unsupported checkpoint dtype {name!r}")
-    return np.dtype(_DTYPE_TAGS[name])
-
-
-def _entries(header: dict) -> list[dict]:
-    """The header's manifest: a list of entries, each passing `_ENTRY`,
-    with no name twice."""
-    entries = header.get("params")
-    if not isinstance(entries, list):
-        raise CheckpointError("checkpoint header has no 'params' list")
-    for entry in entries:
-        if not (isinstance(entry, dict)
-                and all(check(entry.get(field))
-                        for field, check in _ENTRY.items())):
-            raise CheckpointError(f"bad 'params' entry in checkpoint "
-                                  f"header: {entry!r}")
-    if len({entry["name"] for entry in entries}) != len(entries):
-        raise CheckpointError("checkpoint manifest names a parameter twice")
-    return entries
-
-
-def _check_manifest(config: ModelConfig,
-                    shapes: dict[str, tuple[int, int]]) -> bool:
-    """Refuse a manifest, name -> (rows, cols), other than the table
-    `param_specs(config, targets, r)`, where the targets are the weights
-    with a '.lora_a' factor on layer 0 and r is the rank of the first;
-    return whether it holds factors."""
-    ranks = {t: shapes[f"layers.0.{suffix}.lora_a"][1]
-             for t, suffix in TARGET_SUFFIXES.items()
-             if f"layers.0.{suffix}.lora_a" in shapes}
-    r = next(iter(ranks.values()), 0)
-    if ranks and r < 1:
-        raise CheckpointError(f"LoRA factors of rank {r}")
-    want = {name: (rows, cols) for name, (rows, cols, _)
-            in param_specs(config, tuple(ranks), r).items()}
-    for got, made in itertools.zip_longest(shapes.items(), want.items()):
-        if got != made:
-            raise CheckpointError(f"checkpoint has {got or 'nothing'} "
-                                  f"where its config makes "
-                                  f"{made or 'nothing'}")
-    return bool(ranks)
-
-
-def _lora_scaling(header: dict, factors: bool) -> float | None:
-    """The header's `lora_scaling`: a positive number with factors, absent
-    without them."""
-    if not factors:
-        if "lora_scaling" in header:
-            raise CheckpointError("checkpoint has a lora_scaling but no "
-                                  "LoRA factors")
-        return None
-    value = header.get("lora_scaling")
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value) or value <= 0:
-        raise CheckpointError(f"LoRA factors need a positive lora_scaling, "
-                              f"not {value!r}")
-    return float(value)
-
-
-def _model_config(header: dict) -> ModelConfig:
     fields = header.get("config")
     if not isinstance(fields, dict):
         raise CheckpointError("checkpoint header has no 'config' object")
     try:
-        return ModelConfig(**fields)
+        config = ModelConfig(**fields)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"bad model config in checkpoint header: "
                               f"{exc}") from exc
+    tag = np.dtype(_DTYPE_TAGS[name])
+    if "lora" not in header:
+        return config, tag, param_specs(config), None
+    lora = header["lora"]
+    if not isinstance(lora, dict) or set(lora) != {"targets", "r", "scaling"}:
+        raise CheckpointError(f"checkpoint lora block must hold targets, r "
+                              f"and scaling, not {lora!r}")
+    targets, r, scaling = lora["targets"], lora["r"], lora["scaling"]
+    if fault := targets_fault(targets):
+        raise CheckpointError(f"checkpoint lora targets {fault}")
+    if type(r) is not int or r < 1:
+        raise CheckpointError(f"checkpoint lora r must be an integer >= 1, "
+                              f"not {r!r}")
+    if isinstance(scaling, bool) or not isinstance(scaling, (int, float)) \
+            or not math.isfinite(scaling) or scaling <= 0:
+        raise CheckpointError(f"checkpoint lora scaling must be a positive "
+                              f"number, not {scaling!r}")
+    return config, tag, param_specs(config, tuple(targets), r), float(scaling)
 
 
-def _write(path, header: dict, arrays: list[np.ndarray]) -> None:
-    """Write `header`, with the payload's sha256 added, and the payload to
-    a temporary file beside `path`, then swap it in with os.replace: a
-    write that fails partway leaves the earlier file at `path` as it was,
-    and removes the temporary one."""
+def _frozen(name: str, scaling) -> bool:
+    """The frozen flag `attach` leaves: set on every base parameter of a
+    model with factors (a LoRA scaling)."""
+    return scaling is not None and not name.endswith((".lora_a", ".lora_b"))
+
+
+def save_model(model: TransformerModel, path) -> None:
+    dtype = np.dtype(model.dtype)
+    header = {"format": MAGIC, "version": VERSION, "dtype": dtype.name,
+              "config": dataclasses.asdict(model.config)}
+    ranks = {t: model.params[f"layers.0.{suffix}.lora_a"].shape[1]
+             for t, suffix in TARGET_SUFFIXES.items()
+             if f"layers.0.{suffix}.lora_a" in model.params}
+    if ranks or model.lora_scaling is not None:
+        header["lora"] = {"targets": list(ranks),
+                          "r": next(iter(ranks.values()), 0),
+                          "scaling": model.lora_scaling}
+    _, tag, specs, scaling = _table(header)
+    got = [(name, p.shape, p.value.dtype.name, p.frozen)
+           for name, p in model.params.items()]
+    want = [(name, (rows, cols), dtype.name, _frozen(name, scaling))
+            for name, (rows, cols, _) in specs.items()]
+    for have, made in itertools.zip_longest(got, want):
+        if have != made:
+            raise CheckpointError(f"model has {have or 'nothing'} where its "
+                                  f"config makes {made or 'nothing'}")
+    arrays = [np.ascontiguousarray(p.value, dtype=tag)
+              for p in model.params.values()]
+    digest = hashlib.sha256(_canonical(header))
+    for arr in arrays:
+        digest.update(arr)
+    header["sha256"] = digest.hexdigest()
+    # written beside `path`, then swapped in: a write that fails partway
+    # leaves the earlier file at `path` as it was
     path = Path(path)
-    payload = b"".join(np.ascontiguousarray(arr).astype(
-        arr.dtype.newbyteorder("<"), copy=False).tobytes() for arr in arrays)
-    digest = hashlib.sha256(payload).hexdigest()
-    blob = json.dumps({**header, "sha256": digest},
-                      sort_keys=True).encode("utf-8")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(blob + b"\n")
-            fh.write(payload)
+            fh.write(_canonical(header) + b"\n")
+            for arr in arrays:
+                fh.write(arr)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -151,82 +132,40 @@ def _write(path, header: dict, arrays: list[np.ndarray]) -> None:
         raise
 
 
-def _read(path) -> tuple[dict, bytes]:
-    p = Path(path)
-    if not p.exists():
-        raise CheckpointError(f"checkpoint not found: {path}")
-    raw = p.read_bytes()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise CheckpointError(f"corrupted checkpoint (no header): {path}")
-    try:
-        header = json.loads(raw[:nl].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CheckpointError(f"corrupted checkpoint header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != MAGIC:
-        raise CheckpointError(f"not a {MAGIC} file: {path}")
-    version = header.get("version")
-    if type(version) is not int or version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version!r} "
-                              f"(expected {VERSION}): {path}")
-    payload = raw[nl + 1:]
-    expected = header.get("sha256")
-    if not isinstance(expected, str):
-        raise CheckpointError(f"checkpoint header has no payload sha256: "
-                              f"{path}")
-    if hashlib.sha256(payload).hexdigest() != expected:
-        raise CheckpointError(f"checkpoint payload does not match its "
-                              f"sha256: {path}")
-    return header, payload
-
-
-def save_model(model: TransformerModel, path) -> None:
-    dtype = np.dtype(model.dtype)
-    entries = []
-    arrays = []
-    for name, p in model.params.items():
-        entries.append({"name": name, "rows": int(p.value.shape[0]),
-                        "cols": int(p.value.shape[1]),
-                        "frozen": bool(p.frozen)})
-        arrays.append(p.value)
-    header = {
-        "format": MAGIC,
-        "version": VERSION,
-        "dtype": dtype.name,
-        "config": dataclasses.asdict(model.config),
-        "params": entries,
-    }
-    if model.lora_scaling is not None:
-        header["lora_scaling"] = model.lora_scaling
-    _write(path, header, arrays)
-
-
-def _params(payload: bytes, tag: np.dtype,
-            entries: list[dict]) -> dict[str, Parameter]:
-    """The parameters the manifest `entries` lists, read in order from
-    `payload`, which must hold exactly their arrays: no fewer bytes and no
-    more."""
-    params = {}
-    offset = 0
-    for e in entries:
-        size = e["rows"] * e["cols"] * tag.itemsize
-        chunk = payload[offset:offset + size]
-        if len(chunk) != size:
-            raise CheckpointError(f"truncated payload at '{e['name']}'")
-        value = np.frombuffer(chunk, dtype=tag).reshape(e["rows"], e["cols"])
-        params[e["name"]] = Parameter(value.copy(), frozen=e["frozen"])
-        offset += size
-    if offset != len(payload):
-        raise CheckpointError("payload length does not match manifest")
-    return params
-
-
 def load_model(path) -> TransformerModel:
-    header, payload = _read(path)
-    config = _model_config(header)
-    tag = _payload_dtype(header)
-    entries = _entries(header)
-    factors = _check_manifest(
-        config, {e["name"]: (e["rows"], e["cols"]) for e in entries})
-    return TransformerModel(config, _params(payload, tag, entries),
-                            _lora_scaling(header, factors))
+    """The model saved at `path`; each array is read from the file into its
+    own buffer, and hashed as it is read."""
+    if not Path(path).exists():
+        raise CheckpointError(f"checkpoint not found: {path}")
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        try:
+            header = json.loads(line.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise CheckpointError(f"corrupted checkpoint header: {exc}") \
+                from exc
+        if not line.endswith(b"\n") or not isinstance(header, dict) \
+                or header.get("format") != MAGIC:
+            raise CheckpointError(f"not a {MAGIC} file: {path}")
+        version = header.get("version")
+        if type(version) is not int or version != VERSION:
+            raise CheckpointError(f"unsupported checkpoint version "
+                                  f"{version!r} (expected {VERSION}): {path}")
+        expected = header.pop("sha256", None)
+        if not isinstance(expected, str):
+            raise CheckpointError(f"checkpoint header has no sha256: {path}")
+        config, tag, specs, scaling = _table(header)
+        digest = hashlib.sha256(_canonical(header))
+        params = {}
+        for name, (rows, cols, _) in specs.items():
+            value = np.empty((rows, cols), dtype=tag)
+            if fh.readinto(value) != value.nbytes:
+                raise CheckpointError(f"truncated payload at '{name}': {path}")
+            digest.update(value)
+            params[name] = Parameter(value, _frozen(name, scaling))
+        if fh.read(1):
+            raise CheckpointError(f"payload longer than its config's "
+                                  f"parameters: {path}")
+    if digest.hexdigest() != expected:
+        raise CheckpointError(f"checkpoint does not match its sha256: {path}")
+    return TransformerModel(config, params, scaling)

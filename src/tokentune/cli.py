@@ -1,10 +1,11 @@
 """Command-line entry point: train, eval, gradcheck, memsweep.
 
 One JSON config file drives everything; `--set key=value` applies dot-path
-overrides. `eval` reads one checkpoint, `model.ckpt`, which holds every
-parameter of a run, LoRA factors included. Exit codes: 0 success, 1
-failed verification property, 2 invalid config, data or checkpoint, 3
-non-finite loss abort.
+overrides. `eval` reads one checkpoint, `model.ckpt`: its header holds the
+model config and, for an adapter run, the LoRA targets, rank and scaling,
+and its payload every parameter that config makes, LoRA factors included.
+Exit codes: 0 success, 1 failed verification property, 2 invalid config,
+option, data or checkpoint, 3 non-finite loss abort.
 """
 
 from __future__ import annotations
@@ -90,9 +91,14 @@ def cmd_memsweep(args) -> int:
     from .partition import resolve_k
 
     cfg = _resolve_config(args.config, args.set)
-    n = args.n or cfg.task.seq_len
-    regimes = (args.regimes.split(",") if args.regimes is not None
-               else REGIMES)
+    n = args.n if args.n is not None else cfg.task.seq_len
+    if n < 1:
+        raise ConfigError("--n", f"a sequence length must be >= 1, not {n}")
+    regimes = [r for r in (args.regimes.split(",")
+                           if args.regimes is not None else REGIMES) if r]
+    if unknown := [r for r in regimes if r not in REGIMES]:
+        raise ConfigError("--regimes", f"unknown regime(s) {unknown}; "
+                                       f"expected some of {REGIMES}")
     try:
         ratios = ([float(r) for r in args.ratios.split(",")]
                   if args.ratios else [0.125, 0.25, 0.5, 1.0])
@@ -105,8 +111,6 @@ def cmd_memsweep(args) -> int:
         return EXIT_BAD_CONFIG
     grid = []
     for regime in regimes:
-        if not regime:
-            continue
         if regime in SELECTIVE_REGIMES:
             for ratio in ratios:
                 grid.append({"regime": regime, "n": n,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -26,16 +27,42 @@ ADAPTER_REGIMES = ("lora", "tokentune+lora")
 DTYPES = ("float32", "float64")
 
 
+#: the keywords of the weights a LoRA factor pair can adapt
+LORA_TARGETS = ("w1", "w2", "w_q", "w_k", "w_v", "w_o")
+
+
+def targets_fault(targets) -> str | None:
+    """Why `targets` is not a non-empty list of distinct `LORA_TARGETS`;
+    None if it is one."""
+    if not isinstance(targets, (tuple, list)) or not targets:
+        return f"must be a non-empty list of {LORA_TARGETS}, not {targets!r}"
+    unknown = [t for t in targets if t not in LORA_TARGETS]
+    if unknown:
+        return f"unknown target(s) {unknown}; expected some of {LORA_TARGETS}"
+    if len(set(targets)) != len(targets):
+        return f"names a target twice: {list(targets)}"
+    return None
+
+
+# field type (without '| None') -> (what it must hold, its check)
+_KINDS = {"bool": ("a bool", lambda v: isinstance(v, bool)),
+          "int": ("an integer", lambda v: isinstance(v, numbers.Integral)
+                  and not isinstance(v, bool)),
+          "float": ("a finite number", lambda v: isinstance(v, numbers.Real)
+                    and not isinstance(v, bool) and math.isfinite(v))}
+
+
 def _check_types(config, section: str) -> None:
-    """Refuse an int field that holds no integer (Python or NumPy; a bool
-    is none) and a bool field that holds no bool."""
+    """Refuse a field typed bool, int or float whose value is no bool, no
+    integer (Python or NumPy) or no finite real number; a bool is neither
+    of the last two, and a field typed `X | None` also takes None."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        integer = isinstance(value, numbers.Integral) \
-            and not isinstance(value, bool)
-        wanted = "a bool" if f.type == "bool" else "an integer"
-        if not {"bool": isinstance(value, bool), "int": integer,
-                "int | None": integer or value is None}.get(f.type, True):
+        kind = f.type.removesuffix(" | None")
+        if kind not in _KINDS or (value is None and kind != f.type):
+            continue
+        wanted, check = _KINDS[kind]
+        if not check(value):
             raise ConfigError(f"{section}.{f.name}",
                               f"must be {wanted}, not {value!r}")
 
@@ -89,6 +116,10 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_types(self, "train")
+        if isinstance(self.lora_targets, str):
+            self.lora_targets = (self.lora_targets,)
+        if fault := targets_fault(self.lora_targets):
+            raise ConfigError("train.lora_targets", fault)
         if self.regime not in REGIMES:
             raise ConfigError("train.regime", f"must be one of {REGIMES}")
         if self.dtype not in DTYPES:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import LORA_TARGETS, ModelConfig
 from .engine import Tape, Tensor
 
 INIT_STD = 0.02
@@ -87,8 +87,8 @@ class TransformerModel:
 
 
 #: target keyword -> per-layer suffix of the weight a LoRA factor pair adapts
-TARGET_SUFFIXES = {"w1": "ffn.w1", "w2": "ffn.w2",
-                   **{f"w_{x}": f"attn.w_{x}" for x in "qkvo"}}
+TARGET_SUFFIXES = {t: f"{'attn' if t.startswith('w_') else 'ffn'}.{t}"
+                   for t in LORA_TARGETS}
 
 
 def param_specs(config: ModelConfig, targets=(),

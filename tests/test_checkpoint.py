@@ -1,10 +1,11 @@
-"""Checkpoints: bit-exact round trips, and CheckpointError (exit code 2
-from `tokentune eval`) for every fault in a header read back."""
+"""Checkpoints: bit-exact round trips, CheckpointError from a save of
+parameters the config does not make, and CheckpointError (exit code 2 from
+`tokentune eval`) for every fault in a file read back."""
 
-import dataclasses
 import errno
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,18 +25,32 @@ def tiny_model(dtype="float64", n_layers=1):
     return build_model(cfg, seed=5, dtype=dtype)
 
 
-def rewrite_header(path, edit):
+def write_checkpoint(path, header, payload):
+    """Write `header` and `payload`, with the header's sha256 set to the
+    digest of its other fields (sorted-key JSON) and the payload."""
+    header.pop("sha256", None)
+    digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode()
+                            + payload).hexdigest()
+    path.write_bytes(json.dumps({**header, "sha256": digest}).encode()
+                     + b"\n" + payload)
+
+
+def rewrite_header(path, edit, rehash=True):
+    """Apply `edit` to the header and, if `rehash`, recompute its sha256,
+    so that only the check under test can tell."""
     raw = path.read_bytes()
     nl = raw.index(b"\n")
     header = json.loads(raw[:nl])
     edit(header)
-    path.write_bytes(json.dumps(header).encode() + raw[nl:])
+    if rehash:
+        write_checkpoint(path, header, raw[nl + 1:])
+    else:
+        path.write_bytes(json.dumps(header).encode() + raw[nl:])
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_model_round_trip_is_bit_exact(tmp_path, dtype):
     model = tiny_model(dtype)
-    model.params["head.w1"].frozen = True
     save_model(model, tmp_path / "m.ckpt")
     loaded = load_model(tmp_path / "m.ckpt")
     assert loaded.config == model.config
@@ -65,7 +80,7 @@ def test_attached_model_round_trip_is_bit_exact(tmp_path, dtype):
 
 def test_plain_model_has_no_lora_scaling(tmp_path):
     save_model(tiny_model(), tmp_path / "m.ckpt")
-    assert "lora_scaling" not in json.loads(
+    assert "lora" not in json.loads(
         (tmp_path / "m.ckpt").read_bytes().split(b"\n")[0])
     assert load_model(tmp_path / "m.ckpt").lora_scaling is None
 
@@ -78,16 +93,12 @@ def _unsupported_dtype(h):
     h["dtype"] = "float16"
 
 
-def _missing_params(h):
-    del h["params"]
+def _missing_config(h):
+    del h["config"]
 
 
 def _bad_config_value(h):
     h["config"]["n_heads"] = 3
-
-
-def _entry_without_shape(h):
-    del h["params"][0]["rows"]
 
 
 def _float_dimension(h):
@@ -99,9 +110,8 @@ def _integer_causal(h):
     h["config"]["causal"] = 0
 
 
-HEADER_FAULTS = [_unknown_config_key, _unsupported_dtype, _missing_params,
-                 _bad_config_value, _entry_without_shape, _float_dimension,
-                 _integer_causal]
+HEADER_FAULTS = [_unknown_config_key, _unsupported_dtype, _missing_config,
+                 _bad_config_value, _float_dimension, _integer_causal]
 
 
 @pytest.mark.parametrize("fault", HEADER_FAULTS,
@@ -176,32 +186,69 @@ def _reordered(params):
     params["tok_emb"] = params.pop("tok_emb")
 
 
+def _frozen_by_hand(params):
+    # attach freezes every base parameter or none
+    params["head.w1"].frozen = True
+
+
+def _another_dtype(params):
+    params["head.w1"].value = params["head.w1"].value.astype(np.float32)
+
+
 MANIFEST_FAULTS = [_missing, _extra, _reshaped, _orphan_lora_b,
                    _factor_without_base, _factor_on_a_bias,
                    _factor_of_rank_0, _factors_of_two_ranks,
                    _factors_on_layer_1_only, _two_weights_at_two_ranks,
-                   _reordered]
+                   _reordered, _frozen_by_hand, _another_dtype]
 
 
 @pytest.mark.parametrize("fault", MANIFEST_FAULTS,
                          ids=lambda f: f.__name__.strip("_"))
 def test_parameters_its_config_does_not_make_raise_checkpoint_error(
-        tmp_path, capsys, fault):
-    # a consistent file, hash and payload length included, whose
-    # parameters the forward would fail on or ignore, or attach not make
+        tmp_path, fault):
+    # parameters the forward would fail on or ignore, or attach not make,
+    # with the scaling and frozen flags attach sets beside factors: saving
+    # them writes nothing and keeps the earlier file
+    path = tmp_path / "m.ckpt"
+    save_model(tiny_model(), path)
+    earlier = path.read_bytes()
     model = tiny_model(n_layers=2)
     fault(model.params)
     if any(".lora_" in name for name in model.params):
         model.lora_scaling = 2.0
-    path = tmp_path / "m.ckpt"
-    save_model(model, path)
+        for name, p in model.params.items():
+            p.frozen = ".lora_" not in name
     with pytest.raises(CheckpointError):
+        save_model(model, path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == earlier
+
+
+def test_a_header_edit_that_keeps_every_shape_is_refused(tmp_path):
+    # 4 heads of width 2 have the parameters of 2 heads of width 4
+    path = tmp_path / "m.ckpt"
+    save_model(tiny_model(), path)
+    rewrite_header(path, lambda h: h["config"].update(n_heads=4),
+                   rehash=False)
+    with pytest.raises(CheckpointError, match="sha256"):
         load_model(path)
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"model": dataclasses.asdict(model.config)}))
-    assert main(["eval", "--config", str(config),
-                 "--checkpoint", str(path)]) == EXIT_BAD_CONFIG
-    assert "checkpoint error" in capsys.readouterr().err
+
+
+def test_loading_peaks_near_the_file_size(tmp_path):
+    cfg = ModelConfig(vocab_size=257, max_positions=64, d_model=128,
+                      n_heads=4, d_ff=256, n_layers=2, causal=True,
+                      n_classes=None)
+    path = tmp_path / "m.ckpt"
+    save_model(attach(build_model(cfg), ("w1", "w_q"), r=4), path)
+    size = path.stat().st_size
+    assert size >= 1 << 20
+    tracemalloc.start()
+    try:
+        load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * size
 
 
 def test_loading_draws_nothing(tmp_path, monkeypatch):
@@ -217,14 +264,19 @@ def test_loading_draws_nothing(tmp_path, monkeypatch):
     assert loaded.lora_scaling == model.lora_scaling
 
 
+def lora_edit(**fields):
+    return lambda h: h["lora"].update(fields)
+
+
 SCALING_FAULTS = {
-    "missing": (lora_model, lambda h: h.pop("lora_scaling")),
-    "without-factors": (tiny_model, lambda h: h.update(lora_scaling=2.0)),
-    "zero": (lora_model, lambda h: h.update(lora_scaling=0)),
-    "negative": (lora_model, lambda h: h.update(lora_scaling=-1.0)),
-    "nan": (lora_model, lambda h: h.update(lora_scaling=float("nan"))),
-    "bool": (lora_model, lambda h: h.update(lora_scaling=True)),
-    "string": (lora_model, lambda h: h.update(lora_scaling="2")),
+    "missing": (lora_model, lambda h: h["lora"].pop("scaling")),
+    "without-factors": (tiny_model, lambda h: h.update(
+        lora={"targets": [], "r": 2, "scaling": 2.0})),
+    "zero": (lora_model, lora_edit(scaling=0)),
+    "negative": (lora_model, lora_edit(scaling=-1.0)),
+    "nan": (lora_model, lora_edit(scaling=float("nan"))),
+    "bool": (lora_model, lora_edit(scaling=True)),
+    "string": (lora_model, lora_edit(scaling="2")),
 }
 
 
@@ -234,8 +286,34 @@ def test_bad_lora_scaling_raises_checkpoint_error(tmp_path, make, fault):
     path = tmp_path / "m.ckpt"
     save_model(make(), path)
     rewrite_header(path, fault)
-    with pytest.raises(CheckpointError, match="lora_scaling"):
+    with pytest.raises(CheckpointError, match="lora"):
         load_model(path)
+
+
+LORA_FAULTS = {
+    "not-an-object": lambda h: h.update(lora=[["w1", "w_q"], 2, 2.0]),
+    "extra-field": lora_edit(alpha=4.0),
+    "rank-0": lora_edit(r=0),
+    "bool-rank": lora_edit(r=True),
+    "float-rank": lora_edit(r=2.0),
+    "unknown-target": lora_edit(targets=["w1", "w3"]),
+    "repeated-target": lora_edit(targets=["w1", "w1"]),
+    "string-targets": lora_edit(targets="w1"),
+}
+
+
+@pytest.mark.parametrize("fault", LORA_FAULTS.values(), ids=LORA_FAULTS.keys())
+def test_bad_lora_block_exits_with_code_2(tmp_path, capsys, fault):
+    path = tmp_path / "m.ckpt"
+    save_model(lora_model(), path)
+    rewrite_header(path, fault)
+    with pytest.raises(CheckpointError, match="lora"):
+        load_model(path)
+    config = tmp_path / "run.json"
+    config.write_text("{}")
+    assert main(["eval", "--config", str(config), "--checkpoint", str(path)]) \
+        == EXIT_BAD_CONFIG
+    assert "checkpoint error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fault", HEADER_FAULTS[:3],
@@ -253,8 +331,9 @@ def test_eval_exits_with_code_2_on_a_header_fault(tmp_path, capsys, fault):
 
 VERSION_FAULTS = {"missing": lambda h: h.pop("version"),
                   "1": lambda h: h.update(version=1),
-                  "3": lambda h: h.update(version=3),
-                  "string-2": lambda h: h.update(version="2")}
+                  "2": lambda h: h.update(version=2),
+                  "string-2": lambda h: h.update(version="2"),
+                  "string-3": lambda h: h.update(version="3")}
 
 
 @pytest.mark.parametrize("fault", VERSION_FAULTS.values(),
@@ -291,25 +370,23 @@ def test_flipped_payload_byte_raises_checkpoint_error(tmp_path):
 def test_header_without_payload_hash_raises_checkpoint_error(tmp_path):
     path = tmp_path / "c.ckpt"
     save_model(tiny_model(), path)
-    rewrite_header(path, lambda h: h.pop("sha256"))
+    rewrite_header(path, lambda h: h.pop("sha256"), rehash=False)
     with pytest.raises(CheckpointError, match="sha256"):
         load_model(path)
 
 
 def resize_payload(path, trailing: bytes = b"", cut: int = 0):
     """Append `trailing` bytes to the payload or drop its last `cut`,
-    and rewrite the header's sha256 to match, so only the manifest can
-    tell."""
+    and rewrite the header's sha256 to match, so only the length the
+    config's parameter table gives can tell."""
     raw = path.read_bytes()
     nl = raw.index(b"\n")
-    payload = raw[nl + 1:len(raw) - cut] + trailing
-    header = json.loads(raw[:nl])
-    header["sha256"] = hashlib.sha256(payload).hexdigest()
-    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    write_checkpoint(path, json.loads(raw[:nl]),
+                     raw[nl + 1:len(raw) - cut] + trailing)
 
 
 @pytest.mark.parametrize("fault,message", [
-    ({"trailing": bytes(8)}, "payload length does not match manifest"),
+    ({"trailing": bytes(8)}, "payload longer than"),
     ({"cut": 8}, "truncated payload"),
 ], ids=["trailing", "truncated"])
 def test_payload_not_matching_its_manifest_raises_checkpoint_error(

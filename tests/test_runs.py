@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from tokentune.cli import EXIT_BAD_CONFIG, EXIT_OK, main
-from tokentune.config import ModelConfig, RunConfig, TaskConfig, TrainConfig
+from tokentune.config import (ConfigError, ModelConfig, RunConfig,
+                              TaskConfig, TrainConfig)
 from tokentune.data import DataError, build_task_datasets, synthetic_text
 from tokentune.memprofile import SWEEP_COLUMNS, sweep_report
 from tokentune.model import build_model
@@ -125,6 +126,21 @@ def test_memsweep_refuses_a_ratio_training_refuses(tmp_path, capsys, ratios):
                  "--ratios", ratios])
     assert code == EXIT_BAD_CONFIG
     assert "(0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option,message", [
+    (["--regimes", "full,bogus"], "bogus"),
+    (["--n", "0"], "not 0"),
+    (["--n", "-3"], "not -3"),
+], ids=["unknown-regime", "n-0", "negative-n"])
+def test_memsweep_exits_with_code_2_on_a_bad_option(tmp_path, capsys,
+                                                    option, message):
+    out = tmp_path / "sweep.csv"
+    code = main(["memsweep", "--config", tiny_sweep_config(tmp_path),
+                 "--out", str(out), "--n", "8", *option])
+    assert code == EXIT_BAD_CONFIG
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -248,13 +264,47 @@ def test_a_task_n_classes_is_refused_as_an_unknown_field(tmp_path, capsys):
 
 @pytest.mark.parametrize("override", [
     "d_model=16.0", "n_layers=true", "causal=1", "batch_size=2.0",
-    "epochs=1.0", "lora_r=2.5", "k=3.5", "seq_len=8.0"])
+    "epochs=1.0", "lora_r=2.5", "k=3.5", "seq_len=8.0",
+    "learning_rate=abc", "lora_alpha=x", "selection_ratio=abc",
+    "weight_decay=true", "difficulty=nan", "learning_rate=inf"])
 def test_train_exits_with_code_2_on_a_field_of_the_wrong_type(
         tmp_path, capsys, override):
-    # an int field takes no float or bool, and causal takes only a bool
+    # an int field takes no float or bool, a float field only a finite
+    # number, and causal only a bool
     code = main(["train", "--config", write_config(tmp_path, {}),
                  "--set", override, "--out", str(tmp_path / "run")])
     assert code == EXIT_BAD_CONFIG
     err = capsys.readouterr().err
     assert "invalid config" in err and override.split("=")[0] in err
     assert not (tmp_path / "run").exists()
+
+
+TINY_LORA_RUN = {"model": {"d_model": 8, "n_heads": 2, "d_ff": 12,
+                           "n_layers": 1},
+                 "train": {"regime": "lora", "max_steps": 1,
+                           "batch_size": 2},
+                 "task": {"n_train": 4, "n_test": 2, "seq_len": 8}}
+
+
+def test_set_lora_targets_to_one_keyword_trains_it(tmp_path):
+    run = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, TINY_LORA_RUN),
+                 "--set", "lora_targets=w1", "--out", str(run)]) == EXIT_OK
+    resolved = json.loads((run / "config.json").read_text())
+    assert resolved["train"]["lora_targets"] == ["w1"]
+
+
+@pytest.mark.parametrize("targets", ["w3", "w1,w1", "w1,w3", ""])
+def test_train_exits_with_code_2_on_bad_lora_targets(tmp_path, capsys,
+                                                      targets):
+    code = main(["train", "--config", write_config(tmp_path, TINY_LORA_RUN),
+                 "--set", f"lora_targets={targets}",
+                 "--out", str(tmp_path / "run")])
+    assert code == EXIT_BAD_CONFIG
+    assert "train.lora_targets" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_empty_lora_targets_are_refused():
+    with pytest.raises(ConfigError, match="train.lora_targets"):
+        RunConfig.from_dict({"train": {"lora_targets": []}})
