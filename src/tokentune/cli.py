@@ -13,10 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
-from .config import (REGIMES, SELECTIVE_REGIMES, ConfigError, RunConfig,
-                     apply_overrides, load_run_config)
+from .config import (REGIMES, ConfigError, RunConfig, apply_overrides,
+                     load_run_config)
 from .data import DataError
 
 EXIT_OK = 0
@@ -87,21 +86,12 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_memsweep(args) -> int:
-    from .memprofile import sweep_report
-    from .partition import resolve_k
+    from .memprofile import RATIOS, sweep_report
 
     cfg = _resolve_config(args.config, args.set)
-    n = args.n if args.n is not None else cfg.task.seq_len
-    if n < 1:
-        raise ConfigError("--n", f"a sequence length must be >= 1, not {n}")
-    regimes = [r for r in (args.regimes.split(",")
-                           if args.regimes is not None else REGIMES) if r]
-    if unknown := [r for r in regimes if r not in REGIMES]:
-        raise ConfigError("--regimes", f"unknown regime(s) {unknown}; "
-                                       f"expected some of {REGIMES}")
     try:
         ratios = ([float(r) for r in args.ratios.split(",")]
-                  if args.ratios else [0.125, 0.25, 0.5, 1.0])
+                  if args.ratios else RATIOS)
         valid = all(0.0 < r <= 1.0 for r in ratios)
     except ValueError:
         valid = False
@@ -109,19 +99,12 @@ def cmd_memsweep(args) -> int:
         print(f"invalid --ratios {args.ratios!r}: each selection ratio must "
               f"be a number in (0, 1]", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    grid = []
-    for regime in regimes:
-        if regime in SELECTIVE_REGIMES:
-            for ratio in ratios:
-                grid.append({"regime": regime, "n": n,
-                             "k": resolve_k(None, ratio, n),
-                             "batch": args.batch})
-        else:
-            grid.append({"regime": regime, "n": n, "k": None,
-                         "batch": args.batch})
+    regimes = (REGIMES if args.regimes is None
+               else [r for r in args.regimes.split(",") if r])
     out_file = args.out or "memsweep.csv"
-    Path(out_file).parent.mkdir(parents=True, exist_ok=True)
-    rows = sweep_report(grid, cfg.model, cfg.train, out_path=out_file)
+    rows = sweep_report(cfg.model, cfg.train,
+                        args.n if args.n is not None else cfg.task.seq_len,
+                        args.batch, regimes, ratios, out_path=out_file)
     print(f"wrote {len(rows)} rows to {out_file}")
     for row in sorted(rows, key=lambda r: r["peak_bytes"]):
         print(f"  {row['regime']:>15s} k={row['k']:<5d} "
@@ -130,6 +113,7 @@ def cmd_memsweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .memprofile import RATIOS
     from .verify import MUTANTS
 
     parser = argparse.ArgumentParser(
@@ -141,10 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="dot-path config override")
-        p.add_argument("--out", help="output directory/file")
 
     p_train = sub.add_parser("train", help="train per the config")
     common(p_train)
+    p_train.add_argument("--out", help="run directory (default: the "
+                         "config's out_dir)")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -160,12 +145,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ms = sub.add_parser("memsweep", help="memory sweep table")
     common(p_ms)
+    p_ms.add_argument("--out", help="CSV file (default: memsweep.csv)")
     p_ms.add_argument("--n", type=int, help="sequence length "
                       "(default: task seq_len)")
     p_ms.add_argument("--batch", type=int, default=1)
     p_ms.add_argument("--regimes", help="comma list; empty string for an "
                       "empty grid")
-    p_ms.add_argument("--ratios", help="comma list of selection ratios")
+    p_ms.add_argument("--ratios", help="comma list of selection ratios in "
+                      "(0, 1] for the selective regimes (default: "
+                      f"{','.join(map(str, RATIOS))})")
     p_ms.set_defaults(func=cmd_memsweep)
     return parser
 

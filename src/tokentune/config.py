@@ -55,7 +55,9 @@ _KINDS = {"bool": ("a bool", lambda v: isinstance(v, bool)),
 def _check_types(config, section: str) -> None:
     """Refuse a field typed bool, int or float whose value is no bool, no
     integer (Python or NumPy) or no finite real number; a bool is neither
-    of the last two, and a field typed `X | None` also takes None."""
+    of the last two, and a field typed `X | None` also takes None. A
+    checked int or float field is stored as a Python int or float, so a
+    NumPy scalar never reaches JSON."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         kind = f.type.removesuffix(" | None")
@@ -65,6 +67,18 @@ def _check_types(config, section: str) -> None:
         if not check(value):
             raise ConfigError(f"{section}.{f.name}",
                               f"must be {wanted}, not {value!r}")
+        if kind != "bool":
+            setattr(config, f.name, int(value) if kind == "int"
+                    else float(value))
+
+
+def _check_at_least(config, section: str, names, floor: int = 1) -> None:
+    """Refuse any of the int fields `names` below `floor` (None passes)."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and value < floor:
+            raise ConfigError(f"{section}.{name}",
+                              f"must be >= {floor}, not {value}")
 
 
 @dataclass
@@ -80,10 +94,9 @@ class ModelConfig:
 
     def __post_init__(self):
         _check_types(self, "model")
-        for name in ("vocab_size", "max_positions", "d_model", "n_heads",
-                     "d_ff", "n_layers"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"model.{name}", "must be >= 1")
+        _check_at_least(self, "model", ("vocab_size", "max_positions",
+                                        "d_model", "n_heads", "d_ff",
+                                        "n_layers"))
         if self.d_model % self.n_heads != 0:
             raise ConfigError("model.n_heads",
                               f"d_model={self.d_model} not divisible by "
@@ -121,19 +134,22 @@ class TrainConfig:
         if fault := targets_fault(self.lora_targets):
             raise ConfigError("train.lora_targets", fault)
         if self.regime not in REGIMES:
-            raise ConfigError("train.regime", f"must be one of {REGIMES}")
+            raise ConfigError("train.regime", f"must be one of {REGIMES}, "
+                                              f"not {self.regime!r}")
         if self.dtype not in DTYPES:
-            raise ConfigError("train.dtype", f"must be one of {DTYPES}")
-        if self.selection_ratio is not None and not 0.0 < self.selection_ratio <= 1.0:
-            raise ConfigError("train.selection_ratio", "must be in (0, 1]")
-        if self.k is not None and self.k < 1:
-            raise ConfigError("train.k", "must be >= 1")
-        if self.accumulation_steps < 1:
-            raise ConfigError("train.accumulation_steps", "must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("train.batch_size", "must be >= 1")
-        if self.lora_r < 1:
-            raise ConfigError("train.lora_r", "must be >= 1")
+            raise ConfigError("train.dtype", f"must be one of {DTYPES}, "
+                                             f"not {self.dtype!r}")
+        if self.selection_ratio is not None \
+                and not 0.0 < self.selection_ratio <= 1.0:
+            raise ConfigError("train.selection_ratio",
+                              f"must be in (0, 1], not {self.selection_ratio}")
+        _check_at_least(self, "train", ("k", "accumulation_steps",
+                                        "batch_size", "epochs", "max_steps",
+                                        "lora_r"))
+        if self.k is not None and self.selection_ratio is not None:
+            raise ConfigError("train.selection_ratio",
+                              f"set k={self.k} or selection_ratio="
+                              f"{self.selection_ratio}, not both")
         if self.regime in SELECTIVE_REGIMES and self.k is None \
                 and self.selection_ratio is None:
             raise ConfigError("train.k",
@@ -157,9 +173,10 @@ class TaskConfig:
     def __post_init__(self):
         _check_types(self, "task")
         if self.kind not in ("classification", "lm"):
-            raise ConfigError("task.kind", "must be 'classification' or 'lm'")
-        if self.seq_len < 2:
-            raise ConfigError("task.seq_len", "must be >= 2")
+            raise ConfigError("task.kind", f"must be 'classification' or "
+                                           f"'lm', not {self.kind!r}")
+        _check_at_least(self, "task", ("seq_len",), floor=2)
+        _check_at_least(self, "task", ("eval_windows",))
         if self.kind == "lm" and not self.corpus_path:
             raise ConfigError("task.corpus_path", "lm task needs a corpus file")
 

@@ -76,8 +76,16 @@ def gen_classification(n_examples: int, seq_len: int, n_classes: int,
 
 # ---- language modeling -------------------------------------------------------
 
+def lm_example(ids: np.ndarray) -> Example:
+    """A language-model window: position i's target is id i + 1, and the
+    last position has none (-1)."""
+    targets = np.full(len(ids), -1, dtype=np.intp)
+    targets[:-1] = ids[1:]
+    return Example(seq=ids, targets=targets)
+
+
 def load_lm_corpus(path, seq_len: int, stride: int | None = None) -> list[Example]:
-    """Overlapping byte windows; targets are the inputs shifted by one."""
+    """Overlapping byte windows, each an `lm_example`."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"corpus file not found: {path}")
@@ -91,13 +99,8 @@ def load_lm_corpus(path, seq_len: int, stride: int | None = None) -> list[Exampl
     if stride < 1:
         raise DataError("stride must be >= 1")
     ids_all = np.frombuffer(raw, np.uint8).astype(np.intp)
-    out = []
-    for start in range(0, len(raw) - seq_len + 1, stride):
-        ids = ids_all[start:start + seq_len]
-        targets = np.full(seq_len, -1, dtype=np.intp)
-        targets[:-1] = ids[1:]
-        out.append(Example(seq=ids, targets=targets))
-    return out
+    return [lm_example(ids_all[start:start + seq_len])
+            for start in range(0, len(raw) - seq_len + 1, stride)]
 
 
 _WORDS = {

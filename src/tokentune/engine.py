@@ -77,7 +77,7 @@ ATTENTION_BLOCK_ROWS = 64
 
 
 def gelu_array(x: np.ndarray) -> np.ndarray:
-    """Exact (erf-based) GELU on a plain array; shared with eval paths.
+    """Exact (erf-based) GELU on a plain array: the value of `Tape.gelu`.
 
     0.5 * x * (1 + erf(x / sqrt 2)), computed in place in its output, so it
     allocates nothing else; halving is exact, so the result equals the

@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import csv
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from .adapters import attach
 from .config import (ADAPTER_REGIMES, REGIMES, SELECTIVE_REGIMES,
                      ModelConfig, TrainConfig)
-from .data import BYTE_VOCAB, Example
+from .data import BYTE_VOCAB, Example, lm_example
 from .model import TransformerModel, build_model
 from .optimize import Trainer
+from .partition import resolve_k
 
 
 def build_regime_model(cfg: ModelConfig,
@@ -38,24 +40,19 @@ def build_regime_model(cfg: ModelConfig,
 
 def lm_profile_batch(n: int, batch: int, seed: int = 0,
                      vocab_size: int = BYTE_VOCAB) -> list[Example]:
-    """Deterministic random windows of ids below `vocab_size` (bytes by
-    default) with shifted targets."""
+    """Deterministic random `lm_example` windows of ids below `vocab_size`
+    (bytes by default)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3E3]))
-    out = []
-    for _ in range(batch):
-        ids = rng.integers(0, vocab_size, size=n)
-        targets = np.full(n, -1, dtype=np.intp)
-        targets[:-1] = ids[1:]
-        out.append(Example(seq=ids, targets=targets))
-    return out
+    return [lm_example(rng.integers(0, vocab_size, size=n))
+            for _ in range(batch)]
 
 
 def memory_report(model: TransformerModel, trainer: Trainer,
-                  metrics: dict | None) -> dict:
-    """``memory.json`` of the step that returned `metrics` (None: no step
-    ran): its activation and peak bytes, and the activation bytes by layer
-    and by op of the example that set them (``trainer.activation_breakdown``),
-    which each sum to the activation bytes."""
+                  metrics: dict) -> dict:
+    """``memory.json`` of the step that returned `metrics`: its activation
+    and peak bytes, and the activation bytes by layer and by op of the
+    example that set them (``trainer.activation_breakdown``), which each
+    sum to the activation bytes."""
     width = np.dtype(model.dtype).itemsize
     per_layer: dict[str, int] = {}
     per_op: dict[str, int] = {}
@@ -67,8 +64,8 @@ def memory_report(model: TransformerModel, trainer: Trainer,
         "params_bytes": model.total_param_elements() * width,
         "grads_bytes": model.trainable_elements() * width,
         "optimizer_bytes": trainer.state.element_count() * width,
-        "activations_bytes": metrics["activation_bytes"] if metrics else 0,
-        "peak_bytes": metrics["peak_bytes"] if metrics else 0,
+        "activations_bytes": metrics["activation_bytes"],
+        "peak_bytes": metrics["peak_bytes"],
         "per_layer": dict(sorted(per_layer.items())),
         "per_op": dict(sorted(per_op.items())),
     }
@@ -77,46 +74,43 @@ def memory_report(model: TransformerModel, trainer: Trainer,
 BYTE_COLUMNS = ("params_bytes", "grads_bytes", "optimizer_bytes",
                 "activations_bytes", "peak_bytes")
 SWEEP_COLUMNS = ("regime", "n", "k", "batch") + BYTE_COLUMNS
+#: the selection ratios a sweep profiles each selective regime at
+RATIOS = (0.125, 0.25, 0.5, 1.0)
 
 
-def sweep_report(grid, model: ModelConfig, train: TrainConfig,
+def sweep_report(model: ModelConfig, train: TrainConfig, n: int,
+                 batch: int = 1, regimes=REGIMES, ratios=RATIOS,
                  out_path=None) -> list[dict]:
-    """Profile one language-model train step at every grid point {regime,
-    n, k, batch}: the run's configs with the point's values, ``max_positions
-    = n`` and a causal LM head. A selective regime needs a k in 1..n, so
-    that a row's k is the k its step selected; the other regimes select
-    nothing, and a k of None is reported as n. Writes a CSV
-    table when out_path is given (header always, even for an empty grid)."""
+    """Profile one language-model train step of `batch` windows of `n`
+    tokens per point: each regime in order, and each selective one at each
+    selection ratio. A point is the run's configs with its regime and
+    ratio, ``max_positions = n`` and a causal LM head; the configs check
+    every point before any step runs. A row's k is the k its step
+    selected, n in a regime that selects every position. Writes a CSV
+    table when out_path is given (header always, even for no regime)."""
+    cfg = replace(model, max_positions=n, causal=True, n_classes=None)
+    points = []
+    for regime in regimes:
+        for ratio in ratios if regime in SELECTIVE_REGIMES else (None,):
+            k = n if ratio is None else resolve_k(None, ratio, n)
+            points.append((k, replace(
+                train, regime=regime, k=None, selection_ratio=ratio,
+                batch_size=batch, accumulation_steps=1)))
+    examples = lm_profile_batch(n, batch, seed=train.seed,
+                                vocab_size=min(cfg.vocab_size, BYTE_VOCAB))
     rows = []
-    for point in grid:
-        regime = point["regime"]
-        if regime not in REGIMES:
-            raise ValueError(f"unknown regime '{regime}'")
-        n = int(point["n"])
-        batch = int(point.get("batch", 1))
-        selective = regime in SELECTIVE_REGIMES
-        k = point.get("k")
-        if selective and (k is None or not 1 <= int(k) <= n):
-            raise ValueError(f"grid point {point} needs k in 1..{n} for "
-                             f"regime '{regime}'")
-        cfg = replace(model, max_positions=n, causal=True, n_classes=None)
-        train_cfg = replace(train, regime=regime,
-                            k=int(k) if selective else None,
-                            selection_ratio=None, batch_size=batch,
-                            accumulation_steps=1)
+    for k, train_cfg in points:
         run_model = build_regime_model(cfg, train_cfg)
         trainer = Trainer(run_model, train_cfg, "lm")
-        metrics = trainer.train_step(lm_profile_batch(
-            n, batch, seed=train.seed,
-            vocab_size=min(cfg.vocab_size, BYTE_VOCAB)))
-        report = memory_report(run_model, trainer, metrics)
-        rows.append({"regime": regime, "n": n,
-                     "k": int(k) if k is not None else n, "batch": batch,
+        report = memory_report(run_model, trainer,
+                               trainer.train_step(examples))
+        rows.append({"regime": train_cfg.regime, "n": n, "k": k,
+                     "batch": batch,
                      **{col: report[col] for col in BYTE_COLUMNS}})
     if out_path is not None:
+        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         with open(out_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
             writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+            writer.writerows(rows)
     return rows

@@ -4,8 +4,9 @@ Every regime runs per-example tapes of one forward,
 `selective.tokentune_forward`, with gradients accumulated in a fixed
 order; the optimizer applies once per accumulation window. The selective
 regimes draw k positions per example; full, LoRA and evaluation select
-every position. Losses are normalized per example (classification) or
-per contributing target token (language modeling) so magnitudes stay
+every position. A loss is a sum of terms, one per classification example
+and one per selected target token (language modeling), and the step loss
+and the update are divided by the number of terms, so magnitudes stay
 comparable across selection sizes.
 """
 
@@ -135,8 +136,7 @@ class Trainer:
         self.accum = _zeros_per_trainable(model)
         self.micro_step = 0
         self.example_counter = 0
-        self._window_examples = 0
-        self._window_targets = 0
+        self._window_terms = 0
         #: bytes retained for backward by (region, op), of the example
         #: that set the last step's ``activation_bytes``
         self.activation_breakdown: dict[tuple[str, str], int] = {}
@@ -157,9 +157,11 @@ class Trainer:
         return select_positions(len(seq), k, mode, seed)
 
     def _example_loss(self, tape: Tape, example) -> tuple[object, int]:
-        """Record forward+loss for one example; returns (loss node, #terms),
-        or (None, 0) for a language-model example whose selection has no
-        next-token target, which adds no term and no gradient."""
+        """Record forward+loss for one example; returns (loss node, #terms):
+        one term for a classification example, one per selected target
+        token for a language-model one, and (None, 0) for a language-model
+        example whose selection has no next-token target, which adds no
+        term and no gradient."""
         partition = self.partition_for(example.seq, self.example_counter)
         lm = self.task_kind != "classification"
         if lm and (np.asarray(example.targets)[partition.selected] < 0).all():
@@ -215,38 +217,29 @@ class Trainer:
             del tape, loss_node
             loss_sum += loss_value
             term_sum += n_terms
-            self._window_examples += 1
-            self._window_targets += n_terms
+            self._window_terms += n_terms
             self.example_counter += 1
 
         self.micro_step += 1
         self.activation_breakdown = breakdown
         grad_norm = 0.0
         if self.micro_step % self.cfg.accumulation_steps == 0:
-            if self.task_kind == "classification":
-                scale = 1.0 / self._window_examples
-            else:
-                scale = 1.0 / max(self._window_targets, 1)
+            scale = 1.0 / max(self._window_terms, 1)
             grad_norm = global_norm(self.accum.values(), scale)
             adam_step(self.model, self.accum, self.state,
                       self.cfg.learning_rate, self.cfg.weight_decay,
                       grad_scale=scale)
             for g in self.accum.values():
                 g[...] = 0.0
-            self._window_examples = 0
-            self._window_targets = 0
+            self._window_terms = 0
 
         width = np.dtype(self.model.dtype).itemsize
         persistent = (self.model.total_param_elements()
                       + self.model.trainable_elements()
                       + self.state.element_count()) * width
-        if self.task_kind == "classification":
-            step_loss = loss_sum / len(batch)
-        else:
-            step_loss = loss_sum / max(term_sum, 1)
         return {
             "step": self.micro_step,
-            "loss": step_loss,
+            "loss": loss_sum / max(term_sum, 1),
             "grad_norm": grad_norm,
             "activation_bytes": activation_bytes,
             "peak_bytes": persistent + peak_tape,
@@ -339,7 +332,6 @@ def run_training(cfg: RunConfig, out_dir) -> RunResult:
 
     metrics_path = out / "metrics.jsonl"
     timings_path = out / "timings.jsonl"
-    last_metrics = None
     stop = False
     with open(metrics_path, "w", encoding="utf-8") as mfh, \
             open(timings_path, "w", encoding="utf-8") as tfh:
@@ -349,7 +341,6 @@ def run_training(cfg: RunConfig, out_dir) -> RunResult:
                 batch = [train_set[j]
                          for j in order[start:start + cfg.train.batch_size]]
                 metrics = trainer.train_step(batch)
-                last_metrics = metrics
                 wall_ms = metrics.pop("wall_ms")
                 mfh.write(json.dumps(metrics, sort_keys=True) + "\n")
                 tfh.write(json.dumps({"step": metrics["step"],
@@ -364,7 +355,9 @@ def run_training(cfg: RunConfig, out_dir) -> RunResult:
     eval_metrics = evaluate(model, test_set, task_kind)
     ckpt_path = out / "model.ckpt"
     save_model(model, ckpt_path)
-    report = memory_report(model, trainer, last_metrics)
+    # the configs refuse zero epochs, steps and windows, so at least one
+    # step ran and `metrics` holds the last one
+    report = memory_report(model, trainer, metrics)
     (out / "memory.json").write_text(json.dumps(report, indent=2) + "\n",
                                      encoding="utf-8")
     (out / "eval.json").write_text(json.dumps(eval_metrics, indent=2) + "\n",

@@ -34,6 +34,7 @@ import numpy as np
 from . import selective
 from .adapters import attach
 from .config import ModelConfig
+from .data import lm_example
 from .engine import MASK_VALUE, Tape
 from .model import (TransformerModel, attend_project, build_model,
                     forward_hidden, norm, param_specs, qkv)
@@ -359,9 +360,7 @@ def _random_case(rng, lora: bool, causal: bool):
     mode = "lm" if causal else "classification"
     partition = select_positions(n, k, mode, int(rng.integers(1 << 30)))
     if causal:
-        targets = np.full(n, -1, dtype=np.intp)
-        targets[:-1] = ids[1:]
-        loss_spec = ("lm", targets)
+        loss_spec = ("lm", lm_example(ids).targets)
     else:
         loss_spec = ("classification", int(rng.integers(cfg.n_classes)))
     return model, ids, partition, loss_spec

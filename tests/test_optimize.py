@@ -1,12 +1,16 @@
-"""Adam's in-place update against the textbook formula."""
+"""Adam's in-place update against the textbook formula, and language
+model evaluation against a direct log-softmax."""
 
 import numpy as np
 import pytest
+from scipy.special import log_softmax
 
 from tokentune.config import ModelConfig
-from tokentune.model import build_model
+from tokentune.data import lm_example
+from tokentune.engine import Tape
+from tokentune.model import build_model, forward_hidden
 from tokentune.optimize import (BETA1, BETA2, EPSILON, AdamState, StepError,
-                                adam_step)
+                                adam_step, evaluate)
 
 
 def small_model(dtype):
@@ -79,3 +83,41 @@ def test_adam_step_rejects_a_misshapen_gradient():
     grads = {"layers.0.ffn.w1": np.zeros((12, 8))}
     with pytest.raises(StepError, match="shape"):
         adam_step(model, grads, AdamState(model), lr=1e-3)
+
+
+def lm_windows(model, n_windows=3, n=9):
+    r = np.random.default_rng(5)
+    windows = [lm_example(r.integers(0, model.config.vocab_size, size=n))
+               for _ in range(n_windows)]
+    windows[1].targets[2] = -1  # a row without a target inside a window
+    return windows
+
+
+def test_lm_evaluation_is_the_mean_nll_of_every_target_row():
+    model = small_model("float64")
+    windows = lm_windows(model)
+    w_lm = model.param("head.w_lm").value
+    nll, rows = 0.0, 0
+    for example in windows:
+        tape = Tape()
+        h = forward_hidden(tape, model, example.seq).value
+        logp = log_softmax(h @ w_lm, axis=1)
+        for i, target in enumerate(example.targets):
+            if target >= 0:
+                nll -= logp[i, target]
+                rows += 1
+    metrics = evaluate(model, windows, "lm")
+    assert metrics["n_terms"] == rows == 3 * 8 - 1
+    assert metrics["nll"] == pytest.approx(nll / rows, rel=1e-12)
+    assert metrics["perplexity"] == np.exp(metrics["nll"])
+
+
+def test_lm_evaluation_needs_a_target():
+    model = small_model("float64")
+    with pytest.raises(StepError, match="empty"):
+        evaluate(model, [], "lm")
+    windows = lm_windows(model)
+    for example in windows:
+        example.targets[:] = -1
+    with pytest.raises(StepError, match="no predictable positions"):
+        evaluate(model, windows, "lm")

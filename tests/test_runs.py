@@ -7,10 +7,12 @@ import json
 import numpy as np
 import pytest
 
+from tokentune.checkpoint import load_model, save_model
 from tokentune.cli import EXIT_BAD_CONFIG, EXIT_OK, main
 from tokentune.config import (ConfigError, ModelConfig, RunConfig,
                               TaskConfig, TrainConfig)
-from tokentune.data import DataError, build_task_datasets, synthetic_text
+from tokentune.data import (DataError, build_task_datasets, lm_example,
+                            synthetic_text)
 from tokentune.memprofile import SWEEP_COLUMNS, sweep_report
 from tokentune.model import build_model
 from tokentune.optimize import Trainer, run_training
@@ -103,18 +105,23 @@ def test_memsweep_turns_a_ratio_into_the_k_training_selects(tmp_path):
     assert [(r["regime"], r["k"]) for r in rows] == [("tokentune", str(k))]
 
 
-def test_sweep_needs_k_for_a_selective_regime():
-    with pytest.raises(ValueError, match="needs k"):
-        sweep_report([{"regime": "tokentune", "n": 16}],
-                     ModelConfig(d_model=16, n_layers=1), TrainConfig())
-
-
-@pytest.mark.parametrize("k", [0, 17, -1])
-def test_sweep_refuses_a_k_the_step_cannot_select(k):
-    # a row's k must be the k its step selected: at most n, at least 1
-    with pytest.raises(ValueError, match="needs k in 1..16"):
-        sweep_report([{"regime": "tokentune", "n": 16, "k": k}],
-                     ModelConfig(d_model=16, n_layers=1), TrainConfig())
+@pytest.mark.parametrize("point, message", [
+    ({"regimes": ["full", "bogus"]}, "train.regime.*not 'bogus'"),
+    ({"ratios": (0.5, 2.0)}, r"train.selection_ratio.*not 2.0"),
+    ({"n": 0}, "model.max_positions.*not 0"),
+], ids=["unknown-regime", "ratio-2", "n-0"])
+def test_sweep_report_refuses_a_bad_point_before_any_step(
+        tmp_path, monkeypatch, point, message):
+    # the run's configs check every point, all before the first step
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+    monkeypatch.setattr(Trainer, "train_step", no_step)
+    args = {"n": 8, "regimes": ["full", "tokentune"], **point}
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(ConfigError, match=message):
+        sweep_report(ModelConfig(d_model=8, n_heads=2, d_ff=12, n_layers=1),
+                     TrainConfig(), out_path=out, **args)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("ratios",
@@ -194,6 +201,12 @@ def test_tokentune_lm_example_without_a_selected_target_adds_nothing(
     config.write_text(json.dumps(cfg.to_dict()))
     assert main(["train", "--config", str(config),
                  "--out", str(tmp_path / "run")]) == EXIT_OK
+
+
+def test_an_lm_example_targets_the_next_id():
+    example = lm_example(np.array([5, 7, 9]))
+    assert example.seq.tolist() == [5, 7, 9]
+    assert example.targets.tolist() == [7, 9, -1]
 
 
 @pytest.mark.parametrize("vocab_size, builds", [(256, True), (255, False)])
@@ -308,3 +321,58 @@ def test_train_exits_with_code_2_on_bad_lora_targets(tmp_path, capsys,
 def test_empty_lora_targets_are_refused():
     with pytest.raises(ConfigError, match="train.lora_targets"):
         RunConfig.from_dict({"train": {"lora_targets": []}})
+
+
+@pytest.mark.parametrize("override", [
+    "max_steps=0", "max_steps=-2", "epochs=0", "eval_windows=0",
+    "eval_windows=-1"])
+def test_a_run_that_trains_nothing_or_on_nothing_is_refused(
+        tmp_path, capsys, override):
+    # each of these ran and exited 0: max_steps <= 0 trained one step,
+    # epochs=0 none, and eval_windows <= 0 held out all or all but one of
+    # an LM corpus' windows
+    code = main(["train", "--config", write_config(tmp_path, {}),
+                 "--set", override, "--out", str(tmp_path / "run")])
+    assert code == EXIT_BAD_CONFIG
+    field, value = override.split("=")
+    err = capsys.readouterr().err
+    assert f"{field}': must be >= 1, not {value}" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_set_selection_ratio_beside_k_is_refused(tmp_path, capsys):
+    doc = {"train": {"regime": "tokentune", "k": 4}}
+    code = main(["train", "--config", write_config(tmp_path, doc),
+                 "--set", "selection_ratio=0.5",
+                 "--out", str(tmp_path / "run")])
+    assert code == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "train.selection_ratio" in err and "not both" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_eval_takes_no_out_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", "--config", write_config(tmp_path, {}),
+              "--checkpoint", str(tmp_path / "model.ckpt"),
+              "--out", str(tmp_path / "eval")])
+    assert exit_info.value.code == EXIT_BAD_CONFIG
+    assert "--out" in capsys.readouterr().err
+
+
+def test_numpy_scalars_in_configs_are_stored_as_python_numbers(tmp_path):
+    model = ModelConfig(d_model=np.int64(8), n_heads=2, d_ff=12, n_layers=1)
+    train = TrainConfig(batch_size=np.int64(3), max_steps=np.int32(1),
+                        learning_rate=np.float32(0.5), lora_alpha=4)
+    assert type(model.d_model) is int and type(train.batch_size) is int
+    assert type(train.max_steps) is int
+    assert type(train.learning_rate) is float
+    assert type(train.lora_alpha) is float
+    assert train.selection_ratio is None and model.causal is False
+    save_model(build_model(model), tmp_path / "model.ckpt")
+    assert load_model(tmp_path / "model.ckpt").config == model
+    run = RunConfig(model=model, train=train,
+                    task=TaskConfig(n_train=4, n_test=2, seq_len=8))
+    assert run_training(run, tmp_path / "run").steps == 1
+    resolved = json.loads((tmp_path / "run" / "config.json").read_text())
+    assert resolved["train"]["batch_size"] == 3

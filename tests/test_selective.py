@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokentune.config import ModelConfig
+from tokentune.data import lm_example
 from tokentune.engine import Tape
 from tokentune.model import (ModelError, build_model, forward_hidden,
                              loss_lm_rows)
@@ -256,8 +257,7 @@ def test_loss_lm_uniform_logits_is_k_ln_v():
     model.param("head.w_lm").value[...] = 0.0
     n = 6
     seq = random_seq(rng_for(14), n, causal=True)
-    targets = np.full(n, -1, dtype=np.intp)
-    targets[:-1] = seq[1:]
+    targets = lm_example(seq).targets
     partition = select_positions(n, 3, "lm", rng_seed=6)
     tape = Tape()
     split = tokentune_forward(tape, model, seq, partition)
@@ -271,8 +271,7 @@ def test_loss_lm_all_predictable_matches_plain_pipeline():
     model = build_model(cfg, seed=15, dtype="float64")
     n = 7
     seq = random_seq(rng_for(15), n, causal=True)
-    targets = np.full(n, -1, dtype=np.intp)
-    targets[:-1] = seq[1:]
+    targets = lm_example(seq).targets
     partition = TokenPartition(selected=np.arange(n - 1),
                                unselected=np.array([n - 1]))
     tape = Tape()
@@ -292,8 +291,7 @@ def test_loss_lm_gradient_flows_only_through_selected_rows():
     model = build_model(cfg, seed=16, dtype="float64")
     n = 6
     seq = random_seq(rng_for(16), n, causal=True)
-    targets = np.full(n, -1, dtype=np.intp)
-    targets[:-1] = seq[1:]
+    targets = lm_example(seq).targets
     partition = select_positions(n, 2, "lm", rng_seed=7)
     tape = Tape()
     split = tokentune_forward(tape, model, seq, partition)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tokentune.config import ModelConfig
+from tokentune.data import lm_example
 from tokentune.engine import ATTENTION_BLOCK_ROWS, Tape, gelu_array
 from tokentune.model import build_model
 from tokentune.partition import TokenPartition, select_positions
@@ -249,8 +250,7 @@ def test_lora_composition_gradients_match_oracle():
             p.value += r.normal(0, 0.1, p.shape)
     n = 7
     seq = r.integers(0, 13, size=n)
-    targets = np.full(n, -1, dtype=np.intp)
-    targets[:-1] = seq[1:]
+    targets = lm_example(seq).targets
     partition = select_positions(n, 3, "lm", rng_seed=4)
 
     from tokentune.selective import loss_lm, tokentune_forward
@@ -274,8 +274,7 @@ def long_lm_case(k):
                       n_classes=None)
     model = build_model(cfg, seed=17, dtype="float64")
     ids = np.random.default_rng(5).integers(0, 19, size=LONG_N)
-    targets = np.full(LONG_N, -1, dtype=np.intp)
-    targets[:-1] = ids[1:]
+    targets = lm_example(ids).targets
     partition = select_positions(LONG_N, k, "lm", rng_seed=9)
     return model, ids, partition, targets
 
