@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import targets_fault
-from .model import TARGET_SUFFIXES, Parameter, TransformerModel, param_specs
+from .model import TARGET_SUFFIXES, TransformerModel, param_specs
 
 ADAPTER_INIT_STD = 0.02
 
@@ -27,11 +27,13 @@ class AdapterError(ValueError):
 
 def attach(model: TransformerModel, targets=("w1", "w2"), r: int = 8,
            alpha: float = 16.0, seed: int = 0) -> TransformerModel:
-    """Freeze every base parameter and add trainable factors on `targets`,
-    placed as `param_specs(config, targets, r)` lists them; the A factors
-    are drawn layer by layer, in the order of `targets`."""
+    """Add factors on `targets`, placed as `param_specs(config, targets, r)`
+    lists them, and the scaling alpha/r, which freezes every base parameter;
+    the A factors are drawn layer by layer, in the order of `targets`."""
     if r < 1:
         raise AdapterError("rank must be >= 1")
+    if not alpha > 0:
+        raise AdapterError(f"alpha must be > 0, not {alpha!r}")
     if model.lora_scaling is not None:
         raise AdapterError("adapters already attached")
     if fault := targets_fault(targets):
@@ -44,14 +46,9 @@ def attach(model: TransformerModel, targets=("w1", "w2"), r: int = 8,
     drawn = {name: rng.normal(0.0, ADAPTER_INIT_STD,
                               specs[name][:2]).astype(dtype)
              for name in a_names}
-    params = {}
-    for name, (rows, cols, init) in specs.items():
-        if name in model.params:
-            params[name] = model.params[name]
-            params[name].frozen = True
-        else:
-            params[name] = Parameter(drawn[name] if init == "lora" else
-                                     np.zeros((rows, cols), dtype=dtype))
-    model.params = params
+    model.params = {name: model.params[name] if name in model.params
+                    else drawn[name] if init == "lora"
+                    else np.zeros((rows, cols), dtype=dtype)
+                    for name, (rows, cols, init) in specs.items()}
     model.lora_scaling = float(alpha) / float(r)
     return model

@@ -5,13 +5,12 @@ and, for a model with LoRA factors, `lora = {targets, r, scaling}`. It
 names no parameter: the payload is every array of the table
 `model.param_specs(config, targets, r)`, in its order. The header's sha256
 covers its other fields (JSON, sorted keys) and then the payload, so an
-edit to either is refused. Round-trips are bit-exact; a loaded model's
-base parameters are frozen, as `adapters.attach` leaves them, exactly
-when it has factors.
+edit to either is refused. Round-trips are bit-exact, the LoRA scaling
+included, so a loaded model trains what the saved one did.
 
 `save_model` refuses, writing nothing, a model whose parameters (names,
-order, shapes, dtype, frozen flags) are not that table for the targets
-and rank r of its layer-0 factors. `load_model` raises
+order, shapes, dtype) are not that table for the targets and rank r of
+its layer-0 factors. `load_model` raises
 :class:`CheckpointError` for a malformed header, a version other than
 `VERSION`, a bad dtype, config or `lora` block, a missing or mismatched
 sha256, and a payload shorter or longer than the table. A save replaces
@@ -31,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ModelConfig, targets_fault
-from .model import TARGET_SUFFIXES, Parameter, TransformerModel, param_specs
+from .model import TARGET_SUFFIXES, TransformerModel, param_specs
 
 MAGIC = "tokentune-checkpoint"
 #: 3 since the header names no parameter and its sha256 covers the header
@@ -83,12 +82,6 @@ def _table(header: dict):
     return config, tag, param_specs(config, tuple(targets), r), float(scaling)
 
 
-def _frozen(name: str, scaling) -> bool:
-    """The frozen flag `attach` leaves: set on every base parameter of a
-    model with factors (a LoRA scaling)."""
-    return scaling is not None and not name.endswith((".lora_a", ".lora_b"))
-
-
 def save_model(model: TransformerModel, path) -> None:
     dtype = np.dtype(model.dtype)
     header = {"format": MAGIC, "version": VERSION, "dtype": dtype.name,
@@ -100,17 +93,17 @@ def save_model(model: TransformerModel, path) -> None:
         header["lora"] = {"targets": list(ranks),
                           "r": next(iter(ranks.values()), 0),
                           "scaling": model.lora_scaling}
-    _, tag, specs, scaling = _table(header)
-    got = [(name, p.shape, p.value.dtype.name, p.frozen)
-           for name, p in model.params.items()]
-    want = [(name, (rows, cols), dtype.name, _frozen(name, scaling))
+    _, tag, specs, _ = _table(header)
+    got = [(name, arr.shape, arr.dtype.name)
+           for name, arr in model.params.items()]
+    want = [(name, (rows, cols), dtype.name)
             for name, (rows, cols, _) in specs.items()]
     for have, made in itertools.zip_longest(got, want):
         if have != made:
             raise CheckpointError(f"model has {have or 'nothing'} where its "
                                   f"config makes {made or 'nothing'}")
-    arrays = [np.ascontiguousarray(p.value, dtype=tag)
-              for p in model.params.values()]
+    arrays = [np.ascontiguousarray(arr, dtype=tag)
+              for arr in model.params.values()]
     digest = hashlib.sha256(_canonical(header))
     for arr in arrays:
         digest.update(arr)
@@ -158,11 +151,10 @@ def load_model(path) -> TransformerModel:
         digest = hashlib.sha256(_canonical(header))
         params = {}
         for name, (rows, cols, _) in specs.items():
-            value = np.empty((rows, cols), dtype=tag)
+            params[name] = value = np.empty((rows, cols), dtype=tag)
             if fh.readinto(value) != value.nbytes:
                 raise CheckpointError(f"truncated payload at '{name}': {path}")
             digest.update(value)
-            params[name] = Parameter(value, _frozen(name, scaling))
         if fh.read(1):
             raise CheckpointError(f"payload longer than its config's "
                                   f"parameters: {path}")

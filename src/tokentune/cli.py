@@ -1,9 +1,10 @@
 """Command-line entry point: train, eval, gradcheck, memsweep.
 
 One JSON config file drives everything; `--set key=value` applies dot-path
-overrides. `eval` reads one checkpoint, `model.ckpt`: its header holds the
-model config and, for an adapter run, the LoRA targets, rank and scaling,
-and its payload every parameter that config makes, LoRA factors included.
+overrides to it before the config is built and checked. `eval` reads one
+checkpoint, `model.ckpt`: its header holds the model config and, for an
+adapter run, the LoRA targets, rank and scaling, and its payload every
+parameter that config makes, LoRA factors included.
 Exit codes: 0 success, 1 failed verification property, 2 invalid config,
 option, data or checkpoint, 3 non-finite loss abort.
 """
@@ -14,8 +15,7 @@ import argparse
 import json
 import sys
 
-from .config import (REGIMES, ConfigError, RunConfig, apply_overrides,
-                     load_run_config)
+from .config import REGIMES, ConfigError, load_run_config
 from .data import DataError
 
 EXIT_OK = 0
@@ -24,17 +24,10 @@ EXIT_BAD_CONFIG = 2
 EXIT_NAN_ABORT = 3
 
 
-def _resolve_config(path: str, overrides) -> RunConfig:
-    cfg = load_run_config(path)  # validates the file exists / parses
-    doc = cfg.to_dict()
-    doc = apply_overrides(doc, overrides or [])
-    return RunConfig.from_dict(doc)
-
-
 def cmd_train(args) -> int:
     from .optimize import StepError, run_training
 
-    cfg = _resolve_config(args.config, args.set)
+    cfg = load_run_config(args.config, args.set)
     out_dir = args.out or cfg.out_dir
     try:
         result = run_training(cfg, out_dir)
@@ -51,7 +44,7 @@ def cmd_eval(args) -> int:
     from .data import build_task_datasets
     from .optimize import evaluate
 
-    cfg = _resolve_config(args.config, args.set)
+    cfg = load_run_config(args.config, args.set)
     try:
         model = load_model(args.checkpoint)
     except CheckpointError as exc:
@@ -70,6 +63,10 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .verify import run_gradcheck
 
+    if args.n_configs < 1:
+        print(f"invalid --n-configs {args.n_configs}: must be >= 1",
+              file=sys.stderr)
+        return EXIT_BAD_CONFIG
     report = run_gradcheck(n_configs=args.n_configs, seed=args.seed,
                            mutant=args.mutant)
     print(f"equivalence records checked: {report['suite_records']}")
@@ -88,7 +85,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_memsweep(args) -> int:
     from .memprofile import RATIOS, sweep_report
 
-    cfg = _resolve_config(args.config, args.set)
+    cfg = load_run_config(args.config, args.set)
     try:
         ratios = ([float(r) for r in args.ratios.split(",")]
                   if args.ratios else RATIOS)
@@ -102,9 +99,18 @@ def cmd_memsweep(args) -> int:
     regimes = (REGIMES if args.regimes is None
                else [r for r in args.regimes.split(",") if r])
     out_file = args.out or "memsweep.csv"
-    rows = sweep_report(cfg.model, cfg.train,
-                        args.n if args.n is not None else cfg.task.seq_len,
-                        args.batch, regimes, ratios, out_path=out_file)
+    n = args.n if args.n is not None else cfg.task.seq_len
+    try:
+        rows = sweep_report(cfg.model, cfg.train, n, args.batch, regimes,
+                            ratios, out_path=out_file)
+    except ConfigError as exc:
+        # the two config fields a sweep sets from its options
+        option = {"model.max_positions": "--n",
+                  "train.batch_size": "--batch"}.get(exc.field_name)
+        if option is None:
+            raise
+        print(f"invalid {option}: {exc.message}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     print(f"wrote {len(rows)} rows to {out_file}")
     for row in sorted(rows, key=lambda r: r["peak_bytes"]):
         print(f"  {row['regime']:>15s} k={row['k']:<5d} "
@@ -123,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="dot-path config override")
+        p.add_argument("--set", action="append", default=[],
+                       metavar="KEY=VALUE", help="dot-path config override")
 
     p_train = sub.add_parser("train", help="train per the config")
     common(p_train)

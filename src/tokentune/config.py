@@ -1,7 +1,8 @@
 """Dataclass configs for models, training runs, and tasks.
 
 A RunConfig is a plain JSON document; `--set key=value` dot-path overrides
-resolve against it, with bare field names accepted when unambiguous.
+apply to the document before the config is built, with bare field names
+accepted when unambiguous.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ class ConfigError(ValueError):
 
     def __init__(self, field_name: str, message: str):
         self.field_name = field_name
+        self.message = message
         super().__init__(f"config field '{field_name}': {message}")
 
 
@@ -146,6 +148,9 @@ class TrainConfig:
         _check_at_least(self, "train", ("k", "accumulation_steps",
                                         "batch_size", "epochs", "max_steps",
                                         "lora_r"))
+        if self.lora_alpha <= 0:
+            raise ConfigError("train.lora_alpha",
+                              f"must be > 0, not {self.lora_alpha}")
         if self.k is not None and self.selection_ratio is not None:
             raise ConfigError("train.selection_ratio",
                               f"set k={self.k} or selection_ratio="
@@ -167,7 +172,6 @@ class TaskConfig:
     data_seed: int = 1234
     # lm task
     corpus_path: str | None = None
-    stride: int | None = None
     eval_windows: int = 128
 
     def __post_init__(self):
@@ -187,6 +191,11 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     task: TaskConfig = field(default_factory=TaskConfig)
     out_dir: str = "runs/latest"
+
+    def __post_init__(self):
+        if not isinstance(self.out_dir, str):
+            raise ConfigError("out_dir", f"must be a string, not "
+                                         f"{self.out_dir!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -222,7 +231,9 @@ def _build(cls, section: dict, section_name: str):
     return cls(**fixed)
 
 
-def load_run_config(path: str) -> RunConfig:
+def load_run_config(path: str, overrides=()) -> RunConfig:
+    """The run config of the JSON file at `path` with the `key=value`
+    `overrides` applied to the file's document, built and checked once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -232,7 +243,7 @@ def load_run_config(path: str) -> RunConfig:
         raise ConfigError("(file)", f"invalid JSON in {path}: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("(file)", "top-level config must be an object")
-    return RunConfig.from_dict(doc)
+    return RunConfig.from_dict(apply_overrides(doc, overrides))
 
 
 def _coerce(text: str):
@@ -251,31 +262,35 @@ def _coerce(text: str):
     return text
 
 
-def apply_overrides(doc: dict, overrides: list[str]) -> dict:
-    """Apply `key=value` strings to a config dict (dot paths or bare names)."""
-    sections = ("model", "train", "task")
+def apply_overrides(doc: dict, overrides) -> dict:
+    """Apply `key=value` strings to a config dict: `out_dir`, a
+    `section.field` dot path into the model, train or task section, or a
+    bare field name that one section alone has."""
+    sections = {"model": ModelConfig, "train": TrainConfig, "task": TaskConfig}
     out = json.loads(json.dumps(doc))
     for item in overrides:
         if "=" not in item:
             raise ConfigError(item, "override must look like key=value")
         key, _, raw = item.partition("=")
         value = _coerce(raw)
+        if key == "out_dir":
+            out["out_dir"] = value
+            continue
         if "." in key:
             section, _, fname = key.partition(".")
-            if section not in sections + ("out_dir",):
+            if section not in sections:
                 raise ConfigError(key, "unknown section")
-            out.setdefault(section, {})[fname] = value
-        elif key == "out_dir":
-            out["out_dir"] = value
         else:
-            hits = [s for s in sections
-                    if key in {f.name for f in dataclasses.fields(
-                        {"model": ModelConfig, "train": TrainConfig,
-                         "task": TaskConfig}[s])}]
+            hits = [s for s, cls in sections.items()
+                    if key in {f.name for f in dataclasses.fields(cls)}]
             if not hits:
                 raise ConfigError(key, "unknown field")
             if len(hits) > 1:
                 raise ConfigError(key, f"ambiguous; qualify as one of "
                                        f"{[h + '.' + key for h in hits]}")
-            out.setdefault(hits[0], {})[key] = value
+            section, fname = hits[0], key
+        fields = out.setdefault(section, {})
+        if not isinstance(fields, dict):
+            raise ConfigError(section, "must be an object")
+        fields[fname] = value
     return out

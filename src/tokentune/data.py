@@ -84,8 +84,8 @@ def lm_example(ids: np.ndarray) -> Example:
     return Example(seq=ids, targets=targets)
 
 
-def load_lm_corpus(path, seq_len: int, stride: int | None = None) -> list[Example]:
-    """Overlapping byte windows, each an `lm_example`."""
+def load_lm_corpus(path, seq_len: int) -> list[Example]:
+    """Non-overlapping windows of `seq_len` bytes, each an `lm_example`."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"corpus file not found: {path}")
@@ -95,12 +95,9 @@ def load_lm_corpus(path, seq_len: int, stride: int | None = None) -> list[Exampl
     if len(raw) < seq_len:
         raise DataError(f"corpus ({len(raw)} bytes) shorter than "
                         f"seq_len {seq_len}")
-    stride = seq_len if stride is None else int(stride)
-    if stride < 1:
-        raise DataError("stride must be >= 1")
     ids_all = np.frombuffer(raw, np.uint8).astype(np.intp)
     return [lm_example(ids_all[start:start + seq_len])
-            for start in range(0, len(raw) - seq_len + 1, stride)]
+            for start in range(0, len(raw) - seq_len + 1, seq_len)]
 
 
 _WORDS = {
@@ -150,7 +147,7 @@ def build_task_datasets(task: TaskConfig, model_cfg: ModelConfig):
         raise DataError("language modeling needs a causal model")
     if model_cfg.vocab_size < BYTE_VOCAB:
         raise DataError(f"byte LM needs vocab_size >= {BYTE_VOCAB}")
-    windows = load_lm_corpus(task.corpus_path, task.seq_len, task.stride)
+    windows = load_lm_corpus(task.corpus_path, task.seq_len)
     n_eval = min(task.eval_windows, max(1, len(windows) // 10))
     if len(windows) <= n_eval:
         raise DataError("corpus too small to hold out evaluation windows")

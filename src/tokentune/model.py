@@ -14,8 +14,6 @@ forward's rows in position order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import LORA_TARGETS, ModelConfig
@@ -39,51 +37,47 @@ class ModelError(ValueError):
     pass
 
 
-@dataclass
-class Parameter:
-    value: np.ndarray
-    frozen: bool = False
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-
 class TransformerModel:
-    """Named parameter store plus the config. An adapted weight W has its
+    """Named parameter arrays plus the config. An adapted weight W has its
     LoRA factors beside it as '<W>.lora_a' and '<W>.lora_b', scaled by
     `lora_scaling` (alpha/r; None without adapters)."""
 
-    def __init__(self, config: ModelConfig, params: dict[str, Parameter],
+    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray],
                  lora_scaling: float | None = None):
         self.config = config
         self.params = params
         self.lora_scaling = lora_scaling
 
-    def param(self, name: str) -> Parameter:
+    def param(self, name: str) -> np.ndarray:
         if name not in self.params:
             raise ModelError(f"unknown parameter '{name}'")
         return self.params[name]
 
+    def trains(self, name: str) -> bool:
+        """Whether the optimizer updates parameter `name`: every parameter
+        of a model without factors, only the factors of one with them."""
+        return self.lora_scaling is None \
+            or name.endswith((".lora_a", ".lora_b"))
+
     def trainable_arrays(self) -> list[tuple[str, np.ndarray]]:
         """Arrays the optimizer may update, in parameter order."""
-        return [(name, p.value) for name, p in self.params.items()
-                if not p.frozen]
+        return [(name, arr) for name, arr in self.params.items()
+                if self.trains(name)]
 
     def total_param_elements(self) -> int:
-        return sum(p.value.size for p in self.params.values())
+        return sum(arr.size for arr in self.params.values())
 
     def trainable_elements(self) -> int:
         return sum(arr.size for _, arr in self.trainable_arrays())
 
     @property
     def dtype(self):
-        return next(iter(self.params.values())).value.dtype
+        return next(iter(self.params.values())).dtype
 
     def astype(self, dtype) -> "TransformerModel":
         return TransformerModel(self.config, {
-            name: Parameter(p.value.astype(dtype), p.frozen)
-            for name, p in self.params.items()}, self.lora_scaling)
+            name: arr.astype(dtype) for name, arr in self.params.items()},
+            self.lora_scaling)
 
 
 #: target keyword -> per-layer suffix of the weight a LoRA factor pair adapts
@@ -141,15 +135,14 @@ def build_model(config: ModelConfig, seed: int = 0,
     for name, (rows, cols, init) in param_specs(config).items():
         value = (rng.normal(0.0, INIT_STD, (rows, cols)) if init == "normal"
                  else np.full((rows, cols), float(init == "ones")))
-        params[name] = Parameter(value.astype(npdtype))
+        params[name] = value.astype(npdtype)
     return TransformerModel(config, params)
 
 
 # ---- on-tape building blocks ----------------------------------------------
 
 def _param_node(tape: Tape, model: TransformerModel, name: str) -> Tensor:
-    p = model.param(name)
-    return tape.param(name, p.value, trainable=not p.frozen)
+    return tape.param(name, model.param(name), trainable=model.trains(name))
 
 
 def affine(tape: Tape, model: TransformerModel, x: Tensor, w_name: str,

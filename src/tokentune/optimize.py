@@ -43,8 +43,8 @@ def _zeros_per_trainable(model: TransformerModel) -> dict[str, np.ndarray]:
 
 
 class AdamState:
-    """First/second moments for every trainable array; nothing is kept for
-    frozen parameters, which is what makes adapter runs cheap to optimize."""
+    """First/second moments for every trainable array; none for the base
+    weights a LoRA model leaves frozen, which makes adapter runs cheap."""
 
     def __init__(self, model: TransformerModel):
         self.m = _zeros_per_trainable(model)
@@ -275,7 +275,7 @@ def evaluate(model: TransformerModel, dataset, task_kind: str) -> dict:
         return {"accuracy": correct / len(dataset), "n": len(dataset)}
     total_nll = 0.0
     total_terms = 0
-    w_lm = model.param("head.w_lm").value
+    w_lm = model.param("head.w_lm")
     for example in dataset:
         h = eval_hidden(model, example.seq)
         t = np.asarray(example.targets)

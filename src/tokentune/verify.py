@@ -230,8 +230,7 @@ def _stop_rows(tape: Tape, x, rows: np.ndarray, ctx: _StopContext):
 
 
 def _ref_param(tape: Tape, model: TransformerModel, name: str):
-    p = model.param(name)
-    return tape.param(name, p.value, trainable=not p.frozen)
+    return tape.param(name, model.param(name), trainable=model.trains(name))
 
 
 def _ref_affine(tape: Tape, model: TransformerModel, x, w_name,
@@ -543,12 +542,12 @@ def gradcheck_fixture():
                       d_ff=12, n_layers=1, causal=False, n_classes=2)
     model = build_model(cfg, seed=3, dtype="float64")
     r = np.random.default_rng(103)
-    for (_, _, init), p in zip(param_specs(cfg).values(),
-                               model.params.values()):
+    for (_, _, init), arr in zip(param_specs(cfg).values(),
+                                 model.params.values()):
         if init == "normal":
-            p.value *= 14.0
+            arr *= 14.0
         else:
-            p.value += r.normal(0, 0.2, p.value.shape)
+            arr += r.normal(0, 0.2, arr.shape)
     seq = np.array([1, 4, 7, 5, 9, 3])
     partition = select_positions(6, 2, "classification", rng_seed=11)
     return model, seq, partition, ("classification", 1)

@@ -46,12 +46,12 @@ def test_zero_init_adapter_is_bitwise_identity():
 def test_full_rank_adapter_can_represent_any_delta():
     model = build_model(cfg_for(), seed=1, dtype="float64")
     name = "layers.0.ffn.w1"
-    w = model.param(name).value
+    w = model.param(name)
     d_in, d_out = w.shape
     delta = np.random.default_rng(3).normal(size=(d_in, d_out))
     attach(model, ("w1",), r=d_in, alpha=float(d_in))  # scaling = 1
-    model.params[f"{name}.lora_a"].value = np.eye(d_in)
-    model.params[f"{name}.lora_b"].value = delta.copy()
+    model.params[f"{name}.lora_a"] = np.eye(d_in)
+    model.params[f"{name}.lora_b"] = delta.copy()
     x = np.random.default_rng(4).normal(size=(3, d_in))
     t = Tape()
     from tokentune.model import affine
@@ -91,6 +91,14 @@ def test_attach_stores_each_factor_pair_as_parameters_after_its_weight():
         attach(model, ("w1",), r=2)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -2.0, math.nan])
+def test_a_scaling_not_above_0_errors(alpha):
+    model = build_model(cfg_for(), seed=6)
+    with pytest.raises(AdapterError, match="alpha"):
+        attach(model, ("w1",), r=2, alpha=alpha)
+    assert model.lora_scaling is None
+
+
 def test_unknown_target_errors():
     model = build_model(cfg_for(), seed=6)
     with pytest.raises(AdapterError):
@@ -100,8 +108,8 @@ def test_unknown_target_errors():
 def test_frozen_base_never_changes_across_optimizer_steps():
     model = build_model(cfg_for(), seed=7, dtype="float64")
     attach(model, ("w1", "w2"), r=2, alpha=4.0)
-    snapshot = {name: p.value.copy() for name, p in model.params.items()
-                if p.frozen}
+    snapshot = {name: arr.copy() for name, arr in model.params.items()
+                if not model.trains(name)}
     assert len(snapshot) == len(build_model(cfg_for()).params)
 
     from tokentune.data import gen_classification
@@ -112,9 +120,9 @@ def test_frozen_base_never_changes_across_optimizer_steps():
     for _ in range(4):
         trainer.train_step(data[:4])
     for name, value in snapshot.items():
-        assert np.array_equal(model.param(name).value, value), name
-    moved = [name for name, p in model.params.items()
-             if name.endswith(".lora_b") and np.abs(p.value).max() > 0]
+        assert np.array_equal(model.param(name), value), name
+    moved = [name for name, arr in model.params.items()
+             if name.endswith(".lora_b") and np.abs(arr).max() > 0]
     assert moved  # the factors actually trained
 
 

@@ -15,7 +15,7 @@ from tokentune.adapters import attach
 from tokentune.checkpoint import CheckpointError, load_model, save_model
 from tokentune.cli import EXIT_BAD_CONFIG, EXIT_OK, main
 from tokentune.config import ModelConfig, RunConfig, TaskConfig, TrainConfig
-from tokentune.model import Parameter, build_model
+from tokentune.model import build_model
 from tokentune.optimize import run_training
 
 
@@ -55,27 +55,29 @@ def test_model_round_trip_is_bit_exact(tmp_path, dtype):
     loaded = load_model(tmp_path / "m.ckpt")
     assert loaded.config == model.config
     assert list(loaded.params) == list(model.params)
-    for name, p in model.params.items():
-        q = loaded.params[name]
-        assert q.value.dtype == p.value.dtype and q.frozen == p.frozen
-        assert np.array_equal(q.value, p.value)
+    for name, arr in model.params.items():
+        got = loaded.params[name]
+        assert got.dtype == arr.dtype
+        assert loaded.trains(name) == model.trains(name)
+        assert np.array_equal(got, arr)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_attached_model_round_trip_is_bit_exact(tmp_path, dtype):
     # a scaling of 5/3 has no short binary expansion
     model = attach(tiny_model(dtype), ("w1", "w_q"), r=3, alpha=5.0, seed=1)
-    for name, p in model.params.items():
+    for name, arr in model.params.items():
         if name.endswith(".lora_b"):
-            p.value += 0.25
+            arr += 0.25
     save_model(model, tmp_path / "m.ckpt")
     loaded = load_model(tmp_path / "m.ckpt")
     assert loaded.lora_scaling == model.lora_scaling == 5.0 / 3.0
     assert list(loaded.params) == list(model.params)
-    for name, p in model.params.items():
-        q = loaded.params[name]
-        assert q.value.dtype == p.value.dtype and q.frozen == p.frozen
-        assert np.array_equal(q.value, p.value)
+    for name, arr in model.params.items():
+        got = loaded.params[name]
+        assert got.dtype == arr.dtype
+        assert loaded.trains(name) == model.trains(name)
+        assert np.array_equal(got, arr)
 
 
 def test_plain_model_has_no_lora_scaling(tmp_path):
@@ -133,11 +135,11 @@ def _missing(params):
 
 
 def _extra(params):
-    params["head.w3"] = Parameter(np.zeros((8, 3)))
+    params["head.w3"] = np.zeros((8, 3))
 
 
 def _reshaped(params):
-    params["layers.0.ffn.w1"].value = np.zeros((16, 7))
+    params["layers.0.ffn.w1"] = np.zeros((16, 7))
 
 
 def _orphan_lora_b(params):
@@ -153,23 +155,23 @@ def _factor_without_base(params):
 
 
 def _factor_on_a_bias(params):
-    params["layers.0.ffn.b1.lora_a"] = Parameter(np.zeros((1, 2)))
-    params["layers.0.ffn.b1.lora_b"] = Parameter(np.zeros((2, 12)))
+    params["layers.0.ffn.b1.lora_a"] = np.zeros((1, 2))
+    params["layers.0.ffn.b1.lora_b"] = np.zeros((2, 12))
 
 
 def _factor_of_rank_0(params):
-    params["layers.0.ffn.w1.lora_a"] = Parameter(np.zeros((8, 0)))
-    params["layers.0.ffn.w1.lora_b"] = Parameter(np.zeros((0, 12)))
+    params["layers.0.ffn.w1.lora_a"] = np.zeros((8, 0))
+    params["layers.0.ffn.w1.lora_b"] = np.zeros((0, 12))
 
 
 def _factors_of_two_ranks(params):
-    params["layers.0.ffn.w1.lora_a"] = Parameter(np.zeros((8, 2)))
-    params["layers.0.ffn.w1.lora_b"] = Parameter(np.zeros((3, 12)))
+    params["layers.0.ffn.w1.lora_a"] = np.zeros((8, 2))
+    params["layers.0.ffn.w1.lora_b"] = np.zeros((3, 12))
 
 
 def _factors_on_layer_1_only(params):
-    params["layers.1.ffn.w1.lora_a"] = Parameter(np.zeros((8, 2)))
-    params["layers.1.ffn.w1.lora_b"] = Parameter(np.zeros((2, 12)))
+    params["layers.1.ffn.w1.lora_a"] = np.zeros((8, 2))
+    params["layers.1.ffn.w1.lora_b"] = np.zeros((2, 12))
 
 
 def _two_weights_at_two_ranks(params):
@@ -178,28 +180,23 @@ def _two_weights_at_two_ranks(params):
         for w, r, (d_in, d_out) in (("ffn.w1", 2, (8, 12)),
                                     ("attn.w_q", 3, (8, 8))):
             name = f"layers.{i}.{w}"
-            params[f"{name}.lora_a"] = Parameter(np.zeros((d_in, r)))
-            params[f"{name}.lora_b"] = Parameter(np.zeros((r, d_out)))
+            params[f"{name}.lora_a"] = np.zeros((d_in, r))
+            params[f"{name}.lora_b"] = np.zeros((r, d_out))
 
 
 def _reordered(params):
     params["tok_emb"] = params.pop("tok_emb")
 
 
-def _frozen_by_hand(params):
-    # attach freezes every base parameter or none
-    params["head.w1"].frozen = True
-
-
 def _another_dtype(params):
-    params["head.w1"].value = params["head.w1"].value.astype(np.float32)
+    params["head.w1"] = params["head.w1"].astype(np.float32)
 
 
 MANIFEST_FAULTS = [_missing, _extra, _reshaped, _orphan_lora_b,
                    _factor_without_base, _factor_on_a_bias,
                    _factor_of_rank_0, _factors_of_two_ranks,
                    _factors_on_layer_1_only, _two_weights_at_two_ranks,
-                   _reordered, _frozen_by_hand, _another_dtype]
+                   _reordered, _another_dtype]
 
 
 @pytest.mark.parametrize("fault", MANIFEST_FAULTS,
@@ -207,8 +204,8 @@ MANIFEST_FAULTS = [_missing, _extra, _reshaped, _orphan_lora_b,
 def test_parameters_its_config_does_not_make_raise_checkpoint_error(
         tmp_path, fault):
     # parameters the forward would fail on or ignore, or attach not make,
-    # with the scaling and frozen flags attach sets beside factors: saving
-    # them writes nothing and keeps the earlier file
+    # with the scaling attach sets beside factors: saving them writes
+    # nothing and keeps the earlier file
     path = tmp_path / "m.ckpt"
     save_model(tiny_model(), path)
     earlier = path.read_bytes()
@@ -216,8 +213,6 @@ def test_parameters_its_config_does_not_make_raise_checkpoint_error(
     fault(model.params)
     if any(".lora_" in name for name in model.params):
         model.lora_scaling = 2.0
-        for name, p in model.params.items():
-            p.frozen = ".lora_" not in name
     with pytest.raises(CheckpointError):
         save_model(model, path)
     assert list(tmp_path.iterdir()) == [path]
@@ -456,9 +451,9 @@ def test_failed_save_keeps_the_earlier_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "m.ckpt"
     model = tiny_model()
     save_model(model, path)
-    saved = {name: p.value.copy() for name, p in model.params.items()}
-    for p in model.params.values():
-        p.value += 1.0
+    saved = {name: arr.copy() for name, arr in model.params.items()}
+    for arr in model.params.values():
+        arr += 1.0
     monkeypatch.setattr(checkpoint, "open",
                         lambda name, mode: FullDisk(open(name, mode)),
                         raising=False)
@@ -469,4 +464,4 @@ def test_failed_save_keeps_the_earlier_checkpoint(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [path]
     loaded = load_model(path)
     for name, value in saved.items():
-        assert np.array_equal(loaded.params[name].value, value)
+        assert np.array_equal(loaded.params[name], value)

@@ -46,7 +46,7 @@ def test_build_model_and_attach_make_the_parameter_table(causal):
     specs = param_specs(cfg)
     assert table(model.params) == shapes(specs)
     for name, (_, _, init) in specs.items():
-        value = model.param(name).value
+        value = model.param(name)
         assert {"normal": value.std() > 0, "zeros": not value.any(),
                 "ones": (value == 1).all()}[init], name
     # the table's factor places do not depend on the order of the targets
@@ -54,11 +54,10 @@ def test_build_model_and_attach_make_the_parameter_table(causal):
     specs = param_specs(cfg, ("w1", "w_o"), 3)
     assert table(model.params) == shapes(specs)
     for name, (_, _, init) in specs.items():
-        p = model.param(name)
-        assert p.frozen == (".lora_" not in name)
+        assert model.trains(name) == (".lora_" in name)
         assert (init == "lora") == name.endswith(".lora_a")
         if name.endswith(".lora_b"):
-            assert init == "zeros" and not p.value.any()
+            assert init == "zeros" and not model.param(name).any()
     assert sum(name.endswith(".lora_a") for name in specs) == 2 * 2
 
 
@@ -66,8 +65,8 @@ def test_build_model_and_attach_make_the_parameter_table(causal):
 
 def test_embed_zero_tables_give_zero_matrix():
     model = build_model(tiny_config(), seed=0, dtype="float64")
-    model.param("tok_emb").value[...] = 0.0
-    model.param("pos_emb").value[...] = 0.0
+    model.param("tok_emb")[...] = 0.0
+    model.param("pos_emb")[...] = 0.0
     t = Tape()
     out = embed(t, model, np.array([1, 2, 3]))
     assert np.array_equal(out.value, np.zeros((3, 8)))
@@ -78,8 +77,8 @@ def test_embed_single_token_is_sum_of_table_rows():
     seq = np.array([3])
     t = Tape()
     out = embed(t, model, seq).value
-    expected = (model.param("tok_emb").value[3]
-                + model.param("pos_emb").value[0])
+    expected = (model.param("tok_emb")[3]
+                + model.param("pos_emb")[0])
     assert np.array_equal(out[0], expected)
 
 
@@ -111,8 +110,8 @@ def attention_layer(model, layer, h):
 
 
 def norm_vals(model, layer, x, which):
-    scale = model.param(f"layers.{layer}.norm{which}.scale").value
-    shift = model.param(f"layers.{layer}.norm{which}.shift").value
+    scale = model.param(f"layers.{layer}.norm{which}.scale")
+    shift = model.param(f"layers.{layer}.norm{which}.shift")
     mu = x.mean(axis=1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
     return (x - mu) / np.sqrt(var + 1e-5) * scale + shift
@@ -121,7 +120,7 @@ def norm_vals(model, layer, x, which):
 def _dense_attention_oracle(h, model, layer, causal):
     """Independent multi-head attention implementation."""
     cfg = model.config
-    p = {name: model.param(name).value
+    p = {name: model.param(name)
          for name in model.params}
     base = f"layers.{layer}.attn"
     q = h @ p[f"{base}.w_q"] + p[f"{base}.b_q"]
@@ -147,10 +146,10 @@ def test_attention_single_token_is_value_projection():
     h = rng_for(3).normal(size=(1, 8))
     out = attention_layer(model, 0, h)
     base = "layers.0.attn"
-    v = norm_vals(model, 0, h, 1) @ model.param(f"{base}.w_v").value \
-        + model.param(f"{base}.b_v").value
-    expected = h + v @ model.param(f"{base}.w_o").value \
-        + model.param(f"{base}.b_o").value
+    v = norm_vals(model, 0, h, 1) @ model.param(f"{base}.w_v") \
+        + model.param(f"{base}.b_v")
+    expected = h + v @ model.param(f"{base}.w_o") \
+        + model.param(f"{base}.b_o")
     assert np.allclose(out, expected, atol=1e-14)
 
 
@@ -211,11 +210,11 @@ def test_attention_matches_dense_oracle(causal, n_heads):
 
 def test_zero_weight_layers_are_identity():
     model = build_model(tiny_config(n_layers=3), seed=6, dtype="float64")
-    for name, p in model.params.items():
+    for name, arr in model.params.items():
         if ".attn.w_" in name or ".ffn.w" in name:
-            p.value[...] = 0.0
+            arr[...] = 0.0
         if name.endswith((".b_q", ".b_k", ".b_v", ".b_o", ".b1", ".b2")):
-            p.value[...] = 0.0
+            arr[...] = 0.0
     h = rng_for(6).normal(size=(4, 8))
     t = Tape()
     split = one_group(t, h)
@@ -242,9 +241,9 @@ def test_no_grad_ffn_in_row_blocks_equals_the_whole_array_ffn(
     r = rng_for(16)
     if lora:
         attach(model, ("w1", "w2"), r=4, alpha=8.0, seed=16)
-        for name, p in model.params.items():  # B starts at zero
+        for name, arr in model.params.items():  # B starts at zero
             if name.endswith(".lora_b"):
-                p.value[...] = r.normal(0.0, 0.02, p.shape)
+                arr[...] = r.normal(0.0, 0.02, arr.shape)
     h = r.normal(size=(rows, 256)).astype(dtype)
     whole = Tape()
     want = ffn(whole, model, 0, whole.input(h)).value
@@ -272,11 +271,11 @@ def test_split_layer_composes_attention_and_ffn():
 
     mid = h + _dense_attention_oracle(norm_vals(model, 0, h, 1), model, 0,
                                       False)
-    z = norm_vals(model, 0, mid, 2) @ model.param("layers.0.ffn.w1").value \
-        + model.param("layers.0.ffn.b1").value
+    z = norm_vals(model, 0, mid, 2) @ model.param("layers.0.ffn.w1") \
+        + model.param("layers.0.ffn.b1")
     g = 0.5 * z * (1 + erf(z / np.sqrt(2)))
-    want = mid + g @ model.param("layers.0.ffn.w2").value \
-        + model.param("layers.0.ffn.b2").value
+    want = mid + g @ model.param("layers.0.ffn.w2") \
+        + model.param("layers.0.ffn.b2")
     assert np.abs(got - want).max() < 1e-12
 
 
@@ -323,8 +322,8 @@ def test_classify_single_row_is_identity_pooling():
 def test_classify_zero_logits_give_log_half():
     cfg = tiny_config(n_classes=2)
     model = build_model(cfg, seed=11, dtype="float64")
-    model.param("head.w2").value[...] = 0.0
-    model.param("head.b2").value[...] = 0.0
+    model.param("head.w2")[...] = 0.0
+    model.param("head.b2")[...] = 0.0
     h = rng_for(11).normal(size=(3, 8))
     for label in range(2):
         assert np.isclose(pooled_nll(model, h, label), -np.log(0.5))
@@ -367,7 +366,7 @@ def test_lm_logits_zero_hidden_uniform_and_onehot_copies():
 
     w = np.zeros((8, 13))
     w[2, 5] = 1.0
-    model.param("head.w_lm").value = w
+    model.params["head.w_lm"] = w
     t2 = Tape()
     h = rng_for(14).normal(size=(3, 8))
     out = lm_logits(t2, model, t2.input(h)).value
@@ -380,4 +379,4 @@ def test_lm_logits_match_plain_matmul():
     h = rng_for(15).normal(size=(4, 8))
     t = Tape()
     got = lm_logits(t, model, t.input(h)).value
-    assert np.array_equal(got, h @ model.param("head.w_lm").value)
+    assert np.array_equal(got, h @ model.param("head.w_lm"))

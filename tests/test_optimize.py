@@ -96,7 +96,7 @@ def lm_windows(model, n_windows=3, n=9):
 def test_lm_evaluation_is_the_mean_nll_of_every_target_row():
     model = small_model("float64")
     windows = lm_windows(model)
-    w_lm = model.param("head.w_lm").value
+    w_lm = model.param("head.w_lm")
     nll, rows = 0.0, 0
     for example in windows:
         tape = Tape()

@@ -138,9 +138,10 @@ def test_memsweep_refuses_a_ratio_training_refuses(tmp_path, capsys, ratios):
 
 @pytest.mark.parametrize("option,message", [
     (["--regimes", "full,bogus"], "bogus"),
-    (["--n", "0"], "not 0"),
-    (["--n", "-3"], "not -3"),
-], ids=["unknown-regime", "n-0", "negative-n"])
+    (["--n", "0"], "--n: must be >= 1, not 0"),
+    (["--n", "-3"], "--n: must be >= 1, not -3"),
+    (["--batch", "0"], "--batch: must be >= 1, not 0"),
+], ids=["unknown-regime", "n-0", "negative-n", "batch-0"])
 def test_memsweep_exits_with_code_2_on_a_bad_option(tmp_path, capsys,
                                                     option, message):
     out = tmp_path / "sweep.csv"
@@ -273,6 +274,57 @@ def test_a_task_n_classes_is_refused_as_an_unknown_field(tmp_path, capsys):
                  "--out", str(tmp_path / "run")]) == EXIT_BAD_CONFIG
     err = capsys.readouterr().err
     assert "task.n_classes" in err and "unknown field" in err
+
+
+def test_a_task_stride_is_refused_as_an_unknown_field(tmp_path, capsys):
+    # LM windows are back to back: a window's stride is its seq_len
+    doc = {"task": {"stride": 4}}
+    assert main(["train", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "run")]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert "task.stride" in err and "unknown field" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_overrides_apply_before_the_config_is_checked(tmp_path):
+    # a file that the config refuses alone, completed by --set
+    doc = {**TINY_LORA_RUN, "train": {"regime": "tokentune",
+                                      "max_steps": 1, "batch_size": 2}}
+    run = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, doc),
+                 "--set", "k=4", "--out", str(run)]) == EXIT_OK
+    resolved = json.loads((run / "config.json").read_text())
+    assert resolved["train"]["regime"] == "tokentune"
+    assert resolved["train"]["k"] == 4
+
+
+@pytest.mark.parametrize("doc, override, message", [
+    ({}, ["--set", "out_dir.x=1"], "'out_dir.x': unknown section"),
+    ({"out_dir": 5}, [], "'out_dir': must be a string, not 5"),
+    ({}, ["--set", "out_dir=5"], "'out_dir': must be a string, not 5"),
+    ({"train": 3}, ["--set", "train.k=4"], "'train': must be an object"),
+], ids=["out-dir-as-section", "out-dir-number-in-file",
+        "out-dir-number-set", "section-not-an-object"])
+def test_train_exits_with_code_2_on_a_bad_out_dir_or_section(
+        tmp_path, capsys, doc, override, message):
+    code = main(["train", "--config", write_config(tmp_path, doc),
+                 *override, "--out", str(tmp_path / "run")])
+    assert code == EXIT_BAD_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("alpha", ["0", "-2"])
+def test_train_exits_with_code_2_on_a_lora_alpha_not_above_0(
+        tmp_path, capsys, alpha):
+    # refused before any step, not by the checkpoint after the last one
+    run = tmp_path / "run"
+    code = main(["train", "--config", write_config(tmp_path, TINY_LORA_RUN),
+                 "--set", f"lora_alpha={alpha}", "--out", str(run)])
+    assert code == EXIT_BAD_CONFIG
+    assert f"'train.lora_alpha': must be > 0, not {float(alpha)}" \
+        in capsys.readouterr().err
+    assert not run.exists()
 
 
 @pytest.mark.parametrize("override", [

@@ -117,13 +117,13 @@ def test_attention_value_gradient_hand_case():
     model = build_model(cfg, seed=8, dtype="float64")
     r = rng_for(8)
     # strip the layer down to attention only: identity-ish norm, zero ffn
-    model.param("layers.0.norm1.scale").value[...] = 1.0
-    model.param("layers.0.norm1.shift").value[...] = 0.0
-    model.param("layers.0.ffn.w1").value[...] = 0.0
-    model.param("layers.0.ffn.w2").value[...] = 0.0
+    model.param("layers.0.norm1.scale")[...] = 1.0
+    model.param("layers.0.norm1.shift")[...] = 0.0
+    model.param("layers.0.ffn.w1")[...] = 0.0
+    model.param("layers.0.ffn.w2")[...] = 0.0
     for b in ("b_q", "b_k", "b_v", "b_o"):
-        model.param(f"layers.0.attn.{b}").value[...] = 0.0
-    model.param("layers.0.attn.w_o").value[...] = np.eye(2)
+        model.param(f"layers.0.attn.{b}")[...] = 0.0
+    model.param("layers.0.attn.w_o")[...] = np.eye(2)
 
     seq = np.array([1, 2])
     partition = TokenPartition(selected=np.array([0]),
@@ -144,8 +144,8 @@ def test_attention_value_gradient_hand_case():
         var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
         return (x - mu) / np.sqrt(var + 1e-5)
     a = norm_rows(h)
-    wq = model.param("layers.0.attn.w_q").value
-    wk = model.param("layers.0.attn.w_k").value
+    wq = model.param("layers.0.attn.w_q")
+    wk = model.param("layers.0.attn.w_k")
     q = a @ wq
     k = a @ wk
     # key order is [unselected, selected]
@@ -224,8 +224,8 @@ def test_attention_cache_linear_in_n_at_fixed_k():
 def test_loss_classification_zero_logits_is_ln2():
     cfg = cfg_for(n_classes=2)
     model = build_model(cfg, seed=12, dtype="float64")
-    model.param("head.w2").value[...] = 0.0
-    model.param("head.b2").value[...] = 0.0
+    model.param("head.w2")[...] = 0.0
+    model.param("head.b2")[...] = 0.0
     seq = random_seq(rng_for(12), 6, causal=False)
     partition = select_positions(6, 3, "classification", rng_seed=4)
     tape = Tape()
@@ -241,8 +241,8 @@ def test_loss_classification_decreases_with_margin():
     partition = select_positions(6, 3, "classification", rng_seed=5)
     losses = []
     for margin in (0.0, 2.0, 8.0):
-        model.param("head.b2").value = np.array([[margin, 0.0]])
-        model.param("head.w2").value[...] = 0.0
+        model.params["head.b2"] = np.array([[margin, 0.0]])
+        model.param("head.w2")[...] = 0.0
         tape = Tape()
         split = tokentune_forward(tape, model, seq, partition)
         losses.append(float(loss_classification(tape, model, split,
@@ -254,7 +254,7 @@ def test_loss_classification_decreases_with_margin():
 def test_loss_lm_uniform_logits_is_k_ln_v():
     cfg = cfg_for(causal=True)
     model = build_model(cfg, seed=14, dtype="float64")
-    model.param("head.w_lm").value[...] = 0.0
+    model.param("head.w_lm")[...] = 0.0
     n = 6
     seq = random_seq(rng_for(14), n, causal=True)
     targets = lm_example(seq).targets
@@ -303,7 +303,7 @@ def test_loss_lm_gradient_flows_only_through_selected_rows():
     t2 = Tape()
     with t2.no_grad():
         h = forward_hidden(t2, model, seq).value
-    w = model.param("head.w_lm").value
+    w = model.param("head.w_lm")
     dw = np.zeros_like(w)
     for p in partition.selected:
         if targets[p] < 0:

@@ -61,25 +61,27 @@ def test_fd_check_on_fixture_with_adapters_passes_at_1e6():
     # warmed up like the fixture's weights, so no gradient entry sinks
     # into the central differences' noise
     r = np.random.default_rng(5)
-    for name, p in model.params.items():
+    for name, arr in model.params.items():
         if name.endswith(".lora_a"):
-            p.value *= 14.0
+            arr *= 14.0
         elif name.endswith(".lora_b"):
-            p.value += r.normal(0, 0.5, p.shape)
+            arr += r.normal(0, 0.5, arr.shape)
     report = finite_difference_check(model, seq, partition, loss_spec)
     assert report.passed
     assert report.worst()[1] < 1e-6
 
 
 def test_frozen_parameter_absent_from_gradstore_but_probed_nonzero():
-    model, seq, partition, loss_spec = gradcheck_fixture()
-    model.param("layers.0.attn.w_q").frozen = True
+    from tokentune.adapters import attach
     from tokentune.selective import loss_classification, tokentune_forward
+    model, seq, partition, loss_spec = gradcheck_fixture()
+    attach(model, ("w_q",), r=2, alpha=4.0, seed=1)
     tape = Tape()
     split = tokentune_forward(tape, model, seq, partition)
     grads = tape.backward(loss_classification(tape, model, split,
                                               loss_spec[1]))
     assert "layers.0.attn.w_q" not in grads
+    assert "layers.0.attn.w_q.lora_a" in grads
 
     # the loss itself still depends on the frozen weight: freezing is an
     # optimizer contract, not zero influence
@@ -90,7 +92,7 @@ def test_frozen_parameter_absent_from_gradstore_but_probed_nonzero():
             return float(loss_classification(t, model, s,
                                              loss_spec[1]).value[0, 0])
 
-    probe = {"w_q": model.param("layers.0.attn.w_q").value}
+    probe = {"w_q": model.param("layers.0.attn.w_q")}
     _, values = finite_diff_grad(loss_value, probe, step=1e-5)["w_q"]
     assert np.abs(values).max() > 1e-6
 
@@ -237,6 +239,16 @@ def test_gradcheck_rejects_config_flags(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_gradcheck_exits_with_code_2_on_no_configurations(capsys, count):
+    # a suite of no configuration checks nothing, so it cannot pass
+    from tokentune.cli import main
+    assert main(["gradcheck", "--n-configs", count]) == 2
+    captured = capsys.readouterr()
+    assert f"--n-configs {count}" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_lora_composition_gradients_match_oracle():
     from tokentune.adapters import attach
     cfg = ModelConfig(vocab_size=13, max_positions=16, d_model=8, n_heads=2,
@@ -245,9 +257,9 @@ def test_lora_composition_gradients_match_oracle():
     attach(model, ("w1", "w2", "w_q", "w_v"), r=2, alpha=4.0, seed=1)
     r = np.random.default_rng(2)
     # move B off zero so adapter gradients are nontrivial
-    for name, p in model.params.items():
+    for name, arr in model.params.items():
         if name.endswith(".lora_b"):
-            p.value += r.normal(0, 0.1, p.shape)
+            arr += r.normal(0, 0.1, arr.shape)
     n = 7
     seq = r.integers(0, 13, size=n)
     targets = lm_example(seq).targets
