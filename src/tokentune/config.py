@@ -47,19 +47,21 @@ def targets_fault(targets) -> str | None:
 
 
 # field type (without '| None') -> (what it must hold, its check)
-_KINDS = {"bool": ("a bool", lambda v: isinstance(v, bool)),
+_KINDS = {"str": ("a string", lambda v: isinstance(v, str)),
+          "bool": ("a bool", lambda v: isinstance(v, bool)),
           "int": ("an integer", lambda v: isinstance(v, numbers.Integral)
                   and not isinstance(v, bool)),
           "float": ("a finite number", lambda v: isinstance(v, numbers.Real)
                     and not isinstance(v, bool) and math.isfinite(v))}
 
 
-def _check_types(config, section: str) -> None:
-    """Refuse a field typed bool, int or float whose value is no bool, no
-    integer (Python or NumPy) or no finite real number; a bool is neither
-    of the last two, and a field typed `X | None` also takes None. A
-    checked int or float field is stored as a Python int or float, so a
-    NumPy scalar never reaches JSON."""
+def _check_types(config, section: str = "") -> None:
+    """Refuse a field typed str, bool, int or float whose value is no
+    string, no bool, no integer (Python or NumPy) or no finite real
+    number; a bool is neither of the last two, and a field typed
+    `X | None` also takes None. A checked int or float field is stored as
+    a Python int or float, so a NumPy scalar never reaches JSON. Fields
+    are named `<section>.<field>`, or bare without a section."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         kind = f.type.removesuffix(" | None")
@@ -67,9 +69,9 @@ def _check_types(config, section: str) -> None:
             continue
         wanted, check = _KINDS[kind]
         if not check(value):
-            raise ConfigError(f"{section}.{f.name}",
+            raise ConfigError(f"{section}.{f.name}" if section else f.name,
                               f"must be {wanted}, not {value!r}")
-        if kind != "bool":
+        if kind in ("int", "float"):
             setattr(config, f.name, int(value) if kind == "int"
                     else float(value))
 
@@ -193,9 +195,7 @@ class RunConfig:
     out_dir: str = "runs/latest"
 
     def __post_init__(self):
-        if not isinstance(self.out_dir, str):
-            raise ConfigError("out_dir", f"must be a string, not "
-                                         f"{self.out_dir!r}")
+        _check_types(self)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -29,6 +29,8 @@ Cache policy per primitive, as (what backward reads):
                    saves, bit for bit (the recompute trade of Chen et al.
                    2016), forms dW from it and frees it before dX
     add            nothing (gradient passes through / column-sums)
+    affine         no-grad only: x @ W, its LoRA delta and its bias summed
+                   in one array, one untracked node (no backward rule)
     elementwise    gelu: its input (a reference). The erf pass that
                    rebuilds its output for a matmul also yields its
                    derivative, which its backward then multiplies by g in
@@ -196,6 +198,16 @@ def _layer_norm_output(xhat, gamma, beta) -> np.ndarray:
     out = xhat * gamma
     out += beta
     return out
+
+
+def _check_product(op: str, a: np.ndarray, b: np.ndarray,
+                   transpose_b: bool = False) -> None:
+    """Refuse a product a @ b whose inner sizes or dtypes differ."""
+    if a.shape[1] != b.shape[0]:
+        rhs = f"{b.T.shape} (transposed rhs)" if transpose_b else b.shape
+        raise ShapeError(op, f"{a.shape} x {rhs}")
+    if a.dtype != b.dtype:
+        raise ShapeError(op, f"dtype mismatch {a.dtype} vs {b.dtype}")
 
 
 def _scatter_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
@@ -414,11 +426,7 @@ class Tape:
     def matmul(self, a: Tensor, b: Tensor,
                transpose_b: bool = False) -> Tensor:
         bv = b.value.T if transpose_b else b.value
-        if a.value.shape[1] != bv.shape[0]:
-            raise ShapeError("matmul", f"{a.value.shape} x {b.value.shape}"
-                                       f"{' (transposed rhs)' if transpose_b else ''}")
-        if a.value.dtype != b.value.dtype:
-            raise ShapeError("matmul", f"dtype mismatch {a.value.dtype} vs {b.value.dtype}")
+        _check_product("matmul", a.value, bv, transpose_b)
         out = a.value @ bv
         saves = []
         if a.requires_grad:
@@ -438,6 +446,43 @@ class Tape:
             raise ShapeError("add", f"{a.value.shape} + {b.value.shape}")
         out = a.value + b.value
         return self._record("add", out, (a, b), {"broadcast": broadcast})
+
+    def affine(self, x: Tensor, w: Tensor, bias: Tensor | None = None,
+               lora: tuple[Tensor, Tensor, float] | None = None) -> Tensor:
+        """x @ w, plus ((x @ a) @ b) * s for `lora` = (a, b, s), plus a
+        1-row `bias`, formed in one output array and recorded as one node.
+
+        Only without gradients: the node has no backward rule, so a
+        tracked affine is recorded as its matmul, scale and add nodes. The
+        ufuncs and their order are those nodes', with the sums taken in
+        place, so the values are equal bit for bit."""
+        if self.grad_enabled:
+            raise EngineError("affine: records no backward rule, so it "
+                              "runs only under no_grad")
+        _check_product("affine", x.value, w.value)
+        z = x.value @ w.value
+        inputs = [x, w]
+        if lora is not None:
+            a, b, s = lora
+            _check_product("affine", x.value, a.value)
+            _check_product("affine", a.value, b.value)
+            if b.value.shape[1] != z.shape[1]:
+                raise ShapeError("affine", f"LoRA factor {b.value.shape} "
+                                           f"for output {z.shape}")
+            t = (x.value @ a.value) @ b.value
+            t *= float(s)
+            z += t
+            del t
+            inputs += [a, b]
+        if bias is not None:
+            if bias.value.shape != (1, z.shape[1]) \
+                    or bias.value.dtype != z.dtype:
+                raise ShapeError("affine", f"bias {bias.value.shape} "
+                                           f"{bias.value.dtype} for output "
+                                           f"{z.shape} {z.dtype}")
+            z += bias.value
+            inputs.append(bias)
+        return self._record("affine", z, inputs)
 
     def scale(self, a: Tensor, c: float) -> Tensor:
         return self._record("elementwise", a.value * float(c), (a,),

@@ -147,18 +147,26 @@ def _param_node(tape: Tape, model: TransformerModel, name: str) -> Tensor:
 
 def affine(tape: Tape, model: TransformerModel, x: Tensor, w_name: str,
            b_name: str | None = None) -> Tensor:
-    """x @ W (+ low-rank delta if W has LoRA factors) (+ bias)."""
+    """x @ W (+ low-rank delta if W has LoRA factors) (+ bias).
+
+    Without gradients this is one `Tape.affine` node, which sums the three
+    in one array; with them, the matmul, scale and add nodes backward
+    differentiates. Both take the same ufuncs in the same order, so their
+    values are equal bit for bit."""
     w = _param_node(tape, model, w_name)
-    z = tape.matmul(x, w)
+    lora = None
     if f"{w_name}.lora_a" in model.params:
-        a = _param_node(tape, model, f"{w_name}.lora_a")
-        b = _param_node(tape, model, f"{w_name}.lora_b")
-        delta = tape.scale(tape.matmul(tape.matmul(x, a), b),
-                           model.lora_scaling)
-        z = tape.add(z, delta)
-    if b_name is not None:
-        z = tape.add(z, _param_node(tape, model, b_name))
-    return z
+        lora = (_param_node(tape, model, f"{w_name}.lora_a"),
+                _param_node(tape, model, f"{w_name}.lora_b"),
+                model.lora_scaling)
+    bias = None if b_name is None else _param_node(tape, model, b_name)
+    if not tape.grad_enabled:
+        return tape.affine(x, w, bias, lora)
+    z = tape.matmul(x, w)
+    if lora is not None:
+        a, b, s = lora
+        z = tape.add(z, tape.scale(tape.matmul(tape.matmul(x, a), b), s))
+    return z if bias is None else tape.add(z, bias)
 
 
 def attend_heads(tape: Tape, q: Tensor, k: Tensor, v: Tensor,
@@ -167,13 +175,13 @@ def attend_heads(tape: Tape, q: Tensor, k: Tensor, v: Tensor,
     return tape.attention(q, k, v, positions, causal, n_heads)
 
 
-def qkv(tape: Tape, model: TransformerModel, layer: int,
-        h_n: Tensor) -> list[Tensor]:
+def qkv(tape: Tape, model: TransformerModel, layer: int, h_n: Tensor,
+        which: str = "qkv") -> list[Tensor]:
     """The query, key and value affines of layer `layer` over normalized
-    rows."""
+    rows, or those of them `which` names, in that order."""
     base = f"layers.{layer}.attn"
     return [affine(tape, model, h_n, f"{base}.w_{x}", f"{base}.b_{x}")
-            for x in "qkv"]
+            for x in which]
 
 
 def attend_project(tape: Tape, model: TransformerModel, layer: int,
@@ -190,9 +198,11 @@ def attend_project(tape: Tape, model: TransformerModel, layer: int,
 def _ffn_rows(tape: Tape, model: TransformerModel, layer: int,
               h: Tensor) -> Tensor:
     base = f"layers.{layer}.ffn"
-    # no local for the pre-GELU value, so a no-grad forward frees it as
-    # soon as GELU has read it
-    hidden = tape.gelu(affine(tape, model, h, f"{base}.w1", f"{base}.b1"))
+    hidden = affine(tape, model, h, f"{base}.w1", f"{base}.b1")
+    # a row block's copy dies here, before GELU and the w2 affine run; the
+    # rebinding frees the pre-GELU value once GELU has read it
+    del h
+    hidden = tape.gelu(hidden)
     return affine(tape, model, hidden, f"{base}.w2", f"{base}.b2")
 
 

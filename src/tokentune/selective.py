@@ -12,6 +12,14 @@ This is the only layer loop. Full fine-tuning, LoRA and evaluation run it
 with `every_position`, which selects every position and leaves the
 unselected block empty (TokenTune with k = n). Row i of a sequence's
 hidden states is position i.
+
+The unselected rows are constants that only the selected queries' keys
+and values read. A training loss reads the selected rows alone, so the
+trainer's forward (`all_rows=False`) stops the last layer's unselected
+rows at their keys and values: their queries, attention output and
+feed-forward block are never computed. Such a split has no unselected
+block although its partition has unselected positions, and
+`restore_hidden` refuses it. Every other caller gets every row.
 """
 
 from __future__ import annotations
@@ -68,35 +76,48 @@ def split_hidden(tape: Tape, h: Tensor,
 
 def restore_hidden(tape: Tape, split: SplitHidden) -> Tensor:
     """The rows in position order: the selected block itself when nothing
-    is unselected, else an exact copy of both blocks reordered."""
+    is unselected, else an exact copy of both blocks reordered. A split
+    whose unselected rows were dropped (`tokentune_forward` with
+    ``all_rows=False``) has no rows to restore and raises SelectionError."""
     if split.h_gbar is None:
+        if split.partition.unselected.size:
+            raise SelectionError(
+                "the last layer's unselected rows were dropped after their "
+                "keys and values; restoring needs tokentune_forward with "
+                "all_rows=True")
         return split.h_g
     return tape.select_rows(tape.concat_rows([split.h_gbar, split.h_g]),
                             split.partition.key_order)
 
 
 def _unselected_qkv(tape: Tape, model: TransformerModel, layer: int,
-                    h_gbar: Tensor) -> list[Tensor]:
-    """Q, K and V of the unselected rows, as constants; the normalized
-    rows die on return."""
+                    h_gbar: Tensor, which: str = "qkv") -> list[Tensor]:
+    """Q, K and V of the unselected rows, or those `which` names, as
+    constants; the normalized rows die on return."""
     with tape.no_grad():
         return qkv(tape, model, layer,
-                   norm_block(tape, model, layer, 1, h_gbar))
+                   norm_block(tape, model, layer, 1, h_gbar), which)
 
 
 def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
-                        split: SplitHidden) -> SplitHidden:
+                        split: SplitHidden,
+                        keep_unselected: bool = True) -> SplitHidden:
     """Residual attention update; unselected K/V/queries are constants.
 
     Each handle is dropped at its last use, so the unselected path's
     attention runs without the selected path's dead arrays. With no
-    unselected rows the selected keys and values are used as they are."""
+    unselected rows the selected keys and values are used as they are.
+    Without `keep_unselected` the unselected rows stop at their keys and
+    values: no query, no attention of theirs, and no unselected block in
+    the returned split."""
     with tape.region(f"layer.{layer}.attn"):
         q_g, k_g, v_g = qkv(tape, model, layer,
                             norm_block(tape, model, layer, 1, split.h_g))
+        q_gb = []  # the unselected queries, if anything reads them
         if split.h_gbar is not None:
-            q_gb, k_gb, v_gb = _unselected_qkv(tape, model, layer,
-                                               split.h_gbar)
+            *q_gb, k_gb, v_gb = _unselected_qkv(
+                tape, model, layer, split.h_gbar,
+                "qkv" if keep_unselected else "kv")
             # keys in position order, so a causal block of queries sees a
             # prefix of them and attention skips the rest
             order = split.partition.key_order
@@ -112,10 +133,10 @@ def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
         del q_g
 
         new_gbar = None
-        if split.h_gbar is not None:
+        if q_gb:
             with tape.no_grad():
                 new_gbar = tape.add(split.h_gbar, attend_project(
-                    tape, model, layer, q_gb, keys, vals,
+                    tape, model, layer, q_gb.pop(), keys, vals,
                     split.partition.unselected))
     return SplitHidden(new_g, new_gbar, split.partition)
 
@@ -140,14 +161,22 @@ def tokentune_ffn(tape: Tape, model: TransformerModel, layer: int,
 
 
 def tokentune_forward(tape: Tape, model: TransformerModel,
-                      seq: np.ndarray,
-                      partition: TokenPartition) -> SplitHidden:
-    """Embed, split, then run every layer with the two-group update."""
+                      seq: np.ndarray, partition: TokenPartition,
+                      all_rows: bool = True) -> SplitHidden:
+    """Embed, split, then run every layer with the two-group update.
+
+    With ``all_rows=False`` (the training loss, which reads the selected
+    rows only) the last layer's unselected rows stop after their norm and
+    their key and value affines, so the returned split has no unselected
+    block; the selected rows, and every gradient, are unchanged bit for
+    bit."""
     # the embedding is passed on, not kept: the split's row blocks are
     # copies, so it dies once they are made
     split = split_hidden(tape, embed(tape, model, seq), partition)
+    last = model.config.n_layers - 1
     for i in range(model.config.n_layers):
-        split = tokentune_attention(tape, model, i, split)
+        split = tokentune_attention(tape, model, i, split,
+                                    all_rows or i < last)
         split = tokentune_ffn(tape, model, i, split)
     return split
 

@@ -378,12 +378,12 @@ class _CacheUntrackedTape(Tape):
         return out
 
 
-def _tracked_unselected_qkv(tape, model, layer, h_gbar):
+def _tracked_unselected_qkv(tape, model, layer, h_gbar, which="qkv"):
     """The `track-unselected-kv` mutant of `selective._unselected_qkv`:
     the unselected rows' Q/K/V affines are recorded with gradients."""
     with tape.no_grad():
         h_n = norm(tape, model, layer, 1, h_gbar)
-    return qkv(tape, model, layer, h_n)
+    return qkv(tape, model, layer, h_n, which)
 
 
 def _storage_order_attend_project(tape, model, layer, q, k, v, positions):
@@ -400,19 +400,25 @@ _PATCHES = {
                                 _storage_order_attend_project)}
 
 
-def _mutant_forward(model, seq, partition, mutant=None):
-    """(tape, split) of a selective forward with `mutant` applied."""
+def _mutant_forward(model, seq, partition, mutant=None, all_rows=True):
+    """(tape, split) of a selective forward with `mutant` applied; without
+    `all_rows`, the trainer's forward, whose last layer's unselected rows
+    stop at their keys and values."""
     if mutant is not None and mutant not in MUTANTS:
         raise ValueError(f"unknown mutant '{mutant}'")
     tape = _CacheUntrackedTape() if mutant == "cache-unselected-rows" \
         else Tape()
     with mock.patch.object(selective, *_PATCHES[mutant]) \
             if mutant in _PATCHES else nullcontext():
-        return tape, tokentune_forward(tape, model, seq, partition)
+        return tape, tokentune_forward(tape, model, seq, partition,
+                                       all_rows)
 
 
 def _selective_backward(model, seq, partition, loss_spec, mutant=None):
-    tape, split = _mutant_forward(model, seq, partition, mutant)
+    """Gradients of the forward that trains (the last layer's unselected
+    rows dropped after their keys and values) and its loss."""
+    tape, split = _mutant_forward(model, seq, partition, mutant,
+                                  all_rows=False)
     if loss_spec[0] == "classification":
         loss = loss_classification(tape, model, split, loss_spec[1])
     else:
@@ -488,11 +494,12 @@ def equivalence_suite(n_configs: int = 50, seed: int = 0,
 
 def _retained_subtotals(model, n: int, k: int, mutant=None):
     """(attention, ffn+norm, total) bytes retained for backward by one
-    selective forward and loss."""
+    selective forward as the trainer runs it, and its loss."""
     seq = np.r_[1, 2 + np.arange(n - 1) % 7]
     partition = TokenPartition(selected=np.arange(k),
                                unselected=np.arange(k, n))
-    tape, split = _mutant_forward(model, seq, partition, mutant)
+    tape, split = _mutant_forward(model, seq, partition, mutant,
+                                  all_rows=False)
     loss_classification(tape, model, split, 0)
     attn = ffn = total = 0
     for (label, _), nbytes in tape.retained_bytes().items():
@@ -506,8 +513,10 @@ def _retained_subtotals(model, n: int, k: int, mutant=None):
 
 def cache_scaling_check(mutant: str | None = None) -> dict:
     """The bytes retained for backward must be affine in the sequence
-    length at fixed k (linear attention term, constant ffn/norm term) and
-    strictly increasing in k."""
+    length at fixed k (a constant ffn/norm term, and an attention term
+    whose slope is the key and value rows alone: each position adds one
+    row of each to every layer's attention) and strictly increasing in k.
+    """
     cfg = ModelConfig(vocab_size=19, max_positions=64, d_model=8, n_heads=2,
                       d_ff=12, n_layers=1, causal=False, n_classes=2)
     model = build_model(cfg, seed=7, dtype="float64")
@@ -520,7 +529,9 @@ def cache_scaling_check(mutant: str | None = None) -> dict:
         attn.append(a)
         ffn.append(f)
     ffn_constant = ffn[0] == ffn[1] == ffn[2]
-    attn_linear = (attn[1] - attn[0]) == (attn[2] - attn[1])
+    kv_step = (points[1] - points[0]) * cfg.n_layers * 2 * cfg.d_model \
+        * model.dtype.itemsize
+    attn_linear = (attn[1] - attn[0]) == (attn[2] - attn[1]) == kv_step
     totals = [_retained_subtotals(model, 12, kk, mutant)[2]
               for kk in (2, 4, 6)]
     increasing = totals[0] < totals[1] < totals[2]

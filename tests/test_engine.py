@@ -347,6 +347,52 @@ def test_non_finite_output_raises():
         t.matmul(t.scale(big, 1e100), t.constant(np.ones((1, 1))))
 
 
+@pytest.mark.parametrize("lora", [False, True], ids=["plain", "lora"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_no_grad_affine_is_one_node_equal_to_its_tracked_ops(dtype, lora):
+    r = rng_for(40)
+    x, w, a, b = (r.normal(size=shape).astype(dtype)
+                  for shape in ((37, 24), (24, 40), (24, 3), (3, 40)))
+    bias = r.normal(size=(1, 40)).astype(dtype)
+    t = Tape()
+    xs, ws, biases = t.input(x), t.param("w", w), t.param("bias", bias)
+    factors = (t.param("a", a), t.param("b", b), 1.75) if lora else None
+    want = t.matmul(xs, ws)
+    if lora:
+        want = t.add(want, t.scale(t.matmul(t.matmul(xs, factors[0]),
+                                            factors[1]), factors[2]))
+    want = t.add(want, biases)
+    before = len(t.nodes)
+    with t.no_grad():
+        got = t.affine(xs, ws, biases, factors)
+    assert len(t.nodes) == before + 1
+    assert got.op == "affine" and not got.requires_grad
+    assert got.retains == () and got.fresh_bytes == 0
+    assert np.array_equal(got.value, want.value)
+    # it has no backward rule, so it refuses to be recorded tracked
+    with pytest.raises(engine.EngineError, match="no_grad"):
+        t.affine(xs, ws, biases, factors)
+
+
+def test_no_grad_affine_keeps_the_matmul_and_finiteness_checks():
+    t = Tape()
+    x = t.input(np.ones((2, 3)))
+    with t.no_grad():
+        with pytest.raises(ShapeError, match="affine"):
+            t.affine(x, t.input(np.ones((2, 3))))
+        with pytest.raises(ShapeError, match="dtype"):
+            t.affine(x, t.input(np.ones((3, 4), np.float32)))
+        with pytest.raises(ShapeError, match="bias"):
+            t.affine(x, t.input(np.ones((3, 4))), t.input(np.ones((1, 3))))
+        with pytest.raises(ShapeError, match="LoRA"):
+            t.affine(x, t.input(np.ones((3, 4))), None,
+                     (t.input(np.ones((3, 2))), t.input(np.ones((2, 5))),
+                      1.0))
+        big = t.input(np.full((1, 1), 1e308))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            t.affine(big, t.input(np.full((1, 1), 10.0)))
+
+
 def test_cross_entropy_target_range_checked():
     t = Tape()
     with pytest.raises(ShapeError):

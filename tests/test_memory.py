@@ -251,6 +251,27 @@ def test_tokentune_step_peaks_at_one_unselected_ffn_block_above_backward_entry(
     assert peak - entry[0] <= bound, (peak, entry[0], bound)
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("k", [N // 16, N // 8, N // 4, N // 2])
+def test_tokentune_lora_step_peaks_no_higher_than_tokentune(dtype, k):
+    # adapters add factors and their products but train far fewer
+    # parameters, so their step should hold no more at any k
+    batch = lm_profile_batch(N, 1, seed=3)
+
+    def step_peak(regime):
+        train = TrainConfig(regime=regime, k=k, batch_size=1,
+                            learning_rate=1e-3, seed=3, dtype=dtype)
+        trainer = Trainer(build_regime_model(lm_config(), train), train,
+                          "lm")
+        trainer.train_step(batch)  # first step allocates nothing new
+        with Traced() as traced:
+            trainer.train_step(batch)
+            return traced.peak()
+
+    tokentune = step_peak("tokentune")
+    assert step_peak("tokentune+lora") <= tokentune, tokentune
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_no_grad_ffn_holds_one_row_block_of_hidden_arrays(dtype):
     rows, d, d_ff = 2 * FFN_BLOCK_ROWS + 1, 64, 1024

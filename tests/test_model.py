@@ -253,7 +253,7 @@ def test_no_grad_ffn_in_row_blocks_equals_the_whole_array_ffn(
     assert np.array_equal(got.value, want)
     count = 1 if lora else -(-rows // block_rows)
     if count == 1:
-        assert got.op == "add"
+        assert got.op == "affine"
     else:
         sizes = got.node.meta["sizes"]
         assert got.op == "concat_rows" and len(sizes) == count

@@ -344,6 +344,25 @@ def test_train_exits_with_code_2_on_a_field_of_the_wrong_type(
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("section, name, value", [
+    ("task", "corpus_path", 5), ("task", "kind", 5),
+    ("train", "regime", 5), ("train", "dtype", 64)])
+def test_train_exits_with_code_2_on_a_string_field_holding_no_string(
+        tmp_path, capsys, section, name, value):
+    # a corpus path of 5 used to pass the configs and die in the corpus
+    # reader with an uncaught TypeError
+    doc = {"model": {"causal": True, "n_classes": None},
+           "task": {"kind": "lm", "corpus_path": "corpus.txt"}}
+    doc.setdefault(section, {})[name] = value
+    run = tmp_path / "run"
+    code = main(["train", "--config", write_config(tmp_path, doc),
+                 "--out", str(run)])
+    assert code == EXIT_BAD_CONFIG
+    assert f"'{section}.{name}': must be a string, not {value}" \
+        in capsys.readouterr().err
+    assert not run.exists()
+
+
 TINY_LORA_RUN = {"model": {"d_model": 8, "n_heads": 2, "d_ff": 12,
                            "n_layers": 1},
                  "train": {"regime": "lora", "max_steps": 1,

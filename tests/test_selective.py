@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokentune.config import ModelConfig
-from tokentune.data import lm_example
+from tokentune.config import (LORA_TARGETS, REGIMES, SELECTIVE_REGIMES,
+                              ModelConfig, TrainConfig)
+from tokentune.data import Example, lm_example
 from tokentune.engine import Tape
+from tokentune.memprofile import build_regime_model
 from tokentune.model import (ModelError, build_model, forward_hidden,
                              loss_lm_rows)
-from tokentune.partition import TokenPartition, select_positions
+from tokentune.optimize import Trainer
+from tokentune.partition import (SelectionError, TokenPartition,
+                                 select_positions)
 from tokentune.selective import (every_position, loss_classification,
                                  loss_lm, restore_hidden, split_hidden,
                                  tokentune_forward)
@@ -89,6 +93,64 @@ def test_full_selection_forward_is_bitwise_equal():
     restored, split = selective_values(model, seq, partition)
     assert split.h_gbar is None
     assert np.array_equal(restored, plain_values(model, seq))
+
+
+# ---- the trainer's forward: the last layer's unselected rows dropped -----------
+
+@pytest.mark.parametrize("mode", ["lm", "classification"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_dropping_the_last_layers_unselected_rows_is_exact(regime, dtype,
+                                                           mode):
+    causal = mode == "lm"
+    train = TrainConfig(regime=regime,
+                        k=3 if regime in SELECTIVE_REGIMES else None,
+                        seed=8, dtype=dtype, lora_targets=LORA_TARGETS)
+    model = build_regime_model(cfg_for(causal), train)
+    r = rng_for(8)
+    for name, arr in model.params.items():  # B starts at zero
+        if name.endswith(".lora_b"):
+            arr += r.normal(0.0, 0.1, arr.shape).astype(dtype)
+    seq = random_seq(r, 10, causal)
+    example = lm_example(seq) if causal else Example(seq, label=2)
+    trainer = Trainer(model, train, mode)
+    partition = trainer.partition_for(seq, 0)
+
+    tape = Tape()
+    loss, _ = trainer._example_loss(tape, example)
+    layers = model.config.n_layers
+    attention = [node for node in tape.nodes if node.op == "attention"]
+    # one attention per layer for the selected queries, and one for the
+    # unselected queries of every layer but the last
+    assert len(attention) == (2 * layers - 1 if partition.unselected.size
+                              else layers)
+    got = tape.backward(loss)
+
+    every = Tape()
+    split = tokentune_forward(every, model, seq, partition)
+    assert (split.h_gbar is not None) == bool(partition.unselected.size)
+    want_loss = loss_lm(every, model, split, example.targets)[0] if causal \
+        else loss_classification(every, model, split, example.label)
+    want = every.backward(want_loss)
+    assert np.array_equal(loss.value, want_loss.value)
+    assert got.keys() == want.keys()
+    for name, grad in want.items():
+        assert np.array_equal(got[name], grad), name
+
+
+def test_restore_hidden_refuses_a_split_whose_unselected_rows_were_dropped():
+    model = build_model(cfg_for(), seed=9, dtype="float64")
+    seq = random_seq(rng_for(9), 6, causal=False)
+    partition = select_positions(6, 2, "classification", rng_seed=9)
+    tape = Tape()
+    split = tokentune_forward(tape, model, seq, partition, all_rows=False)
+    assert split.h_gbar is None and partition.unselected.size
+    with pytest.raises(SelectionError, match="dropped"):
+        restore_hidden(tape, split)
+    # with every position selected nothing is dropped
+    full = tokentune_forward(tape, model, seq, every_position(seq),
+                             all_rows=False)
+    assert restore_hidden(tape, full) is full.h_g
 
 
 # ---- full selection ------------------------------------------------------------

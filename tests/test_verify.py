@@ -11,7 +11,8 @@ from tokentune.model import build_model
 from tokentune.partition import TokenPartition, select_positions
 from tokentune.selective import loss_lm, tokentune_forward
 from tokentune.verify import (MUTANTS, PROPERTY_CACHE, PROPERTY_STOPGRAD,
-                              PROPERTY_VALUE, _StopContext, _stop_rows,
+                              PROPERTY_VALUE, _StopContext,
+                              _selective_backward, _stop_rows,
                               _value_preservation_diff,
                               cache_scaling_check, equivalence_suite,
                               finite_diff_grad, finite_difference_check,
@@ -179,6 +180,24 @@ def test_mutation_track_unselected_kv_caught_by_stopgrad_property():
     failed_props = {r["property"] for r in res["failures"]}
     assert PROPERTY_STOPGRAD in failed_props
     assert PROPERTY_VALUE not in failed_props  # values are untouched
+
+
+def test_mutation_track_unselected_kv_caught_on_a_one_layer_dropped_path():
+    # the trainer's forward stops a one-layer model's unselected rows at
+    # their keys and values, which still come from the patched builder
+    cfg = ModelConfig(vocab_size=13, max_positions=16, d_model=8, n_heads=2,
+                      d_ff=12, n_layers=1, causal=True, n_classes=None)
+    model = build_model(cfg, seed=23, dtype="float64")
+    seq = np.random.default_rng(23).integers(0, 13, size=9)
+    partition = TokenPartition(selected=np.array([4, 6, 7]),
+                               unselected=np.array([0, 1, 2, 3, 5, 8]))
+    loss_spec = ("lm", lm_example(seq).targets)
+    oracle = stopgrad_reference_backward(model, seq, partition, loss_spec)
+    clean = _selective_backward(model, seq, partition, loss_spec)
+    assert grads_max_rel_err(clean, oracle) <= 1e-10
+    mutated = _selective_backward(model, seq, partition, loss_spec,
+                                  "track-unselected-kv")
+    assert grads_max_rel_err(mutated, oracle) > 1e-6
 
 
 def test_mutation_cache_unselected_rows_caught_only_by_ledger():
