@@ -13,8 +13,9 @@ order, shapes, dtype) are not that table for the targets and rank r of
 its layer-0 factors. `load_model` raises
 :class:`CheckpointError` for a malformed header, a version other than
 `VERSION`, a bad dtype, config or `lora` block, a missing or mismatched
-sha256, and a payload shorter or longer than the table. A save replaces
-the file at its path only once the new file is written in full.
+sha256, a payload shorter or longer than the table, and a path that is
+no regular file. A save replaces the file at its path only once the new
+file is written in full.
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ def save_model(model: TransformerModel, path) -> None:
 def load_model(path) -> TransformerModel:
     """The model saved at `path`; each array is read from the file into its
     own buffer, and hashed as it is read."""
-    if not Path(path).exists():
-        raise CheckpointError(f"checkpoint not found: {path}")
+    if not Path(path).is_file():
+        raise CheckpointError(f"no checkpoint file at {path}")
     with open(path, "rb") as fh:
         line = fh.readline()
         try:

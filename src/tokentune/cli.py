@@ -63,10 +63,12 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .verify import run_gradcheck
 
-    if args.n_configs < 1:
-        print(f"invalid --n-configs {args.n_configs}: must be >= 1",
-              file=sys.stderr)
-        return EXIT_BAD_CONFIG
+    for option, value, floor in (("--n-configs", args.n_configs, 1),
+                                 ("--seed", args.seed, 0)):
+        if value < floor:
+            print(f"invalid {option} {value}: must be >= {floor}",
+                  file=sys.stderr)
+            return EXIT_BAD_CONFIG
     report = run_gradcheck(n_configs=args.n_configs, seed=args.seed,
                            mutant=args.mutant)
     print(f"equivalence records checked: {report['suite_records']}")
@@ -104,8 +106,8 @@ def cmd_memsweep(args) -> int:
         rows = sweep_report(cfg.model, cfg.train, n, args.batch, regimes,
                             ratios, out_path=out_file)
     except ConfigError as exc:
-        # the two config fields a sweep sets from its options
-        option = {"model.max_positions": "--n",
+        # the two config fields a sweep checks its options by
+        option = {"task.seq_len": "--n",
                   "train.batch_size": "--batch"}.get(exc.field_name)
         if option is None:
             raise

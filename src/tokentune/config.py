@@ -77,7 +77,8 @@ def _check_types(config, section: str = "") -> None:
 
 
 def _check_at_least(config, section: str, names, floor: int = 1) -> None:
-    """Refuse any of the int fields `names` below `floor` (None passes)."""
+    """Refuse any of the number fields `names` below `floor` (None
+    passes)."""
     for name in names:
         value = getattr(config, name)
         if value is not None and value < floor:
@@ -150,9 +151,11 @@ class TrainConfig:
         _check_at_least(self, "train", ("k", "accumulation_steps",
                                         "batch_size", "epochs", "max_steps",
                                         "lora_r"))
-        if self.lora_alpha <= 0:
-            raise ConfigError("train.lora_alpha",
-                              f"must be > 0, not {self.lora_alpha}")
+        _check_at_least(self, "train", ("seed", "weight_decay"), floor=0)
+        for name in ("learning_rate", "lora_alpha"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"train.{name}",
+                                  f"must be > 0, not {getattr(self, name)}")
         if self.k is not None and self.selection_ratio is not None:
             raise ConfigError("train.selection_ratio",
                               f"set k={self.k} or selection_ratio="
@@ -183,6 +186,7 @@ class TaskConfig:
                                            f"'lm', not {self.kind!r}")
         _check_at_least(self, "task", ("seq_len",), floor=2)
         _check_at_least(self, "task", ("eval_windows",))
+        _check_at_least(self, "task", ("data_seed",), floor=0)
         if self.kind == "lm" and not self.corpus_path:
             raise ConfigError("task.corpus_path", "lm task needs a corpus file")
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .adapters import attach
 from .config import (ADAPTER_REGIMES, REGIMES, SELECTIVE_REGIMES,
-                     ModelConfig, TrainConfig)
+                     ModelConfig, TaskConfig, TrainConfig)
 from .data import BYTE_VOCAB, Example, lm_example
 from .model import TransformerModel, build_model
 from .optimize import Trainer
@@ -87,7 +87,11 @@ def sweep_report(model: ModelConfig, train: TrainConfig, n: int,
     ratio, ``max_positions = n`` and a causal LM head; the configs check
     every point before any step runs. A row's k is the k its step
     selected, n in a regime that selects every position. Writes a CSV
-    table when out_path is given (header always, even for no regime)."""
+    table when out_path is given (header always, even for no regime).
+    A window of `n` tokens is checked as a task's `seq_len` is: a window
+    of one token has no next-token target, so no step would record a
+    tape."""
+    TaskConfig(seq_len=n)
     cfg = replace(model, max_positions=n, causal=True, n_classes=None)
     points = []
     for regime in regimes:

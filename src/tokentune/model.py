@@ -9,7 +9,7 @@ representation) or a tied-nothing language-model projection.
 These are the on-tape builders of `selective.tokentune_forward`, the one
 layer loop: full fine-tuning, LoRA and evaluation run it with every
 position selected (TokenTune with k = n), and `forward_hidden` is that
-forward's rows in position order.
+forward's selected rows, one per position in position order.
 """
 
 from __future__ import annotations
@@ -250,10 +250,10 @@ def embed(tape: Tape, model: TransformerModel, seq: np.ndarray) -> Tensor:
 def forward_hidden(tape: Tape, model: TransformerModel,
                    seq: np.ndarray) -> Tensor:
     """The forward of full fine-tuning and evaluation: TokenTune's forward
-    with every position selected, one row per position."""
-    from .selective import every_position, restore_hidden, tokentune_forward
-    return restore_hidden(tape, tokentune_forward(tape, model, seq,
-                                                  every_position(seq)))
+    with every position selected, whose selected rows are already in
+    position order, one per position."""
+    from .selective import every_position, tokentune_forward
+    return tokentune_forward(tape, model, seq, every_position(seq)).h_g
 
 
 # ---- heads and losses ------------------------------------------------------

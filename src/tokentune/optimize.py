@@ -161,15 +161,13 @@ class Trainer:
         one term for a classification example, one per selected target
         token for a language-model one, and (None, 0) for a language-model
         example whose selection has no next-token target, which adds no
-        term and no gradient. The loss reads the selected rows only, so
-        the last layer's unselected rows stop at their keys and values
-        (`tokentune_forward` with ``all_rows=False``)."""
+        term and no gradient. The loss reads the selected rows that
+        `tokentune_forward` returns."""
         partition = self.partition_for(example.seq, self.example_counter)
         lm = self.task_kind != "classification"
         if lm and (np.asarray(example.targets)[partition.selected] < 0).all():
             return None, 0
-        split = tokentune_forward(tape, self.model, example.seq, partition,
-                                  all_rows=False)
+        split = tokentune_forward(tape, self.model, example.seq, partition)
         if lm:
             return loss_lm(tape, self.model, split, example.targets)
         return loss_classification(tape, self.model, split, example.label), 1

@@ -14,12 +14,10 @@ unselected block empty (TokenTune with k = n). Row i of a sequence's
 hidden states is position i.
 
 The unselected rows are constants that only the selected queries' keys
-and values read. A training loss reads the selected rows alone, so the
-trainer's forward (`all_rows=False`) stops the last layer's unselected
-rows at their keys and values: their queries, attention output and
-feed-forward block are never computed. Such a split has no unselected
-block although its partition has unselected positions, and
-`restore_hidden` refuses it. Every other caller gets every row.
+and values read, and every loss and evaluation reads the selected rows
+alone. So the last layer's unselected rows stop at their keys and
+values: their queries, attention output and feed-forward block are never
+computed, and the returned split's `h_g` is all the forward yields.
 """
 
 from __future__ import annotations
@@ -48,8 +46,8 @@ def every_position(seq: np.ndarray) -> TokenPartition:
 @dataclass
 class SplitHidden:
     """Hidden states split into selected / unselected row blocks; the
-    partition gives each block's positions and the `key_order` shared by
-    every layer's key and value reorder and by the restore."""
+    partition gives each block's positions and the `key_order` every
+    layer's key and value reorder shares."""
 
     h_g: Tensor
     h_gbar: Tensor | None
@@ -74,22 +72,6 @@ def split_hidden(tape: Tape, h: Tensor,
     return SplitHidden(h_g, h_gbar, partition)
 
 
-def restore_hidden(tape: Tape, split: SplitHidden) -> Tensor:
-    """The rows in position order: the selected block itself when nothing
-    is unselected, else an exact copy of both blocks reordered. A split
-    whose unselected rows were dropped (`tokentune_forward` with
-    ``all_rows=False``) has no rows to restore and raises SelectionError."""
-    if split.h_gbar is None:
-        if split.partition.unselected.size:
-            raise SelectionError(
-                "the last layer's unselected rows were dropped after their "
-                "keys and values; restoring needs tokentune_forward with "
-                "all_rows=True")
-        return split.h_g
-    return tape.select_rows(tape.concat_rows([split.h_gbar, split.h_g]),
-                            split.partition.key_order)
-
-
 def _unselected_qkv(tape: Tape, model: TransformerModel, layer: int,
                     h_gbar: Tensor, which: str = "qkv") -> list[Tensor]:
     """Q, K and V of the unselected rows, or those `which` names, as
@@ -100,24 +82,23 @@ def _unselected_qkv(tape: Tape, model: TransformerModel, layer: int,
 
 
 def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
-                        split: SplitHidden,
-                        keep_unselected: bool = True) -> SplitHidden:
+                        split: SplitHidden) -> SplitHidden:
     """Residual attention update; unselected K/V/queries are constants.
 
     Each handle is dropped at its last use, so the unselected path's
     attention runs without the selected path's dead arrays. With no
     unselected rows the selected keys and values are used as they are.
-    Without `keep_unselected` the unselected rows stop at their keys and
-    values: no query, no attention of theirs, and no unselected block in
-    the returned split."""
+    In the last layer nothing reads the unselected rows past their keys
+    and values: they get no query and no attention of theirs, and the
+    returned split has no unselected block."""
     with tape.region(f"layer.{layer}.attn"):
         q_g, k_g, v_g = qkv(tape, model, layer,
                             norm_block(tape, model, layer, 1, split.h_g))
-        q_gb = []  # the unselected queries, if anything reads them
+        q_gb = []  # the unselected queries; the last layer has none
         if split.h_gbar is not None:
             *q_gb, k_gb, v_gb = _unselected_qkv(
                 tape, model, layer, split.h_gbar,
-                "qkv" if keep_unselected else "kv")
+                "kv" if layer == model.config.n_layers - 1 else "qkv")
             # keys in position order, so a causal block of queries sees a
             # prefix of them and attention skips the rest
             order = split.partition.key_order
@@ -160,23 +141,18 @@ def tokentune_ffn(tape: Tape, model: TransformerModel, layer: int,
     return SplitHidden(new_g, new_gbar, split.partition)
 
 
-def tokentune_forward(tape: Tape, model: TransformerModel,
-                      seq: np.ndarray, partition: TokenPartition,
-                      all_rows: bool = True) -> SplitHidden:
+def tokentune_forward(tape: Tape, model: TransformerModel, seq: np.ndarray,
+                      partition: TokenPartition) -> SplitHidden:
     """Embed, split, then run every layer with the two-group update.
 
-    With ``all_rows=False`` (the training loss, which reads the selected
-    rows only) the last layer's unselected rows stop after their norm and
-    their key and value affines, so the returned split has no unselected
-    block; the selected rows, and every gradient, are unchanged bit for
-    bit."""
+    The last layer's unselected rows stop after their norm and their key
+    and value affines, so with at least one layer the returned split has
+    no unselected block: its selected rows are what a loss reads."""
     # the embedding is passed on, not kept: the split's row blocks are
     # copies, so it dies once they are made
     split = split_hidden(tape, embed(tape, model, seq), partition)
-    last = model.config.n_layers - 1
     for i in range(model.config.n_layers):
-        split = tokentune_attention(tape, model, i, split,
-                                    all_rows or i < last)
+        split = tokentune_attention(tape, model, i, split)
         split = tokentune_ffn(tape, model, i, split)
     return split
 

@@ -9,9 +9,10 @@ the two is evidence, not tautology.
 
 `finite_diff_grad` provides the numeric gradient oracle, and
 `equivalence_suite` sweeps random small configurations asserting the three
-core properties: value preservation, stop-gradient equivalence, and
-full-selection identity (the full regime's gradients against the
-reference with nothing stopped). `cache_scaling_check` audits the shape
+core properties: value preservation (the selective forward's selected
+rows equal the plain forward's rows at those positions), stop-gradient
+equivalence, and full-selection identity (the full regime's gradients
+against the reference with nothing stopped). `cache_scaling_check` audits the shape
 of the bytes retained for backward. Everything here runs at float64 with
 fixed seeds.
 
@@ -40,7 +41,7 @@ from .model import (TransformerModel, attend_project, build_model,
                     forward_hidden, norm, param_specs, qkv)
 from .partition import SelectionError, TokenPartition, select_positions
 from .selective import (every_position, loss_classification, loss_lm,
-                        restore_hidden, tokentune_forward)
+                        tokentune_forward)
 
 REL_FLOOR = 1e-8
 SUBSAMPLE_THRESHOLD = 4096
@@ -400,25 +401,20 @@ _PATCHES = {
                                 _storage_order_attend_project)}
 
 
-def _mutant_forward(model, seq, partition, mutant=None, all_rows=True):
-    """(tape, split) of a selective forward with `mutant` applied; without
-    `all_rows`, the trainer's forward, whose last layer's unselected rows
-    stop at their keys and values."""
+def _mutant_forward(model, seq, partition, mutant=None):
+    """(tape, split) of the selective forward with `mutant` applied."""
     if mutant is not None and mutant not in MUTANTS:
         raise ValueError(f"unknown mutant '{mutant}'")
     tape = _CacheUntrackedTape() if mutant == "cache-unselected-rows" \
         else Tape()
     with mock.patch.object(selective, *_PATCHES[mutant]) \
             if mutant in _PATCHES else nullcontext():
-        return tape, tokentune_forward(tape, model, seq, partition,
-                                       all_rows)
+        return tape, tokentune_forward(tape, model, seq, partition)
 
 
 def _selective_backward(model, seq, partition, loss_spec, mutant=None):
-    """Gradients of the forward that trains (the last layer's unselected
-    rows dropped after their keys and values) and its loss."""
-    tape, split = _mutant_forward(model, seq, partition, mutant,
-                                  all_rows=False)
+    """Gradients of the selective forward and its loss."""
+    tape, split = _mutant_forward(model, seq, partition, mutant)
     if loss_spec[0] == "classification":
         loss = loss_classification(tape, model, split, loss_spec[1])
     else:
@@ -433,14 +429,16 @@ def _full_backward(model, seq, loss_spec, mutant=None):
 
 
 def _value_preservation_diff(model, seq, partition, mutant=None) -> float:
-    """Max abs difference between the restored selective forward and the
-    full one (`forward_hidden`, unmutated), both in position order."""
+    """Max abs difference between the selective forward's selected rows
+    and the full forward's (`forward_hidden`, unmutated) rows at the same
+    positions. Those are every row a loss, gradient or evaluation reads;
+    earlier layers' unselected rows enter them through the keys and
+    values the selected queries attend to."""
     plain_tape = Tape()
     with plain_tape.no_grad():
         plain = forward_hidden(plain_tape, model, seq).value
-    tape, split = _mutant_forward(model, seq, partition, mutant)
-    restored = restore_hidden(tape, split).value
-    return float(np.abs(plain - restored).max())
+    _, split = _mutant_forward(model, seq, partition, mutant)
+    return float(np.abs(plain[partition.selected] - split.h_g.value).max())
 
 
 def equivalence_suite(n_configs: int = 50, seed: int = 0,
@@ -498,8 +496,7 @@ def _retained_subtotals(model, n: int, k: int, mutant=None):
     seq = np.r_[1, 2 + np.arange(n - 1) % 7]
     partition = TokenPartition(selected=np.arange(k),
                                unselected=np.arange(k, n))
-    tape, split = _mutant_forward(model, seq, partition, mutant,
-                                  all_rows=False)
+    tape, split = _mutant_forward(model, seq, partition, mutant)
     loss_classification(tape, model, split, 0)
     attn = ffn = total = 0
     for (label, _), nbytes in tape.retained_bytes().items():

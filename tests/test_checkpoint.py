@@ -324,6 +324,19 @@ def test_eval_exits_with_code_2_on_a_header_fault(tmp_path, capsys, fault):
     assert "checkpoint error" in capsys.readouterr().err
 
 
+def test_eval_exits_with_code_2_on_a_checkpoint_path_that_is_a_directory(
+        tmp_path, capsys):
+    # a run directory, passed in place of the model.ckpt inside it
+    with pytest.raises(CheckpointError, match="no checkpoint file"):
+        load_model(tmp_path)
+    config = tmp_path / "run.json"
+    config.write_text("{}")
+    code = main(["eval", "--config", str(config),
+                 "--checkpoint", str(tmp_path)])
+    assert code == EXIT_BAD_CONFIG
+    assert "checkpoint error" in capsys.readouterr().err
+
+
 VERSION_FAULTS = {"missing": lambda h: h.pop("version"),
                   "1": lambda h: h.update(version=1),
                   "2": lambda h: h.update(version=2),

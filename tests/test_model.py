@@ -343,7 +343,7 @@ def training_head_hits(model, rows):
     return [float(label == int(np.argmin(nll))) for label in range(3)]
 
 
-def test_eval_pooling_over_all_rows_matches_the_training_head():
+def test_eval_pooling_over_every_row_matches_the_training_head():
     model = build_model(tiny_config(), seed=12, dtype="float64")
     ids = np.array([1, 4, 7, 5, 9])
     hits = eval_hits(model, ids)

@@ -108,8 +108,9 @@ def test_memsweep_turns_a_ratio_into_the_k_training_selects(tmp_path):
 @pytest.mark.parametrize("point, message", [
     ({"regimes": ["full", "bogus"]}, "train.regime.*not 'bogus'"),
     ({"ratios": (0.5, 2.0)}, r"train.selection_ratio.*not 2.0"),
-    ({"n": 0}, "model.max_positions.*not 0"),
-], ids=["unknown-regime", "ratio-2", "n-0"])
+    ({"n": 0}, "task.seq_len.*>= 2, not 0"),
+    ({"n": 1}, "task.seq_len.*>= 2, not 1"),
+], ids=["unknown-regime", "ratio-2", "n-0", "n-1"])
 def test_sweep_report_refuses_a_bad_point_before_any_step(
         tmp_path, monkeypatch, point, message):
     # the run's configs check every point, all before the first step
@@ -138,10 +139,11 @@ def test_memsweep_refuses_a_ratio_training_refuses(tmp_path, capsys, ratios):
 
 @pytest.mark.parametrize("option,message", [
     (["--regimes", "full,bogus"], "bogus"),
-    (["--n", "0"], "--n: must be >= 1, not 0"),
-    (["--n", "-3"], "--n: must be >= 1, not -3"),
+    (["--n", "0"], "--n: must be >= 2, not 0"),
+    (["--n", "-3"], "--n: must be >= 2, not -3"),
+    (["--n", "1"], "--n: must be >= 2, not 1"),
     (["--batch", "0"], "--batch: must be >= 1, not 0"),
-], ids=["unknown-regime", "n-0", "negative-n", "batch-0"])
+], ids=["unknown-regime", "n-0", "negative-n", "n-1", "batch-0"])
 def test_memsweep_exits_with_code_2_on_a_bad_option(tmp_path, capsys,
                                                     option, message):
     out = tmp_path / "sweep.csv"
@@ -325,6 +327,36 @@ def test_train_exits_with_code_2_on_a_lora_alpha_not_above_0(
     assert f"'train.lora_alpha': must be > 0, not {float(alpha)}" \
         in capsys.readouterr().err
     assert not run.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("train.seed=-1", "'train.seed': must be >= 0, not -1"),
+    ("task.data_seed=-1", "'task.data_seed': must be >= 0, not -1"),
+    ("learning_rate=-0.01", "'train.learning_rate': must be > 0, not -0.01"),
+    ("learning_rate=0", "'train.learning_rate': must be > 0, not 0.0"),
+    ("weight_decay=-1", "'train.weight_decay': must be >= 0, not -1.0"),
+], ids=["negative-seed", "negative-data-seed", "negative-learning-rate",
+        "zero-learning-rate", "negative-weight-decay"])
+def test_train_exits_with_code_2_on_a_seed_or_optimizer_setting_below_its_floor(
+        tmp_path, capsys, override, message):
+    # refused by the configs: a negative seed cannot seed numpy's
+    # SeedSequence, and these optimizer settings cannot train
+    run = tmp_path / "run"
+    code = main(["train", "--config", write_config(tmp_path, {}),
+                 "--set", override, "--out", str(run)])
+    assert code == EXIT_BAD_CONFIG
+    assert message in capsys.readouterr().err
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--seed", "-1"], "invalid --seed -1: must be >= 0"),
+    (["--n-configs", "0"], "invalid --n-configs 0: must be >= 1"),
+], ids=["negative-seed", "no-configs"])
+def test_gradcheck_exits_with_code_2_on_an_option_below_its_floor(
+        capsys, option, message):
+    assert main(["gradcheck", *option]) == EXIT_BAD_CONFIG
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("override", [

@@ -14,11 +14,9 @@ from tokentune.memprofile import build_regime_model
 from tokentune.model import (ModelError, build_model, forward_hidden,
                              loss_lm_rows)
 from tokentune.optimize import Trainer
-from tokentune.partition import (SelectionError, TokenPartition,
-                                 select_positions)
+from tokentune.partition import TokenPartition, select_positions
 from tokentune.selective import (every_position, loss_classification,
-                                 loss_lm, restore_hidden, split_hidden,
-                                 tokentune_forward)
+                                 loss_lm, split_hidden, tokentune_forward)
 
 
 def cfg_for(causal=False, n_layers=2, **kw):
@@ -50,7 +48,7 @@ def selective_values(model, seq, partition):
     t = Tape()
     with t.no_grad():
         split = tokentune_forward(t, model, seq, partition)
-        return restore_hidden(t, split).value, split
+        return split.h_g.value, split
 
 
 # ---- value preservation --------------------------------------------------------
@@ -67,9 +65,9 @@ def test_value_preservation_any_k(seed):
     k = int(r.integers(1, n + 1))
     mode = "lm" if causal else "classification"
     partition = select_positions(n, k, mode, int(r.integers(1 << 30)))
-    restored, _ = selective_values(model, seq, partition)
+    selected, _ = selective_values(model, seq, partition)
     plain = plain_values(model, seq)
-    assert np.abs(plain - restored).max() < 1e-12
+    assert np.abs(plain[partition.selected] - selected).max() < 1e-12
 
 
 def test_zero_layer_model_returns_split_embeddings():
@@ -90,67 +88,41 @@ def test_full_selection_forward_is_bitwise_equal():
     model = build_model(cfg_for(), seed=5, dtype="float64")
     seq = random_seq(rng_for(5), 6, causal=False)
     partition = select_positions(6, 6, "classification", rng_seed=1)
-    restored, split = selective_values(model, seq, partition)
+    selected, split = selective_values(model, seq, partition)
     assert split.h_gbar is None
-    assert np.array_equal(restored, plain_values(model, seq))
+    assert np.array_equal(selected, plain_values(model, seq))
 
 
-# ---- the trainer's forward: the last layer's unselected rows dropped -----------
+# ---- the last layer's unselected rows stop at their keys and values -----------
 
 @pytest.mark.parametrize("mode", ["lm", "classification"])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("regime", REGIMES)
-def test_dropping_the_last_layers_unselected_rows_is_exact(regime, dtype,
-                                                           mode):
+def test_the_last_layers_unselected_rows_stop_at_their_keys_and_values(
+        regime, dtype, mode):
     causal = mode == "lm"
     train = TrainConfig(regime=regime,
                         k=3 if regime in SELECTIVE_REGIMES else None,
                         seed=8, dtype=dtype, lora_targets=LORA_TARGETS)
     model = build_regime_model(cfg_for(causal), train)
-    r = rng_for(8)
-    for name, arr in model.params.items():  # B starts at zero
-        if name.endswith(".lora_b"):
-            arr += r.normal(0.0, 0.1, arr.shape).astype(dtype)
-    seq = random_seq(r, 10, causal)
+    seq = random_seq(rng_for(8), 10, causal)
     example = lm_example(seq) if causal else Example(seq, label=2)
     trainer = Trainer(model, train, mode)
     partition = trainer.partition_for(seq, 0)
 
     tape = Tape()
-    loss, _ = trainer._example_loss(tape, example)
-    layers = model.config.n_layers
+    trainer._example_loss(tape, example)
+    last = model.config.n_layers - 1
     attention = [node for node in tape.nodes if node.op == "attention"]
     # one attention per layer for the selected queries, and one for the
     # unselected queries of every layer but the last
-    assert len(attention) == (2 * layers - 1 if partition.unselected.size
-                              else layers)
-    got = tape.backward(loss)
-
-    every = Tape()
-    split = tokentune_forward(every, model, seq, partition)
-    assert (split.h_gbar is not None) == bool(partition.unselected.size)
-    want_loss = loss_lm(every, model, split, example.targets)[0] if causal \
-        else loss_classification(every, model, split, example.label)
-    want = every.backward(want_loss)
-    assert np.array_equal(loss.value, want_loss.value)
-    assert got.keys() == want.keys()
-    for name, grad in want.items():
-        assert np.array_equal(got[name], grad), name
-
-
-def test_restore_hidden_refuses_a_split_whose_unselected_rows_were_dropped():
-    model = build_model(cfg_for(), seed=9, dtype="float64")
-    seq = random_seq(rng_for(9), 6, causal=False)
-    partition = select_positions(6, 2, "classification", rng_seed=9)
-    tape = Tape()
-    split = tokentune_forward(tape, model, seq, partition, all_rows=False)
-    assert split.h_gbar is None and partition.unselected.size
-    with pytest.raises(SelectionError, match="dropped"):
-        restore_hidden(tape, split)
-    # with every position selected nothing is dropped
-    full = tokentune_forward(tape, model, seq, every_position(seq),
-                             all_rows=False)
-    assert restore_hidden(tape, full) is full.h_g
+    assert len(attention) == (2 * last + 1 if partition.unselected.size
+                              else last + 1)
+    # the last layer's feed-forward block runs on the selected rows alone:
+    # every op it records is tracked
+    assert not [node for node in tape.nodes
+                if node.label == f"layer.{last}.ffn" and node.inputs
+                and not node.requires_grad]
 
 
 # ---- full selection ------------------------------------------------------------
