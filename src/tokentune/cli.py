@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .config import REGIMES, ConfigError, load_run_config
 from .data import DataError
@@ -24,11 +25,27 @@ EXIT_BAD_CONFIG = 2
 EXIT_NAN_ABORT = 3
 
 
+def _out_fault(path, is_dir: bool) -> str | None:
+    """Why `path` cannot be written as a directory (`is_dir`) or as a
+    file: it exists as the other kind, or the nearest of its parents that
+    exists is no directory. None if it can be."""
+    p = Path(path)
+    if p.exists():
+        if p.is_dir() == is_dir:
+            return None
+        return f"{p} is {'not ' if is_dir else ''}a directory"
+    parent = next(q for q in p.parents if q.exists())
+    return None if parent.is_dir() else f"{parent} is not a directory"
+
+
 def cmd_train(args) -> int:
     from .optimize import StepError, run_training
 
     cfg = load_run_config(args.config, args.set)
     out_dir = args.out or cfg.out_dir
+    if fault := _out_fault(out_dir, is_dir=True):
+        print(f"invalid run directory: {fault}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     try:
         result = run_training(cfg, out_dir)
     except StepError as exc:
@@ -101,6 +118,9 @@ def cmd_memsweep(args) -> int:
     regimes = (REGIMES if args.regimes is None
                else [r for r in args.regimes.split(",") if r])
     out_file = args.out or "memsweep.csv"
+    if fault := _out_fault(out_file, is_dir=False):
+        print(f"invalid --out: {fault}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     n = args.n if args.n is not None else cfg.task.seq_len
     try:
         rows = sweep_report(cfg.model, cfg.train, n, args.batch, regimes,

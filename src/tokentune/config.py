@@ -243,6 +243,8 @@ def load_run_config(path: str, overrides=()) -> RunConfig:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("(file)", f"config file not found: {path}")
+    except IsADirectoryError:
+        raise ConfigError("(file)", f"config path is a directory: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError("(file)", f"invalid JSON in {path}: {exc}")
     if not isinstance(doc, dict):

@@ -89,6 +89,8 @@ def load_lm_corpus(path, seq_len: int) -> list[Example]:
     p = Path(path)
     if not p.exists():
         raise DataError(f"corpus file not found: {path}")
+    if p.is_dir():
+        raise DataError(f"corpus path is a directory: {path}")
     raw = p.read_bytes()
     if len(raw) == 0:
         raise DataError(f"corpus file is empty: {path}")

@@ -23,18 +23,20 @@ retained but are resident regardless of backward, so neither charges
 them.
 
 Cache policy per primitive, as (what backward reads):
-    matmul         lhs iff rhs needs grad, rhs iff lhs needs grad; but
-                   an lhs that is a tracked layer_norm's or GELU's output
-                   is not saved: backward rebuilds it from that node's
-                   saves, bit for bit (the recompute trade of Chen et al.
-                   2016), forms dW from it and frees it before dX
+    matmul         lhs iff rhs needs grad, rhs iff lhs needs grad
     add            nothing (gradient passes through / column-sums)
-    affine         no-grad only: x @ W, its LoRA delta and its bias summed
-                   in one array, one untracked node (no backward rule)
+    affine         x @ w, its LoRA delta ((x @ a) @ b) * s and its bias
+                   summed in one array, one node. Tracked, it saves w, a
+                   and b (references to parameters); x iff w or a needs
+                   grad, except an x that is a tracked layer_norm's or
+                   GELU's output: backward rebuilds that from the node's
+                   saves, bit for bit (the recompute trade of Chen et al.
+                   2016), forms dA and dW from it and frees it before dX;
+                   and x @ a (fresh, rows x rank) iff b needs grad
     elementwise    gelu: its input (a reference). The erf pass that
-                   rebuilds its output for a matmul also yields its
+                   rebuilds its output for an affine also yields its
                    derivative, which its backward then multiplies by g in
-                   place; unread by such a matmul, it runs that pass
+                   place; unread by such an affine, it runs that pass
                    itself. scale: nothing (constant factor)
     softmax_rows   its output, not its input
     attention      saves per (head, query row) the softmax max and sum
@@ -169,8 +171,8 @@ def _block_scores(qb, kt, positions, out) -> None:
 
 
 def _rebuilt_in_backward(node: Node) -> bool:
-    """True for a tracked layer_norm or GELU: a matmul reading its output
-    as lhs does not save it, and the matmul's backward rebuilds it from the
+    """True for a tracked layer_norm or GELU: an affine reading its output
+    as x does not save it, and the affine's backward rebuilds it from the
     node's saves (:func:`_rebuilt_output`)."""
     return node.requires_grad and (node.op == "layer_norm"
                                    or node.meta.get("fn") == "gelu")
@@ -182,7 +184,7 @@ def _rebuilt_output(node: Node) -> np.ndarray:
     norm's with the forward's own expression, a GELU's from the erf pass
     of :func:`_gelu_parts`. That pass also yields the GELU's derivative,
     which is left on the GELU's saves for its own backward, next on this
-    path (a later rebuild replaces it)."""
+    path (another affine's rebuild replaces it)."""
     saved = dict(node._saved_arrays)
     if node.op == "layer_norm":
         return _layer_norm_output(saved["normalized"], saved["scale"],
@@ -427,13 +429,12 @@ class Tape:
                transpose_b: bool = False) -> Tensor:
         bv = b.value.T if transpose_b else b.value
         _check_product("matmul", a.value, bv, transpose_b)
-        out = a.value @ bv
         saves = []
         if a.requires_grad:
             saves.append(("rhs", b.value))
-        if b.requires_grad and not _rebuilt_in_backward(a.node):
+        if b.requires_grad:
             saves.append(("lhs", a.value))
-        return self._record("matmul", out, (a, b),
+        return self._record("matmul", a.value @ bv, (a, b),
                             {"transpose_b": transpose_b}, saves)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
@@ -452,16 +453,17 @@ class Tape:
         """x @ w, plus ((x @ a) @ b) * s for `lora` = (a, b, s), plus a
         1-row `bias`, formed in one output array and recorded as one node.
 
-        Only without gradients: the node has no backward rule, so a
-        tracked affine is recorded as its matmul, scale and add nodes. The
-        ufuncs and their order are those nodes', with the sums taken in
-        place, so the values are equal bit for bit."""
-        if self.grad_enabled:
-            raise EngineError("affine: records no backward rule, so it "
-                              "runs only under no_grad")
+        The ufuncs and their order are those of the chain of matmul, scale
+        and add nodes that states the same sum, with the sums taken in
+        place, so the values are equal bit for bit; backward applies the
+        chain's rules in the chain's order (:meth:`_backprop_affine`). The
+        saves are listed in the module docstring."""
         _check_product("affine", x.value, w.value)
         z = x.value @ w.value
         inputs = [x, w]
+        saves = [("w", w.value)]
+        meta = {}
+        needs_x = w.requires_grad
         if lora is not None:
             a, b, s = lora
             _check_product("affine", x.value, a.value)
@@ -469,11 +471,18 @@ class Tape:
             if b.value.shape[1] != z.shape[1]:
                 raise ShapeError("affine", f"LoRA factor {b.value.shape} "
                                            f"for output {z.shape}")
-            t = (x.value @ a.value) @ b.value
+            xa = x.value @ a.value
+            t = xa @ b.value
             t *= float(s)
             z += t
             del t
             inputs += [a, b]
+            saves += [("a", a.value), ("b", b.value)]
+            if b.requires_grad:
+                saves.append(("xa", xa))
+            del xa
+            meta["scaling"] = float(s)
+            needs_x = needs_x or a.requires_grad
         if bias is not None:
             if bias.value.shape != (1, z.shape[1]) \
                     or bias.value.dtype != z.dtype:
@@ -482,7 +491,9 @@ class Tape:
                                            f"{z.shape} {z.dtype}")
             z += bias.value
             inputs.append(bias)
-        return self._record("affine", z, inputs)
+        if needs_x and not _rebuilt_in_backward(x.node):
+            saves.append(("x", x.value))
+        return self._record("affine", z, inputs, meta, saves)
 
     def scale(self, a: Tensor, c: float) -> Tensor:
         return self._record("elementwise", a.value * float(c), (a,),
@@ -726,15 +737,14 @@ class Tape:
         if op == "matmul":
             a, b = node.inputs
             tb = node.meta["transpose_b"]
-            # dW first, so that a rebuilt lhs is freed before dX is formed
             if b.requires_grad:
-                lhs = (_rebuilt_output(a) if _rebuilt_in_backward(a)
-                       else saved["lhs"])
+                lhs = saved["lhs"]
                 self._accum(grads, b, g.T @ lhs if tb else lhs.T @ g)
-                del lhs
             if a.requires_grad:
                 rhs = saved["rhs"]
                 self._accum(grads, a, g @ rhs if tb else g @ rhs.T)
+        elif op == "affine":
+            self._backprop_affine(node, g, saved, grads)
         elif op == "add":
             a, b = node.inputs
             self._accum(grads, a, g)
@@ -747,7 +757,7 @@ class Tape:
             if fn == "scale":
                 self._accum(grads, a, g * node.meta["c"])
             elif fn == "gelu":
-                # left by a matmul's rebuild of this GELU's output, if any
+                # left by an affine's rebuild of this GELU's output, if any
                 deriv = saved.get("derivative")
                 if deriv is None:
                     deriv = _gelu_parts(saved["input"])[1]
@@ -811,6 +821,44 @@ class Tape:
             self._accum(grads, logits, dl)
         else:  # pragma: no cover
             raise BackwardError(f"no backward rule for op {op}")
+
+    def _backprop_affine(self, node: Node, g: np.ndarray, saved,
+                         grads) -> None:
+        """The rules of the chain of nodes that states an affine, in its
+        backward order: the bias add (column sums of g); with LoRA the
+        delta's add, scale and two matmuls, gs = g * s, dB = xa^T gs,
+        dxa = gs B^T, dA = x^T dxa, dx += dxa A^T; then the base matmul,
+        dW = x^T g, dx += g W^T. Each term of dx is its own accumulation,
+        in that order, so x's gradient sums its readers' terms in the
+        chain's order, bit for bit. A rebuilt x is formed once, for dA
+        and dW, and freed before dx."""
+        x, w, *rest = node.inputs
+        s = node.meta.get("scaling")
+        a, b = rest[:2] if s is not None else (None, None)
+        bias = rest[-1] if len(rest) in (1, 3) else None
+        train_a = a is not None and a.requires_grad
+        if bias is not None and bias.requires_grad:
+            self._accum(grads, bias, g.sum(axis=0, keepdims=True))
+        dxa = None
+        if s is not None and (x.requires_grad or train_a or b.requires_grad):
+            gs = g * s
+            if b.requires_grad:
+                self._accum(grads, b, saved["xa"].T @ gs)
+            if x.requires_grad or train_a:
+                dxa = gs @ saved["b"].T
+            del gs
+        if w.requires_grad or train_a:
+            xv = (_rebuilt_output(x) if _rebuilt_in_backward(x)
+                  else saved["x"])
+            if train_a:
+                self._accum(grads, a, xv.T @ dxa)
+            if w.requires_grad:
+                self._accum(grads, w, xv.T @ g)
+            del xv
+        if x.requires_grad:
+            if dxa is not None:
+                self._accum(grads, x, dxa @ saved["a"].T)
+            self._accum(grads, x, g @ saved["w"].T)
 
     def _backprop_attention(self, node: Node, g: np.ndarray, saved,
                             grads) -> None:
@@ -946,12 +994,13 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     attention's block buffers (heads x ATTENTION_BLOCK_ROWS x hi of the
     largest block: one in forward, up to two in backward, plus one
     ATTENTION_BLOCK_ROWS x hi row buffer), the block's scaled queries and
-    a causal block's additive mask (ATTENTION_BLOCK_ROWS x hi), a layer
-    norm's or GELU's output that a matmul's backward rebuilds (one rows x
-    cols array, freed once that matmul's weight gradient is formed), and
-    the GELU derivative that this rebuild or the GELU's own backward forms
-    (one rows x cols array, held until it becomes the GELU's input
-    gradient).
+    a causal block's additive mask (ATTENTION_BLOCK_ROWS x hi), an
+    affine's LoRA delta (one output-sized array in forward, and g * s in
+    backward), a layer norm's or GELU's output that an affine's backward
+    rebuilds (one rows x cols array, freed once that affine's weight or
+    factor gradients are formed), and the GELU derivative that this
+    rebuild or the GELU's own backward forms (one rows x cols array, held
+    until it becomes the GELU's input gradient).
     """
     last_use: dict[int, int] = {}
     for node in tape.nodes:

@@ -147,12 +147,9 @@ def _param_node(tape: Tape, model: TransformerModel, name: str) -> Tensor:
 
 def affine(tape: Tape, model: TransformerModel, x: Tensor, w_name: str,
            b_name: str | None = None) -> Tensor:
-    """x @ W (+ low-rank delta if W has LoRA factors) (+ bias).
-
-    Without gradients this is one `Tape.affine` node, which sums the three
-    in one array; with them, the matmul, scale and add nodes backward
-    differentiates. Both take the same ufuncs in the same order, so their
-    values are equal bit for bit."""
+    """x @ W (+ low-rank delta if W has LoRA factors) (+ bias): one
+    `Tape.affine` node, tracked or not, which sums the three in one array
+    and differentiates them in its own backward rule."""
     w = _param_node(tape, model, w_name)
     lora = None
     if f"{w_name}.lora_a" in model.params:
@@ -160,13 +157,7 @@ def affine(tape: Tape, model: TransformerModel, x: Tensor, w_name: str,
                 _param_node(tape, model, f"{w_name}.lora_b"),
                 model.lora_scaling)
     bias = None if b_name is None else _param_node(tape, model, b_name)
-    if not tape.grad_enabled:
-        return tape.affine(x, w, bias, lora)
-    z = tape.matmul(x, w)
-    if lora is not None:
-        a, b, s = lora
-        z = tape.add(z, tape.scale(tape.matmul(tape.matmul(x, a), b), s))
-    return z if bias is None else tape.add(z, bias)
+    return tape.affine(x, w, bias, lora)
 
 
 def attend_heads(tape: Tape, q: Tensor, k: Tensor, v: Tensor,

@@ -5,7 +5,10 @@ plain, unsplit forward pass and re-enters every unselected-path tensor as a
 constant, then differentiates with full tracking. It shares nothing with
 the selective pipeline beyond the tape primitives themselves (its own
 embedding, affine, attention, mask, and head code), so agreement between
-the two is evidence, not tautology.
+the two is evidence, not tautology. Its `_ref_affine` is the one place an
+affine is still recorded as its chain of matmul, scale and add nodes: the
+model records each affine as one `Tape.affine` node, whose backward rule
+shares no code with those nodes'.
 
 `finite_diff_grad` provides the numeric gradient oracle, and
 `equivalence_suite` sweeps random small configurations asserting the three

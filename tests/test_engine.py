@@ -347,31 +347,96 @@ def test_non_finite_output_raises():
         t.matmul(t.scale(big, 1e100), t.constant(np.ones((1, 1))))
 
 
-@pytest.mark.parametrize("lora", [False, True], ids=["plain", "lora"])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_no_grad_affine_is_one_node_equal_to_its_tracked_ops(dtype, lora):
+def chain_affine(t, x, w, bias, lora):
+    """The affine as the chain of matmul, scale and add nodes that states
+    it, as verify's reference forward records it."""
+    z = t.matmul(x, w)
+    if lora is not None:
+        a, b, s = lora
+        z = t.add(z, t.scale(t.matmul(t.matmul(x, a), b), s))
+    return t.add(z, bias)
+
+
+AFFINE_ROWS, AFFINE_IN, AFFINE_OUT, AFFINE_RANK = 37, 24, 40, 3
+
+
+def affine_readers(dtype, source, trains, record):
+    """(tape, source leaf, the readers' (x, w, bias, lora) operands, their
+    outputs, loss): three `record` affines of one x (a tracked input, or
+    a tracked layer norm's or GELU's output of it), joined by concat_cols
+    into a cross-entropy. `trains` is "w" (w and bias train; "lora-w"
+    adds frozen factors) or "factors" (a, b and bias train, w is
+    frozen)."""
     r = rng_for(40)
-    x, w, a, b = (r.normal(size=shape).astype(dtype)
-                  for shape in ((37, 24), (24, 40), (24, 3), (3, 40)))
-    bias = r.normal(size=(1, 40)).astype(dtype)
     t = Tape()
-    xs, ws, biases = t.input(x), t.param("w", w), t.param("bias", bias)
-    factors = (t.param("a", a), t.param("b", b), 1.75) if lora else None
-    want = t.matmul(xs, ws)
-    if lora:
-        want = t.add(want, t.scale(t.matmul(t.matmul(xs, factors[0]),
-                                            factors[1]), factors[2]))
-    want = t.add(want, biases)
+    leaf = t.input(r.normal(size=(AFFINE_ROWS, AFFINE_IN)).astype(dtype))
+    if source == "norm":
+        x = t.layer_norm(leaf, t.param("gamma", (1.0 + 0.3 * r.normal(
+            size=(1, AFFINE_IN))).astype(dtype)),
+            t.param("beta", r.normal(size=(1, AFFINE_IN)).astype(dtype)))
+    elif source == "gelu":
+        x = t.gelu(leaf)
+    else:
+        x = leaf
+
+    def param(name, shape, trainable=True):
+        return t.param(name, r.normal(size=shape).astype(dtype),
+                       trainable=trainable)
+
+    operands = []
+    for i in range(3):
+        w = param(f"w{i}", (AFFINE_IN, AFFINE_OUT), trains != "factors")
+        lora = None
+        if trains != "w":
+            lora = (param(f"a{i}", (AFFINE_IN, AFFINE_RANK),
+                          trains == "factors"),
+                    param(f"b{i}", (AFFINE_RANK, AFFINE_OUT),
+                          trains == "factors"), 1.75)
+        operands.append((x, w, param(f"bias{i}", (1, AFFINE_OUT)), lora))
+    outs = [record(t, *args) for args in operands]
+    targets = r.integers(0, 3 * AFFINE_OUT, size=AFFINE_ROWS)
+    loss = t.cross_entropy(t.concat_cols(outs), targets)
+    return t, leaf, operands, outs, loss
+
+
+@pytest.mark.parametrize("trains", ["w", "lora-w", "factors"])
+@pytest.mark.parametrize("source", ["input", "norm", "gelu"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_affine_is_one_node_equal_to_its_chain_in_value_and_gradient(
+        dtype, source, trains):
+    t, leaf, operands, outs, loss = affine_readers(dtype, source, trains,
+                                                   Tape.affine)
+    ref, ref_leaf, _, ref_outs, ref_loss = affine_readers(
+        dtype, source, trains, chain_affine)
+    x = operands[0][0]
+    # past x, one node per affine and no chain node
+    assert [out.op for out in outs] == ["affine"] * 3
+    assert {node.op for node in t.nodes[x.idx + 1:]} \
+        == {"param", "affine", "concat_cols", "cross_entropy"}
+    for got, want in zip(outs, ref_outs):
+        assert bits(got.value) == bits(want.value)
+    # the chain's x @ a node is the affine's fresh save, and only the
+    # chain's matmuls save a norm's or GELU's output, which the affine's
+    # backward rebuilds
+    rebuilt = 0 if source == "input" else x.nbytes
+    assert simulate_peak_bytes(t)[1] == simulate_peak_bytes(ref)[1] - rebuilt
+    grads, ref_grads = t.backward(loss), ref.backward(ref_loss)
+    trained = ("a", "b") if trains == "factors" else ("w",)
+    assert {name.rstrip("012") for name in grads} \
+        == {*trained, "bias"} | ({"gamma", "beta"} if source == "norm"
+                                 else set())
+    assert sorted(grads) == sorted(ref_grads)
+    for name in grads:
+        assert bits(grads[name]) == bits(ref_grads[name]), name
+    assert bits(t.grad_of(leaf)) == bits(ref.grad_of(ref_leaf))
+    # without gradients it is one untracked node that saves nothing
     before = len(t.nodes)
     with t.no_grad():
-        got = t.affine(xs, ws, biases, factors)
+        untracked = t.affine(*operands[0])
     assert len(t.nodes) == before + 1
-    assert got.op == "affine" and not got.requires_grad
-    assert got.retains == () and got.fresh_bytes == 0
-    assert np.array_equal(got.value, want.value)
-    # it has no backward rule, so it refuses to be recorded tracked
-    with pytest.raises(engine.EngineError, match="no_grad"):
-        t.affine(xs, ws, biases, factors)
+    assert untracked.op == "affine" and not untracked.requires_grad
+    assert untracked.retains == () and untracked.fresh_bytes == 0
+    assert bits(untracked.value) == bits(ref_outs[0].value)
 
 
 def test_no_grad_affine_keeps_the_matmul_and_finiteness_checks():
@@ -461,7 +526,7 @@ NORM_ROWS, NORM_WIDTH = 5, 6
 def norm_graph(dtype, readers, tracked_norm=True):
     """(tape, norm output, loss, reader weights by name): a layer norm of a
     tracked input with trainable scale and shift, read by one node per
-    entry of `readers` ("matmul" by a trainable weight, or "gelu"), summed
+    entry of `readers` ("affine" by a trainable weight, or "gelu"), summed
     into a cross-entropy. An untracked norm is recorded under no_grad."""
     r = rng_for(13)
     x = r.normal(size=(NORM_ROWS, NORM_WIDTH)).astype(dtype)
@@ -477,10 +542,10 @@ def norm_graph(dtype, readers, tracked_norm=True):
     weights = {}
     outs = []
     for i, reader in enumerate(readers):
-        if reader == "matmul":
+        if reader == "affine":
             w = weights[f"w{i}"] = r.normal(
                 size=(NORM_WIDTH, NORM_WIDTH)).astype(dtype)
-            outs.append(t.matmul(y, t.param(f"w{i}", w)))
+            outs.append(t.affine(y, t.param(f"w{i}", w)))
         else:
             outs.append(t.gelu(y))
     h = outs[0]
@@ -491,10 +556,10 @@ def norm_graph(dtype, readers, tracked_norm=True):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_matmul_on_a_tracked_layer_norm_gets_dw_from_the_forward_output(
+def test_affine_on_a_tracked_layer_norm_gets_dw_from_the_forward_output(
         dtype):
-    t, y, loss, weights = norm_graph(dtype, ["matmul"])
-    (z,) = (node for node in t.nodes if node.op == "matmul")
+    t, y, loss, weights = norm_graph(dtype, ["affine"])
+    (z,) = (node for node in t.nodes if node.op == "affine")
     # w, for dL/dy; y is not saved
     assert z.retains == (z.inputs[1].idx,) and z.fresh_bytes == 0
     dw = t.backward(loss)["w0"]
@@ -508,17 +573,17 @@ def test_matmul_on_a_tracked_layer_norm_gets_dw_from_the_forward_output(
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("readers,tracked_norm,kept", [
-    (["matmul"], True, False),
-    (["matmul", "matmul", "matmul"], True, False),
-    (["matmul", "gelu"], True, True),  # gelu reads the output itself
-    (["matmul"], False, True),  # no norm saves to rebuild from
-], ids=["one-matmul", "three-matmuls", "matmul-and-gelu", "untracked-norm"])
-def test_norm_output_leaves_the_retained_set_iff_only_matmuls_rebuild_it(
+    (["affine"], True, False),
+    (["affine", "affine", "affine"], True, False),
+    (["affine", "gelu"], True, True),  # gelu reads the output itself
+    (["affine"], False, True),  # no norm saves to rebuild from
+], ids=["one-affine", "three-affines", "affine-and-gelu", "untracked-norm"])
+def test_norm_output_leaves_the_retained_set_iff_only_affines_rebuild_it(
         monkeypatch, dtype, readers, tracked_norm, kept):
     retained = simulate_peak_bytes(norm_graph(dtype, readers,
                                               tracked_norm)[0])[1]
     with monkeypatch.context() as patched:
-        # the policy without the rebuild: the matmul saves its lhs
+        # the policy without the rebuild: the affine saves its x
         patched.setattr(engine, "_rebuilt_in_backward", lambda node: False)
         saved = simulate_peak_bytes(norm_graph(dtype, readers,
                                                tracked_norm)[0])[1]
@@ -560,7 +625,7 @@ def gelu_input(scale, dtype):
 def gelu_graph(dtype, z, readers, depth=1):
     """(tape, the GELU input leaf, the outermost GELU, loss, reader
     weights by name): `depth` nested GELUs of a tracked input, the
-    outermost read by one node per entry of `readers` ("matmul" by a
+    outermost read by one node per entry of `readers` ("affine" by a
     trainable weight, "frozen" for a frozen one, or "gelu"), summed into a
     cross-entropy."""
     r = rng_for(15)
@@ -577,8 +642,8 @@ def gelu_graph(dtype, z, readers, depth=1):
             continue
         w = weights[f"w{i}"] = r.normal(
             size=(GELU_WIDTH, GELU_WIDTH)).astype(dtype)
-        outs.append(t.matmul(h, t.param(f"w{i}", w,
-                                        trainable=reader == "matmul")))
+        outs.append(t.affine(h, t.param(f"w{i}", w,
+                                        trainable=reader == "affine")))
     out = outs[0]
     for other in outs[1:]:
         out = t.add(out, other)
@@ -603,7 +668,7 @@ def test_gelu_rebuild_output_equals_the_forward_bit_for_bit(dtype, scale):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("scale", [0.3, 1.0, 3.0])
-@pytest.mark.parametrize("reader", ["matmul", "frozen"])
+@pytest.mark.parametrize("reader", ["affine", "frozen"])
 def test_gelu_rebuild_gives_the_saved_output_gradients_bit_for_bit(
         dtype, scale, reader):
     # a trainable reader rebuilds the output and leaves the derivative; a
@@ -616,9 +681,9 @@ def test_gelu_rebuild_gives_the_saved_output_gradients_bit_for_bit(
     ref = Tape()
     h_ref = ref.input(h.value)
     y_ref = ref.matmul(h_ref, ref.param("w0", weights["w0"],
-                                        trainable=reader == "matmul"))
+                                        trainable=reader == "affine"))
     ref_grads = ref.backward(ref.cross_entropy(y_ref, loss.meta["targets"]))
-    if reader == "matmul":
+    if reader == "affine":
         assert bits(grads["w0"]) == bits(ref_grads["w0"])
     else:
         assert not grads
@@ -627,20 +692,20 @@ def test_gelu_rebuild_gives_the_saved_output_gradients_bit_for_bit(
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("readers,depth,dropped", [
-    (["matmul"], 1, True),
-    (["matmul", "matmul"], 1, True),  # rebuilt once per reader, kept never
-    (["frozen"], 1, False),  # a frozen weight's matmul saves no lhs anyway
-    (["matmul", "gelu"], 1, False),  # the second GELU saves it as input
-    (["matmul"], 2, True),  # the inner GELU's output is the outer's input
-], ids=["one-matmul", "two-matmuls", "frozen", "matmul-and-gelu", "nested"])
-def test_gelu_output_leaves_the_retained_set_iff_only_matmuls_rebuild_it(
+    (["affine"], 1, True),
+    (["affine", "affine"], 1, True),  # rebuilt once per reader, kept never
+    (["frozen"], 1, False),  # a frozen weight's affine saves no x anyway
+    (["affine", "gelu"], 1, False),  # the second GELU saves it as input
+    (["affine"], 2, True),  # the inner GELU's output is the outer's input
+], ids=["one-affine", "two-affines", "frozen", "affine-and-gelu", "nested"])
+def test_gelu_output_leaves_the_retained_set_iff_only_affines_rebuild_it(
         monkeypatch, dtype, readers, depth, dropped):
     z = gelu_input(1.0, dtype)
     t, _, h, _, _ = gelu_graph(dtype, z, readers, depth)
     retained = simulate_peak_bytes(t)[1]
     kept = engine._retained_for_backward(t)
     with monkeypatch.context() as patched:
-        # the policy without the rebuild: the matmul saves its lhs
+        # the policy without the rebuild: the affine saves its x
         patched.setattr(engine, "_rebuilt_in_backward", lambda node: False)
         saved = simulate_peak_bytes(gelu_graph(dtype, z, readers,
                                                depth)[0])[1]
@@ -691,7 +756,7 @@ def test_tracked_ffn_forward_and_backward_run_erf_twice(monkeypatch, dtype):
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_ffn_with_adapters_on_w1_and_w2_matches_finite_differences(dtype):
-    # W2 is frozen, so its adapter's A matmul is what rebuilds the GELU
+    # W2 is frozen, so its factor A's gradient is what rebuilds the GELU
     # output; finite differences run on the float64 model, and a float32
     # model's gradients are held to them as float32 backward is elsewhere
     r = rng_for(19)

@@ -131,7 +131,7 @@ def test_tokentune_holds_less_than_full_by_the_accounted_ratio(model,
 @pytest.mark.parametrize("regime", ["full", "tokentune"])
 def test_each_tracked_layer_norm_output_leaves_the_retained_set(
         monkeypatch, model, example, regime, dtype):
-    # every tracked norm output here is read by matmuls only (Q, K, V or
+    # every tracked norm output here is read by affines only (Q, K, V or
     # W1), whose backward rebuilds it from the norm's saves; so is every
     # tracked GELU output (W2), which the same switch turns off
     model = model.astype(dtype)
@@ -143,7 +143,7 @@ def test_each_tracked_layer_norm_output_leaves_the_retained_set(
 
     rebuilt = retained()
     with monkeypatch.context() as patched:
-        # the policy without the rebuild: the matmul saves its lhs
+        # the policy without the rebuild: the affine saves its x
         patched.setattr(engine, "_rebuilt_in_backward", lambda node: False)
         saved = retained()
     cfg = model.config

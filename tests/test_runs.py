@@ -143,7 +143,9 @@ def test_memsweep_refuses_a_ratio_training_refuses(tmp_path, capsys, ratios):
     (["--n", "-3"], "--n: must be >= 2, not -3"),
     (["--n", "1"], "--n: must be >= 2, not 1"),
     (["--batch", "0"], "--batch: must be >= 1, not 0"),
-], ids=["unknown-regime", "n-0", "negative-n", "n-1", "batch-0"])
+    (["--out", "."], "--out: . is a directory"),
+], ids=["unknown-regime", "n-0", "negative-n", "n-1", "batch-0",
+        "out-is-a-directory"])
 def test_memsweep_exits_with_code_2_on_a_bad_option(tmp_path, capsys,
                                                     option, message):
     out = tmp_path / "sweep.csv"
@@ -242,9 +244,13 @@ def write_config(tmp_path, doc) -> str:
     ({"model": {"causal": True, "n_classes": None},
       "task": {"kind": "lm", "corpus_path": "no-such-corpus.txt"}},
      "corpus file not found"),
+    ({"model": {"causal": True, "n_classes": None},
+      "task": {"kind": "lm", "corpus_path": "."}},
+     "corpus path is a directory: ."),
     ({"model": {"max_positions": 32}, "task": {"seq_len": 33}},
      "exceeds model max_positions 32"),
-], ids=["missing-corpus", "seq-len-past-max-positions"])
+], ids=["missing-corpus", "corpus-is-a-directory",
+        "seq-len-past-max-positions"])
 def test_train_exits_with_code_2_on_data_the_config_cannot_have(
         tmp_path, capsys, doc, message):
     code = main(["train", "--config", write_config(tmp_path, doc),
@@ -305,12 +311,19 @@ def test_overrides_apply_before_the_config_is_checked(tmp_path):
     ({"out_dir": 5}, [], "'out_dir': must be a string, not 5"),
     ({}, ["--set", "out_dir=5"], "'out_dir': must be a string, not 5"),
     ({"train": 3}, ["--set", "train.k=4"], "'train': must be an object"),
+    ({}, ["--out", "{config}"], "run.json is not a directory"),
+    ({}, ["--out", "{config}/run"], "run.json is not a directory"),
+    ({}, ["--config", "."], "config path is a directory: ."),
 ], ids=["out-dir-as-section", "out-dir-number-in-file",
-        "out-dir-number-set", "section-not-an-object"])
+        "out-dir-number-set", "section-not-an-object", "out-is-a-file",
+        "out-under-a-file", "config-is-a-directory"])
 def test_train_exits_with_code_2_on_a_bad_out_dir_or_section(
         tmp_path, capsys, doc, override, message):
-    code = main(["train", "--config", write_config(tmp_path, doc),
-                 *override, "--out", str(tmp_path / "run")])
+    # a later --out or --config replaces the first; {config} is the
+    # config file's path
+    config = write_config(tmp_path, doc)
+    code = main(["train", "--config", config, "--out", str(tmp_path / "run"),
+                 *(arg.format(config=config) for arg in override)])
     assert code == EXIT_BAD_CONFIG
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()

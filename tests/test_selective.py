@@ -125,6 +125,31 @@ def test_the_last_layers_unselected_rows_stop_at_their_keys_and_values(
                 and not node.requires_grad]
 
 
+@pytest.mark.parametrize("mode", ["lm", "classification"])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_every_affine_of_a_training_example_is_one_node(regime, mode):
+    # base weight, LoRA delta and bias: no matmul, scale or bias add
+    # node, tracked or not
+    causal = mode == "lm"
+    train = TrainConfig(regime=regime,
+                        k=3 if regime in SELECTIVE_REGIMES else None,
+                        seed=8, dtype="float64", lora_targets=LORA_TARGETS)
+    model = build_regime_model(cfg_for(causal), train)
+    seq = random_seq(rng_for(8), 10, causal)
+    tape = Tape()
+    Trainer(model, train, mode)._example_loss(
+        tape, lm_example(seq) if causal else Example(seq, label=2))
+    assert not [node for node in tape.nodes
+                if node.op == "matmul" or node.meta.get("fn") == "scale"
+                or node.op == "add" and node.meta["broadcast"]]
+    affines = [node for node in tape.nodes if node.op == "affine"]
+    assert any(node.requires_grad for node in affines)
+    # in the adapter regimes every layer's affine reads its factors
+    adapted = sum("scaling" in node.meta for node in affines)
+    assert adapted == (0 if model.lora_scaling is None else sum(
+        1 for node in affines if node.label.startswith("layer.")))
+
+
 # ---- full selection ------------------------------------------------------------
 
 @pytest.mark.parametrize("mode", ["classification", "lm"])
@@ -200,7 +225,7 @@ def _ffn_w1_node(tape, model):
         if node.op == "param" and node.name == "layers.0.ffn.w1":
             w1_node_idx = node.idx
     for node in tape.nodes:
-        if node.op == "matmul" and any(i.idx == w1_node_idx
+        if node.op == "affine" and any(i.idx == w1_node_idx
                                        for i in node.inputs):
             if node.requires_grad:
                 return node
@@ -225,8 +250,8 @@ def test_w1_backward_cache_is_k_by_d_model_independent_of_rest():
         node = _ffn_w1_node(tape, model)
         # W1's backward rebuilds its input from norm2's saves, so the k x d
         # rows entering W1's gradient (and k inverse stds) are charged to
-        # norm2, and W1's matmul retains only W1
-        norm2, w1 = node.inputs
+        # norm2, and W1's affine retains only W1 (not its bias)
+        norm2, w1, _ = node.inputs
         assert norm2.op == "layer_norm"
         assert norm2.fresh_bytes == (k * d + k) * 8
         assert node.retains == (w1.idx,) and node.fresh_bytes == 0
