@@ -27,8 +27,10 @@ EXIT_NAN_ABORT = 3
 
 def _out_fault(path, is_dir: bool) -> str | None:
     """Why `path` cannot be written as a directory (`is_dir`) or as a
-    file: it exists as the other kind, or the nearest of its parents that
-    exists is no directory. None if it can be."""
+    file: it is empty, it exists as the other kind, or the nearest of its
+    parents that exists is no directory. None if it can be."""
+    if not path:
+        return "the path is empty"
     p = Path(path)
     if p.exists():
         if p.is_dir() == is_dir:
@@ -42,7 +44,7 @@ def cmd_train(args) -> int:
     from .optimize import StepError, run_training
 
     cfg = load_run_config(args.config, args.set)
-    out_dir = args.out or cfg.out_dir
+    out_dir = cfg.out_dir if args.out is None else args.out
     if fault := _out_fault(out_dir, is_dir=True):
         print(f"invalid run directory: {fault}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -117,7 +119,7 @@ def cmd_memsweep(args) -> int:
         return EXIT_BAD_CONFIG
     regimes = (REGIMES if args.regimes is None
                else [r for r in args.regimes.split(",") if r])
-    out_file = args.out or "memsweep.csv"
+    out_file = "memsweep.csv" if args.out is None else args.out
     if fault := _out_fault(out_file, is_dir=False):
         print(f"invalid --out: {fault}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -200,6 +200,8 @@ class RunConfig:
 
     def __post_init__(self):
         _check_types(self)
+        if not self.out_dir:
+            raise ConfigError("out_dir", "must be a non-empty path")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

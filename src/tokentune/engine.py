@@ -44,7 +44,7 @@ Cache policy per primitive, as (what backward reads):
                    the queries' positions (8 bytes per row), q and k
                    always, v iff q or k needs grad (references, not
                    copies). Backward rebuilds each block's probabilities
-                   from them (Dao et al. 2022)
+                   from them one head at a time (Dao et al. 2022)
     layer_norm     normalized input, per-row inverse std, the scale and
                    shift vectors
     select/concat  nothing (integer metadata and the input's shape)
@@ -78,6 +78,9 @@ MASK_VALUE = -1e30
 #: so wholly masked key tiles (most of a causal mask's upper triangle) cost
 #: nothing, as in FlashAttention's block skipping (Dao et al. 2022).
 ATTENTION_BLOCK_ROWS = 64
+
+#: Added to a layer norm's variance before its inverse square root.
+LAYER_NORM_EPS = 1e-5
 
 
 def gelu_array(x: np.ndarray) -> np.ndarray:
@@ -140,34 +143,26 @@ def _attention_spans(positions, m: int,
                  for r0 in range(0, m, rows))
 
 
-def _block_buffer(spans, n_heads: int, dtype) -> np.ndarray:
-    """A flat buffer that holds the largest span's n_heads x rows x hi
-    block."""
-    return np.empty(max((n_heads * (r1 - r0) * hi for r0, r1, hi in spans),
-                        default=0), dtype)
+def _block_mask(positions, hi: int, dtype) -> np.ndarray:
+    """The additive causal mask of one block of queries at `positions`
+    over its first hi keys (rows x hi): 0 where a key lies at or before
+    the query's position, MASK_VALUE past it. Formed once per block, and
+    added to every head's scores."""
+    zero, blocked = dtype.type(0), dtype.type(MASK_VALUE)
+    return np.where(np.arange(hi) <= positions[:, None], zero, blocked)
 
 
-def _blocks(buf: np.ndarray, spans, n_heads: int):
-    """(r0, r1, hi, view) per span, the view being the front
-    n_heads x (r1 - r0) x hi of the flat `buf` (one buffer reused by every
-    block)."""
-    for r0, r1, hi in spans:
-        shape = (n_heads, r1 - r0, hi)
-        yield r0, r1, hi, buf[:math.prod(shape)].reshape(shape)
-
-
-def _block_scores(qb, kt, positions, out) -> None:
-    """Scores of one block of scaled queries `qb` (heads x rows x head
-    width) against the first hi keys, every head, into `out`: qb k^T, plus
-    MASK_VALUE where a key lies past its query's position when the
-    block's `positions` are given (causal attention). The forward pass and
-    the backward recompute both call this, so their probabilities agree
-    bit for bit."""
-    hi = out.shape[2]
-    np.matmul(qb, kt[:, :, :hi], out=out)
-    if positions is not None:
-        zero, blocked = out.dtype.type(0), out.dtype.type(MASK_VALUE)
-        out += np.where(np.arange(hi) <= positions[:, None], zero, blocked)
+def _block_scores(qb, kt, mask, out) -> None:
+    """Scores of one block of scaled queries `qb` against the first hi
+    keys into `out`: qb k^T, plus the block's `mask` when it has one.
+    `qb` is heads x rows x head width with `kt` heads x head width x keys
+    (the forward, every head at once), or rows x head width with
+    head width x keys (the backward, one head). The two pass one head's
+    operands to the same matmul, so their probabilities agree bit for
+    bit."""
+    np.matmul(qb, kt[..., :out.shape[-1]], out=out)
+    if mask is not None:
+        out += mask
 
 
 def _rebuilt_in_backward(node: Node) -> bool:
@@ -557,12 +552,15 @@ class Tape:
         qh = _heads(qv, n_heads)
         kt = _heads(kv, n_heads).transpose(0, 2, 1)
         vh, oh = _heads(vv, n_heads), _heads(out, n_heads)
-        buf = _block_buffer(spans, n_heads, qv.dtype)
-        for r0, r1, hi, s in _blocks(buf, spans, n_heads):
+        buf = np.empty(max((n_heads * (r1 - r0) * hi for r0, r1, hi in spans),
+                           default=0), qv.dtype)
+        for r0, r1, hi in spans:
+            s = buf[:n_heads * (r1 - r0) * hi].reshape(n_heads, r1 - r0, hi)
+            mask = (None if positions is None
+                    else _block_mask(positions[r0:r1], hi, qv.dtype))
             # q is scaled a block at a time: the product is elementwise, so
             # the values are those of scaling all of q, without its copy
-            _block_scores(qh[:, r0:r1] * scale, kt,
-                          None if positions is None else positions[r0:r1], s)
+            _block_scores(qh[:, r0:r1] * scale, kt, mask, s)
             if not _all_finite(s):
                 raise NonFiniteError("attention", f"scores of rows {r0}:{r1}")
             top = s.max(axis=2, keepdims=True)
@@ -583,8 +581,7 @@ class Tape:
                             {"n_heads": n_heads, "scale": scale,
                              "spans": spans}, saves)
 
-    def layer_norm(self, x: Tensor, gamma: Tensor, beta: Tensor,
-                   eps: float = 1e-5) -> Tensor:
+    def layer_norm(self, x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         d = x.value.shape[1]
         if gamma.value.shape != (1, d) or beta.value.shape != (1, d):
             raise ShapeError("layer_norm",
@@ -593,13 +590,13 @@ class Tape:
         mu = x.value.mean(axis=1, keepdims=True)
         xhat = x.value - mu
         var = (xhat * xhat).mean(axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
         xhat *= inv  # centred input, normalized in place
         out = _layer_norm_output(xhat, gamma.value, beta.value)
         saves = [("normalized", xhat), ("inv_std", inv),
                  ("scale", gamma.value), ("shift", beta.value)]
         return self._record("layer_norm", out, (x, gamma, beta),
-                            {"eps": eps}, saves)
+                            saves=saves)
 
     def select_rows(self, a: Tensor, idx) -> Tensor:
         idx = np.asarray(idx, dtype=np.intp)
@@ -862,66 +859,55 @@ class Tape:
 
     def _backprop_attention(self, node: Node, g: np.ndarray, saved,
                             grads) -> None:
-        """Per row block, every head at once, over the block's first `hi`
-        keys: rebuild p with the forward's own ops from q, k, the
-        block's saved positions (if causal) and the saved row max and
+        """Per row block, one head at a time, on 2-D slices over the
+        block's first `hi` keys: rebuild p with the forward's own ops
+        from q, k, the block's mask (if causal) and the saved row max and
         sum, then dv += p^T g, dp = g v^T,
         ds = p * (dp - rowsum(dp * p)), dq = scale * ds k,
-        dk += ds^T (scale * q). Buffers of the largest block serve every
-        block, p is overwritten with ds, and rowsum(dp * p) is taken one
-        head at a time through a rows x hi buffer. The products added into
-        dv and dk are formed one head at a time too, so each is an
-        hi x head-width array, not all heads'."""
+        dk += ds^T (scale * q). Head h reads and writes columns
+        h * w:(h + 1) * w of each operand and gradient (w the head
+        width). Three rows x hi buffers of the largest block, for p, dp
+        and dp * p, serve every (block, head), and p is overwritten with
+        ds."""
         q, k, v = node.inputs
         n_heads = node.meta["n_heads"]
         scale = node.meta["scale"]
         spans = node.meta["spans"]
         positions = saved.get("positions")
         row_max, row_sum = saved["row_max"], saved["row_sum"]
+        qv, kv, vv = saved["q"], saved["k"], saved.get("v")
         dq = np.empty(q.shape, q.dtype) if q.requires_grad else None
         dk = np.zeros(k.shape, k.dtype) if k.requires_grad else None
         dv = np.zeros(v.shape, v.dtype) if v.requires_grad else None
-        gh = _heads(g, n_heads)
-        qh = _heads(saved["q"], n_heads)
-        kh = _heads(saved["k"], n_heads)
-        kt = kh.transpose(0, 2, 1)
-        p_buf = _block_buffer(spans, n_heads, node.dtype)
-        if dv is not None:
-            dvh = _heads(dv, n_heads)
-        if dq is not None or dk is not None:
-            dp_buf = np.empty_like(p_buf)
-            row_buf = np.empty(max((r1 - r0) * hi for r0, r1, hi in spans),
-                               node.dtype)
-            vt = _heads(saved["v"], n_heads).transpose(0, 2, 1)
-        if dq is not None:
-            dqh = _heads(dq, n_heads)
-        if dk is not None:
-            dkh = _heads(dk, n_heads)
-        for r0, r1, hi, p in _blocks(p_buf, spans, n_heads):
-            qb = qh[:, r0:r1] * scale
-            _block_scores(qb, kt,
-                          None if positions is None else positions[r0:r1], p)
-            p -= row_max[:, r0:r1, None]
-            np.exp(p, out=p)
-            p /= row_sum[:, r0:r1, None]
-            gb = gh[:, r0:r1]
-            if dv is not None:
-                for h in range(n_heads):
-                    dvh[h, :hi] += p[h].T @ gb[h]
-            if dq is None and dk is None:
-                continue
-            dp = dp_buf[:p.size].reshape(p.shape)
-            dp_p = row_buf[:(r1 - r0) * hi].reshape(r1 - r0, hi)
-            np.matmul(gb, vt[:, :, :hi], out=dp)
+        w = q.shape[1] // n_heads
+        size = max(((r1 - r0) * hi for r0, r1, hi in spans), default=0)
+        p_buf, dp_buf, dpp_buf = (np.empty(size, node.dtype)
+                                  for _ in range(3))
+        for r0, r1, hi in spans:
+            p, dp, dp_p = (buf[:(r1 - r0) * hi].reshape(r1 - r0, hi)
+                           for buf in (p_buf, dp_buf, dpp_buf))
+            mask = (None if positions is None
+                    else _block_mask(positions[r0:r1], hi, node.dtype))
             for h in range(n_heads):
-                np.multiply(dp[h], p[h], out=dp_p)
-                dp[h] -= dp_p.sum(axis=1, keepdims=True)
-            p *= dp
-            if dq is not None:
-                np.matmul(p, kh[:, :hi], out=dqh[:, r0:r1])
-            if dk is not None:
-                for h in range(n_heads):
-                    dkh[h, :hi] += p[h].T @ qb[h]
+                c = slice(h * w, (h + 1) * w)
+                qb = qv[r0:r1, c] * scale
+                _block_scores(qb, kv[:, c].T, mask, p)
+                p -= row_max[h, r0:r1, None]
+                np.exp(p, out=p)
+                p /= row_sum[h, r0:r1, None]
+                gb = g[r0:r1, c]
+                if dv is not None:
+                    dv[:hi, c] += p.T @ gb
+                if dq is None and dk is None:
+                    continue
+                np.matmul(gb, vv[:hi, c].T, out=dp)
+                np.multiply(dp, p, out=dp_p)
+                dp -= dp_p.sum(axis=1, keepdims=True)
+                p *= dp
+                if dq is not None:
+                    np.matmul(p, kv[:hi, c], out=dq[r0:r1, c])
+                if dk is not None:
+                    dk[:hi, c] += p.T @ qb
         if dq is not None:
             dq *= scale
         for inp, grad in ((q, dq), (k, dk), (v, dv)):
@@ -991,11 +977,11 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     concat_rows, so the replay sees one block's hidden arrays live at a
     time, as they are.
     Temporaries inside an op are not modeled: softmax buffers,
-    attention's block buffers (heads x ATTENTION_BLOCK_ROWS x hi of the
-    largest block: one in forward, up to two in backward, plus one
-    ATTENTION_BLOCK_ROWS x hi row buffer), the block's scaled queries and
-    a causal block's additive mask (ATTENTION_BLOCK_ROWS x hi), an
-    affine's LoRA delta (one output-sized array in forward, and g * s in
+    attention's block buffers (sized by the largest block: in forward one
+    heads x ATTENTION_BLOCK_ROWS x hi block, in backward three
+    ATTENTION_BLOCK_ROWS x hi head buffers), the scaled queries and a
+    causal block's additive mask (ATTENTION_BLOCK_ROWS x hi), an affine's
+    LoRA delta (one output-sized array in forward, and g * s in
     backward), a layer norm's or GELU's output that an affine's backward
     rebuilds (one rows x cols array, freed once that affine's weight or
     factor gradients are formed), and the GELU derivative that this

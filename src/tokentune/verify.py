@@ -49,6 +49,10 @@ from .selective import (every_position, loss_classification, loss_lm,
 REL_FLOOR = 1e-8
 SUBSAMPLE_THRESHOLD = 4096
 SUBSAMPLE_COORDS = 256
+#: `equivalence_suite` bounds: the largest relative error a value check
+#: and a gradient check may show and pass.
+VALUE_TOL = 1e-12
+GRAD_TOL = 1e-10
 
 PROPERTY_VALUE = "value-preservation"
 PROPERTY_STOPGRAD = "stopgrad-equivalence"
@@ -446,8 +450,6 @@ def _value_preservation_diff(model, seq, partition, mutant=None) -> float:
 
 def equivalence_suite(n_configs: int = 50, seed: int = 0,
                       mutant: str | None = None,
-                      value_tol: float = 1e-12,
-                      grad_tol: float = 1e-10,
                       out_path=None) -> dict:
     """Random small configurations x {value preservation, stop-gradient
     equivalence, full-selection identity}; one record per property check.
@@ -466,7 +468,7 @@ def equivalence_suite(n_configs: int = 50, seed: int = 0,
 
         diff = _value_preservation_diff(model, seq, partition, mutant)
         records.append({"grid_point": point, "property": PROPERTY_VALUE,
-                        "max_rel_err": diff, "pass": bool(diff < value_tol)})
+                        "max_rel_err": diff, "pass": bool(diff < VALUE_TOL)})
         if loss_spec[0] == "lm" \
                 and (loss_spec[1][partition.selected] < 0).all():
             continue
@@ -475,14 +477,14 @@ def equivalence_suite(n_configs: int = 50, seed: int = 0,
         oracle = stopgrad_reference_backward(model, seq, partition, loss_spec)
         err = grads_max_rel_err(tt, oracle)
         records.append({"grid_point": point, "property": PROPERTY_STOPGRAD,
-                        "max_rel_err": err, "pass": bool(err < grad_tol)})
+                        "max_rel_err": err, "pass": bool(err < GRAD_TOL)})
 
         full = _full_backward(model, seq, loss_spec, mutant)
         oracle = stopgrad_reference_backward(model, seq, every_position(seq),
                                              loss_spec)
         err = grads_max_rel_err(full, oracle)
         records.append({"grid_point": point, "property": PROPERTY_FULL,
-                        "max_rel_err": err, "pass": bool(err < grad_tol)})
+                        "max_rel_err": err, "pass": bool(err < GRAD_TOL)})
     failures = [r for r in records if not r["pass"]]
     result = {"records": records, "all_pass": not failures,
               "failures": failures}

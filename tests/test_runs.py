@@ -144,8 +144,9 @@ def test_memsweep_refuses_a_ratio_training_refuses(tmp_path, capsys, ratios):
     (["--n", "1"], "--n: must be >= 2, not 1"),
     (["--batch", "0"], "--batch: must be >= 1, not 0"),
     (["--out", "."], "--out: . is a directory"),
+    (["--out", ""], "--out: the path is empty"),
 ], ids=["unknown-regime", "n-0", "negative-n", "n-1", "batch-0",
-        "out-is-a-directory"])
+        "out-is-a-directory", "out-is-empty"])
 def test_memsweep_exits_with_code_2_on_a_bad_option(tmp_path, capsys,
                                                     option, message):
     out = tmp_path / "sweep.csv"
@@ -314,9 +315,12 @@ def test_overrides_apply_before_the_config_is_checked(tmp_path):
     ({}, ["--out", "{config}"], "run.json is not a directory"),
     ({}, ["--out", "{config}/run"], "run.json is not a directory"),
     ({}, ["--config", "."], "config path is a directory: ."),
+    ({}, ["--set", "out_dir="], "'out_dir': must be a non-empty path"),
+    ({}, ["--out", ""], "invalid run directory: the path is empty"),
 ], ids=["out-dir-as-section", "out-dir-number-in-file",
         "out-dir-number-set", "section-not-an-object", "out-is-a-file",
-        "out-under-a-file", "config-is-a-directory"])
+        "out-under-a-file", "config-is-a-directory", "out-dir-empty",
+        "out-is-empty"])
 def test_train_exits_with_code_2_on_a_bad_out_dir_or_section(
         tmp_path, capsys, doc, override, message):
     # a later --out or --config replaces the first; {config} is the
