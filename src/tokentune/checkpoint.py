@@ -34,8 +34,9 @@ from .config import ModelConfig, targets_fault
 from .model import TARGET_SUFFIXES, TransformerModel, param_specs
 
 MAGIC = "tokentune-checkpoint"
-#: 3 since the header names no parameter and its sha256 covers the header
-VERSION = 3
+#: 4 since GELU is the tanh form: a version-3 checkpoint was trained with
+#: erf's, so it is refused rather than loaded into another function
+VERSION = 4
 
 
 class CheckpointError(ValueError):

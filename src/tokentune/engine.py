@@ -33,8 +33,8 @@ Cache policy per primitive, as (what backward reads):
                    saves, bit for bit (the recompute trade of Chen et al.
                    2016), forms dA and dW from it and frees it before dX;
                    and x @ a (fresh, rows x rank) iff b needs grad
-    elementwise    gelu: its input (a reference). The erf pass that
-                   rebuilds its output for an affine also yields its
+    elementwise    gelu (tanh form): its input (a reference). The pass
+                   that rebuilds its output for an affine also yields its
                    derivative, which its backward then multiplies by g in
                    place; unread by such an affine, it runs that pass
                    itself. scale: nothing (constant factor)
@@ -64,10 +64,19 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+#: The tanh form of GELU (Hendrycks & Gimpel 2016, arXiv 1606.08415):
+#: 0.5 * x * (1 + tanh(u)), u = sqrt(2 / pi) * (x + 0.044715 * x**3).
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
+#: x**2 is capped here where it enters the derivative. From |x| = 8 on,
+#: far below the cap, tanh(u) is +-1 exactly in float32 and float64, so
+#: the capped term is multiplied by 1 - tanh(u)**2 = 0: an x**2 that
+#: overflows gives 0, not inf * 0 = NaN.
+_GELU_SQUARE_CAP = 1e4
+#: Bytes of x per row block of the GELU pass: a block's arrays stay in
+#: cache across the pass's dozen elementwise ops.
+GELU_BLOCK_BYTES = 64 * 1024
 
 #: Additive pre-softmax mask value; finite (keeps matrices NaN/Inf-free)
 #: but large enough that exp() underflows to exactly 0 in float32/float64.
@@ -83,40 +92,61 @@ ATTENTION_BLOCK_ROWS = 64
 LAYER_NORM_EPS = 1e-5
 
 
-def gelu_array(x: np.ndarray) -> np.ndarray:
-    """Exact (erf-based) GELU on a plain array: the value of `Tape.gelu`.
+def _gelu_pass(x: np.ndarray, derivative: bool):
+    """(GELU(x), GELU'(x) if `derivative` else None) in the tanh form,
+    from one pass over row blocks of x of GELU_BLOCK_BYTES each.
 
-    0.5 * x * (1 + erf(x / sqrt 2)), computed in place in its output, so it
-    allocates nothing else; halving is exact, so the result equals the
-    three-temporary expression bit for bit."""
-    out = np.multiply(x, _INV_SQRT2)
-    erf(out, out=out)
-    out += 1.0
-    out *= x
-    out *= 0.5
-    return out
+    With t = tanh(u), c = _GELU_C and a = _GELU_A, the value is
+    0.5 * (1 + t) * x and the derivative
+    0.5 * (1 + t) + (1 - t * t) * 0.5c (1 + 3a x**2) * x, its x**2 capped
+    at _GELU_SQUARE_CAP. Each element sees the same ops in the same
+    order, so the value is bit for bit the same with or without the
+    derivative, and whole or in blocks. Besides its outputs the pass
+    allocates only, for the derivative, one block of scratch that every
+    block reuses. An |x| for which a x**3 overflows (about 2e13 in
+    float32) raises numpy's overflow warning, and still gives a finite
+    value and a derivative of 0 or 1."""
+    value = np.empty_like(x)
+    deriv = np.empty_like(x) if derivative else None
+    rows = max(1, GELU_BLOCK_BYTES // max(1, x[:1].nbytes))
+    scratch = np.empty_like(x[:rows]) if derivative else None
+    for r0 in range(0, x.shape[0], rows):
+        xb, h = x[r0:r0 + rows], value[r0:r0 + rows]
+        np.multiply(xb, xb, out=h)
+        if derivative:
+            d = deriv[r0:r0 + rows]
+            np.minimum(h, _GELU_SQUARE_CAP, out=d)
+            d *= 1.5 * _GELU_A * _GELU_C
+            d += 0.5 * _GELU_C
+        h *= _GELU_A * _GELU_C
+        h += _GELU_C
+        h *= xb
+        np.tanh(h, out=h)
+        if derivative:
+            s = scratch[:len(xb)]
+            np.multiply(h, h, out=s)
+            np.subtract(1.0, s, out=s)
+            d *= s
+            d *= xb
+        h += 1.0
+        h *= 0.5
+        if derivative:
+            d += h
+        h *= xb
+    return value, deriv
+
+
+def gelu_array(x: np.ndarray) -> np.ndarray:
+    """Tanh-form GELU on a plain array: the value of `Tape.gelu`. It
+    allocates only its output (:func:`_gelu_pass`)."""
+    return _gelu_pass(x, False)[0]
 
 
 def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(GELU(x), GELU'(x)) from one erf pass, in two arrays.
-
-    With phi = 0.5 * (1 + erf(x / sqrt 2)) and dens the standard normal
-    density at x, the output phi * x equals :func:`gelu_array` bit for bit
-    (halving is exact outside the subnormal range), and the derivative
-    phi + x * dens keeps the order of operations of that expression
-    (addition commutes exactly), so g * derivative is unchanged too."""
-    phi = np.multiply(x, _INV_SQRT2)
-    erf(phi, out=phi)
-    phi += 1.0
-    phi *= 0.5
-    deriv = np.multiply(x, -0.5)
-    deriv *= x
-    np.exp(deriv, out=deriv)
-    deriv *= _INV_SQRT2PI
-    deriv *= x
-    deriv += phi
-    phi *= x
-    return phi, deriv
+    """(GELU(x), GELU'(x)) from one :func:`_gelu_pass`, in two arrays
+    and one row-block scratch; the output equals :func:`gelu_array` bit
+    for bit."""
+    return _gelu_pass(x, True)
 
 
 def _all_finite(x: np.ndarray) -> bool:
@@ -176,10 +206,11 @@ def _rebuilt_in_backward(node: Node) -> bool:
 def _rebuilt_output(node: Node) -> np.ndarray:
     """The output of a node :func:`_rebuilt_in_backward` names, rebuilt
     from its saves so that it equals the forward's bit for bit: a layer
-    norm's with the forward's own expression, a GELU's from the erf pass
-    of :func:`_gelu_parts`. That pass also yields the GELU's derivative,
-    which is left on the GELU's saves for its own backward, next on this
-    path (another affine's rebuild replaces it)."""
+    norm's with the forward's own expression, a GELU's from
+    :func:`_gelu_parts`, the forward's own tanh-form pass with the
+    derivative added. That derivative is left on the GELU's saves for its
+    own backward, next on this path (another affine's rebuild replaces
+    it)."""
     saved = dict(node._saved_arrays)
     if node.op == "layer_norm":
         return _layer_norm_output(saved["normalized"], saved["scale"],
@@ -984,9 +1015,11 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     LoRA delta (one output-sized array in forward, and g * s in
     backward), a layer norm's or GELU's output that an affine's backward
     rebuilds (one rows x cols array, freed once that affine's weight or
-    factor gradients are formed), and the GELU derivative that this
-    rebuild or the GELU's own backward forms (one rows x cols array, held
-    until it becomes the GELU's input gradient).
+    factor gradients are formed), the GELU derivative that this rebuild
+    or the GELU's own backward forms (one rows x cols array, held until
+    it becomes the GELU's input gradient), and the scratch of the pass
+    that forms it (one row block of GELU_BLOCK_BYTES or one row, freed
+    when the pass returns).
     """
     last_use: dict[int, int] = {}
     for node in tape.nodes:

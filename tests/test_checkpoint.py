@@ -359,6 +359,20 @@ def test_another_version_raises_checkpoint_error(tmp_path, capsys, fault):
     assert "version" in capsys.readouterr().err
 
 
+def test_a_version_3_checkpoint_is_refused(tmp_path, capsys):
+    # version 3 was trained with erf-GELU, which the tanh form replaced
+    path = tmp_path / "m.ckpt"
+    save_model(tiny_model(), path)
+    rewrite_header(path, lambda h: h.update(version=3))
+    with pytest.raises(CheckpointError, match=r"version 3 \(expected 4\)"):
+        load_model(path)
+    config = tmp_path / "run.json"
+    config.write_text("{}")
+    assert main(["eval", "--config", str(config), "--checkpoint", str(path)]) \
+        == EXIT_BAD_CONFIG
+    assert "version 3 (expected 4)" in capsys.readouterr().err
+
+
 def flip_payload_byte(path, offset=5):
     """Invert every bit of one payload byte, `offset` bytes past the
     header line."""

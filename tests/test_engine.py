@@ -596,22 +596,17 @@ def test_norm_output_leaves_the_retained_set_iff_only_affines_rebuild_it(
 GELU_ROWS, GELU_WIDTH = 7, 6
 
 
-def old_gelu_backward(x, g):
-    """The GELU backward rule from before the rebuild, kept as an oracle:
-    g * (phi + x * dens), phi = 0.5 * (1 + erf(x / sqrt 2)), dens the
-    standard normal density at x."""
-    out = np.multiply(x, engine._INV_SQRT2)
-    engine.erf(out, out=out)
-    out += 1.0
-    out *= 0.5
-    dens = np.multiply(x, -0.5)
-    dens *= x
-    np.exp(dens, out=dens)
-    dens *= engine._INV_SQRT2PI
-    dens *= x
-    out += dens
-    out *= g
-    return out
+def gelu_backward_oracle(x, g):
+    """The tanh-form GELU backward rule on the whole array, in plain numpy,
+    kept as an oracle: g * (0.5 (1 + t) + (1 - t * t) p x), with
+    t = tanh(c (x + a x^3)) and p = 0.5c (1 + 3a x^2), x^2 capped, in the
+    order of operations of the engine's row-block pass, so that neither
+    the blocks nor the rebuild may move a bit."""
+    c, a = engine._GELU_C, engine._GELU_A
+    t = np.tanh((x * x * (a * c) + c) * x)
+    p = np.minimum(x * x, engine._GELU_SQUARE_CAP) * (1.5 * a * c) \
+        + 0.5 * c
+    return (p * (1.0 - t * t) * x + (t + 1.0) * 0.5) * g
 
 
 def gelu_input(scale, dtype):
@@ -663,7 +658,7 @@ def test_gelu_rebuild_output_equals_the_forward_bit_for_bit(dtype, scale):
     assert bits(out) == bits(gelu_array(z))
     g = rng_for(16).normal(size=z.shape).astype(dtype)
     deriv *= g
-    assert bits(deriv) == bits(old_gelu_backward(z, g))
+    assert bits(deriv) == bits(gelu_backward_oracle(z, g))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -687,7 +682,7 @@ def test_gelu_rebuild_gives_the_saved_output_gradients_bit_for_bit(
         assert bits(grads["w0"]) == bits(ref_grads["w0"])
     else:
         assert not grads
-    assert bits(dz) == bits(old_gelu_backward(z, ref.grad_of(h_ref)))
+    assert bits(dz) == bits(gelu_backward_oracle(z, ref.grad_of(h_ref)))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -736,22 +731,66 @@ def ffn_graph(model, x):
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_tracked_ffn_forward_and_backward_run_erf_twice(monkeypatch, dtype):
-    # once in GELU's forward, once where W2's backward rebuilds its
-    # output; GELU's backward takes the derivative that pass left
+def test_tracked_ffn_forward_and_backward_run_the_gelu_pass_twice(
+        monkeypatch, dtype):
+    # once in GELU's forward (value only), once where W2's backward
+    # rebuilds its output (value and derivative); GELU's backward takes
+    # the derivative that pass left
     model = build_model(gelu_model_config(), seed=2, dtype=dtype)
     calls = []
-    real_erf = engine.erf
+    real_pass = engine._gelu_pass
 
-    def counting_erf(*args, **kwargs):
-        calls.append(1)
-        return real_erf(*args, **kwargs)
+    def counting_pass(x, derivative):
+        calls.append(derivative)
+        return real_pass(x, derivative)
 
-    monkeypatch.setattr(engine, "erf", counting_erf)
+    monkeypatch.setattr(engine, "_gelu_pass", counting_pass)
     t, loss = ffn_graph(model, rng_for(17).normal(size=(GELU_ROWS, 8)))
     grads = t.backward(loss)
-    assert len(calls) == 2
+    assert calls == [False, True]
     assert {"layers.0.ffn.w1", "layers.0.ffn.w2"} <= set(grads)
+
+
+def test_gelu_derivative_matches_central_differences_of_the_value():
+    # relative to the derivative's largest magnitude: in the negative tail
+    # 1 + tanh(u) cancels (as 1 + erf did), so there the value, and any
+    # difference quotient of it, is exact only to about 1e-16 absolute
+    x = np.linspace(-10.0, 10.0, 21 * 101).reshape(21, 101)
+    step = 1e-5
+    fd = (gelu_array(x + step) - gelu_array(x - step)) / (2 * step)
+    deriv = engine._gelu_parts(x)[1]
+    assert np.abs(deriv - fd).max() <= 1e-8 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_pass_is_bit_equal_whole_or_in_row_blocks(monkeypatch, dtype):
+    z = rng_for(20).normal(0.0, 3.0, (37, 50)).astype(dtype)
+    z[0, :5] = [40.0, -40.0, 0.0, 1e-30, -1e-30]
+    monkeypatch.setattr(engine, "GELU_BLOCK_BYTES", z.nbytes)
+    whole = engine._gelu_parts(z)
+    whole_value = gelu_array(z)
+    # blocks of 5 rows, the last of 2
+    monkeypatch.setattr(engine, "GELU_BLOCK_BYTES", 5 * z[:1].nbytes)
+    blocked = engine._gelu_parts(z)
+    assert bits(whole_value) == bits(whole[0]) == bits(blocked[0]) \
+        == bits(gelu_array(z))
+    assert bits(whole[1]) == bits(blocked[1])
+
+
+@pytest.mark.parametrize("dtype,big", [
+    (np.float32, [1e14, 1e20, 3e38]),  # a x^3 overflows; then x^2 too
+    (np.float64, [1e104, 1e200, 1e308]),
+], ids=["float32", "float64"])
+def test_gelu_saturates_where_its_polynomial_overflows(dtype, big):
+    # tanh(u) is +-1 there, so the value is x or 0 and the derivative 1
+    # or 0; (1 - tanh(u)^2) * inf would be NaN, where erf's form gave 0
+    x = np.array([big, [-b for b in big]], dtype=dtype)
+    with np.errstate(over="ignore"):  # numpy's warning of x^2 or x^3
+        value, deriv = engine._gelu_parts(x)
+        forward = gelu_array(x)
+    assert bits(forward) == bits(value)
+    assert np.array_equal(value[0], x[0]) and not value[1].any()
+    assert (deriv[0] == 1.0).all() and not deriv[1].any()
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

@@ -1,7 +1,7 @@
 """Measured memory: the bytes a run really holds, read with `tracemalloc`,
 against the engine's own liveness replay (`simulate_peak_bytes`), the
 train step's gradient accumulator that backward streams into, and the
-scratch memory of attention's backward and of Adam.
+scratch memory of attention's backward, of the GELU pass and of Adam.
 
 The replay counts arrays only. The graph itself (node records, their
 metadata and index arrays) is real memory it does not count, so a
@@ -13,6 +13,9 @@ import gc
 import tracemalloc
 
 import numpy as np
+# np.unique imports numpy.ma on its first call; imported here, that
+# one-time import falls in no measured window
+import numpy.ma  # noqa: F401
 import pytest
 
 from tokentune import engine
@@ -326,6 +329,21 @@ def test_gelu_forward_allocates_only_its_output(dtype):
         y = gelu_array(x)
         peak = traced.peak()
     assert y.nbytes <= peak <= y.nbytes + GRAPH_BYTES_PER_NODE, peak
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_parts_hold_two_outputs_and_one_row_block_of_scratch(dtype):
+    x = np.random.default_rng(6).normal(size=(512, 1024)).astype(dtype)
+    with Traced() as traced:
+        value, deriv = engine._gelu_parts(x)
+        peak = traced.peak()
+    row = x[:1].nbytes
+    scratch = min(len(x), max(1, engine.GELU_BLOCK_BYTES // row)) * row
+    assert scratch < x.nbytes // 8
+    # beside the arrays, the row-block views of x, the outputs and the
+    # scratch: about 160 bytes each, four live and four being made
+    assert 2 * x.nbytes + scratch <= peak \
+        <= 2 * x.nbytes + scratch + 2 * GRAPH_BYTES_PER_NODE, peak
 
 
 def test_backward_holds_no_parameter_gradient_past_its_node(model, example):

@@ -262,7 +262,6 @@ def test_no_grad_ffn_in_row_blocks_equals_the_whole_array_ffn(
 
 
 def test_split_layer_composes_attention_and_ffn():
-    from scipy.special import erf
     model = build_model(tiny_config(n_layers=1), seed=7, dtype="float64")
     h = rng_for(7).normal(size=(2, 8))
     t = Tape()
@@ -273,7 +272,7 @@ def test_split_layer_composes_attention_and_ffn():
                                       False)
     z = norm_vals(model, 0, mid, 2) @ model.param("layers.0.ffn.w1") \
         + model.param("layers.0.ffn.b1")
-    g = 0.5 * z * (1 + erf(z / np.sqrt(2)))
+    g = 0.5 * z * (1 + np.tanh(np.sqrt(2 / np.pi) * (z + 0.044715 * z**3)))
     want = mid + g @ model.param("layers.0.ffn.w2") \
         + model.param("layers.0.ffn.b2")
     assert np.abs(got - want).max() < 1e-12

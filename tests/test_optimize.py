@@ -1,5 +1,10 @@
-"""Adam's in-place update against the textbook formula, and language
-model evaluation against a direct log-softmax."""
+"""Adam's in-place update against the textbook formula, language model
+evaluation against a direct log-softmax, and a train step without scipy."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,3 +126,35 @@ def test_lm_evaluation_needs_a_target():
         example.targets[:] = -1
     with pytest.raises(StepError, match="no predictable positions"):
         evaluate(model, windows, "lm")
+
+
+#: Every tokentune module imported, then one tokentune train step, with
+#: scipy unimportable: it is a test dependency only.
+WITHOUT_SCIPY = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None
+import tokentune
+for module in pkgutil.iter_modules(tokentune.__path__):
+    importlib.import_module("tokentune." + module.name)
+from tokentune.config import ModelConfig, TrainConfig
+from tokentune.memprofile import lm_profile_batch
+from tokentune.model import build_model
+from tokentune.optimize import Trainer
+cfg = ModelConfig(vocab_size=257, max_positions=16, d_model=8, n_heads=2,
+                  d_ff=12, n_layers=1, causal=True, n_classes=None)
+trainer = Trainer(build_model(cfg, seed=1),
+                  TrainConfig(regime="tokentune", k=4, batch_size=2,
+                              learning_rate=1e-3, seed=1), "lm")
+print(trainer.train_step(lm_profile_batch(16, 2, seed=1))["loss"])
+"""
+
+
+def test_a_train_step_runs_without_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path
+               else os.pathsep.join([src, path]))
+    done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert np.isfinite(float(done.stdout))
