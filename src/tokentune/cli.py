@@ -128,9 +128,9 @@ def cmd_memsweep(args) -> int:
         rows = sweep_report(cfg.model, cfg.train, n, args.batch, regimes,
                             ratios, out_path=out_file)
     except ConfigError as exc:
-        # the two config fields a sweep checks its options by
-        option = {"task.seq_len": "--n",
-                  "train.batch_size": "--batch"}.get(exc.field_name)
+        # the config fields a sweep checks its options by
+        option = {"task.seq_len": "--n", "train.batch_size": "--batch",
+                  "train.regime": "--regimes"}.get(exc.field_name)
         if option is None:
             raise
         print(f"invalid {option}: {exc.message}", file=sys.stderr)

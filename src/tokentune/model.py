@@ -21,15 +21,15 @@ from .engine import Tape, Tensor
 
 INIT_STD = 0.02
 
-#: Rows per block of a feed-forward block run without gradients. Nothing
-#: is saved then, so rows are independent, and running near-equal row
-#: blocks of at most this many rows bounds the two rows x d_ff arrays
-#: live at once. Every block has more than half this many rows: with
-#: OpenBLAS, products of 1-3 rows can differ from the whole array's in
-#: the last bits, while the FFN's products of 4 or more rows are equal to
-#: them bit for bit. A LoRA factor's narrow product (rows x d_in times
-#: d_in x rank) is not: its last bits can change with the row count, so
-#: a layer with an adapter on w1 or w2 runs its FFN whole.
+#: Rows per block of a feed-forward block run without gradients, with or
+#: without adapters. Nothing is saved then, so rows are independent, and
+#: running near-equal row blocks of at most this many rows bounds the two
+#: rows x d_ff arrays live at once. Every block has more than half this
+#: many rows: with OpenBLAS, products of 1-3 rows can differ from the
+#: whole array's in the last bits, while the base weights' products of 4
+#: or more rows are equal to them bit for bit. A LoRA factor's narrow
+#: product (rows x d_in times d_in x rank) can change in its last bits
+#: with the row count, so an adapted block's rows may too.
 FFN_BLOCK_ROWS = 256
 
 
@@ -198,15 +198,13 @@ def _ffn_rows(tape: Tape, model: TransformerModel, layer: int,
 
 
 def ffn(tape: Tape, model: TransformerModel, layer: int, h: Tensor) -> Tensor:
-    """GELU feed-forward block. Without gradients and adapters it runs
-    over near-equal blocks of at most FFN_BLOCK_ROWS rows, joined by
-    `concat_rows`: the same builders and values, with one block's hidden
-    arrays alive at a time instead of all rows'."""
-    base = f"layers.{layer}.ffn"
+    """GELU feed-forward block. Without gradients it runs over near-equal
+    blocks of at most FFN_BLOCK_ROWS rows, joined by `concat_rows`: the
+    same builders, with one block's hidden arrays alive at a time instead
+    of all rows'."""
     rows = h.value.shape[0]
     count = -(-rows // FFN_BLOCK_ROWS)
-    adapted = any(f"{base}.{w}.lora_a" in model.params for w in ("w1", "w2"))
-    if tape.grad_enabled or count < 2 or adapted:
+    if tape.grad_enabled or count < 2:
         return _ffn_rows(tape, model, layer, h)
     bounds = [rows * i // count for i in range(count + 1)]
     return tape.concat_rows([
@@ -286,11 +284,3 @@ def loss_lm_rows(tape: Tape, model: TransformerModel, h_rows: Tensor,
     logits = lm_logits(tape, model, h_rows)
     with tape.region("head"):
         return tape.cross_entropy(logits, targets)
-
-
-# ---- value-level head application (evaluation paths) -----------------------
-
-def log_softmax(values: np.ndarray) -> np.ndarray:
-    zmax = values.max(axis=1, keepdims=True)
-    lse = zmax + np.log(np.exp(values - zmax).sum(axis=1, keepdims=True))
-    return values - lse

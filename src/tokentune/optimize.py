@@ -2,16 +2,18 @@
 
 Every regime runs per-example tapes of one forward,
 `selective.tokentune_forward`, with gradients accumulated in a fixed
-order; the optimizer applies once per accumulation window. The selective
-regimes draw k positions per example; full, LoRA and evaluation select
-every position. A loss is a sum of terms, one per classification example
-and one per selected target token (language modeling), and the step loss
-and the update are divided by the number of terms, so magnitudes stay
-comparable across selection sizes.
+order; the optimizer applies once per accumulation window, a run's last
+(perhaps short) window included. The selective regimes draw k positions
+per example; full, LoRA and evaluation select every position. A loss is
+a sum of terms, one per classification example and one per selected
+target token (language modeling), and the step loss and the update are
+divided by the number of terms, so magnitudes stay comparable across
+selection sizes.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -21,7 +23,8 @@ import numpy as np
 
 from .config import SELECTIVE_REGIMES, RunConfig, TrainConfig
 from .engine import Tape, simulate_peak_bytes
-from .model import TransformerModel, class_logits, forward_hidden, log_softmax
+from .model import (TransformerModel, class_logits, forward_hidden,
+                    loss_lm_rows)
 from .partition import TokenPartition, resolve_k, select_positions
 from .selective import (every_position, loss_classification, loss_lm,
                         tokentune_forward)
@@ -172,6 +175,18 @@ class Trainer:
             return loss_lm(tape, self.model, split, example.targets)
         return loss_classification(tape, self.model, split, example.label), 1
 
+    def close_window(self) -> float:
+        """Apply the window's Adam update to the gradient sum over its
+        loss terms, start a new window, and return that gradient's norm."""
+        scale = 1.0 / max(self._window_terms, 1)
+        grad_norm = global_norm(self.accum.values(), scale)
+        adam_step(self.model, self.accum, self.state, self.cfg.learning_rate,
+                  self.cfg.weight_decay, grad_scale=scale)
+        for g in self.accum.values():
+            g[...] = 0.0
+        self._window_terms = 0
+        return grad_norm
+
     def train_step(self, batch, tape_hook=None) -> dict:
         """One micro-batch: per-example forward/backward, ordered gradient
         accumulation, and an Adam update when the window closes.
@@ -223,16 +238,8 @@ class Trainer:
 
         self.micro_step += 1
         self.activation_breakdown = breakdown
-        grad_norm = 0.0
-        if self.micro_step % self.cfg.accumulation_steps == 0:
-            scale = 1.0 / max(self._window_terms, 1)
-            grad_norm = global_norm(self.accum.values(), scale)
-            adam_step(self.model, self.accum, self.state,
-                      self.cfg.learning_rate, self.cfg.weight_decay,
-                      grad_scale=scale)
-            for g in self.accum.values():
-                g[...] = 0.0
-            self._window_terms = 0
+        full = self.micro_step % self.cfg.accumulation_steps == 0
+        grad_norm = self.close_window() if full else 0.0
 
         width = np.dtype(self.model.dtype).itemsize
         persistent = (self.model.total_param_elements()
@@ -259,33 +266,33 @@ def eval_hidden(model: TransformerModel, seq: np.ndarray) -> np.ndarray:
 
 
 def evaluate(model: TransformerModel, dataset, task_kind: str) -> dict:
-    """Classification accuracy (the training head pooled over all rows,
-    run without gradients) or language model perplexity over every
-    predictable position; no selection."""
+    """Classification accuracy or language model perplexity over every
+    predictable position; no selection. Each example's `eval_hidden` rows
+    go through the training head without gradients: `class_logits` over
+    every row, or `loss_lm_rows` over the rows with a target."""
     if not dataset:
         raise StepError("empty evaluation dataset")
-    if task_kind == "classification":
-        correct = 0
-        for example in dataset:
-            tape = Tape()
-            with tape.no_grad():
-                h = forward_hidden(tape, model, example.seq)
-                logits = class_logits(tape, model, h).value
-            if int(np.argmax(logits[0])) == example.label:
-                correct += 1
-        return {"accuracy": correct / len(dataset), "n": len(dataset)}
+    classify = task_kind == "classification"
+    correct = 0
     total_nll = 0.0
     total_terms = 0
-    w_lm = model.param("head.w_lm")
     for example in dataset:
-        h = eval_hidden(model, example.seq)
-        t = np.asarray(example.targets)
-        rows = np.flatnonzero(t >= 0)
-        if rows.size == 0:
-            continue
-        logp = log_softmax(h[rows].astype(np.float64) @ w_lm.astype(np.float64))
-        total_nll += float(-logp[np.arange(rows.size), t[rows]].sum())
-        total_terms += int(rows.size)
+        tape = Tape()
+        with tape.no_grad():
+            h = tape.input(eval_hidden(model, example.seq))
+            if classify:
+                logits = class_logits(tape, model, h).value
+                correct += int(np.argmax(logits[0])) == example.label
+                continue
+            targets = np.asarray(example.targets)
+            rows = np.flatnonzero(targets >= 0)
+            if rows.size:
+                loss = loss_lm_rows(tape, model, tape.select_rows(h, rows),
+                                    targets[rows])
+                total_nll += float(loss.value[0, 0])
+                total_terms += int(rows.size)
+    if classify:
+        return {"accuracy": correct / len(dataset), "n": len(dataset)}
     if total_terms == 0:
         raise StepError("no predictable positions in evaluation dataset")
     return {"perplexity": float(np.exp(total_nll / total_terms)),
@@ -302,9 +309,17 @@ class RunResult:
     steps: int
 
 
-def _epoch_order(n: int, seed: int, epoch: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A, epoch]))
-    return rng.permutation(n)
+def _batches(train_set, cfg: TrainConfig):
+    """(the run's micro-step count, its micro-batches in order): each
+    epoch over a fresh permutation, cut after `cfg.max_steps`."""
+    n, size = len(train_set), cfg.batch_size
+    steps = min(cfg.epochs * -(-n // size), cfg.max_steps or math.inf)
+    orders = (np.random.default_rng(np.random.SeedSequence(
+        [cfg.seed, 0xDA7A, epoch])).permutation(n)
+        for epoch in range(cfg.epochs))
+    batches = ([train_set[j] for j in order[start:start + size]]
+               for order in orders for start in range(0, n, size))
+    return steps, itertools.islice(batches, steps)
 
 
 def run_training(cfg: RunConfig, out_dir) -> RunResult:
@@ -333,25 +348,19 @@ def run_training(cfg: RunConfig, out_dir) -> RunResult:
 
     metrics_path = out / "metrics.jsonl"
     timings_path = out / "timings.jsonl"
-    stop = False
+    steps, batches = _batches(train_set, cfg.train)
     with open(metrics_path, "w", encoding="utf-8") as mfh, \
             open(timings_path, "w", encoding="utf-8") as tfh:
-        for epoch in range(cfg.train.epochs):
-            order = _epoch_order(len(train_set), cfg.train.seed, epoch)
-            for start in range(0, len(order), cfg.train.batch_size):
-                batch = [train_set[j]
-                         for j in order[start:start + cfg.train.batch_size]]
-                metrics = trainer.train_step(batch)
-                wall_ms = metrics.pop("wall_ms")
-                mfh.write(json.dumps(metrics, sort_keys=True) + "\n")
-                tfh.write(json.dumps({"step": metrics["step"],
-                                      "wall_ms": wall_ms}) + "\n")
-                if (cfg.train.max_steps is not None
-                        and trainer.micro_step >= cfg.train.max_steps):
-                    stop = True
-                    break
-            if stop:
-                break
+        for batch in batches:
+            metrics = trainer.train_step(batch)
+            # the last micro-step applies a window it leaves open
+            if (trainer.micro_step == steps
+                    and steps % cfg.train.accumulation_steps):
+                metrics["grad_norm"] = trainer.close_window()
+            wall_ms = metrics.pop("wall_ms")
+            mfh.write(json.dumps(metrics, sort_keys=True) + "\n")
+            tfh.write(json.dumps({"step": metrics["step"],
+                                  "wall_ms": wall_ms}) + "\n")
 
     eval_metrics = evaluate(model, test_set, task_kind)
     ckpt_path = out / "model.ckpt"

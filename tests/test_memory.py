@@ -11,6 +11,7 @@ recorded node, on top of the relative tolerance REL_TOL either way.
 
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 # np.unique imports numpy.ma on its first call; imported here, that
@@ -255,17 +256,22 @@ def test_tokentune_step_peaks_at_one_unselected_ffn_block_above_backward_entry(
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-@pytest.mark.parametrize("k", [N // 16, N // 8, N // 4, N // 2])
-def test_tokentune_lora_step_peaks_no_higher_than_tokentune(dtype, k):
+@pytest.mark.parametrize("n, d_ff, k", [
+    *(pytest.param(N, 256, k, id=str(k))
+      for k in (N // 16, N // 8, N // 4, N // 2)),
+    # 300 unselected rows: two FFN row blocks, adapted or not
+    pytest.param(320, 512, 20, id="n320-20")])
+def test_tokentune_lora_step_peaks_no_higher_than_tokentune(dtype, n, d_ff,
+                                                            k):
     # adapters add factors and their products but train far fewer
     # parameters, so their step should hold no more at any k
-    batch = lm_profile_batch(N, 1, seed=3)
+    cfg = replace(lm_config(), max_positions=n, d_ff=d_ff)
+    batch = lm_profile_batch(n, 1, seed=3)
 
     def step_peak(regime):
         train = TrainConfig(regime=regime, k=k, batch_size=1,
                             learning_rate=1e-3, seed=3, dtype=dtype)
-        trainer = Trainer(build_regime_model(lm_config(), train), train,
-                          "lm")
+        trainer = Trainer(build_regime_model(cfg, train), train, "lm")
         trainer.train_step(batch)  # first step allocates nothing new
         with Traced() as traced:
             trainer.train_step(batch)

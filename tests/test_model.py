@@ -231,10 +231,10 @@ def test_zero_weight_layers_are_identity():
 def test_no_grad_ffn_in_row_blocks_equals_the_whole_array_ffn(
         monkeypatch, dtype, rows, lora, block_rows):
     # at the benchmark's FFN widths, where the BLAS kernels are the ones
-    # training runs; a tracked FFN always runs as one block, and so does
-    # an FFN with adapters: w2's LoRA product, 449 x 1024 GELU rows times
-    # its 1024 x 4 factor A, differs from the same product over 225- and
-    # 224-row blocks in the last bits
+    # training runs; a tracked FFN always runs as one block. An adapted
+    # FFN runs in the same blocks, but a LoRA factor's narrow product
+    # (w2's: 449 x 1024 GELU rows times its 1024 x 4 factor A) can differ
+    # from the same product over 225- and 224-row blocks in the last bits
     monkeypatch.setattr(model_module, "FFN_BLOCK_ROWS", block_rows)
     cfg = tiny_config(d_model=256, n_heads=8, d_ff=1024, n_layers=1)
     model = build_model(cfg, seed=16, dtype=dtype)
@@ -250,8 +250,12 @@ def test_no_grad_ffn_in_row_blocks_equals_the_whole_array_ffn(
     blocked = Tape()
     with blocked.no_grad():
         got = ffn(blocked, model, 0, blocked.input(h))
-    assert np.array_equal(got.value, want)
-    count = 1 if lora else -(-rows // block_rows)
+    if lora:
+        tol = 1e-6 if dtype == "float32" else 1e-15
+        assert np.abs(got.value - want).max() <= tol * np.abs(want).max()
+    else:
+        assert np.array_equal(got.value, want)
+    count = -(-rows // block_rows)
     if count == 1:
         assert got.op == "affine"
     else:

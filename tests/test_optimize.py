@@ -1,5 +1,6 @@
-"""Adam's in-place update against the textbook formula, language model
-evaluation against a direct log-softmax, and a train step without scipy."""
+"""Adam's in-place update against the textbook formula, evaluation
+against a direct log-softmax and the training heads, and a train step
+without scipy."""
 
 import os
 import subprocess
@@ -10,12 +11,14 @@ import numpy as np
 import pytest
 from scipy.special import log_softmax
 
-from tokentune.config import ModelConfig
-from tokentune.data import lm_example
+from tokentune.config import ModelConfig, TrainConfig
+from tokentune.data import gen_classification, lm_example
 from tokentune.engine import Tape
-from tokentune.model import build_model, forward_hidden
+from tokentune.model import (build_model, class_logits, forward_hidden,
+                             loss_lm_rows)
+from tokentune.memprofile import lm_profile_batch
 from tokentune.optimize import (BETA1, BETA2, EPSILON, AdamState, StepError,
-                                adam_step, evaluate)
+                                Trainer, adam_step, evaluate)
 
 
 def small_model(dtype):
@@ -90,6 +93,29 @@ def test_adam_step_rejects_a_misshapen_gradient():
         adam_step(model, grads, AdamState(model), lr=1e-3)
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("regime", ["full", "tokentune"])
+def test_two_accumulated_micro_steps_equal_one_step_of_both_batches(
+        regime, dtype):
+    batch = lm_profile_batch(12, 4, seed=8, vocab_size=13)
+
+    def trained(batches, accumulation):
+        model = small_model(dtype)
+        trainer = Trainer(model, TrainConfig(
+            regime=regime, k=3 if regime == "tokentune" else None,
+            batch_size=len(batches[0]), accumulation_steps=accumulation,
+            learning_rate=1e-2, weight_decay=0.01, seed=8, dtype=dtype),
+            "lm")
+        norms = [trainer.train_step(b)["grad_norm"] for b in batches]
+        return model, norms
+
+    split, split_norms = trained([batch[:2], batch[2:]], 2)
+    whole, whole_norms = trained([batch], 1)
+    assert split_norms[0] == 0.0 and split_norms[1] == whole_norms[0] > 0
+    for name, arr in whole.params.items():
+        assert np.array_equal(split.params[name], arr), name
+
+
 def lm_windows(model, n_windows=3, n=9):
     r = np.random.default_rng(5)
     windows = [lm_example(r.integers(0, model.config.vocab_size, size=n))
@@ -115,6 +141,44 @@ def test_lm_evaluation_is_the_mean_nll_of_every_target_row():
     assert metrics["n_terms"] == rows == 3 * 8 - 1
     assert metrics["nll"] == pytest.approx(nll / rows, rel=1e-12)
     assert metrics["perplexity"] == np.exp(metrics["nll"])
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_lm_evaluation_sums_the_training_loss_of_every_target_row(dtype):
+    model = small_model(dtype)
+    windows = lm_windows(model)
+    nll, rows = 0.0, 0
+    for example in windows:
+        tape = Tape()
+        with tape.no_grad():
+            h = forward_hidden(tape, model, example.seq).value
+            keep = example.targets >= 0
+            loss = loss_lm_rows(tape, model, tape.input(h[keep]),
+                                example.targets[keep])
+        nll += float(loss.value[0, 0])
+        rows += int(keep.sum())
+    metrics = evaluate(model, windows, "lm")
+    assert metrics["n_terms"] == rows
+    assert metrics["nll"] == nll / rows
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_classification_accuracy_is_the_training_heads_argmax(dtype):
+    cfg = ModelConfig(vocab_size=13, max_positions=16, d_model=8, n_heads=2,
+                      d_ff=12, n_layers=1, causal=False, n_classes=3)
+    model = build_model(cfg, seed=2, dtype=dtype)
+    examples = gen_classification(30, 12, 3, 0.5, seed=5, vocab_size=13)
+    hits = 0
+    for example in examples:
+        tape = Tape()
+        with tape.no_grad():
+            h = forward_hidden(tape, model, example.seq)
+            logits = class_logits(tape, model, h).value
+        hits += int(np.argmax(logits[0])) == example.label
+    metrics = evaluate(model, examples, "classification")
+    # 11 of 30, as evaluation counted before it shared `eval_hidden`
+    assert hits == 11
+    assert metrics == {"accuracy": hits / 30, "n": 30}
 
 
 def test_lm_evaluation_needs_a_target():

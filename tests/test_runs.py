@@ -3,6 +3,7 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from tokentune.config import (ConfigError, ModelConfig, RunConfig,
                               TaskConfig, TrainConfig)
 from tokentune.data import (DataError, build_task_datasets, lm_example,
                             synthetic_text)
-from tokentune.memprofile import SWEEP_COLUMNS, sweep_report
+from tokentune.memprofile import (SWEEP_COLUMNS, build_regime_model,
+                                  sweep_report)
 from tokentune.model import build_model
-from tokentune.optimize import Trainer, run_training
+from tokentune.optimize import Trainer, _batches, run_training
 
 
 def tiny_run(regime: str) -> RunConfig:
@@ -46,6 +48,63 @@ def test_run_training_reports_per_example_memory(tmp_path, regime):
     # the embedding's output feeds a layer norm and a residual add, which
     # keep their own saves, not it
     assert set(report["per_layer"]) == {"layer.0", "layer.1", "head"}
+
+
+def run_lines(run_dir):
+    return [json.loads(line) for line in
+            (run_dir / "metrics.jsonl").read_text().splitlines()]
+
+
+def test_a_run_stopped_by_max_steps_applies_its_open_window(tmp_path):
+    # one micro-step of a three-step window: the update is the one a
+    # one-step window applies, and the step's line carries its norm
+    cfg = tiny_run("full")
+    runs = {}
+    for accumulation in (3, 1):
+        run_dir = tmp_path / str(accumulation)
+        run_training(replace(cfg, train=replace(
+            cfg.train, accumulation_steps=accumulation, max_steps=1)),
+            run_dir)
+        runs[accumulation] = (run_lines(run_dir),
+                              load_model(run_dir / "model.ckpt").params)
+    (lines, params), (one_lines, one_params) = runs[3], runs[1]
+    assert len(lines) == 1 and lines[0]["grad_norm"] > 0
+    assert lines[0]["grad_norm"] == one_lines[0]["grad_norm"]
+    initial = build_regime_model(cfg.model, cfg.train).params
+    for name, arr in params.items():
+        assert not np.array_equal(arr, initial[name]), name
+        assert np.array_equal(arr, one_params[name]), name
+
+
+@pytest.mark.parametrize("epochs, accumulation", [(1, 2), (2, 4)])
+@pytest.mark.parametrize("regime", ["full", "tokentune"])
+def test_a_run_that_ends_its_last_epoch_applies_its_open_window(
+        tmp_path, regime, epochs, accumulation):
+    # 7 examples in batches of 3 make 3 micro-steps per epoch, so the
+    # last window holds one micro-step (1 x 2 + 1) or two (6 = 4 + 2)
+    cfg = tiny_run(regime)
+    cfg = replace(cfg, train=replace(cfg.train, epochs=epochs,
+                                     accumulation_steps=accumulation))
+    run_training(cfg, tmp_path)
+    lines = run_lines(tmp_path)
+    steps, batches = _batches(build_task_datasets(cfg.task, cfg.model)[0],
+                              cfg.train)
+    assert len(lines) == steps == 3 * epochs
+    model = build_regime_model(cfg.model, cfg.train)
+    trainer = Trainer(model, cfg.train, cfg.task.kind)
+    for batch in batches:
+        trainer.train_step(batch)
+    held = {name: arr.copy() for name, arr in model.params.items()}
+    grad_norm = trainer.close_window()
+    assert [line["grad_norm"] > 0 for line in lines] == [
+        step % accumulation == 0 or step == steps
+        for step in range(1, steps + 1)]
+    assert lines[-1]["grad_norm"] == grad_norm
+    params = load_model(tmp_path / "model.ckpt").params
+    assert any(not np.array_equal(arr, held[name])
+               for name, arr in params.items())
+    for name, arr in params.items():
+        assert np.array_equal(arr, model.params[name]), name
 
 
 def test_memsweep_writes_a_header_and_a_row_per_grid_point(tmp_path):
@@ -155,6 +214,17 @@ def test_memsweep_exits_with_code_2_on_a_bad_option(tmp_path, capsys,
     assert code == EXIT_BAD_CONFIG
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_memsweep_names_the_regimes_option_for_an_unknown_regime(
+        tmp_path, capsys):
+    code = main(["memsweep", "--config", tiny_sweep_config(tmp_path),
+                 "--out", str(tmp_path / "sweep.csv"), "--n", "8",
+                 "--regimes", "full,bogus"])
+    assert code == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invalid --regimes: must be one of")
+    assert "train.regime" not in err and "'bogus'" in err
 
 
 def test_memsweep_profiles_the_configured_model(tmp_path):
