@@ -47,7 +47,8 @@ Cache policy per primitive, as (what backward reads):
                    from them one head at a time (Dao et al. 2022)
     layer_norm     normalized input, per-row inverse std, the scale and
                    shift vectors
-    select/concat  nothing (integer metadata and the input's shape)
+    select/concat  nothing (integer metadata: the selected indices, or
+                   each part's output rows, and the input's shape)
     mean_rows      nothing
     cross_entropy  the softmax probabilities (log-softmax is fused)
 
@@ -649,16 +650,28 @@ class Tape:
                             np.ascontiguousarray(a.value[:, idx]), (a,),
                             {"idx": idx})
 
-    def concat_rows(self, parts: list[Tensor]) -> Tensor:
+    def concat_rows(self, parts: list[Tensor], rows=None) -> Tensor:
+        """The parts' rows in one matrix: part i at output rows `rows[i]`,
+        1-D int arrays that together place each output row exactly once,
+        or, with no `rows`, stacked in order."""
         if not parts:
             raise ShapeError("concat_rows", "no parts")
-        cols = parts[0].value.shape[1]
-        if any(p.value.shape[1] != cols for p in parts):
-            raise ShapeError("concat_rows",
-                             f"column mismatch: {[p.value.shape for p in parts]}")
-        out = np.concatenate([p.value for p in parts], axis=0)
-        sizes = [p.value.shape[0] for p in parts]
-        return self._record("concat_rows", out, parts, {"sizes": sizes})
+        cols, dtype = parts[0].shape[1], parts[0].dtype
+        if any(p.shape[1] != cols or p.dtype != dtype for p in parts):
+            raise ShapeError("concat_rows", "column or dtype mismatch: "
+                             f"{[(p.shape, p.dtype) for p in parts]}")
+        bounds = np.cumsum([0] + [p.shape[0] for p in parts]).tolist()
+        if rows is None:
+            rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        elif ([np.shape(r) for r in rows] != [p.shape[:1] for p in parts]
+              or np.concatenate(rows).dtype.kind not in "iu"
+              or not np.array_equal(np.sort(np.concatenate(rows)),
+                                    np.arange(bounds[-1]))):
+            raise ShapeError("concat_rows", "rows do not place each row once")
+        out = np.empty((bounds[-1], cols), dtype)
+        for part, r in zip(parts, rows):
+            out[r] = part.value
+        return self._record("concat_rows", out, parts, {"rows": rows})
 
     def concat_cols(self, parts: list[Tensor]) -> Tensor:
         if not parts:
@@ -679,7 +692,9 @@ class Tape:
                             (a,), {"n": n})
 
     def cross_entropy(self, logits: Tensor, targets) -> Tensor:
-        """Summed negative log-likelihood over rows; log-softmax is fused."""
+        """Summed negative log-likelihood over rows; log-softmax is fused.
+        The probabilities backward reads are formed only when the node is
+        tracked."""
         t = np.asarray(targets, dtype=np.intp).reshape(-1)
         m, v = logits.value.shape
         if t.shape[0] != m:
@@ -693,9 +708,11 @@ class Tape:
         lse = zmax + np.log(np.exp(logits.value - zmax).sum(axis=1, keepdims=True))
         picked = logits.value[np.arange(m), t].reshape(-1, 1)
         loss = np.array([[(lse - picked).sum()]], dtype=logits.value.dtype)
-        probs = np.exp(logits.value - lse)
+        saves = []
+        if self.grad_enabled and logits.requires_grad:
+            saves.append(("probs", np.exp(logits.value - lse)))
         return self._record("cross_entropy", loss, (logits,),
-                            {"targets": t}, saves=[("probs", probs)])
+                            {"targets": t}, saves=saves)
 
     # ---- backward --------------------------------------------------------
 
@@ -825,10 +842,9 @@ class Tape:
             _scatter_rows(da.T, node.meta["idx"], g.T)
             self._accum(grads, a, da)
         elif op == "concat_rows":
-            offset = 0
-            for part, size in zip(node.inputs, node.meta["sizes"]):
-                self._accum(grads, part, g[offset:offset + size])
-                offset += size
+            for part, r in zip(node.inputs, node.meta["rows"]):
+                if part.requires_grad:
+                    self._accum(grads, part, g[r])
         elif op == "concat_cols":
             offset = 0
             for part, size in zip(node.inputs, node.meta["sizes"]):

@@ -177,11 +177,16 @@ class Trainer:
 
     def close_window(self) -> float:
         """Apply the window's Adam update to the gradient sum over its
-        loss terms, start a new window, and return that gradient's norm."""
-        scale = 1.0 / max(self._window_terms, 1)
-        grad_norm = global_norm(self.accum.values(), scale)
-        adam_step(self.model, self.accum, self.state, self.cfg.learning_rate,
-                  self.cfg.weight_decay, grad_scale=scale)
+        loss terms, start a new window, and return that gradient's norm.
+        A window without loss terms has no gradient: it takes no step,
+        leaves the weights and Adam state as they are, and returns 0."""
+        grad_norm = 0.0
+        if self._window_terms:
+            scale = 1.0 / self._window_terms
+            grad_norm = global_norm(self.accum.values(), scale)
+            adam_step(self.model, self.accum, self.state,
+                      self.cfg.learning_rate, self.cfg.weight_decay,
+                      grad_scale=scale)
         for g in self.accum.values():
             g[...] = 0.0
         self._window_terms = 0

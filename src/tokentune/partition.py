@@ -8,7 +8,7 @@ so the pooled representation can be tuned from the first token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +20,10 @@ class SelectionError(ValueError):
 @dataclass(frozen=True)
 class TokenPartition:
     """The one check of a selection: at least one selected position, and
-    the two sorted sets hold each of 0..n-1 exactly once. `key_order`, the
-    argsort that checks it, puts rows of [unselected; selected] in order."""
+    the two sorted sets hold each of 0..n-1 exactly once."""
 
     selected: np.ndarray     # sorted positions, gradients enabled
     unselected: np.ndarray   # sorted positions, constants
-    key_order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         selected = np.sort(np.asarray(self.selected, dtype=np.intp))
@@ -33,14 +31,12 @@ class TokenPartition:
         if selected.size < 1:
             raise SelectionError("a partition needs at least one selected position")
         both = np.concatenate([unselected, selected])
-        order = np.argsort(both, kind="stable")
-        if not np.array_equal(both[order], np.arange(both.size)):
+        if not np.array_equal(np.sort(both), np.arange(both.size)):
             raise SelectionError(
                 f"selected and unselected positions do not cover "
                 f"0..{both.size - 1} exactly once")
         object.__setattr__(self, "selected", selected)
         object.__setattr__(self, "unselected", unselected)
-        object.__setattr__(self, "key_order", order)
 
     @property
     def k(self) -> int:

@@ -4,14 +4,16 @@ Hidden states are split into a selected block (tracked, activations cached)
 and an unselected block recorded under a disabled-gradient scope (values
 identical, nothing cached, constants during backward). Attention lets the
 selected queries attend over the unselected and selected keys and values,
-merged into position order by the partition's `key_order`, so forward
-values do not depend on the selection; only gradient availability and
-what backward retains change. A sequence is its array of token ids.
+merged into position order by one `concat_rows` that puts each block's
+rows at its positions, so forward values do not depend on the selection;
+only gradient availability and what backward retains change. A sequence
+is its array of token ids.
 
 This is the only layer loop. Full fine-tuning, LoRA and evaluation run it
 with `every_position`, which selects every position and leaves the
-unselected block empty (TokenTune with k = n). Row i of a sequence's
-hidden states is position i.
+unselected block empty (TokenTune with k = n): its selected block is the
+hidden states themselves. Row i of a sequence's hidden states is
+position i.
 
 The unselected rows are constants that only the selected queries' keys
 and values read, and every loss and evaluation reads the selected rows
@@ -46,8 +48,8 @@ def every_position(seq: np.ndarray) -> TokenPartition:
 @dataclass
 class SplitHidden:
     """Hidden states split into selected / unselected row blocks; the
-    partition gives each block's positions and the `key_order` every
-    layer's key and value reorder shares."""
+    partition gives each block's positions, where every layer's keys and
+    values put its rows."""
 
     h_g: Tensor
     h_gbar: Tensor | None
@@ -58,17 +60,19 @@ def split_hidden(tape: Tape, h: Tensor,
                  partition: TokenPartition) -> SplitHidden:
     """Select partition rows out of `h`, whose row i is position i; the
     unselected block is recorded under a disabled scope and therefore
-    enters the graph as a constant. The partition checked its coverage
-    when it was built, so only its length is compared with `h`'s."""
+    enters the graph as a constant. With nothing unselected the selected
+    block is `h` itself, and nothing is recorded. The partition checked
+    its coverage when it was built, so only its length is compared with
+    `h`'s."""
     rows = h.value.shape[0]
     if partition.n_positions != rows:
         raise SelectionError(f"partition of {partition.n_positions} "
                              f"positions for a matrix of {rows} rows")
+    if not partition.unselected.size:
+        return SplitHidden(h, None, partition)
     h_g = tape.select_rows(h, partition.selected)
-    h_gbar = None
-    if partition.unselected.size:
-        with tape.no_grad():
-            h_gbar = tape.select_rows(h, partition.unselected)
+    with tape.no_grad():
+        h_gbar = tape.select_rows(h, partition.unselected)
     return SplitHidden(h_g, h_gbar, partition)
 
 
@@ -94,17 +98,18 @@ def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
     with tape.region(f"layer.{layer}.attn"):
         q_g, k_g, v_g = qkv(tape, model, layer,
                             norm_block(tape, model, layer, 1, split.h_g))
-        q_gb = []  # the unselected queries; the last layer has none
+        q_gb = None  # the unselected queries; the last layer has none
         if split.h_gbar is not None:
-            *q_gb, k_gb, v_gb = _unselected_qkv(
-                tape, model, layer, split.h_gbar,
-                "kv" if layer == model.config.n_layers - 1 else "qkv")
+            last = layer == model.config.n_layers - 1
+            *q, k_gb, v_gb = _unselected_qkv(tape, model, layer, split.h_gbar,
+                                             "kv" if last else "qkv")
+            q_gb = q[0] if q else None
             # keys in position order, so a causal block of queries sees a
             # prefix of them and attention skips the rest
-            order = split.partition.key_order
-            keys = tape.select_rows(tape.concat_rows([k_gb, k_g]), order)
-            vals = tape.select_rows(tape.concat_rows([v_gb, v_g]), order)
-            del k_gb, v_gb
+            rows = (split.partition.unselected, split.partition.selected)
+            keys = tape.concat_rows([k_gb, k_g], rows)
+            vals = tape.concat_rows([v_gb, v_g], rows)
+            del q, k_gb, v_gb
         else:
             keys, vals = k_g, v_g
         del k_g, v_g
@@ -114,11 +119,12 @@ def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
         del q_g
 
         new_gbar = None
-        if q_gb:
+        if q_gb is not None:
             with tape.no_grad():
-                new_gbar = tape.add(split.h_gbar, attend_project(
-                    tape, model, layer, q_gb.pop(), keys, vals,
-                    split.partition.unselected))
+                attn_gb = attend_project(tape, model, layer, q_gb, keys, vals,
+                                         split.partition.unselected)
+                del q_gb
+                new_gbar = tape.add(split.h_gbar, attn_gb)
     return SplitHidden(new_g, new_gbar, split.partition)
 
 
@@ -149,7 +155,7 @@ def tokentune_forward(tape: Tape, model: TransformerModel, seq: np.ndarray,
     and value affines, so with at least one layer the returned split has
     no unselected block: its selected rows are what a loss reads."""
     # the embedding is passed on, not kept: the split's row blocks are
-    # copies, so it dies once they are made
+    # copies, so it dies once they are made, or it is the selected block
     split = split_hidden(tape, embed(tape, model, seq), partition)
     for i in range(model.config.n_layers):
         split = tokentune_attention(tape, model, i, split)

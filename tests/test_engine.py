@@ -508,6 +508,108 @@ def test_select_rows_backward_scatters_like_add_at(idx):
     assert np.array_equal(grads["x"], expected)
 
 
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 8), st.integers(0, 7))
+@settings(max_examples=30, deadline=None)
+def test_concat_rows_at_rows_equals_concat_then_reorder(seed, n, cut):
+    # part i at rows[i] in one node is the stacked parts reordered by the
+    # argsort of their rows, bit for bit in value and in gradient
+    r = rng_for(seed)
+    perm = r.permutation(n)
+    rows = (np.sort(perm[:cut % n]), np.sort(perm[cut % n:]))
+    x = r.normal(size=(n, 3))
+    targets = r.integers(0, 3, size=n)
+
+    def run(merge):
+        t = Tape()
+        parts = [t.param(f"p{i}", x[rows_i]) for i, rows_i in enumerate(rows)]
+        out = merge(t, parts)
+        return out.value, t.backward(t.cross_entropy(out, targets))
+
+    order = np.argsort(np.concatenate(rows), kind="stable")
+    want, want_grads = run(lambda t, parts: t.select_rows(
+        t.concat_rows(parts), order))
+    got, got_grads = run(lambda t, parts: t.concat_rows(parts, rows))
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, x)
+    assert got_grads.keys() == want_grads.keys()
+    for name in want_grads:
+        assert np.array_equal(got_grads[name], want_grads[name])
+
+
+def test_concat_rows_gives_an_untracked_part_no_gradient(monkeypatch):
+    r = rng_for(18)
+    t = Tape()
+    tracked = t.param("x", r.normal(size=(2, 3)))
+    const = t.constant(r.normal(size=(3, 3)))
+    out = t.concat_rows([const, tracked], (np.array([0, 2, 4]),
+                                           np.array([1, 3])))
+    taken = []
+    real_accum = Tape._accum
+
+    def recording_accum(grads, node, contrib):
+        taken.append((node.idx, contrib.shape))
+        real_accum(grads, node, contrib)
+
+    monkeypatch.setattr(Tape, "_accum", staticmethod(recording_accum))
+    grads = t.backward(t.cross_entropy(out, [0, 1, 2, 0, 1]))
+    assert (const.node.idx, (3, 3)) not in taken
+    assert (tracked.node.idx, (2, 3)) in taken
+    assert set(grads) == {"x"} and grads["x"].shape == (2, 3)
+
+
+@pytest.mark.parametrize("rows", [
+    ([0, 1, 1], [3, 4]),      # a row twice, 2 missing
+    ([0, 1, 2], [3]),         # a part's rows one short, 4 missing
+    ([0, 1, 2], [3, 5]),      # past the last row
+    ([-1, 1, 2], [3, 4]),     # below 0
+    ([0, 1, 2, 3], [4]),      # lengths swapped between the parts
+    ([[0, 1, 2]], [3, 4]),    # not 1-D
+    ([0.0, 1.0, 2.0], [3, 4]),  # not integers
+    ([0, 1, 2],),             # one row set for two parts
+], ids=["duplicate", "missing", "past-end", "negative", "wrong-length",
+        "2-d", "float", "too-few"])
+def test_concat_rows_refuses_rows_that_do_not_place_each_row_once(rows):
+    t = Tape()
+    parts = [t.input(np.zeros((3, 2))), t.input(np.ones((2, 2)))]
+    with pytest.raises(ShapeError, match="concat_rows"):
+        t.concat_rows(parts, tuple(np.array(r) for r in rows))
+
+
+@pytest.mark.parametrize("other", [np.zeros((2, 3)),
+                                   np.zeros((2, 2), np.float32)],
+                         ids=["width", "dtype"])
+def test_concat_rows_refuses_parts_of_another_width_or_dtype(other):
+    t = Tape()
+    with pytest.raises(ShapeError, match="concat_rows"):
+        t.concat_rows([t.input(np.zeros((3, 2))), t.input(other)])
+
+
+def test_untracked_cross_entropy_equals_tracked_with_one_exp(monkeypatch):
+    r = rng_for(19)
+    logits = r.normal(size=(5, 7)).astype(np.float32)
+    targets = r.integers(0, 7, size=5)
+    tracked = Tape()
+    want = tracked.cross_entropy(tracked.input(logits), targets)
+    exps = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def exp(x, *args, **kwargs):
+            exps.append(np.shape(x))
+            return np.exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "np", CountingNumpy())
+    untracked = Tape()
+    with untracked.no_grad():
+        got = untracked.cross_entropy(untracked.input(logits), targets)
+    assert np.array_equal(got.value, want.value)
+    assert exps == [logits.shape]
+    assert got.retains == () and got.fresh_bytes == 0
+
+
 def test_simulate_peak_counts_retained_saves():
     r = rng_for(12)
     t = Tape()

@@ -19,6 +19,7 @@ from tokentune.model import (build_model, class_logits, forward_hidden,
 from tokentune.memprofile import lm_profile_batch
 from tokentune.optimize import (BETA1, BETA2, EPSILON, AdamState, StepError,
                                 Trainer, adam_step, evaluate)
+from tokentune.partition import TokenPartition
 
 
 def small_model(dtype):
@@ -114,6 +115,28 @@ def test_two_accumulated_micro_steps_equal_one_step_of_both_batches(
     assert split_norms[0] == 0.0 and split_norms[1] == whole_norms[0] > 0
     for name, arr in whole.params.items():
         assert np.array_equal(split.params[name], arr), name
+
+
+def test_a_window_without_loss_terms_takes_no_step():
+    # n = 4 and k = 1: once the only selected position is the last one,
+    # which has no next token, the window holds no loss term
+    model = small_model("float64")
+    trainer = Trainer(model, TrainConfig(regime="tokentune", k=1,
+                                         batch_size=1, learning_rate=0.1,
+                                         seed=3, dtype="float64"), "lm")
+    example = lm_example(np.array([3, 7, 1, 9]))
+    assert trainer.train_step([example])["grad_norm"] > 0  # moments set
+    trainer.partition_for = lambda seq, index: TokenPartition(
+        selected=np.array([3]), unselected=np.array([0, 1, 2]))
+    state = trainer.state
+    held = [{name: arr.copy() for name, arr in arrays.items()}
+            for arrays in (model.params, state.m, state.v)]
+    t = state.t
+    assert trainer.train_step([example])["grad_norm"] == 0.0
+    assert state.t == t
+    for before, arrays in zip(held, (model.params, state.m, state.v)):
+        for name, arr in arrays.items():
+            assert np.array_equal(arr, before[name]), name
 
 
 def lm_windows(model, n_windows=3, n=9):

@@ -75,13 +75,27 @@ def test_partition_not_covering_each_position_once_is_refused(selected,
                        unselected=np.array(unselected))
 
 
-def test_key_order_puts_unselected_then_selected_rows_in_position_order():
+def test_blocks_rejoin_position_order_at_the_partition_positions():
     p = TokenPartition(selected=np.array([3, 0]),
                        unselected=np.array([4, 1, 2]))
     assert np.array_equal(p.selected, [0, 3])
     assert np.array_equal(p.unselected, [1, 2, 4])
-    stored = np.concatenate([p.unselected, p.selected])
-    assert np.array_equal(stored[p.key_order], np.arange(5))
+    h = np.arange(10.0).reshape(5, 2)
+    tape = Tape()
+    split = split_hidden(tape, tape.input(h), p)
+    merged = tape.concat_rows([split.h_gbar, split.h_g],
+                              (p.unselected, p.selected))
+    assert np.array_equal(merged.value, h)
+
+
+def test_split_with_nothing_unselected_is_the_hidden_itself():
+    p = select_positions(4, 4, "lm", rng_seed=0)
+    tape = Tape()
+    h = tape.input(np.arange(12.0).reshape(4, 3))
+    recorded = len(tape.nodes)
+    split = split_hidden(tape, h, p)
+    assert split.h_g is h and split.h_gbar is None
+    assert len(tape.nodes) == recorded
 
 
 def test_resolve_k_rounds_half_up_with_floor_one():

@@ -126,6 +126,36 @@ def test_the_last_layers_unselected_rows_stop_at_their_keys_and_values(
 
 
 @pytest.mark.parametrize("mode", ["lm", "classification"])
+@pytest.mark.parametrize("regime", SELECTIVE_REGIMES)
+def test_a_layers_keys_and_values_join_position_order_in_one_op_each(
+        regime, mode):
+    causal = mode == "lm"
+    train = TrainConfig(regime=regime, k=3, seed=9, dtype="float64",
+                        lora_targets=LORA_TARGETS)
+    model = build_regime_model(cfg_for(causal), train)
+    seq = random_seq(rng_for(9), 10, causal)
+    trainer = Trainer(model, train, mode)
+    partition = trainer.partition_for(seq, 0)
+    tape = Tape()
+    trainer._example_loss(
+        tape, lm_example(seq) if causal else Example(seq, label=2))
+    for layer in range(model.config.n_layers):
+        region = [node for node in tape.nodes
+                  if node.label == f"layer.{layer}.attn"]
+        joins = [node for node in region if node.op == "concat_rows"]
+        assert len(joins) == 2
+        assert not [node for node in region if node.op == "select_rows"]
+        for join in joins:
+            unselected, selected = join.meta["rows"]
+            assert np.array_equal(unselected, partition.unselected)
+            assert np.array_equal(selected, partition.selected)
+            assert [part.op for part in join.inputs] == ["affine", "affine"]
+        # every attention of the layer reads those joins as its K and V
+        for attention in (node for node in region if node.op == "attention"):
+            assert list(attention.inputs[1:]) == joins
+
+
+@pytest.mark.parametrize("mode", ["lm", "classification"])
 @pytest.mark.parametrize("regime", REGIMES)
 def test_every_affine_of_a_training_example_is_one_node(regime, mode):
     # base weight, LoRA delta and bias: no matmul, scale or bias add
