@@ -39,12 +39,14 @@ Cache policy per primitive, as (what backward reads):
                    place; unread by such an affine, it runs that pass
                    itself. scale: nothing (constant factor)
     softmax_rows   its output, not its input
-    attention      saves per (head, query row) the softmax max and sum
-                   (two fresh heads x rows arrays), if causal a copy of
+    attention      saves per (head, query row) the softmax's log-sum-exp
+                   (one fresh heads x rows array), if causal a copy of
                    the queries' positions (8 bytes per row), q and k
                    always, v iff q or k needs grad (references, not
                    copies). Backward rebuilds each block's probabilities
-                   from them one head at a time (Dao et al. 2022)
+                   from them one head at a time (Dao et al. 2022; Dao
+                   2023), and forms key and value gradient rows only for
+                   the tracked parts of a concat_rows operand
     layer_norm     normalized input, per-row inverse std, the scale and
                    shift vectors
     select/concat  nothing (integer metadata: the selected indices, or
@@ -86,7 +88,8 @@ MASK_VALUE = -1e30
 #: Query rows per attention block. A causal block computes and
 #: backpropagates scores only up to the last key any of its rows can see,
 #: so wholly masked key tiles (most of a causal mask's upper triangle) cost
-#: nothing, as in FlashAttention's block skipping (Dao et al. 2022).
+#: nothing, as in FlashAttention's block skipping (Dao et al. 2022), and
+#: it masks only its diagonal tile.
 ATTENTION_BLOCK_ROWS = 64
 
 #: Added to a layer norm's variance before its inverse square root.
@@ -174,26 +177,59 @@ def _attention_spans(positions, m: int,
                  for r0 in range(0, m, rows))
 
 
-def _block_mask(positions, hi: int, dtype) -> np.ndarray:
-    """The additive causal mask of one block of queries at `positions`
-    over its first hi keys (rows x hi): 0 where a key lies at or before
-    the query's position, MASK_VALUE past it. Formed once per block, and
-    added to every head's scores."""
+def _tile_mask(positions, hi: int, dtype) -> tuple[int, np.ndarray]:
+    """(lo, mask) of one block of causal queries at `positions` over its
+    first hi keys. lo is the block's smallest position, so every query of
+    the block sees keys :lo and only the diagonal tile, keys lo:hi, needs
+    a mask: rows x (hi - lo), 0 where a key lies at or before the query's
+    position, MASK_VALUE past it."""
+    lo = int(positions.min())
     zero, blocked = dtype.type(0), dtype.type(MASK_VALUE)
-    return np.where(np.arange(hi) <= positions[:, None], zero, blocked)
+    return lo, np.where(np.arange(lo, hi) <= positions[:, None], zero,
+                        blocked)
 
 
-def _block_scores(qb, kt, mask, out) -> None:
-    """Scores of one block of scaled queries `qb` against the first hi
-    keys into `out`: qb k^T, plus the block's `mask` when it has one.
-    `qb` is heads x rows x head width with `kt` heads x head width x keys
-    (the forward, every head at once), or rows x head width with
-    head width x keys (the backward, one head). The two pass one head's
-    operands to the same matmul, so their probabilities agree bit for
-    bit."""
-    np.matmul(qb, kt[..., :out.shape[-1]], out=out)
-    if mask is not None:
-        out += mask
+class _KeyGradient:
+    """The gradient an attention backward forms for its key or value
+    operand `node`, one head's columns (`width` wide) at a time.
+
+    When `node` is a concat_rows, only the output rows of its tracked
+    parts are formed, sorted (``rows``), and :meth:`contributions` hands
+    each part its rows, so the concat node gets nothing from attention (a
+    reach-through like :func:`_rebuilt_in_backward`'s). Otherwise every
+    row is formed, for `node` itself (``rows`` None)."""
+
+    __slots__ = ("node", "rows", "parts", "grad", "head")
+
+    def __init__(self, node: Node, width: int):
+        self.node, self.rows, self.parts = node, None, None
+        if node.op == "concat_rows":
+            positions = np.arange(node.shape[0])
+            tracked = [(part, positions[r]) for part, r
+                       in zip(node.inputs, node.meta["rows"])
+                       if part.requires_grad]
+            self.rows = np.sort(np.concatenate([r for _, r in tracked]))
+            self.parts = [(part, np.searchsorted(self.rows, r))
+                          for part, r in tracked]
+        count = node.shape[0] if self.rows is None else self.rows.size
+        self.grad = np.empty((count, node.shape[1]), node.dtype)
+        self.head = np.empty((count, width), node.dtype)
+
+    def add(self, p: np.ndarray, x: np.ndarray) -> None:
+        """head += p^T x over the formed rows among p's keys (its
+        columns): all of p when every row is formed."""
+        if self.rows is None:
+            self.head[:p.shape[1]] += p.T @ x
+        else:
+            cut = int(np.searchsorted(self.rows, p.shape[1]))
+            self.head[:cut] += p[:, self.rows[:cut]].T @ x
+
+    def contributions(self):
+        """(node, gradient) pairs: `node` and the whole gradient, or each
+        tracked part and its rows of it."""
+        if self.parts is None:
+            return [(self.node, self.grad)]
+        return [(part, self.grad[idx]) for part, idx in self.parts]
 
 
 def _rebuilt_in_backward(node: Node) -> bool:
@@ -548,10 +584,16 @@ class Tape:
         its position and before. Query rows run in blocks of
         ATTENTION_BLOCK_ROWS, every head in one batched matmul, over only
         the keys some row of the block sees (:func:`_attention_spans`),
-        in one reused block buffer; a key past a query's position gets
-        the score MASK_VALUE. A tracked node saves each (head, row)'s
-        softmax max and sum and, if causal, a copy of `positions`, from
-        which backward rebuilds the probabilities.
+        in one reused block buffer. Only a causal block's diagonal tile
+        is masked (:func:`_tile_mask`): a key past a query's position
+        gets the score MASK_VALUE. The row max doubles as the check for
+        NaN and +inf scores and one min over the block catches -inf, so
+        NonFiniteError names any block with a non-finite score. The
+        unnormalized probabilities multiply v, and the rows x head width
+        output is divided by the row sums (Dao et al. 2022). A tracked
+        node saves each (head, row)'s log-sum-exp, max + log(sum), and,
+        if causal, a copy of `positions`, from which backward rebuilds
+        the probabilities.
         """
         qv, kv, vv = q.value, k.value, v.value
         positions = np.asarray(positions)
@@ -578,8 +620,7 @@ class Tape:
         # bidirectional query sees every key
         positions = positions.astype(np.intp) if causal else None
         spans = _attention_spans(positions, m, n)
-        row_max = np.empty((n_heads, m), qv.dtype)
-        row_sum = np.empty((n_heads, m), qv.dtype)
+        lse = np.empty((n_heads, m), qv.dtype)
         out = np.empty((m, d), qv.dtype)
         qh = _heads(qv, n_heads)
         kt = _heads(kv, n_heads).transpose(0, 2, 1)
@@ -588,23 +629,25 @@ class Tape:
                            default=0), qv.dtype)
         for r0, r1, hi in spans:
             s = buf[:n_heads * (r1 - r0) * hi].reshape(n_heads, r1 - r0, hi)
-            mask = (None if positions is None
-                    else _block_mask(positions[r0:r1], hi, qv.dtype))
             # q is scaled a block at a time: the product is elementwise, so
             # the values are those of scaling all of q, without its copy
-            _block_scores(qh[:, r0:r1] * scale, kt, mask, s)
-            if not _all_finite(s):
-                raise NonFiniteError("attention", f"scores of rows {r0}:{r1}")
+            np.matmul(qh[:, r0:r1] * scale, kt[..., :hi], out=s)
+            if positions is not None:
+                lo, mask = _tile_mask(positions[r0:r1], hi, qv.dtype)
+                s[..., lo:] += mask
             top = s.max(axis=2, keepdims=True)
+            if not (_all_finite(top) and np.isfinite(s.min())):
+                raise NonFiniteError("attention", f"scores of rows {r0}:{r1}")
             s -= top
             np.exp(s, out=s)
             total = s.sum(axis=2, keepdims=True)
-            s /= total
-            row_max[:, r0:r1] = top[..., 0]
-            row_sum[:, r0:r1] = total[..., 0]
-            np.matmul(s, vh[:, :hi], out=oh[:, r0:r1])
-        saves = [("row_max", row_max), ("row_sum", row_sum),
-                 ("q", qv), ("k", kv)]
+            block = oh[:, r0:r1]
+            np.matmul(s, vh[:, :hi], out=block)
+            block /= total
+            np.log(total, out=total)
+            total += top
+            lse[:, r0:r1] = total[..., 0]
+        saves = [("lse", lse), ("q", qv), ("k", kv)]
         if positions is not None:
             saves.append(("positions", positions))
         if q.requires_grad or k.requires_grad:
@@ -906,60 +949,88 @@ class Tape:
 
     def _backprop_attention(self, node: Node, g: np.ndarray, saved,
                             grads) -> None:
-        """Per row block, one head at a time, on 2-D slices over the
-        block's first `hi` keys: rebuild p with the forward's own ops
-        from q, k, the block's mask (if causal) and the saved row max and
-        sum, then dv += p^T g, dp = g v^T,
-        ds = p * (dp - rowsum(dp * p)), dq = scale * ds k,
-        dk += ds^T (scale * q). Head h reads and writes columns
-        h * w:(h + 1) * w of each operand and gradient (w the head
-        width). Three rows x hi buffers of the largest block, for p, dp
-        and dp * p, serve every (block, head), and p is overwritten with
-        ds."""
+        """FlashAttention-2's backward (Dao 2023), head by head. Head h
+        reads columns h * w:(h + 1) * w of each operand (w the head
+        width), copied once into contiguous [scale * q | -lse_h]
+        (m x (w + 1)), [k | 1] (n x (w + 1)), v and g, so that one
+        matmul of a block's rows of the first by the first hi rows of
+        the second is the scores minus the log-sum-exp; after the
+        diagonal tile's mask (if causal) its exp is the block's p. As
+        lse is rounded to the dtype, p's rows sum to 1 only to within
+        about |lse| units in the last place, one factor per row. Dividing
+        g and D by the row sums z (one product of p with [k | 1]'s
+        column of ones) cancels it, which keeps the gradients as
+        accurate as from a saved max and sum: dv_h += p^T (g / z),
+        dp = (g / z) v^T, D = rowsum(dp * p) / z, p *= dp - D,
+        dq_h = scale * p k and dk_h += p^T (scale * q). Two rows x hi
+        buffers of the largest block, p and dp, serve every (head,
+        block), and each head writes its columns of dq, dk and dv once.
+        A key or value operand that is a concat_rows gets gradient rows
+        only for its tracked parts' rows, added straight into those parts
+        (:class:`_KeyGradient`)."""
         q, k, v = node.inputs
         n_heads = node.meta["n_heads"]
         scale = node.meta["scale"]
         spans = node.meta["spans"]
         positions = saved.get("positions")
-        row_max, row_sum = saved["row_max"], saved["row_sum"]
-        qv, kv, vv = saved["q"], saved["k"], saved.get("v")
-        dq = np.empty(q.shape, q.dtype) if q.requires_grad else None
-        dk = np.zeros(k.shape, k.dtype) if k.requires_grad else None
-        dv = np.zeros(v.shape, v.dtype) if v.requires_grad else None
+        lse, qv, kv, vv = saved["lse"], saved["q"], saved["k"], saved.get("v")
+        m, n = q.shape[0], k.shape[0]
         w = q.shape[1] // n_heads
+        dtype = node.dtype
+        tiles = [None if positions is None
+                 else _tile_mask(positions[r0:r1], hi, dtype)
+                 for r0, r1, hi in spans]
+        dq = np.empty(q.shape, dtype) if q.requires_grad else None
+        dq_h = np.empty((m, w), dtype) if dq is not None else None
+        key, val = (_KeyGradient(x, w) if x.requires_grad else None
+                    for x in (k, v))
+        formed = [grad for grad in (key, val) if grad is not None]
         size = max(((r1 - r0) * hi for r0, r1, hi in spans), default=0)
-        p_buf, dp_buf, dpp_buf = (np.empty(size, node.dtype)
-                                  for _ in range(3))
-        for r0, r1, hi in spans:
-            p, dp, dp_p = (buf[:(r1 - r0) * hi].reshape(r1 - r0, hi)
-                           for buf in (p_buf, dp_buf, dpp_buf))
-            mask = (None if positions is None
-                    else _block_mask(positions[r0:r1], hi, node.dtype))
-            for h in range(n_heads):
-                c = slice(h * w, (h + 1) * w)
-                qb = qv[r0:r1, c] * scale
-                _block_scores(qb, kv[:, c].T, mask, p)
-                p -= row_max[h, r0:r1, None]
+        p_buf, dp_buf = np.empty(size, dtype), np.empty(size, dtype)
+        qa, ka = np.empty((m, w + 1), dtype), np.empty((n, w + 1), dtype)
+        ka[:, w] = 1
+        gh = np.empty((m, w), dtype)
+        vh = (np.empty((n, w), dtype) if dq is not None or key is not None
+              else None)
+        for h in range(n_heads):
+            c = slice(h * w, (h + 1) * w)
+            np.multiply(qv[:, c], scale, out=qa[:, :w])
+            np.negative(lse[h], out=qa[:, w])
+            ka[:, :w] = kv[:, c]
+            gh[:] = g[:, c]
+            if vh is not None:
+                vh[:] = vv[:, c]
+            for grad in formed:
+                grad.head.fill(0)
+            for (r0, r1, hi), tile in zip(spans, tiles):
+                p, dp = (buf[:(r1 - r0) * hi].reshape(r1 - r0, hi)
+                         for buf in (p_buf, dp_buf))
+                np.matmul(qa[r0:r1], ka[:hi].T, out=p)
+                if tile is not None:
+                    p[:, tile[0]:] += tile[1]
                 np.exp(p, out=p)
-                p /= row_sum[h, r0:r1, None]
-                gb = g[r0:r1, c]
-                if dv is not None:
-                    dv[:hi, c] += p.T @ gb
-                if dq is None and dk is None:
+                total = (p @ ka[:hi, w])[:, None]
+                gb = gh[r0:r1] / total
+                if val is not None:
+                    val.add(p, gb)
+                if vh is None:
                     continue
-                np.matmul(gb, vv[:hi, c].T, out=dp)
-                np.multiply(dp, p, out=dp_p)
-                dp -= dp_p.sum(axis=1, keepdims=True)
+                np.matmul(gb, vh[:hi].T, out=dp)
+                dp -= np.einsum("ij,ij->i", dp, p)[:, None] / total
                 p *= dp
                 if dq is not None:
-                    np.matmul(p, kv[:hi, c], out=dq[r0:r1, c])
-                if dk is not None:
-                    dk[:hi, c] += p.T @ qb
+                    np.matmul(p, ka[:hi, :w], out=dq_h[r0:r1])
+                if key is not None:
+                    key.add(p, qa[r0:r1, :w])
+            if dq is not None:
+                np.multiply(dq_h, scale, out=dq[:, c])
+            for grad in formed:
+                grad.grad[:, c] = grad.head
         if dq is not None:
-            dq *= scale
-        for inp, grad in ((q, dq), (k, dk), (v, dv)):
-            if grad is not None:
-                self._accum(grads, inp, grad)
+            self._accum(grads, q, dq)
+        for grad in formed:
+            for x, contrib in grad.contributions():
+                self._accum(grads, x, contrib)
 
     # ---- introspection ---------------------------------------------------
 
@@ -1025,9 +1096,12 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     time, as they are.
     Temporaries inside an op are not modeled: softmax buffers,
     attention's block buffers (sized by the largest block: in forward one
-    heads x ATTENTION_BLOCK_ROWS x hi block, in backward three
-    ATTENTION_BLOCK_ROWS x hi head buffers), the scaled queries and a
-    causal block's additive mask (ATTENTION_BLOCK_ROWS x hi), an affine's
+    heads x ATTENTION_BLOCK_ROWS x hi block, in backward two
+    ATTENTION_BLOCK_ROWS x hi head buffers), its causal diagonal-tile
+    masks (rows x (hi - lo) per block: one in forward, every block's in
+    backward), the scaled queries, in backward one head's columns of q
+    (with the log-sum-exp), k, v and g, and its key and value gradients
+    at their formed rows (with one head's columns of each), an affine's
     LoRA delta (one output-sized array in forward, and g * s in
     backward), a layer norm's or GELU's output that an affine's backward
     rebuilds (one rows x cols array, freed once that affine's weight or

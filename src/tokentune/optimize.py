@@ -111,14 +111,24 @@ def adam_step(model: TransformerModel, grads: dict[str, np.ndarray],
         arr -= update
 
 
+#: Elements per float64 block in which :func:`global_norm` squares and
+#: sums an array.
+NORM_BLOCK = 16384
+
+
 def global_norm(arrays, scale: float) -> float:
     """scale times the L2 norm of all `arrays` together, accumulated in
-    float64 (one dot product per array; nothing the size of an array is
-    allocated for float64 input)."""
+    float64: each array is copied into one reused float64 buffer
+    NORM_BLOCK elements at a time and summed as one dot product per
+    block, so nothing the size of an array is allocated."""
     sq = 0.0
+    buf = np.empty(NORM_BLOCK, np.float64)
     for a in arrays:
-        flat = a.reshape(-1).astype(np.float64, copy=False)
-        sq += float(np.dot(flat, flat))
+        flat = a.reshape(-1)
+        for i in range(0, flat.size, NORM_BLOCK):
+            b = buf[:min(NORM_BLOCK, flat.size - i)]
+            b[:] = flat[i:i + NORM_BLOCK]
+            sq += float(np.dot(b, b))
     return math.sqrt(sq) * scale
 
 
@@ -196,6 +206,9 @@ class Trainer:
         """One micro-batch: per-example forward/backward, ordered gradient
         accumulation, and an Adam update when the window closes.
 
+        ``loss`` is the mean over the micro-batch's ``loss_terms`` loss
+        terms, or None when no example added a term.
+
         Examples run one at a time, so the memory figures are per example:
         ``activation_bytes`` is the largest over the batch of the bytes
         retained for backward, and ``peak_bytes`` the persistent bytes
@@ -252,7 +265,8 @@ class Trainer:
                       + self.state.element_count()) * width
         return {
             "step": self.micro_step,
-            "loss": loss_sum / max(term_sum, 1),
+            "loss": loss_sum / term_sum if term_sum else None,
+            "loss_terms": term_sum,
             "grad_norm": grad_norm,
             "activation_bytes": activation_bytes,
             "peak_bytes": persistent + peak_tape,

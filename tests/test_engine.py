@@ -1021,13 +1021,13 @@ def compare_with_per_head(case, n_heads, **kw):
 def retained_with_row_statistics(case, n_heads, ref, shape, causal=True):
     """The bytes `Tape.attention` retains for backward, from the per-head
     composition's (`ref`): the composition keeps every head's m x n float64
-    probabilities, the node keeps each (head, row)'s softmax max and sum
-    and, if causal, the m query positions (8 bytes each) instead. With
-    constant queries the node also keeps k, to rebuild the probabilities,
-    which the composition never reads."""
+    probabilities, the node keeps each (head, row)'s log-sum-exp and, if
+    causal, the m query positions (8 bytes each) instead. With constant
+    queries the node also keeps k, to rebuild the probabilities, which the
+    composition never reads."""
     m, n = shape
     keys = n * D_ATT * 8 if case == "untracked-q" else 0
-    return (ref - n_heads * m * n * 8 + 2 * n_heads * m * 8
+    return (ref - n_heads * m * n * 8 + n_heads * m * 8
             + (8 * m if causal else 0) + keys)
 
 
@@ -1102,9 +1102,9 @@ def test_attention_untracked_matches_tracked_and_caches_nothing(causal):
     assert np.array_equal(out.value, out_ng.value)
     # the output alone, the last node
     assert untracked.retained_bytes() == {("", "attention"): 4 * D_ATT * 8}
-    # row max and sum per head, if causal the 4 query positions, then q,
-    # k, v and the output
-    assert out.fresh_bytes == 2 * 4 * 4 * 8 + (4 * 8 if causal else 0)
+    # a log-sum-exp per head and row, if causal the 4 query positions,
+    # then q, k, v and the output
+    assert out.fresh_bytes == 4 * 4 * 8 + (4 * 8 if causal else 0)
     assert tracked.retained_bytes() == {("", "attention"): out.fresh_bytes
                                         + 4 * D_ATT * 8,
                                         ("", "input"): 3 * 4 * D_ATT * 8}
@@ -1157,6 +1157,110 @@ def test_attention_rejects_bad_shapes_and_overflowing_scores():
     with pytest.raises(NonFiniteError) as err, np.errstate(over="ignore"):
         t.attention(huge, huge, huge, np.arange(3), True, 2)
     assert err.value.op == "attention"
+
+
+#: Where the one non-finite score lies, as (causal, query row, key), for
+#: queries at positions 4 and 5 over 6 keys: a causal block of them
+#: masks only its diagonal tile, keys 4:6.
+BAD_SCORE_AT = {"causal-tile": (True, 1, 5), "causal-masked": (True, 0, 5),
+                "causal-left-of-tile": (True, 0, 1),
+                "bidirectional": (False, 0, 5)}
+
+
+@pytest.mark.parametrize("at", sorted(BAD_SCORE_AT))
+@pytest.mark.parametrize("bad", ["+inf", "-inf", "nan"])
+def test_attention_refuses_a_non_finite_score(bad, at):
+    # float64 overflow makes the one score: 1e200 * 1e200 is inf, and
+    # inf + -inf is nan; every other score is 0
+    causal, row, key = BAD_SCORE_AT[at]
+    big = 1e200
+    q, k = np.zeros((2, D_ATT)), np.zeros((6, D_ATT))
+    q[row, :2] = big
+    k[key, :2] = {"+inf": (big, big), "-inf": (-big, -big),
+                  "nan": (big, -big)}[bad]
+    t = Tape()
+    with pytest.raises(NonFiniteError) as err, \
+            np.errstate(over="ignore", invalid="ignore"):
+        t.attention(t.constant(q), t.constant(k),
+                    t.constant(np.ones((6, D_ATT))), np.array([4, 5]),
+                    causal, 2)
+    assert err.value.op == "attention"
+    assert "scores of rows 0:2" in str(err.value)
+
+
+#: Parts of a 150-row key (and value) concat, as (tracked, row count):
+#: the parts' rows split a permutation of the positions.
+KEY_PARTS = {"untracked-tracked": ((False, 80), (True, 70)),
+             "untracked-two-tracked": ((False, 60), (True, 50), (True, 40)),
+             "two-tracked": ((True, 90), (True, 60))}
+
+
+@pytest.mark.parametrize("case", sorted(KEY_PARTS))
+def test_attention_hands_key_and_value_rows_straight_to_tracked_parts(
+        case, monkeypatch):
+    # a TokenTune layer's attention: queries at the tracked positions,
+    # causal, over keys and values joined from parts at their positions;
+    # each tracked part gets the rows a dense n x d gradient would give
+    # it, and neither the concat nor an untracked part gets anything
+    r = rng_for(43)
+    n = 150
+    order = r.permutation(n)
+    bounds = np.cumsum([0] + [size for _, size in KEY_PARTS[case]])
+    rows = [np.sort(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+    tracked = [flag for flag, _ in KEY_PARTS[case]]
+    positions = np.sort(np.concatenate(
+        [rs for rs, flag in zip(rows, tracked) if flag]))
+    qv, kv, vv = (r.normal(size=(len(positions) if x == "q" else n, D_ATT))
+                  for x in "qkv")
+    w = r.normal(size=(D_ATT, 3))
+    targets = r.integers(0, 3, size=len(positions))
+
+    def run(keys_and_values):
+        t = Tape()
+        q = t.input(qv)
+        k, v, leaves = keys_and_values(t)
+        out = t.attention(q, k, v, positions, True, 2)
+        loss = t.cross_entropy(t.matmul(out, t.constant(w)), targets)
+        return t, loss, q, k, v, leaves
+
+    def dense(t):
+        k, v = t.input(kv), t.input(vv)
+        return k, v, (k, v)
+
+    def joined(t):
+        parts = [[t.input(x[rs]) if flag else t.constant(x[rs])
+                  for rs, flag in zip(rows, tracked)] for x in (kv, vv)]
+        return (t.concat_rows(parts[0], rows), t.concat_rows(parts[1], rows),
+                parts)
+
+    t, loss, q_dense, k_dense, v_dense, _ = run(dense)
+    t.backward(loss)
+    want = {"q": t.grad_of(q_dense), "k": t.grad_of(k_dense),
+            "v": t.grad_of(v_dense)}
+
+    fed = []
+    accum = Tape._accum
+
+    def recording(grads, node, contrib):
+        fed.append(node.idx)
+        accum(grads, node, contrib)
+
+    t, loss, q, k, v, parts = run(joined)
+    monkeypatch.setattr(Tape, "_accum", staticmethod(recording))
+    t.backward(loss)
+    assert relative_error(t.grad_of(q), want["q"]) <= 1e-12
+    assert k.node.idx not in fed and v.node.idx not in fed
+    for name, joined_parts in zip("kv", parts):
+        for part, rs, flag in zip(joined_parts, rows, tracked):
+            if flag:
+                # formed from p's columns at the part's rows, the sums
+                # round apart from the dense gradient's, so they agree to
+                # 1e-12 of the largest entry
+                got, rows_of_dense = t.grad_of(part), want[name][rs]
+                assert np.abs(got - rows_of_dense).max() \
+                    <= 1e-12 * np.abs(rows_of_dense).max(), name
+            else:
+                assert part.node.idx not in fed, name
 
 
 @pytest.mark.parametrize("causal", [True, False],

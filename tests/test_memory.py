@@ -27,8 +27,8 @@ from tokentune.engine import (ATTENTION_BLOCK_ROWS, Tape, gelu_array,
 from tokentune.memprofile import build_regime_model, lm_profile_batch
 from tokentune.model import FFN_BLOCK_ROWS, build_model, forward_hidden
 from tokentune.model import ffn as ffn_block
-from tokentune.optimize import (AdamState, Trainer, adam_step, eval_hidden,
-                                global_norm)
+from tokentune.optimize import (NORM_BLOCK, AdamState, Trainer, adam_step,
+                                eval_hidden, global_norm)
 from tokentune.partition import TokenPartition
 from tokentune.selective import loss_lm, tokentune_forward
 
@@ -403,6 +403,21 @@ def test_global_norm_matches_the_scaled_float64_sum_of_squares():
     assert global_norm([], scale) == 0.0
 
 
+def test_global_norm_squares_float32_in_float64_blocks():
+    # the largest array is 16 blocks; whole, its float64 copy would be
+    # 2 MB
+    r = np.random.default_rng(8)
+    arrays = [r.normal(size=shape).astype(np.float32)
+              for shape in ((300, 257), (1, 64), (1024, 256))]
+    want = np.linalg.norm(np.concatenate(
+        [a.astype(np.float64).reshape(-1) for a in arrays])) / 37
+    with Traced() as traced:
+        got = global_norm(arrays, 1.0 / 37)
+        peak = traced.peak()
+    assert abs(got - want) <= 1e-12 * want
+    assert peak < 2 * NORM_BLOCK * 8, peak
+
+
 @pytest.mark.parametrize("heads, d", [(4, 32), (8, 64)])
 def test_attention_backward_holds_one_heads_block_buffers(heads, d):
     # causal 150 x 150 in three row blocks; the largest block is rows
@@ -424,6 +439,29 @@ def test_attention_backward_holds_one_heads_block_buffers(heads, d):
     # v, the upstream gradient, and room for the head's scaled queries,
     # the two per-head products added into dk and dv, and small arrays
     assert peak <= 4 * rows_by_keys + 8 * operand, peak
+
+
+def test_attention_backward_forms_key_rows_only_for_tracked_parts():
+    # TokenTune's selected queries, k = 8 of n = 256, over keys and
+    # values joined from an untracked and a tracked part: backward forms
+    # their gradients at the 8 tracked rows, so no n x d array (an n x d
+    # dk or dv) is ever held
+    n, k, d = 256, 8, 128
+    r = np.random.default_rng(10)
+    selected = np.sort(r.choice(n, k, replace=False))
+    unselected = np.setdiff1d(np.arange(n), selected)
+    tape = Tape()
+    q = tape.input(r.normal(size=(k, d)))
+    keys, values = (tape.concat_rows([tape.constant(r.normal(size=(n - k, d))),
+                                      tape.input(r.normal(size=(k, d)))],
+                                     (unselected, selected))
+                    for _ in range(2))
+    out = tape.attention(q, keys, values, selected, True, 8)
+    loss = tape.matmul(tape.mean_rows(out), tape.constant(np.ones((d, 1))))
+    with Traced() as traced:
+        tape.backward(loss)
+        peak = traced.peak()
+    assert peak < n * d * 8, peak
 
 
 def test_ffn_backward_holds_two_hidden_arrays_above_the_retained_set():

@@ -270,13 +270,19 @@ def test_tokentune_lm_example_without_a_selected_target_adds_nothing(
     before = {name: arr.copy() for name, arr in trainer.accum.items()}
     trainer.example_counter = lone[0]
     metrics = trainer.train_step([train[lone[0]]])
-    assert metrics["loss"] == 0.0 and metrics["activation_bytes"] == 0
+    assert metrics["loss"] is None and metrics["loss_terms"] == 0
+    assert metrics["activation_bytes"] == 0
     assert all(np.array_equal(trainer.accum[name], before[name])
                for name in before)
     config = tmp_path / "run.json"
     config.write_text(json.dumps(cfg.to_dict()))
     assert main(["train", "--config", str(config),
                  "--out", str(tmp_path / "run")]) == EXIT_OK
+    # such steps write a null loss and their zero term count
+    lines = run_lines(tmp_path / "run")
+    assert any(line["loss"] is None for line in lines)
+    assert all((line["loss"] is None) == (line["loss_terms"] == 0)
+               for line in lines)
 
 
 def test_an_lm_example_targets_the_next_id():

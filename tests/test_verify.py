@@ -313,10 +313,10 @@ def long_lm_case(k):
 @pytest.mark.parametrize("k", [70, LONG_N])
 def test_tokentune_matches_the_oracle_across_attention_blocks(k):
     model, seq, partition, targets = long_lm_case(k)
-    # each tracked attention node saves a float64 max and sum per (head,
+    # each tracked attention node saves a float64 log-sum-exp per (head,
     # selected query) and the selected queries' positions, for any
     # selection
-    fresh = 2 * model.config.n_heads * k * 8 + 8 * k
+    fresh = model.config.n_heads * k * 8 + 8 * k
     other = select_positions(LONG_N, k, "lm", rng_seed=10)
     assert k == LONG_N or not np.array_equal(other.selected,
                                              partition.selected)
