@@ -26,18 +26,18 @@ Cache policy per primitive, as (what backward reads):
     matmul         lhs iff rhs needs grad, rhs iff lhs needs grad
     add            nothing (gradient passes through / column-sums)
     affine         x @ w, its LoRA delta ((x @ a) @ b) * s and its bias
-                   summed in one array, one node. Tracked, it saves w, a
-                   and b (references to parameters); x iff w or a needs
-                   grad, except an x that is a tracked layer_norm's or
-                   GELU's output: backward rebuilds that from the node's
-                   saves, bit for bit (the recompute trade of Chen et al.
-                   2016), forms dA and dW from it and frees it before dX;
-                   and x @ a (fresh, rows x rank) iff b needs grad
-    elementwise    gelu (tanh form): its input (a reference). The pass
-                   that rebuilds its output for an affine also yields its
-                   derivative, which its backward then multiplies by g in
-                   place; unread by such an affine, it runs that pass
-                   itself. scale: nothing (constant factor)
+                   summed in one array, one node. Tracked, it saves w, a,
+                   b and the bias (references to parameters); x iff w or
+                   a needs grad, except a rebuilt x (below): backward
+                   forms dA and dW from it and frees it before dX; and
+                   x @ a (fresh, rows x rank) iff b needs grad
+    elementwise    gelu (tanh form): its input (a reference), except a
+                   rebuilt input. The pass that rebuilds its output for a
+                   reader also yields its derivative, which its backward
+                   then multiplies by g in place; unread by such a
+                   reader, it runs that pass itself, over its input
+                   rebuilt if unsaved, which dies when the pass returns.
+                   scale: nothing (constant factor)
     softmax_rows   its output, not its input
     attention      saves per (head, query row) the softmax's log-sum-exp
                    (one fresh heads x rows array), if causal a copy of
@@ -53,6 +53,13 @@ Cache policy per primitive, as (what backward reads):
                    each part's output rows, and the input's shape)
     mean_rows      nothing
     cross_entropy  the softmax probabilities (log-softmax is fused)
+
+Rebuilt, not saved (the recompute trade of Chen et al. 2016, in the
+selective form of Korthikanti et al. 2022): the output of a tracked
+layer_norm or GELU, or of a tracked affine whose x is itself rebuilt (a
+feed-forward block's pre-activation), wherever an affine reads it as x
+or a GELU as input. The reader's backward rebuilds it bit for bit from
+the saves of the node that made it, with the forward's own expression.
 
 Nodes recorded while gradients are disabled (`with tape.no_grad(): ...`)
 have ``requires_grad = False``, save nothing, and act as constants during
@@ -233,28 +240,63 @@ class _KeyGradient:
 
 
 def _rebuilt_in_backward(node: Node) -> bool:
-    """True for a tracked layer_norm or GELU: an affine reading its output
-    as x does not save it, and the affine's backward rebuilds it from the
-    node's saves (:func:`_rebuilt_output`)."""
-    return node.requires_grad and (node.op == "layer_norm"
-                                   or node.meta.get("fn") == "gelu")
+    """True for a tracked layer_norm or GELU, or a tracked affine whose x
+    is itself one of these: an affine reading its output as x, or a GELU
+    reading it as input, does not save it, and that reader's backward
+    rebuilds it from the saves (:func:`_rebuilt_output`)."""
+    return node.requires_grad and (
+        node.op == "layer_norm" or node.meta.get("fn") == "gelu"
+        or (node.op == "affine" and _rebuilt_in_backward(node.inputs[0])))
 
 
 def _rebuilt_output(node: Node) -> np.ndarray:
     """The output of a node :func:`_rebuilt_in_backward` names, rebuilt
-    from its saves so that it equals the forward's bit for bit: a layer
-    norm's with the forward's own expression, a GELU's from
-    :func:`_gelu_parts`, the forward's own tanh-form pass with the
-    derivative added. That derivative is left on the GELU's saves for its
-    own backward, next on this path (another affine's rebuild replaces
-    it)."""
+    from its saves so that it equals the forward's bit for bit, each with
+    the forward's own expression: a layer norm's; an affine's
+    (:func:`_affine_sum`) over its rebuilt x, which dies once the sum is
+    formed; a GELU's from :func:`_gelu_parts` over its input, saved or
+    rebuilt, which dies once the pass returns. That pass adds the GELU's
+    derivative, which is left on the GELU's saves for its own backward,
+    next on this path (another rebuild replaces it)."""
     saved = dict(node._saved_arrays)
     if node.op == "layer_norm":
         return _layer_norm_output(saved["normalized"], saved["scale"],
                                   saved["shift"])
-    out, deriv = _gelu_parts(saved["input"])
-    node._saved_arrays = [("input", saved["input"]), ("derivative", deriv)]
+    if node.op == "affine":
+        lora = (None if "a" not in saved
+                else (saved["a"], saved["b"], node.meta["scaling"]))
+        return _affine_sum(_rebuilt_output(node.inputs[0]), saved["w"],
+                           saved.get("bias"), lora)[0]
+    out, saved["derivative"] = _gelu_parts(_gelu_input(node, saved))
+    node._saved_arrays = list(saved.items())
     return out
+
+
+def _gelu_input(node: Node, saved: dict) -> np.ndarray:
+    """A tracked GELU's input: its save, or rebuilt when backward can
+    rebuild it (:func:`_rebuilt_in_backward`)."""
+    x = saved.get("input")
+    return _rebuilt_output(node.inputs[0]) if x is None else x
+
+
+def _affine_sum(x, w, bias, lora) -> tuple[np.ndarray, np.ndarray | None]:
+    """(x @ w, plus ((x @ a) @ b) * s for `lora` = (a, b, s), plus a 1-row
+    `bias`, in one array; x @ a, or None without `lora`). The ufuncs and
+    their order are those of the chain of matmul, scale and add nodes that
+    states the same sum, with the sums taken in place, so the values are
+    equal bit for bit; the forward and the rebuild both form it here."""
+    z = x @ w
+    xa = None
+    if lora is not None:
+        a, b, s = lora
+        xa = x @ a
+        t = xa @ b
+        t *= s
+        z += t
+        del t
+    if bias is not None:
+        z += bias
+    return z, xa
 
 
 def _layer_norm_output(xhat, gamma, beta) -> np.ndarray:
@@ -514,46 +556,43 @@ class Tape:
     def affine(self, x: Tensor, w: Tensor, bias: Tensor | None = None,
                lora: tuple[Tensor, Tensor, float] | None = None) -> Tensor:
         """x @ w, plus ((x @ a) @ b) * s for `lora` = (a, b, s), plus a
-        1-row `bias`, formed in one output array and recorded as one node.
-
-        The ufuncs and their order are those of the chain of matmul, scale
-        and add nodes that states the same sum, with the sums taken in
-        place, so the values are equal bit for bit; backward applies the
-        chain's rules in the chain's order (:meth:`_backprop_affine`). The
-        saves are listed in the module docstring."""
+        1-row `bias`, formed in one output array (:func:`_affine_sum`, as
+        is its rebuild) and recorded as one node; backward applies the
+        rules of the chain of nodes that states the same sum in the
+        chain's order (:meth:`_backprop_affine`). The saves are listed in
+        the module docstring."""
         _check_product("affine", x.value, w.value)
-        z = x.value @ w.value
         inputs = [x, w]
         saves = [("w", w.value)]
         meta = {}
         needs_x = w.requires_grad
+        factors = None
         if lora is not None:
             a, b, s = lora
+            factors = (a.value, b.value, float(s))
+            meta["scaling"] = factors[2]
             _check_product("affine", x.value, a.value)
             _check_product("affine", a.value, b.value)
-            if b.value.shape[1] != z.shape[1]:
+            if b.value.shape[1] != w.value.shape[1]:
                 raise ShapeError("affine", f"LoRA factor {b.value.shape} "
-                                           f"for output {z.shape}")
-            xa = x.value @ a.value
-            t = xa @ b.value
-            t *= float(s)
-            z += t
-            del t
+                                           f"for output width "
+                                           f"{w.value.shape[1]}")
             inputs += [a, b]
             saves += [("a", a.value), ("b", b.value)]
-            if b.requires_grad:
-                saves.append(("xa", xa))
-            del xa
-            meta["scaling"] = float(s)
             needs_x = needs_x or a.requires_grad
         if bias is not None:
-            if bias.value.shape != (1, z.shape[1]) \
-                    or bias.value.dtype != z.dtype:
+            if bias.value.shape != (1, w.value.shape[1]) \
+                    or bias.value.dtype != x.value.dtype:
                 raise ShapeError("affine", f"bias {bias.value.shape} "
                                            f"{bias.value.dtype} for output "
-                                           f"{z.shape} {z.dtype}")
-            z += bias.value
+                                           f"width {w.value.shape[1]} "
+                                           f"{x.value.dtype}")
             inputs.append(bias)
+            saves.append(("bias", bias.value))
+        z, xa = _affine_sum(x.value, w.value,
+                            None if bias is None else bias.value, factors)
+        if factors is not None and b.requires_grad:
+            saves.append(("xa", xa))
         if needs_x and not _rebuilt_in_backward(x.node):
             saves.append(("x", x.value))
         return self._record("affine", z, inputs, meta, saves)
@@ -563,9 +602,9 @@ class Tape:
                             {"fn": "scale", "c": float(c)})
 
     def gelu(self, a: Tensor) -> Tensor:
-        x = a.value
-        return self._record("elementwise", gelu_array(x), (a,), {"fn": "gelu"},
-                            saves=[("input", x)])
+        saves = [] if _rebuilt_in_backward(a.node) else [("input", a.value)]
+        return self._record("elementwise", gelu_array(a.value), (a,),
+                            {"fn": "gelu"}, saves)
 
     def softmax_rows(self, a: Tensor) -> Tensor:
         z = a.value - a.value.max(axis=1, keepdims=True)
@@ -845,10 +884,10 @@ class Tape:
             if fn == "scale":
                 self._accum(grads, a, g * node.meta["c"])
             elif fn == "gelu":
-                # left by an affine's rebuild of this GELU's output, if any
+                # left by a rebuild of this GELU's output, if any
                 deriv = saved.get("derivative")
                 if deriv is None:
-                    deriv = _gelu_parts(saved["input"])[1]
+                    deriv = _gelu_parts(_gelu_input(node, saved))[1]
                 deriv *= g
                 self._accum(grads, a, deriv)
             else:  # pragma: no cover - guarded at record time
@@ -1105,11 +1144,14 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     LoRA delta (one output-sized array in forward, and g * s in
     backward), a layer norm's or GELU's output that an affine's backward
     rebuilds (one rows x cols array, freed once that affine's weight or
-    factor gradients are formed), the GELU derivative that this rebuild
-    or the GELU's own backward forms (one rows x cols array, held until
-    it becomes the GELU's input gradient), and the scratch of the pass
-    that forms it (one row block of GELU_BLOCK_BYTES or one row, freed
-    when the pass returns).
+    factor gradients are formed), a GELU's rebuilt input, the feed-forward
+    pre-activation (rows x d_ff), and the layer norm output it is rebuilt
+    from (rows x d, freed once the pre-activation is formed), live from
+    W2's backward, or the GELU's own, until the GELU's parts are formed,
+    the GELU derivative that a rebuild or the GELU's own backward forms
+    (one rows x cols array, held until it becomes the GELU's input
+    gradient), and the scratch of the pass that forms it (one row block
+    of GELU_BLOCK_BYTES or one row, freed when the pass returns).
     """
     last_use: dict[int, int] = {}
     for node in tape.nodes:

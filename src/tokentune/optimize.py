@@ -169,14 +169,14 @@ class Trainer:
         seed = _derived_seed(self.cfg.seed, 0x5E7EC7, example_index)
         return select_positions(len(seq), k, mode, seed)
 
-    def _example_loss(self, tape: Tape, example) -> tuple[object, int]:
-        """Record forward+loss for one example; returns (loss node, #terms):
-        one term for a classification example, one per selected target
-        token for a language-model one, and (None, 0) for a language-model
-        example whose selection has no next-token target, which adds no
-        term and no gradient. The loss reads the selected rows that
-        `tokentune_forward` returns."""
-        partition = self.partition_for(example.seq, self.example_counter)
+    def _example_loss(self, tape: Tape, example,
+                      partition: TokenPartition) -> tuple[object, int]:
+        """Record forward+loss for one example at `partition`; returns
+        (loss node, #terms): one term for a classification example, one
+        per selected target token for a language-model one, and (None, 0)
+        for a language-model example whose selection has no next-token
+        target, which adds no term and no gradient. The loss reads the
+        selected rows that `tokentune_forward` returns."""
         lm = self.task_kind != "classification"
         if lm and (np.asarray(example.targets)[partition.selected] < 0).all():
             return None, 0
@@ -207,7 +207,10 @@ class Trainer:
         accumulation, and an Adam update when the window closes.
 
         ``loss`` is the mean over the micro-batch's ``loss_terms`` loss
-        terms, or None when no example added a term.
+        terms, or None when no example added a term. ``tokens_seen`` and
+        ``grad_tokens`` are sums over the micro-batch: of its examples'
+        positions, and of the selected positions of those examples that
+        added a loss term, the tokens gradient flowed through.
 
         Examples run one at a time, so the memory figures are per example:
         ``activation_bytes`` is the largest over the batch of the bytes
@@ -224,13 +227,18 @@ class Trainer:
         peak_tape = 0
         loss_sum = 0.0
         term_sum = 0
+        grad_tokens = tokens_seen = 0
         for i, example in enumerate(batch):
             tape = Tape()
             try:
-                loss_node, n_terms = self._example_loss(tape, example)
+                partition = self.partition_for(example.seq,
+                                               self.example_counter)
+                loss_node, n_terms = self._example_loss(tape, example,
+                                                        partition)
             except Exception:
                 self.example_counter += 1
                 raise
+            tokens_seen += partition.n_positions
             if loss_node is None:
                 self.example_counter += 1
                 continue
@@ -251,6 +259,7 @@ class Trainer:
             del tape, loss_node
             loss_sum += loss_value
             term_sum += n_terms
+            grad_tokens += partition.k
             self._window_terms += n_terms
             self.example_counter += 1
 
@@ -267,6 +276,8 @@ class Trainer:
             "step": self.micro_step,
             "loss": loss_sum / term_sum if term_sum else None,
             "loss_terms": term_sum,
+            "grad_tokens": grad_tokens,
+            "tokens_seen": tokens_seen,
             "grad_norm": grad_norm,
             "activation_bytes": activation_bytes,
             "peak_bytes": persistent + peak_tape,

@@ -677,20 +677,26 @@ def test_affine_on_a_tracked_layer_norm_gets_dw_from_the_forward_output(
 @pytest.mark.parametrize("readers,tracked_norm,kept", [
     (["affine"], True, False),
     (["affine", "affine", "affine"], True, False),
-    (["affine", "gelu"], True, True),  # gelu reads the output itself
+    (["affine", "gelu"], True, False),  # the GELU rebuilds it as input
     (["affine"], False, True),  # no norm saves to rebuild from
 ], ids=["one-affine", "three-affines", "affine-and-gelu", "untracked-norm"])
 def test_norm_output_leaves_the_retained_set_iff_only_affines_rebuild_it(
         monkeypatch, dtype, readers, tracked_norm, kept):
-    retained = simulate_peak_bytes(norm_graph(dtype, readers,
-                                              tracked_norm)[0])[1]
+    t, _, loss, _ = norm_graph(dtype, readers, tracked_norm)
+    retained = simulate_peak_bytes(t)[1]
     with monkeypatch.context() as patched:
-        # the policy without the rebuild: the affine saves its x
+        # the policy without the rebuild: an affine saves its x, a GELU
+        # its input
         patched.setattr(engine, "_rebuilt_in_backward", lambda node: False)
-        saved = simulate_peak_bytes(norm_graph(dtype, readers,
-                                               tracked_norm)[0])[1]
+        ref, _, ref_loss, _ = norm_graph(dtype, readers, tracked_norm)
+        saved = simulate_peak_bytes(ref)[1]
+        ref_grads = ref.backward(ref_loss)
     norm_output = NORM_ROWS * NORM_WIDTH * np.dtype(dtype).itemsize
     assert retained == saved - (0 if kept else norm_output)
+    grads = t.backward(loss)
+    assert sorted(grads) == sorted(ref_grads)
+    for name, grad in grads.items():
+        assert np.array_equal(grad, ref_grads[name]), name
 
 
 # ---- GELU output rebuilt in backward --------------------------------------------
@@ -789,30 +795,35 @@ def test_gelu_rebuild_gives_the_saved_output_gradients_bit_for_bit(
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("readers,depth,dropped", [
-    (["affine"], 1, True),
-    (["affine", "affine"], 1, True),  # rebuilt once per reader, kept never
-    (["frozen"], 1, False),  # a frozen weight's affine saves no x anyway
-    (["affine", "gelu"], 1, False),  # the second GELU saves it as input
-    (["affine"], 2, True),  # the inner GELU's output is the outer's input
+    (["affine"], 1, 1),
+    (["affine", "affine"], 1, 1),  # rebuilt once per reader, kept never
+    (["frozen"], 1, 0),  # a frozen weight's affine saves no x anyway
+    (["affine", "gelu"], 1, 1),  # the second GELU rebuilds it as input
+    (["affine"], 2, 2),  # and so does the outer GELU its inner's output
 ], ids=["one-affine", "two-affines", "frozen", "affine-and-gelu", "nested"])
 def test_gelu_output_leaves_the_retained_set_iff_only_affines_rebuild_it(
         monkeypatch, dtype, readers, depth, dropped):
     z = gelu_input(1.0, dtype)
-    t, _, h, _, _ = gelu_graph(dtype, z, readers, depth)
+    t, x, h, loss, _ = gelu_graph(dtype, z, readers, depth)
     retained = simulate_peak_bytes(t)[1]
     kept = engine._retained_for_backward(t)
     with monkeypatch.context() as patched:
-        # the policy without the rebuild: the affine saves its x
+        # the policy without the rebuild: an affine saves its x, a GELU
+        # its input
         patched.setattr(engine, "_rebuilt_in_backward", lambda node: False)
-        saved = simulate_peak_bytes(gelu_graph(dtype, z, readers,
-                                               depth)[0])[1]
-    assert retained == saved - (h.nbytes if dropped else 0)
-    # only a GELU reading it keeps the output
-    assert (h.idx in kept) == ("gelu" in readers)
+        ref, ref_x, _, ref_loss, _ = gelu_graph(dtype, z, readers, depth)
+        saved = simulate_peak_bytes(ref)[1]
+        ref_grads = ref.backward(ref_loss)
+    assert retained == saved - dropped * h.nbytes
+    # no reader keeps a GELU's output; only the input leaf x is retained
     gelus = [node for node in t.nodes if node.meta.get("fn") == "gelu"]
-    # every GELU input is still retained: x, and for "nested" the inner
-    # GELU's output
-    assert all(node.inputs[0].idx in kept for node in gelus)
+    assert {node.idx for node in gelus}.isdisjoint(kept)
+    assert x.idx in kept
+    grads = t.backward(loss)
+    assert sorted(grads) == sorted(ref_grads)
+    for name, grad in grads.items():
+        assert np.array_equal(grad, ref_grads[name]), name
+    assert np.array_equal(t.grad_of(x), ref.grad_of(ref_x))
 
 
 def gelu_model_config():

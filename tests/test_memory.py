@@ -137,7 +137,8 @@ def test_each_tracked_layer_norm_output_leaves_the_retained_set(
         monkeypatch, model, example, regime, dtype):
     # every tracked norm output here is read by affines only (Q, K, V or
     # W1), whose backward rebuilds it from the norm's saves; so is every
-    # tracked GELU output (W2), which the same switch turns off
+    # tracked GELU output (W2) and every W1 output, the pre-activation a
+    # GELU reads, which the same switch turns off
     model = model.astype(dtype)
 
     def retained():
@@ -153,8 +154,9 @@ def test_each_tracked_layer_norm_output_leaves_the_retained_set(
     cfg = model.config
     rows = N if regime == "full" else K
     norm_output = rows * cfg.d_model * np.dtype(dtype).itemsize
-    gelu_output = rows * cfg.d_ff * np.dtype(dtype).itemsize
-    assert rebuilt == saved - cfg.n_layers * (2 * norm_output + gelu_output)
+    gelu_output = pre_activation = rows * cfg.d_ff * np.dtype(dtype).itemsize
+    assert rebuilt == saved - cfg.n_layers * (2 * norm_output + gelu_output
+                                              + pre_activation)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -186,6 +188,66 @@ def test_breakdown_sums_to_the_replays_retained_bytes(regime, dtype):
     assert metrics["activation_bytes"] == max(s[-1] for s in sums)
     assert sum(trainer.activation_breakdown.values()) \
         == metrics["activation_bytes"]
+
+
+def retained_bytes_law(cfg, n, itemsize):
+    """(intercept, slope): tokentune's bytes retained for backward are
+    intercept + slope * k for k selected positions that each have a
+    next-token target, read off what each op saves (Korthikanti et al.
+    2022 count the same way). Every layer keeps its n x d keys and values
+    whatever k is, and the 1 x 1 loss is the last node. Per selected row
+    and layer: the query affine's output (attention reads it), the
+    attention output (W_o reads it), one log-sum-exp per head, a copy of
+    the row's position, and each layer norm's normalized row and inverse
+    std; the feed-forward block rebuilds its pre-activation, its GELU
+    output and its norm output in backward. Per selected row in the
+    head: the rows the LM affine reads and the softmax probabilities."""
+    d = cfg.d_model
+    intercept = 2 * n * d * cfg.n_layers * itemsize + itemsize
+    per_layer = ((d + d + cfg.n_heads + 2 * (d + 1)) * itemsize
+                 + np.dtype(np.intp).itemsize)
+    slope = cfg.n_layers * per_layer + (d + cfg.vocab_size) * itemsize
+    return intercept, slope
+
+
+def tokentune_retained_bytes(model, example, k):
+    """Bytes retained for backward with k positions selected among those
+    with a next-token target (all but the last)."""
+    n = len(example.seq)
+    selected = np.sort(np.random.default_rng(k).choice(n - 1, k,
+                                                       replace=False))
+    partition = TokenPartition(selected=selected, unselected=np.setdiff1d(
+        np.arange(n), selected))
+    tape = Tape()
+    split = tokentune_forward(tape, model, example.seq, partition)
+    loss_lm(tape, model, split, example.targets)
+    return sum(tape.retained_bytes().values())
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_tokentune_retained_bytes_follow_the_law_in_k(model, example, dtype):
+    model = model.astype(dtype)
+    intercept, slope = retained_bytes_law(model.config, N,
+                                          np.dtype(dtype).itemsize)
+    for k in (1, 2, 5, K, 3 * K, N - 1):
+        assert tokentune_retained_bytes(model, example, k) \
+            == intercept + slope * k, k
+
+
+def test_retained_bytes_law_at_the_benchmark_shapes():
+    # byte LM, n=512, d=256, 8 heads, 4 layers, d_ff=1024, float32; the
+    # slope was 35,012 B while each GELU saved its 4 x d_ff input bytes
+    n = 512
+    cfg = ModelConfig(vocab_size=257, max_positions=n, d_model=256,
+                      n_heads=8, d_ff=1024, n_layers=4, causal=True,
+                      n_classes=None)
+    intercept, slope = retained_bytes_law(cfg, n, 4)
+    assert (intercept, slope) == (4_194_308, 18_628)
+    model = build_model(cfg, seed=3, dtype="float32")
+    example = lm_profile_batch(n, 1, seed=3)[0]
+    for k in (1, 64):
+        assert tokentune_retained_bytes(model, example, k) \
+            == intercept + slope * k, k
 
 
 def test_no_grad_forward_keeps_only_its_output(model, example):
@@ -383,7 +445,9 @@ def test_step_accumulates_the_sum_of_backward_gradients_bitwise(regime):
     expected = {name: np.zeros_like(acc) for name, acc in ref.accum.items()}
     for example in batch:
         tape = Tape()
-        loss, _ = ref._example_loss(tape, example)
+        loss, _ = ref._example_loss(
+            tape, example, ref.partition_for(example.seq,
+                                             ref.example_counter))
         for name, g in tape.backward(loss).items():
             expected[name] += g
         ref.example_counter += 1

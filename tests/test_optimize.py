@@ -117,6 +117,45 @@ def test_two_accumulated_micro_steps_equal_one_step_of_both_batches(
         assert np.array_equal(split.params[name], arr), name
 
 
+@pytest.mark.parametrize("regime,k,grad_tokens", [
+    ("full", None, 4 + 5 + 3),  # every position of every example
+    ("tokentune", 2, 3 * 2),  # k of each: each has a target among two
+])
+def test_a_step_counts_its_tokens_and_those_with_gradient(regime, k,
+                                                          grad_tokens):
+    trainer = Trainer(small_model("float64"),
+                      TrainConfig(regime=regime, k=k, batch_size=3, seed=3,
+                                  dtype="float64"), "lm")
+    batch = [lm_example(np.array(ids))
+             for ids in ([3, 7, 1, 9], [2, 5, 8, 4, 6], [1, 1, 2])]
+    metrics = trainer.train_step(batch)
+    assert metrics["loss_terms"] > 0
+    assert (metrics["tokens_seen"], metrics["grad_tokens"]) \
+        == (4 + 5 + 3, grad_tokens)
+
+
+def test_an_example_without_loss_terms_adds_no_tokens_with_gradient():
+    # only the last position, which has no next token, is selected in the
+    # first example; the second selects two positions, of which only the
+    # first has a target: one loss term, two tokens with gradient
+    trainer = Trainer(small_model("float64"),
+                      TrainConfig(regime="tokentune", k=1, batch_size=2,
+                                  seed=3, dtype="float64"), "lm")
+    lone, pair = TokenPartition(selected=np.array([3]),
+                                unselected=np.array([0, 1, 2])), \
+        TokenPartition(selected=np.array([0, 2]), unselected=np.array([1]))
+    first, second = (lm_example(np.array(ids))
+                     for ids in ([3, 7, 1, 9], [2, 5, 8]))
+    trainer.partition_for = lambda seq, index: lone if len(seq) == 4 \
+        else pair
+    metrics = trainer.train_step([first])
+    assert metrics["loss_terms"] == 0
+    assert (metrics["tokens_seen"], metrics["grad_tokens"]) == (4, 0)
+    metrics = trainer.train_step([first, second])
+    assert metrics["loss_terms"] == 1
+    assert (metrics["tokens_seen"], metrics["grad_tokens"]) == (4 + 3, 2)
+
+
 def test_a_window_without_loss_terms_takes_no_step():
     # n = 4 and k = 1: once the only selected position is the last one,
     # which has no next token, the window holds no loss term

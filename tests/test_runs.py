@@ -38,6 +38,11 @@ def test_run_training_reports_per_example_memory(tmp_path, regime):
              (tmp_path / "metrics.jsonl").read_text().splitlines()]
     assert result.steps == len(steps) == 3  # 7 examples in batches of 3
     assert all(step["activation_bytes"] > 0 for step in steps)
+    # each step's tokens, and those gradient flowed through: k = 4 or all
+    # 12 positions of each example, as each adds its classification term
+    k = 4 if regime.startswith("tokentune") else 12
+    assert [(step["tokens_seen"], step["grad_tokens"]) for step in steps] \
+        == [(3 * 12, 3 * k), (3 * 12, 3 * k), (12, k)]
     report = json.loads((tmp_path / "memory.json").read_text())
     activations = report["activations_bytes"]
     assert activations == steps[-1]["activation_bytes"]
@@ -282,6 +287,10 @@ def test_tokentune_lm_example_without_a_selected_target_adds_nothing(
     lines = run_lines(tmp_path / "run")
     assert any(line["loss"] is None for line in lines)
     assert all((line["loss"] is None) == (line["loss_terms"] == 0)
+               for line in lines)
+    # the one selected position carries gradient iff it adds a term
+    assert all(line["tokens_seen"] == 8
+               and line["grad_tokens"] == line["loss_terms"]
                for line in lines)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokentune import engine
 from tokentune.config import (LORA_TARGETS, REGIMES, SELECTIVE_REGIMES,
                               ModelConfig, TrainConfig)
 from tokentune.data import Example, lm_example
@@ -111,7 +112,7 @@ def test_the_last_layers_unselected_rows_stop_at_their_keys_and_values(
     partition = trainer.partition_for(seq, 0)
 
     tape = Tape()
-    trainer._example_loss(tape, example)
+    trainer._example_loss(tape, example, partition)
     last = model.config.n_layers - 1
     attention = [node for node in tape.nodes if node.op == "attention"]
     # one attention per layer for the selected queries, and one for the
@@ -138,7 +139,8 @@ def test_a_layers_keys_and_values_join_position_order_in_one_op_each(
     partition = trainer.partition_for(seq, 0)
     tape = Tape()
     trainer._example_loss(
-        tape, lm_example(seq) if causal else Example(seq, label=2))
+        tape, lm_example(seq) if causal else Example(seq, label=2),
+        partition)
     for layer in range(model.config.n_layers):
         region = [node for node in tape.nodes
                   if node.label == f"layer.{layer}.attn"]
@@ -167,8 +169,10 @@ def test_every_affine_of_a_training_example_is_one_node(regime, mode):
     model = build_regime_model(cfg_for(causal), train)
     seq = random_seq(rng_for(8), 10, causal)
     tape = Tape()
-    Trainer(model, train, mode)._example_loss(
-        tape, lm_example(seq) if causal else Example(seq, label=2))
+    trainer = Trainer(model, train, mode)
+    trainer._example_loss(
+        tape, lm_example(seq) if causal else Example(seq, label=2),
+        trainer.partition_for(seq, 0))
     assert not [node for node in tape.nodes
                 if node.op == "matmul" or node.meta.get("fn") == "scale"
                 or node.op == "add" and node.meta["broadcast"]]
@@ -280,11 +284,70 @@ def test_w1_backward_cache_is_k_by_d_model_independent_of_rest():
         node = _ffn_w1_node(tape, model)
         # W1's backward rebuilds its input from norm2's saves, so the k x d
         # rows entering W1's gradient (and k inverse stds) are charged to
-        # norm2, and W1's affine retains only W1 (not its bias)
-        norm2, w1, _ = node.inputs
+        # norm2, and W1's affine retains only W1 and its bias, parameters
+        # from which the GELU's reader rebuilds W1's output
+        norm2, w1, b1 = node.inputs
         assert norm2.op == "layer_norm"
         assert norm2.fresh_bytes == (k * d + k) * 8
-        assert node.retains == (w1.idx,) and node.fresh_bytes == 0
+        assert node.retains == (w1.idx, b1.idx) and node.fresh_bytes == 0
+        assert node.idx not in engine._retained_for_backward(tape)
+
+
+#: (regime, LoRA targets, feed-forward blocks whose pre-activation is
+#: rebuilt) at two layers. A W1 rebuilds its output only over a tracked
+#: norm: with nothing adapted before it, layer 0's norm is untracked and
+#: its GELU saves the pre-activation. With W2 neither trained nor adapted,
+#: W2's backward rebuilds nothing and the GELU's own backward rebuilds its
+#: input.
+PRE_ACTIVATION_CASES = [
+    ("full", None, 2),
+    ("tokentune", None, 2),
+    ("lora", ("w1", "w2"), 1),
+    ("lora", ("w_q", "w_v"), 2),
+    ("tokentune+lora", ("w1",), 1),
+    ("tokentune+lora", ("w_q", "w1"), 2),
+]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("regime,targets,rebuilt", PRE_ACTIVATION_CASES,
+                         ids=lambda v: "-".join(v) if isinstance(v, tuple)
+                         else None)
+def test_ffn_pre_activation_rebuilt_gives_the_saved_gradients_bit_for_bit(
+        monkeypatch, regime, targets, rebuilt, dtype):
+    cfg = cfg_for(causal=True, max_positions=12)
+    train = TrainConfig(regime=regime, k=4 if regime in SELECTIVE_REGIMES
+                        else None, seed=8, dtype=dtype,
+                        lora_targets=targets or ("w1", "w2"))
+    model = build_regime_model(cfg, train)
+    # biases and LoRA B factors start at zero: move every parameter, so
+    # that a rebuild without either would show
+    r = rng_for(31)
+    for arr in model.params.values():
+        arr += r.normal(0.0, 0.1, arr.shape).astype(dtype)
+    example = lm_example(random_seq(rng_for(30), 12, causal=True))
+
+    def run():
+        trainer = Trainer(model, train, "lm")
+        partition = trainer.partition_for(example.seq, 0)
+        tape = Tape()
+        loss, _ = trainer._example_loss(tape, example, partition)
+        retained = engine.simulate_peak_bytes(tape)[1]
+        return partition.k, retained, tape.backward(loss)
+
+    rows, retained, grads = run()
+    rebuilds = engine._rebuilt_in_backward
+    with monkeypatch.context() as patched:
+        # the policy that saves the pre-activation: no affine's output is
+        # rebuilt, so each GELU saves its input
+        patched.setattr(engine, "_rebuilt_in_backward",
+                        lambda node: node.op != "affine" and rebuilds(node))
+        _, saved, saved_grads = run()
+    itemsize = np.dtype(dtype).itemsize
+    assert retained == saved - rebuilt * rows * cfg.d_ff * itemsize
+    assert grads and sorted(grads) == sorted(saved_grads)
+    for name, grad in grads.items():
+        assert np.array_equal(grad, saved_grads[name]), name
 
 
 def test_cache_strictly_smaller_than_full_selection():
