@@ -15,12 +15,13 @@ not every value the forward pass made.
 What backward keeps is read off the saves themselves. A tracked node
 records, when its op hands the tape its saves, the nodes whose output
 arrays a save *is* (an operand's array or the op's own output):
-``retains``; and the bytes of every other save, arrays the op allocated
-for backward alone: ``fresh_bytes``. Each op's save policy is thus stated
-once, in the op, and both :func:`simulate_peak_bytes` and
-:meth:`Tape.retained_bytes` read it from the nodes. Parameters can be
-retained but are resident regardless of backward, so neither charges
-them.
+``retains``; the nodes whose outputs it holds only so that backward can
+rebuild an operand from them (below): ``pins``; and the bytes of every
+other save, arrays the op allocated for backward alone: ``fresh_bytes``.
+Each op's save policy is thus stated once, in the op, and both
+:func:`simulate_peak_bytes` and :meth:`Tape.retained_bytes` read it from
+the nodes. Parameters can be retained but are resident regardless of
+backward, so neither charges them.
 
 Cache policy per primitive, as (what backward reads):
     matmul         lhs iff rhs needs grad, rhs iff lhs needs grad
@@ -41,25 +42,37 @@ Cache policy per primitive, as (what backward reads):
     softmax_rows   its output, not its input
     attention      saves per (head, query row) the softmax's log-sum-exp
                    (one fresh heads x rows array), if causal a copy of
-                   the queries' positions (8 bytes per row), q and k
-                   always, v iff q or k needs grad (references, not
-                   copies). Backward rebuilds each block's probabilities
+                   the queries' positions (8 bytes per row), q always, k
+                   always and v iff q or k needs grad (references, not
+                   copies), except a key or value operand that is a
+                   rebuilt concat_rows (below), of which it pins the
+                   roots. Backward rebuilds each block's probabilities
                    from them one head at a time (Dao et al. 2022; Dao
                    2023), and forms key and value gradient rows only for
                    the tracked parts of a concat_rows operand
     layer_norm     normalized input, per-row inverse std, the scale and
-                   shift vectors
+                   shift vectors; untracked, a weak reference to its
+                   input and to those vectors, which keeps nothing alive
     select/concat  nothing (integer metadata: the selected indices, or
                    each part's output rows, and the input's shape)
     mean_rows      nothing
     cross_entropy  the softmax probabilities (log-softmax is fused)
 
 Rebuilt, not saved (the recompute trade of Chen et al. 2016, in the
-selective form of Korthikanti et al. 2022): the output of a tracked
-layer_norm or GELU, or of a tracked affine whose x is itself rebuilt (a
-feed-forward block's pre-activation), wherever an affine reads it as x
-or a GELU as input. The reader's backward rebuilds it bit for bit from
-the saves of the node that made it, with the forward's own expression.
+selective form of Korthikanti et al. 2022): the output of a layer_norm,
+of a tracked GELU, or of an affine whose x is itself rebuilt (a
+feed-forward block's pre-activation, or a key or value affine), wherever
+an affine reads it as x or a GELU as input; and a concat_rows of such
+outputs wherever attention reads it as its keys or values, so that
+TokenTune keeps no n x d keys or values. The reader's backward rebuilds
+it bit for bit with the forward's own expression: a tracked node from
+its saves, an untracked layer norm from its input, an untracked affine
+from its weak references to its parameters. The input of each untracked
+layer norm on the way (a layer's unselected rows) is a root: the reader
+holds it and pins the node that made it, whose bytes are then charged to
+the reader. An attention whose keys and values are affine outputs
+(every position selected: no concat) still saves them, as rebuilding
+them too cost 7-9% of a full fine-tuning step.
 
 Nodes recorded while gradients are disabled (`with tape.no_grad(): ...`)
 have ``requires_grad = False``, save nothing, and act as constants during
@@ -71,6 +84,7 @@ tapes are safe to use concurrently.
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -240,33 +254,69 @@ class _KeyGradient:
 
 
 def _rebuilt_in_backward(node: Node) -> bool:
-    """True for a tracked layer_norm or GELU, or a tracked affine whose x
-    is itself one of these: an affine reading its output as x, or a GELU
-    reading it as input, does not save it, and that reader's backward
-    rebuilds it from the saves (:func:`_rebuilt_output`)."""
-    return node.requires_grad and (
-        node.op == "layer_norm" or node.meta.get("fn") == "gelu"
-        or (node.op == "affine" and _rebuilt_in_backward(node.inputs[0])))
+    """True for a node whose output a reader's backward rebuilds instead
+    of the reader saving it (:func:`_rebuilt_output`): a layer_norm, a
+    tracked one from its saves and an untracked one from its input, which
+    the reader pins (:func:`_rebuild_roots`); a tracked GELU; an affine
+    whose x is itself rebuilt; and a concat_rows whose every part is."""
+    if node.op == "concat_rows":
+        return all(_rebuilt_in_backward(part) for part in node.inputs)
+    return (node.op == "layer_norm"
+            or (node.requires_grad and node.meta.get("fn") == "gelu")
+            or (node.op == "affine" and _rebuilt_in_backward(node.inputs[0])))
 
 
-def _rebuilt_output(node: Node) -> np.ndarray:
-    """The output of a node :func:`_rebuilt_in_backward` names, rebuilt
-    from its saves so that it equals the forward's bit for bit, each with
-    the forward's own expression: a layer norm's; an affine's
-    (:func:`_affine_sum`) over its rebuilt x, which dies once the sum is
-    formed; a GELU's from :func:`_gelu_parts` over its input, saved or
-    rebuilt, which dies once the pass returns. That pass adds the GELU's
-    derivative, which is left on the GELU's saves for its own backward,
-    next on this path (another rebuild replaces it)."""
-    saved = dict(node._saved_arrays)
+def _rebuild_roots(node: Node) -> list[Tensor]:
+    """Handles on the arrays a rebuild of `node` (one
+    :func:`_rebuilt_in_backward` names) reads that no save holds: the
+    input of each untracked layer norm it passes through, on the node
+    that made it. A reader that does not save `node` keeps these alive
+    in its saves; tracked nodes' own saves hold the rest."""
+    if node.op == "concat_rows":
+        return [root for part in node.inputs for root in _rebuild_roots(part)]
+    x = node.inputs[0]
     if node.op == "layer_norm":
-        return _layer_norm_output(saved["normalized"], saved["scale"],
-                                  saved["shift"])
+        return [] if node.requires_grad else [
+            Tensor(dict(node._weak_arrays)["input"](), x)]
+    return _rebuild_roots(x) if _rebuilt_in_backward(x) else []
+
+
+def _rebuilt_output(node: Node, norms: dict | None = None) -> np.ndarray:
+    """The output of a node :func:`_rebuilt_in_backward` names, rebuilt
+    so that it equals the forward's bit for bit, each with the forward's
+    own expression: a tracked layer norm's from its saves, an untracked
+    one's from its input (:func:`_layer_norm`); an affine's
+    (:func:`_affine_sum`) over its rebuilt x, which dies once the sum is
+    formed; a concat's parts, each rebuilt and put at its rows; a GELU's
+    from :func:`_gelu_parts` over its input, saved or rebuilt, which dies
+    once the pass returns. That pass adds the GELU's derivative, which is
+    left on the GELU's saves for its own backward, next on this path
+    (another rebuild replaces it). `norms`, if given, keeps each layer
+    norm output rebuilt under it by node id, so that readers of one norm
+    (a layer's keys and values) rebuild it once. A tracked node's rebuild
+    reads its saves, an untracked one's what its weak references reach."""
+    if node.op == "concat_rows":
+        out = np.empty(node.shape, node.dtype)
+        for part, rows in zip(node.inputs, node.meta["rows"]):
+            out[rows] = _rebuilt_output(part, norms)
+        return out
+    saved = (dict(node._saved_arrays) if node.requires_grad
+             else {role: ref() for role, ref in node._weak_arrays})
+    if node.op == "layer_norm":
+        if norms is not None and node.idx in norms:
+            return norms[node.idx]
+        out = (_layer_norm(saved["input"], saved["scale"], saved["shift"])[0]
+               if "input" in saved else
+               _layer_norm_output(saved["normalized"], saved["scale"],
+                                  saved["shift"]))
+        if norms is not None:
+            norms[node.idx] = out
+        return out
     if node.op == "affine":
         lora = (None if "a" not in saved
                 else (saved["a"], saved["b"], node.meta["scaling"]))
-        return _affine_sum(_rebuilt_output(node.inputs[0]), saved["w"],
-                           saved.get("bias"), lora)[0]
+        return _affine_sum(_rebuilt_output(node.inputs[0], norms),
+                           saved["w"], saved.get("bias"), lora)[0]
     out, saved["derivative"] = _gelu_parts(_gelu_input(node, saved))
     node._saved_arrays = list(saved.items())
     return out
@@ -297,6 +347,19 @@ def _affine_sum(x, w, bias, lora) -> tuple[np.ndarray, np.ndarray | None]:
     if bias is not None:
         z += bias
     return z, xa
+
+
+def _layer_norm(x, gamma, beta) -> tuple[np.ndarray, np.ndarray,
+                                         np.ndarray]:
+    """(output, normalized input, per-row inverse std) of a layer norm of
+    x: the forward's expression, which an untracked norm's rebuild
+    repeats bit for bit."""
+    mu = x.mean(axis=1, keepdims=True)
+    xhat = x - mu
+    var = (xhat * xhat).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat *= inv  # centred input, normalized in place
+    return _layer_norm_output(xhat, gamma, beta), xhat, inv
 
 
 def _layer_norm_output(xhat, gamma, beta) -> np.ndarray:
@@ -370,13 +433,17 @@ class Node:
     input nodes, the output's shape and dtype, and metadata, but never the
     output array, which only its :class:`Tensor` handle owns.
     ``_saved_arrays`` holds the (role, array) pairs backward reads and is
-    released as backward consumes the node; ``retains`` (node ids) and
-    ``fresh_bytes`` account for them and persist (:meth:`keep_saves`).
+    released as backward consumes the node; ``retains`` and ``pins``
+    (node ids) and ``fresh_bytes`` account for them and persist
+    (:meth:`keep_saves`). An untracked layer_norm or affine holds instead
+    ``_weak_arrays``, (role, weak reference) pairs to the arrays a
+    rebuild of its output reads, which keep nothing alive.
     """
 
     __slots__ = (
         "idx", "op", "shape", "dtype", "requires_grad", "inputs", "meta",
-        "retains", "fresh_bytes", "_saved_arrays", "label", "name",
+        "retains", "pins", "fresh_bytes", "_saved_arrays", "_weak_arrays",
+        "label", "name",
     )
 
     def __init__(self, idx, op, shape, dtype, requires_grad, inputs=(),
@@ -389,8 +456,10 @@ class Node:
         self.inputs = tuple(inputs)
         self.meta = meta or {}
         self.retains = ()
+        self.pins = ()
         self.fresh_bytes = 0
         self._saved_arrays = None
+        self._weak_arrays = ()
         self.label = label
         self.name = name
 
@@ -398,13 +467,19 @@ class Node:
     def nbytes(self) -> int:
         return self.shape[0] * self.shape[1] * self.dtype.itemsize
 
-    def keep_saves(self, value: np.ndarray, inputs, saves) -> None:
+    def keep_saves(self, value: np.ndarray, inputs, saves,
+                   roots=()) -> None:
         """Hold `saves`, the (role, array) pairs backward reads, and record
         what they keep alive: a save that is this node's output `value` or
         an operand's array (`inputs` are the operands' handles) retains
         that node's output; any other save is an allocation of its own,
-        counted in ``fresh_bytes``."""
-        self._saved_arrays = saves
+        counted in ``fresh_bytes``. `roots` are handles on arrays that an
+        operand's rebuild reads (:func:`_rebuild_roots`): each is held as
+        a "root" save and pins the node that made it, whose output then
+        stays alive and is charged to this node."""
+        pinned = {t.node.idx: t.value for t in roots}
+        self._saved_arrays = list(saves) + [
+            ("root", arr) for arr in pinned.values()]
         owners = [(value, self.idx)] + [(t.value, t.node.idx) for t in inputs]
         retains = []
         for _, arr in saves:
@@ -414,6 +489,7 @@ class Node:
             elif idx not in retains:
                 retains.append(idx)
         self.retains = tuple(retains)
+        self.pins = tuple(pinned)
 
     def __repr__(self):
         return (f"Node({self.idx}, {self.op}, shape={self.shape}, "
@@ -511,12 +587,17 @@ class Tape:
 
     # ---- recording helper ------------------------------------------------
 
-    def _record(self, op, value, inputs, meta=None, saves=()) -> Tensor:
+    def _record(self, op, value, inputs, meta=None, saves=(), rebuilt=(),
+                weak=()) -> Tensor:
         """Append an op node; it keeps `saves` only if it requires grad.
 
         `inputs` are the operands' handles; the node keeps their nodes
         only. `saves` is a list of (role, array) pairs, what this op's
-        backward rule reads.
+        backward rule reads. `rebuilt` are the operands it reads but does
+        not save, as backward rebuilds them: a tracked node pins their
+        roots (:meth:`Node.keep_saves`). `weak` are (role, array) pairs
+        an untracked node holds by weak reference, for a rebuild of its
+        output.
         """
         if not _all_finite(value):
             raise NonFiniteError(op)
@@ -524,7 +605,11 @@ class Tape:
         node = Node(len(self.nodes), op, value.shape, value.dtype, tracked,
                     (i.node for i in inputs), meta, label=self._label())
         if tracked:
-            node.keep_saves(value, inputs, saves)
+            node.keep_saves(value, inputs, saves, [
+                root for t in rebuilt for root in _rebuild_roots(t.node)])
+        else:
+            node._weak_arrays = tuple((role, weakref.ref(arr))
+                                      for role, arr in weak)
         self.nodes.append(node)
         return Tensor(value, node)
 
@@ -591,20 +676,24 @@ class Tape:
             saves.append(("bias", bias.value))
         z, xa = _affine_sum(x.value, w.value,
                             None if bias is None else bias.value, factors)
+        params = list(saves)  # what a rebuild of the output reads
+        rebuilt = [x] if needs_x and _rebuilt_in_backward(x.node) else []
         if factors is not None and b.requires_grad:
             saves.append(("xa", xa))
-        if needs_x and not _rebuilt_in_backward(x.node):
+        if needs_x and not rebuilt:
             saves.append(("x", x.value))
-        return self._record("affine", z, inputs, meta, saves)
+        return self._record("affine", z, inputs, meta, saves, rebuilt,
+                            params)
 
     def scale(self, a: Tensor, c: float) -> Tensor:
         return self._record("elementwise", a.value * float(c), (a,),
                             {"fn": "scale", "c": float(c)})
 
     def gelu(self, a: Tensor) -> Tensor:
-        saves = [] if _rebuilt_in_backward(a.node) else [("input", a.value)]
+        rebuilt = [a] if _rebuilt_in_backward(a.node) else []
+        saves = [] if rebuilt else [("input", a.value)]
         return self._record("elementwise", gelu_array(a.value), (a,),
-                            {"fn": "gelu"}, saves)
+                            {"fn": "gelu"}, saves, rebuilt)
 
     def softmax_rows(self, a: Tensor) -> Tensor:
         z = a.value - a.value.max(axis=1, keepdims=True)
@@ -686,14 +775,20 @@ class Tape:
             np.log(total, out=total)
             total += top
             lse[:, r0:r1] = total[..., 0]
-        saves = [("lse", lse), ("q", qv), ("k", kv)]
+        saves = [("lse", lse), ("q", qv)]
         if positions is not None:
             saves.append(("positions", positions))
-        if q.requires_grad or k.requires_grad:
-            saves.append(("v", vv))
+        rebuilt = []
+        read = [("k", k), ("v", v)] if q.requires_grad or k.requires_grad \
+            else [("k", k)]
+        for role, x in read:
+            if x.node.op == "concat_rows" and _rebuilt_in_backward(x.node):
+                rebuilt.append(x)
+            else:
+                saves.append((role, x.value))
         return self._record("attention", out, (q, k, v),
                             {"n_heads": n_heads, "scale": scale,
-                             "spans": spans}, saves)
+                             "spans": spans}, saves, rebuilt)
 
     def layer_norm(self, x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         d = x.value.shape[1]
@@ -701,16 +796,11 @@ class Tape:
             raise ShapeError("layer_norm",
                              f"x {x.value.shape}, scale {gamma.value.shape}, "
                              f"shift {beta.value.shape}")
-        mu = x.value.mean(axis=1, keepdims=True)
-        xhat = x.value - mu
-        var = (xhat * xhat).mean(axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-        xhat *= inv  # centred input, normalized in place
-        out = _layer_norm_output(xhat, gamma.value, beta.value)
-        saves = [("normalized", xhat), ("inv_std", inv),
-                 ("scale", gamma.value), ("shift", beta.value)]
+        out, xhat, inv = _layer_norm(x.value, gamma.value, beta.value)
+        params = [("scale", gamma.value), ("shift", beta.value)]
         return self._record("layer_norm", out, (x, gamma, beta),
-                            saves=saves)
+                            saves=[("normalized", xhat), ("inv_std", inv)]
+                            + params, weak=[("input", x.value)] + params)
 
     def select_rows(self, a: Tensor, idx) -> Tensor:
         idx = np.asarray(idx, dtype=np.intp)
@@ -1006,13 +1096,22 @@ class Tape:
         block), and each head writes its columns of dq, dk and dv once.
         A key or value operand that is a concat_rows gets gradient rows
         only for its tracked parts' rows, added straight into those parts
-        (:class:`_KeyGradient`)."""
+        (:class:`_KeyGradient`). One the node did not save is rebuilt
+        first (:func:`_rebuilt_output`), keys and values sharing each
+        rebuilt norm output, which dies before the first head."""
         q, k, v = node.inputs
         n_heads = node.meta["n_heads"]
         scale = node.meta["scale"]
         spans = node.meta["spans"]
         positions = saved.get("positions")
-        lse, qv, kv, vv = saved["lse"], saved["q"], saved["k"], saved.get("v")
+        lse, qv, kv, vv = saved["lse"], saved["q"], saved.get("k"), \
+            saved.get("v")
+        norms = {}
+        if kv is None:
+            kv = _rebuilt_output(k, norms)
+        if vv is None and (q.requires_grad or k.requires_grad):
+            vv = _rebuilt_output(v, norms)
+        del norms
         m, n = q.shape[0], k.shape[0]
         w = q.shape[1] // n_heads
         dtype = node.dtype
@@ -1075,19 +1174,23 @@ class Tape:
 
     def retained_bytes(self) -> dict[tuple[str, str], int]:
         """Bytes live at backward entry by (region label, op kind): each
-        retained output once, charged to the node that made it, and each
+        retained output once, charged to the node that made it, or, if
+        only a pin keeps it, to the first node that pins it; and each
         fresh save, charged to the node that saved it. The last node (the
         loss) counts, so the values sum to ``simulate_peak_bytes(tape)[1]``.
         Read off the nodes, so the same before and after backward."""
         live = _retained_for_backward(self)
         out: dict[tuple[str, str], int] = {}
-        for node in self.nodes:
-            nbytes = node.fresh_bytes
-            if node.idx in live and node.op != "param":
-                nbytes += node.nbytes
+
+        def charge(node, nbytes):
             if nbytes:
                 key = (node.label, node.op)
                 out[key] = out.get(key, 0) + nbytes
+
+        for node in self.nodes:
+            charge(node, node.fresh_bytes)
+            if node.idx in live and node.op != "param":
+                charge(live[node.idx], node.nbytes)
         return out
 
     def cache_breakdown(self) -> dict[tuple[str, str], float]:
@@ -1105,12 +1208,21 @@ class Tape:
         return sum(self.cache_breakdown().values())
 
 
-def _retained_for_backward(tape: Tape) -> set[int]:
-    """Ids of the nodes whose output is live at backward entry: each one a
-    save retains, and the last (the loss, which backward starts from)."""
-    live = {idx for node in tape.nodes for idx in node.retains}
+def _retained_for_backward(tape: Tape) -> dict[int, Node]:
+    """The ids of the nodes whose output is live at backward entry, each
+    mapped to the node its bytes are charged to: each output a save
+    retains, and the last (the loss, which backward starts from), to the
+    node that made it; each only a pin keeps, to the first node that
+    pins it."""
+    live: dict[int, Node] = {}
+    for node in reversed(tape.nodes):
+        for idx in node.pins:
+            live[idx] = node
+    for node in tape.nodes:
+        for idx in node.retains:
+            live[idx] = tape.nodes[idx]
     if tape.nodes:
-        live.add(tape.nodes[-1].idx)
+        live[tape.nodes[-1].idx] = tape.nodes[-1]
     return live
 
 
@@ -1118,9 +1230,9 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     """Engine-accounted live-allocation model for one tape.
 
     Replays the forward pass the way this engine frees memory: an output
-    dies with its last handle unless a save retains it (``Node.retains``),
-    and each node adds its saves' own allocations (``Node.fresh_bytes``)
-    when it is recorded. Model code is assumed to drop a handle once its
+    dies with its last handle unless a save retains or pins it
+    (``Node.retains``, ``Node.pins``), and each node adds its saves' own
+    allocations (``Node.fresh_bytes``) when it is recorded. Model code is assumed to drop a handle once its
     last consumer is recorded, or at once if nothing consumes it, except
     the last node's (the loss, which backward starts from). Returns (peak
     bytes, bytes retained at the end of the forward pass, which
@@ -1148,6 +1260,12 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     pre-activation (rows x d_ff), and the layer norm output it is rebuilt
     from (rows x d, freed once the pre-activation is formed), live from
     W2's backward, or the GELU's own, until the GELU's parts are formed,
+    the keys and values an attention rebuilds (n x d each, assembled from
+    their parts, each rebuilt and freed in turn: the unselected
+    (n - k) x d and the selected k x d), live until its backward returns,
+    and the norm outputs they are rebuilt from ((n - k) x d and k x d,
+    with an untracked norm's centred input and its square while it is
+    formed), freed once both are formed,
     the GELU derivative that a rebuild or the GELU's own backward forms
     (one rows x cols array, held until it becomes the GELU's input
     gradient), and the scratch of the pass that forms it (one row block

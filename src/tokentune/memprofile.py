@@ -7,7 +7,9 @@ one example's tape retains for backward, split by layer and by op
 (engine.Tape.retained_bytes), and the peak comes from a liveness replay of
 each recorded tape (engine.simulate_peak_bytes). Examples run one at a
 time, so both are per example: the largest over the step's batch. Bytes
-are exact integers.
+are exact integers. `retained_bytes_law` states tokentune's activation
+bytes in closed form, and a tokentune run's report sets the ledger's
+figure beside it.
 """
 
 from __future__ import annotations
@@ -47,13 +49,57 @@ def lm_profile_batch(n: int, batch: int, seed: int = 0,
             for _ in range(batch)]
 
 
+def retained_bytes_law(cfg: ModelConfig, n: int,
+                       itemsize: int) -> tuple[int, int, int]:
+    """(intercept, per selected position, per loss row): the bytes
+    tokentune retains for backward over a sequence of n positions, k < n
+    of them selected, of which `rows` are loss rows (a language model's
+    selected positions with a next-token target; classification has
+    none), are intercept + per_position * k + per_row * rows, read off
+    what each op saves (Korthikanti et al. 2022 count the same way).
+
+    Every layer's attention pins that layer's n - k unselected input
+    rows, from which backward rebuilds its keys and values, and the
+    1 x 1 loss is the last node: L n d s + s, less d s per layer for
+    each selected position, whose input row is not pinned. Per selected
+    position and layer it keeps the query affine's output (attention
+    reads it), the attention output (W_o reads it), one log-sum-exp per
+    head, each layer norm's normalized row and inverse std, and, if
+    causal, a copy of the row's position: with the -d, (3d + heads + 2)
+    s (+ 8). The keys and values and the feed-forward block's norm
+    output, pre-activation and GELU output are rebuilt in backward. Per
+    loss row: the row the LM affine reads and its softmax
+    probabilities. A classification head keeps its pooled row, the GELU
+    input and the class probabilities whatever k is."""
+    d, layers = cfg.d_model, cfg.n_layers
+    intercept = layers * n * d * itemsize + itemsize
+    per_position = (3 * d + cfg.n_heads + 2) * itemsize
+    if cfg.causal:
+        per_position += np.dtype(np.intp).itemsize
+        return (intercept, layers * per_position,
+                (d + cfg.vocab_size) * itemsize)
+    return (intercept + (2 * d + cfg.n_classes) * itemsize,
+            layers * per_position, 0)
+
+
 def memory_report(model: TransformerModel, trainer: Trainer,
                   metrics: dict) -> dict:
     """``memory.json`` of the step that returned `metrics`: its activation
     and peak bytes, and the activation bytes by layer and by op of the
     example that set them (``trainer.activation_breakdown``), which each
-    sum to the activation bytes."""
+    sum to the activation bytes. In the tokentune regime, with positions
+    left unselected, ``law_activations_bytes`` is
+    :func:`retained_bytes_law`'s figure for that example and
+    ``activations_differ_from_law`` whether the ledger's differs; both
+    are None otherwise."""
     width = np.dtype(model.dtype).itemsize
+    law = None
+    shape = trainer.activation_example
+    if trainer.cfg.regime == "tokentune" and shape and shape[1] < shape[0]:
+        n, k, rows = shape
+        intercept, per_position, per_row = retained_bytes_law(
+            model.config, n, width)
+        law = intercept + per_position * k + per_row * rows
     per_layer: dict[str, int] = {}
     per_op: dict[str, int] = {}
     for (label, op), nbytes in trainer.activation_breakdown.items():
@@ -66,6 +112,9 @@ def memory_report(model: TransformerModel, trainer: Trainer,
         "optimizer_bytes": trainer.state.element_count() * width,
         "activations_bytes": metrics["activation_bytes"],
         "peak_bytes": metrics["peak_bytes"],
+        "law_activations_bytes": law,
+        "activations_differ_from_law": (
+            None if law is None else law != metrics["activation_bytes"]),
         "per_layer": dict(sorted(per_layer.items())),
         "per_op": dict(sorted(per_op.items())),
     }

@@ -219,9 +219,12 @@ def norm(tape: Tape, model: TransformerModel, layer: int, which: int,
                            _param_node(tape, model, f"{base}.shift"))
 
 
-def embed(tape: Tape, model: TransformerModel, seq: np.ndarray) -> Tensor:
+def embed(tape: Tape, model: TransformerModel, seq: np.ndarray,
+          positions=None) -> Tensor:
     """Token plus position embeddings of a sequence, given as its token
-    ids (id i at position i); every forward enters the model here."""
+    ids (id i at position i), at `positions` (all, in order, by default):
+    row j is position positions[j]. Every forward enters the model
+    here."""
     ids = np.asarray(seq, np.intp)
     cfg = model.config
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
@@ -229,10 +232,14 @@ def embed(tape: Tape, model: TransformerModel, seq: np.ndarray) -> Tensor:
     if len(ids) > cfg.max_positions:
         raise ModelError(f"{len(ids)} positions exceed max_positions "
                          f"{cfg.max_positions}")
+    if positions is None:
+        positions = np.arange(len(ids))
+    else:
+        ids = ids[positions]
     with tape.region("embed"):
         tok = tape.select_rows(_param_node(tape, model, "tok_emb"), ids)
         pos = tape.select_rows(_param_node(tape, model, "pos_emb"),
-                               np.arange(len(ids)))
+                               positions)
         return tape.add(tok, pos)
 
 

@@ -153,6 +153,8 @@ class Trainer:
         #: bytes retained for backward by (region, op), of the example
         #: that set the last step's ``activation_bytes``
         self.activation_breakdown: dict[tuple[str, str], int] = {}
+        #: (positions, selected positions, loss terms) of that example
+        self.activation_example: tuple[int, int, int] | None = None
 
     @property
     def selective(self) -> bool:
@@ -224,6 +226,7 @@ class Trainer:
         t0 = time.perf_counter()
         activation_bytes = 0
         breakdown: dict[tuple[str, str], int] = {}
+        shape = None
         peak_tape = 0
         loss_sum = 0.0
         term_sum = 0
@@ -252,6 +255,7 @@ class Trainer:
             if retained > activation_bytes:
                 activation_bytes = retained
                 breakdown = tape.retained_bytes()
+                shape = (partition.n_positions, partition.k, n_terms)
             if tape_hook is not None:
                 tape_hook(tape)
             # Drop this example's graph before the next one is recorded,
@@ -265,6 +269,7 @@ class Trainer:
 
         self.micro_step += 1
         self.activation_breakdown = breakdown
+        self.activation_example = shape
         full = self.micro_step % self.cfg.accumulation_steps == 0
         grad_norm = self.close_window() if full else 0.0
 

@@ -2,12 +2,19 @@
 
 Hidden states are split into a selected block (tracked, activations cached)
 and an unselected block recorded under a disabled-gradient scope (values
-identical, nothing cached, constants during backward). Attention lets the
-selected queries attend over the unselected and selected keys and values,
-merged into position order by one `concat_rows` that puts each block's
-rows at its positions, so forward values do not depend on the selection;
-only gradient availability and what backward retains change. A sequence
-is its array of token ids.
+identical, nothing cached, constants during backward); each block is
+embedded on its own. Attention lets the selected queries attend over the
+unselected and selected keys and values, merged into position order by
+one `concat_rows` that puts each block's rows at its positions, so
+forward values do not depend on the selection; only gradient
+availability and what backward retains change. A sequence is its array
+of token ids.
+
+The keys and values die with their layer's forward. The selected
+queries' attention pins the layer's unselected input rows instead, and
+its backward rebuilds the keys and values from them and from the
+selected rows' saves (`engine._rebuilt_output`), bit for bit: each layer
+keeps (n - k) x d of its unselected rows, not 2 n x d.
 
 This is the only layer loop. Full fine-tuning, LoRA and evaluation run it
 with `every_position`, which selects every position and leaves the
@@ -56,23 +63,23 @@ class SplitHidden:
     partition: TokenPartition
 
 
-def split_hidden(tape: Tape, h: Tensor,
-                 partition: TokenPartition) -> SplitHidden:
-    """Select partition rows out of `h`, whose row i is position i; the
-    unselected block is recorded under a disabled scope and therefore
-    enters the graph as a constant. With nothing unselected the selected
-    block is `h` itself, and nothing is recorded. The partition checked
-    its coverage when it was built, so only its length is compared with
-    `h`'s."""
-    rows = h.value.shape[0]
-    if partition.n_positions != rows:
+def embed_split(tape: Tape, model: TransformerModel, seq: np.ndarray,
+                partition: TokenPartition) -> SplitHidden:
+    """The embedding in the partition's two blocks, each embedded on its
+    own: the selected rows with gradients, the unselected rows under a
+    disabled scope, so they enter the graph as a constant and the token
+    embedding's backward scatters only the selected rows. With nothing
+    unselected the selected block is the whole embedding. The partition
+    checked its coverage when it was built, so only its length is
+    compared with the sequence's."""
+    if partition.n_positions != len(seq):
         raise SelectionError(f"partition of {partition.n_positions} "
-                             f"positions for a matrix of {rows} rows")
+                             f"positions for a sequence of {len(seq)}")
     if not partition.unselected.size:
-        return SplitHidden(h, None, partition)
-    h_g = tape.select_rows(h, partition.selected)
+        return SplitHidden(embed(tape, model, seq), None, partition)
+    h_g = embed(tape, model, seq, partition.selected)
     with tape.no_grad():
-        h_gbar = tape.select_rows(h, partition.unselected)
+        h_gbar = embed(tape, model, seq, partition.unselected)
     return SplitHidden(h_g, h_gbar, partition)
 
 
@@ -90,7 +97,9 @@ def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
     """Residual attention update; unselected K/V/queries are constants.
 
     Each handle is dropped at its last use, so the unselected path's
-    attention runs without the selected path's dead arrays. With no
+    attention runs without the selected path's dead arrays, and the
+    joined keys and values die on return: the selected queries'
+    attention pins `split.h_gbar` to rebuild them in backward. With no
     unselected rows the selected keys and values are used as they are.
     In the last layer nothing reads the unselected rows past their keys
     and values: they get no query and no attention of theirs, and the
@@ -149,14 +158,13 @@ def tokentune_ffn(tape: Tape, model: TransformerModel, layer: int,
 
 def tokentune_forward(tape: Tape, model: TransformerModel, seq: np.ndarray,
                       partition: TokenPartition) -> SplitHidden:
-    """Embed, split, then run every layer with the two-group update.
+    """Embed the two blocks, then run every layer with the two-group
+    update.
 
     The last layer's unselected rows stop after their norm and their key
     and value affines, so with at least one layer the returned split has
     no unselected block: its selected rows are what a loss reads."""
-    # the embedding is passed on, not kept: the split's row blocks are
-    # copies, so it dies once they are made, or it is the selected block
-    split = split_hidden(tape, embed(tape, model, seq), partition)
+    split = embed_split(tape, model, seq, partition)
     for i in range(model.config.n_layers):
         split = tokentune_attention(tape, model, i, split)
         split = tokentune_ffn(tape, model, i, split)

@@ -379,8 +379,9 @@ class _CacheUntrackedTape(Tape):
     for a backward that never reads them (values and gradients are
     unaffected)."""
 
-    def _record(self, op, value, inputs, meta=None, saves=()):
-        out = super()._record(op, value, inputs, meta, saves)
+    def _record(self, op, value, inputs, meta=None, saves=(), rebuilt=(),
+                weak=()):
+        out = super()._record(op, value, inputs, meta, saves, rebuilt, weak)
         if not out.requires_grad:
             out.node.keep_saves(value, inputs, saves)
         return out
@@ -496,51 +497,53 @@ def equivalence_suite(n_configs: int = 50, seed: int = 0,
 
 
 def _retained_subtotals(model, n: int, k: int, mutant=None):
-    """(attention, ffn+norm, total) bytes retained for backward by one
-    selective forward as the trainer runs it, and its loss."""
+    """(attention ops, the rest of the attention regions, ffn regions,
+    total) bytes retained for backward by one selective forward as the
+    trainer runs it, and its loss."""
     seq = np.r_[1, 2 + np.arange(n - 1) % 7]
     partition = TokenPartition(selected=np.arange(k),
                                unselected=np.arange(k, n))
     tape, split = _mutant_forward(model, seq, partition, mutant)
     loss_classification(tape, model, split, 0)
-    attn = ffn = total = 0
-    for (label, _), nbytes in tape.retained_bytes().items():
-        if ".attn" in label:
-            attn += nbytes
+    attention = attn_rest = ffn = total = 0
+    for (label, op), nbytes in tape.retained_bytes().items():
+        if ".attn" in label and op == "attention":
+            attention += nbytes
+        elif ".attn" in label:
+            attn_rest += nbytes
         elif ".ffn" in label:
             ffn += nbytes
         total += nbytes
-    return attn, ffn, total
+    return attention, attn_rest, ffn, total
 
 
 def cache_scaling_check(mutant: str | None = None) -> dict:
     """The bytes retained for backward must be affine in the sequence
-    length at fixed k (a constant ffn/norm term, and an attention term
-    whose slope is the key and value rows alone: each position adds one
-    row of each to every layer's attention) and strictly increasing in k.
+    length at fixed k and strictly increasing in k. At fixed k, each
+    position adds exactly one row of every layer's input, charged to the
+    attention that pins it to rebuild its keys and values in backward;
+    every other byte of the attention and ffn regions is constant.
     """
     cfg = ModelConfig(vocab_size=19, max_positions=64, d_model=8, n_heads=2,
                       d_ff=12, n_layers=1, causal=False, n_classes=2)
     model = build_model(cfg, seed=7, dtype="float64")
     k = 3
     points = [8, 16, 24]
-    attn = []
-    ffn = []
-    for n in points:
-        a, f, _ = _retained_subtotals(model, n, k, mutant)
-        attn.append(a)
-        ffn.append(f)
-    ffn_constant = ffn[0] == ffn[1] == ffn[2]
-    kv_step = (points[1] - points[0]) * cfg.n_layers * 2 * cfg.d_model \
+    attention, attn_rest, ffn, _ = zip(*(
+        _retained_subtotals(model, n, k, mutant) for n in points))
+    constant = len(set(attn_rest)) == len(set(ffn)) == 1
+    input_step = (points[1] - points[0]) * cfg.n_layers * cfg.d_model \
         * model.dtype.itemsize
-    attn_linear = (attn[1] - attn[0]) == (attn[2] - attn[1]) == kv_step
-    totals = [_retained_subtotals(model, 12, kk, mutant)[2]
+    attn_linear = (attention[1] - attention[0]
+                   == attention[2] - attention[1] == input_step)
+    totals = [_retained_subtotals(model, 12, kk, mutant)[3]
               for kk in (2, 4, 6)]
     increasing = totals[0] < totals[1] < totals[2]
-    ok = ffn_constant and attn_linear and increasing
+    ok = constant and attn_linear and increasing
     return {"property": PROPERTY_CACHE, "pass": bool(ok),
-            "ffn_subtotals": ffn, "attn_subtotals": attn,
-            "totals_by_k": totals}
+            "attention_subtotals": list(attention),
+            "attn_rest_subtotals": list(attn_rest),
+            "ffn_subtotals": list(ffn), "totals_by_k": totals}
 
 
 def gradcheck_fixture():

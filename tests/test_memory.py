@@ -19,16 +19,17 @@ import numpy as np
 import numpy.ma  # noqa: F401
 import pytest
 
-from tokentune import engine
+from tokentune import engine, optimize
 from tokentune.config import (REGIMES, SELECTIVE_REGIMES, ModelConfig,
                               TrainConfig)
 from tokentune.engine import (ATTENTION_BLOCK_ROWS, Tape, gelu_array,
                               simulate_peak_bytes)
-from tokentune.memprofile import build_regime_model, lm_profile_batch
+from tokentune.memprofile import (build_regime_model, lm_profile_batch,
+                                  retained_bytes_law)
 from tokentune.model import FFN_BLOCK_ROWS, build_model, forward_hidden
 from tokentune.model import ffn as ffn_block
 from tokentune.optimize import (NORM_BLOCK, AdamState, Trainer, adam_step,
-                                eval_hidden, global_norm)
+                                eval_hidden, evaluate, global_norm)
 from tokentune.partition import TokenPartition
 from tokentune.selective import loss_lm, tokentune_forward
 
@@ -138,7 +139,9 @@ def test_each_tracked_layer_norm_output_leaves_the_retained_set(
     # every tracked norm output here is read by affines only (Q, K, V or
     # W1), whose backward rebuilds it from the norm's saves; so is every
     # tracked GELU output (W2) and every W1 output, the pre-activation a
-    # GELU reads, which the same switch turns off
+    # GELU reads, which the same switch turns off; so, in tokentune, are
+    # the n x d keys and values, which each layer's attention rebuilds
+    # from its pinned (n - k) x d unselected input rows
     model = model.astype(dtype)
 
     def retained():
@@ -155,8 +158,13 @@ def test_each_tracked_layer_norm_output_leaves_the_retained_set(
     rows = N if regime == "full" else K
     norm_output = rows * cfg.d_model * np.dtype(dtype).itemsize
     gelu_output = pre_activation = rows * cfg.d_ff * np.dtype(dtype).itemsize
-    assert rebuilt == saved - cfg.n_layers * (2 * norm_output + gelu_output
-                                              + pre_activation)
+    keys_values = pinned_input = 0
+    if regime == "tokentune":
+        keys_values = 2 * N * cfg.d_model * np.dtype(dtype).itemsize
+        pinned_input = (N - K) * cfg.d_model * np.dtype(dtype).itemsize
+    assert rebuilt == saved - cfg.n_layers * (
+        2 * norm_output + gelu_output + pre_activation + keys_values
+        - pinned_input)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -190,24 +198,11 @@ def test_breakdown_sums_to_the_replays_retained_bytes(regime, dtype):
         == metrics["activation_bytes"]
 
 
-def retained_bytes_law(cfg, n, itemsize):
-    """(intercept, slope): tokentune's bytes retained for backward are
-    intercept + slope * k for k selected positions that each have a
-    next-token target, read off what each op saves (Korthikanti et al.
-    2022 count the same way). Every layer keeps its n x d keys and values
-    whatever k is, and the 1 x 1 loss is the last node. Per selected row
-    and layer: the query affine's output (attention reads it), the
-    attention output (W_o reads it), one log-sum-exp per head, a copy of
-    the row's position, and each layer norm's normalized row and inverse
-    std; the feed-forward block rebuilds its pre-activation, its GELU
-    output and its norm output in backward. Per selected row in the
-    head: the rows the LM affine reads and the softmax probabilities."""
-    d = cfg.d_model
-    intercept = 2 * n * d * cfg.n_layers * itemsize + itemsize
-    per_layer = ((d + d + cfg.n_heads + 2 * (d + 1)) * itemsize
-                 + np.dtype(np.intp).itemsize)
-    slope = cfg.n_layers * per_layer + (d + cfg.vocab_size) * itemsize
-    return intercept, slope
+def lm_law(cfg, n, itemsize):
+    """(intercept, slope) of `retained_bytes_law` for a language model
+    whose k selected positions each have a next-token target."""
+    intercept, per_position, per_row = retained_bytes_law(cfg, n, itemsize)
+    return intercept, per_position + per_row
 
 
 def tokentune_retained_bytes(model, example, k):
@@ -227,8 +222,7 @@ def tokentune_retained_bytes(model, example, k):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_tokentune_retained_bytes_follow_the_law_in_k(model, example, dtype):
     model = model.astype(dtype)
-    intercept, slope = retained_bytes_law(model.config, N,
-                                          np.dtype(dtype).itemsize)
+    intercept, slope = lm_law(model.config, N, np.dtype(dtype).itemsize)
     for k in (1, 2, 5, K, 3 * K, N - 1):
         assert tokentune_retained_bytes(model, example, k) \
             == intercept + slope * k, k
@@ -236,13 +230,15 @@ def test_tokentune_retained_bytes_follow_the_law_in_k(model, example, dtype):
 
 def test_retained_bytes_law_at_the_benchmark_shapes():
     # byte LM, n=512, d=256, 8 heads, 4 layers, d_ff=1024, float32; the
-    # slope was 35,012 B while each GELU saved its 4 x d_ff input bytes
+    # law was 4,194,308 + 35,012 k while each GELU saved its 4 x d_ff
+    # input bytes, then 4,194,308 + 18,628 k while each layer kept its
+    # n x d keys and values
     n = 512
     cfg = ModelConfig(vocab_size=257, max_positions=n, d_model=256,
                       n_heads=8, d_ff=1024, n_layers=4, causal=True,
                       n_classes=None)
-    intercept, slope = retained_bytes_law(cfg, n, 4)
-    assert (intercept, slope) == (4_194_308, 18_628)
+    intercept, slope = lm_law(cfg, n, 4)
+    assert (intercept, slope) == (2_097_156, 14_532)
     model = build_model(cfg, seed=3, dtype="float32")
     example = lm_profile_batch(n, 1, seed=3)[0]
     for k in (1, 64):
@@ -260,6 +256,36 @@ def test_no_grad_forward_keeps_only_its_output(model, example):
     assert tape.retained_bytes() == {(out.label, out.op): out.value.nbytes}
     assert out.value.nbytes <= measured \
         <= out.value.nbytes + GRAPH_BYTES_PER_NODE * len(tape.nodes)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_evaluation_tapes_retain_and_pin_nothing(monkeypatch, regime):
+    # no node of an evaluation keeps a save, a retained output or a pin:
+    # its untracked norms and affines hold weak references only, and the
+    # last node's output is all a tape's ledger charges
+    cfg = replace(lm_config(), max_positions=20, d_model=16, d_ff=32)
+    train = TrainConfig(regime=regime, k=5, seed=5)
+    model = build_regime_model(cfg, train)
+    tapes = []
+
+    class RecordingTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(optimize, "Tape", RecordingTape)
+    batch = lm_profile_batch(20, 2, seed=5)
+    evaluate(model, batch, "lm")
+    eval_hidden(model, batch[0].seq)
+    assert len(tapes) == 5  # a head tape and a hidden tape per example
+    for tape in tapes:
+        assert tape.nodes and not any(
+            (node.requires_grad and node.op != "param")
+            or node._saved_arrays is not None
+            or node.retains or node.pins or node.fresh_bytes
+            for node in tape.nodes)
+        last = tape.nodes[-1]
+        assert tape.retained_bytes() == {(last.label, last.op): last.nbytes}
 
 
 def test_eval_hidden_never_holds_the_whole_forward(model, example):

@@ -14,7 +14,7 @@ from tokentune.model import (FFN_BLOCK_ROWS, ModelError, build_model,
                              loss_classification_rows, param_specs)
 from tokentune.optimize import evaluate
 from tokentune.partition import TokenPartition
-from tokentune.selective import (split_hidden, tokentune_attention,
+from tokentune.selective import (SplitHidden, tokentune_attention,
                                  tokentune_ffn)
 
 
@@ -98,7 +98,7 @@ def one_group(tape, h):
     unselected."""
     partition = TokenPartition(selected=np.arange(len(h)),
                                unselected=np.empty(0, dtype=np.intp))
-    return split_hidden(tape, tape.input(h), partition)
+    return SplitHidden(tape.input(h), None, partition)
 
 
 def attention_layer(model, layer, h):

@@ -1,4 +1,5 @@
-"""Selection statistics and split/restore bookkeeping."""
+"""Selection statistics and the embedding split into the partition's
+blocks."""
 
 import numpy as np
 import pytest
@@ -6,10 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from tokentune.config import ModelConfig
 from tokentune.engine import Tape
+from tokentune.model import build_model, embed
 from tokentune.partition import (SelectionError, TokenPartition,
                                  resolve_k, select_positions)
-from tokentune.selective import split_hidden
+from tokentune.selective import embed_split
+
+MODEL = build_model(ModelConfig(vocab_size=11, max_positions=12, d_model=5,
+                                n_heads=1, d_ff=6, n_layers=1, causal=True,
+                                n_classes=None), seed=4, dtype="float64")
+
+
+def embedding(seq):
+    """The whole sequence's embedding, row i at position i."""
+    return embed(Tape(), MODEL, seq).value
 
 
 def test_full_selection_has_empty_complement():
@@ -80,22 +92,24 @@ def test_blocks_rejoin_position_order_at_the_partition_positions():
                        unselected=np.array([4, 1, 2]))
     assert np.array_equal(p.selected, [0, 3])
     assert np.array_equal(p.unselected, [1, 2, 4])
-    h = np.arange(10.0).reshape(5, 2)
+    seq = np.array([7, 3, 3, 10, 0])
     tape = Tape()
-    split = split_hidden(tape, tape.input(h), p)
+    split = embed_split(tape, MODEL, seq, p)
+    assert split.h_g.requires_grad and not split.h_gbar.requires_grad
     merged = tape.concat_rows([split.h_gbar, split.h_g],
                               (p.unselected, p.selected))
-    assert np.array_equal(merged.value, h)
+    assert np.array_equal(merged.value, embedding(seq))
 
 
 def test_split_with_nothing_unselected_is_the_hidden_itself():
     p = select_positions(4, 4, "lm", rng_seed=0)
-    tape = Tape()
-    h = tape.input(np.arange(12.0).reshape(4, 3))
-    recorded = len(tape.nodes)
-    split = split_hidden(tape, h, p)
-    assert split.h_g is h and split.h_gbar is None
-    assert len(tape.nodes) == recorded
+    seq = np.array([1, 2, 9, 4])
+    whole, tape = Tape(), Tape()
+    embed(whole, MODEL, seq)
+    split = embed_split(tape, MODEL, seq, p)
+    assert split.h_gbar is None
+    assert np.array_equal(split.h_g.value, embedding(seq))
+    assert [n.op for n in tape.nodes] == [n.op for n in whole.nodes]
 
 
 def test_resolve_k_rounds_half_up_with_floor_one():
@@ -113,9 +127,9 @@ def test_split_restore_round_trip_bitwise(seed, n):
     r = np.random.default_rng(seed)
     k = int(r.integers(1, n + 1))
     p = select_positions(n, k, "lm", rng_seed=seed)
-    h = r.normal(size=(n, 5))
-    tape = Tape()
-    split = split_hidden(tape, tape.input(h), p)
+    seq = r.integers(0, 11, size=n)
+    h = embedding(seq)
+    split = embed_split(Tape(), MODEL, seq, p)
     assert split.h_g.value.shape == (k, 5)
     if k < n:
         assert np.array_equal(split.h_gbar.value, h[p.unselected])
@@ -126,6 +140,5 @@ def test_split_restore_round_trip_bitwise(seed, n):
 
 def test_split_length_mismatch_errors():
     p = select_positions(4, 2, "lm", rng_seed=0)
-    tape = Tape()
     with pytest.raises(SelectionError):
-        split_hidden(tape, tape.input(np.zeros((3, 2))), p)
+        embed_split(Tape(), MODEL, np.zeros(3, np.intp), p)

@@ -15,7 +15,7 @@ from tokentune.config import (ConfigError, ModelConfig, RunConfig,
 from tokentune.data import (DataError, build_task_datasets, lm_example,
                             synthetic_text)
 from tokentune.memprofile import (SWEEP_COLUMNS, build_regime_model,
-                                  sweep_report)
+                                  retained_bytes_law, sweep_report)
 from tokentune.model import build_model
 from tokentune.optimize import Trainer, _batches, run_training
 
@@ -51,8 +51,20 @@ def test_run_training_reports_per_example_memory(tmp_path, regime):
     assert sum(report["per_layer"].values()) == activations
     assert sum(report["per_op"].values()) == activations
     # the embedding's output feeds a layer norm and a residual add, which
-    # keep their own saves, not it
+    # keep their own saves, not it; its unselected rows are pinned by
+    # layer 0's attention and charged there
     assert set(report["per_layer"]) == {"layer.0", "layer.1", "head"}
+    # the closed form of tokentune's activation bytes stands beside the
+    # ledger's: 12 positions, 4 selected, one classification row
+    if regime == "tokentune":
+        cfg = tiny_run(regime).model
+        intercept, per_position, _ = retained_bytes_law(cfg, 12, 4)
+        assert report["law_activations_bytes"] == activations \
+            == intercept + 4 * per_position
+        assert report["activations_differ_from_law"] is False
+    else:
+        assert report["law_activations_bytes"] is None
+        assert report["activations_differ_from_law"] is None
 
 
 def run_lines(run_dir):

@@ -17,7 +17,9 @@ from tokentune.model import (ModelError, build_model, forward_hidden,
 from tokentune.optimize import Trainer
 from tokentune.partition import TokenPartition, select_positions
 from tokentune.selective import (every_position, loss_classification,
-                                 loss_lm, split_hidden, tokentune_forward)
+                                 loss_lm, tokentune_forward)
+from tokentune.verify import (GRAD_TOL, grads_max_rel_err,
+                              stopgrad_reference_backward)
 
 
 def cfg_for(causal=False, n_layers=2, **kw):
@@ -294,17 +296,18 @@ def test_w1_backward_cache_is_k_by_d_model_independent_of_rest():
 
 
 #: (regime, LoRA targets, feed-forward blocks whose pre-activation is
-#: rebuilt) at two layers. A W1 rebuilds its output only over a tracked
-#: norm: with nothing adapted before it, layer 0's norm is untracked and
-#: its GELU saves the pre-activation. With W2 neither trained nor adapted,
-#: W2's backward rebuilds nothing and the GELU's own backward rebuilds its
-#: input.
+#: rebuilt) at two layers. A tracked W1 rebuilds its output over a norm
+#: either way: over a tracked norm from the norm's saves, and over an
+#: untracked one (layer 0's, with nothing adapted before it) from the
+#: norm's input, which W1 and the GELU pin. With W2 neither trained nor
+#: adapted, W2's backward rebuilds nothing and the GELU's own backward
+#: rebuilds its input.
 PRE_ACTIVATION_CASES = [
     ("full", None, 2),
     ("tokentune", None, 2),
-    ("lora", ("w1", "w2"), 1),
+    ("lora", ("w1", "w2"), 2),
     ("lora", ("w_q", "w_v"), 2),
-    ("tokentune+lora", ("w1",), 1),
+    ("tokentune+lora", ("w1",), 2),
     ("tokentune+lora", ("w_q", "w1"), 2),
 ]
 
@@ -338,16 +341,130 @@ def test_ffn_pre_activation_rebuilt_gives_the_saved_gradients_bit_for_bit(
     rows, retained, grads = run()
     rebuilds = engine._rebuilt_in_backward
     with monkeypatch.context() as patched:
-        # the policy that saves the pre-activation: no affine's output is
-        # rebuilt, so each GELU saves its input
+        # the policy that saves the pre-activation: no W1 output (the
+        # only d_ff wide affine) is rebuilt, so each GELU saves its input
         patched.setattr(engine, "_rebuilt_in_backward",
-                        lambda node: node.op != "affine" and rebuilds(node))
+                        lambda node: rebuilds(node) and not (
+                            node.op == "affine"
+                            and node.shape[1] == cfg.d_ff))
         _, saved, saved_grads = run()
     itemsize = np.dtype(dtype).itemsize
     assert retained == saved - rebuilt * rows * cfg.d_ff * itemsize
     assert grads and sorted(grads) == sorted(saved_grads)
     for name, grad in grads.items():
         assert np.array_equal(grad, saved_grads[name]), name
+
+
+#: (regime, LoRA targets): the adapter regimes adapt the key and value
+#: affines, so that their factors' gradients pass through the rebuild
+KV_CASES = [
+    ("full", None),
+    ("tokentune", None),
+    ("lora", ("w_k", "w_v")),
+    ("tokentune+lora", ("w_k", "w_v")),
+]
+KV_N = 14
+
+
+def _kv_case(regime, targets, dtype, mode):
+    """(model, train config, example) of one rebuild case: KV_N positions,
+    4 selected in the selective regimes, every parameter moved off its
+    init so that a rebuild that dropped a bias or a LoRA delta shows."""
+    cfg = cfg_for(causal=mode == "lm")
+    train = TrainConfig(regime=regime, k=4 if regime in SELECTIVE_REGIMES
+                        else None, seed=8, dtype=dtype,
+                        lora_targets=targets or ("w1", "w2"))
+    model = build_regime_model(cfg, train)
+    r = rng_for(41)
+    for arr in model.params.values():
+        arr += r.normal(0.0, 0.1, arr.shape).astype(dtype)
+    seq = random_seq(rng_for(40), KV_N, causal=mode == "lm")
+    example = lm_example(seq) if mode == "lm" else Example(seq=seq, label=1)
+    return model, train, example
+
+
+def _kv_run(model, train, example, mode):
+    """(partition, bytes retained for backward, gradients, tape) of one
+    example as the trainer records it."""
+    trainer = Trainer(model, train, mode)
+    partition = trainer.partition_for(example.seq, 0)
+    tape = Tape()
+    loss, _ = trainer._example_loss(tape, example, partition)
+    retained = engine.simulate_peak_bytes(tape)[1]
+    return partition, retained, tape.backward(loss), tape
+
+
+@pytest.mark.parametrize("mode", ["lm", "classification"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("regime,targets", KV_CASES,
+                         ids=lambda v: "-".join(v) if isinstance(v, tuple)
+                         else None)
+def test_keys_and_values_rebuilt_give_the_saved_gradients_bit_for_bit(
+        monkeypatch, regime, targets, dtype, mode):
+    model, train, example = _kv_case(regime, targets, dtype, mode)
+    partition, retained, grads, _ = _kv_run(model, train, example, mode)
+    rebuilds = engine._rebuilt_in_backward
+    with monkeypatch.context() as patched:
+        # the policy that saves them: attention keeps its concat key and
+        # value operands
+        patched.setattr(engine, "_rebuilt_in_backward",
+                        lambda node: node.op != "concat_rows"
+                        and rebuilds(node))
+        _, saved, saved_grads, _ = _kv_run(model, train, example, mode)
+    assert grads and sorted(grads) == sorted(saved_grads)
+    for name, grad in grads.items():
+        assert np.array_equal(grad, saved_grads[name]), name
+    # each layer's attention gives up its n x d keys and values for its
+    # pinned (n - k) x d unselected input rows; with every position
+    # selected there is no concat, and nothing changes
+    cfg = model.config
+    rows = 0 if regime not in SELECTIVE_REGIMES else (
+        2 * KV_N - partition.unselected.size)
+    assert retained == saved - cfg.n_layers * rows * cfg.d_model \
+        * np.dtype(dtype).itemsize
+
+
+@pytest.mark.parametrize("mode", ["lm", "classification"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("regime,targets", [
+    ("tokentune", None), ("tokentune+lora", ("w_k", "w_v")),
+    ("tokentune+lora", ("w1", "w2"))],
+    ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
+def test_no_tokentune_tape_retains_full_length_keys_or_values(
+        regime, targets, dtype, mode):
+    # no output live at backward entry and no saved array has a row per
+    # position: what each layer keeps of its unselected rows is their
+    # (n - k) x d input
+    model, train, example = _kv_case(regime, targets, dtype, mode)
+    trainer = Trainer(model, train, mode)
+    partition = trainer.partition_for(example.seq, 0)
+    tape = Tape()
+    trainer._example_loss(tape, example, partition)
+    # (no parameter has KV_N rows either)
+    assert not any(n.op == "param" and n.shape[0] == KV_N
+                   for n in tape.nodes)
+    live = engine._retained_for_backward(tape)
+    assert live and all(tape.nodes[i].shape[0] < KV_N for i in live)
+    saves = [arr for node in tape.nodes for _, arr in node._saved_arrays or ()]
+    assert saves and all(arr.shape[0] < KV_N for arr in saves)
+    pinned = {i for node in tape.nodes for i in node.pins}
+    if regime == "tokentune":
+        assert {tape.nodes[i].shape for i in pinned} \
+            == {(partition.unselected.size, model.config.d_model)}
+
+
+@pytest.mark.parametrize("mode", ["lm", "classification"])
+@pytest.mark.parametrize("regime,targets", [
+    ("tokentune", None), ("tokentune+lora", ("w_k", "w_v"))],
+    ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
+def test_rebuilt_keys_and_values_match_the_stop_gradient_oracle(
+        regime, targets, mode):
+    model, train, example = _kv_case(regime, targets, "float64", mode)
+    partition, _, grads, _ = _kv_run(model, train, example, mode)
+    loss_spec = (mode, example.targets if mode == "lm" else example.label)
+    oracle = stopgrad_reference_backward(model, example.seq, partition,
+                                         loss_spec)
+    assert grads_max_rel_err(grads, oracle) <= GRAD_TOL
 
 
 def test_cache_strictly_smaller_than_full_selection():
@@ -490,11 +607,9 @@ def test_invalid_label_errors():
         loss_classification(tape, model, split, 99)
 
 
-def test_split_hidden_mismatch_errors():
+def test_forward_refuses_a_partition_of_another_length():
     from tokentune.partition import SelectionError
     model = build_model(cfg_for(), seed=19, dtype="float64")
     partition = select_positions(6, 2, "classification", rng_seed=10)
-    tape = Tape()
-    h = tape.input(np.zeros((4, 8)))
     with pytest.raises(SelectionError):
-        split_hidden(tape, h, partition)
+        tokentune_forward(Tape(), model, np.arange(4), partition)
