@@ -100,6 +100,11 @@ def cmd_gradcheck(args) -> int:
           + ", ".join(report["failed_properties"]))
     for rec in report["suite_failures"]:
         print(f"  repro: {json.dumps(rec, sort_keys=True)}")
+    if not report["cache"]["pass"]:
+        for p in report["cache"]["points"]:
+            print(f"  cache: n={p['n']} k={p['k']}: ledger "
+                  f"{p['ledger_bytes']} B, law {p['law_bytes']} B, first "
+                  f"over-wide tracked op {p['over_wide_op']}")
     return EXIT_PROPERTY_FAILED
 
 

@@ -14,11 +14,12 @@ not every value the forward pass made.
 
 What backward keeps is read off the saves themselves. A tracked node
 records, when its op hands the tape its saves, the nodes whose output
-arrays a save *is* (an operand's array or the op's own output):
-``retains``; the nodes whose outputs it holds only so that backward can
-rebuild an operand from them (below): ``pins``; and the bytes of every
-other save, arrays the op allocated for backward alone: ``fresh_bytes``.
-Each op's save policy is thus stated once, in the op, and both
+arrays a save *is* (an operand's array, the op's own output, or a root
+that backward rebuilds an operand from, below): ``retains``; and the
+bytes of every other save, arrays the op allocated for backward alone:
+``fresh_bytes``. Each kept output has one owner, the first node that
+keeps it, and each fresh save the node that saved it. Each op's save
+policy is thus stated once, in the op, and both
 :func:`simulate_peak_bytes` and :meth:`Tape.retained_bytes` read it from
 the nodes. Parameters can be retained but are resident regardless of
 backward, so neither charges them.
@@ -45,7 +46,7 @@ Cache policy per primitive, as (what backward reads):
                    the queries' positions (8 bytes per row), q always, k
                    always and v iff q or k needs grad (references, not
                    copies), except a key or value operand that is a
-                   rebuilt concat_rows (below), of which it pins the
+                   rebuilt concat_rows (below), of which it saves the
                    roots. Backward rebuilds each block's probabilities
                    from them one head at a time (Dao et al. 2022; Dao
                    2023), and forms key and value gradient rows only for
@@ -68,11 +69,12 @@ TokenTune keeps no n x d keys or values. The reader's backward rebuilds
 it bit for bit with the forward's own expression: a tracked node from
 its saves, an untracked layer norm from its input, an untracked affine
 from its weak references to its parameters. The input of each untracked
-layer norm on the way (a layer's unselected rows) is a root: the reader
-holds it and pins the node that made it, whose bytes are then charged to
-the reader. An attention whose keys and values are affine outputs
-(every position selected: no concat) still saves them, as rebuilding
-them too cost 7-9% of a full fine-tuning step.
+layer norm on the way (a layer's unselected rows) is a root: the
+reader saves it, so it is retained like any other save, and charged to
+the reader unless an earlier node keeps it. An attention whose keys and
+values are affine outputs (every position selected: no concat) still
+saves them, as rebuilding them too cost 7-9% of a full fine-tuning
+step.
 
 Nodes recorded while gradients are disabled (`with tape.no_grad(): ...`)
 have ``requires_grad = False``, save nothing, and act as constants during
@@ -257,7 +259,7 @@ def _rebuilt_in_backward(node: Node) -> bool:
     """True for a node whose output a reader's backward rebuilds instead
     of the reader saving it (:func:`_rebuilt_output`): a layer_norm, a
     tracked one from its saves and an untracked one from its input, which
-    the reader pins (:func:`_rebuild_roots`); a tracked GELU; an affine
+    the reader saves (:func:`_rebuild_roots`); a tracked GELU; an affine
     whose x is itself rebuilt; and a concat_rows whose every part is."""
     if node.op == "concat_rows":
         return all(_rebuilt_in_backward(part) for part in node.inputs)
@@ -318,7 +320,7 @@ def _rebuilt_output(node: Node, norms: dict | None = None) -> np.ndarray:
         return _affine_sum(_rebuilt_output(node.inputs[0], norms),
                            saved["w"], saved.get("bias"), lora)[0]
     out, saved["derivative"] = _gelu_parts(_gelu_input(node, saved))
-    node._saved_arrays = list(saved.items())
+    node._saved_arrays = tuple(saved.items())
     return out
 
 
@@ -433,16 +435,16 @@ class Node:
     input nodes, the output's shape and dtype, and metadata, but never the
     output array, which only its :class:`Tensor` handle owns.
     ``_saved_arrays`` holds the (role, array) pairs backward reads and is
-    released as backward consumes the node; ``retains`` and ``pins``
-    (node ids) and ``fresh_bytes`` account for them and persist
-    (:meth:`keep_saves`). An untracked layer_norm or affine holds instead
-    ``_weak_arrays``, (role, weak reference) pairs to the arrays a
-    rebuild of its output reads, which keep nothing alive.
+    released as backward consumes the node; ``retains`` (node ids) and
+    ``fresh_bytes`` account for them and persist (:meth:`keep_saves`).
+    An untracked layer_norm or affine holds instead ``_weak_arrays``,
+    (role, weak reference) pairs to the arrays a rebuild of its output
+    reads, which keep nothing alive.
     """
 
     __slots__ = (
         "idx", "op", "shape", "dtype", "requires_grad", "inputs", "meta",
-        "retains", "pins", "fresh_bytes", "_saved_arrays", "_weak_arrays",
+        "retains", "fresh_bytes", "_saved_arrays", "_weak_arrays",
         "label", "name",
     )
 
@@ -456,7 +458,6 @@ class Node:
         self.inputs = tuple(inputs)
         self.meta = meta or {}
         self.retains = ()
-        self.pins = ()
         self.fresh_bytes = 0
         self._saved_arrays = None
         self._weak_arrays = ()
@@ -467,20 +468,14 @@ class Node:
     def nbytes(self) -> int:
         return self.shape[0] * self.shape[1] * self.dtype.itemsize
 
-    def keep_saves(self, value: np.ndarray, inputs, saves,
-                   roots=()) -> None:
+    def keep_saves(self, value: np.ndarray, handles, saves) -> None:
         """Hold `saves`, the (role, array) pairs backward reads, and record
         what they keep alive: a save that is this node's output `value` or
-        an operand's array (`inputs` are the operands' handles) retains
-        that node's output; any other save is an allocation of its own,
-        counted in ``fresh_bytes``. `roots` are handles on arrays that an
-        operand's rebuild reads (:func:`_rebuild_roots`): each is held as
-        a "root" save and pins the node that made it, whose output then
-        stays alive and is charged to this node."""
-        pinned = {t.node.idx: t.value for t in roots}
-        self._saved_arrays = list(saves) + [
-            ("root", arr) for arr in pinned.values()]
-        owners = [(value, self.idx)] + [(t.value, t.node.idx) for t in inputs]
+        the array of one of `handles` (the operands, and any root an
+        operand's rebuild reads) retains that node's output; any other
+        save is an allocation of its own, counted in ``fresh_bytes``."""
+        self._saved_arrays = tuple(saves)
+        owners = [(value, self.idx)] + [(t.value, t.node.idx) for t in handles]
         retains = []
         for _, arr in saves:
             idx = next((i for v, i in owners if v is arr), None)
@@ -489,7 +484,6 @@ class Node:
             elif idx not in retains:
                 retains.append(idx)
         self.retains = tuple(retains)
-        self.pins = tuple(pinned)
 
     def __repr__(self):
         return (f"Node({self.idx}, {self.op}, shape={self.shape}, "
@@ -594,10 +588,10 @@ class Tape:
         `inputs` are the operands' handles; the node keeps their nodes
         only. `saves` is a list of (role, array) pairs, what this op's
         backward rule reads. `rebuilt` are the operands it reads but does
-        not save, as backward rebuilds them: a tracked node pins their
-        roots (:meth:`Node.keep_saves`). `weak` are (role, array) pairs
-        an untracked node holds by weak reference, for a rebuild of its
-        output.
+        not save, as backward rebuilds them: a tracked node saves their
+        roots (:func:`_rebuild_roots`), each once, as "root". `weak` are
+        (role, array) pairs an untracked node holds by weak reference, for
+        a rebuild of its output.
         """
         if not _all_finite(value):
             raise NonFiniteError(op)
@@ -605,8 +599,10 @@ class Tape:
         node = Node(len(self.nodes), op, value.shape, value.dtype, tracked,
                     (i.node for i in inputs), meta, label=self._label())
         if tracked:
-            node.keep_saves(value, inputs, saves, [
-                root for t in rebuilt for root in _rebuild_roots(t.node)])
+            roots = list({root.node.idx: root for t in rebuilt
+                          for root in _rebuild_roots(t.node)}.values())
+            node.keep_saves(value, [*inputs, *roots],
+                            [*saves, *(("root", r.value) for r in roots)])
         else:
             node._weak_arrays = tuple((role, weakref.ref(arr))
                                       for role, arr in weak)
@@ -1174,11 +1170,11 @@ class Tape:
 
     def retained_bytes(self) -> dict[tuple[str, str], int]:
         """Bytes live at backward entry by (region label, op kind): each
-        retained output once, charged to the node that made it, or, if
-        only a pin keeps it, to the first node that pins it; and each
-        fresh save, charged to the node that saved it. The last node (the
-        loss) counts, so the values sum to ``simulate_peak_bytes(tape)[1]``.
-        Read off the nodes, so the same before and after backward."""
+        retained output once, charged to the first node that keeps it
+        (:func:`_retained_for_backward`), and each fresh save, charged to
+        the node that saved it. The last node (the loss) counts, so the
+        values sum to ``simulate_peak_bytes(tape)[1]``. Read off the
+        nodes, so the same before and after backward."""
         live = _retained_for_backward(self)
         out: dict[tuple[str, str], int] = {}
 
@@ -1211,18 +1207,15 @@ class Tape:
 def _retained_for_backward(tape: Tape) -> dict[int, Node]:
     """The ids of the nodes whose output is live at backward entry, each
     mapped to the node its bytes are charged to: each output a save
-    retains, and the last (the loss, which backward starts from), to the
-    node that made it; each only a pin keeps, to the first node that
-    pins it."""
+    retains, to the first node that keeps it (the maker, if it saves its
+    own output), and the last (the loss, which backward starts from), to
+    itself."""
     live: dict[int, Node] = {}
-    for node in reversed(tape.nodes):
-        for idx in node.pins:
-            live[idx] = node
     for node in tape.nodes:
         for idx in node.retains:
-            live[idx] = tape.nodes[idx]
+            live.setdefault(idx, node)
     if tape.nodes:
-        live[tape.nodes[-1].idx] = tape.nodes[-1]
+        live.setdefault(tape.nodes[-1].idx, tape.nodes[-1])
     return live
 
 
@@ -1230,9 +1223,9 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     """Engine-accounted live-allocation model for one tape.
 
     Replays the forward pass the way this engine frees memory: an output
-    dies with its last handle unless a save retains or pins it
-    (``Node.retains``, ``Node.pins``), and each node adds its saves' own
-    allocations (``Node.fresh_bytes``) when it is recorded. Model code is assumed to drop a handle once its
+    dies with its last handle unless a save retains it (``Node.retains``),
+    and each node adds its saves' own allocations (``Node.fresh_bytes``)
+    when it is recorded. Model code is assumed to drop a handle once its
     last consumer is recorded, or at once if nothing consumes it, except
     the last node's (the loss, which backward starts from). Returns (peak
     bytes, bytes retained at the end of the forward pass, which

@@ -58,10 +58,10 @@ def retained_bytes_law(cfg: ModelConfig, n: int,
     none), are intercept + per_position * k + per_row * rows, read off
     what each op saves (Korthikanti et al. 2022 count the same way).
 
-    Every layer's attention pins that layer's n - k unselected input
+    Every layer's attention saves that layer's n - k unselected input
     rows, from which backward rebuilds its keys and values, and the
     1 x 1 loss is the last node: L n d s + s, less d s per layer for
-    each selected position, whose input row is not pinned. Per selected
+    each selected position, whose input row is not kept. Per selected
     position and layer it keeps the query affine's output (attention
     reads it), the attention output (W_o reads it), one log-sum-exp per
     head, each layer norm's normalized row and inverse std, and, if

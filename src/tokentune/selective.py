@@ -11,7 +11,7 @@ availability and what backward retains change. A sequence is its array
 of token ids.
 
 The keys and values die with their layer's forward. The selected
-queries' attention pins the layer's unselected input rows instead, and
+queries' attention saves the layer's unselected input rows instead, and
 its backward rebuilds the keys and values from them and from the
 selected rows' saves (`engine._rebuilt_output`), bit for bit: each layer
 keeps (n - k) x d of its unselected rows, not 2 n x d.
@@ -99,7 +99,7 @@ def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
     Each handle is dropped at its last use, so the unselected path's
     attention runs without the selected path's dead arrays, and the
     joined keys and values die on return: the selected queries'
-    attention pins `split.h_gbar` to rebuild them in backward. With no
+    attention saves `split.h_gbar` to rebuild them in backward. With no
     unselected rows the selected keys and values are used as they are.
     In the last layer nothing reads the unselected rows past their keys
     and values: they get no query and no attention of theirs, and the

@@ -15,9 +15,10 @@ shares no code with those nodes'.
 core properties: value preservation (the selective forward's selected
 rows equal the plain forward's rows at those positions), stop-gradient
 equivalence, and full-selection identity (the full regime's gradients
-against the reference with nothing stopped). `cache_scaling_check` audits the shape
-of the bytes retained for backward. Everything here runs at float64 with
-fixed seeds.
+against the reference with nothing stopped). `cache_scaling_check` holds
+the bytes retained for backward to `memprofile.retained_bytes_law`, and
+every tracked op but a concat_rows to k rows. Everything here runs at
+float64 with fixed seeds.
 
 `MUTANTS` names deliberately broken pipelines that some property must
 catch. Each lives here, as a `Tape` subclass or a scoped patch of the
@@ -40,6 +41,7 @@ from .adapters import attach
 from .config import ModelConfig
 from .data import lm_example
 from .engine import MASK_VALUE, Tape
+from .memprofile import retained_bytes_law
 from .model import (TransformerModel, attend_project, build_model,
                     forward_hidden, norm, param_specs, qkv)
 from .partition import SelectionError, TokenPartition, select_positions
@@ -496,54 +498,43 @@ def equivalence_suite(n_configs: int = 50, seed: int = 0,
     return result
 
 
-def _retained_subtotals(model, n: int, k: int, mutant=None):
-    """(attention ops, the rest of the attention regions, ffn regions,
-    total) bytes retained for backward by one selective forward as the
-    trainer runs it, and its loss."""
+def _cache_point(model, n: int, k: int, mutant=None) -> dict:
+    """One selective forward as the trainer runs it, and its loss, at n
+    positions of which the first k are selected: the bytes its ledger
+    retains for backward, the law's bytes, and the first tracked op (not
+    a leaf or a concat_rows) with more than k rows, or None."""
     seq = np.r_[1, 2 + np.arange(n - 1) % 7]
     partition = TokenPartition(selected=np.arange(k),
                                unselected=np.arange(k, n))
     tape, split = _mutant_forward(model, seq, partition, mutant)
     loss_classification(tape, model, split, 0)
-    attention = attn_rest = ffn = total = 0
-    for (label, op), nbytes in tape.retained_bytes().items():
-        if ".attn" in label and op == "attention":
-            attention += nbytes
-        elif ".attn" in label:
-            attn_rest += nbytes
-        elif ".ffn" in label:
-            ffn += nbytes
-        total += nbytes
-    return attention, attn_rest, ffn, total
+    intercept, per_position, _ = retained_bytes_law(model.config, n,
+                                                    model.dtype.itemsize)
+    wide = next((node for node in tape.nodes if node.requires_grad
+                 and node.inputs and node.op != "concat_rows"
+                 and node.shape[0] > k), None)
+    return {"n": n, "k": k,
+            "ledger_bytes": sum(tape.retained_bytes().values()),
+            "law_bytes": intercept + per_position * k,
+            "over_wide_op": None if wide is None else
+            f"{wide.label or '-'} {wide.op} ({wide.shape[0]} rows)"}
 
 
 def cache_scaling_check(mutant: str | None = None) -> dict:
-    """The bytes retained for backward must be affine in the sequence
-    length at fixed k and strictly increasing in k. At fixed k, each
-    position adds exactly one row of every layer's input, charged to the
-    attention that pins it to rebuild its keys and values in backward;
-    every other byte of the attention and ffn regions is constant.
-    """
+    """At n = 8, 16, 24 with k = 3 and at k = 2, 4, 6 with n = 12, the
+    bytes retained for backward must equal
+    :func:`memprofile.retained_bytes_law`'s, exactly, and no tracked op
+    but a concat_rows (a layer's keys or values, whose unselected rows
+    are constants) may have more than k rows: gradients flow through the
+    k selected tokens only."""
     cfg = ModelConfig(vocab_size=19, max_positions=64, d_model=8, n_heads=2,
                       d_ff=12, n_layers=1, causal=False, n_classes=2)
     model = build_model(cfg, seed=7, dtype="float64")
-    k = 3
-    points = [8, 16, 24]
-    attention, attn_rest, ffn, _ = zip(*(
-        _retained_subtotals(model, n, k, mutant) for n in points))
-    constant = len(set(attn_rest)) == len(set(ffn)) == 1
-    input_step = (points[1] - points[0]) * cfg.n_layers * cfg.d_model \
-        * model.dtype.itemsize
-    attn_linear = (attention[1] - attention[0]
-                   == attention[2] - attention[1] == input_step)
-    totals = [_retained_subtotals(model, 12, kk, mutant)[3]
-              for kk in (2, 4, 6)]
-    increasing = totals[0] < totals[1] < totals[2]
-    ok = constant and attn_linear and increasing
-    return {"property": PROPERTY_CACHE, "pass": bool(ok),
-            "attention_subtotals": list(attention),
-            "attn_rest_subtotals": list(attn_rest),
-            "ffn_subtotals": list(ffn), "totals_by_k": totals}
+    points = [_cache_point(model, n, k, mutant) for n, k in
+              ((8, 3), (16, 3), (24, 3), (12, 2), (12, 4), (12, 6))]
+    ok = all(p["ledger_bytes"] == p["law_bytes"] and p["over_wide_op"] is None
+             for p in points)
+    return {"property": PROPERTY_CACHE, "pass": ok, "points": points}
 
 
 def gradcheck_fixture():

@@ -29,8 +29,9 @@ def test_matmul_of_ones_caches_both_operands():
     t = Tape()
     c = t.matmul(t.input(np.ones((2, 3))), t.input(np.ones((3, 4))))
     assert np.array_equal(c.value, np.full((2, 4), 3.0))
-    # both operands, and the output, which backward would start from
-    assert t.cached_activation_elements() == 6 + 12 + 8
+    # both operands, whose first keeper is the matmul, and the output,
+    # which backward would start from
+    assert t.retained_bytes() == {("", "matmul"): (6 + 12 + 8) * 8}
 
 
 def test_matmul_in_disabled_scope_same_values_zero_cache():
@@ -42,7 +43,7 @@ def test_matmul_in_disabled_scope_same_values_zero_cache():
     assert np.array_equal(out1.value, out2.value)
     assert out2.retains == () and out2.fresh_bytes == 0
     # the output alone: it is the last node, which backward would start from
-    assert t2.cached_activation_elements() == 8
+    assert t2.retained_bytes() == {("", "matmul"): 8 * 8}
 
 
 def test_softmax_symmetric_row():
@@ -60,7 +61,7 @@ def test_softmax_rows_sum_to_one_and_masked_entries_vanish():
 
 
 def test_empty_tape_cached_elements_zero():
-    assert Tape().cached_activation_elements() == 0
+    assert Tape().retained_bytes() == {}
 
 
 def test_scope_restored_on_error_and_nested_query():
@@ -278,11 +279,11 @@ def test_cache_ledger_monotone_in_tracked_set():
         xn = t.input(x, requires_grad=track_x)
         wn = t.input(w, requires_grad=track_w)
         t.gelu(t.matmul(xn, wn))
-        return t.cached_activation_elements()
+        return sum(t.retained_bytes().values())
 
     # the GELU's output (the last node); then w and the GELU's input; then x
     assert (cached(False, False), cached(True, False), cached(True, True)) \
-        == (16, 16 + 16 + 16, 16 + 16 + 16 + 16)
+        == (16 * 8, (16 + 16 + 16) * 8, (16 + 16 + 16 + 16) * 8)
 
 
 def test_param_saves_are_not_charged_to_the_activation_ledger():
@@ -293,7 +294,7 @@ def test_param_saves_are_not_charged_to_the_activation_ledger():
     # only w is saved (for dL/dx); it is a parameter, so only the output
     # (the last node) is charged
     assert out.retains == (w.idx,)
-    assert t.cached_activation_elements() == 2 * 4
+    assert t.retained_bytes() == {("", "matmul"): 2 * 4 * 8}
 
 
 def test_live_cache_returns_to_zero_after_backward():
@@ -319,14 +320,14 @@ def test_cache_untracked_tape_inflates_retained_bytes_only():
     def run(tape):
         with tape.no_grad():
             out = tape.gelu(tape.matmul(tape.input(x), tape.input(x)))
-        return out.value, tape.cached_activation_elements()
+        return out.value, sum(tape.retained_bytes().values())
 
     v_off, c_off = run(Tape())
     v_on, c_on = run(_CacheUntrackedTape())
     assert np.array_equal(v_off, v_on)
     # the GELU's output (the last node); with the mutant also the matmul's
     # output, which the GELU saves (no matmul operand needs a gradient)
-    assert (c_off, c_on) == (9, 9 + 9)
+    assert (c_off, c_on) == (9 * 8, (9 + 9) * 8)
 
 
 # ---- errors -------------------------------------------------------------------
@@ -1114,11 +1115,10 @@ def test_attention_untracked_matches_tracked_and_caches_nothing(causal):
     # the output alone, the last node
     assert untracked.retained_bytes() == {("", "attention"): 4 * D_ATT * 8}
     # a log-sum-exp per head and row, if causal the 4 query positions,
-    # then q, k, v and the output
+    # then q, k and v, whose first keeper is the attention, and the output
     assert out.fresh_bytes == 4 * 4 * 8 + (4 * 8 if causal else 0)
     assert tracked.retained_bytes() == {("", "attention"): out.fresh_bytes
-                                        + 4 * D_ATT * 8,
-                                        ("", "input"): 3 * 4 * D_ATT * 8}
+                                        + 4 * 4 * D_ATT * 8}
 
 
 def attention_finite_differences(m):

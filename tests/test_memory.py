@@ -141,7 +141,7 @@ def test_each_tracked_layer_norm_output_leaves_the_retained_set(
     # tracked GELU output (W2) and every W1 output, the pre-activation a
     # GELU reads, which the same switch turns off; so, in tokentune, are
     # the n x d keys and values, which each layer's attention rebuilds
-    # from its pinned (n - k) x d unselected input rows
+    # from its saved (n - k) x d unselected input rows
     model = model.astype(dtype)
 
     def retained():
@@ -158,13 +158,13 @@ def test_each_tracked_layer_norm_output_leaves_the_retained_set(
     rows = N if regime == "full" else K
     norm_output = rows * cfg.d_model * np.dtype(dtype).itemsize
     gelu_output = pre_activation = rows * cfg.d_ff * np.dtype(dtype).itemsize
-    keys_values = pinned_input = 0
+    keys_values = root_input = 0
     if regime == "tokentune":
         keys_values = 2 * N * cfg.d_model * np.dtype(dtype).itemsize
-        pinned_input = (N - K) * cfg.d_model * np.dtype(dtype).itemsize
+        root_input = (N - K) * cfg.d_model * np.dtype(dtype).itemsize
     assert rebuilt == saved - cfg.n_layers * (
         2 * norm_output + gelu_output + pre_activation + keys_values
-        - pinned_input)
+        - root_input)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -260,9 +260,10 @@ def test_no_grad_forward_keeps_only_its_output(model, example):
 
 @pytest.mark.parametrize("regime", REGIMES)
 def test_evaluation_tapes_retain_and_pin_nothing(monkeypatch, regime):
-    # no node of an evaluation keeps a save, a retained output or a pin:
-    # its untracked norms and affines hold weak references only, and the
-    # last node's output is all a tape's ledger charges
+    # no node of an evaluation keeps a save or a retained output (a
+    # rebuild's root included): its untracked norms and affines hold weak
+    # references only, and the last node's output is all a tape's ledger
+    # charges
     cfg = replace(lm_config(), max_positions=20, d_model=16, d_ff=32)
     train = TrainConfig(regime=regime, k=5, seed=5)
     model = build_regime_model(cfg, train)
@@ -282,7 +283,7 @@ def test_evaluation_tapes_retain_and_pin_nothing(monkeypatch, regime):
         assert tape.nodes and not any(
             (node.requires_grad and node.op != "param")
             or node._saved_arrays is not None
-            or node.retains or node.pins or node.fresh_bytes
+            or node.retains or node.fresh_bytes
             for node in tape.nodes)
         last = tape.nodes[-1]
         assert tape.retained_bytes() == {(last.label, last.op): last.nbytes}

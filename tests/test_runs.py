@@ -51,8 +51,8 @@ def test_run_training_reports_per_example_memory(tmp_path, regime):
     assert sum(report["per_layer"].values()) == activations
     assert sum(report["per_op"].values()) == activations
     # the embedding's output feeds a layer norm and a residual add, which
-    # keep their own saves, not it; its unselected rows are pinned by
-    # layer 0's attention and charged there
+    # keep their own saves, not it; layer 0's attention saves its
+    # unselected rows and is charged for them
     assert set(report["per_layer"]) == {"layer.0", "layer.1", "head"}
     # the closed form of tokentune's activation bytes stands beside the
     # ledger's: 12 positions, 4 selected, one classification row
@@ -65,6 +65,43 @@ def test_run_training_reports_per_example_memory(tmp_path, regime):
     else:
         assert report["law_activations_bytes"] is None
         assert report["activations_differ_from_law"] is None
+
+
+#: (activations_bytes, peak_bytes) of `tiny_lm_run`'s memory.json per
+#: regime: totals of what backward keeps, which do not depend on which
+#: node each kept array is charged to
+LM_RUN_BYTES = {"full": (16_804, 123_428), "tokentune": (5_956, 106_436),
+                "lora": (15_396, 69_188), "tokentune+lora": (5_476, 53_124)}
+
+
+def tiny_lm_run(regime: str, corpus) -> RunConfig:
+    return RunConfig(
+        model=ModelConfig(vocab_size=256, max_positions=12, d_model=8,
+                          n_heads=2, d_ff=12, n_layers=2, causal=True,
+                          n_classes=None),
+        train=TrainConfig(regime=regime,
+                          k=4 if regime.startswith("tokentune") else None,
+                          batch_size=3, max_steps=2, learning_rate=1e-2,
+                          seed=4),
+        task=TaskConfig(kind="lm", seq_len=12, corpus_path=str(corpus),
+                        eval_windows=2))
+
+
+@pytest.mark.parametrize("regime", list(LM_RUN_BYTES))
+def test_lm_run_charges_every_activation_byte_to_a_layer_or_the_head(
+        tmp_path, regime):
+    # the rows the loss reads are selected outside any region; the head's
+    # affine is their first keeper, so they are charged to the head
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(synthetic_text(600, seed=2))
+    run_training(tiny_lm_run(regime, corpus), tmp_path / "run")
+    report = json.loads((tmp_path / "run" / "memory.json").read_text())
+    assert set(report["per_layer"]) <= {"embed", "layer.0", "layer.1",
+                                        "head"}
+    assert "head" in report["per_layer"]
+    assert (report["activations_bytes"], report["peak_bytes"]) \
+        == LM_RUN_BYTES[regime]
+    assert sum(report["per_layer"].values()) == report["activations_bytes"]
 
 
 def run_lines(run_dir):

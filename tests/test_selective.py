@@ -11,7 +11,7 @@ from tokentune.config import (LORA_TARGETS, REGIMES, SELECTIVE_REGIMES,
                               ModelConfig, TrainConfig)
 from tokentune.data import Example, lm_example
 from tokentune.engine import Tape
-from tokentune.memprofile import build_regime_model
+from tokentune.memprofile import build_regime_model, retained_bytes_law
 from tokentune.model import (ModelError, build_model, forward_hidden,
                              loss_lm_rows)
 from tokentune.optimize import Trainer
@@ -299,7 +299,7 @@ def test_w1_backward_cache_is_k_by_d_model_independent_of_rest():
 #: rebuilt) at two layers. A tracked W1 rebuilds its output over a norm
 #: either way: over a tracked norm from the norm's saves, and over an
 #: untracked one (layer 0's, with nothing adapted before it) from the
-#: norm's input, which W1 and the GELU pin. With W2 neither trained nor
+#: norm's input, which W1 and the GELU save. With W2 neither trained nor
 #: adapted, W2's backward rebuilds nothing and the GELU's own backward
 #: rebuilds its input.
 PRE_ACTIVATION_CASES = [
@@ -415,7 +415,7 @@ def test_keys_and_values_rebuilt_give_the_saved_gradients_bit_for_bit(
     for name, grad in grads.items():
         assert np.array_equal(grad, saved_grads[name]), name
     # each layer's attention gives up its n x d keys and values for its
-    # pinned (n - k) x d unselected input rows; with every position
+    # saved (n - k) x d unselected input rows; with every position
     # selected there is no concat, and nothing changes
     cfg = model.config
     rows = 0 if regime not in SELECTIVE_REGIMES else (
@@ -447,10 +447,42 @@ def test_no_tokentune_tape_retains_full_length_keys_or_values(
     assert live and all(tape.nodes[i].shape[0] < KV_N for i in live)
     saves = [arr for node in tape.nodes for _, arr in node._saved_arrays or ()]
     assert saves and all(arr.shape[0] < KV_N for arr in saves)
-    pinned = {i for node in tape.nodes for i in node.pins}
+    # each layer's attention saves its unselected input rows as the root
+    # its keys and values are rebuilt from
+    roots = [(node, arr) for node in tape.nodes
+             for role, arr in node._saved_arrays or () if role == "root"]
     if regime == "tokentune":
-        assert {tape.nodes[i].shape for i in pinned} \
+        assert {arr.shape for _, arr in roots} \
             == {(partition.unselected.size, model.config.d_model)}
+        assert [node.op for node, _ in roots] \
+            == ["attention"] * model.config.n_layers
+
+
+def test_each_kept_output_is_charged_to_its_first_keeper():
+    # an output that two tracked readers save is charged to the first
+    t = Tape()
+    h = t.add(t.input(np.ones((2, 3))), t.input(np.ones((2, 3))))
+    w = t.param("w", np.ones((3, 4)))
+    with t.region("first"):
+        first = t.matmul(h, w)
+    with t.region("second"):
+        second = t.matmul(h, w)
+    out = t.add(first, second)
+    assert t.retained_bytes() == {("first", "matmul"): h.value.nbytes,
+                                  ("", "add"): out.value.nbytes}
+    # each layer's attention is the first keeper of its queries and of
+    # the unselected layer input its keys and values are rebuilt from
+    model, train, example = _kv_case("tokentune", None, "float64", "lm")
+    partition, _, _, tape = _kv_run(model, train, example, "lm")
+    ledger = tape.retained_bytes()
+    d, u = model.config.d_model, partition.unselected.size
+    attentions = [node for node in tape.nodes
+                  if node.op == "attention" and node.requires_grad]
+    assert len(attentions) == model.config.n_layers
+    for node in attentions:
+        q = node.inputs[0]
+        assert ledger[(node.label, "attention")] \
+            == node.fresh_bytes + q.nbytes + u * d * 8
 
 
 @pytest.mark.parametrize("mode", ["lm", "classification"])
@@ -470,22 +502,27 @@ def test_rebuilt_keys_and_values_match_the_stop_gradient_oracle(
 def test_cache_strictly_smaller_than_full_selection():
     model = build_model(cfg_for(n_layers=1, d_model=4, n_heads=2, d_ff=8),
                         seed=10, dtype="float64")
-    small = _run_tt(model, 8, 2).cached_activation_elements()
-    full = _run_tt(model, 8, 8).cached_activation_elements()
+    small = sum(_run_tt(model, 8, 2).retained_bytes().values())
+    full = sum(_run_tt(model, 8, 8).retained_bytes().values())
+    intercept, per_position, _ = retained_bytes_law(model.config, 8, 8)
+    # with every position selected there is no unselected input to keep,
+    # and the keys and values (8 x 4 each) are saved, not rebuilt
+    assert small == intercept + 2 * per_position
+    assert full == intercept + 8 * per_position + 2 * 8 * 4 * 8
     assert small < full
 
 
 def test_attention_cache_linear_in_n_at_fixed_k():
     model = build_model(cfg_for(n_layers=1), seed=11, dtype="float64")
     counts = []
-    # whole bytes of the bit-packed visibility mask: n a multiple of 8
     for n in (8, 16, 24):
         tape = _run_tt(model, n, 3)
-        attn = sum(c for (label, _), c in tape.cache_breakdown().items()
-                   if ".attn" in label)
-        counts.append(attn)
-    assert counts[1] - counts[0] == counts[2] - counts[1]
-    assert counts[0] < counts[1] < counts[2]
+        counts.append(sum(nbytes for (label, _), nbytes
+                          in tape.retained_bytes().items()
+                          if ".attn" in label))
+    # each position adds one unselected input row (d = 8), which the
+    # attention saves to rebuild its keys and values from
+    assert counts[1] - counts[0] == counts[2] - counts[1] == 8 * 8 * 8
 
 
 # ---- objectives ---------------------------------------------------------------------

@@ -217,17 +217,49 @@ def test_mutation_mask_from_storage_order_breaks_value_preservation():
 
 def test_run_gradcheck_clean_and_mutated():
     clean = run_gradcheck(n_configs=8, seed=0)
-    assert clean["all_pass"]
+    assert clean["all_pass"] and clean["failed_properties"] == []
     for bug, expected in [
-        ("track-unselected-kv", PROPERTY_STOPGRAD),
-        ("cache-unselected-rows", PROPERTY_CACHE),
-        ("mask-from-storage-order", PROPERTY_VALUE),
+        ("track-unselected-kv", [PROPERTY_STOPGRAD, PROPERTY_CACHE]),
+        ("cache-unselected-rows", [PROPERTY_CACHE]),
+        ("mask-from-storage-order", [PROPERTY_STOPGRAD, PROPERTY_VALUE]),
     ]:
         rep = run_gradcheck(n_configs=8, seed=0, mutant=bug)
         assert not rep["all_pass"]
-        assert expected in rep["failed_properties"], (bug, rep)
-        if bug == "cache-unselected-rows":
-            assert rep["failed_properties"] == [PROPERTY_CACHE]
+        assert rep["failed_properties"] == expected, (bug, rep)
+
+
+def test_cache_property_is_the_law_and_k_tracked_rows():
+    # the clean forward retains the law's bytes at every point, and no
+    # tracked op but a concat_rows has more than k rows
+    clean = cache_scaling_check(None)["points"]
+    assert [(p["n"], p["k"]) for p in clean] \
+        == [(8, 3), (16, 3), (24, 3), (12, 2), (12, 4), (12, 6)]
+    assert all(p["ledger_bytes"] == p["law_bytes"]
+               and p["over_wide_op"] is None for p in clean)
+    # tracking the unselected rows' key and value affines keeps the same
+    # bytes but makes their n - k rows tracked, seen wherever n - k > k
+    kv = cache_scaling_check("track-unselected-kv")["points"]
+    assert [p["ledger_bytes"] for p in kv] == [p["law_bytes"] for p in clean]
+    assert [p["over_wide_op"] is not None for p in kv] \
+        == [p["n"] - p["k"] > p["k"] for p in kv]
+    # keeping untracked nodes' saves adds bytes at every point
+    rows = cache_scaling_check("cache-unselected-rows")["points"]
+    assert all(p["ledger_bytes"] > p["law_bytes"]
+               and p["over_wide_op"] is None for p in rows)
+
+
+def test_gradcheck_prints_the_cache_points_when_the_property_fails(capsys):
+    from tokentune.cli import main
+    assert main(["gradcheck", "--n-configs", "1",
+                 "--inject-bug", "cache-unselected-rows"]) == 1
+    out = capsys.readouterr().out
+    points = cache_scaling_check("cache-unselected-rows")["points"]
+    for p in points:
+        assert (f"  cache: n={p['n']} k={p['k']}: ledger {p['ledger_bytes']}"
+                f" B, law {p['law_bytes']} B, first over-wide tracked op "
+                "None") in out
+    assert main(["gradcheck", "--n-configs", "1"]) == 0
+    assert "cache:" not in capsys.readouterr().out
 
 
 def test_mutant_patches_are_scoped_and_names_are_one_list():
