@@ -76,6 +76,18 @@ values are affine outputs (every position selected: no concat) still
 saves them, as rebuilding them too cost 7-9% of a full fine-tuning
 step.
 
+Transients die at their last reader as well, and no op holds more than
+a block of scores or hidden rows beyond its operands and output: a
+forward attention block holds one group of heads' scores at a time, at
+most ATTENTION_SCORE_BYTES; an untracked GELU may write over its input
+(a no-grad feed-forward block's pre-activation, which nothing else
+reads); an adapted affine adds its LoRA delta in row blocks, and its
+backward scales the rank-wide products instead of copying g; each
+backward rule adds a parameter's gradient into the caller's accumulator
+as it forms it; and an attention's backward frees its roots once the
+norms are rebuilt from them, and its keys, values and per-head buffers
+before it hands its gradients on.
+
 Nodes recorded while gradients are disabled (`with tape.no_grad(): ...`)
 have ``requires_grad = False``, save nothing, and act as constants during
 backward; a no-grad forward keeps nothing beyond the handles its caller
@@ -104,8 +116,12 @@ _GELU_SQUARE_CAP = 1e4
 #: cache across the pass's dozen elementwise ops.
 GELU_BLOCK_BYTES = 64 * 1024
 
-#: Additive pre-softmax mask value; finite (keeps matrices NaN/Inf-free)
-#: but large enough that exp() underflows to exactly 0 in float32/float64.
+#: Bytes of z per row block of an affine's LoRA delta (:func:`_affine_sum`).
+LORA_BLOCK_BYTES = 64 * 1024
+
+#: Pre-softmax mask value, a masked key's score (or added to it); finite
+#: (keeps matrices NaN/Inf-free) but large enough that exp() underflows to
+#: exactly 0 in float32/float64.
 MASK_VALUE = -1e30
 
 #: Query rows per attention block. A causal block computes and
@@ -115,30 +131,41 @@ MASK_VALUE = -1e30
 #: it masks only its diagonal tile.
 ATTENTION_BLOCK_ROWS = 64
 
+#: Bytes of scores a forward attention block holds at a time: its heads
+#: run in near-equal groups whose rows x keys scores fit in this many
+#: bytes, or one head at a time when one head's do not, in one reused
+#: buffer (:func:`_head_groups`). Each head's products are the same
+#: batched or not, so the values do not depend on the grouping.
+ATTENTION_SCORE_BYTES = 256 * 1024
+
 #: Added to a layer norm's variance before its inverse square root.
 LAYER_NORM_EPS = 1e-5
 
 
-def _gelu_pass(x: np.ndarray, derivative: bool):
+def _gelu_pass(x: np.ndarray, derivative: bool, in_place: bool = False):
     """(GELU(x), GELU'(x) if `derivative` else None) in the tanh form,
-    from one pass over row blocks of x of GELU_BLOCK_BYTES each.
+    from one pass over row blocks of x of GELU_BLOCK_BYTES each; with
+    `in_place`, the value is written over x, a block at a time.
 
     With t = tanh(u), c = _GELU_C and a = _GELU_A, the value is
     0.5 * (1 + t) * x and the derivative
     0.5 * (1 + t) + (1 - t * t) * 0.5c (1 + 3a x**2) * x, its x**2 capped
     at _GELU_SQUARE_CAP. Each element sees the same ops in the same
     order, so the value is bit for bit the same with or without the
-    derivative, and whole or in blocks. Besides its outputs the pass
-    allocates only, for the derivative, one block of scratch that every
-    block reuses. An |x| for which a x**3 overflows (about 2e13 in
-    float32) raises numpy's overflow warning, and still gives a finite
-    value and a derivative of 0 or 1."""
-    value = np.empty_like(x)
+    derivative, whole or in blocks, and in place or not. Besides its
+    outputs the pass allocates only one block of scratch that every block
+    reuses, for the derivative, and one for a value formed in place,
+    which is copied over its block of x once formed. An |x| for which a
+    x**3 overflows (about 2e13 in float32) raises numpy's overflow
+    warning, and still gives a finite value and a derivative of 0 or 1."""
+    value = x if in_place else np.empty_like(x)
     deriv = np.empty_like(x) if derivative else None
     rows = max(1, GELU_BLOCK_BYTES // max(1, x[:1].nbytes))
     scratch = np.empty_like(x[:rows]) if derivative else None
+    work = np.empty_like(x[:rows]) if in_place else None
     for r0 in range(0, x.shape[0], rows):
-        xb, h = x[r0:r0 + rows], value[r0:r0 + rows]
+        xb = x[r0:r0 + rows]
+        h = value[r0:r0 + rows] if work is None else work[:len(xb)]
         np.multiply(xb, xb, out=h)
         if derivative:
             d = deriv[r0:r0 + rows]
@@ -160,13 +187,16 @@ def _gelu_pass(x: np.ndarray, derivative: bool):
         if derivative:
             d += h
         h *= xb
+        if work is not None:
+            xb[...] = h
     return value, deriv
 
 
-def gelu_array(x: np.ndarray) -> np.ndarray:
+def gelu_array(x: np.ndarray, in_place: bool = False) -> np.ndarray:
     """Tanh-form GELU on a plain array: the value of `Tape.gelu`. It
-    allocates only its output (:func:`_gelu_pass`)."""
-    return _gelu_pass(x, False)[0]
+    allocates only its output, or with `in_place` only one row block,
+    and writes the value over x (:func:`_gelu_pass`)."""
+    return _gelu_pass(x, False, in_place)[0]
 
 
 def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,16 +230,35 @@ def _attention_spans(positions, m: int,
                  for r0 in range(0, m, rows))
 
 
-def _tile_mask(positions, hi: int, dtype) -> tuple[int, np.ndarray]:
-    """(lo, mask) of one block of causal queries at `positions` over its
-    first hi keys. lo is the block's smallest position, so every query of
-    the block sees keys :lo and only the diagonal tile, keys lo:hi, needs
-    a mask: rows x (hi - lo), 0 where a key lies at or before the query's
-    position, MASK_VALUE past it."""
+def _head_groups(n_heads: int, cells: int, itemsize: int) -> list[slice]:
+    """Near-equal slices of n_heads heads, each holding at most
+    ATTENTION_SCORE_BYTES of scores at `cells` (rows x keys) per head, or
+    one head each when a head's alone are more."""
+    fit = max(1, ATTENTION_SCORE_BYTES // max(1, cells * itemsize))
+    count = -(-n_heads // fit)
+    bounds = [n_heads * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _tile_mask(positions, hi: int) -> tuple[int, np.ndarray]:
+    """(lo, blocked) of one block of causal queries at `positions` over
+    its first hi keys. lo is the block's smallest position, so every query
+    of the block sees keys :lo and only the diagonal tile, keys lo:hi,
+    needs a mask: rows x (hi - lo) booleans, True where a key lies past
+    the query's position. Its scores are set to MASK_VALUE there
+    (:func:`_mask_tile`)."""
     lo = int(positions.min())
-    zero, blocked = dtype.type(0), dtype.type(MASK_VALUE)
-    return lo, np.where(np.arange(lo, hi) <= positions[:, None], zero,
-                        blocked)
+    return lo, np.arange(lo, hi) > positions[:, None]
+
+
+def _mask_tile(scores: np.ndarray, tile) -> None:
+    """Set the scores (..., rows, hi) of the keys past each query's
+    position to MASK_VALUE, for a causal block's `tile` from
+    :func:`_tile_mask`. It writes in place without the iteration buffers
+    an add into the strided tile would take; exp sends the masked scores
+    to 0 either way, so the values are those of adding the mask."""
+    lo, blocked = tile
+    np.copyto(scores[..., lo:], scores.dtype.type(MASK_VALUE), where=blocked)
 
 
 class _KeyGradient:
@@ -268,19 +317,26 @@ def _rebuilt_in_backward(node: Node) -> bool:
             or (node.op == "affine" and _rebuilt_in_backward(node.inputs[0])))
 
 
+def _untracked_norms(node: Node) -> list[Node]:
+    """The untracked layer norms a rebuild of `node` (one
+    :func:`_rebuilt_in_backward` names) passes through."""
+    if node.op == "concat_rows":
+        return [norm for part in node.inputs
+                for norm in _untracked_norms(part)]
+    if node.op == "layer_norm":
+        return [] if node.requires_grad else [node]
+    x = node.inputs[0]
+    return _untracked_norms(x) if _rebuilt_in_backward(x) else []
+
+
 def _rebuild_roots(node: Node) -> list[Tensor]:
     """Handles on the arrays a rebuild of `node` (one
     :func:`_rebuilt_in_backward` names) reads that no save holds: the
     input of each untracked layer norm it passes through, on the node
     that made it. A reader that does not save `node` keeps these alive
     in its saves; tracked nodes' own saves hold the rest."""
-    if node.op == "concat_rows":
-        return [root for part in node.inputs for root in _rebuild_roots(part)]
-    x = node.inputs[0]
-    if node.op == "layer_norm":
-        return [] if node.requires_grad else [
-            Tensor(dict(node._weak_arrays)["input"](), x)]
-    return _rebuild_roots(x) if _rebuilt_in_backward(x) else []
+    return [Tensor(dict(norm._weak_arrays)["input"](), norm.inputs[0])
+            for norm in _untracked_norms(node)]
 
 
 def _rebuilt_output(node: Node, norms: dict | None = None) -> np.ndarray:
@@ -289,19 +345,18 @@ def _rebuilt_output(node: Node, norms: dict | None = None) -> np.ndarray:
     own expression: a tracked layer norm's from its saves, an untracked
     one's from its input (:func:`_layer_norm`); an affine's
     (:func:`_affine_sum`) over its rebuilt x, which dies once the sum is
-    formed; a concat's parts, each rebuilt and put at its rows; a GELU's
-    from :func:`_gelu_parts` over its input, saved or rebuilt, which dies
-    once the pass returns. That pass adds the GELU's derivative, which is
-    left on the GELU's saves for its own backward, next on this path
-    (another rebuild replaces it). `norms`, if given, keeps each layer
+    formed; a concat's parts, all rebuilt before they are put at their
+    rows (:func:`_placed`); a GELU's from :func:`_gelu_parts` over its
+    input, saved or rebuilt, which dies once the pass returns. That pass
+    adds the GELU's derivative, which is left on the GELU's saves for its
+    own backward, next on this path (another rebuild replaces it).
+    `norms`, if given, keeps each layer
     norm output rebuilt under it by node id, so that readers of one norm
     (a layer's keys and values) rebuild it once. A tracked node's rebuild
     reads its saves, an untracked one's what its weak references reach."""
     if node.op == "concat_rows":
-        out = np.empty(node.shape, node.dtype)
-        for part, rows in zip(node.inputs, node.meta["rows"]):
-            out[rows] = _rebuilt_output(part, norms)
-        return out
+        return _placed(node, [_rebuilt_output(part, norms)
+                              for part in node.inputs])
     saved = (dict(node._saved_arrays) if node.requires_grad
              else {role: ref() for role, ref in node._weak_arrays})
     if node.op == "layer_norm":
@@ -324,6 +379,14 @@ def _rebuilt_output(node: Node, norms: dict | None = None) -> np.ndarray:
     return out
 
 
+def _placed(node: Node, parts: list[np.ndarray]) -> np.ndarray:
+    """The output of concat_rows `node` from its parts' arrays."""
+    out = np.empty(node.shape, node.dtype)
+    for part, rows in zip(parts, node.meta["rows"]):
+        out[rows] = part
+    return out
+
+
 def _gelu_input(node: Node, saved: dict) -> np.ndarray:
     """A tracked GELU's input: its save, or rebuilt when backward can
     rebuild it (:func:`_rebuilt_in_backward`)."""
@@ -336,16 +399,24 @@ def _affine_sum(x, w, bias, lora) -> tuple[np.ndarray, np.ndarray | None]:
     `bias`, in one array; x @ a, or None without `lora`). The ufuncs and
     their order are those of the chain of matmul, scale and add nodes that
     states the same sum, with the sums taken in place, so the values are
-    equal bit for bit; the forward and the rebuild both form it here."""
+    equal bit for bit; the forward and the rebuild both form it here. The
+    delta is formed and added in near-equal row blocks of at most
+    LORA_BLOCK_BYTES and at least 4 rows, so it never holds a second array
+    of z's size (its rank-wide product is the same per row whole or in
+    such blocks, bar odd output widths in float64)."""
     z = x @ w
     xa = None
     if lora is not None:
         a, b, s = lora
         xa = x @ a
-        t = xa @ b
-        t *= s
-        z += t
-        del t
+        rows = len(z)
+        count = max(1, min(rows // 4, -(-z.nbytes // LORA_BLOCK_BYTES)))
+        bounds = [rows * i // count for i in range(count + 1)]
+        for r0, r1 in zip(bounds, bounds[1:]):
+            t = xa[r0:r1] @ b
+            t *= s
+            z[r0:r1] += t
+            del t
     if bias is not None:
         z += bias
     return z, xa
@@ -426,6 +497,29 @@ def as_matrix(data, dtype=None) -> np.ndarray:
     if arr.ndim != 2:
         raise ShapeError("as_matrix", f"expected 2-D data, got ndim={arr.ndim}")
     return np.ascontiguousarray(arr)
+
+
+class _SweepGradients(dict):
+    """A reverse sweep's gradients of non-parameter nodes, by node id,
+    each pending until the sweep reaches its node, and `into`, the
+    parameter gradients by name, to which :meth:`add_to_parameter` adds
+    each parameter's contribution as its rule forms it."""
+
+    __slots__ = ("into",)
+
+    def __init__(self, into: dict[str, np.ndarray]):
+        super().__init__()
+        self.into = into
+
+    def add_to_parameter(self, name: str, contrib: np.ndarray) -> None:
+        """into[name] += contrib, in place. A missing name gets a copy:
+        `contrib` may be an array another rule still reads (a gradient
+        passed through), which a later in-place add must not change."""
+        acc = self.into.get(name)
+        if acc is None:
+            self.into[name] = contrib.copy()
+        else:
+            acc += contrib
 
 
 class Node:
@@ -685,11 +779,18 @@ class Tape:
         return self._record("elementwise", a.value * float(c), (a,),
                             {"fn": "scale", "c": float(c)})
 
-    def gelu(self, a: Tensor) -> Tensor:
+    def gelu(self, a: Tensor, in_place: bool = False) -> Tensor:
+        """Tanh-form GELU of `a`. With `in_place`, for an untracked op
+        only, the output is written over a's array, which the caller
+        gives up: the op then holds one row block beside it, not a second
+        array of a's size."""
+        if in_place and self.grad_enabled and a.requires_grad:
+            raise EngineError("gelu: in place only without gradients")
         rebuilt = [a] if _rebuilt_in_backward(a.node) else []
         saves = [] if rebuilt else [("input", a.value)]
-        return self._record("elementwise", gelu_array(a.value), (a,),
-                            {"fn": "gelu"}, saves, rebuilt)
+        return self._record("elementwise", gelu_array(a.value, in_place),
+                            (a,), {"fn": "gelu", "in_place": in_place},
+                            saves, rebuilt)
 
     def softmax_rows(self, a: Tensor) -> Tensor:
         z = a.value - a.value.max(axis=1, keepdims=True)
@@ -706,12 +807,14 @@ class Tape:
         is position j, and `positions` holds the positions of the m
         query rows: a query sees every key, or if `causal` the keys at
         its position and before. Query rows run in blocks of
-        ATTENTION_BLOCK_ROWS, every head in one batched matmul, over only
-        the keys some row of the block sees (:func:`_attention_spans`),
-        in one reused block buffer. Only a causal block's diagonal tile
-        is masked (:func:`_tile_mask`): a key past a query's position
-        gets the score MASK_VALUE. The row max doubles as the check for
-        NaN and +inf scores and one min over the block catches -inf, so
+        ATTENTION_BLOCK_ROWS over only the keys some row of the block
+        sees (:func:`_attention_spans`), and a block's heads in groups
+        (:func:`_head_groups`), each group in one batched matmul into one
+        reused buffer of at most ATTENTION_SCORE_BYTES. Only a causal
+        block's diagonal tile is masked (:func:`_tile_mask`): a key past
+        a query's position gets the score MASK_VALUE. Unless
+        scale * max |q_i| * max |k_j| shows that no score can overflow,
+        each group's scores are checked before they are masked, so
         NonFiniteError names any block with a non-finite score. The
         unnormalized probabilities multiply v, and the rows x head width
         output is divided by the row sums (Dao et al. 2022). A tracked
@@ -749,28 +852,43 @@ class Tape:
         qh = _heads(qv, n_heads)
         kt = _heads(kv, n_heads).transpose(0, 2, 1)
         vh, oh = _heads(vv, n_heads), _heads(out, n_heads)
-        buf = np.empty(max((n_heads * (r1 - r0) * hi for r0, r1, hi in spans),
-                           default=0), qv.dtype)
-        for r0, r1, hi in spans:
-            s = buf[:n_heads * (r1 - r0) * hi].reshape(n_heads, r1 - r0, hi)
-            # q is scaled a block at a time: the product is elementwise, so
-            # the values are those of scaling all of q, without its copy
-            np.matmul(qh[:, r0:r1] * scale, kt[..., :hi], out=s)
-            if positions is not None:
-                lo, mask = _tile_mask(positions[r0:r1], hi, qv.dtype)
-                s[..., lo:] += mask
-            top = s.max(axis=2, keepdims=True)
-            if not (_all_finite(top) and np.isfinite(s.min())):
-                raise NonFiniteError("attention", f"scores of rows {r0}:{r1}")
-            s -= top
-            np.exp(s, out=s)
-            total = s.sum(axis=2, keepdims=True)
-            block = oh[:, r0:r1]
-            np.matmul(s, vh[:, :hi], out=block)
-            block /= total
-            np.log(total, out=total)
-            total += top
-            lse[:, r0:r1] = total[..., 0]
+        # |score| <= scale |q_i| |k_j|; with that bound far below the
+        # dtype's largest value (and the squared norms finite) no score can
+        # be non-finite, and the blocks skip checking theirs
+        squares = [float(np.einsum("ij,ij->i", x, x).max(initial=0.0))
+                   for x in (qv, kv)]
+        check = not (scale * math.sqrt(squares[0] * squares[1])
+                     < np.finfo(qv.dtype).max / 4)
+        groups = [_head_groups(n_heads, (r1 - r0) * hi, qv.dtype.itemsize)
+                  for r0, r1, hi in spans]
+        buf = np.empty(max(((h.stop - h.start) * (r1 - r0) * hi
+                            for (r0, r1, hi), heads in zip(spans, groups)
+                            for h in heads), default=0), qv.dtype)
+        for (r0, r1, hi), heads in zip(spans, groups):
+            tile = None if positions is None \
+                else _tile_mask(positions[r0:r1], hi)
+            for h in heads:
+                s = buf[:(h.stop - h.start) * (r1 - r0) * hi].reshape(
+                    h.stop - h.start, r1 - r0, hi)
+                # q is scaled a group's block at a time: the product is
+                # elementwise, so the values are those of scaling all of
+                # q, without its copy
+                np.matmul(qh[h, r0:r1] * scale, kt[h, :, :hi], out=s)
+                # before the mask, which would overwrite a masked key's
+                if check and not _all_finite(s):
+                    raise NonFiniteError("attention",
+                                         f"scores of rows {r0}:{r1}")
+                if tile is not None:
+                    _mask_tile(s, tile)
+                top = s.max(axis=2, keepdims=True)
+                s -= top
+                np.exp(s, out=s)
+                total = s.sum(axis=2, keepdims=True)
+                block = oh[h, r0:r1]
+                np.matmul(s, vh[h, :hi], out=block)
+                block /= total
+                np.log(total[..., 0], out=lse[h, r0:r1])
+                lse[h, r0:r1] += top[..., 0]
         saves = [("lse", lse), ("q", qv)]
         if positions is not None:
             saves.append(("positions", positions))
@@ -890,14 +1008,16 @@ class Tape:
         """Reverse accumulation from a scalar loss node.
 
         Each trainable parameter's gradient is added into ``into[name]``
-        in place (or stored there, if the name is missing) as soon as the
-        reverse sweep reaches the parameter, so no parameter gradient is
-        held past its own node. Returns `into`, or a fresh dict of the
-        gradients, keyed by name, when none is passed. If an exception
-        stops the sweep, `into` keeps what was already added. Nodes with
-        ``requires_grad = False`` are constants: their inputs receive no
-        contribution. Gradients w.r.t. tracked non-parameter leaves are
-        kept for inspection via :meth:`grad_of`.
+        in place (or stored there, if the name is missing) inside the
+        backward rule that forms it (:class:`_SweepGradients`), so no
+        parameter gradient waits for the sweep to reach the parameter's
+        leaf, which is recorded at the parameter's first use. Returns
+        `into`, or a fresh dict of the gradients, keyed by name, when none
+        is passed. If an exception stops the sweep, `into` keeps what was
+        already added. Nodes with ``requires_grad = False`` are
+        constants: their inputs receive no contribution. Gradients w.r.t.
+        tracked non-parameter leaves are kept for inspection via
+        :meth:`grad_of`.
         """
         if self._backward_done:
             raise BackwardError("backward already ran on this tape; re-record first")
@@ -907,26 +1027,17 @@ class Tape:
             raise BackwardError("loss does not require grad")
         self._backward_done = True
 
-        grads: dict[int, np.ndarray] = {
-            loss.node.idx: np.ones((1, 1), dtype=loss.value.dtype)
-        }
         store = {} if into is None else into
+        grads = _SweepGradients(store)
+        grads[loss.node.idx] = np.ones((1, 1), dtype=loss.value.dtype)
         self._leaf_grads = {}
 
         for node in reversed(self.nodes):
             g = grads.pop(node.idx, None)
             if g is None or not node.requires_grad:
                 continue
-            if node.op == "param":
-                acc = store.get(node.name)
-                if acc is None:
-                    store[node.name] = g
-                else:
-                    acc += g
-            elif node.op == "input":
+            if node.op == "input":
                 self._leaf_grads[node.idx] = g
-            elif node.op == "const":
-                pass
             else:
                 self._backprop(node, g, grads)
                 node._saved_arrays = None  # release the activation cache
@@ -937,8 +1048,11 @@ class Tape:
         return self._leaf_grads.get(t.node.idx)
 
     @staticmethod
-    def _accum(grads, node, contrib):
+    def _accum(grads: _SweepGradients, node, contrib):
         if not node.requires_grad:
+            return
+        if node.op == "param":
+            grads.add_to_parameter(node.name, contrib)
             return
         prev = grads.get(node.idx)
         # First write keeps the (possibly aliased) array; merging allocates.
@@ -1038,12 +1152,16 @@ class Tape:
                          grads) -> None:
         """The rules of the chain of nodes that states an affine, in its
         backward order: the bias add (column sums of g); with LoRA the
-        delta's add, scale and two matmuls, gs = g * s, dB = xa^T gs,
-        dxa = gs B^T, dA = x^T dxa, dx += dxa A^T; then the base matmul,
-        dW = x^T g, dx += g W^T. Each term of dx is its own accumulation,
-        in that order, so x's gradient sums its readers' terms in the
-        chain's order, bit for bit. A rebuilt x is formed once, for dA
-        and dW, and freed before dx."""
+        delta's add, scale and two matmuls, dB = s (xa^T g),
+        dxa = s (g B^T), dA = x^T dxa, dx += dxa A^T; then the base
+        matmul, dW = x^T g, dx += g W^T. Each term of dx is its own
+        accumulation, in that order, so x's gradient sums its readers'
+        terms in the chain's order, bit for bit. The scale is applied to
+        the rank-wide products, not to g, so no rows x d_out copy of g is
+        made; for a power-of-two s (the default alpha / r = 2) scaling is
+        exact and the values are the chain's (which scales g first) bit
+        for bit, for another s they may differ in the last bit. A rebuilt
+        x is formed once, for dA and dW, and freed before dx."""
         x, w, *rest = node.inputs
         s = node.meta.get("scaling")
         a, b = rest[:2] if s is not None else (None, None)
@@ -1052,13 +1170,13 @@ class Tape:
         if bias is not None and bias.requires_grad:
             self._accum(grads, bias, g.sum(axis=0, keepdims=True))
         dxa = None
-        if s is not None and (x.requires_grad or train_a or b.requires_grad):
-            gs = g * s
-            if b.requires_grad:
-                self._accum(grads, b, saved["xa"].T @ gs)
-            if x.requires_grad or train_a:
-                dxa = gs @ saved["b"].T
-            del gs
+        if s is not None and b.requires_grad:
+            db = saved["xa"].T @ g
+            db *= s
+            self._accum(grads, b, db)
+        if s is not None and (x.requires_grad or train_a):
+            dxa = g @ saved["b"].T
+            dxa *= s
         if w.requires_grad or train_a:
             xv = (_rebuilt_output(x) if _rebuilt_in_backward(x)
                   else saved["x"])
@@ -1094,7 +1212,11 @@ class Tape:
         only for its tracked parts' rows, added straight into those parts
         (:class:`_KeyGradient`). One the node did not save is rebuilt
         first (:func:`_rebuilt_output`), keys and values sharing each
-        rebuilt norm output, which dies before the first head."""
+        rebuilt norm output. The untracked norms are rebuilt before
+        anything else, so the roots are freed before the keys are formed;
+        the values' parts are formed before their buffer, and the norms
+        freed in between. The keys, values and per-head buffers die
+        before the gradients are handed on."""
         q, k, v = node.inputs
         n_heads = node.meta["n_heads"]
         scale = node.meta["scale"]
@@ -1102,17 +1224,29 @@ class Tape:
         positions = saved.get("positions")
         lse, qv, kv, vv = saved["lse"], saved["q"], saved.get("k"), \
             saved.get("v")
+        needs_v = q.requires_grad or k.requires_grad
+        rebuilt = ([k] if kv is None else []) \
+            + ([v] if vv is None and needs_v else [])
         norms = {}
+        for x in rebuilt:
+            for norm in _untracked_norms(x):
+                _rebuilt_output(norm, norms)
+        # no rebuild reads a root past here: free them
+        node._saved_arrays = None
+        saved.pop("root", None)
         if kv is None:
             kv = _rebuilt_output(k, norms)
-        if vv is None and (q.requires_grad or k.requires_grad):
-            vv = _rebuilt_output(v, norms)
+        if vv is None and needs_v:
+            parts = [_rebuilt_output(part, norms) for part in v.inputs]
+            norms.clear()
+            vv = _placed(v, parts)
+            del parts
         del norms
         m, n = q.shape[0], k.shape[0]
         w = q.shape[1] // n_heads
         dtype = node.dtype
         tiles = [None if positions is None
-                 else _tile_mask(positions[r0:r1], hi, dtype)
+                 else _tile_mask(positions[r0:r1], hi)
                  for r0, r1, hi in spans]
         dq = np.empty(q.shape, dtype) if q.requires_grad else None
         dq_h = np.empty((m, w), dtype) if dq is not None else None
@@ -1141,7 +1275,7 @@ class Tape:
                          for buf in (p_buf, dp_buf))
                 np.matmul(qa[r0:r1], ka[:hi].T, out=p)
                 if tile is not None:
-                    p[:, tile[0]:] += tile[1]
+                    _mask_tile(p, tile)
                 np.exp(p, out=p)
                 total = (p @ ka[:hi, w])[:, None]
                 gb = gh[r0:r1] / total
@@ -1160,6 +1294,9 @@ class Tape:
                 np.multiply(dq_h, scale, out=dq[:, c])
             for grad in formed:
                 grad.grad[:, c] = grad.head
+        del kv, vv, tiles, dq_h, p_buf, dp_buf, qa, ka, gh, vh
+        for grad in formed:
+            grad.head = None
         if dq is not None:
             self._accum(grads, q, dq)
         for grad in formed:
@@ -1231,38 +1368,42 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     bytes, bytes retained at the end of the forward pass, which
     :meth:`Tape.retained_bytes` breaks down). The backward phase is
     modeled as the retained set plus two transient gradient buffers of the
-    largest node; parameter gradients are not charged, since backward adds
-    each into the caller's accumulator as soon as it is complete.
+    largest node; parameter gradients are not charged, since each backward
+    rule adds them into the caller's accumulator as it forms them.
     Parameters are excluded (accounted as persistent elsewhere); constants
-    count until their last use. A feed-forward block run without gradients
-    is recorded as row blocks (``model.FFN_BLOCK_ROWS``) joined by
-    concat_rows, so the replay sees one block's hidden arrays live at a
-    time, as they are.
+    count until their last use. A node that writes over its input (an
+    untracked GELU in place) takes over the input's bytes. A feed-forward
+    block run without gradients is recorded as row blocks
+    (``model.FFN_BLOCK_ROWS``) joined by concat_rows, its GELU in place,
+    so the replay sees one block's hidden array live at a time, as it is.
     Temporaries inside an op are not modeled: softmax buffers,
     attention's block buffers (sized by the largest block: in forward one
-    heads x ATTENTION_BLOCK_ROWS x hi block, in backward two
-    ATTENTION_BLOCK_ROWS x hi head buffers), its causal diagonal-tile
-    masks (rows x (hi - lo) per block: one in forward, every block's in
-    backward), the scaled queries, in backward one head's columns of q
-    (with the log-sum-exp), k, v and g, and its key and value gradients
-    at their formed rows (with one head's columns of each), an affine's
-    LoRA delta (one output-sized array in forward, and g * s in
-    backward), a layer norm's or GELU's output that an affine's backward
-    rebuilds (one rows x cols array, freed once that affine's weight or
-    factor gradients are formed), a GELU's rebuilt input, the feed-forward
-    pre-activation (rows x d_ff), and the layer norm output it is rebuilt
-    from (rows x d, freed once the pre-activation is formed), live from
-    W2's backward, or the GELU's own, until the GELU's parts are formed,
-    the keys and values an attention rebuilds (n x d each, assembled from
-    their parts, each rebuilt and freed in turn: the unselected
-    (n - k) x d and the selected k x d), live until its backward returns,
-    and the norm outputs they are rebuilt from ((n - k) x d and k x d,
+    head group's ATTENTION_BLOCK_ROWS x hi scores, at most
+    ATTENTION_SCORE_BYTES unless one head's are more, and its scaled
+    queries, in backward two ATTENTION_BLOCK_ROWS x hi head buffers), its
+    causal diagonal-tile masks (rows x (hi - lo) booleans per block: one
+    or two in forward, every block's in backward), in backward one head's
+    columns of q (with the log-sum-exp), k, v and g, and its key and value
+    gradients at their formed rows (with one head's columns of each), an
+    affine's LoRA delta (one row block of LORA_BLOCK_BYTES in
+    forward; in backward only the rank-wide products), a layer norm's or
+    GELU's output that an affine's backward rebuilds (one rows x cols
+    array, freed once that affine's weight or factor gradients are
+    formed), a GELU's rebuilt input, the feed-forward pre-activation
+    (rows x d_ff), and the layer norm output it is rebuilt from (rows x d,
+    freed once the pre-activation is formed), live from W2's backward, or
+    the GELU's own, until the GELU's parts are formed, the norm outputs an
+    attention rebuilds its keys and values from ((n - k) x d and k x d,
     with an untracked norm's centred input and its square while it is
-    formed), freed once both are formed,
-    the GELU derivative that a rebuild or the GELU's own backward forms
-    (one rows x cols array, held until it becomes the GELU's input
-    gradient), and the scratch of the pass that forms it (one row block
-    of GELU_BLOCK_BYTES or one row, freed when the pass returns).
+    formed; the untracked ones first, after which its roots are freed),
+    the keys and values (n x d each, each from its parts, all rebuilt
+    before they are put in place: the unselected (n - k) x d and the
+    selected k x d; the norms are freed once the values' parts are
+    formed), live until its head loop ends, the GELU derivative that a
+    rebuild or the GELU's own backward forms (one rows x cols array, held
+    until it becomes the GELU's input gradient), and the scratch of the
+    pass that forms it and of a value it forms in place (one row block of
+    GELU_BLOCK_BYTES or one row each, freed when the pass returns).
     """
     last_use: dict[int, int] = {}
     for node in tape.nodes:
@@ -1277,13 +1418,14 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     for node in tape.nodes:
         nbytes = node.nbytes
         max_node_bytes = max(max_node_bytes, nbytes)
-        if node.op != "param":
+        taken = node.inputs[0] if node.meta.get("in_place") else None
+        if node.op != "param" and taken is None:
             running += nbytes
         running += node.fresh_bytes
         peak = max(peak, running)
         for dead in {*node.inputs, node}:
             if (last_use[dead.idx] == node.idx and dead.op != "param"
-                    and dead.idx not in retained):
+                    and dead.idx not in retained and dead is not taken):
                 running -= dead.nbytes
     retained_end = running
     peak = max(peak, retained_end + 2 * max_node_bytes)

@@ -23,13 +23,14 @@ INIT_STD = 0.02
 
 #: Rows per block of a feed-forward block run without gradients, with or
 #: without adapters. Nothing is saved then, so rows are independent, and
-#: running near-equal row blocks of at most this many rows bounds the two
-#: rows x d_ff arrays live at once. Every block has more than half this
-#: many rows: with OpenBLAS, products of 1-3 rows can differ from the
-#: whole array's in the last bits, while the base weights' products of 4
-#: or more rows are equal to them bit for bit. A LoRA factor's narrow
-#: product (rows x d_in times d_in x rank) can change in its last bits
-#: with the row count, so an adapted block's rows may too.
+#: running near-equal row blocks of at most this many rows bounds the
+#: rows x d_ff array live at once (GELU writes over the pre-activation).
+#: Every block has more than half this many rows: with OpenBLAS, products
+#: of 1-3 rows can differ from the whole array's in the last bits, while
+#: the base weights' products of 4 or more rows are equal to them bit for
+#: bit. A LoRA factor's narrow product (rows x d_in times d_in x rank) can
+#: change in its last bits with the row count, so an adapted block's rows
+#: may too.
 FFN_BLOCK_ROWS = 256
 
 
@@ -179,10 +180,12 @@ def attend_project(tape: Tape, model: TransformerModel, layer: int,
                    q: Tensor, k: Tensor, v: Tensor,
                    positions: np.ndarray) -> Tensor:
     """Attention of `q`, the queries at `positions`, over `k`/`v`, key j
-    at position j; then the output affine."""
+    at position j; then the output affine, with `k` and `v` no longer
+    held here."""
     base = f"layers.{layer}.attn"
     cfg = model.config
     mixed = attend_heads(tape, q, k, v, positions, cfg.causal, cfg.n_heads)
+    del q, k, v
     return affine(tape, model, mixed, f"{base}.w_o", f"{base}.b_o")
 
 
@@ -190,18 +193,20 @@ def _ffn_rows(tape: Tape, model: TransformerModel, layer: int,
               h: Tensor) -> Tensor:
     base = f"layers.{layer}.ffn"
     hidden = affine(tape, model, h, f"{base}.w1", f"{base}.b1")
-    # a row block's copy dies here, before GELU and the w2 affine run; the
-    # rebinding frees the pre-GELU value once GELU has read it
+    # a row block's copy dies here, before GELU and the w2 affine run;
+    # without gradients nothing else reads the pre-GELU value, so GELU
+    # writes over it, and otherwise the rebinding frees it once GELU has
+    # read it
     del h
-    hidden = tape.gelu(hidden)
+    hidden = tape.gelu(hidden, in_place=not tape.grad_enabled)
     return affine(tape, model, hidden, f"{base}.w2", f"{base}.b2")
 
 
 def ffn(tape: Tape, model: TransformerModel, layer: int, h: Tensor) -> Tensor:
     """GELU feed-forward block. Without gradients it runs over near-equal
     blocks of at most FFN_BLOCK_ROWS rows, joined by `concat_rows`: the
-    same builders, with one block's hidden arrays alive at a time instead
-    of all rows'."""
+    same builders, with one block's hidden array alive at a time instead
+    of all rows' two."""
     rows = h.value.shape[0]
     count = -(-rows // FFN_BLOCK_ROWS)
     if tape.grad_enabled or count < 2:

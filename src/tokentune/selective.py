@@ -96,44 +96,54 @@ def tokentune_attention(tape: Tape, model: TransformerModel, layer: int,
                         split: SplitHidden) -> SplitHidden:
     """Residual attention update; unselected K/V/queries are constants.
 
-    Each handle is dropped at its last use, so the unselected path's
-    attention runs without the selected path's dead arrays, and the
-    joined keys and values die on return: the selected queries'
-    attention saves `split.h_gbar` to rebuild them in backward. With no
-    unselected rows the selected keys and values are used as they are.
-    In the last layer nothing reads the unselected rows past their keys
-    and values: they get no query and no attention of theirs, and the
-    returned split has no unselected block."""
+    Each handle is dropped at its last use: an unselected key or value
+    part right after its concat, the selected ones with it, and the
+    unselected queries and the joined keys and values when the last
+    attention that reads them returns, before its output affine (they are
+    handed to it with `pop`, which leaves no reference here). So the
+    unselected path's attention runs without the selected path's dead
+    arrays, and the selected queries' attention saves `split.h_gbar` to
+    rebuild the keys and values in backward. With no unselected rows the
+    selected keys and values are used as they are. In the last layer
+    nothing reads the unselected rows past their keys and values: they
+    get no query and no attention of theirs, the selected queries read
+    the keys and values last, and the returned split has no unselected
+    block."""
     with tape.region(f"layer.{layer}.attn"):
         q_g, k_g, v_g = qkv(tape, model, layer,
                             norm_block(tape, model, layer, 1, split.h_g))
-        q_gb = None  # the unselected queries; the last layer has none
+        q_gb = []  # the unselected queries; the last layer has none
         if split.h_gbar is not None:
             last = layer == model.config.n_layers - 1
-            *q, k_gb, v_gb = _unselected_qkv(tape, model, layer, split.h_gbar,
-                                             "kv" if last else "qkv")
-            q_gb = q[0] if q else None
+            *q_gb, k_gb, v_gb = _unselected_qkv(tape, model, layer,
+                                                split.h_gbar,
+                                                "kv" if last else "qkv")
             # keys in position order, so a causal block of queries sees a
             # prefix of them and attention skips the rest
             rows = (split.partition.unselected, split.partition.selected)
-            keys = tape.concat_rows([k_gb, k_g], rows)
-            vals = tape.concat_rows([v_gb, v_g], rows)
-            del q, k_gb, v_gb
+            kv = [tape.concat_rows([k_gb, k_g], rows)]
+            del k_gb, k_g
+            kv.append(tape.concat_rows([v_gb, v_g], rows))
+            del v_gb, v_g
         else:
-            keys, vals = k_g, v_g
-        del k_g, v_g
+            kv = [k_g, v_g]
+            del k_g, v_g
 
-        new_g = tape.add(split.h_g, attend_project(
-            tape, model, layer, q_g, keys, vals, split.partition.selected))
-        del q_g
+        selected = split.partition.selected
+        if q_gb:  # the unselected queries read the keys and values last
+            attn_g = attend_project(tape, model, layer, q_g, *kv, selected)
+        else:
+            attn_g = attend_project(tape, model, layer, q_g, kv.pop(0),
+                                    kv.pop(0), selected)
+        new_g = tape.add(split.h_g, attn_g)
+        del q_g, attn_g
 
         new_gbar = None
-        if q_gb is not None:
+        if q_gb:
             with tape.no_grad():
-                attn_gb = attend_project(tape, model, layer, q_gb, keys, vals,
-                                         split.partition.unselected)
-                del q_gb
-                new_gbar = tape.add(split.h_gbar, attn_gb)
+                new_gbar = tape.add(split.h_gbar, attend_project(
+                    tape, model, layer, q_gb.pop(), kv.pop(0), kv.pop(0),
+                    split.partition.unselected))
     return SplitHidden(new_g, new_gbar, split.partition)
 
 
@@ -141,9 +151,9 @@ def tokentune_ffn(tape: Tape, model: TransformerModel, layer: int,
                   split: SplitHidden) -> SplitHidden:
     """Residual feed-forward update; normalization follows the same split.
 
-    The unselected rows run first: their hidden arrays, the widest
-    transients of a TokenTune step, then peak before the selected rows
-    of this layer have saved anything for backward."""
+    The unselected rows run first: their hidden array per row block,
+    among the widest transients of a TokenTune step, then peaks before
+    the selected rows of this layer have saved anything for backward."""
     with tape.region(f"layer.{layer}.ffn"):
         new_gbar = None
         if split.h_gbar is not None:

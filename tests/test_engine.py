@@ -11,8 +11,9 @@ from tokentune import engine
 from tokentune.adapters import attach
 from tokentune.config import ModelConfig
 from tokentune.engine import (ATTENTION_BLOCK_ROWS, MASK_VALUE,
-                              BackwardError, NonFiniteError, ShapeError,
-                              Tape, gelu_array, simulate_peak_bytes)
+                              BackwardError, EngineError, NonFiniteError,
+                              ShapeError, Tape, gelu_array,
+                              simulate_peak_bytes)
 from tokentune.model import build_model
 from tokentune.model import ffn as ffn_block
 from tokentune.verify import (_CacheUntrackedTape, finite_diff_grad,
@@ -361,7 +362,7 @@ def chain_affine(t, x, w, bias, lora):
 AFFINE_ROWS, AFFINE_IN, AFFINE_OUT, AFFINE_RANK = 37, 24, 40, 3
 
 
-def affine_readers(dtype, source, trains, record):
+def affine_readers(dtype, source, trains, record, scaling=2.0):
     """(tape, source leaf, the readers' (x, w, bias, lora) operands, their
     outputs, loss): three `record` affines of one x (a tracked input, or
     a tracked layer norm's or GELU's output of it), joined by concat_cols
@@ -392,7 +393,7 @@ def affine_readers(dtype, source, trains, record):
             lora = (param(f"a{i}", (AFFINE_IN, AFFINE_RANK),
                           trains == "factors"),
                     param(f"b{i}", (AFFINE_RANK, AFFINE_OUT),
-                          trains == "factors"), 1.75)
+                          trains == "factors"), scaling)
         operands.append((x, w, param(f"bias{i}", (1, AFFINE_OUT)), lora))
     outs = [record(t, *args) for args in operands]
     targets = r.integers(0, 3 * AFFINE_OUT, size=AFFINE_ROWS)
@@ -438,6 +439,26 @@ def test_affine_is_one_node_equal_to_its_chain_in_value_and_gradient(
     assert untracked.op == "affine" and not untracked.requires_grad
     assert untracked.retains == () and untracked.fresh_bytes == 0
     assert bits(untracked.value) == bits(ref_outs[0].value)
+
+
+@pytest.mark.parametrize("trains", ["lora-w", "factors"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_affine_off_a_power_of_two_scaling_matches_its_chain_to_rounding(
+        dtype, trains):
+    # the backward scales the rank-wide products, where the chain scales
+    # g: exact, so bit for bit, only for a power-of-two scaling
+    t, leaf, _, outs, loss = affine_readers(dtype, "input", trains,
+                                            Tape.affine, scaling=1.75)
+    ref, ref_leaf, _, ref_outs, ref_loss = affine_readers(
+        dtype, "input", trains, chain_affine, scaling=1.75)
+    for got, want in zip(outs, ref_outs):
+        assert bits(got.value) == bits(want.value)
+    grads, ref_grads = t.backward(loss), ref.backward(ref_loss)
+    # to rounding: within 50 units in the last place of the largest entry
+    tol = 50 * np.finfo(dtype).eps
+    pairs = [(grads[name], ref_grads[name]) for name in grads]
+    for got, want in pairs + [(t.grad_of(leaf), ref.grad_of(ref_leaf))]:
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
 def test_no_grad_affine_keeps_the_matmul_and_finiteness_checks():
@@ -854,9 +875,9 @@ def test_tracked_ffn_forward_and_backward_run_the_gelu_pass_twice(
     calls = []
     real_pass = engine._gelu_pass
 
-    def counting_pass(x, derivative):
+    def counting_pass(x, derivative, *rest):
         calls.append(derivative)
-        return real_pass(x, derivative)
+        return real_pass(x, derivative, *rest)
 
     monkeypatch.setattr(engine, "_gelu_pass", counting_pass)
     t, loss = ffn_graph(model, rng_for(17).normal(size=(GELU_ROWS, 8)))
@@ -886,9 +907,23 @@ def test_gelu_pass_is_bit_equal_whole_or_in_row_blocks(monkeypatch, dtype):
     # blocks of 5 rows, the last of 2
     monkeypatch.setattr(engine, "GELU_BLOCK_BYTES", 5 * z[:1].nbytes)
     blocked = engine._gelu_parts(z)
+    # in place: each block formed in scratch, then written over z's
+    over = z.copy()
+    assert gelu_array(over, in_place=True) is over
     assert bits(whole_value) == bits(whole[0]) == bits(blocked[0]) \
-        == bits(gelu_array(z))
+        == bits(gelu_array(z)) == bits(over)
     assert bits(whole[1]) == bits(blocked[1])
+
+
+def test_gelu_writes_in_place_only_over_an_untracked_input():
+    t = Tape()
+    x = t.input(np.ones((2, 3)))
+    with pytest.raises(EngineError):
+        t.gelu(x, in_place=True)
+    with t.no_grad():
+        out = t.gelu(t.add(x, x), in_place=True)
+    assert not out.requires_grad
+    assert bits(out.value) == bits(gelu_array(np.full((2, 3), 2.0)))
 
 
 @pytest.mark.parametrize("dtype,big", [

@@ -11,6 +11,7 @@ recorded node, on top of the relative tolerance REL_TOL either way.
 
 import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -314,16 +315,21 @@ def test_eval_hidden_never_holds_the_whole_forward(model, example):
 def test_tokentune_step_peaks_at_one_unselected_ffn_block_above_backward_entry(
         monkeypatch, dtype):
     # Above what backward starts from, a step holds only the widest op of
-    # the unselected (no-grad) path in flight: the FFN's two hidden arrays
-    # for one row block, four (n - k) x d row arrays (the residual, the
-    # FFN's input and two outputs in flight) and one ufunc buffer. Dead
-    # projections kept through unselected attention, an m x n float mask
-    # or a scaled copy of q would each add (n - k) x d arrays to it.
+    # the unselected (no-grad) path in flight: the FFN's one hidden array
+    # for one row block (GELU writes over the pre-activation) and its GELU
+    # pass's row block of scratch, four (n - k) x d row arrays (the
+    # residual, the FFN's input and two outputs in flight) and one ufunc
+    # buffer. Dead projections kept through unselected attention, an
+    # m x n float mask or a scaled copy of q would each add to it. Here
+    # the unselected attention's one group of scores (all 4 heads, at
+    # n = 128) is about as wide as the FFN block, so a second hidden
+    # array shows in test_no_grad_ffn_holds_one_row_block_of_hidden_arrays
+    # rather than here.
     cfg = lm_config()
     itemsize = np.dtype(dtype).itemsize
     block = min(N - K, FFN_BLOCK_ROWS)
-    bound = (2 * block * cfg.d_ff + 4 * (N - K) * cfg.d_model
-             + UFUNC_BUFFER_ELEMENTS) * itemsize
+    bound = (block * cfg.d_ff + 4 * (N - K) * cfg.d_model
+             + UFUNC_BUFFER_ELEMENTS) * itemsize + engine.GELU_BLOCK_BYTES
     batch = lm_profile_batch(N, 1, seed=3)
     trainer = Trainer(build_model(cfg, seed=3, dtype=dtype),
                       TrainConfig(regime="tokentune", k=K, batch_size=1,
@@ -387,13 +393,14 @@ def test_no_grad_ffn_holds_one_row_block_of_hidden_arrays(dtype):
     sizes = [part.shape[0] for part in out.node.inputs]
     assert out.op == "concat_rows" and len(sizes) == 3
     hidden = max(sizes) * d_ff * itemsize
-    # beside one block's two hidden arrays and the output: the finished
-    # blocks' outputs awaiting the concat, the block's own row arrays, a
-    # ufunc buffer and the graph's records (the whole-array FFN held two
-    # rows x d_ff arrays, three times as much)
+    # beside one block's hidden array (GELU writes over the pre-activation)
+    # and the output: GELU's row block of scratch, the finished blocks'
+    # outputs awaiting the concat, the block's own row arrays, a ufunc
+    # buffer and the graph's records (the whole-array FFN held two rows x
+    # d_ff arrays, six times as much)
     slack = (2 * rows * d + UFUNC_BUFFER_ELEMENTS) * itemsize \
-        + GRAPH_BYTES_PER_NODE * len(tape.nodes)
-    assert peak <= out.value.nbytes + 2 * hidden + slack, (peak, hidden)
+        + engine.GELU_BLOCK_BYTES + GRAPH_BYTES_PER_NODE * len(tape.nodes)
+    assert peak <= out.value.nbytes + hidden + slack, (peak, hidden)
 
 
 @pytest.mark.parametrize("regime", ["full", "tokentune"])
@@ -441,18 +448,166 @@ def test_gelu_parts_hold_two_outputs_and_one_row_block_of_scratch(dtype):
         <= 2 * x.nbytes + scratch + 2 * GRAPH_BYTES_PER_NODE, peak
 
 
-def test_backward_holds_no_parameter_gradient_past_its_node(model, example):
-    # TokenTune at k = n/8; in the full regime at these shapes attention's
-    # backward block buffers alone outweigh the parameter gradients
+def test_backward_holds_no_parameter_gradient_past_its_node(monkeypatch,
+                                                            model, example):
+    # TokenTune at k = n/8, whose parameter leaves are recorded at their
+    # first use, in the unselected (no-grad) path, long before their
+    # tracked readers: each rule adds its parameter gradients into the
+    # accumulator, so none is ever pending in the sweep. In the full
+    # regime at these shapes attention's backward block buffers alone
+    # outweigh the parameter gradients
     tape = Tape()
     loss = record_loss(tape, model, example, "tokentune")
+    params = {node.idx for node in tape.nodes if node.op == "param"}
+    pending = []
+    backprop = Tape._backprop
+
+    def checked(self, node, g, grads):
+        backprop(self, node, g, grads)
+        pending.extend(params & grads.keys())
+
+    monkeypatch.setattr(Tape, "_backprop", checked)
     accum = {name: np.zeros_like(arr)
              for name, arr in model.trainable_arrays()}
     grad_bytes = sum(arr.nbytes for arr in accum.values())
     with Traced() as traced:
         tape.backward(loss, into=accum)
         peak = traced.peak()
+    assert pending == []
+    assert all(np.any(accum[node.name]) for node in tape.nodes
+               if node.op == "param" and node.requires_grad)
     assert peak < grad_bytes, (peak, grad_bytes)
+
+
+def test_adapted_affine_backward_makes_no_scaled_copy_of_g():
+    # dB = s (xa^T g) and dxa = s (g B^T): no rows x d_out copy g * s;
+    # at s = 2 the gradients are those of scaling g first, bit for bit
+    rows, d_in, d_out, rank, s = 512, 16, 512, 4, 2.0
+    r = np.random.default_rng(12)
+    tape = Tape()
+    x = tape.input(r.normal(size=(rows, d_in)))
+    w = tape.param("w", r.normal(size=(d_in, d_out)), trainable=False)
+    a = tape.param("a", r.normal(size=(d_in, rank)))
+    b = tape.param("b", r.normal(size=(rank, d_out)))
+    out = tape.affine(x, w, None, (a, b, s))
+    g = r.normal(size=(rows, d_out))
+    grads = {}
+    with Traced() as traced:
+        tape._backprop(out.node, g, engine._SweepGradients(grads))
+        peak = traced.peak()
+    xa = x.value @ a.value
+    dxa = (g * s) @ b.value.T
+    assert np.array_equal(grads["b"], xa.T @ (g * s))
+    assert np.array_equal(grads["a"], x.value.T @ dxa)
+    # beside the gradients of b, a and x (the two terms of x's and their
+    # sum), dxa, and the small ones: far below a copy of g
+    assert peak < g.nbytes // 4, peak
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("causal", [True, False],
+                         ids=["causal", "bidirectional"])
+def test_attention_forward_holds_one_head_groups_score_block(dtype, causal):
+    # every position a query, so a causal block's diagonal tile is
+    # ATTENTION_BLOCK_ROWS square
+    n, d, heads = 512, 256, 8
+    r = np.random.default_rng(13)
+    tape = Tape()
+    q, k, v = (tape.input(r.normal(size=(n, d)).astype(dtype))
+               for _ in range(3))
+    with tape.no_grad(), Traced() as traced:
+        out = tape.attention(q, k, v, np.arange(n), causal, heads)
+        peak = traced.peak()
+    itemsize = np.dtype(dtype).itemsize
+    rows = ATTENTION_BLOCK_ROWS
+    lse = heads * n * itemsize
+    scores = engine.ATTENTION_SCORE_BYTES
+    # a block of all heads' scores, as before, is 4 or 8 times as much
+    assert 4 * scores <= heads * rows * n * itemsize
+    # beside the output, the lse and one group's scores: scaled queries
+    # of at most a block's rows and heads, two diagonal tiles' booleans,
+    # the ufunc buffers of dividing a strided block of the output by the
+    # row sums (up to two), the positions and the node record
+    slack = (rows * d + 2 * UFUNC_BUFFER_ELEMENTS) * itemsize \
+        + 2 * rows * rows + n * 8 + GRAPH_BYTES_PER_NODE
+    assert peak <= out.value.nbytes + lse + scores + slack, peak
+
+
+def test_unselected_keys_and_values_die_before_their_output_affine(
+        monkeypatch, model, example):
+    # the unselected queries' attention is the last to read a layer's
+    # joined keys and values: they die when it returns, before its W_o
+    # affine runs
+    joined: dict[str, list] = {}
+    concat, affine = Tape.concat_rows, Tape.affine
+
+    def recording_concat(self, parts, rows=None):
+        out = concat(self, parts, rows)
+        if self._label().endswith(".attn"):
+            joined.setdefault(self._label(), []).append(weakref.ref(out.value))
+        return out
+
+    seen = []
+
+    def checking_affine(self, x, w, bias=None, lora=None):
+        if w.name.endswith(".attn.w_o") and not self.grad_enabled:
+            seen.append([ref() is None for ref in joined[self._label()]])
+        return affine(self, x, w, bias, lora)
+
+    monkeypatch.setattr(Tape, "concat_rows", recording_concat)
+    monkeypatch.setattr(Tape, "affine", checking_affine)
+    record_loss(Tape(), model, example, "tokentune")
+    # every layer but the last has unselected queries
+    assert seen == [[True, True]] * (model.config.n_layers - 1)
+
+
+def test_attention_backward_frees_its_root_before_its_head_loop(
+        monkeypatch, model, example):
+    # the unselected layer input that a tracked attention saves to rebuild
+    # its keys and values dies once the norms are rebuilt from it
+    tape = Tape()
+    loss = record_loss(tape, model, example, "tokentune")
+    roots = {node.idx: weakref.ref(dict(node._saved_arrays)["root"])
+             for node in tape.nodes
+             if node.op == "attention" and node.requires_grad}
+    assert len(roots) == model.config.n_layers
+    current, freed = [], []
+    attention, key_gradient = Tape._backprop_attention, \
+        engine._KeyGradient.__init__
+
+    def tracking(self, node, *args):
+        current.append(node.idx)
+        return attention(self, node, *args)
+
+    def checking(self, node, width):
+        freed.append(roots[current[-1]]() is None)
+        key_gradient(self, node, width)
+
+    monkeypatch.setattr(Tape, "_backprop_attention", tracking)
+    monkeypatch.setattr(engine._KeyGradient, "__init__", checking)
+    tape.backward(loss)
+    assert sorted(set(current)) == sorted(roots)
+    assert freed and all(freed)
+
+
+def test_tokentune_step_peak_at_the_benchmark_shapes():
+    # one warmed TokenTune step of one example at the lm-long benchmark
+    # workload's shapes: the unselected path's transients (a head group's
+    # attention scores, one FFN hidden array per row block) and
+    # attention's backward rebuild stay under this bound, 4.85 MB
+    cfg = ModelConfig(vocab_size=257, max_positions=512, d_model=256,
+                      n_heads=8, d_ff=1024, n_layers=4, causal=True,
+                      n_classes=None)
+    train = TrainConfig(regime="tokentune", k=64, batch_size=1,
+                        learning_rate=3e-4, seed=11, dtype="float32")
+    trainer = Trainer(build_model(cfg, seed=11, dtype="float32"), train,
+                      "lm")
+    batch = lm_profile_batch(512, 1, seed=11)
+    trainer.train_step(batch)  # first step allocates nothing new
+    with Traced() as traced:
+        trainer.train_step(batch)
+        peak = traced.peak()
+    assert peak <= 4_850_000, peak
 
 
 @pytest.mark.parametrize("regime", ["full", "tokentune"])
