@@ -38,7 +38,8 @@ Cache policy per primitive, as (what backward reads):
                    reader also yields its derivative, which its backward
                    then multiplies by g in place; unread by such a
                    reader, it runs that pass itself, over its input
-                   rebuilt if unsaved, which dies when the pass returns.
+                   rebuilt if unsaved. The pass writes the output over a
+                   rebuilt input, which nothing else holds.
                    scale: nothing (constant factor)
     softmax_rows   its output, not its input
     attention      saves per (head, query row) the softmax's log-sum-exp
@@ -61,17 +62,19 @@ Cache policy per primitive, as (what backward reads):
 
 Rebuilt, not saved (the recompute trade of Chen et al. 2016, in the
 selective form of Korthikanti et al. 2022): the output of a layer_norm,
-of a tracked GELU, or of an affine whose x is itself rebuilt (a
-feed-forward block's pre-activation, or a key or value affine), wherever
-an affine reads it as x or a GELU as input; and a concat_rows of such
-outputs wherever attention reads it as its keys or values, so that
-TokenTune keeps no n x d keys or values. The reader's backward rebuilds
-it bit for bit with the forward's own expression: a tracked node from
-its saves, an untracked layer norm from its input, an untracked affine
-from its weak references to its parameters. The input of each untracked
-layer norm on the way (a layer's unselected rows) is a root: the
-reader saves it, so it is retained like any other save, and charged to
-the reader unless an earlier node keeps it. An attention whose keys and
+a select_rows of it (a feed-forward row block's input, of which only the
+block's rows are rebuilt), the output of a tracked GELU, or of an affine
+whose x is itself rebuilt (a feed-forward block's pre-activation, or a
+key or value affine), wherever an affine reads it as x or a GELU as
+input; and a concat_rows of such outputs wherever attention reads it as
+its keys or values, so that TokenTune keeps no n x d keys or values.
+The reader's backward rebuilds it bit for bit with the forward's own
+expression: a tracked node from its saves, an untracked layer norm from
+its input, an untracked affine from its weak references to its
+parameters. The input of each untracked layer norm on the way (a
+layer's unselected rows) is a root: the reader saves it, so it is
+retained like any other save, and charged to the reader unless an
+earlier node keeps it. An attention whose keys and
 values are affine outputs (every position selected: no concat) still
 saves them, as rebuilding them too cost 7-9% of a full fine-tuning
 step.
@@ -79,14 +82,17 @@ step.
 Transients die at their last reader as well, and no op holds more than
 a block of scores or hidden rows beyond its operands and output: a
 forward attention block holds one group of heads' scores at a time, at
-most ATTENTION_SCORE_BYTES; an untracked GELU may write over its input
-(a no-grad feed-forward block's pre-activation, which nothing else
-reads); an adapted affine adds its LoRA delta in row blocks, and its
-backward scales the rank-wide products instead of copying g; each
-backward rule adds a parameter's gradient into the caller's accumulator
-as it forms it; and an attention's backward frees its roots once the
-norms are rebuilt from them, and its keys, values and per-head buffers
-before it hands its gradients on.
+most ATTENTION_SCORE_BYTES, and divides its rows of the output by the
+row sums once, where they are contiguous; a feed-forward block runs in
+row blocks (``model.FFN_BLOCK_ROWS``), tracked or not; an untracked GELU
+may write over its input (a no-grad feed-forward block's
+pre-activation, which nothing else reads), and a GELU's backward writes
+its output over a rebuilt input; an adapted affine adds its LoRA delta
+in row blocks, and its backward scales the rank-wide products instead
+of copying g; each backward rule adds a parameter's gradient into the
+caller's accumulator as it forms it; and an attention's backward frees
+its roots once the norms are rebuilt from them, and its keys, values
+and per-head buffers before it hands its gradients on.
 
 Nodes recorded while gradients are disabled (`with tape.no_grad(): ...`)
 have ``requires_grad = False``, save nothing, and act as constants during
@@ -308,10 +314,13 @@ def _rebuilt_in_backward(node: Node) -> bool:
     """True for a node whose output a reader's backward rebuilds instead
     of the reader saving it (:func:`_rebuilt_output`): a layer_norm, a
     tracked one from its saves and an untracked one from its input, which
-    the reader saves (:func:`_rebuild_roots`); a tracked GELU; an affine
-    whose x is itself rebuilt; and a concat_rows whose every part is."""
+    the reader saves (:func:`_rebuild_roots`); a select_rows of a
+    layer_norm; a tracked GELU; an affine whose x is itself rebuilt; and a
+    concat_rows whose every part is."""
     if node.op == "concat_rows":
         return all(_rebuilt_in_backward(part) for part in node.inputs)
+    if node.op == "select_rows":
+        return node.inputs[0].op == "layer_norm"
     return (node.op == "layer_norm"
             or (node.requires_grad and node.meta.get("fn") == "gelu")
             or (node.op == "affine" and _rebuilt_in_backward(node.inputs[0])))
@@ -343,13 +352,14 @@ def _rebuilt_output(node: Node, norms: dict | None = None) -> np.ndarray:
     """The output of a node :func:`_rebuilt_in_backward` names, rebuilt
     so that it equals the forward's bit for bit, each with the forward's
     own expression: a tracked layer norm's from its saves, an untracked
-    one's from its input (:func:`_layer_norm`); an affine's
+    one's from its input (:func:`_layer_norm`), or only the rows a
+    select_rows of it takes (:func:`_layer_norm_rows`); an affine's
     (:func:`_affine_sum`) over its rebuilt x, which dies once the sum is
     formed; a concat's parts, all rebuilt before they are put at their
-    rows (:func:`_placed`); a GELU's from :func:`_gelu_parts` over its
-    input, saved or rebuilt, which dies once the pass returns. That pass
-    adds the GELU's derivative, which is left on the GELU's saves for its
-    own backward, next on this path (another rebuild replaces it).
+    rows (:func:`_placed`); a GELU's from one pass over its input, saved
+    or rebuilt, a rebuilt one written over (:func:`_gelu_parts_of`). That
+    pass adds the GELU's derivative, which is left on the GELU's saves for
+    its own backward, next on this path (another rebuild replaces it).
     `norms`, if given, keeps each layer
     norm output rebuilt under it by node id, so that readers of one norm
     (a layer's keys and values) rebuild it once. A tracked node's rebuild
@@ -357,26 +367,44 @@ def _rebuilt_output(node: Node, norms: dict | None = None) -> np.ndarray:
     if node.op == "concat_rows":
         return _placed(node, [_rebuilt_output(part, norms)
                               for part in node.inputs])
-    saved = (dict(node._saved_arrays) if node.requires_grad
-             else {role: ref() for role, ref in node._weak_arrays})
+    if node.op == "select_rows":
+        return _layer_norm_rows(node.inputs[0], node.meta["idx"])
     if node.op == "layer_norm":
         if norms is not None and node.idx in norms:
             return norms[node.idx]
-        out = (_layer_norm(saved["input"], saved["scale"], saved["shift"])[0]
-               if "input" in saved else
-               _layer_norm_output(saved["normalized"], saved["scale"],
-                                  saved["shift"]))
+        out = _layer_norm_rows(node, slice(None))
         if norms is not None:
             norms[node.idx] = out
         return out
+    saved = _rebuild_reads(node)
     if node.op == "affine":
         lora = (None if "a" not in saved
                 else (saved["a"], saved["b"], node.meta["scaling"]))
         return _affine_sum(_rebuilt_output(node.inputs[0], norms),
                            saved["w"], saved.get("bias"), lora)[0]
-    out, saved["derivative"] = _gelu_parts(_gelu_input(node, saved))
+    out, saved["derivative"] = _gelu_parts_of(node, saved)
     node._saved_arrays = tuple(saved.items())
     return out
+
+
+def _rebuild_reads(node: Node) -> dict:
+    """The arrays a rebuild of `node`'s output reads, by role: a tracked
+    node's saves, or what an untracked one's weak references reach."""
+    return (dict(node._saved_arrays) if node.requires_grad
+            else {role: ref() for role, ref in node._weak_arrays})
+
+
+def _layer_norm_rows(node: Node, rows) -> np.ndarray:
+    """Rows `rows` of layer norm `node`'s output, only those formed: a
+    tracked norm's from its saves, an untracked one's from its input. A
+    layer norm works row by row, so each row equals the whole output's
+    bit for bit."""
+    saved = _rebuild_reads(node)
+    if "input" in saved:
+        return _layer_norm(saved["input"][rows], saved["scale"],
+                           saved["shift"])[0]
+    return _layer_norm_output(saved["normalized"][rows], saved["scale"],
+                              saved["shift"])
 
 
 def _placed(node: Node, parts: list[np.ndarray]) -> np.ndarray:
@@ -387,11 +415,18 @@ def _placed(node: Node, parts: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _gelu_input(node: Node, saved: dict) -> np.ndarray:
-    """A tracked GELU's input: its save, or rebuilt when backward can
-    rebuild it (:func:`_rebuilt_in_backward`)."""
+def _gelu_parts_of(node: Node, saved: dict) -> tuple[np.ndarray,
+                                                     np.ndarray]:
+    """A tracked GELU's (output, derivative) from one :func:`_gelu_pass`
+    over its input: its save, or rebuilt when backward can rebuild it
+    (:func:`_rebuilt_in_backward`). A rebuilt input is an array of the
+    pass's own, so the output is written over it, and the pass holds two
+    arrays of the input's size, not three."""
     x = saved.get("input")
-    return _rebuilt_output(node.inputs[0]) if x is None else x
+    if x is None:
+        return _gelu_pass(_rebuilt_output(node.inputs[0]), True,
+                          in_place=True)
+    return _gelu_parts(x)
 
 
 def _affine_sum(x, w, bias, lora) -> tuple[np.ndarray, np.ndarray | None]:
@@ -453,10 +488,10 @@ def _check_product(op: str, a: np.ndarray, b: np.ndarray,
         raise ShapeError(op, f"dtype mismatch {a.dtype} vs {b.dtype}")
 
 
-def _scatter_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
-    """out[idx] += g for a zeroed `out`: plain assignment when `idx` has no
-    repeats, np.add.at (much slower) only when it does."""
-    if np.unique(idx).size == idx.size:
+def _scatter_rows(out: np.ndarray, idx, g: np.ndarray) -> None:
+    """out[idx] += g for a zeroed `out`: plain assignment when `idx` is a
+    slice or has no repeats, np.add.at (much slower) only when it does."""
+    if isinstance(idx, slice) or np.unique(idx).size == idx.size:
         out[idx] = g
     else:
         np.add.at(out, idx, g)
@@ -816,11 +851,13 @@ class Tape:
         scale * max |q_i| * max |k_j| shows that no score can overflow,
         each group's scores are checked before they are masked, so
         NonFiniteError names any block with a non-finite score. The
-        unnormalized probabilities multiply v, and the rows x head width
-        output is divided by the row sums (Dao et al. 2022). A tracked
-        node saves each (head, row)'s log-sum-exp, max + log(sum), and,
-        if causal, a copy of `positions`, from which backward rebuilds
-        the probabilities.
+        unnormalized probabilities multiply v, and once all its groups
+        are done, a block's rows of the output are divided by the row
+        sums (Dao et al. 2022), where they are contiguous: numpy
+        allocates fewer iteration buffers for that than for a head
+        group's strided columns. A tracked node saves each (head, row)'s
+        log-sum-exp, max + log(sum), and, if causal, a copy of
+        `positions`, from which backward rebuilds the probabilities.
         """
         qv, kv, vv = q.value, k.value, v.value
         positions = np.asarray(positions)
@@ -864,6 +901,9 @@ class Tape:
         buf = np.empty(max(((h.stop - h.start) * (r1 - r0) * hi
                             for (r0, r1, hi), heads in zip(spans, groups)
                             for h in heads), default=0), qv.dtype)
+        # a block's row sums by row and head: its rows of the output are
+        # divided by them at once, where they are contiguous
+        sums = np.empty((min(m, ATTENTION_BLOCK_ROWS), n_heads), qv.dtype)
         for (r0, r1, hi), heads in zip(spans, groups):
             tile = None if positions is None \
                 else _tile_mask(positions[r0:r1], hi)
@@ -883,12 +923,14 @@ class Tape:
                 top = s.max(axis=2, keepdims=True)
                 s -= top
                 np.exp(s, out=s)
-                total = s.sum(axis=2, keepdims=True)
-                block = oh[h, r0:r1]
-                np.matmul(s, vh[h, :hi], out=block)
-                block /= total
-                np.log(total[..., 0], out=lse[h, r0:r1])
+                total = s.sum(axis=2)
+                np.matmul(s, vh[h, :hi], out=oh[h, r0:r1])
+                sums[:r1 - r0, h] = total.T
+                np.log(total, out=lse[h, r0:r1])
                 lse[h, r0:r1] += top[..., 0]
+                del top, total  # before the next group's scaled queries
+            block = out[r0:r1].reshape(r1 - r0, n_heads, -1)
+            block /= sums[:r1 - r0, :, None]
         saves = [("lse", lse), ("q", qv)]
         if positions is not None:
             saves.append(("positions", positions))
@@ -917,6 +959,11 @@ class Tape:
                             + params, weak=[("input", x.value)] + params)
 
     def select_rows(self, a: Tensor, idx) -> Tensor:
+        """A copy of rows `idx` of `a`: a 1-D index array, or a slice (a
+        feed-forward row block's, which the node keeps in a few bytes)."""
+        if isinstance(idx, slice):
+            return self._record("select_rows", a.value[idx].copy(), (a,),
+                                {"idx": idx})
         idx = np.asarray(idx, dtype=np.intp)
         if idx.ndim != 1:
             raise ShapeError("select_rows", f"index must be 1-D, got {idx.shape}")
@@ -1087,7 +1134,7 @@ class Tape:
                 # left by a rebuild of this GELU's output, if any
                 deriv = saved.get("derivative")
                 if deriv is None:
-                    deriv = _gelu_parts(_gelu_input(node, saved))[1]
+                    deriv = _gelu_parts_of(node, saved)[1]
                 deriv *= g
                 self._accum(grads, a, deriv)
             else:  # pragma: no cover - guarded at record time
@@ -1373,26 +1420,29 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     Parameters are excluded (accounted as persistent elsewhere); constants
     count until their last use. A node that writes over its input (an
     untracked GELU in place) takes over the input's bytes. A feed-forward
-    block run without gradients is recorded as row blocks
-    (``model.FFN_BLOCK_ROWS``) joined by concat_rows, its GELU in place,
-    so the replay sees one block's hidden array live at a time, as it is.
+    block, with or without gradients, is recorded as row blocks
+    (``model.FFN_BLOCK_ROWS``) joined by concat_rows, its GELU in place
+    without gradients, so the replay sees one block's hidden arrays live
+    at a time, as they are.
     Temporaries inside an op are not modeled: softmax buffers,
     attention's block buffers (sized by the largest block: in forward one
     head group's ATTENTION_BLOCK_ROWS x hi scores, at most
-    ATTENTION_SCORE_BYTES unless one head's are more, and its scaled
-    queries, in backward two ATTENTION_BLOCK_ROWS x hi head buffers), its
-    causal diagonal-tile masks (rows x (hi - lo) booleans per block: one
-    or two in forward, every block's in backward), in backward one head's
-    columns of q (with the log-sum-exp), k, v and g, and its key and value
-    gradients at their formed rows (with one head's columns of each), an
-    affine's LoRA delta (one row block of LORA_BLOCK_BYTES in
-    forward; in backward only the rank-wide products), a layer norm's or
+    ATTENTION_SCORE_BYTES unless one head's are more, its scaled queries
+    and its row sums, in backward two ATTENTION_BLOCK_ROWS x hi head
+    buffers), its causal diagonal-tile masks (rows x (hi - lo) booleans
+    per block: one or two in forward, every block's in backward), in
+    backward one head's columns of q (with the log-sum-exp), k, v and g,
+    and its key and value gradients at their formed rows (with one head's
+    columns of each), an affine's LoRA delta (one row block of
+    LORA_BLOCK_BYTES in forward; in backward only the rank-wide
+    products), a layer norm's or
     GELU's output that an affine's backward rebuilds (one rows x cols
     array, freed once that affine's weight or factor gradients are
     formed), a GELU's rebuilt input, the feed-forward pre-activation
-    (rows x d_ff), and the layer norm output it is rebuilt from (rows x d,
-    freed once the pre-activation is formed), live from W2's backward, or
-    the GELU's own, until the GELU's parts are formed, the norm outputs an
+    (a row block's rows x d_ff, over which the GELU output is written),
+    and the layer norm rows it is rebuilt from (rows x d, freed once the
+    pre-activation is formed), live from W2's backward, or the GELU's
+    own, until the GELU's parts are formed, the norm outputs an
     attention rebuilds its keys and values from ((n - k) x d and k x d,
     with an untracked norm's centred input and its square while it is
     formed; the untracked ones first, after which its roots are freed),
@@ -1401,9 +1451,11 @@ def simulate_peak_bytes(tape: Tape) -> tuple[int, int]:
     selected k x d; the norms are freed once the values' parts are
     formed), live until its head loop ends, the GELU derivative that a
     rebuild or the GELU's own backward forms (one rows x cols array, held
-    until it becomes the GELU's input gradient), and the scratch of the
+    until it becomes the GELU's input gradient), the scratch of the
     pass that forms it and of a value it forms in place (one row block of
-    GELU_BLOCK_BYTES or one row each, freed when the pass returns).
+    GELU_BLOCK_BYTES or one row each, freed when the pass returns), and a
+    select_rows's input gradient (the input's shape, one per feed-forward
+    row block, summed into the input's pending gradient).
     """
     last_use: dict[int, int] = {}
     for node in tape.nodes:

@@ -21,10 +21,16 @@ from .engine import Tape, Tensor
 
 INIT_STD = 0.02
 
-#: Rows per block of a feed-forward block run without gradients, with or
-#: without adapters. Nothing is saved then, so rows are independent, and
-#: running near-equal row blocks of at most this many rows bounds the
-#: rows x d_ff array live at once (GELU writes over the pre-activation).
+#: Rows per block of a feed-forward block, with or without gradients or
+#: adapters: over more rows it runs in near-equal row blocks of at most
+#: this many, so one block's rows x d_ff arrays are live at a time, in
+#: forward and in W2's backward, which rebuilds a block's pre-activation,
+#: writes its GELU output over it and forms the derivative. A block saves
+#: no rows of its own: its W1 affine reads rows of a layer norm's output,
+#: which backward rebuilds, and without gradients GELU writes over the
+#: pre-activation. Values and input gradients are separable by row, so
+#: the blocks change none of their bits; weight gradients are sums over
+#: the blocks and may round differently.
 #: Every block has more than half this many rows: with OpenBLAS, products
 #: of 1-3 rows can differ from the whole array's in the last bits, while
 #: the base weights' products of 4 or more rows are equal to them bit for
@@ -203,17 +209,17 @@ def _ffn_rows(tape: Tape, model: TransformerModel, layer: int,
 
 
 def ffn(tape: Tape, model: TransformerModel, layer: int, h: Tensor) -> Tensor:
-    """GELU feed-forward block. Without gradients it runs over near-equal
-    blocks of at most FFN_BLOCK_ROWS rows, joined by `concat_rows`: the
-    same builders, with one block's hidden array alive at a time instead
-    of all rows' two."""
+    """GELU feed-forward block, over near-equal blocks of at most
+    FFN_BLOCK_ROWS rows of `h`, each a `select_rows`, joined by
+    `concat_rows`: the same builders, tracked or not, with one block's
+    hidden arrays alive at a time instead of all rows'."""
     rows = h.value.shape[0]
     count = -(-rows // FFN_BLOCK_ROWS)
-    if tape.grad_enabled or count < 2:
+    if count < 2:
         return _ffn_rows(tape, model, layer, h)
     bounds = [rows * i // count for i in range(count + 1)]
     return tape.concat_rows([
-        _ffn_rows(tape, model, layer, tape.select_rows(h, np.arange(r0, r1)))
+        _ffn_rows(tape, model, layer, tape.select_rows(h, slice(r0, r1)))
         for r0, r1 in zip(bounds, bounds[1:])])
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import resource
 import time
 from dataclasses import dataclass
 
@@ -36,6 +37,11 @@ EPSILON = 1e-8
 
 class StepError(RuntimeError):
     pass
+
+
+def _minor_faults() -> int:
+    """Minor page faults this process has taken so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def _zeros_per_trainable(model: TransformerModel) -> dict[str, np.ndarray]:
@@ -213,6 +219,8 @@ class Trainer:
         ``grad_tokens`` are sums over the micro-batch: of its examples'
         positions, and of the selected positions of those examples that
         added a loss term, the tokens gradient flowed through.
+        ``wall_ms`` and ``minor_faults`` are the step's wall time and the
+        minor page faults the process took during it.
 
         Examples run one at a time, so the memory figures are per example:
         ``activation_bytes`` is the largest over the batch of the bytes
@@ -224,6 +232,7 @@ class Trainer:
         if not batch:
             raise StepError("empty batch")
         t0 = time.perf_counter()
+        faults = _minor_faults()
         activation_bytes = 0
         breakdown: dict[tuple[str, str], int] = {}
         shape = None
@@ -287,6 +296,7 @@ class Trainer:
             "activation_bytes": activation_bytes,
             "peak_bytes": persistent + peak_tape,
             "wall_ms": (time.perf_counter() - t0) * 1000.0,
+            "minor_faults": _minor_faults() - faults,
         }
 
 
@@ -359,7 +369,10 @@ def _batches(train_set, cfg: TrainConfig):
 
 def run_training(cfg: RunConfig, out_dir) -> RunResult:
     """Train per the config; writes metrics.jsonl, timings.jsonl, the final
-    checkpoint, a memory report, and the resolved config into out_dir."""
+    checkpoint, a memory report, and the resolved config into out_dir.
+    Each timings.jsonl line is one train step: its ``step``, ``wall_ms``
+    (ms) and ``minor_faults`` (a count of this process's minor page
+    faults), both over the `Trainer.train_step` call."""
     from pathlib import Path
 
     from . import __version__
@@ -392,10 +405,11 @@ def run_training(cfg: RunConfig, out_dir) -> RunResult:
             if (trainer.micro_step == steps
                     and steps % cfg.train.accumulation_steps):
                 metrics["grad_norm"] = trainer.close_window()
-            wall_ms = metrics.pop("wall_ms")
+            timing = {"step": metrics["step"],
+                      "wall_ms": metrics.pop("wall_ms"),
+                      "minor_faults": metrics.pop("minor_faults")}
             mfh.write(json.dumps(metrics, sort_keys=True) + "\n")
-            tfh.write(json.dumps({"step": metrics["step"],
-                                  "wall_ms": wall_ms}) + "\n")
+            tfh.write(json.dumps(timing) + "\n")
 
     eval_metrics = evaluate(model, test_set, task_kind)
     ckpt_path = out / "model.ckpt"

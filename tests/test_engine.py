@@ -513,12 +513,13 @@ def test_layer_norm_rows_standardized(seed):
     assert np.allclose(out.value.std(axis=1), 1.0, atol=1e-3)
 
 
-@pytest.mark.parametrize("idx", [[1, 3, 1, 1, 0, 3], [4, 0, 2, 1]],
-                         ids=["repeated", "distinct"])
+@pytest.mark.parametrize("idx", [[1, 3, 1, 1, 0, 3], [4, 0, 2, 1],
+                                 slice(1, 4)],
+                         ids=["repeated", "distinct", "slice"])
 def test_select_rows_backward_scatters_like_add_at(idx):
     r = rng_for(13)
     x = r.normal(size=(5, 3))
-    targets = r.integers(0, 3, size=len(idx))
+    targets = r.integers(0, 3, size=x[idx].shape[0])
     direct = Tape()
     rows = direct.input(x[idx])
     direct.backward(direct.cross_entropy(rows, targets))
@@ -907,12 +908,16 @@ def test_gelu_pass_is_bit_equal_whole_or_in_row_blocks(monkeypatch, dtype):
     # blocks of 5 rows, the last of 2
     monkeypatch.setattr(engine, "GELU_BLOCK_BYTES", 5 * z[:1].nbytes)
     blocked = engine._gelu_parts(z)
-    # in place: each block formed in scratch, then written over z's
+    # in place: each block formed in scratch, then written over z's,
+    # with the derivative too (as a rebuild of a tracked GELU forms them)
     over = z.copy()
     assert gelu_array(over, in_place=True) is over
+    parts_over = z.copy()
+    value, deriv = engine._gelu_pass(parts_over, True, in_place=True)
+    assert value is parts_over
     assert bits(whole_value) == bits(whole[0]) == bits(blocked[0]) \
-        == bits(gelu_array(z)) == bits(over)
-    assert bits(whole[1]) == bits(blocked[1])
+        == bits(gelu_array(z)) == bits(over) == bits(value)
+    assert bits(whole[1]) == bits(blocked[1]) == bits(deriv)
 
 
 def test_gelu_writes_in_place_only_over_an_untracked_input():

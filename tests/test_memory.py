@@ -29,6 +29,7 @@ from tokentune.memprofile import (build_regime_model, lm_profile_batch,
                                   retained_bytes_law)
 from tokentune.model import FFN_BLOCK_ROWS, build_model, forward_hidden
 from tokentune.model import ffn as ffn_block
+from tokentune.model import norm as norm_block
 from tokentune.optimize import (NORM_BLOCK, AdamState, Trainer, adam_step,
                                 eval_hidden, evaluate, global_norm)
 from tokentune.partition import TokenPartition
@@ -206,9 +207,9 @@ def lm_law(cfg, n, itemsize):
     return intercept, per_position + per_row
 
 
-def tokentune_retained_bytes(model, example, k):
-    """Bytes retained for backward with k positions selected among those
-    with a next-token target (all but the last)."""
+def tokentune_tape(model, example, k):
+    """A tape of the forward and loss with k positions selected among
+    those with a next-token target (all but the last)."""
     n = len(example.seq)
     selected = np.sort(np.random.default_rng(k).choice(n - 1, k,
                                                        replace=False))
@@ -217,7 +218,12 @@ def tokentune_retained_bytes(model, example, k):
     tape = Tape()
     split = tokentune_forward(tape, model, example.seq, partition)
     loss_lm(tape, model, split, example.targets)
-    return sum(tape.retained_bytes().values())
+    return tape
+
+
+def tokentune_retained_bytes(model, example, k):
+    """Bytes retained for backward by `tokentune_tape`."""
+    return sum(tokentune_tape(model, example, k).retained_bytes().values())
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -245,6 +251,25 @@ def test_retained_bytes_law_at_the_benchmark_shapes():
     for k in (1, 64):
         assert tokentune_retained_bytes(model, example, k) \
             == intercept + slope * k, k
+
+
+def test_retained_bytes_follow_the_law_past_one_ffn_block():
+    # k = 320 selected rows run each tracked feed-forward block in two row
+    # blocks; a block's W1 affine reads rows of the layer norm's output,
+    # which backward rebuilds, so no block saves any rows of its own
+    n, k = 512, 320
+    cfg = ModelConfig(vocab_size=257, max_positions=n, d_model=16,
+                      n_heads=2, d_ff=32, n_layers=2, causal=True,
+                      n_classes=None)
+    model = build_model(cfg, seed=3, dtype="float32")
+    example = lm_profile_batch(n, 1, seed=3)[0]
+    intercept, slope = lm_law(cfg, n, 4)
+    tape = tokentune_tape(model, example, k)
+    assert sum(tape.retained_bytes().values()) == intercept + slope * k
+    blocks = [node for node in tape.nodes if node.op == "affine"
+              and node.requires_grad and node.label.endswith(".ffn")
+              and node.inputs[0].op == "select_rows"]
+    assert k > FFN_BLOCK_ROWS and len(blocks) == 2 * cfg.n_layers
 
 
 def test_no_grad_forward_keeps_only_its_output(model, example):
@@ -525,11 +550,14 @@ def test_attention_forward_holds_one_head_groups_score_block(dtype, causal):
     # a block of all heads' scores, as before, is 4 or 8 times as much
     assert 4 * scores <= heads * rows * n * itemsize
     # beside the output, the lse and one group's scores: scaled queries
-    # of at most a block's rows and heads, two diagonal tiles' booleans,
-    # the ufunc buffers of dividing a strided block of the output by the
-    # row sums (up to two), the positions and the node record
-    slack = (rows * d + 2 * UFUNC_BUFFER_ELEMENTS) * itemsize \
-        + 2 * rows * rows + n * 8 + GRAPH_BYTES_PER_NODE
+    # of at most a block's rows and heads (no fewer bytes here than the
+    # iteration buffers of a tile mask's comparison of positions, formed
+    # while no queries are held), two diagonal tiles' booleans, the
+    # block's row sums, the positions, and the records of the node, its
+    # blocks and their head groups
+    assert rows * d * itemsize >= 2 * rows * rows * 8
+    slack = (rows * d + rows * heads) * itemsize + 2 * rows * rows \
+        + n * 8 + GRAPH_BYTES_PER_NODE * (1 + n // rows)
     assert peak <= out.value.nbytes + lse + scores + slack, peak
 
 
@@ -590,15 +618,13 @@ def test_attention_backward_frees_its_root_before_its_head_loop(
     assert freed and all(freed)
 
 
-def test_tokentune_step_peak_at_the_benchmark_shapes():
-    # one warmed TokenTune step of one example at the lm-long benchmark
-    # workload's shapes: the unselected path's transients (a head group's
-    # attention scores, one FFN hidden array per row block) and
-    # attention's backward rebuild stay under this bound, 4.85 MB
+def benchmark_step_peak(regime, k=None):
+    """`tracemalloc`'s peak over one warmed step of one example at the
+    lm-long benchmark workload's shapes, float32."""
     cfg = ModelConfig(vocab_size=257, max_positions=512, d_model=256,
                       n_heads=8, d_ff=1024, n_layers=4, causal=True,
                       n_classes=None)
-    train = TrainConfig(regime="tokentune", k=64, batch_size=1,
+    train = TrainConfig(regime=regime, k=k, batch_size=1,
                         learning_rate=3e-4, seed=11, dtype="float32")
     trainer = Trainer(build_model(cfg, seed=11, dtype="float32"), train,
                       "lm")
@@ -606,8 +632,24 @@ def test_tokentune_step_peak_at_the_benchmark_shapes():
     trainer.train_step(batch)  # first step allocates nothing new
     with Traced() as traced:
         trainer.train_step(batch)
-        peak = traced.peak()
+        return traced.peak()
+
+
+def test_tokentune_step_peak_at_the_benchmark_shapes():
+    # k = 64: the unselected path's transients (a head group's attention
+    # scores, one FFN hidden array per row block) and attention's backward
+    # rebuild stay under this bound, 4.85 MB
+    peak = benchmark_step_peak("tokentune", 64)
     assert peak <= 4_850_000, peak
+
+
+def test_full_step_peak_at_the_benchmark_shapes():
+    # every position selected: W2's backward rebuilds one 256-row block's
+    # pre-activation, GELU output (over it) and derivative at a time,
+    # above the 13.7 MB retained set, so the step stays under this bound,
+    # 17.5 MB
+    peak = benchmark_step_peak("full")
+    assert peak <= 17_500_000, peak
 
 
 @pytest.mark.parametrize("regime", ["full", "tokentune"])
@@ -731,6 +773,35 @@ def test_ffn_backward_holds_two_hidden_arrays_above_the_retained_set():
     # sixteenth of a hidden array), the upstream gradient and softmax
     # probabilities of the loss, and the small ones
     assert peak <= 2 * hidden + 6 * rows * d * 8, (peak, hidden)
+
+
+def test_tracked_ffn_backward_holds_one_row_blocks_hidden_arrays():
+    # over a layer norm's rows, as in the model, in three row blocks: W2's
+    # backward rebuilds one block's pre-activation at a time and writes
+    # GELU's output over it, beside the derivative: two of a block's
+    # hidden arrays, not all rows' three (4.5 times as much)
+    rows, d, d_ff = 2 * FFN_BLOCK_ROWS + 1, 16, 256
+    cfg = ModelConfig(vocab_size=257, max_positions=8, d_model=d, n_heads=2,
+                      d_ff=d_ff, n_layers=1, causal=True, n_classes=None)
+    model = build_model(cfg, seed=9, dtype="float64")
+    r = np.random.default_rng(9)
+    tape = Tape()
+    x = tape.input(r.normal(size=(rows, d)))
+    out = ffn_block(tape, model, 0, norm_block(tape, model, 0, 2, x))
+    loss = tape.cross_entropy(out, r.integers(0, d, size=rows))
+    with Traced() as traced:
+        tape.backward(loss)
+        peak = traced.peak()
+    sizes = [part.shape[0] for part in out.node.inputs]
+    assert out.op == "concat_rows" and len(sizes) == 3
+    block = max(sizes) * d_ff * 8
+    # beside the two: the pass's two row blocks of scratch, a weight
+    # gradient's product, the loss's gradient, the layer norm's pending
+    # gradient and the small ones
+    bound = 2 * block + 2 * engine.GELU_BLOCK_BYTES + d * d_ff * 8 \
+        + 3 * rows * d * 8
+    assert bound < 2 * rows * d_ff * 8
+    assert peak <= bound, (peak, block)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

@@ -11,7 +11,7 @@ from tokentune.engine import Tape
 from tokentune.model import (FFN_BLOCK_ROWS, ModelError, build_model,
                              embed, ffn,
                              forward_hidden, lm_logits,
-                             loss_classification_rows, param_specs)
+                             loss_classification_rows, norm, param_specs)
 from tokentune.optimize import evaluate
 from tokentune.partition import TokenPartition
 from tokentune.selective import (SplitHidden, tokentune_attention,
@@ -224,18 +224,21 @@ def test_zero_weight_layers_are_identity():
     assert np.array_equal(split.h_g.value, h)
 
 
+@pytest.mark.parametrize("tracked", [False, True], ids=["no_grad", "tracked"])
 @pytest.mark.parametrize("block_rows", [FFN_BLOCK_ROWS, 64])
 @pytest.mark.parametrize("lora", [False, True], ids=["plain", "lora"])
 @pytest.mark.parametrize("rows", [5, 65, 129, 449])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_no_grad_ffn_in_row_blocks_equals_the_whole_array_ffn(
-        monkeypatch, dtype, rows, lora, block_rows):
+def test_ffn_in_row_blocks_equals_the_whole_array_ffn(
+        monkeypatch, dtype, rows, lora, block_rows, tracked):
     # at the benchmark's FFN widths, where the BLAS kernels are the ones
-    # training runs; a tracked FFN always runs as one block. An adapted
-    # FFN runs in the same blocks, but a LoRA factor's narrow product
-    # (w2's: 449 x 1024 GELU rows times its 1024 x 4 factor A) can differ
-    # from the same product over 225- and 224-row blocks in the last bits
-    monkeypatch.setattr(model_module, "FFN_BLOCK_ROWS", block_rows)
+    # training runs, over a layer norm's rows as in the model, against
+    # one block of all rows. Values and the input's gradient are
+    # separable by row, so the blocks change neither; weight gradients
+    # are sums over the blocks, rounded accordingly. An adapted FFN runs
+    # in the same blocks, but a LoRA factor's narrow product (w2's: 449 x
+    # 1024 GELU rows times its 1024 x 4 factor A) can differ from the
+    # same product over 225- and 224-row blocks in the last bits
     cfg = tiny_config(d_model=256, n_heads=8, d_ff=1024, n_layers=1)
     model = build_model(cfg, seed=16, dtype=dtype)
     r = rng_for(16)
@@ -245,16 +248,33 @@ def test_no_grad_ffn_in_row_blocks_equals_the_whole_array_ffn(
             if name.endswith(".lora_b"):
                 arr[...] = r.normal(0.0, 0.02, arr.shape)
     h = r.normal(size=(rows, 256)).astype(dtype)
-    whole = Tape()
-    want = ffn(whole, model, 0, whole.input(h)).value
-    blocked = Tape()
-    with blocked.no_grad():
-        got = ffn(blocked, model, 0, blocked.input(h))
+    targets = r.integers(0, 256, size=rows)
+
+    def run(block):
+        monkeypatch.setattr(model_module, "FFN_BLOCK_ROWS", block)
+        tape = Tape()
+        x = tape.input(h)
+        if not tracked:
+            with tape.no_grad():
+                return ffn(tape, model, 0, norm(tape, model, 0, 2, x)), {}
+        out = ffn(tape, model, 0, norm(tape, model, 0, 2, x))
+        grads = tape.backward(tape.cross_entropy(out, targets))
+        return out, {"x": tape.grad_of(x), **grads}
+
+    want, want_grads = run(rows)
+    got, got_grads = run(block_rows)
+    tol = 1e-6 if dtype == "float32" else 1e-15
     if lora:
-        tol = 1e-6 if dtype == "float32" else 1e-15
-        assert np.abs(got.value - want).max() <= tol * np.abs(want).max()
+        err = np.abs(got.value - want.value).max()
+        assert err <= tol * np.abs(want.value).max()
     else:
-        assert np.array_equal(got.value, want)
+        assert np.array_equal(got.value, want.value)
+    for name, value in want_grads.items():
+        if lora or name.startswith("layers."):
+            err = np.abs(got_grads[name] - value).max()
+            assert err <= 10 * tol * np.abs(value).max(), (name, err)
+        else:
+            assert np.array_equal(got_grads[name], value), name
     count = -(-rows // block_rows)
     if count == 1:
         assert got.op == "affine"

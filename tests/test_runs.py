@@ -67,6 +67,19 @@ def test_run_training_reports_per_example_memory(tmp_path, regime):
         assert report["activations_differ_from_law"] is None
 
 
+def test_each_timings_line_counts_its_steps_minor_page_faults(tmp_path):
+    run_training(tiny_run("tokentune"), tmp_path)
+    lines = [json.loads(line) for line in
+             (tmp_path / "timings.jsonl").read_text().splitlines()]
+    assert [line["step"] for line in lines] == [1, 2, 3]
+    for line in lines:
+        assert set(line) == {"step", "wall_ms", "minor_faults"}
+        assert type(line["minor_faults"]) is int, line
+        assert line["minor_faults"] >= 0 and line["wall_ms"] > 0
+    assert not any("minor_faults" in step or "wall_ms" in step
+                   for step in run_lines(tmp_path))
+
+
 #: (activations_bytes, peak_bytes) of `tiny_lm_run`'s memory.json per
 #: regime: totals of what backward keeps, which do not depend on which
 #: node each kept array is charged to
